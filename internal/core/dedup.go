@@ -67,8 +67,10 @@ type dedupMulti struct {
 // service — share one identification. Entries are segregated by
 // (Nin, Nout, Model): merits and legality depend on all three, so a
 // memo is only ever reused at the exact same constraint point on the
-// exact same latency table (models are compared by pointer identity —
-// reuse the *latency.Model instance across calls to share).
+// exact same latency table. Models are compared by pointer identity:
+// calls with a nil Model all share the one default instance, and calls
+// with an explicit model share only when they pass the same
+// *latency.Model.
 //
 // Sharing keeps every per-cell selection bit-identical to a run with a
 // private memo whenever the cell's own searches complete within budget:

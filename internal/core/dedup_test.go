@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"isex/internal/dfg"
+	"isex/internal/latency"
 	"isex/internal/obs"
 )
 
@@ -299,5 +300,31 @@ func TestSchedulerMemoCollisionGuard(t *testing.T) {
 	sc.shutdown()
 	if n := sc.pool.Leaked(); n > 0 {
 		t.Fatalf("cpu pool leaked %d token(s)", n)
+	}
+}
+
+// TestDedupCacheSharesAcrossCalls: two selections through one DedupCache
+// share one memo, so the second adopts what the first searched — both
+// when the calls pass one explicit model and when they leave Model nil
+// (every nil-Model call must resolve to the same default instance, or
+// the cache would grow one never-reused memo per call).
+func TestDedupCacheSharesAcrossCalls(t *testing.T) {
+	m := compileAndProfile(t, twinKernels)
+	for _, tc := range []struct {
+		name  string
+		model *latency.Model
+	}{{"nil-model", nil}, {"shared-model", latency.Default()}} {
+		cache := NewDedupCache()
+		cfg := Config{Nin: 2, Nout: 1, Model: tc.model, Dedup: true, DedupCache: cache}
+		first := SelectIterative(m, 4, cfg)
+		second := SelectIterative(m, 4, cfg)
+		if len(cache.memos) != 1 {
+			t.Errorf("%s: %d memos after two calls at one constraint point, want 1", tc.name, len(cache.memos))
+		}
+		if second.DedupHits <= first.DedupHits {
+			t.Errorf("%s: dedup hits %d then %d; the second call must adopt the first's searches",
+				tc.name, first.DedupHits, second.DedupHits)
+		}
+		assertDedupEquivalent(t, tc.name, first, second)
 	}
 }

@@ -99,7 +99,14 @@ type multiSearcher struct {
 	out    []int
 	sw     []int64
 	crit   []float64
+	cyc    []int // latency.CyclesOf(crit[k]), kept in step with crit
 	sizes  []int // members per cut
+
+	// reachUndo is the undo arena for the per-cut reach bits: row r
+	// (m+1 bools, see savedReach) holds the bits of the node decided at
+	// rank r, saved before that decision. One decision is live per rank,
+	// so visiting a node allocates nothing.
+	reachUndo []bool
 
 	// futSW[rank] is the total software latency of includable nodes at
 	// ranks ≥ rank. Each future node joins at most one cut and raises
@@ -159,7 +166,9 @@ func newMultiSearcher(g *dfg.Graph, m int, cfg Config) *multiSearcher {
 		out:         make([]int, m+1),
 		sw:          make([]int64, m+1),
 		crit:        make([]float64, m+1),
+		cyc:         make([]int, m+1),
 		sizes:       make([]int, m+1),
+		reachUndo:   make([]bool, (len(g.OpOrder)+1)*(m+1)),
 		sharedCache: math.MinInt64,
 	}
 	s.futSW = make([]int64, len(s.order)+1)
@@ -286,7 +295,7 @@ func (s *multiSearcher) totalMerit() int64 {
 		if s.sizes[k] == 0 {
 			continue
 		}
-		hw := latency.CyclesOf(s.crit[k])
+		hw := s.cyc[k]
 		if hw < 1 {
 			hw = 1
 		}
@@ -359,23 +368,29 @@ func (s *multiSearcher) visit(rank int) {
 		}
 		s.path[rank] = 0
 	}
-	saved := s.applyExcludeReach(id)
+	s.applyExcludeReach(rank, id)
 	s.visit(rank + 1)
-	s.undoExcludeReach(id, saved)
+	s.undoExcludeReach(rank, id)
 }
 
-// applyExcludeReach decides node id out of every cut, propagating reach;
-// it returns the saved per-cut reach bits for undoExcludeReach.
-func (s *multiSearcher) applyExcludeReach(id int) []bool {
-	saved := make([]bool, s.m+1)
+// savedReach returns rank's row of the reach undo arena.
+func (s *multiSearcher) savedReach(rank int) []bool {
+	w := s.m + 1
+	return s.reachUndo[rank*w : (rank+1)*w]
+}
+
+// applyExcludeReach decides node id (at rank) out of every cut,
+// propagating reach; the previous bits go to rank's arena row.
+func (s *multiSearcher) applyExcludeReach(rank, id int) {
+	saved := s.savedReach(rank)
 	for k := 1; k <= s.m; k++ {
 		saved[k] = s.reach[k][id]
 		s.reach[k][id] = s.reachVia(k, id)
 	}
-	return saved
 }
 
-func (s *multiSearcher) undoExcludeReach(id int, saved []bool) {
+func (s *multiSearcher) undoExcludeReach(rank, id int) {
+	saved := s.savedReach(rank)
 	for k := 1; k <= s.m; k++ {
 		s.reach[k][id] = saved[k]
 	}
@@ -412,22 +427,24 @@ func (s *multiSearcher) convexOKFor(node *dfg.Node, k int) bool {
 }
 
 // assignUndo captures what applyAssign changed beyond the per-node
-// arrays, so undoAssign can restore the state exactly.
+// arrays and the rank's reach undo row, so undoAssign can restore the
+// state exactly.
 type assignUndo struct {
-	savedReach []bool
-	isOut      bool
-	absorbed   bool
-	prevCrit   float64
+	isOut    bool
+	absorbed bool
+	prevCrit float64
+	prevCyc  int
 }
 
-// applyAssign puts node id into cut k, updating the incremental per-cut
-// IN/OUT, software-latency and critical-path state.
-func (s *multiSearcher) applyAssign(id int, node *dfg.Node, k int) assignUndo {
-	u := assignUndo{savedReach: make([]bool, s.m+1)}
+// applyAssign puts node id (at rank) into cut k, updating the
+// incremental per-cut IN/OUT, software-latency and critical-path state.
+func (s *multiSearcher) applyAssign(rank, id int, node *dfg.Node, k int) assignUndo {
+	var u assignUndo
+	saved := s.savedReach(rank)
 	s.assign[id] = k
 	s.sizes[k]++
 	for j := 1; j <= s.m; j++ {
-		u.savedReach[j] = s.reach[j][id]
+		saved[j] = s.reach[j][id]
 		if j == k {
 			s.reach[j][id] = true
 		} else {
@@ -461,15 +478,16 @@ func (s *multiSearcher) applyAssign(id int, node *dfg.Node, k int) assignUndo {
 		}
 	}
 	s.lenTo[k][id] = best + s.model.HW(node.Op)
-	u.prevCrit = s.crit[k]
+	u.prevCrit, u.prevCyc = s.crit[k], s.cyc[k]
 	if s.lenTo[k][id] > s.crit[k] {
 		s.crit[k] = s.lenTo[k][id]
+		s.cyc[k] = latency.CyclesOf(s.crit[k])
 	}
 	return u
 }
 
-func (s *multiSearcher) undoAssign(id int, node *dfg.Node, k int, u assignUndo) {
-	s.crit[k] = u.prevCrit
+func (s *multiSearcher) undoAssign(rank, id int, node *dfg.Node, k int, u assignUndo) {
+	s.crit[k], s.cyc[k] = u.prevCrit, u.prevCyc
 	s.lenTo[k][id] = 0
 	s.sw[k] -= int64(s.model.SW(node.Op))
 	for _, p := range node.Preds {
@@ -484,8 +502,9 @@ func (s *multiSearcher) undoAssign(id int, node *dfg.Node, k int, u assignUndo) 
 	if u.isOut {
 		s.out[k]--
 	}
+	saved := s.savedReach(rank)
 	for j := 1; j <= s.m; j++ {
-		s.reach[j][id] = u.savedReach[j]
+		s.reach[j][id] = saved[j]
 	}
 	s.sizes[k]--
 	s.assign[id] = 0
@@ -494,7 +513,7 @@ func (s *multiSearcher) undoAssign(id int, node *dfg.Node, k int, u assignUndo) 
 func (s *multiSearcher) tryInclude(rank, id, k int) {
 	node := &s.g.Nodes[id]
 	convOK := s.convexOKFor(node, k)
-	u := s.applyAssign(id, node, k)
+	u := s.applyAssign(rank, id, node, k)
 	if convOK && s.out[k] <= s.cfg.Nout {
 		s.stats.Passed++
 		s.maybeRecord()
@@ -508,7 +527,7 @@ func (s *multiSearcher) tryInclude(rank, id, k int) {
 			s.obs.Pruned(rank)
 		}
 	}
-	s.undoAssign(id, node, k, u)
+	s.undoAssign(rank, id, node, k, u)
 }
 
 // maybeRecord evaluates the current assignment as a candidate solution.
@@ -599,12 +618,12 @@ func (s *multiSearcher) interCutCycle() bool {
 	return false
 }
 
-// multiReplayStep records one prefix decision for exact unwinding.
+// multiReplayStep records one prefix decision for exact unwinding; its
+// saved reach bits are in the arena row of its rank.
 type multiReplayStep struct {
-	id         int
-	k          int // 0 = exclude
-	u          assignUndo
-	savedReach []bool
+	id int
+	k  int // 0 = exclude
+	u  assignUndo
 }
 
 // replay applies a decision prefix (decision r for rank r; 0 = exclude,
@@ -618,22 +637,23 @@ func (s *multiSearcher) replay(prefix []uint8) {
 		}
 		step := multiReplayStep{id: id, k: int(d)}
 		if step.k > 0 {
-			step.u = s.applyAssign(id, &s.g.Nodes[id], step.k)
+			step.u = s.applyAssign(r, id, &s.g.Nodes[id], step.k)
 		} else {
-			step.savedReach = s.applyExcludeReach(id)
+			s.applyExcludeReach(r, id)
 		}
 		s.replayUndo = append(s.replayUndo, step)
 	}
 }
 
-// unreplay unwinds a replay, restoring the clean state.
+// unreplay unwinds a replay, restoring the clean state. A replay starts
+// at rank 0, so step i was decided at rank i.
 func (s *multiSearcher) unreplay() {
 	for i := len(s.replayUndo) - 1; i >= 0; i-- {
 		st := s.replayUndo[i]
 		if st.k > 0 {
-			s.undoAssign(st.id, &s.g.Nodes[st.id], st.k, st.u)
+			s.undoAssign(i, st.id, &s.g.Nodes[st.id], st.k, st.u)
 		} else {
-			s.undoExcludeReach(st.id, st.savedReach)
+			s.undoExcludeReach(i, st.id)
 		}
 	}
 	s.replayUndo = s.replayUndo[:0]

@@ -228,7 +228,7 @@ func (e *bbEngine) expandMulti(s *multiSearcher, sub bbSub, out *bbBest) []bbSub
 		for k := 1; k <= maxK; k++ {
 			s.stats.CutsConsidered++
 			convOK := s.convexOKFor(node, k)
-			u := s.applyAssign(id, node, k)
+			u := s.applyAssign(d, id, node, k)
 			if convOK && s.out[k] <= s.cfg.Nout {
 				s.stats.Passed++
 				key := childKey(sub.prefix, uint8(k))
@@ -244,7 +244,7 @@ func (e *bbEngine) expandMulti(s *multiSearcher, sub bbSub, out *bbBest) []bbSub
 					s.obs.Pruned(d)
 				}
 			}
-			s.undoAssign(id, node, k, u)
+			s.undoAssign(d, id, node, k, u)
 		}
 	}
 	children = append(children, bbSub{prefix: childKey(sub.prefix, 0), seed: s.bestMerit, seeded: s.bestFound})

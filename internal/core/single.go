@@ -16,7 +16,7 @@ type Config struct {
 	// to a special instruction (Problem 1, §5).
 	Nin, Nout int
 	// Model supplies software latencies and hardware delays (§7).
-	// If nil, latency.Default() is used.
+	// If nil, one shared latency.Default() instance is used.
 	Model *latency.Model
 
 	// Extensions beyond the paper, off by default (used in ablations):
@@ -201,11 +201,17 @@ func (c Config) stripSeed() Config {
 	return c
 }
 
+// defaultModel is the model every Config with a nil Model uses. One
+// shared instance (models are immutable) keeps DedupCache's per-model
+// memos shared across nil-Model calls and costs no construction per
+// search.
+var defaultModel = latency.Default()
+
 func (c Config) model() *latency.Model {
 	if c.Model != nil {
 		return c.Model
 	}
-	return latency.Default()
+	return defaultModel
 }
 
 // Stats describes one identification run.
@@ -395,6 +401,7 @@ type searcher struct {
 	sw     int64
 	lenTo  []float64 // longest data path from a member through the cut
 	crit   float64
+	cyc    int // latency.CyclesOf(crit), kept in step with crit
 
 	// futSW[rank] is the total software latency of includable nodes at
 	// ranks ≥ rank (admissible bound for PruneMerit).
@@ -568,7 +575,7 @@ func (s *searcher) pollRacer() {
 // meritOf converts the current (non-empty) cut state into merit. The
 // instruction always costs at least one cycle.
 func (s *searcher) meritOf() int64 {
-	hw := latency.CyclesOf(s.crit)
+	hw := s.cyc
 	if hw < 1 {
 		hw = 1
 	}
@@ -579,7 +586,7 @@ func (s *searcher) meritOf() int64 {
 // current software gain plus all remaining includable software latency,
 // minus the current hardware cycle count (PruneMerit).
 func (s *searcher) meritUB(rank int) int64 {
-	return (s.sw + s.futSW[rank] - int64(latency.CyclesOf(s.crit))) * s.freq
+	return (s.sw + s.futSW[rank] - int64(s.cyc)) * s.freq
 }
 
 // convexOK reports whether including node keeps the cut convex: a
@@ -606,6 +613,7 @@ type inclUndo struct {
 	absorbed  bool
 	newPermIn int
 	prevCrit  float64
+	prevCyc   int
 }
 
 // applyInclude adds node id to the cut, updating the incremental IN/OUT,
@@ -645,15 +653,16 @@ func (s *searcher) applyInclude(id int, node *dfg.Node) inclUndo {
 		}
 	}
 	s.lenTo[id] = best + s.model.HW(node.Op)
-	u.prevCrit = s.crit
+	u.prevCrit, u.prevCyc = s.crit, s.cyc
 	if s.lenTo[id] > s.crit {
 		s.crit = s.lenTo[id]
+		s.cyc = latency.CyclesOf(s.crit)
 	}
 	return u
 }
 
 func (s *searcher) undoInclude(id int, node *dfg.Node, u inclUndo) {
-	s.crit = u.prevCrit
+	s.crit, s.cyc = u.prevCrit, u.prevCyc
 	s.lenTo[id] = 0
 	s.sw -= int64(s.model.SW(node.Op))
 	s.permIn -= u.newPermIn

@@ -258,11 +258,8 @@ func (e *Env) exec(f *ir.Function, regs []int32, in *ir.Instr) error {
 			return fmt.Errorf("bad AFU index %d", in.AFU)
 		}
 		d := &e.Mod.AFUs[in.AFU]
-		args := make([]int32, len(in.Args))
-		for i, a := range in.Args {
-			args[i] = regs[a]
-		}
-		out, err := d.Exec(args)
+		var buf [3]int32
+		out, err := d.Exec(operands(buf[:0], regs, in.Args))
 		if err != nil {
 			return err
 		}
@@ -274,17 +271,28 @@ func (e *Env) exec(f *ir.Function, regs []int32, in *ir.Instr) error {
 		}
 		return nil
 	default:
-		args := make([]int32, len(in.Args))
-		for i, a := range in.Args {
-			args[i] = regs[a]
-		}
-		v, err := ir.Eval(in.Op, in.Imm, args...)
+		var buf [3]int32
+		v, err := ir.Eval(in.Op, in.Imm, operands(buf[:0], regs, in.Args)...)
 		if err != nil {
 			return err
 		}
 		regs[in.Dsts[0]] = v
 		return nil
 	}
+}
+
+// operands appends the register values of args to dst. exec passes a
+// stack buffer of three, which holds every pure op's operands, so an
+// executed instruction allocates only when it has more operands than
+// that (a wide custom instruction).
+func operands(dst, regs []int32, args []ir.Reg) []int32 {
+	if len(args) > cap(dst) {
+		dst = make([]int32, 0, len(args))
+	}
+	for _, a := range args {
+		dst = append(dst, regs[a])
+	}
+	return dst
 }
 
 // ClearProfile zeroes all block frequencies in the module.

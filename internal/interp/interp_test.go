@@ -30,6 +30,26 @@ func buildSum() *ir.Module {
 	return &ir.Module{Funcs: []*ir.Function{b.Finish()}}
 }
 
+// TestExecAllocsIndependentOfSteps guards the interpreter's inner loop:
+// executing an instruction allocates nothing, so running the sum loop
+// 1000 times allocates exactly what running it 10 times does.
+func TestExecAllocsIndependentOfSteps(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	m := buildSum()
+	allocs := func(n int32) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, _, err := NewEnv(m).Call("sum", n); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(10), allocs(1000); short != long {
+		t.Fatalf("sum(10) allocates %v, sum(1000) allocates %v; want equal", short, long)
+	}
+}
+
 func TestLoopExecution(t *testing.T) {
 	env := NewEnv(buildSum())
 	got, hasRet, err := env.Call("sum", 10)
@@ -222,6 +242,31 @@ func TestCustomInstruction(t *testing.T) {
 	got, _, err := env.Call("f", 3, 4)
 	if err != nil || got != 14-7 {
 		t.Fatalf("f = %d, %v", got, err)
+	}
+}
+
+// A custom instruction with more operands than exec's stack buffer holds
+// must still see every operand in order.
+func TestWideCustomInstruction(t *testing.T) {
+	m := &ir.Module{}
+	afu := m.AddAFU(ir.AFUDef{
+		Name: "wide", NumIn: 5, NumSlots: 8,
+		Body: []ir.AFUOp{
+			{Op: ir.OpSub, A: 0, B: 1, Dst: 5},
+			{Op: ir.OpMul, A: 5, B: 2, Dst: 6},
+			{Op: ir.OpSub, A: 3, B: 4, Dst: 7},
+			{Op: ir.OpAdd, A: 6, B: 7, Dst: 7},
+		},
+		OutSlots: []int{7},
+	})
+	b := ir.NewBuilder("f", 5)
+	d := b.Fn.NewReg()
+	b.Emit(ir.Instr{Op: ir.OpCustom, AFU: afu, Dsts: []ir.Reg{d}, Args: b.Fn.Params})
+	b.Ret(d)
+	m.Funcs = append(m.Funcs, b.Finish())
+	got, _, err := NewEnv(m).Call("f", 9, 2, 3, 10, 4)
+	if err != nil || got != (9-2)*3+(10-4) {
+		t.Fatalf("f = %d, %v; want %d", got, err, (9-2)*3+(10-4))
 	}
 }
 

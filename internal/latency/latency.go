@@ -19,20 +19,23 @@ import (
 	"isex/internal/ir"
 )
 
-// Model holds per-opcode software cycles, hardware delay and area.
+// opSlots covers every ir.Op value: ir.Op is a uint8, so any op indexes
+// the tables in range and the lookup needs no bounds check.
+const opSlots = math.MaxUint8 + 1
+
+// Model holds per-opcode software cycles, hardware delay and area. The
+// tables are arrays indexed by ir.Op, because the §6 searches and the
+// simulator read them once per visited cut or executed instruction; ops
+// outside the §7 table cost 0.
 type Model struct {
-	sw   map[ir.Op]int
-	hw   map[ir.Op]float64
-	area map[ir.Op]float64
+	sw   [opSlots]int
+	hw   [opSlots]float64
+	area [opSlots]float64
 }
 
 // Default returns the standard model used by all experiments.
 func Default() *Model {
-	m := &Model{
-		sw:   make(map[ir.Op]int),
-		hw:   make(map[ir.Op]float64),
-		area: make(map[ir.Op]float64),
-	}
+	m := &Model{}
 	type row struct {
 		ops  []ir.Op
 		sw   int
@@ -111,13 +114,8 @@ func (m *Model) Perturbed(seed int64, eps float64) *Model {
 	if eps < 0 || eps >= 1 {
 		panic(fmt.Sprintf("latency: bad perturbation %v", eps))
 	}
-	out := &Model{
-		sw:   make(map[ir.Op]int, len(m.sw)),
-		hw:   make(map[ir.Op]float64, len(m.hw)),
-		area: make(map[ir.Op]float64, len(m.area)),
-	}
-	// The factor is a pure function of (seed, op, salt) so the result does
-	// not depend on map iteration order.
+	// The factor is a pure function of (seed, op, salt); unlisted ops
+	// stay at 0 because 0 scales to 0.
 	factor := func(op ir.Op, salt uint64) float64 {
 		state := uint64(seed)*2862933555777941757 + uint64(op)*0x9E3779B97F4A7C15 + salt
 		state ^= state << 13
@@ -126,14 +124,9 @@ func (m *Model) Perturbed(seed int64, eps float64) *Model {
 		u := float64(state%1_000_000) / 1_000_000
 		return 1 + eps*(2*u-1)
 	}
-	for op, v := range m.sw {
-		out.sw[op] = v
-	}
-	for op, v := range m.hw {
-		out.hw[op] = v * factor(op, 1)
-	}
-	for op, v := range m.area {
-		out.area[op] = v * factor(op, 2)
-	}
-	return out
+	return m.derive(func(op ir.Op, hw float64) float64 {
+		return hw * factor(op, 1)
+	}, func(op ir.Op, area float64) float64 {
+		return area * factor(op, 2)
+	})
 }

@@ -92,3 +92,71 @@ func TestPerturbed(t *testing.T) {
 	}()
 	m.Perturbed(1, 1.5)
 }
+
+// TestTablesKeepMapSemanticsAtEdges: the tables are arrays over every
+// ir.Op value, so derive and Perturbed visit slots the §7 table never
+// lists. Those ops — OpInvalid, OpCustom and every value past the last
+// opcode — must cost 0 on every model, and every listed op must carry
+// exactly its target's transform of Default.
+func TestTablesKeepMapSemanticsAtEdges(t *testing.T) {
+	def := Default()
+	listed := func(op ir.Op) bool { return op >= ir.OpConst && op <= ir.OpCall }
+	target := func(name string) *Model {
+		tg, err := TargetByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tg.Model()
+	}
+	models := map[string]*Model{
+		"paper":     target("paper"),
+		"pipelined": target("pipelined"),
+		"fwdcost":   target("fwdcost"),
+		"perturbed": def.Perturbed(42, 0.3),
+	}
+	nonzeroPlus := func(v, d float64) float64 {
+		if v == 0 {
+			return 0
+		}
+		return v + d
+	}
+	for i := range opSlots {
+		op := ir.Op(i)
+		for name, m := range models {
+			if !listed(op) {
+				if m.SW(op) != 0 || m.HW(op) != 0 || m.Area(op) != 0 {
+					t.Errorf("%s: unlisted op %d costs sw %d, hw %v, area %v; want 0",
+						name, i, m.SW(op), m.HW(op), m.Area(op))
+				}
+				continue
+			}
+			if m.SW(op) != def.SW(op) {
+				t.Errorf("%s: %s sw %d, want Default's %d", name, op, m.SW(op), def.SW(op))
+			}
+		}
+		if !listed(op) {
+			continue
+		}
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"paper hw", models["paper"].HW(op), def.HW(op)},
+			{"paper area", models["paper"].Area(op), def.Area(op)},
+			{"pipelined hw", models["pipelined"].HW(op), def.HW(op) * 0.65},
+			{"pipelined area", models["pipelined"].Area(op), def.Area(op) * 1.15},
+			{"fwdcost hw", models["fwdcost"].HW(op), nonzeroPlus(def.HW(op), 0.08)},
+			{"fwdcost area", models["fwdcost"].Area(op), nonzeroPlus(def.Area(op), 0.01)},
+		} {
+			if c.got != c.want {
+				t.Errorf("%s: %s %v, want %v", op, c.name, c.got, c.want)
+			}
+		}
+		p := models["perturbed"]
+		for _, c := range []struct{ got, base float64 }{{p.HW(op), def.HW(op)}, {p.Area(op), def.Area(op)}} {
+			if (c.base == 0) != (c.got == 0) || c.got < c.base*(0.7-1e-9) || c.got > c.base*(1.3+1e-9) {
+				t.Errorf("%s: perturbed %v from %v, want within ±30%%", op, c.got, c.base)
+			}
+		}
+	}
+}

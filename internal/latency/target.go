@@ -92,23 +92,16 @@ func TargetByName(name string) (Target, error) {
 
 // derive returns a copy of m with every hardware delay and area mapped
 // through the given transforms (software latencies are a property of the
-// baseline processor, not of the AFU, and stay fixed). Deterministic:
-// the transforms are pure per-op functions, so map iteration order
-// cannot influence the result.
+// baseline processor, not of the AFU, and stay fixed). The transforms
+// are pure per-op functions and see every op slot, so each must map a
+// zero delay or area to zero: ops outside the §7 table cost nothing on
+// every target.
 func (m *Model) derive(hw func(ir.Op, float64) float64, area func(ir.Op, float64) float64) *Model {
-	out := &Model{
-		sw:   make(map[ir.Op]int, len(m.sw)),
-		hw:   make(map[ir.Op]float64, len(m.hw)),
-		area: make(map[ir.Op]float64, len(m.area)),
-	}
-	for op, v := range m.sw {
-		out.sw[op] = v
-	}
-	for op, v := range m.hw {
-		out.hw[op] = hw(op, v)
-	}
-	for op, v := range m.area {
-		out.area[op] = area(op, v)
+	out := &Model{sw: m.sw}
+	for i := range opSlots {
+		op := ir.Op(i)
+		out.hw[op] = hw(op, m.hw[op])
+		out.area[op] = area(op, m.area[op])
 	}
 	return out
 }

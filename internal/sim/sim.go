@@ -66,6 +66,9 @@ func (r *Runner) Run(m *ir.Module, entry string, args ...int32) (*Report, error)
 	env.Observer = func(b *ir.Block, in *ir.Instr) {
 		rep.Instructions++
 		if in.Op == ir.OpCustom {
+			if in.AFU < 0 || in.AFU >= len(m.AFUs) {
+				return // the interpreter rejects the bad index next
+			}
 			lat := int64(m.AFUs[in.AFU].Latency)
 			if lat < 1 {
 				lat = 1

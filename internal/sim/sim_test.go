@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"isex/internal/core"
@@ -186,5 +187,21 @@ func TestPerturbedModelStillGains(t *testing.T) {
 	}
 	if cmp.Speedup() <= 1.0 {
 		t.Errorf("perturbed speedup %.3f", cmp.Speedup())
+	}
+}
+
+// A custom instruction naming a missing AFU is the interpreter's error to
+// report; the simulator's cycle charge must not index the AFU table first.
+func TestBadAFUIndexIsAnError(t *testing.T) {
+	m := &ir.Module{}
+	b := ir.NewBuilder("f", 1)
+	d := b.Fn.NewReg()
+	b.Emit(ir.Instr{Op: ir.OpCustom, AFU: 3, Dsts: []ir.Reg{d}, Args: []ir.Reg{b.Fn.Params[0]}})
+	b.Ret(d)
+	m.Funcs = append(m.Funcs, b.Finish())
+
+	_, err := (&Runner{}).Run(m, "f", 1)
+	if err == nil || !strings.Contains(err.Error(), "bad AFU index 3") {
+		t.Fatalf("err = %v, want the interpreter's bad AFU index error", err)
 	}
 }
