@@ -27,9 +27,6 @@
 //	isebench -fig parbench -parjson BENCH_PR3.json
 //	                          # serial vs work-stealing parallel B&B on the
 //	                          # largest benchmark block
-//	isebench -fig selbench -seljson BENCH_PR4.json
-//	                          # cold serial vs speculative scheduled greedy
-//	                          # selection (optimal and iterative drivers)
 //	isebench -fig obsbench -obsjson BENCH_PR5.json
 //	                          # telemetry overhead: probe off (A/A) vs
 //	                          # metrics-only vs full flight-recorder tracing
@@ -74,7 +71,6 @@ type cliOpts struct {
 	// Fig. 11 engine knobs (result-preserving; wall clock only).
 	workers   int
 	parallel  bool
-	speculate bool
 	dedup     bool
 	isegen    bool
 	warmstart bool
@@ -85,7 +81,6 @@ type cliOpts struct {
 	sweepMode   string
 	benchJSON   string
 	parJSON     string
-	selJSON     string
 	obsJSON     string
 	dedupJSON   string
 	klJSON      string
@@ -96,7 +91,7 @@ type cliOpts struct {
 
 func main() {
 	var o cliOpts
-	fig := flag.String("fig", "all", "which figure to regenerate: 3, 5, 7, 8, 11, runtime, area, tradeoff, vliw, ifconv, ablation, bench, parbench, selbench, obsbench, dedupbench, klbench, analyzebench, dse, dsebench, all")
+	fig := flag.String("fig", "all", "which figure to regenerate: 3, 5, 7, 8, 11, runtime, area, tradeoff, vliw, ifconv, ablation, bench, parbench, obsbench, dedupbench, klbench, analyzebench, dse, dsebench, all")
 	flag.Int64Var(&o.budget, "budget", experiments.DefaultBudget, "cut budget per identification call")
 	flag.BoolVar(&o.measure, "measure", false, "Fig. 11: additionally patch and measure on the cycle simulator")
 	flag.BoolVar(&o.optimal, "optimal", false, "Fig. 11: include the Optimal selection (slow on large blocks)")
@@ -104,7 +99,6 @@ func main() {
 	flag.DurationVar(&o.deadline, "deadline", 0, "Fig. 11: wall-clock budget per selection call (e.g. 2s; 0 = none); tripped cells are marked * as lower bounds")
 	flag.IntVar(&o.workers, "workers", 0, "Fig. 11: per-search worker count (0 = serial); DSE sweep: admission-pool size")
 	flag.BoolVar(&o.parallel, "parallel", false, "Fig. 11: search a selection's blocks concurrently")
-	flag.BoolVar(&o.speculate, "speculate", false, "Fig. 11: speculative work-stealing selection scheduler")
 	flag.BoolVar(&o.dedup, "dedup", false, "Fig. 11: cross-block structural dedup")
 	flag.BoolVar(&o.isegen, "isegen", false, "Fig. 11 / DSE: race the Kernighan-Lin toggle engine on exploding blocks (DSE: trades strict reproducibility for anytime quality)")
 	flag.BoolVar(&o.warmstart, "warmstart", false, "Fig. 11: seed each search with a windowed heuristic incumbent")
@@ -113,7 +107,6 @@ func main() {
 	flag.StringVar(&o.sweepMode, "sweepmode", "warm", "DSE sweep mode: warm (shared seeds/dedup, parallel) or cold (dedicated serial reference)")
 	flag.StringVar(&o.benchJSON, "benchjson", "", "with -fig bench (or all): write the constraint-kernel benchmark report to this file as JSON (e.g. BENCH_PR2.json)")
 	flag.StringVar(&o.parJSON, "parjson", "", "with -fig parbench (or all): write the parallel B&B benchmark report to this file as JSON (e.g. BENCH_PR3.json)")
-	flag.StringVar(&o.selJSON, "seljson", "", "with -fig selbench (or all): write the selection scheduler benchmark report to this file as JSON (e.g. BENCH_PR4.json)")
 	flag.StringVar(&o.obsJSON, "obsjson", "", "with -fig obsbench (or all): write the telemetry overhead benchmark report to this file as JSON (e.g. BENCH_PR5.json)")
 	flag.StringVar(&o.dedupJSON, "dedupjson", "", "with -fig dedupbench (or all): write the cross-block dedup benchmark report to this file as JSON (e.g. BENCH_PR7.json)")
 	flag.StringVar(&o.klJSON, "kljson", "", "with -fig klbench (or all): write the iterative racer benchmark report to this file as JSON (e.g. BENCH_PR8.json)")
@@ -173,20 +166,6 @@ func run(want func(string) bool, o cliOpts) error {
 				return err
 			}
 			fmt.Printf("wrote %s\n", o.parJSON)
-		}
-	}
-
-	if want("selbench") || o.selJSON != "" {
-		rep, err := experiments.SelBench(experiments.SelBenchDefault())
-		if err != nil {
-			return err
-		}
-		section(experiments.SelBenchTable(rep))
-		if o.selJSON != "" {
-			if err := rep.WriteJSON(o.selJSON); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", o.selJSON)
 		}
 	}
 
@@ -317,7 +296,6 @@ func run(want func(string) bool, o cliOpts) error {
 		opt.Deadline = o.deadline
 		opt.Workers = o.workers
 		opt.Parallel = o.parallel
-		opt.Speculate = o.speculate
 		opt.Dedup = o.dedup
 		opt.ISEGen = o.isegen
 		opt.WarmStart = o.warmstart

@@ -80,7 +80,6 @@ func run() error {
 		method    = flag.String("method", "iterative", "selection algorithm: iterative, optimal, clubbing, maxmiso")
 		budget    = flag.Int64("budget", 2_000_000, "cut budget per identification call (0 = unlimited)")
 		workers   = flag.Int("workers", 0, "run each block's exact search on the work-stealing parallel branch-and-bound engine with this many workers (0 = serial; results are bit-identical)")
-		speculate = flag.Bool("speculate", false, "route iterative/optimal selection through the speculative scheduler: idle workers pre-identify likely next-round winners and every search is warm-seeded (bit-identical selections; see also -workers)")
 		dedup     = flag.Bool("dedup", true, "share identification results between isomorphic basic blocks: canonical graph hashing finds repeated structure, adopted cuts are translated and revalidated on the adopting block (bit-identical selections modulo node renaming; see dedup_hits and shared_instructions in -json)")
 		isegen    = flag.Bool("isegen", true, "race an ISEGEN-style Kernighan-Lin toggle heuristic against the exact search on exploding blocks: sound incumbents tighten the merit bound, and the best racer answer stands in when the exact search trips its budget or deadline (terminating blocks are bit-identical either way; see racer_merit and gap in -json)")
 		deadline  = flag.Duration("deadline", 0, "wall-clock budget for identification (e.g. 500ms; 0 = none); on expiry the best selection found so far is reported")
@@ -194,7 +193,7 @@ func run() error {
 
 	model := latency.Default()
 	cfg := core.Config{Nin: *nin, Nout: *nout, Model: model, MaxCuts: *budget,
-		Workers: *workers, Speculate: *speculate, Dedup: *dedup, ISEGen: *isegen,
+		Workers: *workers, Dedup: *dedup, ISEGen: *isegen,
 		StallWindow: *stallWin}
 
 	// Telemetry: the flight recorder is on when a trace output is wanted,
@@ -284,9 +283,6 @@ func run() error {
 		fmt.Print(t.String())
 		fmt.Printf("total estimated merit: %d cycles; identification calls: %d; cuts considered: %d (%d passed, %d pruned)",
 			sel.TotalMerit, sel.IdentCalls, sel.Stats.CutsConsidered, sel.Stats.Passed, sel.Stats.Pruned)
-		if sel.SpeculativeCalls > 0 {
-			fmt.Printf("; speculative calls: %d (%d cache hit(s))", sel.SpeculativeCalls, sel.CacheHits)
-		}
 		if sel.DedupHits > 0 {
 			fmt.Printf("; dedup hits: %d", sel.DedupHits)
 		}
@@ -451,8 +447,6 @@ type jsonReport struct {
 	Ninstr       int            `json:"ninstr"`
 	TotalMerit   int64          `json:"total_merit"`
 	IdentCalls   int            `json:"ident_calls"`
-	SpecCalls    int            `json:"speculative_calls"`
-	CacheHits    int            `json:"cache_hits"`
 	DedupHits    int            `json:"dedup_hits"`
 	Status       string         `json:"status"`
 	Degraded     bool           `json:"degraded"`
@@ -518,8 +512,6 @@ func writeJSONReport(w *os.File, method string, nin, nout, ninstr int, sel core.
 		Ninstr:     ninstr,
 		TotalMerit: sel.TotalMerit,
 		IdentCalls: sel.IdentCalls,
-		SpecCalls:  sel.SpeculativeCalls,
-		CacheHits:  sel.CacheHits,
 		DedupHits:  sel.DedupHits,
 		Status:     sel.Status.String(),
 		Degraded:   sel.Degraded(),

@@ -223,9 +223,9 @@ func guardRung(p *obs.Probe, tag string, bs *BlockStatus, fn func()) {
 }
 
 // guardDriver is deferred by the public selection entry points: a panic
-// escaping the per-block and per-task guards (for example one raised at a
-// driver-side probe site, where no block worker is on the stack) is
-// converted into a Recovered selection instead of crashing the caller.
+// escaping the per-block guards (for example one raised at a driver-side
+// probe site, where no block worker is on the stack) is converted into a
+// Recovered selection instead of crashing the caller.
 // Whatever the driver had assembled into res before the panic survives; a
 // synthetic "(driver)" block records the failure, and the result is
 // re-finalized so Status/Degraded/FirstPanic stay truthful.
@@ -345,13 +345,12 @@ func searchBlockSafe(ctx context.Context, g *dfg.Graph, cfg Config) (res Result,
 	// Admission gate (Config.Pool): one slot per in-flight block search,
 	// acquired for exactly the duration of this search — the holder never
 	// blocks on the pool again (cfg.Pool is cleared), so gating cannot
-	// deadlock. A closed pool (0 slots granted) degrades to ungated.
+	// deadlock.
 	if cfg.Pool != nil {
 		pool := cfg.Pool
 		cfg.Pool = nil
-		if n := pool.Acquire(1); n > 0 {
-			defer pool.Release(n)
-		}
+		pool.Acquire()
+		defer pool.Release()
 	}
 	start := time.Now()
 	bs = BlockStatus{Fn: g.Fn.Name, Block: g.Block.Name, RacerMerit: -1}
@@ -498,9 +497,8 @@ func searchBlockMultiSafe(ctx context.Context, g *dfg.Graph, m int, cfg Config) 
 	if cfg.Pool != nil {
 		pool := cfg.Pool
 		cfg.Pool = nil
-		if n := pool.Acquire(1); n > 0 {
-			defer pool.Release(n)
-		}
+		pool.Acquire()
+		defer pool.Release()
 	}
 	start := time.Now()
 	bs = BlockStatus{Fn: g.Fn.Name, Block: g.Block.Name, RacerMerit: -1}

@@ -268,48 +268,64 @@ func TestMaxCutsLowerBound(t *testing.T) {
 // block is searched normally and still contributes instructions. The
 // panicked blocks themselves may still contribute through the greedy
 // last-resort rung — that is the ladder guarantee, and such blocks must
-// say so via Rung.
+// say so via Rung. The area-constrained driver must carry its candidate
+// pool run's statuses and FirstPanic through the knapsack.
 func TestPanicInWorkerIsolated(t *testing.T) {
 	m := compileAndProfile(t, threeKernels)
-	for _, parallel := range []bool{true, false} {
+	drivers := []struct {
+		label    string
+		parallel bool
+		area     bool
+	}{
+		{"iterative/parallel", true, false},
+		{"iterative/serial", false, false},
+		{"area", false, true},
+	}
+	for _, d := range drivers {
+		label := d.label
 		probe := &obs.Probe{Hook: func(fn, block string) {
 			if fn == "warm" {
 				panic("injected failure")
 			}
 		}}
 		before := runtime.NumGoroutine()
-		res := SelectIterativeCtx(context.Background(), m, 4,
-			Config{Nin: 4, Nout: 2, Parallel: parallel, Probe: probe})
+		cfg := Config{Nin: 4, Nout: 2, Parallel: d.parallel, Probe: probe}
+		var res SelectionResult
+		if d.area {
+			res = SelectAreaConstrainedCtx(context.Background(), m, 4, 64, 0, cfg)
+		} else {
+			res = SelectIterativeCtx(context.Background(), m, 4, cfg)
+		}
 
 		if res.Status != Recovered {
-			t.Fatalf("parallel=%v: status = %v, want recovered", parallel, res.Status)
+			t.Fatalf("%s: status = %v, want recovered", label, res.Status)
 		}
 		if !strings.Contains(res.FirstPanic, "injected failure") {
-			t.Errorf("parallel=%v: FirstPanic = %q, want the injected panic", parallel, res.FirstPanic)
+			t.Errorf("%s: FirstPanic = %q, want the injected panic", label, res.FirstPanic)
 		}
 		sawWarm := false
 		for _, b := range res.Blocks {
 			if b.Fn == "warm" {
 				sawWarm = true
 				if b.Status != Recovered {
-					t.Errorf("parallel=%v: warm block status = %v", parallel, b.Status)
+					t.Errorf("%s: warm block status = %v", label, b.Status)
 				}
 				if b.Err == nil || !strings.Contains(b.Err.Error(), "injected failure") {
-					t.Errorf("parallel=%v: warm block error = %v", parallel, b.Err)
+					t.Errorf("%s: warm block error = %v", label, b.Err)
 				}
 			} else if b.Status != Exhaustive {
-				t.Errorf("parallel=%v: block %s/%s status = %v, want exhaustive",
-					parallel, b.Fn, b.Block, b.Status)
+				t.Errorf("%s: block %s/%s status = %v, want exhaustive",
+					label, b.Fn, b.Block, b.Status)
 			} else if b.Rung != RungExact {
-				t.Errorf("parallel=%v: exhaustive block %s/%s reports rung %v",
-					parallel, b.Fn, b.Block, b.Rung)
+				t.Errorf("%s: exhaustive block %s/%s reports rung %v",
+					label, b.Fn, b.Block, b.Rung)
 			}
 		}
 		if !sawWarm {
-			t.Fatalf("parallel=%v: no status reported for the panicked function", parallel)
+			t.Fatalf("%s: no status reported for the panicked function", label)
 		}
 		if len(res.Instructions) == 0 {
-			t.Fatalf("parallel=%v: surviving blocks contributed nothing", parallel)
+			t.Fatalf("%s: surviving blocks contributed nothing", label)
 		}
 		hotSelected := false
 		for _, sel := range res.Instructions {
@@ -317,12 +333,12 @@ func TestPanicInWorkerIsolated(t *testing.T) {
 				hotSelected = true
 			}
 			if sel.Est.Merit <= 0 {
-				t.Errorf("parallel=%v: selected instruction from %s with non-positive merit %d",
-					parallel, sel.Fn.Name, sel.Est.Merit)
+				t.Errorf("%s: selected instruction from %s with non-positive merit %d",
+					label, sel.Fn.Name, sel.Est.Merit)
 			}
 		}
 		if !hotSelected {
-			t.Errorf("parallel=%v: hot kernel lost its instruction", parallel)
+			t.Errorf("%s: hot kernel lost its instruction", label)
 		}
 		// No leaked workers: allow the runtime a moment to retire them.
 		deadline := time.Now().Add(2 * time.Second)
@@ -330,7 +346,7 @@ func TestPanicInWorkerIsolated(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 		}
 		if n := runtime.NumGoroutine(); n > before+2 {
-			t.Errorf("parallel=%v: goroutines %d -> %d, workers leaked", parallel, before, n)
+			t.Errorf("%s: goroutines %d -> %d, workers leaked", label, before, n)
 		}
 	}
 }

@@ -38,9 +38,8 @@ func SelectAreaConstrainedCtx(ctx context.Context, m *ir.Module, ninstr int, are
 	}
 	pool := SelectIterativeCtx(ctx, m, poolSize, cfg)
 	res = SelectionResult{Stats: pool.Stats, IdentCalls: pool.IdentCalls,
-		SpeculativeCalls: pool.SpeculativeCalls, CacheHits: pool.CacheHits,
-		DedupHits: pool.DedupHits,
-		Blocks:    pool.Blocks, Status: pool.Status}
+		DedupHits: pool.DedupHits, Blocks: pool.Blocks, Status: pool.Status,
+		FirstPanic: pool.FirstPanic}
 	if areaBudget <= 0 || len(pool.Instructions) == 0 {
 		return res
 	}

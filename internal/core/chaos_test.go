@@ -12,7 +12,7 @@ package core
 //     that never fired implies Exhaustive;
 //   - completeness: when the greedy last resort can find a cut, the
 //     ladder never comes back empty-handed;
-//   - hygiene: the scheduler's cpuPool never leaks tokens.
+//   - hygiene: a shared CPUPool gets every slot back.
 //
 // Every schedule derives from a seed. Override the seed list with
 // ISEX_CHAOS_SEED=<n> to replay one schedule; set
@@ -235,9 +235,10 @@ func TestChaosMultiSearch(t *testing.T) {
 }
 
 // TestChaosSelection runs program-wide selection — serial, per-block
-// parallel, and the speculative scheduler — under seeded schedules: the
-// selection must return, report a truthful status, select only
-// positive-merit instructions, and never leak cpuPool tokens.
+// parallel (ungated and admission-gated on a CPUPool), and with the
+// racer — under seeded schedules: the selection must return, report a
+// truthful status, select only positive-merit instructions, and give
+// every pool slot back.
 func TestChaosSelection(t *testing.T) {
 	m := compileAndProfile(t, threeKernels)
 	base := Config{Nin: 4, Nout: 2}
@@ -245,11 +246,14 @@ func TestChaosSelection(t *testing.T) {
 	if ref.Status != Exhaustive {
 		t.Fatalf("reference selection not exhaustive: %v", ref.Status)
 	}
-	variants := []Config{
-		{Nin: 4, Nout: 2},
-		{Nin: 4, Nout: 2, Parallel: true, Workers: 4},
-		{Nin: 4, Nout: 2, Speculate: true, Workers: 4},
-		{Nin: 4, Nout: 2, ISEGen: true, Parallel: true, Workers: 4},
+	variants := []struct {
+		cfg  Config
+		pool bool // gate the block searches on a fresh CPUPool per run
+	}{
+		{cfg: Config{Nin: 4, Nout: 2}},
+		{cfg: Config{Nin: 4, Nout: 2, Parallel: true, Workers: 4}},
+		{cfg: Config{Nin: 4, Nout: 2, Parallel: true, Workers: 4}, pool: true},
+		{cfg: Config{Nin: 4, Nout: 2, ISEGen: true, Parallel: true, Workers: 4}},
 	}
 	for _, seed := range chaosSeeds(t, 21, 22, 23) {
 		for vi, v := range variants {
@@ -259,9 +263,12 @@ func TestChaosSelection(t *testing.T) {
 				inj := faultinject.New(plan...)
 				ctx, cancel := inj.Context(context.Background())
 				defer cancel()
-				cfg := v
+				cfg := v.cfg
 				cfg.Probe = chaosProbe(inj)
 				cfg.StallWindow = chaosStallWindow
+				if v.pool {
+					cfg.Pool = NewCPUPool(2)
+				}
 				res := SelectIterativeCtx(ctx, m, 4, cfg)
 				for _, sel := range res.Instructions {
 					if sel.Est.Merit <= 0 {
@@ -285,8 +292,10 @@ func TestChaosSelection(t *testing.T) {
 						t.Errorf("no fault fired yet merit %d != reference %d", res.TotalMerit, ref.TotalMerit)
 					}
 				}
-				if n := cfg.Probe.Met.PoolLeaks.Value(); n != 0 {
-					t.Errorf("cpuPool leaked %d tokens", n)
+				if cfg.Pool != nil {
+					if n := cfg.Pool.Leaked(); n != 0 {
+						t.Errorf("CPUPool leaked %d slots", n)
+					}
 				}
 			})
 		}
@@ -334,42 +343,25 @@ func TestChaosPerSiteLadder(t *testing.T) {
 	}
 }
 
-// TestChaosDriverSites injects unconditional panics at the probe sites
-// that fire on the selection driver's own goroutine (speculation
-// launch/adopt/discard, winner collapse), where no per-block guard is on
-// the stack: the public entry points' driver guard must convert them
-// into a Recovered selection instead of crashing the process, and the
-// cpuPool must come back intact.
+// TestChaosDriverSites injects unconditional panics at the probe site
+// that fires on the selection driver's own goroutine (winner collapse),
+// where no per-block guard is on the stack: the public entry points'
+// driver guard must convert them into a Recovered selection instead of
+// crashing the process.
 func TestChaosDriverSites(t *testing.T) {
 	m := compileAndProfile(t, threeKernels)
-	base := Config{Nin: 4, Nout: 2}
-	sites := []obs.Site{obs.SiteSpecLaunch, obs.SiteSpecAdopt, obs.SiteSpecDiscard, obs.SiteCollapse}
-	for _, site := range sites {
-		for _, speculate := range []bool{false, true} {
-			label := fmt.Sprintf("site=%s/speculate=%v", site, speculate)
-			inj := faultinject.New(faultinject.Rule{Site: site, Action: faultinject.ActPanic, Nth: 1, Period: 1})
-			cfg := base
-			cfg.Probe = chaosProbe(inj)
-			if speculate {
-				cfg.Speculate = true
-				cfg.Workers = 4
-			}
-			res := SelectIterativeCtx(context.Background(), m, 4, cfg)
-			if inj.FiredCount() > 0 && res.Status != Recovered {
-				t.Errorf("%s: %d injected panics but status is %v, not Recovered",
-					label, inj.FiredCount(), res.Status)
-			}
-			if inj.FiredCount() > 0 && res.FirstPanic == "" {
-				t.Errorf("%s: injected panic not surfaced in FirstPanic", label)
-			}
-			for _, sel := range res.Instructions {
-				if sel.Est.Merit <= 0 {
-					t.Errorf("%s: selected instruction with non-positive merit %d", label, sel.Est.Merit)
-				}
-			}
-			if n := cfg.Probe.Met.PoolLeaks.Value(); n != 0 {
-				t.Errorf("%s: cpuPool leaked %d tokens", label, n)
-			}
+	inj := faultinject.New(faultinject.Rule{Site: obs.SiteCollapse, Action: faultinject.ActPanic, Nth: 1, Period: 1})
+	cfg := Config{Nin: 4, Nout: 2, Probe: chaosProbe(inj)}
+	res := SelectIterativeCtx(context.Background(), m, 4, cfg)
+	if inj.FiredCount() > 0 && res.Status != Recovered {
+		t.Errorf("%d injected panics but status is %v, not Recovered", inj.FiredCount(), res.Status)
+	}
+	if inj.FiredCount() > 0 && res.FirstPanic == "" {
+		t.Errorf("injected panic not surfaced in FirstPanic")
+	}
+	for _, sel := range res.Instructions {
+		if sel.Est.Merit <= 0 {
+			t.Errorf("selected instruction with non-positive merit %d", sel.Est.Merit)
 		}
 	}
 }
@@ -445,41 +437,24 @@ func TestChaosStallRequeue(t *testing.T) {
 	}
 }
 
-// TestChaosPoolLeakDetection provokes an actual token leak on a bare
-// cpuPool (an acquire whose release is skipped, as a panic without the
-// deferred release would) and checks leaked() reports it; the healthy
+// TestChaosPoolLeakDetection provokes an actual slot leak on a bare
+// CPUPool (acquires whose releases are skipped, as a panic without the
+// deferred release would) and checks Leaked reports it; the healthy
 // path must report zero.
 func TestChaosPoolLeakDetection(t *testing.T) {
 	p := NewCPUPool(4)
-	if got := p.Acquire(2); got != 2 {
-		t.Fatalf("acquire(2) = %d", got)
-	}
-	p.Release(2)
+	p.Acquire()
+	p.Acquire()
+	p.Release()
+	p.Release()
 	if n := p.Leaked(); n != 0 {
-		t.Fatalf("balanced pool reports %d leaked tokens", n)
+		t.Fatalf("balanced pool reports %d leaked slots", n)
 	}
-	if got := p.Acquire(3); got != 3 {
-		t.Fatalf("acquire(3) = %d", got)
+	// Simulate panic paths that lost their deferred releases.
+	for i := 0; i < 3; i++ {
+		p.Acquire()
 	}
-	// Simulate a panic path that lost its deferred release.
-	p.Close()
 	if n := p.Leaked(); n != 3 {
-		t.Fatalf("leaked() = %d, want 3", n)
-	}
-}
-
-// TestChaosSchedulerPanicNoLeak hammers the speculative scheduler with
-// panics at its task-level sites and checks every cpuPool token comes
-// back: the release defers must survive any injected unwind.
-func TestChaosSchedulerPanicNoLeak(t *testing.T) {
-	m := compileAndProfile(t, threeKernels)
-	for _, site := range []obs.Site{obs.SiteSearchBegin, obs.SitePoll, obs.SiteSpecLaunch} {
-		inj := faultinject.New(faultinject.Rule{Site: site, Action: faultinject.ActPanic, Nth: 2, Period: 3})
-		cfg := Config{Nin: 4, Nout: 2, Speculate: true, Workers: 4, Probe: chaosProbe(inj)}
-		res := SelectIterativeCtx(context.Background(), m, 4, cfg)
-		if n := cfg.Probe.Met.PoolLeaks.Value(); n != 0 {
-			t.Errorf("site=%s: cpuPool leaked %d tokens (status %v, %d faults fired)",
-				site, n, res.Status, inj.FiredCount())
-		}
+		t.Fatalf("Leaked() = %d, want 3", n)
 	}
 }

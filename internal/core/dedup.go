@@ -11,13 +11,13 @@ import (
 // This file is the cross-block deduplication layer behind Config.Dedup
 // (DESIGN.md §14). Real applications repeat structure — the same unrolled
 // MAC or butterfly recurs across blocks and functions — yet the drivers'
-// per-block searches cannot see it: the scheduler memo key
-// (dfg.Fingerprint) deliberately bakes in function/block identity. The
-// dedup memo keys finished identifications by dfg.CanonHash instead and
-// adopts a stored result for a new graph only when dfg.OrderMatch proves
-// the new graph is search-order isomorphic to the stored one — the node
-// at rank r corresponds to the node at rank r, every edge maps
-// rank-to-rank, and the V+ structure pairs up exactly. Under that match
+// per-block searches cannot see it: dfg.Fingerprint, which keys the seed
+// book, deliberately bakes in function/block identity. The dedup memo
+// keys finished identifications by dfg.CanonHash instead and adopts a
+// stored result for a new graph only when dfg.OrderMatch proves the new
+// graph is search-order isomorphic to the stored one — the node at rank
+// r corresponds to the node at rank r, every edge maps rank-to-rank,
+// and the V+ structure pairs up exactly. Under that match
 // the §6 search tree over the new graph is, node for node, the stored
 // search's tree with IDs renamed: same expansion order, same IN/OUT and
 // convexity verdicts, same per-execution savings. Block frequency is the
@@ -151,8 +151,8 @@ func (d *dedupMemo) hash(g *dfg.Graph) dfg.CanonDigest {
 
 // lookupSingle tries to adopt a stored single-cut identification for g.
 // On a hit the returned Result carries the translated, revalidated cut
-// (and runner-up seed) and the stored block status re-tagged with g's
-// identity; the caller charges it to DedupHits, not IdentCalls.
+// and the stored block status re-tagged with g's identity; the caller
+// charges it to DedupHits, not IdentCalls.
 func (d *dedupMemo) lookupSingle(g *dfg.Graph, h dfg.CanonDigest) (Result, BlockStatus, bool) {
 	if d == nil {
 		return Result{}, BlockStatus{}, false
@@ -211,17 +211,6 @@ func (d *dedupMemo) translateSingle(e *dedupSingle, g *dfg.Graph, ren []int) (Re
 		}
 		out.Cut = c
 		out.Est = est
-	}
-	// Translate the displaced runner-up too, so warm-start seeding after
-	// a collapse behaves exactly as it would after a real search. Its
-	// stored merit is never trusted (the seed sites re-Evaluate), so a
-	// failed translation just drops the seed.
-	if e.res.prevFound && len(e.res.prevCut) > 0 {
-		if pc, ok := dfg.TranslateCut(e.res.prevCut, ren); ok && g.Legal(pc, d.nin, d.nout) {
-			if pm := Evaluate(g, pc, d.model).Merit; pm > 0 {
-				out.prevFound, out.prevMerit, out.prevCut = true, pm, pc
-			}
-		}
 	}
 	return out, true
 }

@@ -1,12 +1,8 @@
 package core
 
 import (
-	"context"
-	"sync"
 	"testing"
-	"time"
 
-	"isex/internal/dfg"
 	"isex/internal/latency"
 	"isex/internal/obs"
 )
@@ -87,8 +83,8 @@ func assertDedupEquivalent(t *testing.T, label string, want, got SelectionResult
 }
 
 // TestDedupSelectionEquality is the dedup acceptance sweep: for both
-// drivers, with and without the speculative scheduler, across worker
-// counts, -dedup selections equal the -dedup=false reference.
+// drivers, across worker counts, -dedup selections equal the
+// -dedup=false reference.
 func TestDedupSelectionEquality(t *testing.T) {
 	sources := []struct{ name, src string }{
 		{"three", threeKernels},
@@ -112,15 +108,8 @@ func TestDedupSelectionEquality(t *testing.T) {
 				t.Fatalf("%s/%s: dedup-off reference reported dedup work", src.name, method)
 			}
 			for _, nw := range workerCounts {
-				for _, spec := range []bool{false, true} {
-					cfg := Config{Nin: 2, Nout: 1, Dedup: true, Workers: nw, Speculate: spec}
-					label := src.name + "/" + method
-					if spec {
-						label += "/speculate"
-					}
-					got := run(cfg)
-					assertDedupEquivalent(t, label, ref, got)
-				}
+				got := run(Config{Nin: 2, Nout: 1, Dedup: true, Workers: nw})
+				assertDedupEquivalent(t, src.name+"/"+method, ref, got)
 			}
 		}
 	}
@@ -131,175 +120,29 @@ func TestDedupSelectionEquality(t *testing.T) {
 // groups the twins' instructions as shareable datapaths.
 func TestDedupTwinFunctions(t *testing.T) {
 	m := compileAndProfile(t, twinKernels)
-	for _, spec := range []bool{false, true} {
-		met := obs.NewMetrics(obs.NewRegistry())
-		cfg := Config{Nin: 2, Nout: 1, Dedup: true, Speculate: spec,
-			Probe: &obs.Probe{Met: met}}
-		sel := SelectIterative(m, 4, cfg)
-		if sel.DedupHits == 0 {
-			t.Fatalf("spec=%v: no dedup hits on a module with twin functions", spec)
-		}
-		if met.DedupHits.Value() == 0 {
-			t.Fatalf("spec=%v: sched_dedup_hits_total did not move", spec)
-		}
-		// At least one group must span both twins — the same datapath
-		// selected in fa and in fb.
-		crossFn := false
-		for _, sh := range sel.SharedInstructions {
-			fns := map[string]bool{}
-			for _, mi := range sh.Members {
-				fns[sel.Instructions[mi].Fn.Name] = true
-			}
-			if sh.Count >= 2 && len(fns) >= 2 {
-				crossFn = true
-			}
-		}
-		if !crossFn {
-			t.Fatalf("spec=%v: no cross-function shared instruction group: %+v",
-				spec, sel.SharedInstructions)
-		}
-	}
-}
-
-// siteSleeper widens a race window: it pauses every probe firing of one
-// site, so the code between that site and the next lock acquisition runs
-// with a concurrent thread reliably interleaved.
-type siteSleeper struct {
-	site obs.Site
-	d    time.Duration
-}
-
-func (s siteSleeper) Fire(site obs.Site, _ string) {
-	if site == s.site {
-		time.Sleep(s.d)
-	}
-}
-
-// TestSpecMultiInsertRace is the regression test for the specMulti
-// lock-drop race: specMulti checks the task table and acquires its token
-// under one critical section, then (the probe must fire token-first)
-// re-locks to insert. A concurrent demandMulti for the same key can
-// publish its task in the window; the speculative insertion must then
-// yield, not clobber the published task — a clobber orphans the demand
-// pointer (reg != dt below) and leaks duplicate work. The sleeper on
-// SiteSpecLaunch lands the demand insertion inside the window virtually
-// every iteration, so the pre-fix scheduler fails this test under -race
-// within a handful of iterations.
-func TestSpecMultiInsertRace(t *testing.T) {
-	m := compileAndProfile(t, threeKernels)
-	bgs, failed := allBlockGraphs(m)
-	if len(failed) > 0 {
-		t.Fatalf("blocks failed to build: %+v", failed)
-	}
-	// The smallest block keeps the per-iteration searches cheap.
-	g := bgs[0].g
-	for _, bg := range bgs[1:] {
-		if bg.g.NumOps() < g.NumOps() {
-			g = bg.g
-		}
-	}
-	cfg := Config{Nin: 2, Nout: 1, Workers: 2,
-		Probe: &obs.Probe{Inj: siteSleeper{site: obs.SiteSpecLaunch, d: 200 * time.Microsecond}}}
-	iters := 200
-	if testing.Short() {
-		iters = 40
-	}
-	for it := 0; it < iters; it++ {
-		sc := newSelScheduler(context.Background(), cfg)
-		fp := uint64(0xdead0000 + it)
-		key := schedKey{fp: fp, m: 1}
-		var wg sync.WaitGroup
-		var dt *selTask
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			sc.specMulti(g, fp, 1, cfg)
-		}()
-		go func() {
-			defer wg.Done()
-			dt = sc.demandMulti(g, fp, 1, cfg, 1)
-		}()
-		wg.Wait()
-		sc.mu.Lock()
-		reg := sc.tasks[key]
-		sc.mu.Unlock()
-		if reg != dt {
-			t.Fatalf("iteration %d: speculative insertion clobbered the demand task", it)
-		}
-		<-dt.done
-		sc.shutdown()
-		if n := sc.pool.Leaked(); n > 0 {
-			t.Fatalf("iteration %d: cpu pool leaked %d token(s)", it, n)
-		}
-	}
-}
-
-// TestSchedulerMemoCollisionGuard: a memoized task is adopted on 64-bit
-// fingerprint equality only after its graph proves structurally equal to
-// the requested one. Forcing two different graphs under one artificial key
-// must yield two distinct tasks, a correct (fresh) result for the second
-// graph, and a collision count — never a silently wrong adoption.
-func TestSchedulerMemoCollisionGuard(t *testing.T) {
-	m := compileAndProfile(t, threeKernels)
-	bgs, failed := allBlockGraphs(m)
-	if len(failed) > 0 {
-		t.Fatalf("blocks failed to build: %+v", failed)
-	}
-	var ga, gb *dfg.Graph
-	for i := range bgs {
-		for j := i + 1; j < len(bgs); j++ {
-			if !dfg.EqualStructure(bgs[i].g, bgs[j].g) {
-				ga, gb = bgs[i].g, bgs[j].g
-			}
-		}
-	}
-	if ga == nil {
-		t.Fatal("no structurally distinct block pair in the fixture")
-	}
 	met := obs.NewMetrics(obs.NewRegistry())
-	cfg := Config{Nin: 2, Nout: 1, Probe: &obs.Probe{Met: met}}
-	sc := newSelScheduler(context.Background(), cfg)
-	defer sc.shutdown()
-
-	fp := uint64(42) // artificial colliding key
-	ta := sc.demandMulti(ga, fp, 1, cfg, 1)
-	<-ta.done
-	tb := sc.demandMulti(gb, fp, 1, cfg, 1)
-	<-tb.done
-	if ta == tb {
-		t.Fatal("colliding key adopted a task for a different graph")
+	cfg := Config{Nin: 2, Nout: 1, Dedup: true, Probe: &obs.Probe{Met: met}}
+	sel := SelectIterative(m, 4, cfg)
+	if sel.DedupHits == 0 {
+		t.Fatalf("no dedup hits on a module with twin functions")
 	}
-	sc.mu.Lock()
-	reg := sc.tasks[schedKey{fp: fp, m: 1}]
-	sc.mu.Unlock()
-	if reg != ta {
-		t.Fatal("collision fallback must not replace the memoized task")
+	if met.DedupHits.Value() == 0 {
+		t.Fatalf("sched_dedup_hits_total did not move")
 	}
-	ref, _ := searchBlockMultiSafe(context.Background(), gb, 1, cfg)
-	if tb.mres.TotalMerit != ref.TotalMerit || len(tb.mres.Cuts) != len(ref.Cuts) {
-		t.Fatalf("collision fallback result %+v, want fresh search %+v", tb.mres, ref)
+	// At least one group must span both twins — the same datapath
+	// selected in fa and in fb.
+	crossFn := false
+	for _, sh := range sel.SharedInstructions {
+		fns := map[string]bool{}
+		for _, mi := range sh.Members {
+			fns[sel.Instructions[mi].Fn.Name] = true
+		}
+		if sh.Count >= 2 && len(fns) >= 2 {
+			crossFn = true
+		}
 	}
-	if n := met.MemoCollisions.Value(); n != 1 {
-		t.Fatalf("sched_memo_collisions_total = %d, want 1", n)
-	}
-
-	ts := sc.demandSingle(ga, 7, cfg, 1)
-	<-ts.done
-	ts2 := sc.demandSingle(gb, 7, cfg, 1)
-	<-ts2.done
-	if ts == ts2 {
-		t.Fatal("single-cut colliding key adopted a task for a different graph")
-	}
-	refS, _ := searchBlockSafe(context.Background(), gb, cfg)
-	if ts2.res.Found != refS.Found || ts2.res.Est.Merit != refS.Est.Merit {
-		t.Fatalf("single collision fallback %+v, want %+v", ts2.res, refS)
-	}
-	if n := met.MemoCollisions.Value(); n != 2 {
-		t.Fatalf("sched_memo_collisions_total = %d, want 2", n)
-	}
-	sc.shutdown()
-	if n := sc.pool.Leaked(); n > 0 {
-		t.Fatalf("cpu pool leaked %d token(s)", n)
+	if !crossFn {
+		t.Fatalf("no cross-function shared instruction group: %+v", sel.SharedInstructions)
 	}
 }
 

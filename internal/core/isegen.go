@@ -343,14 +343,14 @@ func runRacer(ctx context.Context, g *dfg.Graph, cfg Config, rh *racerHandle) {
 
 // klEngine is the per-racer Kernighan–Lin state over one graph view.
 type klEngine struct {
-	g     *dfg.Graph
-	cfg   Config
-	model *latency.Model
-	tog   *dfg.Toggle
+	g      *dfg.Graph
+	cfg    Config
+	model  *latency.Model
+	tog    *dfg.Toggle
 	cand   []int   // flippable node IDs, in search (OpOrder) order
 	isCand []bool  // candidate membership, indexed by node ID
 	sw     []int64 // per-node software latency, indexed by node ID
-	freq  int64
+	freq   int64
 	// penalty converts one unit of port violation into score units large
 	// enough that reducing a violation always beats any latency gain.
 	penalty int64

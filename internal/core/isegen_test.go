@@ -18,7 +18,7 @@ import (
 //     bound of the optimum, never above it.
 //  2. Determinism: on blocks where the exact search terminates, results
 //     are bit-identical with the racer on or off, at every worker
-//     count, with and without the merit bound, speculation and dedup.
+//     count, with and without the merit bound and dedup.
 
 // TestISEGenTerminatingBitIdentical sweeps worker counts × pruning with
 // ISEGen on and off: wherever the exact search runs to completion, the
@@ -154,8 +154,8 @@ func TestISEGenGapOnTerminating(t *testing.T) {
 }
 
 // TestISEGenSelectionIdentical runs the full iterative selection with
-// the racer on across the worker/speculation/dedup matrix: terminating
-// selections must be bit-identical to the racer-off serial reference.
+// the racer on across the worker/dedup matrix: terminating selections
+// must be bit-identical to the racer-off serial reference.
 func TestISEGenSelectionIdentical(t *testing.T) {
 	mod := compileAndProfile(t, threeKernels)
 	base := Config{Nin: 4, Nout: 2, PruneMerit: true}
@@ -164,25 +164,19 @@ func TestISEGenSelectionIdentical(t *testing.T) {
 		t.Fatalf("reference selection not exhaustive: %v", ref.Status)
 	}
 	for _, nw := range []int{0, 1, 4, 8} {
-		for _, spec := range []bool{false, true} {
-			for _, dedup := range []bool{false, true} {
-				if spec && nw == 0 {
-					continue
-				}
-				label := fmt.Sprintf("workers=%d/speculate=%v/dedup=%v", nw, spec, dedup)
-				cfg := base
-				cfg.ISEGen = true
-				cfg.Workers = nw
-				cfg.Speculate = spec
-				cfg.Dedup = dedup
-				got := SelectIterativeCtx(context.Background(), mod, 4, cfg)
-				if got.Status != Exhaustive {
-					t.Errorf("%s: status %v", label, got.Status)
-				}
-				if got.TotalMerit != ref.TotalMerit || len(got.Instructions) != len(ref.Instructions) {
-					t.Errorf("%s: selection diverged: merit %d (%d instructions) vs reference %d (%d)",
-						label, got.TotalMerit, len(got.Instructions), ref.TotalMerit, len(ref.Instructions))
-				}
+		for _, dedup := range []bool{false, true} {
+			label := fmt.Sprintf("workers=%d/dedup=%v", nw, dedup)
+			cfg := base
+			cfg.ISEGen = true
+			cfg.Workers = nw
+			cfg.Dedup = dedup
+			got := SelectIterativeCtx(context.Background(), mod, 4, cfg)
+			if got.Status != Exhaustive {
+				t.Errorf("%s: status %v", label, got.Status)
+			}
+			if got.TotalMerit != ref.TotalMerit || len(got.Instructions) != len(ref.Instructions) {
+				t.Errorf("%s: selection diverged: merit %d (%d instructions) vs reference %d (%d)",
+					label, got.TotalMerit, len(got.Instructions), ref.TotalMerit, len(ref.Instructions))
 			}
 		}
 	}

@@ -55,9 +55,6 @@ func FindBestCutsCtx(ctx context.Context, g *dfg.Graph, m int, cfg Config) Multi
 	s := newMultiSearcher(g, m, cfg)
 	s.ctx = ctx
 	s.obs = cfg.Probe.Attach()
-	if cfg.seedOn && cfg.seedMerit > 0 && len(cfg.seedCuts) > 0 {
-		s.seedAssignment(cfg.seedCuts, cfg.seedMerit)
-	}
 	s.run()
 	res := MultiResult{Stats: s.stats, Status: s.stop}
 	res.Stats.Aborted = s.stop != Exhaustive
@@ -197,25 +194,6 @@ func (s *multiSearcher) seedThreshold(merit int64) {
 	s.bestFound = true
 	s.bestMerit = merit
 	s.bestCuts = nil
-}
-
-// seedAssignment warm-starts the incumbent from a known-sound assignment
-// of total merit W (e.g. the scheduler's M-cut optimum reused at M+1,
-// where it remains feasible because the extra cuts may stay empty). As
-// with searcher.seedIncumbent, the threshold is W−1 with the witness
-// kept, so the first assignment of merit ≥ W found in search order still
-// replaces the seed and the returned result stays bit-identical to a
-// cold run; only PruneMerit exploits the raised bar.
-func (s *multiSearcher) seedAssignment(cuts []dfg.Cut, merit int64) {
-	if s.bestFound && merit-1 <= s.bestMerit {
-		return
-	}
-	s.bestFound = true
-	s.bestMerit = merit - 1
-	s.bestCuts = make([]dfg.Cut, len(cuts))
-	for i, c := range cuts {
-		s.bestCuts[i] = append(dfg.Cut(nil), c...)
-	}
 }
 
 func (s *multiSearcher) run() {

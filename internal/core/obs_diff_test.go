@@ -118,9 +118,9 @@ func TestObsDifferentialMulti(t *testing.T) {
 	}
 }
 
-// TestObsDifferentialSelection runs the full iterative selection — the
-// speculative scheduler included — with and without tracing and demands
-// identical selections, merits, per-block statuses and call accounting.
+// TestObsDifferentialSelection runs the full iterative selection with
+// and without tracing and demands identical selections, merits,
+// per-block statuses and call accounting.
 func TestObsDifferentialSelection(t *testing.T) {
 	mod := compileAndProfile(t, threeKernels)
 	for _, pruned := range []bool{false, true} {
@@ -128,7 +128,6 @@ func TestObsDifferentialSelection(t *testing.T) {
 			cfg := diffConfig(w, pruned)
 			cfg.Nin, cfg.Nout = 4, 2
 			cfg.Parallel = w > 0
-			cfg.Speculate = w > 0
 			base := SelectIterativeCtx(context.Background(), mod, 4, cfg)
 			cfg.Probe = fullProbe()
 			traced := SelectIterativeCtx(context.Background(), mod, 4, cfg)
@@ -147,7 +146,7 @@ func TestObsDifferentialSelection(t *testing.T) {
 				t.Errorf("workers=%d pruned=%v: per-block statuses diverged:\n base=%+v\ntraced=%+v",
 					w, pruned, base.Blocks, traced.Blocks)
 			}
-			if statsComparable(w, pruned) && !cfg.Speculate && base.Stats != traced.Stats {
+			if statsComparable(w, pruned) && base.Stats != traced.Stats {
 				t.Errorf("workers=%d pruned=%v: selection Stats diverged: base=%+v traced=%+v",
 					w, pruned, base.Stats, traced.Stats)
 			}

@@ -21,38 +21,14 @@ func findBestCutsParallel(ctx context.Context, g *dfg.Graph, m int, cfg Config) 
 		cfg.Workers = 0
 		return FindBestCutsCtx(ctx, g, m, cfg)
 	}
-	// A scheduler seed (withSeed) becomes the merge base, mirroring the
-	// serial path's seedAssignment: threshold one below the seed merit
-	// with the witness kept at the merge level.
-	var base bbBest
-	if cfg.seedOn && cfg.seedMerit > 0 && len(cfg.seedCuts) > 0 {
-		cuts := make([]dfg.Cut, len(cfg.seedCuts))
-		for i, c := range cfg.seedCuts {
-			cuts[i] = append(dfg.Cut(nil), c...)
-		}
-		base = bbBest{found: true, merit: cfg.seedMerit, cuts: cuts, base: true}
-	}
 	if err := ctx.Err(); err != nil {
-		res := MultiResult{Status: statusOfCtx(err), Stats: Stats{Aborted: true}}
-		if base.found {
-			res.Found = true
-			fillMultiResult(&res, g, base.cuts, cfg.model())
-		}
-		return res
+		return MultiResult{Status: statusOfCtx(err), Stats: Stats{Aborted: true}}
 	}
 
 	nw := cfg.Workers
 	e := newBBEngine(ctx, nw, len(g.OpOrder), cfg.MaxCuts, cfg.PruneMerit)
 	e.probe = cfg.Probe
-	root := bbSub{prefix: []uint8{}}
-	if base.found {
-		root.seed = base.merit - 1
-		root.seeded = true
-		if e.sharedOn {
-			e.shared.Store(base.merit)
-		}
-	}
-	e.push(0, []bbSub{root})
+	e.push(0, []bbSub{{prefix: []uint8{}}})
 
 	wcfg := workerConfig(cfg)
 	outs := make([]bbBest, nw)
@@ -73,7 +49,7 @@ func findBestCutsParallel(ctx context.Context, g *dfg.Graph, m int, cfg Config) 
 	stopWatch()
 	engineWorkers(cfg.Probe, -nw)
 
-	best := base
+	var best bbBest
 	for w := range outs {
 		best.better(outs[w])
 	}

@@ -19,7 +19,7 @@ func findBestCutParallel(ctx context.Context, g *dfg.Graph, cfg Config) Result {
 	// incumbent, so the engine always warm-starts when pruning is on;
 	// WarmStart forces it for the unpruned search too. As on the serial
 	// path, the warm pass is charged against neither MaxCuts nor Stats.
-	// A scheduler seed (withSeed) forms the initial base exactly as the
+	// A seed-book seed (withSeed) forms the initial base exactly as the
 	// serial path's seedIncumbent call, and — also mirroring it — a warm
 	// result displaces the seed only when strictly better.
 	var base bbBest
@@ -116,47 +116,8 @@ func findBestCutParallel(ctx context.Context, g *dfg.Graph, cfg Config) Result {
 		res.Found = true
 		res.Cut = best.cut.Canon()
 		res.Est = Evaluate(g, res.Cut, cfg.model())
-		// Runner-up (Result.prevCut): best of the per-worker bests with
-		// the winner removed. Each worker's out only retains its own best,
-		// so which candidate survives here is timing-dependent — which is
-		// fine, prevCut is a heuristic hint that consumers must re-check
-		// (Legal + Evaluate) before use.
-		var second bbBest
-		excluded := false
-		fold := func(c bbBest) {
-			if !c.found {
-				return
-			}
-			if !excluded && c.merit == best.merit && c.base == best.base && bbKeyEqual(c.key, best.key) {
-				excluded = true
-				return
-			}
-			second.better(c)
-		}
-		fold(base)
-		for w := range outs {
-			fold(outs[w])
-		}
-		if second.found {
-			res.prevFound, res.prevMerit = true, second.merit
-			res.prevCut = second.cut.Canon()
-		}
 	}
 	return res
-}
-
-// bbKeyEqual reports whether two subproblem keys are the same tree
-// position (used to exclude the winner when deriving the runner-up).
-func bbKeyEqual(a, b []uint8) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // runLabeled runs f under pprof labels identifying the engine worker,

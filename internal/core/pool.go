@@ -1,27 +1,16 @@
 package core
 
-import "sync"
-
 // CPUPool is a process-wide CPU admission budget shared by every layer
-// that fans work out: the selection scheduler's block-level tasks and
-// their intra-block worker pools (Config.Speculate), the Parallel
-// drivers' per-block search goroutines (Config.Pool), and the DSE sweep
-// driver's grid tasks (internal/dse) all draw slots from one pot, so
-// stacking sweep-level on search-level parallelism bounds total
-// concurrency instead of multiplying it.
+// that fans work out: the Parallel drivers' per-block search goroutines
+// (Config.Pool) and the DSE sweep driver's grid tasks (internal/dse)
+// draw slots from one pot, so stacking sweep-level on search-level
+// parallelism bounds total concurrency instead of multiplying it.
 //
-// Demand tasks block in Acquire until at least one slot frees and then
-// take up to their want; speculative tasks only ever take a single slot
-// and only while at least one other slot stays free, so the serial
-// demand stream is never starved by speculation. Holders must never
-// block on the pool while holding slots (no hold-and-wait), which keeps
-// the pool deadlock-free by construction.
+// Every holder takes exactly one slot and never blocks on the pool
+// again while holding it (no hold-and-wait), which keeps the pool
+// deadlock-free by construction.
 type CPUPool struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	free   int
-	slots  int // capacity, for leak accounting
-	closed bool
+	slots chan struct{} // one element per held slot
 }
 
 // NewCPUPool returns a pool of the given capacity (at least 1).
@@ -29,75 +18,18 @@ func NewCPUPool(slots int) *CPUPool {
 	if slots < 1 {
 		slots = 1
 	}
-	p := &CPUPool{free: slots, slots: slots}
-	p.cond = sync.NewCond(&p.mu)
-	return p
+	return &CPUPool{slots: make(chan struct{}, slots)}
 }
 
-// Acquire blocks until at least one slot is free (or the pool closes,
-// returning 0) and takes min(want, free) slots, at least one.
-func (p *CPUPool) Acquire(want int) int {
-	if want < 1 {
-		want = 1
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for p.free == 0 && !p.closed {
-		p.cond.Wait()
-	}
-	if p.closed {
-		return 0
-	}
-	n := want
-	if n > p.free {
-		n = p.free
-	}
-	p.free -= n
-	return n
-}
+// Acquire blocks until a slot is free and takes it.
+func (p *CPUPool) Acquire() { p.slots <- struct{}{} }
 
-// TryAcquireSpec takes one slot for a speculative task, but only while a
-// second slot remains free for demand work; it never blocks.
-func (p *CPUPool) TryAcquireSpec() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed || p.free < 2 {
-		return false
-	}
-	p.free--
-	return true
-}
+// Release returns one slot to the pool.
+func (p *CPUPool) Release() { <-p.slots }
 
-// Release returns n slots to the pool.
-func (p *CPUPool) Release(n int) {
-	if n <= 0 {
-		return
-	}
-	p.mu.Lock()
-	p.free += n
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-// Close wakes every blocked Acquire with 0 slots (used on abandon). It
-// cannot assert full occupancy itself: Close runs before the owner's
-// wg.Wait precisely so that blocked Acquires unblock, while holders are
-// still releasing their tokens via defers — leak detection is Leaked(),
-// checked after every holder has exited.
-func (p *CPUPool) Close() {
-	p.mu.Lock()
-	p.closed = true
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-// Leaked returns the number of tokens still held. Only meaningful once
+// Leaked returns the number of slots still held. Only meaningful once
 // every acquirer has finished (after the owner's wg.Wait): a positive
 // value then means a release was lost — e.g. a panic path that skipped
 // its deferred release — and the pool would have throttled forever in a
 // long-lived service.
-func (p *CPUPool) Leaked() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.slots - p.free
-}
+func (p *CPUPool) Leaked() int { return len(p.slots) }

@@ -106,11 +106,10 @@ func cutsEqual(a, c dfg.Cut) bool {
 	return true
 }
 
-// applySeed upgrades cfg's incumbent seed from the book: every stored
+// applySeed arms cfg's incumbent seed from the book: every stored
 // cut for g's fingerprint is revalidated (Legal at cfg's ports, positive
 // re-Evaluated merit) and the best survivor seeds the search via
-// withSeed — but only when it strictly beats a seed the caller already
-// armed (the scheduler's own seeds take precedence at equal merit).
+// withSeed.
 func (b *SeedBook) applySeed(g *dfg.Graph, fp uint64, cfg Config) Config {
 	tag := g.Fn.Name + "/" + g.Block.Name
 	var bestCut dfg.Cut
@@ -137,8 +136,5 @@ func (b *SeedBook) applySeed(g *dfg.Graph, fp uint64, cfg Config) Config {
 	}
 	b.hits.Add(1)
 	cfg.Probe.SeedHit(tag, bestMerit, len(bestCut))
-	if cfg.seedOn && cfg.seedMerit >= bestMerit {
-		return cfg
-	}
-	return cfg.withSeed(bestMerit, bestCut, nil)
+	return cfg.withSeed(bestMerit, bestCut)
 }

@@ -50,17 +50,10 @@ type SelectionResult struct {
 	Instructions []Selected
 	TotalMerit   int64
 	Stats        Stats
-	// IdentCalls counts invocations of the identification algorithm the
-	// selection *consumed* — the §6.2 currency: the optimal algorithm is
-	// proven to need at most Ninstr + Nbb − 1 of them. Speculative work
-	// by the scheduler (Config.Speculate) is never charged here.
+	// IdentCalls counts invocations of the identification algorithm —
+	// the §6.2 currency: the optimal algorithm is proven to need at most
+	// Ninstr + Nbb − 1 of them.
 	IdentCalls int
-	// SpeculativeCalls counts identifications the scheduler launched
-	// speculatively on idle workers (Config.Speculate); CacheHits counts
-	// how many of the IdentCalls were served by such a speculation
-	// instead of a fresh demand search. Both are 0 without Speculate.
-	SpeculativeCalls int
-	CacheHits        int
 	// DedupHits counts identifications served by the cross-block dedup
 	// memo (Config.Dedup): an isomorphic block had already been searched
 	// and its cuts were translated, revalidated and adopted. Dedup hits
@@ -203,15 +196,12 @@ func SelectOptimal(m *ir.Module, ninstr int, cfg Config) SelectionResult {
 // Blocks/Status for how trustworthy each block's answer is).
 func SelectOptimalCtx(ctx context.Context, m *ir.Module, ninstr int, cfg Config) (res SelectionResult) {
 	defer guardDriver(cfg.Probe, &res)
-	// One stage span per driver invocation: every block search below —
-	// demand or speculative — links to it as its parent.
+	// One stage span per driver invocation: every block search below
+	// links to it as its parent.
 	cfg.Probe = cfg.Probe.BeginStage("select/optimal", ninstr)
 	defer func() {
 		cfg.Probe.EndStage("select/optimal", len(res.Instructions), res.TotalMerit, res.IdentCalls)
 	}()
-	if cfg.Speculate {
-		return selectOptimalScheduled(ctx, m, ninstr, cfg)
-	}
 	bgs, failed := allBlockGraphs(m)
 	res = SelectionResult{Blocks: failed}
 	if ninstr < 1 || len(bgs) == 0 {
@@ -387,9 +377,6 @@ func SelectIterativeCtx(ctx context.Context, m *ir.Module, ninstr int, cfg Confi
 	defer func() {
 		cfg.Probe.EndStage("select/iterative", len(res.Instructions), res.TotalMerit, res.IdentCalls)
 	}()
-	if cfg.Speculate {
-		return selectIterativeScheduled(ctx, m, ninstr, cfg)
-	}
 	bgs, failed := allBlockGraphs(m)
 	res = SelectionResult{Blocks: failed}
 	if ninstr < 1 || len(bgs) == 0 {

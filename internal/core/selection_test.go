@@ -1,8 +1,10 @@
 package core
 
 import (
+	"sort"
 	"testing"
 
+	"isex/internal/dfg"
 	"isex/internal/interp"
 	"isex/internal/ir"
 	"isex/internal/minic"
@@ -253,5 +255,159 @@ func TestParallelSelectionDeterministic(t *testing.T) {
 	}
 	if serial.IdentCalls != parallel.IdentCalls {
 		t.Errorf("ident calls: %d vs %d", serial.IdentCalls, parallel.IdentCalls)
+	}
+}
+
+// assertSelectionsEqual checks bit-identity between two selections: same
+// instructions (function, block, collapsed positions, estimates), same
+// total merit, same per-block statuses, and the same IdentCalls — the
+// §6.2 currency. Stats are compared only when wantStats is set (they are
+// guaranteed identical only with PruneMerit off; pruned runs explore a
+// different, never unsound, portion of the tree).
+func assertSelectionsEqual(t *testing.T, label string, want, got SelectionResult, wantStats bool) {
+	t.Helper()
+	if got.TotalMerit != want.TotalMerit {
+		t.Fatalf("%s: total merit %d, want %d", label, got.TotalMerit, want.TotalMerit)
+	}
+	if got.Status != want.Status {
+		t.Fatalf("%s: status %v, want %v", label, got.Status, want.Status)
+	}
+	if got.IdentCalls != want.IdentCalls {
+		t.Fatalf("%s: %d identification calls, want %d", label, got.IdentCalls, want.IdentCalls)
+	}
+	if len(got.Instructions) != len(want.Instructions) {
+		t.Fatalf("%s: %d instructions, want %d", label, len(got.Instructions), len(want.Instructions))
+	}
+	for i := range want.Instructions {
+		a, b := want.Instructions[i], got.Instructions[i]
+		if a.Fn.Name != b.Fn.Name || a.Block.Name != b.Block.Name || a.Est != b.Est {
+			t.Fatalf("%s: instruction %d differs: %s/%s %v vs %s/%s %v",
+				label, i, b.Fn.Name, b.Block.Name, b.Est, a.Fn.Name, a.Block.Name, a.Est)
+		}
+		if len(a.InstrIndexes) != len(b.InstrIndexes) {
+			t.Fatalf("%s: instruction %d indexes %v, want %v", label, i, b.InstrIndexes, a.InstrIndexes)
+		}
+		for j := range a.InstrIndexes {
+			if a.InstrIndexes[j] != b.InstrIndexes[j] {
+				t.Fatalf("%s: instruction %d indexes %v, want %v", label, i, b.InstrIndexes, a.InstrIndexes)
+			}
+		}
+	}
+	if len(got.Blocks) != len(want.Blocks) {
+		t.Fatalf("%s: %d block statuses, want %d", label, len(got.Blocks), len(want.Blocks))
+	}
+	for i := range want.Blocks {
+		a, b := want.Blocks[i], got.Blocks[i]
+		if a.Fn != b.Fn || a.Block != b.Block || a.Status != b.Status {
+			t.Fatalf("%s: block status %d: %s/%s %v, want %s/%s %v",
+				label, i, b.Fn, b.Block, b.Status, a.Fn, a.Block, a.Status)
+		}
+	}
+	if wantStats && got.Stats != want.Stats {
+		t.Fatalf("%s: stats %+v, want %+v", label, got.Stats, want.Stats)
+	}
+}
+
+// TestSelectOptimalParallelInitialPass: the optimal driver's initial
+// per-block single-cut pass honors Config.Parallel and stays
+// deterministic (the fix mirrors SelectIterativeCtx's fixed-slot
+// fan-out).
+func TestSelectOptimalParallelInitialPass(t *testing.T) {
+	m := compileAndProfile(t, threeKernels)
+	cfg := Config{Nin: 2, Nout: 1}
+	serial := SelectOptimal(m, 3, cfg)
+	cfg.Parallel = true
+	par := SelectOptimal(m, 3, cfg)
+	assertSelectionsEqual(t, "optimal/parallel-initial", serial, par, true)
+}
+
+// TestInstrIndexesOfSuperNode: a cut containing a collapsed super-node
+// expands to the super-node's member instruction positions plus the
+// plain members' own positions, sorted.
+func TestInstrIndexesOfSuperNode(t *testing.T) {
+	m := compileAndProfile(t, threeKernels)
+	bgs, failed := allBlockGraphs(m)
+	if len(failed) > 0 {
+		t.Fatalf("blocks failed to build: %+v", failed)
+	}
+	cfg := Config{Nin: 4, Nout: 2}
+	for _, bg := range bgs {
+		r := FindBestCut(bg.g, cfg)
+		if !r.Found || len(r.Cut) < 2 {
+			continue
+		}
+		ng, err := bg.g.Collapse(r.Cut, "super", r.Est.HWCycles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := -1
+		for id := range ng.Nodes {
+			if ng.Nodes[id].Name == "super" {
+				rep = id
+			}
+		}
+		if rep < 0 {
+			t.Fatal("collapsed graph has no super-node")
+		}
+		super := &ng.Nodes[rep]
+		if len(super.SuperMembers) == 0 {
+			t.Fatalf("collapsed node %d has no members", rep)
+		}
+		// Find an op outside the super-node to pair with it.
+		other := -1
+		for _, id := range ng.OpOrder {
+			if n := &ng.Nodes[id]; id != rep && n.Kind == dfg.KindOp && n.InstrIndex >= 0 {
+				other = id
+				break
+			}
+		}
+		if other == -1 {
+			continue
+		}
+		got := instrIndexesOf(ng, dfg.Cut{other, rep})
+		want := append([]int{ng.Nodes[other].InstrIndex}, super.SuperMembers...)
+		sort.Ints(want)
+		if len(got) != len(want) {
+			t.Fatalf("instrIndexesOf = %v, want %v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("instrIndexesOf = %v, want %v", got, want)
+			}
+		}
+		return
+	}
+	t.Skip("no block produced a multi-node cut to collapse")
+}
+
+// TestSortSelectedTieBreaks: ordering is function name, then block
+// index, then first collapsed position — with an empty InstrIndexes
+// ranking first (as position −1) and ties keeping insertion order.
+func TestSortSelectedTieBreaks(t *testing.T) {
+	fnA := &ir.Function{Name: "a"}
+	fnB := &ir.Function{Name: "b"}
+	b0 := &ir.Block{Name: "entry", Index: 0}
+	b1 := &ir.Block{Name: "body", Index: 1}
+	mk := func(fn *ir.Function, b *ir.Block, idx []int, merit int64) Selected {
+		return Selected{Fn: fn, Block: b, InstrIndexes: idx, Est: Estimate{Merit: merit}}
+	}
+	sel := []Selected{
+		mk(fnB, b0, []int{0}, 1),
+		mk(fnA, b1, []int{2}, 2),
+		mk(fnA, b1, nil, 3),      // empty indexes sort first within the block
+		mk(fnA, b1, []int{2}, 4), // full tie with #1: insertion order kept
+		mk(fnA, b0, []int{9}, 5),
+		mk(fnA, b1, []int{1}, 6),
+	}
+	sortSelected(sel)
+	wantMerits := []int64{5, 3, 6, 2, 4, 1}
+	for i, w := range wantMerits {
+		if sel[i].Est.Merit != w {
+			order := make([]int64, len(sel))
+			for j := range sel {
+				order[j] = sel[j].Est.Merit
+			}
+			t.Fatalf("sortSelected order (by merit tag) = %v, want %v", order, wantMerits)
+		}
 	}
 }

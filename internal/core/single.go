@@ -90,25 +90,14 @@ type Config struct {
 	// the engine's bit-identical guarantee; serial searches
 	// (Workers == 0) ignore it entirely.
 	StallWindow time.Duration
-	// Speculate routes SelectOptimalCtx / SelectIterativeCtx (and, through
-	// the latter, SelectAreaConstrainedCtx) through the selection-level
-	// scheduler (see scheduler.go): idle workers speculatively re-identify
-	// runner-up blocks, results are memoized by graph fingerprint, and
-	// every re-search is warm-started from the best already-known sound
-	// bound. Selections are bit-identical to the serial greedy driver; the
-	// extra searches are reported in SelectionResult.SpeculativeCalls /
-	// CacheHits, never in IdentCalls. The scheduler shares one CPU budget
-	// of max(Workers, 1) slots between concurrent block searches and each
-	// search's own worker pool.
-	Speculate bool
 	// Dedup enables cross-block structural deduplication in the selection
-	// drivers (SelectOptimalCtx, SelectIterativeCtx and their scheduled
-	// variants): blocks — and collapsed re-search graphs — whose dataflow
-	// graphs are isomorphic under the search order (dfg.OrderMatch) share
-	// one identification. The winning cuts are translated through the node
-	// renaming and revalidated with Legal/Evaluate on each block's own
-	// graph (frequencies stay per-block), so selections are bit-identical
-	// to a run without dedup; only the duplicate searches disappear.
+	// drivers (SelectOptimalCtx, SelectIterativeCtx): blocks — and
+	// collapsed re-search graphs — whose dataflow graphs are isomorphic
+	// under the search order (dfg.OrderMatch) share one identification.
+	// The winning cuts are translated through the node renaming and
+	// revalidated with Legal/Evaluate on each block's own graph
+	// (frequencies stay per-block), so selections are bit-identical to a
+	// run without dedup; only the duplicate searches disappear.
 	// Adopted results are reported in SelectionResult.DedupHits, never in
 	// IdentCalls or Stats, and selected cuts that canonicalize identically
 	// are grouped in SelectionResult.SharedInstructions. Off by default.
@@ -139,12 +128,11 @@ type Config struct {
 	// present or absent; only the explored tree shrinks. Nil by default.
 	Seeds *SeedBook
 	// Pool, when non-nil, admission-gates every per-block search of the
-	// non-speculative selection drivers on this shared CPUPool: each
-	// in-flight block search holds exactly one slot for its duration, so
-	// concurrent selection calls sharing one pool (the DSE sweep's grid
-	// tasks) bound their total CPU draw to the pool's capacity instead of
-	// multiplying. The speculative scheduler (Speculate) ignores it — it
-	// brings its own pool of max(Workers, 1) slots. Nil disables gating.
+	// selection drivers on this shared CPUPool: each in-flight block
+	// search holds exactly one slot for its duration, so concurrent
+	// selection calls sharing one pool (the DSE sweep's grid tasks) bound
+	// their total CPU draw to the pool's capacity instead of multiplying.
+	// Nil disables gating.
 	Pool *CPUPool
 	// Probe, when non-nil, enables the search telemetry subsystem: a
 	// flight recorder of typed search events, an atomic metrics
@@ -156,18 +144,16 @@ type Config struct {
 	// flight recorder but keep feeding the metrics.
 	Probe *obs.Probe
 
-	// Incumbent seeding for the selection scheduler (package-internal; see
-	// scheduler.go). When seedOn is set, the search starts with its
-	// recording threshold at seedMerit−1 and the witness (seedCut for the
-	// single-cut search, seedCuts for the multi-cut search) as incumbent —
+	// Incumbent seeding for the single-cut search (package-internal; armed
+	// by SeedBook.applySeed). When seedOn is set, the search starts with
+	// its recording threshold at seedMerit−1 and seedCut as incumbent —
 	// provably result-preserving exactly like WarmStart, because any cut
-	// (assignment) of merit ≥ seedMerit, the known optimum's lower bound,
-	// is still recorded in DFS order. Callers must guarantee the witness
-	// is legal on the searched graph with exactly merit seedMerit.
+	// of merit ≥ seedMerit, the known optimum's lower bound, is still
+	// recorded in DFS order. Callers must guarantee the witness is legal
+	// on the searched graph with exactly merit seedMerit.
 	seedOn    bool
 	seedMerit int64
 	seedCut   dfg.Cut
-	seedCuts  []dfg.Cut
 
 	// race attaches the block's iterative racer (package-internal; set by
 	// the anytime layer when ISEGen launches one). The searcher folds
@@ -179,14 +165,13 @@ type Config struct {
 }
 
 // withSeed arms incumbent seeding (see the seed fields above).
-func (c Config) withSeed(merit int64, cut dfg.Cut, cuts []dfg.Cut) Config {
-	if merit <= 0 || (cut == nil && cuts == nil) {
+func (c Config) withSeed(merit int64, cut dfg.Cut) Config {
+	if merit <= 0 || cut == nil {
 		return c
 	}
 	c.seedOn = true
 	c.seedMerit = merit
 	c.seedCut = cut
-	c.seedCuts = cuts
 	return c
 }
 
@@ -197,7 +182,6 @@ func (c Config) stripSeed() Config {
 	c.seedOn = false
 	c.seedMerit = 0
 	c.seedCut = nil
-	c.seedCuts = nil
 	return c
 }
 
@@ -249,16 +233,6 @@ type Result struct {
 	// (message plus truncated stack), even when a retry then finished the
 	// subproblem and Status stayed Exhaustive. Nil on serial searches.
 	Err error
-
-	// prev* expose the runner-up incumbent — the cut the winner displaced
-	// last (serial) or the best losing merge candidate (parallel). It is a
-	// legal cut of the searched graph with merit prevMerit, used by the
-	// selection scheduler to warm-start post-collapse re-searches; it is a
-	// heuristic second-best (sound as a seed, not guaranteed to be the
-	// true runner-up) and deliberately unexported.
-	prevFound bool
-	prevMerit int64
-	prevCut   dfg.Cut
 }
 
 // FindBestCut solves Problem 1 (§5) exactly on one graph: it returns the
@@ -279,7 +253,7 @@ func FindBestCutCtx(ctx context.Context, g *dfg.Graph, cfg Config) Result {
 		return FindBestCutWindowedCtx(ctx, g, cfg, w)
 	}
 	if cfg.Seeds != nil {
-		// Detach the book, upgrade the incumbent seed from it, run the
+		// Detach the book, arm the incumbent seed from it, run the
 		// search normally, and publish the winner back. Only exhaustive
 		// winners are stored: a budget-stopped incumbent from the parallel
 		// engine can depend on timing, and the book must stay a function of
@@ -304,7 +278,7 @@ func FindBestCutCtx(ctx context.Context, g *dfg.Graph, cfg Config) Result {
 	if cfg.seedOn && cfg.seedMerit > 0 && len(cfg.seedCut) > 0 {
 		s.seedIncumbent(Result{Found: true, Cut: cfg.seedCut, Est: Estimate{Merit: cfg.seedMerit}})
 		if cfg.race != nil {
-			cfg.race.donate(cfg.seedCut) // scheduler seed warms the racer too
+			cfg.race.donate(cfg.seedCut) // book seed warms the racer too
 		}
 	}
 	if cfg.WarmStart && g.NumOps() > warmWindow {
@@ -341,10 +315,6 @@ func FindBestCutCtx(ctx context.Context, g *dfg.Graph, cfg Config) Result {
 		res.Found = true
 		res.Cut = s.bestCut.Canon()
 		res.Est = Evaluate(g, res.Cut, cfg.model())
-	}
-	if s.prevCut != nil {
-		res.prevFound, res.prevMerit = true, s.prevMerit
-		res.prevCut = s.prevCut.Canon()
 	}
 	return res
 }
@@ -410,10 +380,6 @@ type searcher struct {
 	bestFound bool
 	bestCut   dfg.Cut
 	bestMerit int64
-	// prev* track the last displaced incumbent (see Result.prevCut).
-	prevFound bool
-	prevMerit int64
-	prevCut   dfg.Cut
 	stats     Stats
 	// ctx is polled every ctxCheckInterval visited nodes (ticks); stop
 	// records why the search ended early (Exhaustive while running).
@@ -481,8 +447,8 @@ func newSearcher(g *dfg.Graph, cfg Config) *searcher {
 }
 
 // seedIncumbent warm-starts the incumbent from a windowed-heuristic (or
-// scheduler-supplied) result of merit W: the threshold is W−1, so any cut
-// of merit ≥ W — including the first one the cold search would have
+// seed-book) result of merit W: the threshold is W−1, so any cut of
+// merit ≥ W — including the first one the cold search would have
 // recorded — still replaces the seed, which keeps the returned cut
 // bit-identical to a cold run while PruneMerit skips everything provably
 // below W. When the searcher already carries a seed, only a strictly
@@ -722,11 +688,6 @@ func (s *searcher) record() {
 	m := s.meritOf()
 	if m <= 0 || (s.bestFound && m <= s.bestMerit) {
 		return
-	}
-	if s.bestCut != nil {
-		// The displaced incumbent becomes the runner-up (bestCut is
-		// replaced wholesale below, so aliasing it is safe).
-		s.prevFound, s.prevMerit, s.prevCut = true, s.bestMerit, s.bestCut
 	}
 	s.bestFound = true
 	s.bestMerit = m

@@ -41,7 +41,7 @@ func FindBestCutWindowedCtx(ctx context.Context, g *dfg.Graph, cfg Config, windo
 	// recorder: a rescue pass would otherwise flood the rings with events
 	// indistinguishable from the main search's.
 	cfg.Probe = cfg.Probe.MetricsOnly()
-	// A scheduler seed cut need not be legal on a Restrict view (its
+	// A seed-book cut need not be legal on a Restrict view (its
 	// members may fall outside the window), so the windows run cold.
 	// The racer's full-graph bound is likewise unsound on a window — a
 	// window may genuinely contain nothing that beats it.

@@ -221,108 +221,6 @@ func (g *Graph) buildKernel() {
 	g.scr = newScratch(n)
 }
 
-// collapseQuotient derives the constraint tables of the quotient graph in
-// which the members of C have been contracted into the single node rep
-// (rep ∈ C; every other member becomes an edge-less tombstone), without
-// re-running the O(E·V/64) closure sweeps of buildKernel. The update is
-// pure word arithmetic:
-//
-//	preds′[rep] = (∪_{m∈C} preds[m]) \ C        (succs symmetric)
-//	preds′[u]   = preds[u],              preds[u] ∩ C = ∅
-//	            = (preds[u] \ C) ∪ {rep} otherwise
-//	desc′[rep]  = ((∪_{m∈C} desc[m]) \ C) ∪ {rep}   (anc symmetric)
-//	desc′[u]    = desc[u],                    desc[u] ∩ C = ∅
-//	            = (desc[u] \ C) ∪ desc′[rep]  otherwise
-//
-// The closure formula is exact for the quotient DAG: a quotient path from
-// u either avoids rep — then it existed in the original graph and avoided
-// C, so its endpoint survives in desc[u] \ C — or visits rep, which
-// requires u to reach C in the original (desc[u] ∩ C ≠ ∅) and continues
-// with anything rep reaches; conversely every original path maps to a
-// quotient walk by sending each member to rep, so desc[u] \ C and
-// desc′[rep] are both reachable. Tombstone rows (members other than rep,
-// and tombstones of earlier collapses, whose rows are already zero) come
-// out all-zero, matching buildKernel's convention that nodes absent from
-// the topological sweep keep zero rows. The caller must have verified
-// that C is convex — contracting a non-convex cut yields a cyclic
-// quotient, for which no consistent closure exists.
-func (k *kernel) collapseQuotient(member BitSet, rep int) *kernel {
-	n := len(k.preds)
-	words := k.words
-	nk := &kernel{words: words}
-	nk.preds = bitTable(n, words)
-	nk.succs = bitTable(n, words)
-	nk.adj = bitTable(n, words)
-	nk.anc = bitTable(n, words)
-	nk.desc = bitTable(n, words)
-
-	repP, repS := nk.preds[rep], nk.succs[rep]
-	repD, repA := nk.desc[rep], nk.anc[rep]
-	member.ForEach(func(id int) {
-		repP.Or(k.preds[id])
-		repS.Or(k.succs[id])
-		repD.Or(k.desc[id])
-		repA.Or(k.anc[id])
-	})
-	for i := 0; i < words; i++ {
-		m := member[i]
-		repP[i] &^= m
-		repS[i] &^= m
-		repD[i] &^= m
-		repA[i] &^= m
-	}
-	repD.Set(rep)
-	repA.Set(rep)
-	for i := 0; i < words; i++ {
-		nk.adj[rep][i] = repP[i] | repS[i]
-	}
-
-	for id := 0; id < n; id++ {
-		if member.Has(id) {
-			continue // rep done above; other members stay zero (tombstones)
-		}
-		rewrite := func(dst, src BitSet, repBit bool, repRow BitSet) {
-			hit := false
-			for i := 0; i < words; i++ {
-				if src[i]&member[i] != 0 {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				dst.CopyFrom(src)
-				return
-			}
-			for i := 0; i < words; i++ {
-				dst[i] = src[i] &^ member[i]
-			}
-			if repBit {
-				dst.Set(rep)
-			}
-			if repRow != nil {
-				dst.Or(repRow)
-			}
-		}
-		rewrite(nk.preds[id], k.preds[id], true, nil)
-		rewrite(nk.succs[id], k.succs[id], true, nil)
-		rewrite(nk.desc[id], k.desc[id], false, repD)
-		rewrite(nk.anc[id], k.anc[id], false, repA)
-		for i := 0; i < words; i++ {
-			nk.adj[id][i] = nk.preds[id][i] | nk.succs[id][i]
-		}
-	}
-
-	nk.fused = make([]uint64, n*4*words)
-	for i := 0; i < n; i++ {
-		row := nk.fused[i*4*words : (i+1)*4*words]
-		copy(row[0*words:], nk.preds[i])
-		copy(row[1*words:], nk.succs[i])
-		copy(row[2*words:], nk.desc[i])
-		copy(row[3*words:], nk.anc[i])
-	}
-	return nk
-}
-
 // rebuildForbidSet recomputes the per-graph set of nodes that may never
 // join a cut: V+ nodes and Forbidden operation nodes. Restrict views call
 // this after widening Forbidden, keeping the shared kernel untouched.

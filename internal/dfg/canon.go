@@ -7,7 +7,7 @@
 // digest identically even though their Fingerprints differ (Fingerprint
 // bakes in function/block names, node IDs and construction order).
 // The digest is built by Weisfeiler-Lehman (1-WL) color refinement:
-// every live node starts from a color derived from its local invariants
+// every node starts from a color derived from its local invariants
 // (kind, op, forbidden flag, super-latency, per-class degrees) and is
 // iteratively re-colored with the sorted multiset of its neighbours'
 // colors over the four edge classes (data preds/succs, order preds/succs)
@@ -50,57 +50,32 @@ func fold(h, v uint64) uint64 {
 	return h
 }
 
-// canonGraph is the refinement working set: the live nodes of a graph (or
-// the members of a cut) reindexed densely, with per-class adjacency and an
+// canonGraph is the refinement working set: the nodes of a graph (or the
+// members of a cut) indexed densely, with per-class adjacency and an
 // initial color per node.
 type canonGraph struct {
 	n    int
-	ids  []int // dense index -> original node ID
 	base []uint64
 	// adj[class][dense] lists neighbour dense indexes; classes are
 	// data-preds, data-succs, order-preds, order-succs.
 	adj [4][][]int
 }
 
-// canonLive extracts every non-dead node. CollapseIncr tombstones are
-// skipped entirely — they carry no structure — which is what makes a
-// CollapseIncr graph and the equivalent compacting Collapse graph hash
-// identically. Only Nodes is consulted (no search order, no kernel), so
-// hand-built graphs — including cyclic ones — can be hashed and matched.
-func (g *Graph) canonLive() *canonGraph {
-	cg := &canonGraph{}
-	dense := make([]int, len(g.Nodes))
-	for i := range g.Nodes {
-		if g.Nodes[i].Kind == KindDead {
-			dense[i] = -1
-			continue
-		}
-		dense[i] = cg.n
-		cg.ids = append(cg.ids, i)
-		cg.n++
-	}
+// canonFull extracts the whole graph; dense indexes are node IDs and the
+// adjacency lists are the nodes' own (canonGraph never mutates them).
+// Only Nodes is consulted (no search order, no kernel), so hand-built
+// graphs — including cyclic ones — can be hashed and matched.
+func (g *Graph) canonFull() *canonGraph {
+	cg := &canonGraph{n: len(g.Nodes), base: make([]uint64, len(g.Nodes))}
 	for c := range cg.adj {
 		cg.adj[c] = make([][]int, cg.n)
 	}
-	cg.base = make([]uint64, cg.n)
-	remap := func(list []int) []int {
-		if len(list) == 0 {
-			return nil
-		}
-		out := make([]int, 0, len(list))
-		for _, x := range list {
-			if dense[x] >= 0 {
-				out = append(out, dense[x])
-			}
-		}
-		return out
-	}
-	for di, id := range cg.ids {
-		n := &g.Nodes[id]
-		cg.adj[0][di] = remap(n.Preds)
-		cg.adj[1][di] = remap(n.Succs)
-		cg.adj[2][di] = remap(n.OrderPreds)
-		cg.adj[3][di] = remap(n.OrderSuccs)
+	for di := range g.Nodes {
+		n := &g.Nodes[di]
+		cg.adj[0][di] = n.Preds
+		cg.adj[1][di] = n.Succs
+		cg.adj[2][di] = n.OrderPreds
+		cg.adj[3][di] = n.OrderSuccs
 		h := fold(fnvOffset, uint64(n.Kind))
 		h = fold(h, uint64(n.Op))
 		if n.Forbidden {
@@ -124,21 +99,18 @@ func (g *Graph) canonLive() *canonGraph {
 // would become, so two selected cuts with equal canonCut digests describe
 // one shared AFU datapath (SelectionResult.SharedInstructions).
 func (g *Graph) canonCut(c Cut) *canonGraph {
-	cg := &canonGraph{}
+	cg := &canonGraph{n: len(c), base: make([]uint64, len(c))}
 	dense := make([]int, len(g.Nodes))
 	for i := range dense {
 		dense[i] = -1
 	}
-	for _, id := range c {
-		dense[id] = cg.n
-		cg.ids = append(cg.ids, id)
-		cg.n++
+	for di, id := range c {
+		dense[id] = di
 	}
 	for cl := range cg.adj {
 		cg.adj[cl] = make([][]int, cg.n)
 	}
-	cg.base = make([]uint64, cg.n)
-	for di, id := range cg.ids {
+	for di, id := range c {
 		n := &g.Nodes[id]
 		extIn, extOut := 0, uint64(0)
 		for _, p := range n.Preds {
@@ -246,10 +218,9 @@ func (cg *canonGraph) digest(colors []uint64) CanonDigest {
 // CanonHash returns the graph's canonical 128-bit digest: invariant under
 // node renumbering, node/function/block renaming, instruction-index and
 // register assignment, and execution frequency — exactly the properties
-// Fingerprint deliberately bakes in. Dead tombstones are ignored, so a
-// CollapseIncr result and the equivalent Collapse result hash equally.
+// Fingerprint deliberately bakes in.
 func (g *Graph) CanonHash() CanonDigest {
-	cg := g.canonLive()
+	cg := g.canonFull()
 	return cg.digest(cg.refine())
 }
 
@@ -263,29 +234,17 @@ func (g *Graph) CutCanonHash(c Cut) CanonDigest {
 	return cg.digest(cg.refine())
 }
 
-// CanonMatch reports whether b is isomorphic to a (live nodes only, all
-// four edge classes, local invariants per canonLive) and returns the node
-// renaming: ren[id] is the b-node ID corresponding to a-node id, or -1
-// for dead nodes. The search is a color-class-constrained backtracking
+// CanonMatch reports whether b is isomorphic to a (all four edge
+// classes, local invariants per canonFull) and returns the node
+// renaming: ren[id] is the b-node ID corresponding to a-node id. The
+// search is a color-class-constrained backtracking
 // over the refined WL palette — candidate images are restricted to the
 // matching color class, most-constrained classes first — with a step
 // budget: pathological instances return no match rather than hang, which
 // is sound for the dedup layer (a missed merge costs a duplicate search,
 // never a wrong result).
 func CanonMatch(a, b *Graph) ([]int, bool) {
-	ca, cb := a.canonLive(), b.canonLive()
-	m, ok := canonMatch(ca, cb)
-	if !ok {
-		return nil, false
-	}
-	ren := make([]int, len(a.Nodes))
-	for i := range ren {
-		ren[i] = -1
-	}
-	for di, dj := range m {
-		ren[ca.ids[di]] = cb.ids[dj]
-	}
-	return ren, true
+	return canonMatch(a.canonFull(), b.canonFull())
 }
 
 // CutCanonMatch reports whether cut cb of gb is datapath-isomorphic to
@@ -426,8 +385,8 @@ func canonMatch(ca, cb *canonGraph) ([]int, bool) {
 // so an exhaustive result for a translates verbatim to b (frequencies
 // excepted; every merit comparison scales uniformly with the block
 // weight, see DESIGN.md §14). The returned renaming maps a-node IDs to
-// b-node IDs (-1 for dead nodes). It is the gate the cross-block dedup
-// layer uses; CanonMatch remains the general-purpose matcher.
+// b-node IDs. It is the gate the cross-block dedup layer uses; CanonMatch
+// remains the general-purpose matcher.
 func OrderMatch(a, b *Graph) ([]int, bool) {
 	n := a.NumOps()
 	if n != b.NumOps() {
@@ -542,52 +501,4 @@ func TranslateCut(c Cut, ren []int) (Cut, bool) {
 		out = append(out, ren[id])
 	}
 	return out.Canon(), true
-}
-
-// EqualStructure reports exact structural equality of two graphs: the same
-// fields Fingerprint folds in (function and block identity, frequency, and
-// every node's kind/op/index/register/flags/super payload/edge lists),
-// compared directly rather than through a hash. Node names are cosmetic
-// and excluded, matching Fingerprint. This is the collision guard for the
-// scheduler's memoization: two graphs with equal fingerprints are adopted
-// for one another only if EqualStructure confirms the 64-bit key told the
-// truth.
-func EqualStructure(a, b *Graph) bool {
-	if a == b {
-		return true
-	}
-	if a == nil || b == nil {
-		return false
-	}
-	if a.Fn.Name != b.Fn.Name || a.Block.Name != b.Block.Name || a.Block.Freq != b.Block.Freq {
-		return false
-	}
-	if len(a.Nodes) != len(b.Nodes) {
-		return false
-	}
-	intsEq := func(x, y []int) bool {
-		if len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if x[i] != y[i] {
-				return false
-			}
-		}
-		return true
-	}
-	for i := range a.Nodes {
-		na, nb := &a.Nodes[i], &b.Nodes[i]
-		if na.Kind != nb.Kind || na.Op != nb.Op || na.InstrIndex != nb.InstrIndex ||
-			na.Reg != nb.Reg || na.Forbidden != nb.Forbidden ||
-			na.SuperLatency != nb.SuperLatency {
-			return false
-		}
-		if !intsEq(na.SuperMembers, nb.SuperMembers) || !intsEq(na.Preds, nb.Preds) ||
-			!intsEq(na.Succs, nb.Succs) || !intsEq(na.OrderPreds, nb.OrderPreds) ||
-			!intsEq(na.OrderSuccs, nb.OrderSuccs) {
-			return false
-		}
-	}
-	return true
 }

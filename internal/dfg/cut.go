@@ -1,11 +1,6 @@
 package dfg
 
-import (
-	"fmt"
-	"sort"
-
-	"isex/internal/ir"
-)
+import "sort"
 
 // Cut is a set of operation-node IDs of one graph (a subgraph S ⊆ G).
 type Cut []int
@@ -312,156 +307,15 @@ func (g *Graph) Collapse(c Cut, name string, latency int) (*Graph, error) {
 	return ng, nil
 }
 
-// CollapseIncr is Collapse without the from-scratch rebuild: it contracts
-// the cut into a forbidden super-node while preserving the node-ID space —
-// the lowest member ID becomes the super-node, the other members become
-// edge-less KindDead tombstones — so the constraint-kernel closures can be
-// updated with the word-level quotient formulas of collapseQuotient
-// instead of the O(E·V/64) sweeps of buildKernel. The resulting graph is
-// semantically identical to Collapse's (same operations, same edges, same
-// search order by instruction index) up to node numbering: Collapse
-// compacts IDs, CollapseIncr keeps them stable, which is what lets the
-// selection scheduler collapse repeatedly without ever rebuilding closures.
-// The receiver is not modified and stays fully usable — unchanged edge
-// lists are shared, rewritten ones are fresh.
-//
-// Collapsing a non-convex cut would fold a path through outside nodes
-// into a cycle; like Collapse, that is reported as an error, never a
-// panic (detected up front from the closure tables rather than by an
-// ordering failure).
-func (g *Graph) CollapseIncr(c Cut, name string, latency int) (*Graph, error) {
-	if len(c) == 0 {
-		return nil, fmt.Errorf("dfg: empty cut collapsed in %s/%s", g.Fn.Name, g.Block.Name)
-	}
-	member := g.SetOf(c, nil) // fresh set: g's scratch may be in concurrent use
-	// Convexity pre-check on the closure tables (fresh accumulators, same
-	// identity as ConvexSet): a non-convex cut is exactly one whose
-	// contraction creates a cycle, the condition rebuildOrder reports for
-	// Collapse.
-	k := g.kern
-	accD, accA := NewBitSet(len(g.Nodes)), NewBitSet(len(g.Nodes))
-	for _, id := range c {
-		accD.Or(k.desc[id])
-		accA.Or(k.anc[id])
-	}
-	for i := range accD {
-		if accD[i]&accA[i]&^member[i] != 0 {
-			return nil, fmt.Errorf("dfg: cycle in operation graph of %s/%s (non-convex collapse)",
-				g.Fn.Name, g.Block.Name)
-		}
-	}
-
-	rep := c[0]
-	maxInstr := -1
-	var members []int
-	for _, id := range c {
-		if id < rep {
-			rep = id
-		}
-		if g.Nodes[id].InstrIndex > maxInstr {
-			maxInstr = g.Nodes[id].InstrIndex
-		}
-		if g.Nodes[id].Kind == KindOp && g.Nodes[id].InstrIndex >= 0 {
-			members = append(members, g.Nodes[id].InstrIndex)
-		}
-		members = append(members, g.Nodes[id].SuperMembers...)
-	}
-	sort.Ints(members)
-
-	ng := &Graph{Fn: g.Fn, Block: g.Block}
-	ng.Nodes = make([]Node, len(g.Nodes))
-	copy(ng.Nodes, g.Nodes)
-	// rewire maps cut members to rep (deduplicated to one entry at the
-	// first occurrence) in a node's neighbour list, copying only when the
-	// list actually changes so the originals stay shared with g.
-	rewire := func(list []int) []int {
-		touched := false
-		for _, x := range list {
-			if member.Has(x) {
-				touched = true
-				break
-			}
-		}
-		if !touched {
-			return list
-		}
-		out := make([]int, 0, len(list))
-		seenRep := false
-		for _, x := range list {
-			if member.Has(x) {
-				if !seenRep {
-					seenRep = true
-					out = append(out, rep)
-				}
-			} else {
-				out = append(out, x)
-			}
-		}
-		return out
-	}
-	// The super-node's own lists: the union of the members' outside
-	// neighbours, deduplicated, members in ascending ID order (entry order
-	// within a list is semantically irrelevant — every consumer goes
-	// through the kernel bitsets or treats lists as sets — but keep it
-	// deterministic).
-	gather := func(pick func(n *Node) []int) []int {
-		var out []int
-		seen := NewBitSet(len(g.Nodes))
-		member.ForEach(func(id int) {
-			for _, x := range pick(&g.Nodes[id]) {
-				if !member.Has(x) && !seen.Has(x) {
-					seen.Set(x)
-					out = append(out, x)
-				}
-			}
-		})
-		return out
-	}
-	for i := range ng.Nodes {
-		n := &ng.Nodes[i]
-		if i == rep {
-			n.Kind = KindOp
-			n.Op = ir.OpInvalid
-			n.InstrIndex = maxInstr
-			n.Forbidden = true
-			n.Name = name
-			n.SuperLatency = latency
-			n.SuperMembers = members
-			n.Preds = gather(func(n *Node) []int { return n.Preds })
-			n.Succs = gather(func(n *Node) []int { return n.Succs })
-			n.OrderPreds = gather(func(n *Node) []int { return n.OrderPreds })
-			n.OrderSuccs = gather(func(n *Node) []int { return n.OrderSuccs })
-			continue
-		}
-		if member.Has(i) {
-			*n = Node{ID: i, Kind: KindDead, InstrIndex: -1, Reg: ir.NoReg, Forbidden: true}
-			continue
-		}
-		n.Preds = rewire(n.Preds)
-		n.Succs = rewire(n.Succs)
-		n.OrderPreds = rewire(n.OrderPreds)
-		n.OrderSuccs = rewire(n.OrderSuccs)
-	}
-	if err := ng.computeOrder(); err != nil {
-		return nil, err // unreachable after the convexity pre-check
-	}
-	ng.kern = k.collapseQuotient(member, rep)
-	ng.rebuildForbidSet()
-	ng.scr = newScratch(len(ng.Nodes))
-	return ng, nil
-}
-
 // Fingerprint hashes the graph's search-relevant structure — function and
 // block identity, execution frequency, and every node's kind, operation,
 // instruction index, register, forbidden flag, super-node payload and
 // exact edge lists — into a 64-bit FNV-1a digest. Node names are cosmetic
 // (they label V+ nodes and super-nodes for printing) and are excluded, so
-// a graph produced by CollapseIncr and one produced by a driver that
-// picked a different super-node label still hash equally when structurally
-// identical. The fingerprint keys the selection scheduler's memoization
-// cache; it only ever compares graphs from the same collapse lineage, so
-// determinism (identical builds hash identically) is the property that
-// matters, not isomorphism invariance.
+// collapses that differ only in the super-node label hash equally. The
+// fingerprint keys the seed book (core.SeedBook), whose entries are
+// revalidated on every lookup, so determinism (identical builds hash
+// identically) is the property that matters, not isomorphism invariance.
 func (g *Graph) Fingerprint() uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)

@@ -27,12 +27,6 @@ const (
 	KindOp  Kind = iota // an instruction of the block (member of V)
 	KindIn              // an input variable node (member of V+)
 	KindOut             // an output variable node (member of V+)
-	// KindDead is a tombstone left behind by CollapseIncr: a former cut
-	// member folded into its super-node. Dead nodes keep their ID (the
-	// incremental collapse preserves the ID space so closure tables can be
-	// updated in place) but have no edges, never appear in OpOrder, and are
-	// always forbidden.
-	KindDead
 )
 
 // Node is one vertex of G+.
@@ -257,16 +251,6 @@ func BuildAll(m *ir.Module) (map[*ir.Block]*Graph, error) {
 // e.g. a hand-edited textual IR or a non-convex collapse) is reported as
 // an error, never a panic.
 func (g *Graph) rebuildOrder() error {
-	if err := g.computeOrder(); err != nil {
-		return err
-	}
-	g.buildKernel()
-	return nil
-}
-
-// computeOrder is rebuildOrder without the kernel rebuild, for callers
-// (CollapseIncr) that derive the constraint tables incrementally instead.
-func (g *Graph) computeOrder() error {
 	// Count, for each op node, unplaced op-node consumers.
 	remaining := map[int]int{}
 	var ready []int
@@ -328,6 +312,7 @@ func (g *Graph) computeOrder() error {
 	for rank, id := range order {
 		g.pos[id] = rank
 	}
+	g.buildKernel()
 	return nil
 }
 
@@ -341,9 +326,6 @@ func (g *Graph) Dot(cut []int) string {
 	fmt.Fprintf(&sb, "digraph %q {\n", g.Block.Name)
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
-		if n.Kind == KindDead {
-			continue
-		}
 		label := n.Name
 		shape := "ellipse"
 		switch n.Kind {

@@ -16,6 +16,7 @@ import (
 //	t2 = t0 - t1
 //	store mem[a] = t2  (forbidden node)
 //	ret t2             (t2 is an output)
+//
 // mustBuild and mustCollapse fail the test on the error paths the
 // production code now reports instead of panicking.
 func mustBuild(t *testing.T, f *ir.Function, b *ir.Block, li *ir.LiveInfo) *Graph {

@@ -343,7 +343,15 @@ func Sweep(ctx context.Context, opt Options) (*Report, *Stats, error) {
 			}(ci)
 		}
 		wg.Wait()
-		s.pool.Close()
+		// Every admission slot must be back once no chain is left: a
+		// shortfall means a block search lost its release, a leak that
+		// would throttle a long-lived service forever.
+		if n := s.pool.Leaked(); n > 0 {
+			if p := opt.Probe; p != nil && p.Met != nil {
+				p.Met.PoolLeaks.Add(int64(n))
+			}
+			opt.Probe.Sys(obs.KStall, "cpupool-leak", int64(n), int64(opt.Workers), 0)
+		}
 	}
 
 	stats := &Stats{}

@@ -47,6 +47,9 @@ func TestSweepTraceRaceClean(t *testing.T) {
 	if !bytes.Equal(bareBytes, repBytes) {
 		t.Fatalf("observed sweep diverged from unobserved sweep:\n%s\nvs\n%s", repBytes, bareBytes)
 	}
+	if n := probe.Met.PoolLeaks.Value(); n != 0 {
+		t.Fatalf("sweep admission pool leaked %d slots", n)
+	}
 
 	events := probe.Rec.Merge()
 	if len(events) == 0 {

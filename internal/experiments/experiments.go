@@ -142,15 +142,13 @@ type CompareOptions struct {
 	// do not change — only the wall clock does.
 	//
 	// Workers sets the per-search worker count (0 = serial);
-	// Parallel searches a selection's blocks concurrently; Speculate
-	// runs the work-stealing scheduler with speculative lookahead;
-	// Dedup adopts results across isomorphic blocks; ISEGen races the
-	// Kernighan–Lin toggle engine on exploding blocks; WarmStart seeds
-	// each search with a windowed heuristic incumbent; PruneInputs and
-	// PruneMerit enable the §6.1 input-count and merit-bound prunings.
+	// Parallel searches a selection's blocks concurrently; Dedup adopts
+	// results across isomorphic blocks; ISEGen races the Kernighan–Lin
+	// toggle engine on exploding blocks; WarmStart seeds each search
+	// with a windowed heuristic incumbent; PruneInputs and PruneMerit
+	// enable the §6.1 input-count and merit-bound prunings.
 	Workers     int
 	Parallel    bool
-	Speculate   bool
 	Dedup       bool
 	ISEGen      bool
 	WarmStart   bool
@@ -200,8 +198,7 @@ func Compare(opt CompareOptions) ([]ComparisonRow, error) {
 		for _, c := range opt.Constraints {
 			cfg := core.Config{
 				Nin: c[0], Nout: c[1], Model: model, MaxCuts: opt.Budget,
-				Workers: opt.Workers, Parallel: opt.Parallel,
-				Speculate: opt.Speculate, Dedup: opt.Dedup,
+				Workers: opt.Workers, Parallel: opt.Parallel, Dedup: opt.Dedup,
 				ISEGen: opt.ISEGen, WarmStart: opt.WarmStart,
 				PruneInputs: opt.PruneInputs, PruneMerit: opt.PruneMerit,
 			}

@@ -247,7 +247,6 @@ func RandomPlan(seed int64, n int) []Rule {
 		obs.SiteSearchBegin, obs.SiteSearchEnd,
 		obs.SiteStop, obs.SiteSteal, obs.SiteDonate, obs.SiteResplit,
 		obs.SiteWarmSeed, obs.SiteRescue, obs.SiteGreedy,
-		obs.SiteSpecLaunch, obs.SiteSpecAdopt, obs.SiteSpecDiscard,
 		obs.SiteCollapse,
 		obs.SiteToggle, obs.SiteRestart, obs.SiteRacerPublish,
 	}

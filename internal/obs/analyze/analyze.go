@@ -161,13 +161,9 @@ type Stage struct {
 	Blocks []*Block
 
 	// Driver-scoped events (emitted on the stage span).
-	DedupHits      int64
-	DedupMisses    int64
-	Collapses      int64
-	SpecLaunches   int64
-	SpecAdopts     int64
-	SpecDiscards   int64
-	MemoCollisions int64
+	DedupHits   int64
+	DedupMisses int64
+	Collapses   int64
 }
 
 // Duration returns the stage's wall-clock span in nanoseconds.
@@ -408,14 +404,6 @@ func buildStageEvent(s *Stage, e obs.Event) {
 		}
 	case obs.KCollapse:
 		s.Collapses++
-	case obs.KSpecLaunch:
-		s.SpecLaunches++
-	case obs.KSpecAdopt:
-		s.SpecAdopts++
-	case obs.KSpecDiscard:
-		s.SpecDiscards++
-	case obs.KMemoCollision:
-		s.MemoCollisions++
 	}
 }
 
@@ -431,10 +419,7 @@ var blockKinds = []obs.Kind{
 	obs.KPanic,
 }
 
-var stageKinds = []obs.Kind{
-	obs.KStageEnd, obs.KDedup, obs.KCollapse, obs.KSpecLaunch,
-	obs.KSpecAdopt, obs.KSpecDiscard, obs.KMemoCollision,
-}
+var stageKinds = []obs.Kind{obs.KStageEnd, obs.KDedup, obs.KCollapse}
 
 // unscopedKinds may legitimately appear with span 0 (coordinator events
 // outside any search: the engine watchdog, pool-leak stalls, manual

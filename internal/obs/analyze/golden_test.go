@@ -122,8 +122,7 @@ func TestGoldenSpanTree(t *testing.T) {
 		t.Fatalf("b1 seed=%d puts=%d rejects=%d panics=%d", b1.SeedMerit, b1.SeedPuts, b1.SeedRejects, b1.Panics)
 	}
 	st := cell.Stages[0]
-	if st.DedupHits != 1 || st.DedupMisses != 1 || st.Collapses != 1 ||
-		st.SpecLaunches != 1 || st.SpecAdopts != 1 || st.SpecDiscards != 1 || st.MemoCollisions != 1 {
+	if st.DedupHits != 1 || st.DedupMisses != 1 || st.Collapses != 1 {
 		t.Fatalf("stage driver tallies: %+v", *st)
 	}
 }

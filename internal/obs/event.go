@@ -48,16 +48,6 @@ const (
 	// KResplit records the emitting worker expanding a shallow
 	// subproblem at depth A into B children instead of searching it.
 	KResplit
-	// KSpecLaunch records the scheduler launching a speculative search.
-	// Tag is "fn/block", A the per-cut limit m (0 for a single-cut or
-	// collapse speculation), B is 1 for a speculative collapse.
-	KSpecLaunch
-	// KSpecAdopt records a speculative result adopted by the round
-	// logic. Tag is "fn/block", A the per-cut limit m.
-	KSpecAdopt
-	// KSpecDiscard records a speculative result discarded as stale.
-	// Tag is "fn/block".
-	KSpecDiscard
 	// KStop records a searcher observing a stop condition: A the
 	// SearchStatus code (BudgetStopped, DeadlineExceeded, Canceled).
 	KStop
@@ -80,18 +70,15 @@ const (
 	// the rung produced a cut, B its merit, C the candidate count.
 	KGreedy
 	// KStall records the engine watchdog declaring worker A stalled
-	// after B poll-window samples without progress.
+	// after B poll-window samples without progress. Tagged
+	// "cpupool-leak", it instead reports a DSE sweep whose admission pool
+	// lost A of its B slots.
 	KStall
 	// KDedup records a cross-block dedup lookup by the selection drivers.
 	// Tag is "fn/block" of the requesting block, A is 1 on a hit (an
 	// isomorphic block's identification was adopted) and 0 on a miss, B
 	// the per-cut limit m (0 for the single-cut search).
 	KDedup
-	// KMemoCollision records the scheduler refusing to adopt a memoized
-	// task whose graph is not structurally equal to the requested one (a
-	// 64-bit fingerprint collision, or a divergent speculative slot). Tag
-	// is "fn/block", A the per-cut limit m.
-	KMemoCollision
 	// KToggle records the iterative racer flushing its toggle-iteration
 	// tally: A the toggles applied since the last flush, B the running
 	// total for this racer.
@@ -143,37 +130,33 @@ const (
 )
 
 var kindNames = [kindCount]string{
-	KSearchStart:   "search_start",
-	KSearchEnd:     "search_end",
-	KIncumbent:     "incumbent",
-	KPrune:         "prune",
-	KBound:         "bound",
-	KSteal:         "steal",
-	KDonate:        "donate",
-	KResplit:       "resplit",
-	KSpecLaunch:    "spec_launch",
-	KSpecAdopt:     "spec_adopt",
-	KSpecDiscard:   "spec_discard",
-	KStop:          "stop",
-	KRescue:        "rescue",
-	KCollapse:      "collapse",
-	KWarmSeed:      "warm_seed",
-	KPanic:         "panic",
-	KGreedy:        "greedy_rescue",
-	KStall:         "stall",
-	KDedup:         "dedup",
-	KMemoCollision: "memo_collision",
-	KToggle:        "toggle",
-	KRestart:       "restart",
-	KRacerPublish:  "racer_publish",
-	KRacerAdopt:    "racer_adopt",
-	KStageStart:    "stage_start",
-	KStageEnd:      "stage_end",
-	KCellStart:     "cell_start",
-	KCellEnd:       "cell_end",
-	KSeedPut:       "seed_put",
-	KSeedHit:       "seed_hit",
-	KSeedReject:    "seed_reject",
+	KSearchStart:  "search_start",
+	KSearchEnd:    "search_end",
+	KIncumbent:    "incumbent",
+	KPrune:        "prune",
+	KBound:        "bound",
+	KSteal:        "steal",
+	KDonate:       "donate",
+	KResplit:      "resplit",
+	KStop:         "stop",
+	KRescue:       "rescue",
+	KCollapse:     "collapse",
+	KWarmSeed:     "warm_seed",
+	KPanic:        "panic",
+	KGreedy:       "greedy_rescue",
+	KStall:        "stall",
+	KDedup:        "dedup",
+	KToggle:       "toggle",
+	KRestart:      "restart",
+	KRacerPublish: "racer_publish",
+	KRacerAdopt:   "racer_adopt",
+	KStageStart:   "stage_start",
+	KStageEnd:     "stage_end",
+	KCellStart:    "cell_start",
+	KCellEnd:      "cell_end",
+	KSeedPut:      "seed_put",
+	KSeedHit:      "seed_hit",
+	KSeedReject:   "seed_reject",
 }
 
 // AllKinds enumerates every defined kind, in declaration order.

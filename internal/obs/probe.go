@@ -49,18 +49,13 @@ type Metrics struct {
 	WorkersActive *Gauge
 	DequeDepth    *Histogram
 
-	// Selection-scheduler counters.
-	SpecLaunches *Counter
-	SpecAdopts   *Counter
-	SpecDiscards *Counter
-	CacheHits    *Counter
-	Collapses    *Counter
-	PoolLeaks    *Counter
+	// Selection-driver and admission-pool counters.
+	Collapses *Counter
+	PoolLeaks *Counter
 
-	// Cross-block dedup and memo-soundness counters.
-	DedupHits      *Counter
-	DedupMisses    *Counter
-	MemoCollisions *Counter
+	// Cross-block dedup counters.
+	DedupHits   *Counter
+	DedupMisses *Counter
 
 	// Iterative-racer counters.
 	RacerToggles   *Counter
@@ -104,15 +99,10 @@ func NewMetrics(reg *Registry) *Metrics {
 		Stalls:          reg.Counter("engine_stalls_total"),
 		WorkersActive:   reg.Gauge("engine_workers_active"),
 		DequeDepth:      reg.Histogram("engine_deque_depth"),
-		SpecLaunches:    reg.Counter("sched_spec_launches_total"),
-		SpecAdopts:      reg.Counter("sched_spec_adopts_total"),
-		SpecDiscards:    reg.Counter("sched_spec_discards_total"),
-		CacheHits:       reg.Counter("sched_cache_hits_total"),
 		Collapses:       reg.Counter("sched_collapses_total"),
 		PoolLeaks:       reg.Counter("sched_pool_leaks_total"),
 		DedupHits:       reg.Counter("sched_dedup_hits_total"),
 		DedupMisses:     reg.Counter("sched_dedup_misses_total"),
-		MemoCollisions:  reg.Counter("sched_memo_collisions_total"),
 		RacerToggles:    reg.Counter("racer_toggles_total"),
 		RacerRestarts:   reg.Counter("racer_restarts_total"),
 		RacerPublished:  reg.Counter("racer_incumbents_published_total"),
@@ -323,50 +313,6 @@ func (p *Probe) WarmSeed(merit int64) {
 	p.sysEmit(KWarmSeed, "", merit, 0, 0)
 }
 
-// SpecLaunch records the scheduler launching a speculative search (m is
-// the per-cut limit, 0 for single-cut; collapse marks a speculative
-// collapse-and-search task).
-func (p *Probe) SpecLaunch(tag string, m int, collapse bool) {
-	if p == nil {
-		return
-	}
-	p.fire(SiteSpecLaunch, tag)
-	if p.Met != nil {
-		p.Met.SpecLaunches.Inc()
-	}
-	var c int64
-	if collapse {
-		c = 1
-	}
-	p.sysEmit(KSpecLaunch, tag, int64(m), c, 0)
-}
-
-// SpecAdopt records a speculative result consumed by the round logic (a
-// scheduler cache hit).
-func (p *Probe) SpecAdopt(tag string, m int) {
-	if p == nil {
-		return
-	}
-	p.fire(SiteSpecAdopt, tag)
-	if p.Met != nil {
-		p.Met.SpecAdopts.Inc()
-		p.Met.CacheHits.Inc()
-	}
-	p.sysEmit(KSpecAdopt, tag, int64(m), 0, 0)
-}
-
-// SpecDiscard records a speculative task discarded as stale.
-func (p *Probe) SpecDiscard(tag string) {
-	if p == nil {
-		return
-	}
-	p.fire(SiteSpecDiscard, tag)
-	if p.Met != nil {
-		p.Met.SpecDiscards.Inc()
-	}
-	p.sysEmit(KSpecDiscard, tag, 0, 0, 0)
-}
-
 // Collapse records a selection-round winner collapse: tag is the
 // super-node name, round the selection round, cutSize the collapsed
 // cut's node count.
@@ -402,21 +348,6 @@ func (p *Probe) Dedup(tag string, hit bool, m int) {
 		h = 1
 	}
 	p.sysEmit(KDedup, tag, h, int64(m), 0)
-}
-
-// MemoCollision records the scheduler detecting that a memoized task's
-// graph is not structurally equal to the one requested under the same
-// (fingerprint, m) key — the adoption is refused and a fresh search runs
-// instead. Like Panic, it is not an injection site: the detection is a
-// defensive soundness path and must not itself become a fault point.
-func (p *Probe) MemoCollision(tag string, m int) {
-	if p == nil {
-		return
-	}
-	if p.Met != nil {
-		p.Met.MemoCollisions.Inc()
-	}
-	p.sysEmit(KMemoCollision, tag, int64(m), 0, 0)
 }
 
 // Panic records a recovered panic. Tag is "fn/block" (or a worker

@@ -72,9 +72,9 @@ func (r *Ring) snapshot(dst []Event) []Event {
 
 // Recorder owns the flight-recorder rings of one run. Searcher
 // goroutines acquire private rings via NewRing (not a hot path);
-// coordinator-side events that can come from any goroutine (scheduler
-// speculation, rescues, collapses, search start/end) go through the
-// mutex-guarded Sys ring — they are rare enough that a lock is fine.
+// coordinator-side events that can come from any goroutine (rescues,
+// collapses, search start/end) go through the mutex-guarded Sys ring —
+// they are rare enough that a lock is fine.
 type Recorder struct {
 	epoch time.Time
 

@@ -46,14 +46,6 @@ const (
 	// SiteWarmSeed fires when a warm-start pass seeds an incumbent
 	// (Probe.WarmSeed, SearchObs.WarmSeed).
 	SiteWarmSeed
-	// SiteSpecLaunch fires when the scheduler launches a speculative
-	// task (Probe.SpecLaunch). Tag is "fn/block".
-	SiteSpecLaunch
-	// SiteSpecAdopt fires on a scheduler cache hit (Probe.SpecAdopt).
-	SiteSpecAdopt
-	// SiteSpecDiscard fires when a speculative task is discarded
-	// (Probe.SpecDiscard).
-	SiteSpecDiscard
 	// SiteCollapse fires on a selection-round winner collapse
 	// (Probe.Collapse).
 	SiteCollapse
@@ -101,9 +93,6 @@ var siteNames = [SiteCount]string{
 	SiteResplit:      "resplit",
 	SitePrune:        "prune",
 	SiteWarmSeed:     "warm_seed",
-	SiteSpecLaunch:   "spec_launch",
-	SiteSpecAdopt:    "spec_adopt",
-	SiteSpecDiscard:  "spec_discard",
 	SiteCollapse:     "collapse",
 	SiteDedup:        "dedup",
 	SiteToggle:       "toggle",
@@ -139,9 +128,6 @@ var siteMetrics = [SiteCount][]string{
 	SiteResplit:      {"engine_resplits_total"},
 	SitePrune:        {"search_cuts_pruned_total", "search_bound_cutoffs_total"},
 	SiteWarmSeed:     {"engine_warm_seed_hits_total"},
-	SiteSpecLaunch:   {"sched_spec_launches_total"},
-	SiteSpecAdopt:    {"sched_spec_adopts_total", "sched_cache_hits_total"},
-	SiteSpecDiscard:  {"sched_spec_discards_total"},
 	SiteCollapse:     {"sched_collapses_total"},
 	SiteDedup:        {"sched_dedup_hits_total", "sched_dedup_misses_total"},
 	SiteToggle:       {"racer_toggles_total"},

@@ -69,13 +69,6 @@ type Constraints struct {
 	// "iterative" rung of the per-block status). Blocks where the exact
 	// search terminates are bit-identical with the racer on or off.
 	ISEGen bool
-	// Speculate routes the greedy selection drivers through the
-	// speculative scheduler: idle CPU budget (see Workers) re-identifies
-	// likely next-round winners ahead of demand and seeds every search
-	// with warm incumbent bounds from the previous round. Selections are
-	// bit-identical to the cold serial drivers; only wall-clock and the
-	// SpeculativeCalls/CacheHits accounting change.
-	Speculate bool
 	// Deadline, when positive, bounds the wall-clock time of an
 	// identification call: the search returns the best selection found so
 	// far when it expires (equivalent to passing a context with timeout
@@ -97,7 +90,7 @@ type Constraints struct {
 func (c Constraints) config() core.Config {
 	return core.Config{Nin: c.Nin, Nout: c.Nout, MaxCuts: c.MaxCuts,
 		Window: c.Window, Parallel: c.Parallel,
-		Workers: c.Workers, WarmStart: c.WarmStart, Speculate: c.Speculate,
+		Workers: c.Workers, WarmStart: c.WarmStart,
 		Dedup: c.Dedup, ISEGen: c.ISEGen, StallWindow: c.StallWindow}
 }
 
