@@ -17,9 +17,6 @@
 //	                          # (constraints × ninstr × benchmark ×
 //	                          # target) grid; the JSON is deterministic
 //	                          # (byte-identical across worker counts)
-//	isebench -fig dsebench -dsebenchjson BENCH_PR9.json
-//	                          # cold serial vs warm-started parallel
-//	                          # sweep at identical per-cell selections
 //	isebench -fig bench -benchjson BENCH_PR2.json
 //	                          # constraint-kernel microbenchmarks, written
 //	                          # as machine-readable JSON for run-to-run
@@ -34,15 +31,6 @@
 //	                          # cross-block dedup on a repeated-blocks
 //	                          # corpus: identify-stage wall time and search
 //	                          # work with the memo off (reference) vs on
-//	isebench -fig klbench -kljson BENCH_PR8.json
-//	                          # the ISEGEN-style iterative racer vs the
-//	                          # racer-less ladder on exploding blocks at
-//	                          # 2/1, 4/2 and 8/4 ports: merit, gap to the
-//	                          # proven optimum, and time-to-best
-//	isebench -fig analyzebench -analyzejson BENCH_PR10.json
-//	                          # causal-span A/A overhead (span IDs are
-//	                          # always on; the pair bounds what they can
-//	                          # cost) plus analyzer cost and determinism
 package main
 
 import (
@@ -72,26 +60,22 @@ type cliOpts struct {
 	workers   int
 	parallel  bool
 	dedup     bool
-	isegen    bool
 	warmstart bool
 	prune     bool
 
 	// DSE sweep axes.
-	targets     []string
-	sweepMode   string
-	benchJSON   string
-	parJSON     string
-	obsJSON     string
-	dedupJSON   string
-	klJSON      string
-	analyzeJSON string
-	dseJSON     string
-	dseBenJSON  string
+	targets   []string
+	sweepMode string
+	benchJSON string
+	parJSON   string
+	obsJSON   string
+	dedupJSON string
+	dseJSON   string
 }
 
 func main() {
 	var o cliOpts
-	fig := flag.String("fig", "all", "which figure to regenerate: 3, 5, 7, 8, 11, runtime, area, tradeoff, vliw, ifconv, ablation, bench, parbench, obsbench, dedupbench, klbench, analyzebench, dse, dsebench, all")
+	fig := flag.String("fig", "all", "which figure to regenerate: 3, 5, 7, 8, 11, runtime, area, tradeoff, vliw, ifconv, ablation, bench, parbench, obsbench, dedupbench, dse, all")
 	flag.Int64Var(&o.budget, "budget", experiments.DefaultBudget, "cut budget per identification call")
 	flag.BoolVar(&o.measure, "measure", false, "Fig. 11: additionally patch and measure on the cycle simulator")
 	flag.BoolVar(&o.optimal, "optimal", false, "Fig. 11: include the Optimal selection (slow on large blocks)")
@@ -100,7 +84,6 @@ func main() {
 	flag.IntVar(&o.workers, "workers", 0, "Fig. 11: per-search worker count (0 = serial); DSE sweep: admission-pool size")
 	flag.BoolVar(&o.parallel, "parallel", false, "Fig. 11: search a selection's blocks concurrently")
 	flag.BoolVar(&o.dedup, "dedup", false, "Fig. 11: cross-block structural dedup")
-	flag.BoolVar(&o.isegen, "isegen", false, "Fig. 11 / DSE: race the Kernighan-Lin toggle engine on exploding blocks (DSE: trades strict reproducibility for anytime quality)")
 	flag.BoolVar(&o.warmstart, "warmstart", false, "Fig. 11: seed each search with a windowed heuristic incumbent")
 	flag.BoolVar(&o.prune, "prune", false, "Fig. 11: enable the sound merit-bound and input-count prunings")
 	targets := flag.String("targets", "paper", "comma-separated hardware-target profiles for the DSE sweep (among "+strings.Join(latency.TargetNames(), ",")+")")
@@ -109,10 +92,7 @@ func main() {
 	flag.StringVar(&o.parJSON, "parjson", "", "with -fig parbench (or all): write the parallel B&B benchmark report to this file as JSON (e.g. BENCH_PR3.json)")
 	flag.StringVar(&o.obsJSON, "obsjson", "", "with -fig obsbench (or all): write the telemetry overhead benchmark report to this file as JSON (e.g. BENCH_PR5.json)")
 	flag.StringVar(&o.dedupJSON, "dedupjson", "", "with -fig dedupbench (or all): write the cross-block dedup benchmark report to this file as JSON (e.g. BENCH_PR7.json)")
-	flag.StringVar(&o.klJSON, "kljson", "", "with -fig klbench (or all): write the iterative racer benchmark report to this file as JSON (e.g. BENCH_PR8.json)")
-	flag.StringVar(&o.analyzeJSON, "analyzejson", "", "with -fig analyzebench (or all): write the span-ID/analyzer benchmark report to this file as JSON (e.g. BENCH_PR10.json)")
 	flag.StringVar(&o.dseJSON, "dsejson", "", "with -fig dse (or all): write the deterministic sweep/Pareto report to this file as JSON")
-	flag.StringVar(&o.dseBenJSON, "dsebenchjson", "", "with -fig dsebench: write the cold-vs-warm sweep benchmark report to this file as JSON (e.g. BENCH_PR9.json)")
 	flag.Parse()
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "benchmarks" {
@@ -197,34 +177,6 @@ func run(want func(string) bool, o cliOpts) error {
 		}
 	}
 
-	if want("klbench") || o.klJSON != "" {
-		rep, err := experiments.KLBench()
-		if err != nil {
-			return err
-		}
-		section(experiments.KLBenchTable(rep))
-		if o.klJSON != "" {
-			if err := rep.WriteJSON(o.klJSON); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", o.klJSON)
-		}
-	}
-
-	if want("analyzebench") || o.analyzeJSON != "" {
-		rep, err := experiments.AnalyzeBench()
-		if err != nil {
-			return err
-		}
-		section(experiments.AnalyzeBenchTable(rep))
-		if o.analyzeJSON != "" {
-			if err := rep.WriteJSON(o.analyzeJSON); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", o.analyzeJSON)
-		}
-	}
-
 	if want("dse") || o.dseJSON != "" {
 		opt := dseOptions(o)
 		rep, stats, err := dse.Sweep(context.Background(), opt)
@@ -241,20 +193,6 @@ func run(want func(string) bool, o cliOpts) error {
 				return err
 			}
 			fmt.Printf("wrote %s\n", o.dseJSON)
-		}
-	}
-
-	if want("dsebench") || o.dseBenJSON != "" {
-		rep, err := experiments.DSEBench(dseOptions(o))
-		if err != nil {
-			return err
-		}
-		section(experiments.DSEBenchTable(rep))
-		if o.dseBenJSON != "" {
-			if err := rep.WriteJSON(o.dseBenJSON); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", o.dseBenJSON)
 		}
 	}
 
@@ -297,7 +235,6 @@ func run(want func(string) bool, o cliOpts) error {
 		opt.Workers = o.workers
 		opt.Parallel = o.parallel
 		opt.Dedup = o.dedup
-		opt.ISEGen = o.isegen
 		opt.WarmStart = o.warmstart
 		opt.PruneInputs = o.prune
 		opt.PruneMerit = o.prune
@@ -382,6 +319,5 @@ func dseOptions(o cliOpts) dse.Options {
 		opt.Workers = o.workers
 	}
 	opt.Cold = o.sweepMode == "cold"
-	opt.ISEGen = o.isegen
 	return opt
 }

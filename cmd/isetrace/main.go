@@ -1,7 +1,7 @@
 // Command isetrace is the post-mortem analyzer for flight-recorder
 // traces written by `isex -trace`. It lifts the flat JSONL timeline
 // into the causal span tree (pipeline stage → DSE cell → block search →
-// worker lane → rescue/racer/greedy rung) and renders attribution views
+// worker lane → rescue/greedy rung) and renders attribution views
 // over it:
 //
 //	isetrace trace.jsonl                  # per-span summary, heaviest first

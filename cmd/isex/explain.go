@@ -11,10 +11,9 @@ import (
 
 // runExplain is the -explain entry: lift a recorded JSONL trace into
 // the causal span tree and print the deterministic attribution report.
-// Deterministic means deterministic: for exhaustive runs (without the
-// wall-clock-driven -isegen racer) the output is byte-identical across
-// -workers values, so it can be diffed and golden-tested — the
-// timing-aware views live in cmd/isetrace instead.
+// Deterministic means deterministic: for exhaustive runs the output is
+// byte-identical across -workers values, so it can be diffed and
+// golden-tested — the timing-aware views live in cmd/isetrace instead.
 func runExplain(path string, asJSON bool) error {
 	f, err := os.Open(path)
 	if err != nil {

@@ -17,10 +17,6 @@
 //	2  -strict was set and the selection degraded below the exact
 //	   search (any per-block status other than "exhaustive": budget,
 //	   deadline, cancellation, watchdog stall, or a recovered failure).
-//	   A block whose answer came from the -isegen iterative racer (rung
-//	   "iterative") is by construction degraded — the racer only ever
-//	   stands in when the exact search did not terminate — so -strict
-//	   exits 2 for it too, even though the cut itself is sound.
 package main
 
 import (
@@ -81,7 +77,6 @@ func run() error {
 		budget    = flag.Int64("budget", 2_000_000, "cut budget per identification call (0 = unlimited)")
 		workers   = flag.Int("workers", 0, "run each block's exact search on the work-stealing parallel branch-and-bound engine with this many workers (0 = serial; results are bit-identical)")
 		dedup     = flag.Bool("dedup", true, "share identification results between isomorphic basic blocks: canonical graph hashing finds repeated structure, adopted cuts are translated and revalidated on the adopting block (bit-identical selections modulo node renaming; see dedup_hits and shared_instructions in -json)")
-		isegen    = flag.Bool("isegen", true, "race an ISEGEN-style Kernighan-Lin toggle heuristic against the exact search on exploding blocks: sound incumbents tighten the merit bound, and the best racer answer stands in when the exact search trips its budget or deadline (terminating blocks are bit-identical either way; see racer_merit and gap in -json)")
 		deadline  = flag.Duration("deadline", 0, "wall-clock budget for identification (e.g. 500ms; 0 = none); on expiry the best selection found so far is reported")
 		stallWin  = flag.Duration("stall-window", 0, "arm the parallel engine's watchdog (needs -workers): a worker with no progress for two such windows has its subproblem requeued for the others and the block degrades to 'stalled' (0 = off)")
 		strict    = flag.Bool("strict", false, "exit with code 2 when any block's search degraded below the exact algorithm (the report is still written); for CI gates that must not accept lower bounds")
@@ -123,18 +118,8 @@ func run() error {
 	}
 
 	if *sweep {
-		// -isegen defaults to true for single selections, but racer
-		// adoption on budget-tripped blocks is timing-dependent and the
-		// sweep's contract is byte-determinism — so the sweep only
-		// races when the flag is given explicitly.
-		isegenSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "isegen" {
-				isegenSet = true
-			}
-		})
 		return runSweep(*kernel, *sweepTargets, *sweepConstraints, *sweepNinstr,
-			*sweepMode, *sweepJSON, *budget, *workers, isegenSet && *isegen, *deadline,
+			*sweepMode, *sweepJSON, *budget, *workers, *deadline,
 			sweepIO{tracePath: *tracePath, traceChrome: *traceChrome,
 				metricsAddr: *metricsAddr, progress: *sweepProgress})
 	}
@@ -193,8 +178,7 @@ func run() error {
 
 	model := latency.Default()
 	cfg := core.Config{Nin: *nin, Nout: *nout, Model: model, MaxCuts: *budget,
-		Workers: *workers, Dedup: *dedup, ISEGen: *isegen,
-		StallWindow: *stallWin}
+		Workers: *workers, Dedup: *dedup, StallWindow: *stallWin}
 
 	// Telemetry: the flight recorder is on when a trace output is wanted,
 	// the metrics registry when anything will read it (the HTTP endpoint
@@ -304,13 +288,8 @@ func run() error {
 				switch b.Rung {
 				case core.RungWindowed:
 					line += " (rescued with the windowed heuristic)"
-				case core.RungIterative:
-					line += " (best answer from the iterative racer)"
 				case core.RungGreedy:
 					line += " (rescued with the greedy last resort)"
-				}
-				if b.RacerMerit > 0 {
-					line += fmt.Sprintf(" [racer merit %d]", b.RacerMerit)
 				}
 				if b.Err != nil {
 					line += fmt.Sprintf(" — %v", b.Err)
@@ -493,15 +472,7 @@ type jsonBlock struct {
 	Status   string `json:"status"`
 	Rung     string `json:"rung"`
 	Fallback bool   `json:"fallback,omitempty"`
-	// RacerMerit is the best merit the -isegen racer proved achievable
-	// for the block (omitted when no racer ran or it published nothing).
-	RacerMerit int64 `json:"racer_merit,omitempty"`
-	// Gap is (optimum − racer merit) / optimum on blocks where the exact
-	// search terminated with a proven optimum while the racer published;
-	// GapKnown distinguishes a genuine 0.0 gap from "not measured".
-	Gap      float64 `json:"gap,omitempty"`
-	GapKnown bool    `json:"gap_known,omitempty"`
-	Err      string  `json:"err,omitempty"`
+	Err      string `json:"err,omitempty"`
 }
 
 func writeJSONReport(w *os.File, method string, nin, nout, ninstr int, sel core.SelectionResult, probe *obs.Probe) error {
@@ -539,12 +510,6 @@ func writeJSONReport(w *os.File, method string, nin, nout, ninstr int, sel core.
 	for _, b := range sel.Blocks {
 		jb := jsonBlock{Fn: b.Fn, Block: b.Block, Status: b.Status.String(),
 			Rung: b.Rung.String(), Fallback: b.Fallback}
-		if b.RacerMerit > 0 {
-			jb.RacerMerit = b.RacerMerit
-		}
-		if b.GapKnown {
-			jb.Gap, jb.GapKnown = b.Gap, true
-		}
 		if b.Err != nil {
 			jb.Err = b.Err.Error()
 		}

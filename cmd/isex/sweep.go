@@ -35,7 +35,7 @@ type sweepIO struct {
 // table prints one section per (kernel, target) with the Pareto
 // frontier; -sweep-json writes the deterministic machine-readable
 // report (byte-identical across -workers values and shard orders).
-func runSweep(kernels, targets, constraints, ninstrs, mode, jsonPath string, budget int64, workers int, isegen bool, deadline time.Duration, sio sweepIO) error {
+func runSweep(kernels, targets, constraints, ninstrs, mode, jsonPath string, budget int64, workers int, deadline time.Duration, sio sweepIO) error {
 	opt := dse.DefaultOptions()
 	if kernels != "" {
 		opt.Benchmarks = splitList(kernels)
@@ -68,7 +68,6 @@ func runSweep(kernels, targets, constraints, ninstrs, mode, jsonPath string, bud
 	if workers > 0 {
 		opt.Workers = workers
 	}
-	opt.ISEGen = isegen
 
 	// Observability: one recorder shared by all chains when a trace is
 	// wanted (race-clean: per-searcher rings plus the locked sys ring),

@@ -19,11 +19,7 @@ import (
 //
 //	rung 0  exact §6 branch-and-bound (anytime: budget/deadline/cancel)
 //	rung 1  §9 windowed rescue under a detached grace context
-//	rung 2  ISEGEN-style iterative racer adoption (Config.ISEGen): the
-//	        Kernighan–Lin toggle engine that raced the exact search is
-//	        halted and its best Legal/Evaluate-revalidated incumbent
-//	        adopted — only when the exact search did not terminate
-//	rung 3  greedy last resort: clubbing + MaxMISO candidates revalidated
+//	rung 2  greedy last resort: clubbing + MaxMISO candidates revalidated
 //	        with Legal/Evaluate (linear time, always terminates)
 //
 // Each rung is individually panic-guarded, so a fault in one rung drops
@@ -106,10 +102,6 @@ const (
 	// RungWindowed: the §9 windowed rescue's cut replaced (or supplied)
 	// the exact search's answer.
 	RungWindowed
-	// RungIterative: the ISEGEN-style Kernighan–Lin racer's best
-	// revalidated incumbent supplied the answer (Config.ISEGen; only ever
-	// when the exact search did not terminate).
-	RungIterative
 	// RungGreedy: the greedy last resort (clubbing/MaxMISO candidates
 	// revalidated with Legal/Evaluate) supplied the answer.
 	RungGreedy
@@ -121,8 +113,6 @@ func (r Rung) String() string {
 		return "exact"
 	case RungWindowed:
 		return "windowed"
-	case RungIterative:
-		return "iterative"
 	case RungGreedy:
 		return "greedy"
 	}
@@ -140,18 +130,6 @@ type BlockStatus struct {
 	// Rung reports which ladder rung produced the block's returned cut
 	// (the degradation reason when below RungExact).
 	Rung Rung
-	// RacerMerit is the best merit the iterative racer proved achievable
-	// for the block (Config.ISEGen), whether or not its answer was
-	// adopted; ≤ 0 when no racer ran or it published nothing (the block
-	// searchers initialize it to -1, other constructors leave 0 — racer
-	// merits are always positive).
-	RacerMerit int64
-	// Gap is (optimum − RacerMerit) / optimum, measured only on blocks
-	// where the exact search terminated with a proven optimum while a
-	// racer published an incumbent; GapKnown reports that both sides are
-	// available. This is the quality metric of the racer heuristic.
-	Gap      float64
-	GapKnown bool
 	// Err carries the first recovered panic (message plus truncated
 	// stack) or graph-construction failure observed for the block.
 	Err error
@@ -164,12 +142,6 @@ func mergeBlockStatus(dst *BlockStatus, s BlockStatus) {
 	dst.Fallback = dst.Fallback || s.Fallback
 	if s.Rung > dst.Rung {
 		dst.Rung = s.Rung
-	}
-	if s.RacerMerit > dst.RacerMerit {
-		dst.RacerMerit = s.RacerMerit
-	}
-	if s.GapKnown && !dst.GapKnown {
-		dst.GapKnown, dst.Gap = true, s.Gap
 	}
 	if dst.Err == nil {
 		dst.Err = s.Err
@@ -353,21 +325,13 @@ func searchBlockSafe(ctx context.Context, g *dfg.Graph, cfg Config) (res Result,
 		defer pool.Release()
 	}
 	start := time.Now()
-	bs = BlockStatus{Fn: g.Fn.Name, Block: g.Block.Name, RacerMerit: -1}
+	bs = BlockStatus{Fn: g.Fn.Name, Block: g.Block.Name}
 	tag := bs.Fn + "/" + bs.Block
-	// Every block search owns one causal span: the racer, the rescue
-	// rungs, the engine's worker rings and the sub-searches all inherit
-	// the sub-probe, so their events group under this search in the
+	// Every block search owns one causal span: the rescue rungs, the
+	// engine's worker rings and the sub-searches all inherit the
+	// sub-probe, so their events group under this search in the
 	// analyzer's span tree. One atomic add per block search.
 	cfg.Probe = cfg.Probe.Sub()
-	// The iterative racer (Config.ISEGen) starts together with the exact
-	// search and races rungs 0–1 on its own goroutine; nil when the block
-	// does not qualify. The deferred halt is the backstop for panics that
-	// skip the adoption rung (halt is idempotent).
-	rh := raceISEGen(ctx, g, cfg, tag)
-	if rh != nil {
-		defer rh.halt()
-	}
 	defer func() {
 		// Backstop for panics escaping the rung guards themselves
 		// (including a fault injected at the SearchEnd site below): keep
@@ -390,9 +354,7 @@ func searchBlockSafe(ctx context.Context, g *dfg.Graph, cfg Config) (res Result,
 			h(bs.Fn, bs.Block)
 		}
 		cfg.Probe.SearchBegin(tag, g.NumOps(), cfg.Workers)
-		runCfg := cfg
-		runCfg.race = rh // only rung 0 sees the racer's shared bound
-		res = FindBestCutCtx(ctx, g, runCfg)
+		res = FindBestCutCtx(ctx, g, cfg)
 		bs.Status = res.Status
 		if bs.Err == nil {
 			bs.Err = res.Err
@@ -419,38 +381,10 @@ func searchBlockSafe(ctx context.Context, g *dfg.Graph, cfg Config) (res Result,
 			// Adoption precedes the probe so an injected fault at the
 			// rescue site cannot discard a rescue already computed.
 			cfg.Probe.Rescue(tag, w.Found, w.Est.Merit, w.Stats.CutsConsidered)
-			if rh != nil && w.Found {
-				rh.donate(w.Cut) // the rescue cut is a fresh racer seed
-			}
 		})
 	}
 
-	// Rung 2: iterative racer adoption (Config.ISEGen). The racer is
-	// halted and its outcome recorded in every case; its answer replaces
-	// the exact rungs' only when the exact search did not terminate —
-	// exact completion always overrides with the proven optimum, which
-	// keeps terminating blocks bit-identical to a racer-less run.
-	if rh != nil {
-		guardRung(cfg.Probe, tag, &bs, func() {
-			cut, est, ok := rh.settle(g, cfg, &bs, res.Est.Merit, res.Found)
-			if err := rh.failure(); err != nil && res.Err == nil {
-				res.Err = err
-			}
-			if ok && (!res.Found || est.Merit > res.Est.Merit) {
-				prev := int64(-1)
-				if res.Found {
-					prev = res.Est.Merit
-				}
-				res.Found, res.Cut, res.Est = true, cut, est
-				bs.Rung = RungIterative
-				// Adoption precedes the probe so an injected fault at the
-				// racer site cannot discard an answer already adopted.
-				cfg.Probe.RacerAdopt(tag, est.Merit, prev)
-			}
-		})
-	}
-
-	// Rung 3: greedy last resort, only when the block is otherwise
+	// Rung 2: greedy last resort, only when the block is otherwise
 	// empty-handed for an abnormal reason (an Exhaustive not-found is
 	// proof that no positive-merit cut exists). Runs even under a
 	// canceled context: it is O(E) straight-line work, not a search.
@@ -478,12 +412,11 @@ func searchBlockSafe(ctx context.Context, g *dfg.Graph, cfg Config) (res Result,
 }
 
 // SearchBlockCtx runs single-cut identification on one block graph down
-// the full degradation ladder — exact search, §9 windowed rescue, the
-// iterative racer (Config.ISEGen), greedy last resort — and reports both
-// the result and the per-block status. It is the single-block entry point
-// the benches and external drivers use; the selection pipeline's per-block
-// searches go through the identical path, so anything measured here is
-// what selection pays.
+// the full degradation ladder — exact search, §9 windowed rescue, greedy
+// last resort — and reports both the result and the per-block status. It
+// is the single-block entry point the benches and external callers use;
+// the selection pipeline's per-block searches go through the identical
+// path, so anything measured here is what selection pays.
 func SearchBlockCtx(ctx context.Context, g *dfg.Graph, cfg Config) (Result, BlockStatus) {
 	return searchBlockSafe(ctx, g, cfg)
 }
@@ -501,17 +434,10 @@ func searchBlockMultiSafe(ctx context.Context, g *dfg.Graph, m int, cfg Config) 
 		defer pool.Release()
 	}
 	start := time.Now()
-	bs = BlockStatus{Fn: g.Fn.Name, Block: g.Block.Name, RacerMerit: -1}
+	bs = BlockStatus{Fn: g.Fn.Name, Block: g.Block.Name}
 	tag := bs.Fn + "/" + bs.Block
 	// One causal span per block search, exactly as in searchBlockSafe.
 	cfg.Probe = cfg.Probe.Sub()
-	// As in searchBlockSafe: the iterative racer races the exact search
-	// and its single best cut can stand in as a 1-of-m assignment when
-	// the exact search degrades.
-	rh := raceISEGen(ctx, g, cfg, tag)
-	if rh != nil {
-		defer rh.halt()
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			bs.Status = worse(bs.Status, Recovered)
@@ -530,9 +456,7 @@ func searchBlockMultiSafe(ctx context.Context, g *dfg.Graph, m int, cfg Config) 
 			h(bs.Fn, bs.Block)
 		}
 		cfg.Probe.SearchBegin(tag, g.NumOps(), cfg.Workers)
-		runCfg := cfg
-		runCfg.race = rh
-		res = FindBestCutsCtx(ctx, g, m, runCfg)
+		res = FindBestCutsCtx(ctx, g, m, cfg)
 		bs.Status = res.Status
 		if bs.Err == nil {
 			bs.Err = res.Err
@@ -559,35 +483,6 @@ func searchBlockMultiSafe(ctx context.Context, g *dfg.Graph, m int, cfg Config) 
 			// Adoption precedes the probe so an injected fault at the
 			// rescue site cannot discard a rescue already computed.
 			cfg.Probe.Rescue(tag, w.Found, w.Est.Merit, w.Stats.CutsConsidered)
-			if rh != nil && w.Found {
-				rh.donate(w.Cut) // the rescue cut is a fresh racer seed
-			}
-		})
-	}
-
-	// Iterative racer adoption, exactly as in searchBlockSafe: the
-	// racer's single cut stands in as a 1-of-m assignment when it beats
-	// the degraded exact answer; exact completion always overrides.
-	if rh != nil {
-		guardRung(cfg.Probe, tag, &bs, func() {
-			cut, est, ok := rh.settle(g, cfg, &bs, res.TotalMerit, res.Found)
-			if err := rh.failure(); err != nil && res.Err == nil {
-				res.Err = err
-			}
-			if ok && (!res.Found || est.Merit > res.TotalMerit) {
-				prev := int64(-1)
-				if res.Found {
-					prev = res.TotalMerit
-				}
-				res.Found = true
-				res.Cuts = []dfg.Cut{cut}
-				res.Ests = []Estimate{est}
-				res.TotalMerit = est.Merit
-				bs.Rung = RungIterative
-				// Adoption precedes the probe so an injected fault at the
-				// racer site cannot discard an answer already adopted.
-				cfg.Probe.RacerAdopt(tag, est.Merit, prev)
-			}
 		})
 	}
 

@@ -155,7 +155,7 @@ func TestChaosSingleSearch(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			g := randomGraph(t, rng, 16+rng.Intn(8))
-			base := Config{Nin: 4, Nout: 2, ISEGen: true}
+			base := Config{Nin: 4, Nout: 2}
 			ref := FindBestCut(g, base)
 			if ref.Status != Exhaustive {
 				t.Fatalf("reference search not exhaustive: %v", ref.Status)
@@ -185,7 +185,7 @@ func TestChaosMultiSearch(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			g := randomGraph(t, rng, 12+rng.Intn(4))
-			base := Config{Nin: 3, Nout: 2, ISEGen: true}
+			base := Config{Nin: 3, Nout: 2}
 			ref := FindBestCuts(g, 2, base)
 			if ref.Status != Exhaustive {
 				t.Fatalf("reference search not exhaustive: %v", ref.Status)
@@ -234,11 +234,11 @@ func TestChaosMultiSearch(t *testing.T) {
 	}
 }
 
-// TestChaosSelection runs program-wide selection — serial, per-block
-// parallel (ungated and admission-gated on a CPUPool), and with the
-// racer — under seeded schedules: the selection must return, report a
-// truthful status, select only positive-merit instructions, and give
-// every pool slot back.
+// TestChaosSelection runs program-wide selection — serial and per-block
+// parallel (ungated and admission-gated on a CPUPool) — under seeded
+// schedules: the selection must return, report a truthful status,
+// select only positive-merit instructions, and give every pool slot
+// back.
 func TestChaosSelection(t *testing.T) {
 	m := compileAndProfile(t, threeKernels)
 	base := Config{Nin: 4, Nout: 2}
@@ -253,7 +253,7 @@ func TestChaosSelection(t *testing.T) {
 		{cfg: Config{Nin: 4, Nout: 2}},
 		{cfg: Config{Nin: 4, Nout: 2, Parallel: true, Workers: 4}},
 		{cfg: Config{Nin: 4, Nout: 2, Parallel: true, Workers: 4}, pool: true},
-		{cfg: Config{Nin: 4, Nout: 2, ISEGen: true, Parallel: true, Workers: 4}},
+		{cfg: Config{Nin: 4, Nout: 2, Parallel: true, Workers: 4}},
 	}
 	for _, seed := range chaosSeeds(t, 21, 22, 23) {
 		for vi, v := range variants {
@@ -310,7 +310,7 @@ func TestChaosSelection(t *testing.T) {
 func TestChaosPerSiteLadder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomGraph(t, rng, 18)
-	base := Config{Nin: 4, Nout: 2, ISEGen: true}
+	base := Config{Nin: 4, Nout: 2}
 	ref := FindBestCut(g, base)
 	if ref.Status != Exhaustive || !ref.Found {
 		t.Fatalf("reference: status %v found %v — fixture graph unusable", ref.Status, ref.Found)
@@ -372,7 +372,7 @@ func TestChaosDriverSites(t *testing.T) {
 func TestChaosZeroFaultBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := randomGraph(t, rng, 20)
-	base := Config{Nin: 4, Nout: 2, ISEGen: true}
+	base := Config{Nin: 4, Nout: 2}
 	ref := FindBestCut(g, base)
 	rules := make([]faultinject.Rule, 0, obs.SiteCount)
 	for site := 0; site < obs.SiteCount; site++ {

@@ -233,7 +233,6 @@ func (s *multiSearcher) poll() {
 				s.sharedCache = v
 			}
 		}
-		s.pollRacer()
 		if s.eng.needWork.Load() {
 			s.tryDonate()
 		}
@@ -247,23 +246,7 @@ func (s *multiSearcher) poll() {
 			return
 		}
 	}
-	s.pollRacer()
 	s.flushObs()
-}
-
-// pollRacer folds the iterative racer's published single-cut merit into
-// the PruneMerit shared cache. Sound on the (M+1)-ary tree too: the
-// racer's cut alone is a feasible assignment (the other cuts stay
-// empty), so its revalidated merit is an achievable lower bound of the
-// optimal total merit, and the strict `ub < bound` cutoff can never
-// prune the DFS-first optimal assignment.
-func (s *multiSearcher) pollRacer() {
-	if !s.cfg.PruneMerit || s.cfg.race == nil {
-		return
-	}
-	if v := s.cfg.race.boundLoad(); v > s.sharedCache {
-		s.sharedCache = v
-	}
 }
 
 // totalMerit sums the merit of all non-empty cuts in the current state.

@@ -154,46 +154,6 @@ func TestObsDifferentialSelection(t *testing.T) {
 	}
 }
 
-// TestObsDifferentialISEGen: with the iterative racer on, tracing must
-// still not change what a terminating block search returns. Stats are
-// not compared when PruneMerit is set, even serially — the racer's
-// bound arrives at timing-dependent polls, which (exactly like the
-// engine's shared incumbent bound) may change visit counts but never
-// the result. BlockStatus.RacerMerit is likewise timing-dependent and
-// excluded.
-func TestObsDifferentialISEGen(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	g := randomGraph(t, rng, 22)
-	for _, pruned := range []bool{false, true} {
-		for _, w := range diffWorkers {
-			cfg := diffConfig(w, pruned)
-			cfg.ISEGen = true
-			base, bbs := searchBlockSafe(context.Background(), g, cfg)
-			probe := fullProbe()
-			cfg.Probe = probe
-			traced, tbs := searchBlockSafe(context.Background(), g, cfg)
-
-			if base.Status != Exhaustive {
-				t.Fatalf("workers=%d pruned=%v: fixture block did not terminate: %v",
-					w, pruned, base.Status)
-			}
-			if base.Found != traced.Found || !reflect.DeepEqual(base.Cut, traced.Cut) ||
-				base.Est != traced.Est || base.Status != traced.Status {
-				t.Errorf("workers=%d pruned=%v: traced racer result diverged:\n base=%+v\ntraced=%+v",
-					w, pruned, base, traced)
-			}
-			if bbs.Status != tbs.Status || bbs.Rung != tbs.Rung || bbs.Fallback != tbs.Fallback {
-				t.Errorf("workers=%d pruned=%v: traced block status diverged: base=%+v traced=%+v",
-					w, pruned, bbs, tbs)
-			}
-			if statsComparable(w, pruned) && !pruned && base.Stats != traced.Stats {
-				t.Errorf("workers=%d pruned=%v: traced Stats diverged: base=%+v traced=%+v",
-					w, pruned, base.Stats, traced.Stats)
-			}
-		}
-	}
-}
-
 // TestObsMetricsOnlyDifferential: the MetricsOnly stripping used by the
 // windowed rescue and warm passes must not perturb results either.
 func TestObsMetricsOnlyDifferential(t *testing.T) {

@@ -53,20 +53,6 @@ func findBestCutParallel(ctx context.Context, g *dfg.Graph, cfg Config) Result {
 		}
 		return res
 	}
-	if cfg.race != nil {
-		// Satellite exchange with the iterative racer: the warm/seed cut
-		// warms its restarts, and anything it has already proven achievable
-		// tightens the engine's base exactly like a warm cut (racer merits
-		// are Legal/Evaluate revalidated, so the seeding stays
-		// result-preserving).
-		if base.found {
-			cfg.race.donate(base.cut)
-		}
-		if inc, ok := cfg.race.incumbentResult(); ok && (!base.found || inc.Est.Merit > base.merit) {
-			base = bbBest{found: true, merit: inc.Est.Merit, cut: append(dfg.Cut(nil), inc.Cut...), base: true}
-		}
-	}
-
 	nw := cfg.Workers
 	e := newBBEngine(ctx, nw, len(g.OpOrder), cfg.MaxCuts, cfg.PruneMerit)
 	e.probe = cfg.Probe

@@ -11,10 +11,11 @@ import (
 // ApplySelection rewrites the module so every selected cut executes as a
 // single OpCustom instruction backed by a new AFU definition. Cuts of the
 // same block are patched together. It returns the indices of the created
-// AFUs. Cuts that cannot be scheduled atomically (possible only for
-// multi-cut selections with mutual dependences, which the paper's checks
-// do not exclude — see Config.StrictInterCut) are skipped and reported in
-// skipped.
+// AFUs. Any selection can lose a cut: the patcher schedules with register
+// anti-dependences that the DFG does not model, so a cut the search found
+// convex can still be impossible to schedule atomically (as can cuts of a
+// multi-cut selection that depend on each other — see
+// Config.StrictInterCut). Such cuts are skipped and returned in skipped.
 func ApplySelection(m *ir.Module, sel []Selected, model *latency.Model) (afus []int, skipped []Selected, err error) {
 	if model == nil {
 		model = latency.Default()

@@ -108,15 +108,6 @@ type Config struct {
 	// e.g. different benchmarks at the same DSE grid point — then share
 	// one identification. Nil keeps the per-call memo.
 	DedupCache *DedupCache
-	// ISEGen races an ISEGEN-style Kernighan–Lin toggle engine (see
-	// isegen.go) against the exact search on blocks larger than the §9
-	// fallback window. The racer publishes Legal/Evaluate-revalidated
-	// incumbents into a CAS-max shared bound that the exact search folds
-	// into its PruneMerit cache at poll cadence — soundly, so terminating
-	// exact searches stay bit-identical with the racer on or off — and
-	// the anytime ladder adopts the racer's best answer (RungIterative)
-	// only when the exact search did not terminate. Off by default.
-	ISEGen bool
 	// Seeds, when non-nil, warm-starts every exact single-cut search from
 	// the best stored cut for the graph's fingerprint and publishes each
 	// exhaustive search's winner back into the book (see SeedBook). This
@@ -154,14 +145,6 @@ type Config struct {
 	seedOn    bool
 	seedMerit int64
 	seedCut   dfg.Cut
-
-	// race attaches the block's iterative racer (package-internal; set by
-	// the anytime layer when ISEGen launches one). The searcher folds
-	// race.bound into its PruneMerit shared cache at poll cadence and the
-	// warm-start paths exchange seeds with it. Recursive passes that
-	// search Restrict views (windowed heuristic, warm pass) must nil it:
-	// a full-graph bound is not sound on a window.
-	race *racerHandle
 }
 
 // withSeed arms incumbent seeding (see the seed fields above).
@@ -277,18 +260,12 @@ func FindBestCutCtx(ctx context.Context, g *dfg.Graph, cfg Config) Result {
 	s.obs = cfg.Probe.Attach()
 	if cfg.seedOn && cfg.seedMerit > 0 && len(cfg.seedCut) > 0 {
 		s.seedIncumbent(Result{Found: true, Cut: cfg.seedCut, Est: Estimate{Merit: cfg.seedMerit}})
-		if cfg.race != nil {
-			cfg.race.donate(cfg.seedCut) // book seed warms the racer too
-		}
 	}
 	if cfg.WarmStart && g.NumOps() > warmWindow {
 		w := findWarmIncumbent(ctx, g, cfg)
 		if w.Found {
 			s.seedIncumbent(w) // keeps the better of seed and warm
 			s.obs.WarmSeed(w.Est.Merit)
-			if cfg.race != nil {
-				cfg.race.donate(w.Cut) // §9 windowed cut warms the racer
-			}
 		}
 		if w.Status != Exhaustive {
 			res := Result{Status: w.Status}
@@ -299,14 +276,6 @@ func FindBestCutCtx(ctx context.Context, g *dfg.Graph, cfg Config) Result {
 				res.Est = Evaluate(g, res.Cut, cfg.model())
 			}
 			return res
-		}
-	}
-	if cfg.race != nil {
-		// Best-of warm start: whatever the racer has already proven
-		// achievable seeds the exact search exactly like a windowed warm
-		// cut (threshold merit−1, result-preserving).
-		if inc, ok := cfg.race.incumbentResult(); ok {
-			s.seedIncumbent(inc)
 		}
 	}
 	s.run()
@@ -340,9 +309,6 @@ func findWarmIncumbent(ctx context.Context, g *dfg.Graph, cfg Config) Result {
 	// The warm pass still feeds the metrics registry (its work is real
 	// engine work), but never the flight recorder — its per-window
 	// events would drown the exact search's timeline.
-	// The warm pass searches Restrict views; the block-level racer bound
-	// is not sound there (see Config.race).
-	cfg.race = nil
 	cfg.Seeds = nil // a book seed need not be legal on a Restrict view
 	cfg.Probe = cfg.Probe.MetricsOnly()
 	return FindBestCutWindowedCtx(ctx, g, cfg.stripSeed(), warmWindow)
@@ -505,7 +471,6 @@ func (s *searcher) poll() {
 				s.sharedCache = v
 			}
 		}
-		s.pollRacer()
 		if s.eng.needWork.Load() {
 			s.tryDonate()
 		}
@@ -519,23 +484,7 @@ func (s *searcher) poll() {
 			return
 		}
 	}
-	s.pollRacer()
 	s.flushObs()
-}
-
-// pollRacer folds the iterative racer's published achievable-merit bound
-// into the PruneMerit shared cache. Racer merits are Legal/Evaluate
-// revalidated lower bounds of the optimum and visit's cutoff is strictly
-// `ub < bound`, so — exactly like the engine's shared incumbent bound —
-// the fold can only skip subtrees provably at or below an achievable
-// merit: terminating searches stay bit-identical, only Stats shrink.
-func (s *searcher) pollRacer() {
-	if !s.cfg.PruneMerit || s.cfg.race == nil {
-		return
-	}
-	if v := s.cfg.race.boundLoad(); v > s.sharedCache {
-		s.sharedCache = v
-	}
 }
 
 // meritOf converts the current (non-empty) cut state into merit. The

@@ -43,10 +43,7 @@ func FindBestCutWindowedCtx(ctx context.Context, g *dfg.Graph, cfg Config, windo
 	cfg.Probe = cfg.Probe.MetricsOnly()
 	// A seed-book cut need not be legal on a Restrict view (its
 	// members may fall outside the window), so the windows run cold.
-	// The racer's full-graph bound is likewise unsound on a window — a
-	// window may genuinely contain nothing that beats it.
 	cfg = cfg.stripSeed()
-	cfg.race = nil
 	// A seed book keyed by full-graph fingerprints must not collect (or
 	// serve) Restrict-view cuts.
 	cfg.Seeds = nil

@@ -96,16 +96,6 @@ func (b BitSet) Count() int {
 	return n
 }
 
-// ForEach calls fn for every member in ascending order.
-func (b BitSet) ForEach(fn func(id int)) {
-	for wi, w := range b {
-		for w != 0 {
-			fn(wi<<6 + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-}
-
 // kernel holds the precomputed word-parallel tables of one graph. It is
 // immutable after buildKernel and shared between a graph and its Restrict
 // views (which differ only in their forbidden set).

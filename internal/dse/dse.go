@@ -92,11 +92,6 @@ type Options struct {
 	// Dedup shares the canonical-hash memo across the sweep's selection
 	// calls (per (Nin, Nout, target) segregation is internal).
 	Dedup bool
-	// ISEGen races the Kernighan–Lin toggle engine against exploding
-	// exact searches. Racer adoption on budget-stopped blocks is
-	// timing-dependent, so this trades strict reproducibility for
-	// anytime quality; leave off when byte-identity matters.
-	ISEGen bool
 	// ShardSeed permutes the chain launch order. Results do not depend
 	// on it — that is what the determinism tests assert.
 	ShardSeed int64
@@ -476,8 +471,8 @@ func (s *sweeper) runChain(ctx context.Context, bi, ti int) chainOut {
 }
 
 // cellConfig builds a cell's search configuration. The search-semantics
-// knobs (prunings, warm start, budget, ISEGen) are identical in warm
-// and cold mode — that is what makes the two modes' completed searches
+// knobs (prunings, warm start, budget) are identical in warm and cold
+// mode — that is what makes the two modes' completed searches
 // bit-identical; warm mode adds only the result-preserving sharing
 // machinery (seeds, shared dedup, parallel block passes, pool gating).
 func (s *sweeper) cellConfigProbe(c [2]int, model *latency.Model, probe *obs.Probe) core.Config {
@@ -489,7 +484,6 @@ func (s *sweeper) cellConfigProbe(c [2]int, model *latency.Model, probe *obs.Pro
 		PruneInputs: true,
 		PruneMerit:  true,
 		WarmStart:   true,
-		ISEGen:      s.opt.ISEGen,
 		Probe:       probe,
 	}
 }

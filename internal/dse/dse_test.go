@@ -51,43 +51,60 @@ func TestSweepDeterminism(t *testing.T) {
 
 // TestSweepWarmMatchesCold asserts the seeding/dedup/prefix machinery
 // is result-preserving: every warm cell selects bit-identical
-// instructions to a dedicated cold serial run.
+// instructions to a dedicated cold serial run. The small test grid's
+// searches all complete; the default grid also has budget-stopped
+// cells, where the warm and cold incumbents must agree as well.
 func TestSweepWarmMatchesCold(t *testing.T) {
-	warmOpt := testOptions()
-	warm, _, err := Sweep(context.Background(), warmOpt)
-	if err != nil {
-		t.Fatal(err)
+	inputs := []struct {
+		name       string
+		opt        Options
+		exhaustive bool // every cell must be exhaustive
+		long       bool // skipped under -short
+	}{
+		{name: "test-grid", opt: testOptions(), exhaustive: true},
+		{name: "default-grid", opt: DefaultOptions(), long: true},
 	}
-	coldOpt := testOptions()
-	coldOpt.Cold = true
-	cold, _, err := Sweep(context.Background(), coldOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warm.Benchmarks) != len(cold.Benchmarks) {
-		t.Fatalf("benchmark count: warm %d cold %d", len(warm.Benchmarks), len(cold.Benchmarks))
-	}
-	for bi := range warm.Benchmarks {
-		for ti := range warm.Benchmarks[bi].Targets {
-			w, c := warm.Benchmarks[bi].Targets[ti], cold.Benchmarks[bi].Targets[ti]
-			if w.BaselineCycles != c.BaselineCycles {
-				t.Errorf("%s/%s: baseline %d vs %d", warm.Benchmarks[bi].Benchmark, w.Target, w.BaselineCycles, c.BaselineCycles)
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			if in.long && testing.Short() {
+				t.Skip("sweeps the default grid twice")
 			}
-			if len(w.Cells) != len(c.Cells) {
-				t.Fatalf("%s/%s: cell count %d vs %d", warm.Benchmarks[bi].Benchmark, w.Target, len(w.Cells), len(c.Cells))
+			warm, _, err := Sweep(context.Background(), in.opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range w.Cells {
-				wc, cc := w.Cells[i], c.Cells[i]
-				if wc.Status != "exhaustive" || cc.Status != "exhaustive" {
-					t.Errorf("cell (%d,%d,%d): non-exhaustive status warm=%q cold=%q — identity claim needs completed searches",
-						wc.Nin, wc.Nout, wc.Ninstr, wc.Status, cc.Status)
+			coldOpt := in.opt
+			coldOpt.Cold = true
+			cold, _, err := Sweep(context.Background(), coldOpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(warm.Benchmarks) != len(cold.Benchmarks) {
+				t.Fatalf("benchmark count: warm %d cold %d", len(warm.Benchmarks), len(cold.Benchmarks))
+			}
+			for bi := range warm.Benchmarks {
+				for ti := range warm.Benchmarks[bi].Targets {
+					w, c := warm.Benchmarks[bi].Targets[ti], cold.Benchmarks[bi].Targets[ti]
+					if w.BaselineCycles != c.BaselineCycles {
+						t.Errorf("%s/%s: baseline %d vs %d", warm.Benchmarks[bi].Benchmark, w.Target, w.BaselineCycles, c.BaselineCycles)
+					}
+					if len(w.Cells) != len(c.Cells) {
+						t.Fatalf("%s/%s: cell count %d vs %d", warm.Benchmarks[bi].Benchmark, w.Target, len(w.Cells), len(c.Cells))
+					}
+					for i := range w.Cells {
+						wc, cc := w.Cells[i], c.Cells[i]
+						if in.exhaustive && (wc.Status != "exhaustive" || cc.Status != "exhaustive") {
+							t.Errorf("cell (%d,%d,%d): non-exhaustive status warm=%q cold=%q — identity claim needs completed searches",
+								wc.Nin, wc.Nout, wc.Ninstr, wc.Status, cc.Status)
+						}
+						if wc.Merit != cc.Merit || !reflect.DeepEqual(wc.Instructions, cc.Instructions) {
+							t.Errorf("%s/%s cell (%d,%d,%d): warm selection diverged from cold reference\nwarm: %+v\ncold: %+v",
+								warm.Benchmarks[bi].Benchmark, w.Target, wc.Nin, wc.Nout, wc.Ninstr, wc, cc)
+						}
+					}
 				}
-				if wc.Merit != cc.Merit || !reflect.DeepEqual(wc.Instructions, cc.Instructions) {
-					t.Errorf("cell (%d,%d,%d): warm selection diverged from cold reference\nwarm: %+v\ncold: %+v",
-						wc.Nin, wc.Nout, wc.Ninstr, wc, cc)
-				}
 			}
-		}
+		})
 	}
 }
 

@@ -27,7 +27,7 @@ type CellProgress struct {
 	// Block is the block search currently running (searching cells only).
 	Block string `json:"block,omitempty"`
 	// Rung reports degradation-ladder activity on the current block:
-	// rescue, greedy, or racer. Empty while the exact search holds.
+	// rescue or greedy. Empty while the exact search holds.
 	Rung string `json:"rung,omitempty"`
 	// Searches counts completed block searches inside this cell.
 	Searches int64 `json:"searches,omitempty"`
@@ -165,8 +165,6 @@ func (p *Progress) live(chain string, e obs.Event) {
 		c.Rung = "rescue"
 	case obs.KGreedy:
 		c.Rung = "greedy"
-	case obs.KRacerPublish, obs.KRacerAdopt:
-		c.Rung = "racer"
 	}
 }
 

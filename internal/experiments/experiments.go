@@ -143,14 +143,12 @@ type CompareOptions struct {
 	//
 	// Workers sets the per-search worker count (0 = serial);
 	// Parallel searches a selection's blocks concurrently; Dedup adopts
-	// results across isomorphic blocks; ISEGen races the Kernighan–Lin
-	// toggle engine on exploding blocks; WarmStart seeds each search
+	// results across isomorphic blocks; WarmStart seeds each search
 	// with a windowed heuristic incumbent; PruneInputs and PruneMerit
 	// enable the §6.1 input-count and merit-bound prunings.
 	Workers     int
 	Parallel    bool
 	Dedup       bool
-	ISEGen      bool
 	WarmStart   bool
 	PruneInputs bool
 	PruneMerit  bool
@@ -199,8 +197,8 @@ func Compare(opt CompareOptions) ([]ComparisonRow, error) {
 			cfg := core.Config{
 				Nin: c[0], Nout: c[1], Model: model, MaxCuts: opt.Budget,
 				Workers: opt.Workers, Parallel: opt.Parallel, Dedup: opt.Dedup,
-				ISEGen: opt.ISEGen, WarmStart: opt.WarmStart,
-				PruneInputs: opt.PruneInputs, PruneMerit: opt.PruneMerit,
+				WarmStart: opt.WarmStart, PruneInputs: opt.PruneInputs,
+				PruneMerit: opt.PruneMerit,
 			}
 			for _, n := range opt.Ninstr {
 				row := ComparisonRow{

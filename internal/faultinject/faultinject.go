@@ -248,7 +248,6 @@ func RandomPlan(seed int64, n int) []Rule {
 		obs.SiteStop, obs.SiteSteal, obs.SiteDonate, obs.SiteResplit,
 		obs.SiteWarmSeed, obs.SiteRescue, obs.SiteGreedy,
 		obs.SiteCollapse,
-		obs.SiteToggle, obs.SiteRestart, obs.SiteRacerPublish,
 	}
 	rules := make([]Rule, 0, n)
 	for i := 0; i < n; i++ {

@@ -1,8 +1,8 @@
 // Package analyze lifts the flat flight-recorder timeline (internal/obs)
 // into a causal span tree — pipeline stage → DSE cell → block search →
-// worker lane → rescue/racer/greedy rung — and computes attribution
-// reports over it: where the wall-clock went, which pruning rule earned
-// its keep, what the warm-start/dedup/racer machinery actually paid.
+// worker lane → rescue/greedy rung — and computes attribution reports
+// over it: where the wall-clock went, which pruning rule earned its
+// keep, what the warm-start/dedup/seed machinery actually paid.
 //
 // The span model costs the recorder nothing new: block searches, stages
 // and cells each allocate one span ID (obs.NextSpan) and parent links
@@ -70,14 +70,6 @@ type Lane struct {
 	WarmSeeds  int64
 }
 
-// RacerPub is one racer publication into a block's shared bound.
-type RacerPub struct {
-	T       int64
-	Merit   int64
-	Restart int64
-	CutSize int64
-}
-
 // IncumbentStep is one incumbent improvement inside a block search.
 type IncumbentStep struct {
 	T     int64
@@ -121,19 +113,14 @@ type Block struct {
 	SeedRejects int64
 
 	// Degradation-ladder outcomes (sys events scoped to this span).
-	RescueTried     bool
-	RescueFound     bool
-	RescueMerit     int64
-	RescueCuts      int64
-	GreedyTried     bool
-	GreedyFound     bool
-	GreedyMerit     int64
-	RacerPubs       []RacerPub
-	RacerRestarts   int64
-	RacerToggles    int64
-	RacerAdopted    bool
-	RacerAdoptMerit int64
-	Panics          int64
+	RescueTried bool
+	RescueFound bool
+	RescueMerit int64
+	RescueCuts  int64
+	GreedyTried bool
+	GreedyFound bool
+	GreedyMerit int64
+	Panics      int64
 }
 
 // Duration returns the block's wall-clock span in nanoseconds (0 when
@@ -364,15 +351,6 @@ func buildBlockEvent(a *Analysis, b *Block, e obs.Event, lane func(*Block, int32
 		b.GreedyTried = true
 		b.GreedyFound = e.A != 0
 		b.GreedyMerit = e.B
-	case obs.KRestart:
-		b.RacerRestarts++
-	case obs.KToggle:
-		b.RacerToggles += e.A
-	case obs.KRacerPublish:
-		b.RacerPubs = append(b.RacerPubs, RacerPub{T: e.T, Merit: e.A, Restart: e.B, CutSize: e.C})
-	case obs.KRacerAdopt:
-		b.RacerAdopted = true
-		b.RacerAdoptMerit = e.A
 	case obs.KSeedHit:
 		if e.A > b.SeedMerit {
 			b.SeedMerit = e.A
@@ -414,9 +392,7 @@ func buildStageEvent(s *Stage, e obs.Event) {
 var blockKinds = []obs.Kind{
 	obs.KSearchEnd, obs.KPrune, obs.KBound, obs.KIncumbent, obs.KSteal,
 	obs.KDonate, obs.KResplit, obs.KStop, obs.KWarmSeed, obs.KRescue,
-	obs.KGreedy, obs.KRestart, obs.KToggle, obs.KRacerPublish,
-	obs.KRacerAdopt, obs.KSeedHit, obs.KSeedPut, obs.KSeedReject,
-	obs.KPanic,
+	obs.KGreedy, obs.KSeedHit, obs.KSeedPut, obs.KSeedReject, obs.KPanic,
 }
 
 var stageKinds = []obs.Kind{obs.KStageEnd, obs.KDedup, obs.KCollapse}

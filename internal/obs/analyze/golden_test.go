@@ -17,7 +17,7 @@ var update = flag.Bool("update", false, "rewrite the golden analyzer outputs fro
 // loadFixture parses the committed trace fixture. The fixture is a
 // hand-written timeline that exercises every span level and every
 // block-scoped event kind: a cell with a two-block stage (parallel
-// lanes, racer, rescue/greedy rungs, seed-book traffic, a recovered
+// lanes, rescue/greedy rungs, seed-book traffic, a recovered
 // panic), a top-level stage, a top-level block, an unscoped stall and
 // one orphaned ring event.
 func loadFixture(t *testing.T) []obs.Event {
@@ -107,9 +107,6 @@ func TestGoldenSpanTree(t *testing.T) {
 	}
 	if len(b0.Lanes) != 2 || b0.Prunes != 1 || b0.Bounds != 1 || b0.Steals != 1 || b0.StolenSubs != 2 {
 		t.Fatalf("b0 lanes=%d prunes=%d bounds=%d steals=%d stolen=%d", len(b0.Lanes), b0.Prunes, b0.Bounds, b0.Steals, b0.StolenSubs)
-	}
-	if len(b0.RacerPubs) != 1 || b0.RacerRestarts != 1 || b0.RacerToggles != 12 {
-		t.Fatalf("b0 racer pubs=%d restarts=%d toggles=%d", len(b0.RacerPubs), b0.RacerRestarts, b0.RacerToggles)
 	}
 	b1 := cell.Stages[0].Blocks[1]
 	if !b1.RescueTried || !b1.RescueFound || b1.RescueMerit != 35 {

@@ -13,8 +13,7 @@ import (
 // Everything emitted here is a pure function of the search *tree*, not
 // of scheduling: no timestamps, no worker counts, no ring or span IDs,
 // no steal/donate/incumbent-interleaving tallies. For exhaustive runs
-// without the ISEGen racer (which is wall-clock-driven by design) the
-// output is byte-identical across worker counts.
+// the output is byte-identical across worker counts.
 // ---------------------------------------------------------------------
 
 // ExplainBlock is the deterministic view of one block search.
@@ -343,12 +342,6 @@ func writeSummaryBlock(w io.Writer, b *Block, indent string) {
 		fmt.Fprintf(w, " steal=%d(+%d sub) donate=%d resplit=%d",
 			b.Steals, b.StolenSubs, b.Donates, b.Resplits)
 	}
-	if len(b.RacerPubs) > 0 {
-		fmt.Fprintf(w, " racer_pubs=%d restarts=%d", len(b.RacerPubs), b.RacerRestarts)
-	}
-	if b.RacerAdopted {
-		fmt.Fprintf(w, " racer_adopted(merit=%d)", b.RacerAdoptMerit)
-	}
 	fmt.Fprintln(w)
 }
 
@@ -376,8 +369,8 @@ type CriticalHop struct {
 }
 
 // criticalBlock lists the decisive moments inside one block search: the
-// seed/warm head start, each incumbent improvement, racer publications
-// and adoptions, rescue/greedy rungs, and the end.
+// seed/warm head start, each incumbent improvement, rescue/greedy
+// rungs, and the end.
 func criticalBlock(b *Block, epoch int64) []CriticalHop {
 	var hops []CriticalHop
 	add := func(t int64, format string, args ...any) {
@@ -389,9 +382,6 @@ func criticalBlock(b *Block, epoch int64) []CriticalHop {
 	}
 	for _, s := range b.Incumbent {
 		add(s.T, "incumbent merit=%d after %d cuts", s.Merit, s.Cuts)
-	}
-	for _, p := range b.RacerPubs {
-		add(p.T, "racer publish merit=%d (restart %d)", p.Merit, p.Restart)
 	}
 	if b.RescueTried {
 		add(b.EndT, "rescue rung: %s", rungOutcome(true, b.RescueFound, b.RescueMerit))

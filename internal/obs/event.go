@@ -79,21 +79,6 @@ const (
 	// isomorphic block's identification was adopted) and 0 on a miss, B
 	// the per-cut limit m (0 for the single-cut search).
 	KDedup
-	// KToggle records the iterative racer flushing its toggle-iteration
-	// tally: A the toggles applied since the last flush, B the running
-	// total for this racer.
-	KToggle
-	// KRestart records the racer starting KL restart A from a seed of
-	// merit B and size C. Tag is "fn/block".
-	KRestart
-	// KRacerPublish records the racer publishing a Legal/Evaluate
-	// revalidated incumbent: A its merit, B the restart that produced it,
-	// C the cut size. Tag is "fn/block".
-	KRacerPublish
-	// KRacerAdopt records the anytime layer adopting the racer's best
-	// answer after the exact search degraded: A the adopted merit, B the
-	// merit the exact rungs had (or -1). Tag is "fn/block".
-	KRacerAdopt
 	// KStageStart marks a selection driver entering: one stage span per
 	// SelectIterativeCtx/SelectOptimalCtx invocation. Tag is the driver
 	// name ("select/iterative", "select/optimal"), A the parent span (0
@@ -130,33 +115,29 @@ const (
 )
 
 var kindNames = [kindCount]string{
-	KSearchStart:  "search_start",
-	KSearchEnd:    "search_end",
-	KIncumbent:    "incumbent",
-	KPrune:        "prune",
-	KBound:        "bound",
-	KSteal:        "steal",
-	KDonate:       "donate",
-	KResplit:      "resplit",
-	KStop:         "stop",
-	KRescue:       "rescue",
-	KCollapse:     "collapse",
-	KWarmSeed:     "warm_seed",
-	KPanic:        "panic",
-	KGreedy:       "greedy_rescue",
-	KStall:        "stall",
-	KDedup:        "dedup",
-	KToggle:       "toggle",
-	KRestart:      "restart",
-	KRacerPublish: "racer_publish",
-	KRacerAdopt:   "racer_adopt",
-	KStageStart:   "stage_start",
-	KStageEnd:     "stage_end",
-	KCellStart:    "cell_start",
-	KCellEnd:      "cell_end",
-	KSeedPut:      "seed_put",
-	KSeedHit:      "seed_hit",
-	KSeedReject:   "seed_reject",
+	KSearchStart: "search_start",
+	KSearchEnd:   "search_end",
+	KIncumbent:   "incumbent",
+	KPrune:       "prune",
+	KBound:       "bound",
+	KSteal:       "steal",
+	KDonate:      "donate",
+	KResplit:     "resplit",
+	KStop:        "stop",
+	KRescue:      "rescue",
+	KCollapse:    "collapse",
+	KWarmSeed:    "warm_seed",
+	KPanic:       "panic",
+	KGreedy:      "greedy_rescue",
+	KStall:       "stall",
+	KDedup:       "dedup",
+	KStageStart:  "stage_start",
+	KStageEnd:    "stage_end",
+	KCellStart:   "cell_start",
+	KCellEnd:     "cell_end",
+	KSeedPut:     "seed_put",
+	KSeedHit:     "seed_hit",
+	KSeedReject:  "seed_reject",
 }
 
 // AllKinds enumerates every defined kind, in declaration order.

@@ -100,33 +100,29 @@ type chromeEvent struct {
 // Total over KindCount — the exhaustiveness guard test fails when a new
 // kind forgets its decode entry ("" marks an unused slot).
 var chromeArgNames = map[Kind][3]string{
-	KSearchStart:  {"ops", "workers", "parent_span"},
-	KSearchEnd:    {"status", "merit", "cuts"},
-	KIncumbent:    {"merit", "cuts", "rank"},
-	KPrune:        {"rank", "", ""},
-	KBound:        {"rank", "incumbent", ""},
-	KSteal:        {"count", "victim", "deque_depth"},
-	KDonate:       {"rank", "", ""},
-	KResplit:      {"depth", "children", ""},
-	KStop:         {"status", "", ""},
-	KRescue:       {"found", "merit", "cuts"},
-	KCollapse:     {"round", "cut_size", ""},
-	KWarmSeed:     {"merit", "", ""},
-	KPanic:        {"attempt", "", ""},
-	KGreedy:       {"found", "merit", "candidates"},
-	KStall:        {"worker", "samples", ""},
-	KDedup:        {"hit", "m", ""},
-	KToggle:       {"delta", "total", ""},
-	KRestart:      {"restart", "seed_merit", "seed_size"},
-	KRacerPublish: {"merit", "restart", "cut_size"},
-	KRacerAdopt:   {"merit", "prev_merit", ""},
-	KStageStart:   {"parent_span", "ninstr", ""},
-	KStageEnd:     {"selected", "total_merit", "ident_calls"},
-	KCellStart:    {"nin", "nout", "ninstr"},
-	KCellEnd:      {"nin", "nout", "merit"},
-	KSeedPut:      {"merit", "cut_size", ""},
-	KSeedHit:      {"merit", "cut_size", ""},
-	KSeedReject:   {"rejected", "", ""},
+	KSearchStart: {"ops", "workers", "parent_span"},
+	KSearchEnd:   {"status", "merit", "cuts"},
+	KIncumbent:   {"merit", "cuts", "rank"},
+	KPrune:       {"rank", "", ""},
+	KBound:       {"rank", "incumbent", ""},
+	KSteal:       {"count", "victim", "deque_depth"},
+	KDonate:      {"rank", "", ""},
+	KResplit:     {"depth", "children", ""},
+	KStop:        {"status", "", ""},
+	KRescue:      {"found", "merit", "cuts"},
+	KCollapse:    {"round", "cut_size", ""},
+	KWarmSeed:    {"merit", "", ""},
+	KPanic:       {"attempt", "", ""},
+	KGreedy:      {"found", "merit", "candidates"},
+	KStall:       {"worker", "samples", ""},
+	KDedup:       {"hit", "m", ""},
+	KStageStart:  {"parent_span", "ninstr", ""},
+	KStageEnd:    {"selected", "total_merit", "ident_calls"},
+	KCellStart:   {"nin", "nout", "ninstr"},
+	KCellEnd:     {"nin", "nout", "merit"},
+	KSeedPut:     {"merit", "cut_size", ""},
+	KSeedHit:     {"merit", "cut_size", ""},
+	KSeedReject:  {"rejected", "", ""},
 }
 
 // KindArgNames returns the named meanings of kind k's A/B/C payload

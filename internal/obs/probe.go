@@ -57,12 +57,6 @@ type Metrics struct {
 	DedupHits   *Counter
 	DedupMisses *Counter
 
-	// Iterative-racer counters.
-	RacerToggles   *Counter
-	RacerRestarts  *Counter
-	RacerPublished *Counter
-	RacerAdopted   *Counter
-
 	// Seed-book counters (cross-selection warm starts, DESIGN.md §16).
 	SeedPuts    *Counter
 	SeedHits    *Counter
@@ -103,10 +97,6 @@ func NewMetrics(reg *Registry) *Metrics {
 		PoolLeaks:       reg.Counter("sched_pool_leaks_total"),
 		DedupHits:       reg.Counter("sched_dedup_hits_total"),
 		DedupMisses:     reg.Counter("sched_dedup_misses_total"),
-		RacerToggles:    reg.Counter("racer_toggles_total"),
-		RacerRestarts:   reg.Counter("racer_restarts_total"),
-		RacerPublished:  reg.Counter("racer_incumbents_published_total"),
-		RacerAdopted:    reg.Counter("racer_incumbents_adopted_total"),
 		SeedPuts:        reg.Counter("seed_puts_total"),
 		SeedHits:        reg.Counter("seed_hits_total"),
 		SeedRejects:     reg.Counter("seed_revalidate_rejects_total"),
@@ -385,62 +375,6 @@ func (p *Probe) Greedy(tag string, found bool, merit, cands int64) {
 		f = 1
 	}
 	p.sysEmit(KGreedy, tag, f, merit, cands)
-}
-
-// RacerToggles flushes the iterative racer's toggle-iteration tally as
-// a delta (the racer counts locally and flushes at restart boundaries
-// and on exit, mirroring FlushStats' delta discipline); total is the
-// racer's running total after the flush.
-func (p *Probe) RacerToggles(delta, total int64) {
-	if p == nil || delta <= 0 {
-		return
-	}
-	p.fire(SiteToggle, "")
-	if p.Met != nil {
-		p.Met.RacerToggles.Add(delta)
-	}
-	p.sysEmit(KToggle, "", delta, total, 0)
-}
-
-// RacerRestart records the racer beginning KL restart number restart
-// from a seed of the given merit (-1 when seedless) and size.
-func (p *Probe) RacerRestart(tag string, restart int, seedMerit int64, seedSize int) {
-	if p == nil {
-		return
-	}
-	p.fire(SiteRestart, tag)
-	if p.Met != nil {
-		p.Met.RacerRestarts.Inc()
-	}
-	p.sysEmit(KRestart, tag, int64(restart), seedMerit, int64(seedSize))
-}
-
-// RacerPublish records the racer publishing a Legal/Evaluate revalidated
-// incumbent of the given merit into the shared bound, found on the given
-// restart with cutSize members.
-func (p *Probe) RacerPublish(tag string, merit int64, restart, cutSize int) {
-	if p == nil {
-		return
-	}
-	p.fire(SiteRacerPublish, tag)
-	if p.Met != nil {
-		p.Met.RacerPublished.Inc()
-	}
-	p.sysEmit(KRacerPublish, tag, merit, int64(restart), int64(cutSize))
-}
-
-// RacerAdopt records the anytime layer adopting the racer's best answer
-// for a block the exact rungs could not finish; prevMerit is the merit
-// the earlier rungs had reached (-1 when none).
-func (p *Probe) RacerAdopt(tag string, merit, prevMerit int64) {
-	if p == nil {
-		return
-	}
-	p.fire(SiteRacerPublish, tag)
-	if p.Met != nil {
-		p.Met.RacerAdopted.Inc()
-	}
-	p.sysEmit(KRacerAdopt, tag, merit, prevMerit, 0)
 }
 
 // Stall records the engine watchdog declaring a worker stalled after

@@ -52,18 +52,6 @@ const (
 	// SiteDedup fires on every cross-block dedup lookup, hit or miss
 	// (Probe.Dedup). Tag is "fn/block" of the requesting block.
 	SiteDedup
-	// SiteToggle fires when the iterative racer flushes its toggle tally
-	// (Probe.RacerToggles), i.e. at the racer's restart cadence. Tag is
-	// empty — the flush is racer-goroutine-local.
-	SiteToggle
-	// SiteRestart fires when the iterative racer begins a KL restart
-	// (Probe.RacerRestart). Tag is "fn/block".
-	SiteRestart
-	// SiteRacerPublish fires when the racer publishes a revalidated
-	// incumbent into the shared bound, and when the anytime layer adopts
-	// the racer's answer (Probe.RacerPublish, Probe.RacerAdopt). Tag is
-	// "fn/block".
-	SiteRacerPublish
 	// SiteStage fires when a selection driver opens or closes its stage
 	// span (Probe.BeginStage, Probe.EndStage). Tag is the driver name.
 	SiteStage
@@ -81,26 +69,23 @@ const (
 )
 
 var siteNames = [SiteCount]string{
-	SiteSearchBegin:  "search_begin",
-	SiteSearchEnd:    "search_end",
-	SiteRescue:       "rescue",
-	SiteGreedy:       "greedy",
-	SitePoll:         "poll",
-	SiteIncumbent:    "incumbent",
-	SiteStop:         "stop",
-	SiteSteal:        "steal",
-	SiteDonate:       "donate",
-	SiteResplit:      "resplit",
-	SitePrune:        "prune",
-	SiteWarmSeed:     "warm_seed",
-	SiteCollapse:     "collapse",
-	SiteDedup:        "dedup",
-	SiteToggle:       "toggle",
-	SiteRestart:      "restart",
-	SiteRacerPublish: "racer_publish",
-	SiteStage:        "stage",
-	SiteCell:         "cell",
-	SiteSeed:         "seed",
+	SiteSearchBegin: "search_begin",
+	SiteSearchEnd:   "search_end",
+	SiteRescue:      "rescue",
+	SiteGreedy:      "greedy",
+	SitePoll:        "poll",
+	SiteIncumbent:   "incumbent",
+	SiteStop:        "stop",
+	SiteSteal:       "steal",
+	SiteDonate:      "donate",
+	SiteResplit:     "resplit",
+	SitePrune:       "prune",
+	SiteWarmSeed:    "warm_seed",
+	SiteCollapse:    "collapse",
+	SiteDedup:       "dedup",
+	SiteStage:       "stage",
+	SiteCell:        "cell",
+	SiteSeed:        "seed",
 }
 
 func (s Site) String() string {
@@ -116,26 +101,23 @@ func (s Site) String() string {
 // its metrics footprint (an empty slice is a deliberate "no metrics"
 // declaration, a missing entry is drift). Names match NewMetrics.
 var siteMetrics = [SiteCount][]string{
-	SiteSearchBegin:  {"search_block_searches_total"},
-	SiteSearchEnd:    {},
-	SiteRescue:       {"search_rescues_total", "search_rescue_hits_total"},
-	SiteGreedy:       {"search_greedy_rescues_total", "search_greedy_hits_total"},
-	SitePoll:         {"search_cuts_considered_total", "search_cuts_passed_total", "search_cuts_pruned_total", "search_bound_cutoffs_total"},
-	SiteIncumbent:    {"search_incumbents_total"},
-	SiteStop:         {"search_deadline_trips_total", "search_budget_trips_total", "search_cancel_trips_total"},
-	SiteSteal:        {"engine_steals_total", "engine_stolen_subproblems_total", "engine_deque_depth"},
-	SiteDonate:       {"engine_donations_total"},
-	SiteResplit:      {"engine_resplits_total"},
-	SitePrune:        {"search_cuts_pruned_total", "search_bound_cutoffs_total"},
-	SiteWarmSeed:     {"engine_warm_seed_hits_total"},
-	SiteCollapse:     {"sched_collapses_total"},
-	SiteDedup:        {"sched_dedup_hits_total", "sched_dedup_misses_total"},
-	SiteToggle:       {"racer_toggles_total"},
-	SiteRestart:      {"racer_restarts_total"},
-	SiteRacerPublish: {"racer_incumbents_published_total", "racer_incumbents_adopted_total"},
-	SiteStage:        {},
-	SiteCell:         {"dse_cells_total"},
-	SiteSeed:         {"seed_puts_total", "seed_hits_total", "seed_revalidate_rejects_total"},
+	SiteSearchBegin: {"search_block_searches_total"},
+	SiteSearchEnd:   {},
+	SiteRescue:      {"search_rescues_total", "search_rescue_hits_total"},
+	SiteGreedy:      {"search_greedy_rescues_total", "search_greedy_hits_total"},
+	SitePoll:        {"search_cuts_considered_total", "search_cuts_passed_total", "search_cuts_pruned_total", "search_bound_cutoffs_total"},
+	SiteIncumbent:   {"search_incumbents_total"},
+	SiteStop:        {"search_deadline_trips_total", "search_budget_trips_total", "search_cancel_trips_total"},
+	SiteSteal:       {"engine_steals_total", "engine_stolen_subproblems_total", "engine_deque_depth"},
+	SiteDonate:      {"engine_donations_total"},
+	SiteResplit:     {"engine_resplits_total"},
+	SitePrune:       {"search_cuts_pruned_total", "search_bound_cutoffs_total"},
+	SiteWarmSeed:    {"engine_warm_seed_hits_total"},
+	SiteCollapse:    {"sched_collapses_total"},
+	SiteDedup:       {"sched_dedup_hits_total", "sched_dedup_misses_total"},
+	SiteStage:       {},
+	SiteCell:        {"dse_cells_total"},
+	SiteSeed:        {"seed_puts_total", "seed_hits_total", "seed_revalidate_rejects_total"},
 }
 
 // SiteMetricNames returns the registry instrument names site's probe

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"isex/internal/core"
@@ -411,6 +412,60 @@ func TestIdentifyAndPatchAllKernels(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPatchSkipPath patches a selection the patcher cannot fully
+// materialize: at this configuration sha's iterative selection holds a
+// cut that is convex in the DFG but unschedulable once the patcher adds
+// the register anti-dependences the DFG does not model. Every selected
+// cut must come back either as an AFU or in skipped, and the patched
+// program must still compute the original outputs. How many cuts are
+// skipped is deliberately not asserted.
+func TestPatchSkipPath(t *testing.T) {
+	k := ByName("sha")
+	ref, err := k.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refImg, err := k.OutputImage(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := k.Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Nin: 4, Nout: 3, MaxCuts: 2_000_000, PruneInputs: true, PruneMerit: true}
+	sel := core.SelectIterative(m, 8, cfg)
+	afus, skipped, err := core.ApplySelection(m, sel.Instructions, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(afus)+len(skipped) != len(sel.Instructions) {
+		t.Fatalf("%d AFUs + %d skipped != %d selected", len(afus), len(skipped), len(sel.Instructions))
+	}
+	for _, s := range skipped {
+		found := false
+		for _, in := range sel.Instructions {
+			if reflect.DeepEqual(s, in) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Errorf("skipped cut %s/%s %v (merit %d) is not in the selection",
+				s.Fn.Name, s.Block.Name, s.InstrIndexes, s.Est.Merit)
+		}
+	}
+	t.Logf("%d of %d cuts skipped", len(skipped), len(sel.Instructions))
+	interp.ClearProfile(m)
+	gotImg, err := k.OutputImage(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotImg, refImg) {
+		t.Fatalf("patched outputs diverged:\n got %v\nwant %v", gotImg, refImg)
 	}
 }
 

@@ -61,14 +61,6 @@ type Constraints struct {
 	// selections stay bit-identical to Dedup-off runs (modulo the node
 	// renaming). See the Selection's DedupHits and SharedInstructions.
 	Dedup bool
-	// ISEGen races an ISEGEN-style Kernighan–Lin toggle heuristic against
-	// the exact search on blocks too large for it to finish: the racer
-	// keeps publishing sound (Legal/Evaluate-revalidated) incumbents that
-	// tighten the exact search's merit bound, and when the exact search
-	// trips its budget or deadline, the best racer answer stands in (the
-	// "iterative" rung of the per-block status). Blocks where the exact
-	// search terminates are bit-identical with the racer on or off.
-	ISEGen bool
 	// Deadline, when positive, bounds the wall-clock time of an
 	// identification call: the search returns the best selection found so
 	// far when it expires (equivalent to passing a context with timeout
@@ -91,7 +83,7 @@ func (c Constraints) config() core.Config {
 	return core.Config{Nin: c.Nin, Nout: c.Nout, MaxCuts: c.MaxCuts,
 		Window: c.Window, Parallel: c.Parallel,
 		Workers: c.Workers, WarmStart: c.WarmStart,
-		Dedup: c.Dedup, ISEGen: c.ISEGen, StallWindow: c.StallWindow}
+		Dedup: c.Dedup, StallWindow: c.StallWindow}
 }
 
 // SearchStatus classifies how an identification search ended: Exhaustive
@@ -361,7 +353,9 @@ func (p *Program) IdentifyOptimalCtx(ctx context.Context, c Constraints, ninstr 
 
 // Apply patches the selection into the program as custom instructions
 // backed by AFU definitions. It returns how many instructions were
-// materialized (cuts that cannot be scheduled atomically are skipped).
+// materialized, which can be fewer than the selection holds: a cut that
+// cannot be scheduled atomically, because the patcher honours register
+// anti-dependences that the search does not model, is skipped.
 func (p *Program) Apply(sel Selection) (int, error) {
 	afus, _, err := core.ApplySelection(p.mod, sel.inner.Instructions, nil)
 	if err != nil {
