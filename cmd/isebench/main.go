@@ -21,9 +21,6 @@
 //	                          # constraint-kernel microbenchmarks, written
 //	                          # as machine-readable JSON for run-to-run
 //	                          # comparison
-//	isebench -fig parbench -parjson BENCH_PR3.json
-//	                          # serial vs work-stealing parallel B&B on the
-//	                          # largest benchmark block
 //	isebench -fig obsbench -obsjson BENCH_PR5.json
 //	                          # telemetry overhead: probe off (A/A) vs
 //	                          # metrics-only vs full flight-recorder tracing
@@ -67,7 +64,6 @@ type cliOpts struct {
 	targets   []string
 	sweepMode string
 	benchJSON string
-	parJSON   string
 	obsJSON   string
 	dedupJSON string
 	dseJSON   string
@@ -75,7 +71,7 @@ type cliOpts struct {
 
 func main() {
 	var o cliOpts
-	fig := flag.String("fig", "all", "which figure to regenerate: 3, 5, 7, 8, 11, runtime, area, tradeoff, vliw, ifconv, ablation, bench, parbench, obsbench, dedupbench, dse, all")
+	fig := flag.String("fig", "all", "which figure to regenerate: 3, 5, 7, 8, 11, runtime, area, tradeoff, vliw, ifconv, ablation, bench, obsbench, dedupbench, dse, all")
 	flag.Int64Var(&o.budget, "budget", experiments.DefaultBudget, "cut budget per identification call")
 	flag.BoolVar(&o.measure, "measure", false, "Fig. 11: additionally patch and measure on the cycle simulator")
 	flag.BoolVar(&o.optimal, "optimal", false, "Fig. 11: include the Optimal selection (slow on large blocks)")
@@ -89,7 +85,6 @@ func main() {
 	targets := flag.String("targets", "paper", "comma-separated hardware-target profiles for the DSE sweep (among "+strings.Join(latency.TargetNames(), ",")+")")
 	flag.StringVar(&o.sweepMode, "sweepmode", "warm", "DSE sweep mode: warm (shared seeds/dedup, parallel) or cold (dedicated serial reference)")
 	flag.StringVar(&o.benchJSON, "benchjson", "", "with -fig bench (or all): write the constraint-kernel benchmark report to this file as JSON (e.g. BENCH_PR2.json)")
-	flag.StringVar(&o.parJSON, "parjson", "", "with -fig parbench (or all): write the parallel B&B benchmark report to this file as JSON (e.g. BENCH_PR3.json)")
 	flag.StringVar(&o.obsJSON, "obsjson", "", "with -fig obsbench (or all): write the telemetry overhead benchmark report to this file as JSON (e.g. BENCH_PR5.json)")
 	flag.StringVar(&o.dedupJSON, "dedupjson", "", "with -fig dedupbench (or all): write the cross-block dedup benchmark report to this file as JSON (e.g. BENCH_PR7.json)")
 	flag.StringVar(&o.dseJSON, "dsejson", "", "with -fig dse (or all): write the deterministic sweep/Pareto report to this file as JSON")
@@ -132,20 +127,6 @@ func run(want func(string) bool, o cliOpts) error {
 				return err
 			}
 			fmt.Printf("wrote %s\n", o.benchJSON)
-		}
-	}
-
-	if want("parbench") || o.parJSON != "" {
-		rep, err := experiments.ParBench()
-		if err != nil {
-			return err
-		}
-		section(experiments.ParBenchTable(rep))
-		if o.parJSON != "" {
-			if err := rep.WriteJSON(o.parJSON); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", o.parJSON)
 		}
 	}
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"math/bits"
 
 	"isex/internal/dfg"
 	"isex/internal/latency"
@@ -86,31 +87,42 @@ type multiSearcher struct {
 	order []int
 	freq  int64
 	m     int
+	// words is the length of a per-node cut mask: bit k of word k/64
+	// stands for cut k (bit 0 is unused), so a mask holds any m.
+	words int
 
 	assign []int // node id -> cut number 1..m, or 0
-	// Per-cut state, indexed [cut][nodeID] or [cut].
-	reach  [][]bool
-	refCnt [][]int
-	lenTo  [][]float64
-	inputs []int
-	out    []int
-	sw     []int64
-	crit   []float64
-	cyc    []int // latency.CyclesOf(crit[k]), kept in step with crit
-	sizes  []int // members per cut
+	// Per-node cut masks, words per node. reach has bit k set when the
+	// decided node reaches cut k. Each decision overwrites the node's
+	// mask, and an undo leaves it stale: it is read only through the
+	// node's producers, which sit at later ranks and so are decided after
+	// it on every path. Nodes outside the order keep a zero mask.
+	// cons has bit k set when a member of cut k consumes the node.
+	reach []uint64
+	cons  []uint64
+	// refCnt[k*len(g.Nodes)+p] counts the members of cut k consuming p
+	// (data edges); a non-member with a nonzero count is an input of k.
+	refCnt []int
+	// lenTo is the longest data path from a member through its cut (a
+	// node is in at most one cut).
+	lenTo []float64
+	cuts  []cutState // indexed by cut number; cuts[0] is unused
 
-	// reachUndo is the undo arena for the per-cut reach bits: row r
-	// (m+1 bools, see savedReach) holds the bits of the node decided at
-	// rank r, saved before that decision. One decision is live per rank,
-	// so visiting a node allocates nothing.
-	reachUndo []bool
+	// Running totals over the cuts, kept in step with cuts so that a visit
+	// never scans them: merit sums the non-empty cuts' merit, open counts
+	// the non-empty cuts (always cuts 1..open), and overIn and overPerm
+	// count the cuts with more than Nin inputs and permanent inputs.
+	merit    int64
+	open     int
+	overIn   int
+	overPerm int
 
 	// futSW[rank] is the total software latency of includable nodes at
 	// ranks ≥ rank. Each future node joins at most one cut and raises
 	// that cut's merit by at most sw(op)·freq (hardware cycles never
 	// shrink, and a cut opened later still pays ≥ 1 cycle), so
-	// totalMerit() + futSW[rank]·freq is an admissible bound for
-	// PruneMerit on the (M+1)-ary tree too.
+	// merit + futSW[rank]·freq is an admissible bound for PruneMerit on
+	// the (M+1)-ary tree too.
 	futSW []int64
 
 	// bestFound/bestMerit form the recording threshold; bestCuts is nil
@@ -140,17 +152,36 @@ type multiSearcher struct {
 
 	// Donation bookkeeping (engine runs only; see searcher for the
 	// scheme). path[r] is the cut label of the live frame at rank r, 0
-	// while in its 0-branch; the multi tree has no PruneInputs guard on
-	// the 0-branch, so no zeroOK is needed.
+	// while in its 0-branch, and zeroOK[r] whether that frame's 0-branch
+	// passes the PruneInputs guard.
 	base    int
 	curRank int
 	path    []uint8
+	zeroOK  []bool
 	donated []bool
 
 	replayUndo []multiReplayStep
 }
 
+// cutState is the incremental state of one cut.
+type cutState struct {
+	size   int // members
+	inputs int // IN(S)
+	// permIn counts the inputs that can never be absorbed on this path:
+	// live-ins, and producers decided outside the cut (excluded or put in
+	// another cut). Cuts only grow along a path, so inputs ≥ permIn in
+	// every descendant. Only the PruneInputs guard reads it, so without
+	// PruneInputs the producers go uncounted (see bumpPermIn).
+	permIn int
+	out    int // OUT(S)
+	sw     int64
+	crit   float64
+	cyc    int // latency.CyclesOf(crit), kept in step with crit
+}
+
 func newMultiSearcher(g *dfg.Graph, m int, cfg Config) *multiSearcher {
+	nodes := len(g.Nodes)
+	words := m/64 + 1
 	s := &multiSearcher{
 		g:           g,
 		cfg:         cfg,
@@ -158,14 +189,13 @@ func newMultiSearcher(g *dfg.Graph, m int, cfg Config) *multiSearcher {
 		order:       g.OpOrder,
 		freq:        weight(g.Block.Freq),
 		m:           m,
-		assign:      make([]int, len(g.Nodes)),
-		inputs:      make([]int, m+1),
-		out:         make([]int, m+1),
-		sw:          make([]int64, m+1),
-		crit:        make([]float64, m+1),
-		cyc:         make([]int, m+1),
-		sizes:       make([]int, m+1),
-		reachUndo:   make([]bool, (len(g.OpOrder)+1)*(m+1)),
+		words:       words,
+		assign:      make([]int, nodes),
+		reach:       make([]uint64, nodes*words),
+		cons:        make([]uint64, nodes*words),
+		refCnt:      make([]int, (m+1)*nodes),
+		lenTo:       make([]float64, nodes),
+		cuts:        make([]cutState, m+1),
 		sharedCache: math.MinInt64,
 	}
 	s.futSW = make([]int64, len(s.order)+1)
@@ -175,14 +205,6 @@ func newMultiSearcher(g *dfg.Graph, m int, cfg Config) *multiSearcher {
 		if !n.Forbidden {
 			s.futSW[r] += int64(s.model.SW(n.Op))
 		}
-	}
-	s.reach = make([][]bool, m+1)
-	s.refCnt = make([][]int, m+1)
-	s.lenTo = make([][]float64, m+1)
-	for k := 1; k <= m; k++ {
-		s.reach[k] = make([]bool, len(g.Nodes))
-		s.refCnt[k] = make([]int, len(g.Nodes))
-		s.lenTo[k] = make([]float64, len(g.Nodes))
 	}
 	return s
 }
@@ -249,35 +271,6 @@ func (s *multiSearcher) poll() {
 	s.flushObs()
 }
 
-// totalMerit sums the merit of all non-empty cuts in the current state.
-func (s *multiSearcher) totalMerit() int64 {
-	var total int64
-	for k := 1; k <= s.m; k++ {
-		if s.sizes[k] == 0 {
-			continue
-		}
-		hw := s.cyc[k]
-		if hw < 1 {
-			hw = 1
-		}
-		total += (s.sw[k] - int64(hw)) * s.freq
-	}
-	return total
-}
-
-// maxOpenCut returns the highest cut label the symmetry-breaking rule
-// admits at this point: cut k may be opened only if cut k−1 is in use.
-func (s *multiSearcher) maxOpenCut() int {
-	maxK := 0
-	for k := 1; k <= s.m; k++ {
-		maxK = k
-		if s.sizes[k] == 0 {
-			break
-		}
-	}
-	return maxK
-}
-
 func (s *multiSearcher) visit(rank int) {
 	if s.stop != Exhaustive || rank == len(s.order) {
 		return
@@ -291,7 +284,7 @@ func (s *multiSearcher) visit(rank int) {
 		}
 	}
 	if s.cfg.PruneMerit {
-		ub := s.totalMerit() + s.futSW[rank]*s.freq
+		ub := s.merit + s.futSW[rank]*s.freq
 		if (s.bestFound && ub <= s.bestMerit) || ub < s.sharedCache {
 			if s.obs != nil {
 				s.boundCuts++
@@ -302,9 +295,18 @@ func (s *multiSearcher) visit(rank int) {
 	}
 	id := s.order[rank]
 	node := &s.g.Nodes[id]
+	zeroOK := s.excludeOK(id)
+	if s.eng != nil {
+		// tryDonate reads it from inner frames. It is evaluated on the
+		// frame-entry state, which is exactly the state the serial
+		// 0-branch starts from (every k-subtree is undone by then) and
+		// the state a donated 0-branch rebuilds by replaying its path.
+		s.zeroOK[rank] = zeroOK
+	}
 
 	if !node.Forbidden {
-		maxK := s.maxOpenCut()
+		// Cut labels are symmetric: cut k opens only after cut k−1.
+		maxK := min(s.open+1, s.m)
 		for k := 1; k <= maxK; k++ {
 			if s.stop != Exhaustive {
 				return
@@ -319,7 +321,7 @@ func (s *multiSearcher) visit(rank int) {
 		}
 	}
 
-	// 0-branch: update reach for every cut.
+	// 0-branch: leave the node out of every cut.
 	if s.eng != nil {
 		if s.donated[rank] {
 			// Handed to another worker by tryDonate while one of this
@@ -329,180 +331,277 @@ func (s *multiSearcher) visit(rank int) {
 		}
 		s.path[rank] = 0
 	}
-	s.applyExcludeReach(rank, id)
-	s.visit(rank + 1)
-	s.undoExcludeReach(rank, id)
-}
-
-// savedReach returns rank's row of the reach undo arena.
-func (s *multiSearcher) savedReach(rank int) []bool {
-	w := s.m + 1
-	return s.reachUndo[rank*w : (rank+1)*w]
-}
-
-// applyExcludeReach decides node id (at rank) out of every cut,
-// propagating reach; the previous bits go to rank's arena row.
-func (s *multiSearcher) applyExcludeReach(rank, id int) {
-	saved := s.savedReach(rank)
-	for k := 1; k <= s.m; k++ {
-		saved[k] = s.reach[k][id]
-		s.reach[k][id] = s.reachVia(k, id)
+	if zeroOK {
+		s.applyExclude(id)
+		s.visit(rank + 1)
+		s.undoExclude(id)
 	}
 }
 
-func (s *multiSearcher) undoExcludeReach(rank, id int) {
-	saved := s.savedReach(rank)
-	for k := 1; k <= s.m; k++ {
-		s.reach[k][id] = saved[k]
-	}
+// inputsOK is the PruneInputs guard: a subtree is searched only while no
+// cut has more than Nin permanent inputs. It is sound as in §6.1: cuts
+// only grow along a path and inputs ≥ permIn, so maybeRecord could
+// never record below a failing node.
+func (s *multiSearcher) inputsOK() bool {
+	return !s.cfg.PruneInputs || s.overPerm == 0
 }
 
-// reachVia reports whether any successor of id can reach cut k.
-func (s *multiSearcher) reachVia(k, id int) bool {
-	for _, sc := range s.g.Nodes[id].Succs {
-		if s.reach[k][sc] {
-			return true
+// excludeOK is inputsOK for id's 0-branch, evaluated before the branch
+// is taken: excluded, id becomes a permanent input of every cut that
+// consumes it.
+func (s *multiSearcher) excludeOK(id int) bool {
+	if !s.cfg.PruneInputs {
+		return true
+	}
+	if s.overPerm > 0 {
+		return false
+	}
+	w := s.words
+	for i, word := range s.cons[id*w : id*w+w] {
+		for ; word != 0; word &= word - 1 {
+			if s.cuts[i<<6|bits.TrailingZeros64(word)].permIn >= s.cfg.Nin {
+				return false
+			}
 		}
 	}
-	for _, sc := range s.g.Nodes[id].OrderSuccs {
-		if s.reach[k][sc] {
-			return true
+	return true
+}
+
+// cutMerit is a non-empty cut's merit; the instruction always costs at
+// least one cycle.
+func (s *multiSearcher) cutMerit(c *cutState) int64 {
+	hw := c.cyc
+	if hw < 1 {
+		hw = 1
+	}
+	return (c.sw - int64(hw)) * s.freq
+}
+
+// setReach sets the decided node id's reach mask: the union of its data
+// and order successors' masks, plus cut k when id joins cut k (k > 0).
+func (s *multiSearcher) setReach(id int, node *dfg.Node, k int) {
+	w := s.words
+	for i := 0; i < w; i++ {
+		var r uint64
+		if k > 0 && k>>6 == i {
+			r = 1 << (k & 63)
+		}
+		for _, sc := range node.Succs {
+			r |= s.reach[sc*w+i]
+		}
+		for _, sc := range node.OrderSuccs {
+			r |= s.reach[sc*w+i]
+		}
+		s.reach[id*w+i] = r
+	}
+}
+
+// reaches reports whether the decided node id reaches cut k.
+func (s *multiSearcher) reaches(id, k int) bool {
+	return s.reach[id*s.words+k>>6]&(1<<(k&63)) != 0
+}
+
+// bumpPermIn adds d (±1) to the permanent inputs of every cut that
+// consumes id except cut skip, keeping overPerm in step. With
+// PruneInputs it runs at every decision and its undo, so it is kept
+// within the inlining budget; without it nothing reads permIn, and the
+// callers skip it.
+func (s *multiSearcher) bumpPermIn(id, skip, d int) {
+	w := s.words
+	for i, word := range s.cons[id*w : id*w+w] {
+		if i == skip>>6 {
+			word &^= 1 << (skip & 63)
+		}
+		for ; word != 0; word &= word - 1 {
+			c := &s.cuts[i<<6|bits.TrailingZeros64(word)]
+			if c.permIn+min(d, 0) == s.cfg.Nin {
+				s.overPerm += d // crossing Nin, up or down
+			}
+			c.permIn += d
 		}
 	}
-	return false
+}
+
+// applyExclude decides node id out of every cut: reach propagates from
+// its successors, and every cut consuming id gains a permanent input.
+func (s *multiSearcher) applyExclude(id int) {
+	s.setReach(id, &s.g.Nodes[id], 0)
+	if s.cfg.PruneInputs {
+		s.bumpPermIn(id, 0, 1)
+	}
+}
+
+func (s *multiSearcher) undoExclude(id int) {
+	if s.cfg.PruneInputs {
+		s.bumpPermIn(id, 0, -1)
+	}
 }
 
 // convexOKFor reports whether assigning node to cut k keeps k convex.
 func (s *multiSearcher) convexOKFor(node *dfg.Node, k int) bool {
 	for _, sc := range node.Succs {
-		if s.g.Nodes[sc].Kind == dfg.KindOp && s.assign[sc] != k && s.reach[k][sc] {
+		if s.g.Nodes[sc].Kind == dfg.KindOp && s.assign[sc] != k && s.reaches(sc, k) {
 			return false
 		}
 	}
 	for _, sc := range node.OrderSuccs {
-		if s.assign[sc] != k && s.reach[k][sc] {
+		if s.assign[sc] != k && s.reaches(sc, k) {
 			return false
 		}
 	}
 	return true
 }
 
-// assignUndo captures what applyAssign changed beyond the per-node
-// arrays and the rank's reach undo row, so undoAssign can restore the
-// state exactly.
-type assignUndo struct {
-	isOut    bool
-	absorbed bool
-	prevCrit float64
-	prevCyc  int
+// tally adds cut c's share of the running totals (d = 1) or takes it
+// out (d = −1); a decision takes the share out, changes the cut, and
+// adds it back.
+func (s *multiSearcher) tally(c *cutState, d int) {
+	if c.size == 0 {
+		return
+	}
+	s.merit += int64(d) * s.cutMerit(c)
+	if c.inputs > s.cfg.Nin {
+		s.overIn += d
+	}
+	if c.permIn > s.cfg.Nin {
+		s.overPerm += d
+	}
 }
 
-// applyAssign puts node id (at rank) into cut k, updating the
-// incremental per-cut IN/OUT, software-latency and critical-path state.
-func (s *multiSearcher) applyAssign(rank, id int, node *dfg.Node, k int) assignUndo {
-	var u assignUndo
-	saved := s.savedReach(rank)
-	s.assign[id] = k
-	s.sizes[k]++
-	for j := 1; j <= s.m; j++ {
-		saved[j] = s.reach[j][id]
-		if j == k {
-			s.reach[j][id] = true
-		} else {
-			s.reach[j][id] = s.reachVia(j, id)
-		}
+// assignUndo captures what applyAssign changed beyond the per-node
+// arrays, so undoAssign can restore the state exactly.
+type assignUndo struct {
+	isOut     bool
+	absorbed  bool
+	newPermIn int
+	prevCrit  float64
+	prevCyc   int
+}
+
+// applyAssign puts node id into cut k, updating the incremental per-cut
+// IN/OUT, permanent-input, software-latency and critical-path state and
+// the running totals.
+func (s *multiSearcher) applyAssign(id int, node *dfg.Node, k int) assignUndo {
+	c := &s.cuts[k]
+	u := assignUndo{prevCrit: c.crit, prevCyc: c.cyc}
+	s.tally(c, -1)
+	if c.size == 0 {
+		s.open++
 	}
+	s.assign[id] = k
+	c.size++
+	s.setReach(id, node, k)
+	best := 0.0 // longest path through the cut below id
 	for _, sc := range node.Succs {
-		if s.g.Nodes[sc].Kind != dfg.KindOp || s.assign[sc] != k {
+		if s.g.Nodes[sc].Kind == dfg.KindOp && s.assign[sc] == k {
+			if s.lenTo[sc] > best {
+				best = s.lenTo[sc]
+			}
+		} else {
 			u.isOut = true
-			break
 		}
 	}
 	if u.isOut {
-		s.out[k]++
+		c.out++
 	}
-	u.absorbed = s.refCnt[k][id] > 0
+	kw, kb := k>>6, uint64(1)<<(k&63)
+	u.absorbed = s.cons[id*s.words+kw]&kb != 0
 	if u.absorbed {
-		s.inputs[k]--
+		c.inputs--
 	}
+	if s.cfg.PruneInputs {
+		s.bumpPermIn(id, k, 1) // id is now decided outside the other cuts
+	}
+	refCnt := s.refCnt[k*len(s.g.Nodes):]
 	for _, p := range node.Preds {
-		s.refCnt[k][p]++
-		if s.refCnt[k][p] == 1 && s.assign[p] != k {
-			s.inputs[k]++
+		refCnt[p]++
+		if refCnt[p] == 1 {
+			s.cons[p*s.words+kw] |= kb
+			if s.assign[p] != k {
+				c.inputs++
+				if s.g.Nodes[p].Kind == dfg.KindIn {
+					u.newPermIn++ // live-ins can never join the cut
+				}
+			}
 		}
 	}
-	s.sw[k] += int64(s.model.SW(node.Op))
-	best := 0.0
-	for _, sc := range node.Succs {
-		if s.g.Nodes[sc].Kind == dfg.KindOp && s.assign[sc] == k && s.lenTo[k][sc] > best {
-			best = s.lenTo[k][sc]
-		}
+	c.permIn += u.newPermIn
+	c.sw += int64(s.model.SW(node.Op))
+	s.lenTo[id] = best + s.model.HW(node.Op)
+	if s.lenTo[id] > c.crit {
+		c.crit = s.lenTo[id]
+		c.cyc = latency.CyclesOf(c.crit)
 	}
-	s.lenTo[k][id] = best + s.model.HW(node.Op)
-	u.prevCrit, u.prevCyc = s.crit[k], s.cyc[k]
-	if s.lenTo[k][id] > s.crit[k] {
-		s.crit[k] = s.lenTo[k][id]
-		s.cyc[k] = latency.CyclesOf(s.crit[k])
-	}
+	s.tally(c, 1)
 	return u
 }
 
-func (s *multiSearcher) undoAssign(rank, id int, node *dfg.Node, k int, u assignUndo) {
-	s.crit[k], s.cyc[k] = u.prevCrit, u.prevCyc
-	s.lenTo[k][id] = 0
-	s.sw[k] -= int64(s.model.SW(node.Op))
+func (s *multiSearcher) undoAssign(id int, node *dfg.Node, k int, u assignUndo) {
+	c := &s.cuts[k]
+	s.tally(c, -1)
+	c.crit, c.cyc = u.prevCrit, u.prevCyc
+	s.lenTo[id] = 0
+	c.sw -= int64(s.model.SW(node.Op))
+	c.permIn -= u.newPermIn
+	kw, kb := k>>6, uint64(1)<<(k&63)
+	refCnt := s.refCnt[k*len(s.g.Nodes):]
 	for _, p := range node.Preds {
-		if s.refCnt[k][p] == 1 && s.assign[p] != k {
-			s.inputs[k]--
+		if refCnt[p] == 1 {
+			s.cons[p*s.words+kw] &^= kb
+			if s.assign[p] != k {
+				c.inputs--
+			}
 		}
-		s.refCnt[k][p]--
+		refCnt[p]--
+	}
+	if s.cfg.PruneInputs {
+		s.bumpPermIn(id, k, -1)
 	}
 	if u.absorbed {
-		s.inputs[k]++
+		c.inputs++
 	}
 	if u.isOut {
-		s.out[k]--
+		c.out--
 	}
-	saved := s.savedReach(rank)
-	for j := 1; j <= s.m; j++ {
-		s.reach[j][id] = saved[j]
+	c.size--
+	if c.size == 0 {
+		s.open--
 	}
-	s.sizes[k]--
 	s.assign[id] = 0
+	s.tally(c, 1)
 }
 
 func (s *multiSearcher) tryInclude(rank, id, k int) {
 	node := &s.g.Nodes[id]
 	convOK := s.convexOKFor(node, k)
-	u := s.applyAssign(rank, id, node, k)
-	if convOK && s.out[k] <= s.cfg.Nout {
+	u := s.applyAssign(id, node, k)
+	if convOK && s.cuts[k].out <= s.cfg.Nout {
 		s.stats.Passed++
 		s.maybeRecord()
-		if s.eng != nil {
-			s.path[rank] = uint8(k)
+		if s.inputsOK() {
+			if s.eng != nil {
+				s.path[rank] = uint8(k)
+			}
+			s.visit(rank + 1)
 		}
-		s.visit(rank + 1)
 	} else {
 		s.stats.Pruned++
 		if s.obs != nil {
 			s.obs.Pruned(rank)
 		}
 	}
-	s.undoAssign(rank, id, node, k, u)
+	s.undoAssign(id, node, k, u)
 }
 
 // maybeRecord evaluates the current assignment as a candidate solution.
 // The strict comparison keeps the first assignment (in search order) of
 // each total-merit level, which makes the parallel merge reproducible.
 func (s *multiSearcher) maybeRecord() {
-	// Every non-empty cut must satisfy the input constraint; empty cuts
-	// contribute nothing.
-	for k := 1; k <= s.m; k++ {
-		if s.sizes[k] > 0 && s.inputs[k] > s.cfg.Nin {
-			return
-		}
+	// Every non-empty cut must satisfy the input constraint.
+	if s.overIn > 0 {
+		return
 	}
-	total := s.totalMerit()
+	total := s.merit
 	if total <= 0 || (s.bestFound && total <= s.bestMerit) {
 		return
 	}
@@ -535,7 +634,7 @@ func (s *multiSearcher) interCutCycle() bool {
 	// reaches[k][j]: some member of cut k reaches some member of cut j.
 	reaches := make([][]bool, s.m+1)
 	for k := 1; k <= s.m; k++ {
-		if s.sizes[k] == 0 {
+		if s.cuts[k].size == 0 {
 			continue
 		}
 		seen := make([]bool, len(s.g.Nodes))
@@ -579,8 +678,7 @@ func (s *multiSearcher) interCutCycle() bool {
 	return false
 }
 
-// multiReplayStep records one prefix decision for exact unwinding; its
-// saved reach bits are in the arena row of its rank.
+// multiReplayStep records one prefix decision for exact unwinding.
 type multiReplayStep struct {
 	id int
 	k  int // 0 = exclude
@@ -598,23 +696,22 @@ func (s *multiSearcher) replay(prefix []uint8) {
 		}
 		step := multiReplayStep{id: id, k: int(d)}
 		if step.k > 0 {
-			step.u = s.applyAssign(r, id, &s.g.Nodes[id], step.k)
+			step.u = s.applyAssign(id, &s.g.Nodes[id], step.k)
 		} else {
-			s.applyExcludeReach(r, id)
+			s.applyExclude(id)
 		}
 		s.replayUndo = append(s.replayUndo, step)
 	}
 }
 
-// unreplay unwinds a replay, restoring the clean state. A replay starts
-// at rank 0, so step i was decided at rank i.
+// unreplay unwinds a replay, restoring the clean state.
 func (s *multiSearcher) unreplay() {
 	for i := len(s.replayUndo) - 1; i >= 0; i-- {
 		st := s.replayUndo[i]
 		if st.k > 0 {
-			s.undoAssign(i, st.id, &s.g.Nodes[st.id], st.k, st.u)
+			s.undoAssign(st.id, &s.g.Nodes[st.id], st.k, st.u)
 		} else {
-			s.undoExcludeReach(i, st.id)
+			s.undoExclude(st.id)
 		}
 	}
 	s.replayUndo = s.replayUndo[:0]

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"isex/internal/dfg"
 	"isex/internal/ir"
 	"isex/internal/latency"
+	"isex/internal/workload"
 )
 
 // enumerateBestMulti is the brute-force reference for FindBestCuts: it
@@ -60,20 +62,23 @@ func enumerateBestMulti(g *dfg.Graph, m int, cfg Config) int64 {
 
 func TestMultiCutMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	prunings := []Config{{}, {PruneInputs: true}, {PruneInputs: true, PruneMerit: true}}
 	for trial := 0; trial < 12; trial++ {
 		g := randomGraph(t, rng, 4+rng.Intn(5))
 		for _, m := range []int{1, 2, 3} {
 			for _, c := range []struct{ nin, nout int }{{2, 1}, {4, 2}} {
-				cfg := Config{Nin: c.nin, Nout: c.nout}
-				got := FindBestCuts(g, m, cfg)
-				want := enumerateBestMulti(g, m, cfg)
-				var gotMerit int64
-				if got.Found {
-					gotMerit = got.TotalMerit
-				}
-				if gotMerit != want {
-					t.Fatalf("trial %d m=%d (%d,%d): merit %d, brute force %d (cuts %v)",
-						trial, m, c.nin, c.nout, gotMerit, want, got.Cuts)
+				for _, cfg := range prunings {
+					cfg.Nin, cfg.Nout = c.nin, c.nout
+					got := FindBestCuts(g, m, cfg)
+					want := enumerateBestMulti(g, m, cfg)
+					var gotMerit int64
+					if got.Found {
+						gotMerit = got.TotalMerit
+					}
+					if gotMerit != want {
+						t.Fatalf("trial %d m=%d (%d,%d) PruneInputs=%v PruneMerit=%v: merit %d, brute force %d (cuts %v)",
+							trial, m, c.nin, c.nout, cfg.PruneInputs, cfg.PruneMerit, gotMerit, want, got.Cuts)
+					}
 				}
 			}
 		}
@@ -98,29 +103,107 @@ func TestMultiCutM1EqualsSingle(t *testing.T) {
 			t.Fatalf("trial %d: single %d, multi(1) %d", trial, sm, mm)
 		}
 	}
+
+	// The kernels' blocks, pruned and budgeted as the selection drivers
+	// run them: M = 1 must return what §6.1 returns and consider no more
+	// cuts (its merit bound charges an opened cut at least one cycle, so
+	// it is never looser than §6.1's).
+	if testing.Short() {
+		t.Skip("exact searches on the kernels' blocks")
+	}
+	graphs, err := workload.RealBlockGraphs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases int
+	var singleCuts, multiCuts int64
+	for _, bi := range graphs {
+		g := bi.Graph
+		if g.NumOps() < 8 {
+			continue
+		}
+		for _, p := range []struct{ nin, nout int }{{2, 1}, {4, 2}, {4, 3}} {
+			cfg := Config{Nin: p.nin, Nout: p.nout, PruneInputs: true, PruneMerit: true, MaxCuts: 2_000_000}
+			name := fmt.Sprintf("%s/%s/%s %d/%d", bi.Kernel, bi.Fn, bi.Block, p.nin, p.nout)
+			single := FindBestCut(g, cfg)
+			multi := FindBestCuts(g, 1, cfg)
+			cases++
+			singleCuts += single.Stats.CutsConsidered
+			multiCuts += multi.Stats.CutsConsidered
+			if multi.Status != single.Status {
+				t.Errorf("%s: status %v, §6.1 %v (cuts %d, §6.1 %d)", name, multi.Status, single.Status,
+					multi.Stats.CutsConsidered, single.Stats.CutsConsidered)
+				continue
+			}
+			if multi.Stats.CutsConsidered > single.Stats.CutsConsidered {
+				t.Errorf("%s: %d cuts, §6.1 %d", name, multi.Stats.CutsConsidered, single.Stats.CutsConsidered)
+			}
+			if single.Status != Exhaustive {
+				continue
+			}
+			if multi.Found != single.Found || (single.Found &&
+				(multi.TotalMerit != single.Est.Merit || !multi.Cuts[0].Equal(single.Cut))) {
+				t.Errorf("%s: %v/%d %v, §6.1 %v/%d %v", name, multi.Found, multi.TotalMerit, multi.Cuts,
+					single.Found, single.Est.Merit, single.Cut)
+			}
+		}
+	}
+	t.Logf("%d cases: %d cuts at M = 1, %d in §6.1", cases, multiCuts, singleCuts)
 }
 
 func TestMultiCutDisjointAndLegal(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 12; trial++ {
-		g := randomGraph(t, rng, 9)
-		res := FindBestCuts(g, 3, Config{Nin: 3, Nout: 1})
-		if !res.Found {
-			continue
-		}
+	checkCuts := func(name string, g *dfg.Graph, res MultiResult, cfg Config) {
+		t.Helper()
 		seen := map[int]bool{}
 		for _, c := range res.Cuts {
-			if !g.Legal(c, 3, 1) {
-				t.Fatalf("trial %d: illegal cut %v", trial, c)
+			if !g.Legal(c, cfg.Nin, cfg.Nout) {
+				t.Fatalf("%s: illegal cut %v", name, c)
 			}
 			for _, id := range c {
 				if seen[id] {
-					t.Fatalf("trial %d: node %d in two cuts", trial, id)
+					t.Fatalf("%s: node %d in two cuts", name, id)
 				}
 				seen[id] = true
 			}
 		}
 	}
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 12; trial++ {
+		g := randomGraph(t, rng, 9)
+		cfg := Config{Nin: 3, Nout: 1}
+		res := FindBestCuts(g, 3, cfg)
+		if res.Found {
+			checkCuts(fmt.Sprintf("trial %d", trial), g, res, cfg)
+		}
+	}
+
+	// 70 independent multiplies, each with two live-ins of its own and
+	// one live-out: at 2/1 no two fit in one cut, so the first DFS path
+	// opens one cut per node and uses cut labels past 63, which live in
+	// the second word of the per-node cut masks.
+	const ops = 70
+	b := ir.NewBuilder("wide", 2*ops)
+	p := b.Fn.Params
+	prods := make([]ir.Reg, ops)
+	for i := range prods {
+		prods[i] = b.Op(ir.OpMul, p[2*i], p[2*i+1])
+	}
+	nxt := b.NewBlock("next")
+	b.Jump(nxt)
+	b.SetBlock(nxt)
+	acc := prods[0]
+	for _, v := range prods[1:] {
+		acc = b.Op(ir.OpAdd, acc, v)
+	}
+	b.Ret(acc)
+	f := b.Finish()
+	g := mustBuildGraph(t, f, f.Entry(), ir.Liveness(f))
+	cfg := Config{Nin: 2, Nout: 1, PruneInputs: true, MaxCuts: 20_000}
+	res := FindBestCuts(g, ops, cfg)
+	if len(res.Cuts) != ops {
+		t.Fatalf("M=%d: %d cuts (status %v), want one per multiply", ops, len(res.Cuts), res.Status)
+	}
+	checkCuts(fmt.Sprintf("M=%d", ops), g, res, cfg)
 }
 
 // TestMultiCutFindsDisconnectedPair: two independent chains, Nout=1 each;

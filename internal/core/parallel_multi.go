@@ -76,6 +76,7 @@ func (e *bbEngine) attachMulti(s *multiSearcher, wid int) {
 	}
 	e.wobs[wid] = s.obs
 	s.path = make([]uint8, len(s.order))
+	s.zeroOK = make([]bool, len(s.order))
 	s.donated = make([]bool, len(s.order))
 }
 
@@ -181,13 +182,12 @@ func (e *bbEngine) runOneMulti(s *multiSearcher, sub bbSub, expand bool, out *bb
 
 // expandMulti mirrors exactly one multi visit level at the subproblem's
 // rank: the (M+1)-ary branching with symmetry breaking, same counters,
-// same candidate recording. The 0-child needs no feasibility guard (the
-// serial 0-branch recurses unconditionally), so its reach update is left
-// to the child's own replay.
+// same feasibility guards, same candidate recording. The 0-child's reach
+// update is left to the child's own replay.
 func (e *bbEngine) expandMulti(s *multiSearcher, sub bbSub, out *bbBest) []bbSub {
 	d := len(sub.prefix)
 	if s.cfg.PruneMerit {
-		ub := s.totalMerit() + s.futSW[d]*s.freq
+		ub := s.merit + s.futSW[d]*s.freq
 		if (s.bestFound && ub <= s.bestMerit) || ub < s.sharedCache {
 			if s.obs != nil {
 				s.boundCuts++
@@ -200,12 +200,12 @@ func (e *bbEngine) expandMulti(s *multiSearcher, sub bbSub, out *bbBest) []bbSub
 	node := &s.g.Nodes[id]
 	var children []bbSub
 	if !node.Forbidden {
-		maxK := s.maxOpenCut()
+		maxK := min(s.open+1, s.m)
 		for k := 1; k <= maxK; k++ {
 			s.stats.CutsConsidered++
 			convOK := s.convexOKFor(node, k)
-			u := s.applyAssign(d, id, node, k)
-			if convOK && s.out[k] <= s.cfg.Nout {
+			u := s.applyAssign(id, node, k)
+			if convOK && s.cuts[k].out <= s.cfg.Nout {
 				s.stats.Passed++
 				key := childKey(sub.prefix, uint8(k))
 				m0, f0 := s.bestMerit, s.bestFound
@@ -213,27 +213,32 @@ func (e *bbEngine) expandMulti(s *multiSearcher, sub bbSub, out *bbBest) []bbSub
 				if s.bestCuts != nil && (!f0 || s.bestMerit > m0) {
 					out.better(bbBest{found: true, merit: s.bestMerit, cuts: s.bestCuts, key: key})
 				}
-				children = append(children, bbSub{prefix: key, seed: s.bestMerit, seeded: s.bestFound})
+				if s.inputsOK() {
+					children = append(children, bbSub{prefix: key, seed: s.bestMerit, seeded: s.bestFound})
+				}
 			} else {
 				s.stats.Pruned++
 				if s.obs != nil {
 					s.obs.Pruned(d)
 				}
 			}
-			s.undoAssign(d, id, node, k, u)
+			s.undoAssign(id, node, k, u)
 		}
 	}
-	children = append(children, bbSub{prefix: childKey(sub.prefix, 0), seed: s.bestMerit, seeded: s.bestFound})
+	if s.excludeOK(id) {
+		children = append(children, bbSub{prefix: childKey(sub.prefix, 0), seed: s.bestMerit, seeded: s.bestFound})
+	}
 	return children
 }
 
 // tryDonate is the multi-cut analog of searcher.tryDonate: donate the
-// 0-branch of the shallowest live frame currently inside a k-subtree.
-// Only the 0-branch is donated — the remaining k-siblings stay with the
-// owner — which is enough: the 0-subtree is the bulk of every frame.
+// 0-branch of the shallowest live frame currently inside a k-subtree,
+// provided the serial search would take that branch (zeroOK). Only the
+// 0-branch is donated — the remaining k-siblings stay with the owner —
+// which is enough: the 0-subtree is the bulk of every frame.
 func (s *multiSearcher) tryDonate() {
 	for r := s.base; r < s.curRank; r++ {
-		if s.path[r] != 0 && !s.donated[r] {
+		if s.path[r] != 0 && !s.donated[r] && s.zeroOK[r] {
 			pfx := make([]uint8, r+1)
 			copy(pfx, s.path[:r])
 			pfx[r] = 0

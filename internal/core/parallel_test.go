@@ -86,38 +86,60 @@ func TestParallelRepeatDeterministic(t *testing.T) {
 }
 
 // TestParallelMultiMatchesSerial is the determinism contract for the
-// (M+1)-ary multi-cut engine. The multi searcher has no merit pruning,
-// so Stats must always match the serial run exactly.
+// (M+1)-ary multi-cut engine. No variant sets PruneMerit, so the
+// executed subproblems partition the serial tree and Stats must match
+// the serial run exactly; with PruneInputs the engine must emit and
+// donate only the branches the serial search takes. At Nin = 1 the
+// guard already fires at the shallow ranks the engine expands.
+//
+// Under -short the pruned variants run at M = 2 only, since CI repeats
+// the -short pass under the race detector; at M = 3 they take about 30%
+// of the test's time. The full run keeps M = 3: its trial 2 (over 10M
+// cuts) is the one search long enough for a poll to donate a 0-branch
+// the guard rejects.
 func TestParallelMultiMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(403))
+	pruned := []int{2, 3}
+	if testing.Short() {
+		pruned = []int{2}
+	}
+	variants := []struct {
+		cfg Config
+		ms  []int
+	}{
+		{Config{Nin: 3, Nout: 2}, []int{2, 3}},
+		{Config{Nin: 3, Nout: 2, PruneInputs: true}, pruned},
+		{Config{Nin: 1, Nout: 1, PruneInputs: true}, pruned},
+	}
 	for trial := 0; trial < 8; trial++ {
 		g := randomGraph(t, rng, 10+rng.Intn(6))
-		for _, m := range []int{2, 3} {
-			base := Config{Nin: 3, Nout: 2}
-			serial := FindBestCuts(g, m, base)
-			for _, nw := range parallelWorkerCounts {
-				cfg := base
-				cfg.Workers = nw
-				par := FindBestCuts(g, m, cfg)
-				if par.Found != serial.Found || par.TotalMerit != serial.TotalMerit ||
-					par.Status != serial.Status {
-					t.Fatalf("trial %d m=%d workers %d: %v/%d/%v vs serial %v/%d/%v",
-						trial, m, nw, par.Found, par.TotalMerit, par.Status,
-						serial.Found, serial.TotalMerit, serial.Status)
-				}
-				if len(par.Cuts) != len(serial.Cuts) {
-					t.Fatalf("trial %d m=%d workers %d: %d cuts, serial %d",
-						trial, m, nw, len(par.Cuts), len(serial.Cuts))
-				}
-				for i := range par.Cuts {
-					if !par.Cuts[i].Equal(serial.Cuts[i]) {
-						t.Fatalf("trial %d m=%d workers %d: cut %d is %v, serial %v",
-							trial, m, nw, i, par.Cuts[i], serial.Cuts[i])
+		for vi, v := range variants {
+			for _, m := range v.ms {
+				serial := FindBestCuts(g, m, v.cfg)
+				for _, nw := range parallelWorkerCounts {
+					cfg := v.cfg
+					cfg.Workers = nw
+					par := FindBestCuts(g, m, cfg)
+					if par.Found != serial.Found || par.TotalMerit != serial.TotalMerit ||
+						par.Status != serial.Status {
+						t.Fatalf("trial %d m=%d variant %d workers %d: %v/%d/%v vs serial %v/%d/%v",
+							trial, m, vi, nw, par.Found, par.TotalMerit, par.Status,
+							serial.Found, serial.TotalMerit, serial.Status)
 					}
-				}
-				if par.Stats != serial.Stats {
-					t.Fatalf("trial %d m=%d workers %d: stats %+v, serial %+v",
-						trial, m, nw, par.Stats, serial.Stats)
+					if len(par.Cuts) != len(serial.Cuts) {
+						t.Fatalf("trial %d m=%d variant %d workers %d: %d cuts, serial %d",
+							trial, m, vi, nw, len(par.Cuts), len(serial.Cuts))
+					}
+					for i := range par.Cuts {
+						if !par.Cuts[i].Equal(serial.Cuts[i]) {
+							t.Fatalf("trial %d m=%d variant %d workers %d: cut %d is %v, serial %v",
+								trial, m, vi, nw, i, par.Cuts[i], serial.Cuts[i])
+						}
+					}
+					if par.Stats != serial.Stats {
+						t.Fatalf("trial %d m=%d variant %d workers %d: stats %+v, serial %+v",
+							trial, m, vi, nw, par.Stats, serial.Stats)
+					}
 				}
 			}
 		}
@@ -357,23 +379,61 @@ func TestWarmStartAdpcm(t *testing.T) {
 		100*float64(warm.Stats.CutsConsidered)/float64(cold.Stats.CutsConsidered))
 }
 
-// TestParallelAdpcmMatchesSerial runs the full engine on the real hot
-// block and checks bit-identical results against the serial search.
+// TestParallelAdpcmMatchesSerial runs the full engine on real hot blocks
+// and checks bit-identical results against a serial reference: on the
+// adpcm decoder's, the pruned serial search; on g721's (126 ops, the
+// largest block of the suite), the unpruned serial search, which the
+// pruned serial search must match as well. The §6.2 engine gets the
+// same check on g721's block at M = 2.
 func TestParallelAdpcmMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second exact search")
 	}
-	g := hotBlock(t, "adpcmdecode")
-	cfg := Config{Nin: 2, Nout: 1, PruneMerit: true}
-	serial := FindBestCut(g, cfg)
-	for _, nw := range []int{1, 4} {
-		pcfg := cfg
+	pruned := Config{Nin: 2, Nout: 1, PruneMerit: true, PruneInputs: true}
+	for _, tc := range []struct {
+		kernel  string
+		ref     Config // the serial reference
+		cfg     Config // checked against it
+		workers []int  // 0 is the serial search
+	}{
+		{"adpcmdecode", Config{Nin: 2, Nout: 1, PruneMerit: true}, Config{Nin: 2, Nout: 1, PruneMerit: true}, []int{1, 4}},
+		{"g721", Config{Nin: 2, Nout: 1}, pruned, []int{0, 1, 2, 4, 8}},
+	} {
+		g := hotBlock(t, tc.kernel)
+		ref := FindBestCut(g, tc.ref)
+		if ref.Status != Exhaustive {
+			t.Fatalf("%s: reference status %v", tc.kernel, ref.Status)
+		}
+		for _, nw := range tc.workers {
+			pcfg := tc.cfg
+			pcfg.Workers = nw
+			par := FindBestCut(g, pcfg)
+			if par.Status != Exhaustive || par.Found != ref.Found ||
+				par.Est.Merit != ref.Est.Merit || !par.Cut.Equal(ref.Cut) {
+				t.Fatalf("%s workers %d: %v/%d/%v diverges from the reference %v/%d",
+					tc.kernel, nw, par.Cut, par.Est.Merit, par.Status, ref.Cut, ref.Est.Merit)
+			}
+		}
+	}
+
+	g := hotBlock(t, "g721")
+	serial := FindBestCuts(g, 2, pruned)
+	if serial.Status != Exhaustive {
+		t.Fatalf("g721 M=2: serial status %v", serial.Status)
+	}
+	for _, nw := range []int{2, 4} {
+		pcfg := pruned
 		pcfg.Workers = nw
-		par := FindBestCut(g, pcfg)
-		if par.Status != Exhaustive || par.Found != serial.Found ||
-			par.Est.Merit != serial.Est.Merit || !par.Cut.Equal(serial.Cut) {
-			t.Fatalf("workers %d: %v/%d/%v diverges from serial %v/%d",
-				nw, par.Cut, par.Est.Merit, par.Status, serial.Cut, serial.Est.Merit)
+		par := FindBestCuts(g, 2, pcfg)
+		if par.Status != Exhaustive || par.Found != serial.Found || par.TotalMerit != serial.TotalMerit ||
+			len(par.Cuts) != len(serial.Cuts) {
+			t.Fatalf("g721 M=2 workers %d: %v/%d/%v diverges from serial %v/%d",
+				nw, par.Cuts, par.TotalMerit, par.Status, serial.Cuts, serial.TotalMerit)
+		}
+		for i := range par.Cuts {
+			if !par.Cuts[i].Equal(serial.Cuts[i]) {
+				t.Fatalf("g721 M=2 workers %d: cut %d is %v, serial %v", nw, i, par.Cuts[i], serial.Cuts[i])
+			}
 		}
 	}
 }

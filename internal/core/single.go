@@ -25,7 +25,10 @@ type Config struct {
 	// more than Nin *permanent* inputs — values that can never be
 	// absorbed into the cut (block live-ins, and producers already
 	// excluded on this search path). Sound because such inputs only
-	// accumulate along the search order.
+	// accumulate along the search order. The §6.2 multiple-cut search
+	// applies it per cut: a producer excluded or put in another cut is
+	// permanent for every cut consuming it, and a subtree is eliminated
+	// as soon as any cut has more than Nin.
 	PruneInputs bool
 	// PruneMerit additionally eliminates subtrees whose admissible merit
 	// upper bound (current software gain plus all remaining includable

@@ -145,7 +145,8 @@ type CompareOptions struct {
 	// Parallel searches a selection's blocks concurrently; Dedup adopts
 	// results across isomorphic blocks; WarmStart seeds each search
 	// with a windowed heuristic incumbent; PruneInputs and PruneMerit
-	// enable the §6.1 input-count and merit-bound prunings.
+	// enable the input-count and merit-bound prunings of both exact
+	// searches (§6.1, and per cut §6.2).
 	Workers     int
 	Parallel    bool
 	Dedup       bool

@@ -65,9 +65,10 @@ type ObsBenchReport struct {
 }
 
 // obsBenchKernels are the workloads swept: the hottest block of each. The
-// g721 block is the largest exact search in the suite (the one ParBench
-// measures); fir is a small block where fixed probe costs would loom
-// largest relative to the search itself.
+// g721 block is the largest exact search in the suite (the one
+// TestParallelAdpcmMatchesSerial runs the engine on); fir is a small
+// block where fixed probe costs would loom largest relative to the
+// search itself.
 var obsBenchKernels = []string{"g721", "fir"}
 
 // hottestBlockOf returns the largest operation graph among kernel's real

@@ -235,7 +235,8 @@ func (in *Injector) Hits(i int) int64 {
 // chosen so that typical block searches actually reach them: hit
 // indices are small for rare sites (search begin/end, rescue) and
 // larger for per-poll/per-prune sites. Delays stay in the microsecond
-// range so schedules never turn into sleeps that dominate a test run.
+// range and fire once (Period 0), so schedules never turn into sleeps
+// that dominate a test run.
 func RandomPlan(seed int64, n int) []Rule {
 	rng := rand.New(rand.NewSource(seed))
 	// Weighted site pool: hot sites appear more often because they are
@@ -270,6 +271,9 @@ func RandomPlan(seed int64, n int) []Rule {
 		case 2, 3:
 			r.Action = ActDelay
 			r.Delay = time.Duration(1+rng.Intn(200)) * 10 * time.Microsecond
+			// A delay fires once: re-fired at a per-prune or per-poll
+			// site it would sleep thousands of times in one search.
+			r.Period = 0
 		default:
 			r.Action = ActPanic
 		}

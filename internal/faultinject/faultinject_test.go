@@ -131,5 +131,8 @@ func TestRandomPlanDeterministic(t *testing.T) {
 		if r.Action == ActDelay && (r.Delay <= 0 || r.Delay > 5*time.Millisecond) {
 			t.Errorf("rule %v has out-of-range delay", r)
 		}
+		if r.Action == ActDelay && r.Period != 0 {
+			t.Errorf("delay rule %v re-fires", r)
+		}
 	}
 }
