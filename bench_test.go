@@ -208,9 +208,10 @@ func BenchmarkAblationPruning(b *testing.B) {
 // the inner loop of every identification algorithm — on the adpcmdecode
 // hot block: the specification implementations (allocating a membership
 // slice and a map per call) against the word-parallel bitset kernel
-// (O(V/64) word operations, zero allocations). The same suite backs
-// `isebench -fig bench -benchjson BENCH_PR2.json`, which records the
-// numbers for run-to-run comparison.
+// (O(V/64) word operations, zero allocations, which
+// internal/dfg's TestConstraintKernelAllocs gates). The cut is the §9
+// windowed heuristic's best at (2,1): deterministic, cheap to find and
+// realistically sized.
 func BenchmarkConstraintKernel(b *testing.B) {
 	graphs, err := workload.RealBlockGraphs()
 	if err != nil {
@@ -223,7 +224,7 @@ func BenchmarkConstraintKernel(b *testing.B) {
 		}
 	}
 	g := hot.Graph
-	cut := experiments.KernelBenchCut(g)
+	cut := core.FindBestCutWindowed(g, core.Config{Nin: 2, Nout: 1}, 12).Cut
 	if len(cut) == 0 {
 		b.Fatal("no representative cut found")
 	}

@@ -17,10 +17,6 @@
 //	                          # (constraints × ninstr × benchmark ×
 //	                          # target) grid; the JSON is deterministic
 //	                          # (byte-identical across worker counts)
-//	isebench -fig bench -benchjson BENCH_PR2.json
-//	                          # constraint-kernel microbenchmarks, written
-//	                          # as machine-readable JSON for run-to-run
-//	                          # comparison
 //	isebench -fig obsbench -obsjson BENCH_PR5.json
 //	                          # telemetry overhead: probe off (A/A) vs
 //	                          # metrics-only vs full flight-recorder tracing
@@ -63,7 +59,6 @@ type cliOpts struct {
 	// DSE sweep axes.
 	targets   []string
 	sweepMode string
-	benchJSON string
 	obsJSON   string
 	dedupJSON string
 	dseJSON   string
@@ -71,7 +66,7 @@ type cliOpts struct {
 
 func main() {
 	var o cliOpts
-	fig := flag.String("fig", "all", "which figure to regenerate: 3, 5, 7, 8, 11, runtime, area, tradeoff, vliw, ifconv, ablation, bench, obsbench, dedupbench, dse, all")
+	fig := flag.String("fig", "all", "which figure to regenerate: 3, 5, 7, 8, 11, runtime, area, tradeoff, vliw, ifconv, ablation, obsbench, dedupbench, dse, all")
 	flag.Int64Var(&o.budget, "budget", experiments.DefaultBudget, "cut budget per identification call")
 	flag.BoolVar(&o.measure, "measure", false, "Fig. 11: additionally patch and measure on the cycle simulator")
 	flag.BoolVar(&o.optimal, "optimal", false, "Fig. 11: include the Optimal selection (slow on large blocks)")
@@ -84,7 +79,6 @@ func main() {
 	flag.BoolVar(&o.prune, "prune", false, "Fig. 11: enable the sound merit-bound and input-count prunings")
 	targets := flag.String("targets", "paper", "comma-separated hardware-target profiles for the DSE sweep (among "+strings.Join(latency.TargetNames(), ",")+")")
 	flag.StringVar(&o.sweepMode, "sweepmode", "warm", "DSE sweep mode: warm (shared seeds/dedup, parallel) or cold (dedicated serial reference)")
-	flag.StringVar(&o.benchJSON, "benchjson", "", "with -fig bench (or all): write the constraint-kernel benchmark report to this file as JSON (e.g. BENCH_PR2.json)")
 	flag.StringVar(&o.obsJSON, "obsjson", "", "with -fig obsbench (or all): write the telemetry overhead benchmark report to this file as JSON (e.g. BENCH_PR5.json)")
 	flag.StringVar(&o.dedupJSON, "dedupjson", "", "with -fig dedupbench (or all): write the cross-block dedup benchmark report to this file as JSON (e.g. BENCH_PR7.json)")
 	flag.StringVar(&o.dseJSON, "dsejson", "", "with -fig dse (or all): write the deterministic sweep/Pareto report to this file as JSON")
@@ -115,20 +109,6 @@ func splitList(s string) []string {
 
 func run(want func(string) bool, o cliOpts) error {
 	section := func(s string) { fmt.Println(); fmt.Println(s); fmt.Println() }
-
-	if want("bench") || o.benchJSON != "" {
-		rep, err := experiments.KernelBench()
-		if err != nil {
-			return err
-		}
-		section(experiments.KernelBenchTable(rep))
-		if o.benchJSON != "" {
-			if err := rep.WriteJSON(o.benchJSON); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", o.benchJSON)
-		}
-	}
 
 	if want("obsbench") || o.obsJSON != "" {
 		rep, err := experiments.ObsBench()

@@ -15,6 +15,7 @@ package dfg
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"isex/internal/ir"
@@ -133,7 +134,7 @@ func Build(f *ir.Function, b *ir.Block, li *ir.LiveInfo) (*Graph, error) {
 		if id, ok := inputNode[r]; ok {
 			return id
 		}
-		id := addNode(Node{Kind: KindIn, InstrIndex: -1, Reg: r, Name: fmt.Sprintf("in:r%d", r)})
+		id := addNode(Node{Kind: KindIn, InstrIndex: -1, Reg: r, Name: "in:r" + strconv.Itoa(int(r))})
 		inputNode[r] = id
 		return id
 	}
@@ -151,7 +152,7 @@ func Build(f *ir.Function, b *ir.Block, li *ir.LiveInfo) (*Graph, error) {
 			Reg:        primary,
 			Forbidden:  !in.Op.Pure(),
 		})
-		seen := map[int]bool{}
+	args:
 		for _, a := range in.Args {
 			var src int
 			if d, ok := lastDef[a]; ok {
@@ -161,10 +162,12 @@ func Build(f *ir.Function, b *ir.Block, li *ir.LiveInfo) (*Graph, error) {
 			}
 			// A node reading the same value twice contributes one edge;
 			// IN/OUT count nodes, not edges (§5).
-			if !seen[src] {
-				seen[src] = true
-				addEdge(src, id)
+			for _, p := range g.Nodes[id].Preds {
+				if p == src {
+					continue args
+				}
 			}
+			addEdge(src, id)
 		}
 		for _, d := range in.Dsts {
 			lastDef[d] = id
@@ -216,7 +219,7 @@ func Build(f *ir.Function, b *ir.Block, li *ir.LiveInfo) (*Graph, error) {
 		def := lastDef[r]
 		// Only the defining instruction's value escapes; V+ output nodes
 		// for multi-dst instructions are keyed per register.
-		id := addNode(Node{Kind: KindOut, InstrIndex: -1, Reg: r, Name: fmt.Sprintf("out:r%d", r)})
+		id := addNode(Node{Kind: KindOut, InstrIndex: -1, Reg: r, Name: "out:r" + strconv.Itoa(int(r))})
 		addEdge(def, id)
 	}
 
@@ -252,13 +255,15 @@ func BuildAll(m *ir.Module) (map[*ir.Block]*Graph, error) {
 // an error, never a panic.
 func (g *Graph) rebuildOrder() error {
 	// Count, for each op node, unplaced op-node consumers.
-	remaining := map[int]int{}
+	remaining := make([]int, len(g.Nodes))
+	ops := 0
 	var ready []int
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
 		if n.Kind != KindOp {
 			continue
 		}
+		ops++
 		c := 0
 		for _, s := range n.Succs {
 			if g.Nodes[s].Kind == KindOp {
@@ -271,7 +276,7 @@ func (g *Graph) rebuildOrder() error {
 			ready = append(ready, n.ID)
 		}
 	}
-	order := make([]int, 0, len(remaining))
+	order := make([]int, 0, ops)
 	for len(ready) > 0 {
 		// Pick the ready node with the largest instruction index.
 		best := 0
@@ -300,9 +305,9 @@ func (g *Graph) rebuildOrder() error {
 			release(p)
 		}
 	}
-	if len(order) != len(remaining) {
+	if len(order) != ops {
 		return fmt.Errorf("dfg: cycle in operation graph of %s/%s (%d of %d nodes orderable)",
-			g.Fn.Name, g.Block.Name, len(order), len(remaining))
+			g.Fn.Name, g.Block.Name, len(order), ops)
 	}
 	g.OpOrder = order
 	g.pos = make([]int, len(g.Nodes))

@@ -4,13 +4,16 @@ import (
 	"testing"
 
 	"isex/internal/ir"
+	"isex/internal/passes"
 )
 
 // FuzzCompile drives the whole MiniC front end — lexer, parser, semantic
-// analysis, lowering, and optional unrolling — with arbitrary source text.
-// The contract under fuzzing is the one the isex facade relies on: any
-// input either compiles to a verified module or returns an error; the
-// compiler never panics.
+// analysis, lowering, and optional unrolling — with arbitrary source text,
+// and then the standard pass pipeline on whatever compiles. The contract
+// under fuzzing is the one the isex facade relies on: any input either
+// compiles to a verified module or returns an error, the passes keep the
+// module verified, and neither panics. The fuzzer's control-flow graphs
+// also exercise liveness, value numbering and if-conversion.
 func FuzzCompile(f *testing.F) {
 	seeds := []string{
 		"",
@@ -58,6 +61,9 @@ int main() { k(8); return out[2]; }`,
 		}
 		if err := ir.VerifyModule(m); err != nil {
 			t.Fatalf("compiled module fails verification: %v\nsource:\n%s", err, src)
+		}
+		if err := passes.Run(m, passes.Options{}); err != nil {
+			t.Fatalf("optimized module fails verification: %v\nsource:\n%s", err, src)
 		}
 	})
 }

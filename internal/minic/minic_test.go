@@ -1,6 +1,8 @@
 package minic
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -51,6 +53,42 @@ func TestLexBasics(t *testing.T) {
 	if toks[2].Val != 31 || toks[4].Val != 42 || toks[8].Val != 65 {
 		t.Errorf("literal values wrong: %v", toks)
 	}
+
+	// Every punctuation token alone, and glued where the longest match
+	// decides the split.
+	puncts := []string{
+		"<<=", ">>=",
+		"==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
+		"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
+		"+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">", "=",
+		"(", ")", "{", "}", "[", "]", ";", ",", "?", ":",
+	}
+	for _, p := range puncts {
+		toks, err := Lex(p)
+		if err != nil || len(toks) != 2 || toks[0].Kind != TokPunct || toks[0].Text != p {
+			t.Errorf("Lex(%q) = %v, %v; want the one punctuation token", p, toks, err)
+		}
+	}
+	for src, want := range map[string]string{
+		"a<<=b>>=c": "a <<= b >>= c",
+		"x&&y&z":    "x && y & z",
+		"p||q|r":    "p || q | r",
+		"a!=b==c":   "a != b == c",
+		"i+++j":     "i ++ + j",
+		"m-->n":     "m -- > n",
+	} {
+		toks, err := Lex(src)
+		if err != nil {
+			t.Fatalf("Lex(%q): %v", src, err)
+		}
+		var texts []string
+		for _, tk := range toks[:len(toks)-1] {
+			texts = append(texts, tk.Text)
+		}
+		if got := strings.Join(texts, " "); got != want {
+			t.Errorf("Lex(%q) = %s, want %s", src, got, want)
+		}
+	}
 }
 
 func TestLexEscapes(t *testing.T) {
@@ -81,6 +119,26 @@ func TestLexPositions(t *testing.T) {
 	}
 	if toks[0].Line != 1 || toks[0].Col != 1 || toks[1].Line != 2 || toks[1].Col != 3 {
 		t.Errorf("positions wrong: %+v", toks[:2])
+	}
+
+	// A tab and a carriage return are one column each; comments, a
+	// multi-line one among them, move lines and columns as their text
+	// does.
+	toks, err = Lex("/* head\n   comment */ a\tb\r\n// line\n\t/* x\n y */ c+= 12 // tail\n\td")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		text      string
+		line, col int
+	}{{"a", 2, 15}, {"b", 2, 17}, {"c", 5, 7}, {"+=", 5, 8}, {"12", 5, 11}, {"d", 6, 2}, {"", 6, 3}}
+	if len(toks) != len(want) {
+		t.Fatalf("got %d tokens, want %d: %+v", len(toks), len(want), toks)
+	}
+	for i, w := range want {
+		if tk := toks[i]; tk.Text != w.text || tk.Line != w.line || tk.Col != w.col {
+			t.Errorf("token %d = %q at %d:%d, want %q at %d:%d", i, tk.Text, tk.Line, tk.Col, w.text, w.line, w.col)
+		}
 	}
 }
 
@@ -113,6 +171,62 @@ int h(int x) { return +x; }`
 	if got := run(t, src, "h", -9); got != -9 {
 		t.Errorf("h(-9) = %d", got)
 	}
+}
+
+// TestBinaryPrecedencePairs parses a OP1 b OP2 c for every ordered pair
+// of binary operators: it groups as (a OP1 b) OP2 c when OP1 binds at
+// least as tightly as OP2 and as a OP1 (b OP2 c) otherwise, and each
+// operator node sits at its operator.
+func TestBinaryPrecedencePairs(t *testing.T) {
+	// C's binary operators, loosest level first.
+	levels := [][]string{
+		{"||"}, {"&&"}, {"|"}, {"^"}, {"&"}, {"==", "!="},
+		{"<", "<=", ">", ">="}, {"<<", ">>"}, {"+", "-"}, {"*", "/", "%"},
+	}
+	level := map[string]int{}
+	for l, ops := range levels {
+		for _, op := range ops {
+			level[op] = l
+		}
+	}
+	if len(level) != 18 {
+		t.Fatalf("%d binary operators, want 18", len(level))
+	}
+	const prefix = "int f(int a, int b, int c) { return "
+	varAt := func(name string, col int) Expr { return &VarExpr{Pos: Pos{1, col}, Name: name} }
+	for op1 := range level {
+		for op2 := range level {
+			expr := "a " + op1 + " b " + op2 + " c"
+			prog, err := Parse(prefix + expr + "; }")
+			if err != nil {
+				t.Fatalf("%s: %v", expr, err)
+			}
+			col := func(part string) int { return len(prefix) + len(part) + 1 }
+			a, b, c := varAt("a", col("")), varAt("b", col("a "+op1+" ")), varAt("c", col("a "+op1+" b "+op2+" "))
+			p1, p2 := Pos{1, col("a ")}, Pos{1, col("a " + op1 + " b ")}
+			var want Expr
+			if level[op1] >= level[op2] {
+				want = &BinaryExpr{Pos: p2, Op: op2, L: &BinaryExpr{Pos: p1, Op: op1, L: a, R: b}, R: c}
+			} else {
+				want = &BinaryExpr{Pos: p1, Op: op1, L: a, R: &BinaryExpr{Pos: p2, Op: op2, L: b, R: c}}
+			}
+			got := prog.Funcs[0].Body.Stmts[0].(*ReturnStmt).X
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: parsed as %s, want %s", expr, exprString(got), exprString(want))
+			}
+		}
+	}
+}
+
+// exprString renders a binary-operator tree with its operator positions.
+func exprString(e Expr) string {
+	switch e := e.(type) {
+	case *BinaryExpr:
+		return fmt.Sprintf("(%s %s@%d %s)", exprString(e.L), e.Op, e.Pos.Col, exprString(e.R))
+	case *VarExpr:
+		return fmt.Sprintf("%s@%d", e.Name, e.Pos.Col)
+	}
+	return fmt.Sprintf("%#v", e)
 }
 
 func TestComparisonsAndLogic(t *testing.T) {

@@ -447,18 +447,35 @@ func (p *parser) forStmt() (Stmt, error) {
 	return fs, nil
 }
 
-// Binary operator precedence, loosest first.
-var binLevels = [][]string{
-	{"||"},
-	{"&&"},
-	{"|"},
-	{"^"},
-	{"&"},
-	{"==", "!="},
-	{"<", "<=", ">", ">="},
-	{"<<", ">>"},
-	{"+", "-"},
-	{"*", "/", "%"},
+// binLevel returns t's precedence as a binary operator, loosest first
+// (|| is 0, the multiplicative operators 9), or -1 if t is not one.
+func binLevel(t *Token) int {
+	if t.Kind != TokPunct {
+		return -1
+	}
+	switch t.Text {
+	case "||":
+		return 0
+	case "&&":
+		return 1
+	case "|":
+		return 2
+	case "^":
+		return 3
+	case "&":
+		return 4
+	case "==", "!=":
+		return 5
+	case "<", "<=", ">", ">=":
+		return 6
+	case "<<", ">>":
+		return 7
+	case "+", "-":
+		return 8
+	case "*", "/", "%":
+		return 9
+	}
+	return -1
 }
 
 func (p *parser) expr() (Expr, error) { return p.ternary() }
@@ -486,31 +503,26 @@ func (p *parser) ternary() (Expr, error) {
 	return &CondExpr{Pos: posOf(q), Cond: cond, Then: then, Else: els}, nil
 }
 
-func (p *parser) binary(level int) (Expr, error) {
-	if level >= len(binLevels) {
-		return p.unary()
-	}
-	l, err := p.binary(level + 1)
+// binary parses a chain of binary operators of precedence minLevel or
+// tighter by precedence climbing: each operator's right operand takes
+// only tighter operators, so equal levels associate to the left.
+func (p *parser) binary(minLevel int) (Expr, error) {
+	l, err := p.unary()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		matched := false
-		for _, op := range binLevels[level] {
-			if p.at(op) {
-				t := p.next()
-				r, err := p.binary(level + 1)
-				if err != nil {
-					return nil, err
-				}
-				l = &BinaryExpr{Pos: posOf(t), Op: op, L: l, R: r}
-				matched = true
-				break
-			}
-		}
-		if !matched {
+		t := &p.toks[p.pos]
+		level := binLevel(t)
+		if level < minLevel {
 			return l, nil
 		}
+		p.pos++
+		r, err := p.binary(level + 1)
+		if err != nil {
+			return nil, err
+		}
+		l = &BinaryExpr{Pos: posOf(*t), Op: t.Text, L: l, R: r}
 	}
 }
 

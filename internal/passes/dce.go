@@ -84,11 +84,15 @@ func termUsesReg(t *ir.Term, r ir.Reg) bool {
 // It iterates to a fixpoint and reports whether anything changed.
 func DeadCodeElim(f *ir.Function) bool {
 	changed := false
+	// One live set and one keep mask serve every block of every round;
+	// each block is compacted in place.
+	live := ir.NewRegSet(f.NumRegs)
+	var keep []bool
 	for {
 		li := ir.Liveness(f)
 		round := false
 		for _, b := range f.Blocks {
-			live := li.Out[b.Index].Copy()
+			copy(live, li.Out[b.Index])
 			// Mark terminator uses.
 			if b.Term.Kind == ir.TermBranch {
 				live.Add(b.Term.Cond)
@@ -97,9 +101,9 @@ func DeadCodeElim(f *ir.Function) bool {
 				live.Add(b.Term.Val)
 			}
 			// Backward sweep.
-			kept := make([]ir.Instr, 0, len(b.Instrs))
+			keep = append(keep[:0], make([]bool, len(b.Instrs))...)
 			for i := len(b.Instrs) - 1; i >= 0; i-- {
-				in := b.Instrs[i]
+				in := &b.Instrs[i]
 				removable := in.Op.Pure() || in.Op == ir.OpLoad || in.Op == ir.OpGlobal
 				anyLive := false
 				for _, d := range in.Dsts {
@@ -117,12 +121,15 @@ func DeadCodeElim(f *ir.Function) bool {
 				for _, a := range in.Args {
 					live.Add(a)
 				}
-				kept = append(kept, in)
+				keep[i] = true
 			}
-			// kept is reversed.
-			for l, r := 0, len(kept)-1; l < r; l, r = l+1, r-1 {
-				kept[l], kept[r] = kept[r], kept[l]
+			kept := b.Instrs[:0]
+			for i := range b.Instrs {
+				if keep[i] {
+					kept = append(kept, b.Instrs[i])
+				}
 			}
+			clear(b.Instrs[len(kept):])
 			b.Instrs = kept
 		}
 		if !round {

@@ -1,10 +1,6 @@
 package passes
 
-import (
-	"fmt"
-
-	"isex/internal/ir"
-)
+import "isex/internal/ir"
 
 // LocalOptimize performs, per basic block, an integrated local value
 // numbering pass with constant folding, algebraic simplification and copy
@@ -16,67 +12,133 @@ import (
 // instruction or alloca advances.
 func LocalOptimize(f *ir.Function) bool {
 	changed := false
+	s := newVNState(f.NumRegs)
 	for _, b := range f.Blocks {
-		if optimizeBlock(f, b) {
+		if s.optimizeBlock(b) {
 			changed = true
 		}
+		s.reset()
 	}
 	return changed
 }
 
-// vnState is the per-block value-numbering state.
-type vnState struct {
-	next     int
-	regVN    map[ir.Reg]int // current value number of each register
-	exprVN   map[string]int // expression key -> value number
-	vnRep    map[int]ir.Reg // value number -> representative register
-	vnConst  map[int]int32  // value number -> constant, if known
-	memEpoch int
+// exprKind separates the expression families that share exprVN.
+type exprKind uint8
+
+const (
+	exprConst  exprKind = iota // a: the constant
+	exprLoad                   // a: address value number, b: memory epoch
+	exprGlobal                 // a: the global's symbol number
+	exprPure                   // op, arity and up to three value numbers
+)
+
+// exprKey identifies an expression for value numbering. A pure
+// operation's arity is 1 to 3, or 0 for any other arity (which then
+// keys on the opcode alone). Global symbols are numbered, so the key
+// holds no string and hashes as 16 plain bytes.
+type exprKey struct {
+	kind    exprKind
+	op      ir.Op
+	arity   uint8
+	a, b, c int32
 }
 
-func newVNState() *vnState {
+// vnInfo is what is known about one value number.
+type vnInfo struct {
+	rep     ir.Reg // a register that held it (NoReg if none yet)
+	isConst bool
+	c       int32
+}
+
+// vnState is the value-numbering state of the block being optimized.
+// It is reused across a function's blocks: value numbers restart at 1
+// in every block, and reset undoes only the registers it touched.
+type vnState struct {
+	regVN    []int32 // current value number of each register; 0 = none
+	touched  []ir.Reg
+	vns      []vnInfo // indexed by value number; vns[0] is unused
+	exprVN   map[exprKey]int32
+	syms     map[string]int32 // global symbol -> its number in exprKey
+	memEpoch int32
+	argVNs   []int32 // processPure's scratch
+	consts   []int32
+}
+
+func newVNState(numRegs int) *vnState {
 	return &vnState{
-		regVN:   map[ir.Reg]int{},
-		exprVN:  map[string]int{},
-		vnRep:   map[int]ir.Reg{},
-		vnConst: map[int]int32{},
+		regVN:  make([]int32, numRegs),
+		vns:    make([]vnInfo, 1),
+		exprVN: map[exprKey]int32{},
 	}
+}
+
+// reset forgets everything learned in the block just optimized.
+func (s *vnState) reset() {
+	for _, r := range s.touched {
+		s.regVN[r] = 0
+	}
+	s.touched = s.touched[:0]
+	s.vns = s.vns[:1]
+	clear(s.exprVN)
+	s.memEpoch = 0
+}
+
+// newVN allocates a fresh value number.
+func (s *vnState) newVN() int32 {
+	s.vns = append(s.vns, vnInfo{rep: ir.NoReg})
+	return int32(len(s.vns) - 1)
+}
+
+// symbol returns the number of a global symbol, stable for the whole
+// function.
+func (s *vnState) symbol(sym string) int32 {
+	id, ok := s.syms[sym]
+	if !ok {
+		if s.syms == nil {
+			s.syms = map[string]int32{}
+		}
+		id = int32(len(s.syms))
+		s.syms[sym] = id
+	}
+	return id
+}
+
+// constOf returns the constant value number vn stands for, if known.
+func (s *vnState) constOf(vn int32) (int32, bool) {
+	return s.vns[vn].c, s.vns[vn].isConst
 }
 
 // vnOf returns the value number of r, creating a fresh one if unknown.
-func (s *vnState) vnOf(r ir.Reg) int {
-	if vn, ok := s.regVN[r]; ok {
+func (s *vnState) vnOf(r ir.Reg) int32 {
+	if vn := s.regVN[r]; vn != 0 {
 		return vn
 	}
-	s.next++
-	vn := s.next
-	s.regVN[r] = vn
-	s.vnRep[vn] = r
+	vn := s.newVN()
+	s.setReg(r, vn)
 	return vn
 }
 
 // setReg records that r now holds value number vn.
-func (s *vnState) setReg(r ir.Reg, vn int) {
+func (s *vnState) setReg(r ir.Reg, vn int32) {
+	if s.regVN[r] == 0 {
+		s.touched = append(s.touched, r) // for reset
+	}
 	s.regVN[r] = vn
-	if rep, ok := s.vnRep[vn]; !ok || rep == r {
-		s.vnRep[vn] = r
+	if rep := s.vns[vn].rep; rep == ir.NoReg || rep == r {
+		s.vns[vn].rep = r
 	}
 }
 
 // repOf returns a register currently holding vn, if any.
-func (s *vnState) repOf(vn int) (ir.Reg, bool) {
-	rep, ok := s.vnRep[vn]
-	if !ok {
-		return 0, false
-	}
-	if cur, ok2 := s.regVN[rep]; !ok2 || cur != vn {
-		return 0, false // representative was overwritten
+func (s *vnState) repOf(vn int32) (ir.Reg, bool) {
+	rep := s.vns[vn].rep
+	if rep == ir.NoReg || s.regVN[rep] != vn {
+		return 0, false // none yet, or the representative was overwritten
 	}
 	return rep, true
 }
 
-func optimizeBlock(f *ir.Function, b *ir.Block) bool {
-	s := newVNState()
+func (s *vnState) optimizeBlock(b *ir.Block) bool {
 	changed := false
 	out := b.Instrs[:0]
 	for i := range b.Instrs {
@@ -91,7 +153,7 @@ func optimizeBlock(f *ir.Function, b *ir.Block) bool {
 		// the paper's graphs (Fig. 3 draws constants per use) exhibit.
 		for j, a := range in.Args {
 			vn := s.vnOf(a)
-			if _, isConst := s.vnConst[vn]; isConst {
+			if _, isConst := s.constOf(vn); isConst {
 				continue
 			}
 			if rep, ok := s.repOf(vn); ok && rep != a {
@@ -99,9 +161,9 @@ func optimizeBlock(f *ir.Function, b *ir.Block) bool {
 				changed = true
 			}
 		}
-		if rewritten, didChange := s.process(f, &in); didChange {
+		if rewritten, didChange := s.process(&in); didChange {
 			changed = true
-			in = *rewritten
+			in = rewritten
 		}
 		out = append(out, in)
 	}
@@ -111,155 +173,134 @@ func optimizeBlock(f *ir.Function, b *ir.Block) bool {
 
 // process value-numbers one instruction, possibly rewriting it to a
 // simpler form. It returns (newInstr, true) when the instruction was
-// rewritten and (nil, false) when it is kept as is.
-func (s *vnState) process(f *ir.Function, in *ir.Instr) (*ir.Instr, bool) {
+// rewritten and false when it is kept as is.
+func (s *vnState) process(in *ir.Instr) (ir.Instr, bool) {
 	switch {
 	case in.Op == ir.OpStore, in.Op == ir.OpCall, in.Op == ir.OpCustom, in.Op == ir.OpAlloca:
 		s.memEpoch++
 		for _, d := range in.Dsts {
 			s.killReg(d)
-			s.next++
-			s.setReg(d, s.next)
+			s.setReg(d, s.newVN())
 		}
-		return nil, false
+		return ir.Instr{}, false
 	case in.Op == ir.OpCopy:
 		vn := s.vnOf(in.Args[0])
 		s.killReg(in.Dsts[0])
 		s.setReg(in.Dsts[0], vn)
-		return nil, false
+		return ir.Instr{}, false
 	case in.Op == ir.OpConst:
 		// Equal constants share a value number (so expressions over them
 		// CSE), but every constant instruction is kept: see the
 		// propagation comment above.
 		v := int32(in.Imm)
-		key := fmt.Sprintf("const:%d", v)
+		key := exprKey{kind: exprConst, a: v}
 		vn, known := s.exprVN[key]
 		if !known {
-			s.next++
-			vn = s.next
+			vn = s.newVN()
 			s.exprVN[key] = vn
-			s.vnConst[vn] = v
+			s.vns[vn].isConst, s.vns[vn].c = true, v
 		}
 		s.killReg(in.Dsts[0])
 		s.setReg(in.Dsts[0], vn)
-		return nil, false
+		return ir.Instr{}, false
 	case in.Op == ir.OpLoad:
-		key := fmt.Sprintf("load:%d@%d", s.vnOf(in.Args[0]), s.memEpoch)
-		return s.finishExpr(in, key)
+		return s.finishExpr(in, exprKey{kind: exprLoad, a: s.vnOf(in.Args[0]), b: s.memEpoch})
 	case in.Op == ir.OpGlobal:
-		key := "global:" + in.Sym
-		return s.finishExpr(in, key)
+		return s.finishExpr(in, exprKey{kind: exprGlobal, a: s.symbol(in.Sym)})
 	case in.Op.Pure():
-		return s.processPure(f, in)
+		return s.processPure(in)
 	}
 	// Unknown/defensive: kill destinations.
 	for _, d := range in.Dsts {
 		s.killReg(d)
-		s.next++
-		s.setReg(d, s.next)
+		s.setReg(d, s.newVN())
 	}
-	return nil, false
+	return ir.Instr{}, false
 }
 
 // finishExpr assigns dst the value number of key, reusing an existing
 // representative when possible (rewriting to a copy). The boolean
 // reports whether the instruction was rewritten.
-func (s *vnState) finishExpr(in *ir.Instr, key string) (*ir.Instr, bool) {
+func (s *vnState) finishExpr(in *ir.Instr, key exprKey) (ir.Instr, bool) {
 	dst := in.Dsts[0]
 	if vn, ok := s.exprVN[key]; ok {
 		if rep, live := s.repOf(vn); live && rep != dst {
 			ni := ir.Instr{Op: ir.OpCopy, Dsts: in.Dsts, Args: []ir.Reg{rep}}
 			s.killReg(dst)
 			s.setReg(dst, vn)
-			return &ni, true
+			return ni, true
 		}
 		s.killReg(dst)
 		s.setReg(dst, vn)
-		return nil, false
+		return ir.Instr{}, false
 	}
-	s.next++
-	vn := s.next
+	vn := s.newVN()
 	s.exprVN[key] = vn
 	s.killReg(dst)
 	s.setReg(dst, vn)
-	return nil, false
+	return ir.Instr{}, false
+}
+
+// toConst rewrites in to define constant c, value-numbering the result.
+func (s *vnState) toConst(in *ir.Instr, c int32) (ir.Instr, bool) {
+	ni := ir.Instr{Op: ir.OpConst, Dsts: in.Dsts, Imm: int64(c)}
+	s.process(&ni)
+	return ni, true
 }
 
 // processPure folds, simplifies and value-numbers a pure operation.
-func (s *vnState) processPure(f *ir.Function, in *ir.Instr) (*ir.Instr, bool) {
+func (s *vnState) processPure(in *ir.Instr) (ir.Instr, bool) {
 	dst := in.Dsts[0]
-	argVNs := make([]int, len(in.Args))
-	consts := make([]int32, len(in.Args))
+	s.argVNs, s.consts = s.argVNs[:0], s.consts[:0]
 	allConst := true
-	for j, a := range in.Args {
-		argVNs[j] = s.vnOf(a)
-		if c, ok := s.vnConst[argVNs[j]]; ok {
-			consts[j] = c
-		} else {
-			allConst = false
-		}
+	for _, a := range in.Args {
+		vn := s.vnOf(a)
+		c, ok := s.constOf(vn)
+		allConst = allConst && ok
+		s.argVNs, s.consts = append(s.argVNs, vn), append(s.consts, c)
 	}
+	argVNs := s.argVNs
 	// Full constant folding.
 	if allConst {
-		if v, err := ir.Eval(in.Op, in.Imm, consts...); err == nil {
-			ni := ir.Instr{Op: ir.OpConst, Dsts: in.Dsts, Imm: int64(v)}
-			ret, _ := s.process(f, &ni)
-			if ret == nil {
-				return &ni, true
-			}
-			return ret, true
+		if v, err := ir.Eval(in.Op, in.Imm, s.consts...); err == nil {
+			return s.toConst(in, v)
 		}
 	}
 	// Algebraic simplification to a copy of an argument, where valid.
-	if src, ok := simplify(in.Op, in.Args, argVNs, s.vnConst); ok {
+	if src, ok := simplify(in.Op, in.Args, argVNs, s); ok {
 		vn := s.vnOf(src)
 		s.killReg(dst)
 		s.setReg(dst, vn)
-		ni := ir.Instr{Op: ir.OpCopy, Dsts: in.Dsts, Args: []ir.Reg{src}}
-		return &ni, true
+		return ir.Instr{Op: ir.OpCopy, Dsts: in.Dsts, Args: []ir.Reg{src}}, true
 	}
 	// Simplification to a constant (e.g. x-x, x^x, x*0).
-	if c, ok := simplifyToConst(in.Op, argVNs, s.vnConst); ok {
-		ni := ir.Instr{Op: ir.OpConst, Dsts: in.Dsts, Imm: int64(c)}
-		ret, _ := s.process(f, &ni)
-		if ret == nil {
-			return &ni, true
-		}
-		return ret, true
+	if c, ok := simplifyToConst(in.Op, argVNs, s); ok {
+		return s.toConst(in, c)
 	}
-	// Canonicalize commutative operand order by value number for better
-	// CSE hits.
-	a0, a1 := -1, -1
-	if len(argVNs) == 2 {
-		a0, a1 = argVNs[0], argVNs[1]
-		if in.Op.Info().Commutative && a0 > a1 {
-			a0, a1 = a1, a0
-		}
-	}
-	var key string
+	key := exprKey{kind: exprPure, op: in.Op}
 	switch len(argVNs) {
 	case 1:
-		key = fmt.Sprintf("%d:(%d)", in.Op, argVNs[0])
+		key.arity, key.a = 1, argVNs[0]
 	case 2:
-		key = fmt.Sprintf("%d:(%d,%d)", in.Op, a0, a1)
+		// Canonicalize commutative operand order by value number for
+		// better CSE hits.
+		key.arity, key.a, key.b = 2, argVNs[0], argVNs[1]
+		if in.Op.Info().Commutative && key.a > key.b {
+			key.a, key.b = key.b, key.a
+		}
 	case 3:
-		key = fmt.Sprintf("%d:(%d,%d,%d)", in.Op, argVNs[0], argVNs[1], argVNs[2])
-	default:
-		key = fmt.Sprintf("%d:!", in.Op)
+		key.arity, key.a, key.b, key.c = 3, argVNs[0], argVNs[1], argVNs[2]
 	}
 	return s.finishExpr(in, key)
 }
 
 func (s *vnState) killReg(r ir.Reg) {
-	delete(s.regVN, r)
+	s.regVN[r] = 0
 }
 
 // simplify returns an argument register the instruction is equivalent to.
-func simplify(op ir.Op, args []ir.Reg, vns []int, consts map[int]int32) (ir.Reg, bool) {
-	c := func(i int) (int32, bool) {
-		v, ok := consts[vns[i]]
-		return v, ok
-	}
+func simplify(op ir.Op, args []ir.Reg, vns []int32, s *vnState) (ir.Reg, bool) {
+	c := func(i int) (int32, bool) { return s.constOf(vns[i]) }
 	switch op {
 	case ir.OpAdd, ir.OpOr, ir.OpXor:
 		if v, ok := c(1); ok && v == 0 {
@@ -315,7 +356,7 @@ func simplify(op ir.Op, args []ir.Reg, vns []int, consts map[int]int32) (ir.Reg,
 }
 
 // simplifyToConst recognizes identities that yield a constant.
-func simplifyToConst(op ir.Op, vns []int, consts map[int]int32) (int32, bool) {
+func simplifyToConst(op ir.Op, vns []int32, s *vnState) (int32, bool) {
 	switch op {
 	case ir.OpSub, ir.OpXor:
 		if len(vns) == 2 && vns[0] == vns[1] {
@@ -323,7 +364,7 @@ func simplifyToConst(op ir.Op, vns []int, consts map[int]int32) (int32, bool) {
 		}
 	case ir.OpMul, ir.OpAnd:
 		for i := range vns {
-			if v, ok := consts[vns[i]]; ok && v == 0 {
+			if v, ok := s.constOf(vns[i]); ok && v == 0 {
 				return 0, true
 			}
 		}
