@@ -20,10 +20,6 @@
 //	isebench -fig obsbench -obsjson BENCH_PR5.json
 //	                          # telemetry overhead: probe off (A/A) vs
 //	                          # metrics-only vs full flight-recorder tracing
-//	isebench -fig dedupbench -dedupjson BENCH_PR7.json
-//	                          # cross-block dedup on a repeated-blocks
-//	                          # corpus: identify-stage wall time and search
-//	                          # work with the memo off (reference) vs on
 package main
 
 import (
@@ -60,13 +56,12 @@ type cliOpts struct {
 	targets   []string
 	sweepMode string
 	obsJSON   string
-	dedupJSON string
 	dseJSON   string
 }
 
 func main() {
 	var o cliOpts
-	fig := flag.String("fig", "all", "which figure to regenerate: 3, 5, 7, 8, 11, runtime, area, tradeoff, vliw, ifconv, ablation, obsbench, dedupbench, dse, all")
+	fig := flag.String("fig", "all", "which figure to regenerate: 3, 5, 7, 8, 11, runtime, area, tradeoff, vliw, ifconv, ablation, obsbench, dse, all")
 	flag.Int64Var(&o.budget, "budget", experiments.DefaultBudget, "cut budget per identification call")
 	flag.BoolVar(&o.measure, "measure", false, "Fig. 11: additionally patch and measure on the cycle simulator")
 	flag.BoolVar(&o.optimal, "optimal", false, "Fig. 11: include the Optimal selection (slow on large blocks)")
@@ -80,7 +75,6 @@ func main() {
 	targets := flag.String("targets", "paper", "comma-separated hardware-target profiles for the DSE sweep (among "+strings.Join(latency.TargetNames(), ",")+")")
 	flag.StringVar(&o.sweepMode, "sweepmode", "warm", "DSE sweep mode: warm (shared seeds/dedup, parallel) or cold (dedicated serial reference)")
 	flag.StringVar(&o.obsJSON, "obsjson", "", "with -fig obsbench (or all): write the telemetry overhead benchmark report to this file as JSON (e.g. BENCH_PR5.json)")
-	flag.StringVar(&o.dedupJSON, "dedupjson", "", "with -fig dedupbench (or all): write the cross-block dedup benchmark report to this file as JSON (e.g. BENCH_PR7.json)")
 	flag.StringVar(&o.dseJSON, "dsejson", "", "with -fig dse (or all): write the deterministic sweep/Pareto report to this file as JSON")
 	flag.Parse()
 	flag.Visit(func(f *flag.Flag) {
@@ -121,20 +115,6 @@ func run(want func(string) bool, o cliOpts) error {
 				return err
 			}
 			fmt.Printf("wrote %s\n", o.obsJSON)
-		}
-	}
-
-	if want("dedupbench") || o.dedupJSON != "" {
-		rep, err := experiments.DedupBench()
-		if err != nil {
-			return err
-		}
-		section(experiments.DedupBenchTable(rep))
-		if o.dedupJSON != "" {
-			if err := rep.WriteJSON(o.dedupJSON); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", o.dedupJSON)
 		}
 	}
 

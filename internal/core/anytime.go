@@ -262,9 +262,12 @@ func greedyRescue(g *dfg.Graph, cfg Config) (best dfg.Cut, bestEst Estimate, can
 	return best, bestEst, len(list), found
 }
 
-// ctxCheckInterval is the number of 1-branches between context polls in
-// the search loops: rare enough to cost nothing, frequent enough that an
-// expired deadline is noticed within microseconds. Must be a power of two.
+// ctxCheckInterval is the number of visited nodes between polls in the
+// exact searchers; a visit ticks once, whichever branches it takes, so
+// a §6.1 poll period considers at most this many cuts and a §6.2 one at
+// most M times as many. Rare enough to cost nothing, frequent enough
+// that an expired deadline is noticed within microseconds. Must be a
+// power of two.
 const ctxCheckInterval = 1024
 
 // fallbackWindow sizes the §9 windowed rescue pass that re-runs a block

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"isex/internal/ir"
 	"isex/internal/latency"
+	"isex/internal/minic"
 	"isex/internal/obs"
+	"isex/internal/passes"
+	"isex/internal/progen"
 )
 
 // twinKernels contains two functions with identical bodies but different
@@ -82,26 +87,61 @@ func assertDedupEquivalent(t *testing.T, label string, want, got SelectionResult
 	}
 }
 
+// renamedCopies compiles progen seed's program copies times and merges
+// the copies into one module, renaming each copy's functions, so every
+// block recurs copies times under different function names: the shape
+// the dedup memo exists for. Copies of one source share identical
+// globals, so the module is consistent; it is identified over, never
+// run, so every block weighs 1.
+func renamedCopies(t *testing.T, seed int64, copies int) *ir.Module {
+	t.Helper()
+	src := progen.Generate(progen.Config{Seed: seed}).Source
+	var merged *ir.Module
+	for c := 0; c < copies; c++ {
+		m, err := minic.Compile(src, minic.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := passes.Run(m, passes.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if c == 0 {
+			merged = m
+			continue
+		}
+		for _, f := range m.Funcs {
+			f.Name = fmt.Sprintf("%s_r%d", f.Name, c)
+			merged.Funcs = append(merged.Funcs, f)
+		}
+	}
+	return merged
+}
+
 // TestDedupSelectionEquality is the dedup acceptance sweep: for both
 // drivers, across worker counts, -dedup selections equal the
-// -dedup=false reference.
+// -dedup=false reference. On the renamed copies of a progen program the
+// memo must also fire.
 func TestDedupSelectionEquality(t *testing.T) {
-	sources := []struct{ name, src string }{
-		{"three", threeKernels},
-		{"twin", twinKernels},
+	sources := []struct {
+		name string
+		m    *ir.Module
+		hits bool // the memo must adopt at least one search
+	}{
+		{"three", compileAndProfile(t, threeKernels), false},
+		{"twin", compileAndProfile(t, twinKernels), false},
+		{"copies", renamedCopies(t, 11, 3), true},
 	}
 	workerCounts := []int{0, 1, 4, 8}
 	if testing.Short() {
 		workerCounts = []int{0, 4}
 	}
 	for _, src := range sources {
-		m := compileAndProfile(t, src.src)
 		for _, method := range []string{"iterative", "optimal"} {
 			run := func(cfg Config) SelectionResult {
 				if method == "iterative" {
-					return SelectIterative(m, 4, cfg)
+					return SelectIterative(src.m, 4, cfg)
 				}
-				return SelectOptimal(m, 4, cfg)
+				return SelectOptimal(src.m, 4, cfg)
 			}
 			ref := run(Config{Nin: 2, Nout: 1})
 			if ref.DedupHits != 0 || ref.SharedInstructions != nil {
@@ -110,6 +150,9 @@ func TestDedupSelectionEquality(t *testing.T) {
 			for _, nw := range workerCounts {
 				got := run(Config{Nin: 2, Nout: 1, Dedup: true, Workers: nw})
 				assertDedupEquivalent(t, src.name+"/"+method, ref, got)
+				if src.hits && got.DedupHits == 0 {
+					t.Fatalf("%s/%s/workers=%d: no dedup hits on renamed copies", src.name, method, nw)
+				}
 			}
 		}
 	}

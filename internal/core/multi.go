@@ -437,11 +437,19 @@ func (s *multiSearcher) undoExclude(id int) {
 	}
 }
 
-// convexOKFor reports whether assigning node to cut k keeps k convex.
-func (s *multiSearcher) convexOKFor(node *dfg.Node, k int) bool {
+// assignOK is includeOK for cut k: it reports whether assigning node to
+// cut k keeps k convex with OUT ≤ Nout, reading only the node's decided
+// consumers, so a failing branch leaves the state untouched.
+func (s *multiSearcher) assignOK(node *dfg.Node, k int) bool {
+	isOut := false
 	for _, sc := range node.Succs {
-		if s.g.Nodes[sc].Kind == dfg.KindOp && s.assign[sc] != k && s.reaches(sc, k) {
-			return false
+		if s.g.Nodes[sc].Kind != dfg.KindOp {
+			isOut = true
+		} else if s.assign[sc] != k {
+			if s.reaches(sc, k) {
+				return false
+			}
+			isOut = true
 		}
 	}
 	for _, sc := range node.OrderSuccs {
@@ -449,7 +457,13 @@ func (s *multiSearcher) convexOKFor(node *dfg.Node, k int) bool {
 			return false
 		}
 	}
-	return true
+	// Every reached state has out ≤ Nout for every cut, so out < Nout
+	// before the branch is exactly the test out+1 ≤ Nout after applying
+	// it (see searcher.includeOK, also for a negative Nout).
+	if isOut {
+		return s.cuts[k].out < s.cfg.Nout
+	}
+	return s.cuts[k].out <= s.cfg.Nout
 }
 
 // tally adds cut c's share of the running totals (d = 1) or takes it
@@ -573,22 +587,21 @@ func (s *multiSearcher) undoAssign(id int, node *dfg.Node, k int, u assignUndo) 
 
 func (s *multiSearcher) tryInclude(rank, id, k int) {
 	node := &s.g.Nodes[id]
-	convOK := s.convexOKFor(node, k)
-	u := s.applyAssign(id, node, k)
-	if convOK && s.cuts[k].out <= s.cfg.Nout {
-		s.stats.Passed++
-		s.maybeRecord()
-		if s.inputsOK() {
-			if s.eng != nil {
-				s.path[rank] = uint8(k)
-			}
-			s.visit(rank + 1)
-		}
-	} else {
+	if !s.assignOK(node, k) {
 		s.stats.Pruned++
 		if s.obs != nil {
 			s.obs.Pruned(rank)
 		}
+		return
+	}
+	u := s.applyAssign(id, node, k)
+	s.stats.Passed++
+	s.maybeRecord()
+	if s.inputsOK() {
+		if s.eng != nil {
+			s.path[rank] = uint8(k)
+		}
+		s.visit(rank + 1)
 	}
 	s.undoAssign(id, node, k, u)
 }

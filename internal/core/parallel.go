@@ -226,8 +226,11 @@ func (e *bbEngine) publish(m int64) int64 {
 // progress counter (the watchdog's liveness signal), flush the caller's
 // cut-count delta into the global counter, then check the watchdog
 // abort flag, the global budget and the context. MaxCuts is therefore
-// enforced at poll granularity — the engine can overshoot by up to
-// nworkers × ctxCheckInterval cuts.
+// enforced at poll granularity: a worker polls every ctxCheckInterval
+// visited nodes, and a visit considers one cut in the §6.1 tree and up
+// to M in the §6.2 one, so the engine can overshoot by up to
+// nworkers × ctxCheckInterval cuts for FindBestCut and
+// nworkers × M × ctxCheckInterval for FindBestCuts.
 func (e *bbEngine) pollSearch(wid int, stats *Stats, flushMark *int64) SearchStatus {
 	if wid >= 0 && wid < len(e.progress) {
 		e.progress[wid].Add(1)

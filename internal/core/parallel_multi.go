@@ -203,24 +203,23 @@ func (e *bbEngine) expandMulti(s *multiSearcher, sub bbSub, out *bbBest) []bbSub
 		maxK := min(s.open+1, s.m)
 		for k := 1; k <= maxK; k++ {
 			s.stats.CutsConsidered++
-			convOK := s.convexOKFor(node, k)
-			u := s.applyAssign(id, node, k)
-			if convOK && s.cuts[k].out <= s.cfg.Nout {
-				s.stats.Passed++
-				key := childKey(sub.prefix, uint8(k))
-				m0, f0 := s.bestMerit, s.bestFound
-				s.maybeRecord()
-				if s.bestCuts != nil && (!f0 || s.bestMerit > m0) {
-					out.better(bbBest{found: true, merit: s.bestMerit, cuts: s.bestCuts, key: key})
-				}
-				if s.inputsOK() {
-					children = append(children, bbSub{prefix: key, seed: s.bestMerit, seeded: s.bestFound})
-				}
-			} else {
+			if !s.assignOK(node, k) {
 				s.stats.Pruned++
 				if s.obs != nil {
 					s.obs.Pruned(d)
 				}
+				continue
+			}
+			u := s.applyAssign(id, node, k)
+			s.stats.Passed++
+			key := childKey(sub.prefix, uint8(k))
+			m0, f0 := s.bestMerit, s.bestFound
+			s.maybeRecord()
+			if s.bestCuts != nil && (!f0 || s.bestMerit > m0) {
+				out.better(bbBest{found: true, merit: s.bestMerit, cuts: s.bestCuts, key: key})
+			}
+			if s.inputsOK() {
+				children = append(children, bbSub{prefix: key, seed: s.bestMerit, seeded: s.bestFound})
 			}
 			s.undoAssign(id, node, k, u)
 		}

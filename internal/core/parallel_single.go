@@ -279,9 +279,8 @@ func (e *bbEngine) expandSingle(s *searcher, sub bbSub, out *bbBest) []bbSub {
 	var children []bbSub
 	if !node.Forbidden {
 		s.stats.CutsConsidered++
-		convOK := s.convexOK(node)
-		u := s.applyInclude(id, node)
-		if convOK && s.out <= s.cfg.Nout {
+		if s.includeOK(node) {
+			u := s.applyInclude(id, node)
 			s.stats.Passed++
 			key := childKey(sub.prefix, 1)
 			if s.inputs <= s.cfg.Nin {
@@ -294,13 +293,13 @@ func (e *bbEngine) expandSingle(s *searcher, sub bbSub, out *bbBest) []bbSub {
 			if !s.cfg.PruneInputs || s.permIn <= s.cfg.Nin {
 				children = append(children, bbSub{prefix: key, seed: s.bestMerit, seeded: s.bestFound})
 			}
+			s.undoInclude(id, node, u)
 		} else {
 			s.stats.Pruned++
 			if s.obs != nil {
 				s.obs.Pruned(d)
 			}
 		}
-		s.undoInclude(id, node, u)
 	}
 	exclPermIn := s.applyExclude(id, node)
 	if !s.cfg.PruneInputs || s.permIn <= s.cfg.Nin {

@@ -47,7 +47,8 @@ type Config struct {
 	// constraints, which this valve bounds in test environments. With
 	// Workers > 0 the budget is shared across workers and enforced at
 	// poll granularity, so the engine may overshoot it by up to
-	// Workers × ctxCheckInterval cuts.
+	// Workers × ctxCheckInterval cuts, or Workers × M × ctxCheckInterval
+	// for FindBestCuts (a visit there considers up to M cuts).
 	MaxCuts int64
 	// Window, when positive, replaces the exact search by the §9
 	// windowed heuristic (see FindBestCutWindowed): overlapping
@@ -507,13 +508,22 @@ func (s *searcher) meritUB(rank int) int64 {
 	return (s.sw + s.futSW[rank] - int64(s.cyc)) * s.freq
 }
 
-// convexOK reports whether including node keeps the cut convex: a
-// violation appears iff some already-decided consumer of it is outside
-// the cut yet can reach the cut (§6.1).
-func (s *searcher) convexOK(node *dfg.Node) bool {
+// includeOK reports whether the 1-branch at node passes, reading only
+// the node's consumers, which are all decided (DESIGN.md §5): S∪{node}
+// must be convex — no consumer outside the cut may reach it (§6.1) —
+// and have OUT ≤ Nout, where node is an output when a V+ node or an
+// operation outside the cut consumes it. Checking before applyInclude
+// lets a failing branch leave the state untouched.
+func (s *searcher) includeOK(node *dfg.Node) bool {
+	isOut := false
 	for _, sc := range node.Succs {
-		if s.g.Nodes[sc].Kind == dfg.KindOp && !s.inCut[sc] && s.reach[sc] {
-			return false
+		if s.g.Nodes[sc].Kind != dfg.KindOp {
+			isOut = true
+		} else if !s.inCut[sc] {
+			if s.reach[sc] {
+				return false
+			}
+			isOut = true
 		}
 	}
 	for _, sc := range node.OrderSuccs {
@@ -521,7 +531,16 @@ func (s *searcher) convexOK(node *dfg.Node) bool {
 			return false
 		}
 	}
-	return true
+	// Including node makes OUT out+1 if it is an output and out
+	// otherwise, so out < Nout before the branch is exactly the test
+	// out+1 ≤ Nout after applying it. Every reached state has
+	// out ≤ Nout (the root has out = 0, and a failing branch is never
+	// applied), so a non-output node passes whenever Nout ≥ 0; its test
+	// keeps a negative Nout admitting no cut.
+	if isOut {
+		return s.out < s.cfg.Nout
+	}
+	return s.out <= s.cfg.Nout
 }
 
 // inclUndo captures what applyInclude changed beyond the per-node
@@ -698,9 +717,8 @@ func (s *searcher) visit(rank int) {
 			return
 		}
 		s.stats.CutsConsidered++
-		convOK := s.convexOK(node)
-		u := s.applyInclude(id, node)
-		if convOK && s.out <= s.cfg.Nout {
+		if s.includeOK(node) {
+			u := s.applyInclude(id, node)
 			s.stats.Passed++
 			if s.inputs <= s.cfg.Nin {
 				s.record()
@@ -711,13 +729,13 @@ func (s *searcher) visit(rank int) {
 				}
 				s.visit(rank + 1)
 			}
+			s.undoInclude(id, node, u)
 		} else {
 			s.stats.Pruned++
 			if s.obs != nil {
 				s.obs.Pruned(rank)
 			}
 		}
-		s.undoInclude(id, node, u)
 	}
 
 	// 0-branch: exclude the node.
