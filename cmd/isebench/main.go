@@ -8,7 +8,7 @@
 //
 //	isebench                  # everything, default budgets
 //	isebench -fig 11 -measure # only Fig. 11, with simulator validation
-//	isebench -fig 11 -workers 8 -parallel -dedup -warmstart -prune
+//	isebench -fig 11 -workers 8 -parallel -prune
 //	                          # Fig. 11 with the engine optimizations on
 //	                          # (same numbers, less wall clock)
 //	isebench -budget 10000000 # spend more search effort
@@ -17,9 +17,8 @@
 //	                          # (constraints × ninstr × benchmark ×
 //	                          # target) grid; the JSON is deterministic
 //	                          # (byte-identical across worker counts)
-//	isebench -fig obsbench -obsjson BENCH_PR5.json
-//	                          # telemetry overhead: probe off (A/A) vs
-//	                          # metrics-only vs full flight-recorder tracing
+//
+// An unknown -fig name prints the valid names and exits with code 2.
 package main
 
 import (
@@ -27,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -46,22 +46,32 @@ type cliOpts struct {
 	deadline time.Duration
 
 	// Fig. 11 engine knobs (result-preserving; wall clock only).
-	workers   int
-	parallel  bool
-	dedup     bool
-	warmstart bool
-	prune     bool
+	workers  int
+	parallel bool
+	prune    bool
 
 	// DSE sweep axes.
 	targets   []string
 	sweepMode string
-	obsJSON   string
 	dseJSON   string
+}
+
+// figures lists the -fig names run understands, in the order it runs
+// them; "all" runs every one.
+var figures = []string{"dse", "3", "5", "7", "8", "11", "runtime", "area", "tradeoff", "vliw", "ifconv", "ablation"}
+
+// checkFig rejects a -fig value that is neither "all" nor a figure
+// name; the error lists the valid names.
+func checkFig(fig string) error {
+	if fig == "all" || slices.Contains(figures, fig) {
+		return nil
+	}
+	return fmt.Errorf("unknown -fig %q (want one of %s, all)", fig, strings.Join(figures, ", "))
 }
 
 func main() {
 	var o cliOpts
-	fig := flag.String("fig", "all", "which figure to regenerate: 3, 5, 7, 8, 11, runtime, area, tradeoff, vliw, ifconv, ablation, obsbench, dse, all")
+	fig := flag.String("fig", "all", "which figure to regenerate: "+strings.Join(figures, ", ")+", all")
 	flag.Int64Var(&o.budget, "budget", experiments.DefaultBudget, "cut budget per identification call")
 	flag.BoolVar(&o.measure, "measure", false, "Fig. 11: additionally patch and measure on the cycle simulator")
 	flag.BoolVar(&o.optimal, "optimal", false, "Fig. 11: include the Optimal selection (slow on large blocks)")
@@ -69,14 +79,15 @@ func main() {
 	flag.DurationVar(&o.deadline, "deadline", 0, "Fig. 11: wall-clock budget per selection call (e.g. 2s; 0 = none); tripped cells are marked * as lower bounds")
 	flag.IntVar(&o.workers, "workers", 0, "Fig. 11: per-search worker count (0 = serial); DSE sweep: admission-pool size")
 	flag.BoolVar(&o.parallel, "parallel", false, "Fig. 11: search a selection's blocks concurrently")
-	flag.BoolVar(&o.dedup, "dedup", false, "Fig. 11: cross-block structural dedup")
-	flag.BoolVar(&o.warmstart, "warmstart", false, "Fig. 11: seed each search with a windowed heuristic incumbent")
 	flag.BoolVar(&o.prune, "prune", false, "Fig. 11: enable the sound merit-bound and input-count prunings")
 	targets := flag.String("targets", "paper", "comma-separated hardware-target profiles for the DSE sweep (among "+strings.Join(latency.TargetNames(), ",")+")")
-	flag.StringVar(&o.sweepMode, "sweepmode", "warm", "DSE sweep mode: warm (shared seeds/dedup, parallel) or cold (dedicated serial reference)")
-	flag.StringVar(&o.obsJSON, "obsjson", "", "with -fig obsbench (or all): write the telemetry overhead benchmark report to this file as JSON (e.g. BENCH_PR5.json)")
+	flag.StringVar(&o.sweepMode, "sweepmode", "warm", "DSE sweep mode: warm (shared seeds, parallel) or cold (dedicated serial reference)")
 	flag.StringVar(&o.dseJSON, "dsejson", "", "with -fig dse (or all): write the deterministic sweep/Pareto report to this file as JSON")
 	flag.Parse()
+	if err := checkFig(*fig); err != nil {
+		fmt.Fprintln(os.Stderr, "isebench:", err)
+		os.Exit(2)
+	}
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "benchmarks" {
 			o.benchSet = true
@@ -103,20 +114,6 @@ func splitList(s string) []string {
 
 func run(want func(string) bool, o cliOpts) error {
 	section := func(s string) { fmt.Println(); fmt.Println(s); fmt.Println() }
-
-	if want("obsbench") || o.obsJSON != "" {
-		rep, err := experiments.ObsBench()
-		if err != nil {
-			return err
-		}
-		section(experiments.ObsBenchTable(rep))
-		if o.obsJSON != "" {
-			if err := rep.WriteJSON(o.obsJSON); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", o.obsJSON)
-		}
-	}
 
 	if want("dse") || o.dseJSON != "" {
 		opt := dseOptions(o)
@@ -175,8 +172,6 @@ func run(want func(string) bool, o cliOpts) error {
 		opt.Deadline = o.deadline
 		opt.Workers = o.workers
 		opt.Parallel = o.parallel
-		opt.Dedup = o.dedup
-		opt.WarmStart = o.warmstart
 		opt.PruneInputs = o.prune
 		opt.PruneMerit = o.prune
 		if !o.optimal {

@@ -76,7 +76,6 @@ func run() error {
 		method    = flag.String("method", "iterative", "selection algorithm: iterative, optimal, clubbing, maxmiso")
 		budget    = flag.Int64("budget", 2_000_000, "cut budget per identification call (0 = unlimited)")
 		workers   = flag.Int("workers", 0, "run each block's exact search on the work-stealing parallel branch-and-bound engine with this many workers (0 = serial; results are bit-identical)")
-		dedup     = flag.Bool("dedup", true, "share identification results between isomorphic basic blocks: canonical graph hashing finds repeated structure, adopted cuts are translated and revalidated on the adopting block (bit-identical selections modulo node renaming; see dedup_hits and shared_instructions in -json)")
 		deadline  = flag.Duration("deadline", 0, "wall-clock budget for identification (e.g. 500ms; 0 = none); on expiry the best selection found so far is reported")
 		stallWin  = flag.Duration("stall-window", 0, "arm the parallel engine's watchdog (needs -workers): a worker with no progress for two such windows has its subproblem requeued for the others and the block degrades to 'stalled' (0 = off)")
 		strict    = flag.Bool("strict", false, "exit with code 2 when any block's search degraded below the exact algorithm (the report is still written); for CI gates that must not accept lower bounds")
@@ -92,7 +91,7 @@ func run() error {
 		sweepTargets     = flag.String("targets", "paper", "-sweep: comma-separated hardware-target profiles (paper, pipelined, fwdcost)")
 		sweepConstraints = flag.String("constraints", "", "-sweep: comma-separated nin/nout grid points, e.g. 2/1,4/2,4/3,8/4 (default: those four)")
 		sweepNinstr      = flag.String("ninstrs", "", "-sweep: comma-separated instruction budgets (default 1,2,4,8,16)")
-		sweepMode        = flag.String("sweep-mode", "warm", "-sweep: warm (monotone seeding, shared dedup, pool-gated parallelism) or cold (dedicated serial reference; bit-identical cells)")
+		sweepMode        = flag.String("sweep-mode", "warm", "-sweep: warm (monotone seeding, pool-gated parallelism) or cold (dedicated serial reference; bit-identical cells)")
 		sweepJSON        = flag.String("sweep-json", "", "-sweep: write the deterministic sweep/Pareto report to this file as JSON (with -trace, an attribution section derived from the cell spans is merged in)")
 		sweepProgress    = flag.Bool("progress", false, "-sweep: render live per-chain/per-cell progress (queued/searching/done, current block and rung, ETA from completed-cell rates) to stderr; also served as JSON at /sweep/status when -metrics-addr is set")
 
@@ -122,6 +121,10 @@ func run() error {
 			*sweepMode, *sweepJSON, *budget, *workers, *deadline,
 			sweepIO{tracePath: *tracePath, traceChrome: *traceChrome,
 				metricsAddr: *metricsAddr, progress: *sweepProgress})
+	}
+
+	if err := checkPorts(*nin, *nout); err != nil {
+		return err
 	}
 
 	var (
@@ -178,7 +181,7 @@ func run() error {
 
 	model := latency.Default()
 	cfg := core.Config{Nin: *nin, Nout: *nout, Model: model, MaxCuts: *budget,
-		Workers: *workers, Dedup: *dedup, StallWindow: *stallWin}
+		Workers: *workers, StallWindow: *stallWin}
 
 	// Telemetry: the flight recorder is on when a trace output is wanted,
 	// the metrics registry when anything will read it (the HTTP endpoint
@@ -267,9 +270,6 @@ func run() error {
 		fmt.Print(t.String())
 		fmt.Printf("total estimated merit: %d cycles; identification calls: %d; cuts considered: %d (%d passed, %d pruned)",
 			sel.TotalMerit, sel.IdentCalls, sel.Stats.CutsConsidered, sel.Stats.Passed, sel.Stats.Pruned)
-		if sel.DedupHits > 0 {
-			fmt.Printf("; dedup hits: %d", sel.DedupHits)
-		}
 		fmt.Printf("; status: %s", sel.Status)
 		if sel.Degraded() {
 			fmt.Printf(" (search degraded; results are lower bounds)")
@@ -404,6 +404,15 @@ func run() error {
 	return writeIR()
 }
 
+// checkPorts rejects port counts no special instruction can use: it
+// needs at least one register-file read and one write port.
+func checkPorts(nin, nout int) error {
+	if nin < 1 || nout < 1 {
+		return fmt.Errorf("-nin and -nout must be at least 1 (got %d and %d)", nin, nout)
+	}
+	return nil
+}
+
 // writeTrace writes the merged event timeline to path in the format
 // implemented by write (JSONL or Chrome trace_event).
 func writeTrace(path string, events []obs.Event, write func(w io.Writer, evs []obs.Event) error) error {
@@ -426,7 +435,6 @@ type jsonReport struct {
 	Ninstr       int            `json:"ninstr"`
 	TotalMerit   int64          `json:"total_merit"`
 	IdentCalls   int            `json:"ident_calls"`
-	DedupHits    int            `json:"dedup_hits"`
 	Status       string         `json:"status"`
 	Degraded     bool           `json:"degraded"`
 	FirstPanic   string         `json:"first_panic,omitempty"`
@@ -438,7 +446,7 @@ type jsonReport struct {
 }
 
 // jsonShared is one group of selected instructions whose datapaths
-// canonicalize identically (cross-block dedup; -dedup).
+// canonicalize identically (core.SharedInstruction).
 type jsonShared struct {
 	Hash    string   `json:"hash"`
 	Count   int      `json:"count"`
@@ -483,7 +491,6 @@ func writeJSONReport(w *os.File, method string, nin, nout, ninstr int, sel core.
 		Ninstr:     ninstr,
 		TotalMerit: sel.TotalMerit,
 		IdentCalls: sel.IdentCalls,
-		DedupHits:  sel.DedupHits,
 		Status:     sel.Status.String(),
 		Degraded:   sel.Degraded(),
 		FirstPanic: sel.FirstPanic,

@@ -168,8 +168,8 @@ func runSweep(kernels, targets, constraints, ninstrs, mode, jsonPath string, bud
 
 	fmt.Printf("DSE sweep (%s mode): %v × %v, constraints %v, ninstr %v, budget %d\n",
 		rep.Mode, opt.Benchmarks, opt.Targets, rep.Constraints, rep.Ninstr, rep.Budget)
-	fmt.Printf("%.2fs wall; %d selections, %d identification calls, %d seed hits, %d dedup hits\n",
-		stats.Elapsed.Seconds(), stats.Selections, stats.IdentCalls, stats.SeedHits, stats.DedupHits)
+	fmt.Printf("%.2fs wall; %d selections, %d identification calls, %d seed hits\n",
+		stats.Elapsed.Seconds(), stats.Selections, stats.IdentCalls, stats.SeedHits)
 	for _, b := range rep.Benchmarks {
 		for _, tr := range b.Targets {
 			t := &report.Table{

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"isex/internal/dfg"
 	"isex/internal/obs"
 )
 
@@ -29,14 +31,13 @@ func fullProbe() *obs.Probe {
 var diffWorkers = []int{0, 1, 4, 8}
 
 // diffConfig builds the search config for one sweep point. Pruned mirrors
-// the benches' pruned configuration (merit bound + permanent-input bound
-// + warm start).
+// the benches' pruned configuration (merit bound + permanent-input
+// bound).
 func diffConfig(workers int, pruned bool) Config {
 	cfg := Config{Nin: 6, Nout: 2, Workers: workers}
 	if pruned {
 		cfg.PruneMerit = true
 		cfg.PruneInputs = true
-		cfg.WarmStart = true
 	}
 	return cfg
 }
@@ -49,43 +50,63 @@ func statsComparable(workers int, pruned bool) bool {
 	return workers == 0 || !pruned
 }
 
+// TestObsDifferentialSingle runs the single-cut search with the probe
+// off, metrics-only and full tracing, and demands the same search end to
+// end: on a random graph, on fir's hottest block, and (not under -short)
+// on g721's g721_encode/body2 at 2/1, the largest block of the suite.
 func TestObsDifferentialSingle(t *testing.T) {
+	type input struct {
+		name      string
+		g         *dfg.Graph
+		nin, nout int
+	}
 	rng := rand.New(rand.NewSource(77))
-	g := randomGraph(t, rng, 30)
-	for _, pruned := range []bool{false, true} {
-		for _, w := range diffWorkers {
-			cfg := diffConfig(w, pruned)
-			base := FindBestCutCtx(context.Background(), g, cfg)
-			probe := fullProbe()
-			cfg.Probe = probe
-			traced := FindBestCutCtx(context.Background(), g, cfg)
-
-			if base.Found != traced.Found || !reflect.DeepEqual(base.Cut, traced.Cut) ||
-				base.Est != traced.Est || base.Status != traced.Status {
-				t.Errorf("workers=%d pruned=%v: traced result diverged:\n base=%+v\ntraced=%+v",
-					w, pruned, base, traced)
-			}
-			if statsComparable(w, pruned) && base.Stats != traced.Stats {
-				t.Errorf("workers=%d pruned=%v: traced Stats diverged: base=%+v traced=%+v",
-					w, pruned, base.Stats, traced.Stats)
-			}
-			// The probe must actually have observed the search — a silent
-			// no-op probe would make this whole suite vacuous. Exact
-			// registry parity holds only for the serial unpruned search
-			// (a warm pass flushes its own cuts into the registry without
-			// charging the result's Stats).
-			snap := probe.Met.Registry().Snapshot()
-			c, _ := snap["search_cuts_considered_total"].(int64)
-			if w == 0 && !pruned && c != base.Stats.CutsConsidered {
-				t.Errorf("workers=%d pruned=%v: registry saw %d considered cuts, Stats say %d",
-					w, pruned, c, base.Stats.CutsConsidered)
-			}
-			if c < traced.Stats.CutsConsidered {
-				t.Errorf("workers=%d pruned=%v: registry saw %d considered cuts, below Stats %d",
-					w, pruned, c, traced.Stats.CutsConsidered)
-			}
-			if len(probe.Rec.Merge()) == 0 {
-				t.Errorf("workers=%d pruned=%v: flight recorder captured no events", w, pruned)
+	inputs := []input{
+		{"random", randomGraph(t, rng, 30), 6, 2},
+		{"fir", hotBlock(t, "fir"), 2, 1},
+	}
+	if !testing.Short() {
+		inputs = append(inputs, input{"g721", hotBlock(t, "g721"), 2, 1})
+	}
+	for _, in := range inputs {
+		for _, pruned := range []bool{false, true} {
+			for _, w := range diffWorkers {
+				cfg := diffConfig(w, pruned)
+				cfg.Nin, cfg.Nout = in.nin, in.nout
+				base := FindBestCutCtx(context.Background(), in.g, cfg)
+				for _, mode := range []struct {
+					name  string
+					probe *obs.Probe
+				}{
+					{"metrics", &obs.Probe{Met: obs.NewMetrics(obs.NewRegistry())}},
+					{"trace", fullProbe()},
+				} {
+					label := fmt.Sprintf("%s workers=%d pruned=%v %s", in.name, w, pruned, mode.name)
+					cfg.Probe = mode.probe
+					got := FindBestCutCtx(context.Background(), in.g, cfg)
+					if base.Found != got.Found || !reflect.DeepEqual(base.Cut, got.Cut) ||
+						base.Est != got.Est || base.Status != got.Status {
+						t.Errorf("%s: observed result diverged:\n base=%+v\n  got=%+v", label, base, got)
+					}
+					if statsComparable(w, pruned) && base.Stats != got.Stats {
+						t.Errorf("%s: observed Stats diverged: base=%+v got=%+v", label, base.Stats, got.Stats)
+					}
+					// The probe must actually have observed the search — a
+					// silent no-op probe would make this whole suite
+					// vacuous. Exact registry parity holds for the serial
+					// search; the engine's warm pass flushes its own cuts
+					// into the registry without charging the result's Stats.
+					c, _ := mode.probe.Met.Registry().Snapshot()["search_cuts_considered_total"].(int64)
+					if w == 0 && c != base.Stats.CutsConsidered {
+						t.Errorf("%s: registry saw %d considered cuts, Stats say %d", label, c, base.Stats.CutsConsidered)
+					}
+					if c < got.Stats.CutsConsidered {
+						t.Errorf("%s: registry saw %d considered cuts, below Stats %d", label, c, got.Stats.CutsConsidered)
+					}
+					if mode.probe.Rec != nil && len(mode.probe.Rec.Merge()) == 0 {
+						t.Errorf("%s: flight recorder captured no events", label)
+					}
+				}
 			}
 		}
 	}

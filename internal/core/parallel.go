@@ -496,8 +496,8 @@ func (e *bbEngine) watch(window time.Duration) func() {
 
 // workerConfig strips the options the engine owns from the per-worker
 // searcher configs: the budget is global (pollSearch), Window / Workers /
-// WarmStart / Parallel must not recurse inside a worker, and incumbent
-// seeds are applied once at the engine root (as the warm base), never per
+// Parallel must not recurse inside a worker, and incumbent seeds are
+// applied once at the engine root (as the warm base), never per
 // subproblem — subproblems inherit their lineage's threshold instead.
 // Probe deliberately survives: each worker attaches its own private
 // flight-recorder ring through it.
@@ -505,7 +505,6 @@ func workerConfig(cfg Config) Config {
 	cfg.MaxCuts = 0
 	cfg.Window = 0
 	cfg.Workers = 0
-	cfg.WarmStart = false
 	cfg.Parallel = false
 	cfg.Seeds = nil // book seeding happens once at the engine root
 	return cfg.stripSeed()

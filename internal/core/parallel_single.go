@@ -16,17 +16,16 @@ import (
 // of the serial search; see the package comment in parallel.go.
 func findBestCutParallel(ctx context.Context, g *dfg.Graph, cfg Config) Result {
 	// Warm start: with PruneMerit the shared bound is only as good as the
-	// incumbent, so the engine always warm-starts when pruning is on;
-	// WarmStart forces it for the unpruned search too. As on the serial
-	// path, the warm pass is charged against neither MaxCuts nor Stats.
-	// A seed-book seed (withSeed) forms the initial base exactly as the
-	// serial path's seedIncumbent call, and — also mirroring it — a warm
-	// result displaces the seed only when strictly better.
+	// incumbent, so the engine warm-starts whenever pruning is on. The
+	// warm pass is charged against neither MaxCuts nor Stats. A seed-book
+	// seed (withSeed) forms the initial base exactly as the serial path's
+	// seedIncumbent call, and a warm result displaces the seed only when
+	// strictly better.
 	var base bbBest
 	if cfg.seedOn && cfg.seedMerit > 0 && len(cfg.seedCut) > 0 {
 		base = bbBest{found: true, merit: cfg.seedMerit, cut: append(dfg.Cut(nil), cfg.seedCut...), base: true}
 	}
-	if (cfg.PruneMerit || cfg.WarmStart) && g.NumOps() > warmWindow {
+	if cfg.PruneMerit && g.NumOps() > warmWindow {
 		w := findWarmIncumbent(ctx, g, cfg)
 		if w.Found && (!base.found || w.Est.Merit > base.merit) {
 			base = bbBest{found: true, merit: w.Est.Merit, cut: w.Cut, base: true}

@@ -330,55 +330,6 @@ func TestCancelObservedOnZeroBranches(t *testing.T) {
 	}
 }
 
-// TestWarmStartSerialIdentical: the serial WarmStart path must return
-// exactly the cold search's cut and merit (the seed sits one merit unit
-// below the heuristic incumbent, so the DFS-first optimum still wins).
-func TestWarmStartSerialIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(409))
-	for trial := 0; trial < 10; trial++ {
-		g := randomGraph(t, rng, 16+rng.Intn(8))
-		cold := FindBestCut(g, Config{Nin: 3, Nout: 2, PruneMerit: true})
-		warm := FindBestCut(g, Config{Nin: 3, Nout: 2, PruneMerit: true, WarmStart: true})
-		if cold.Found != warm.Found || cold.Est.Merit != warm.Est.Merit ||
-			!cold.Cut.Equal(warm.Cut) {
-			t.Fatalf("trial %d: warm %v/%d diverges from cold %v/%d",
-				trial, warm.Cut, warm.Est.Merit, cold.Cut, cold.Est.Merit)
-		}
-	}
-}
-
-// TestWarmStartAdpcm is the paper-scale warm-start contract: on the
-// adpcm decoder's hot block the warm-started pruned search must return
-// the identical optimal cut while strictly shrinking the explored tree.
-// Stats count the exact search alone (the bounded warm pass is charged
-// to neither Stats nor MaxCuts), so the two counters compare the same
-// tree under cold vs seeded incumbents.
-func TestWarmStartAdpcm(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second exact search")
-	}
-	g := hotBlock(t, "adpcmdecode")
-	cfg := Config{Nin: 2, Nout: 1, PruneMerit: true}
-	cold := FindBestCut(g, cfg)
-	wcfg := cfg
-	wcfg.WarmStart = true
-	warm := FindBestCut(g, wcfg)
-	if !cold.Found || !warm.Found {
-		t.Fatal("search found nothing")
-	}
-	if cold.Est.Merit != warm.Est.Merit || !cold.Cut.Equal(warm.Cut) {
-		t.Fatalf("warm %v/%d diverges from cold %v/%d",
-			warm.Cut, warm.Est.Merit, cold.Cut, cold.Est.Merit)
-	}
-	if warm.Stats.CutsConsidered >= cold.Stats.CutsConsidered {
-		t.Errorf("warm start did not shrink the search: %d >= %d",
-			warm.Stats.CutsConsidered, cold.Stats.CutsConsidered)
-	}
-	t.Logf("cold %d cuts, warm %d cuts (%.1f%%)", cold.Stats.CutsConsidered,
-		warm.Stats.CutsConsidered,
-		100*float64(warm.Stats.CutsConsidered)/float64(cold.Stats.CutsConsidered))
-}
-
 // TestParallelAdpcmMatchesSerial runs the full engine on real hot blocks
 // and checks bit-identical results against a serial reference: on the
 // adpcm decoder's, the pruned serial search; on g721's (126 ops, the

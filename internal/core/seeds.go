@@ -84,7 +84,8 @@ func (b *SeedBook) put(fp uint64, c dfg.Cut) bool {
 }
 
 // lookup returns the stored cuts for fp (shared slices; callers must
-// treat them as immutable, which withSeed/seedIncumbent do by copying).
+// treat them as immutable, which seedIncumbent and the engine do by
+// copying).
 func (b *SeedBook) lookup(fp uint64) []seedEntry {
 	if b == nil {
 		return nil

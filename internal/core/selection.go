@@ -19,9 +19,8 @@ type Selected struct {
 	InstrIndexes []int
 	Est          Estimate
 	// CutHash is the canonical digest of the cut's induced datapath
-	// (dfg.CutCanonHash): two selections with equal non-zero hashes
-	// compute the same function and could share one hardware
-	// implementation. Zero when Config.Dedup is off.
+	// (dfg.CutCanonHash): two selections with equal hashes compute the
+	// same function and could share one hardware implementation.
 	CutHash dfg.CanonDigest
 	// ChosenAt is the greedy iteration (0-based) at which the iterative
 	// drivers picked this instruction — the key to Ninstr prefix sharing:
@@ -54,14 +53,8 @@ type SelectionResult struct {
 	// the §6.2 currency: the optimal algorithm is proven to need at most
 	// Ninstr + Nbb − 1 of them.
 	IdentCalls int
-	// DedupHits counts identifications served by the cross-block dedup
-	// memo (Config.Dedup): an isomorphic block had already been searched
-	// and its cuts were translated, revalidated and adopted. Dedup hits
-	// are charged here instead of IdentCalls and consume no search work.
-	DedupHits int
 	// SharedInstructions groups selected instructions whose datapaths
-	// canonicalize identically (only populated with Config.Dedup; groups
-	// appear in first-selected order).
+	// canonicalize identically (groups appear in first-selected order).
 	SharedInstructions []SharedInstruction
 	// Blocks reports, per basic block, how its search ended (sorted by
 	// function name, then block name). Blocks searched to completion are
@@ -102,7 +95,7 @@ func (r *SelectionResult) finalize() {
 	r.computeShared()
 }
 
-// computeShared groups the selected instructions by non-zero CutHash
+// computeShared groups the selected instructions by CutHash
 // (first-selected order) and records every group of two or more as a
 // SharedInstruction. Must run after the instructions are sorted —
 // Members are indexes into the final Instructions slice.
@@ -111,9 +104,6 @@ func (r *SelectionResult) computeShared() {
 	groups := make(map[dfg.CanonDigest][]int)
 	var order []dfg.CanonDigest
 	for i, s := range r.Instructions {
-		if s.CutHash.IsZero() {
-			continue
-		}
 		if _, ok := groups[s.CutHash]; !ok {
 			order = append(order, s.CutHash)
 		}
@@ -217,79 +207,18 @@ func SelectOptimalCtx(ctx context.Context, m *ir.Module, ninstr int, cfg Config)
 	}
 	states := make([]blockState, len(bgs))
 	blockStat := make([]BlockStatus, len(bgs))
-	memo := newDedupMemo(cfg)
-	hs := make([]dfg.CanonDigest, len(bgs))
-	// identify serves block bi's M-cut identification, from the dedup
-	// memo when an isomorphic block was already searched (charged to
-	// DedupHits), from a fresh search otherwise (charged to IdentCalls
-	// and stored for later twins).
-	identify := func(bi, mm int) MultiResult {
-		if r, bb, ok := memo.lookupMulti(bgs[bi].g, hs[bi], mm); ok {
-			res.DedupHits++
-			mergeBlockStatus(&blockStat[bi], bb)
-			return r
-		}
-		res.IdentCalls++
-		r, bs := searchBlockMultiSafe(ctx, bgs[bi].g, mm, cfg)
+	// The initial identification of every block is independent, exactly
+	// like SelectIterativeCtx's initial pass.
+	results := make([]MultiResult, len(bgs))
+	searchEach(len(bgs), cfg.Parallel, func(i int) {
+		results[i], blockStat[i] = searchBlockMultiSafe(ctx, bgs[i].g, 1, cfg)
+	})
+	res.IdentCalls = len(bgs)
+	for i, r := range results {
 		res.Stats.add(r.Stats)
-		mergeBlockStatus(&blockStat[bi], bs)
-		memo.storeMulti(bgs[bi].g, hs[bi], mm, r, bs)
-		return r
-	}
-	// The initial identification of every block is independent; with
-	// Parallel set the blocks are searched concurrently, exactly like
-	// SelectIterativeCtx's initial pass (deterministic: results land in
-	// fixed slots and are merged in index order afterwards). Only dedup
-	// leaders are searched — the plan is computed from the graphs up
-	// front so the serial and parallel passes make identical decisions.
-	if cfg.Parallel && len(bgs) > 1 {
-		leader := dedupPlan(memo, hs, func(i int) *dfg.Graph { return bgs[i].g }, len(bgs))
-		results := make([]MultiResult, len(bgs))
-		stats := make([]BlockStatus, len(bgs))
-		var wg sync.WaitGroup
-		for i := range bgs {
-			if leader[i] != i {
-				continue
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				results[i], stats[i] = searchBlockMultiSafe(ctx, bgs[i].g, 1, cfg)
-			}(i)
-		}
-		wg.Wait()
-		for i := range bgs {
-			blockStat[i] = BlockStatus{Fn: bgs[i].fn.Name, Block: bgs[i].b.Name}
-			var r MultiResult
-			if leader[i] == i {
-				res.IdentCalls++
-				res.Stats.add(results[i].Stats)
-				mergeBlockStatus(&blockStat[i], stats[i])
-				memo.storeMulti(bgs[i].g, hs[i], 1, results[i], stats[i])
-				r = results[i]
-			} else {
-				// Followers adopt their leader's identification; when the
-				// leader's result is not adoptable (non-exhaustive, or the
-				// translation was refused) the block searches itself.
-				r = identify(i, 1)
-			}
-			states[i].totals = []int64{0, r.TotalMerit}
-			states[i].results = []MultiResult{{}, r}
-			states[i].gain = r.TotalMerit
-		}
-	} else {
-		if memo.enabled() {
-			for i := range bgs {
-				hs[i] = memo.hash(bgs[i].g)
-			}
-		}
-		for i := range bgs {
-			blockStat[i] = BlockStatus{Fn: bgs[i].fn.Name, Block: bgs[i].b.Name}
-			r := identify(i, 1)
-			states[i].totals = []int64{0, r.TotalMerit}
-			states[i].results = []MultiResult{{}, r}
-			states[i].gain = r.TotalMerit
-		}
+		states[i].totals = []int64{0, r.TotalMerit}
+		states[i].results = []MultiResult{{}, r}
+		states[i].gain = r.TotalMerit
 	}
 	chosen := 0
 	for chosen < ninstr {
@@ -319,7 +248,10 @@ func SelectOptimalCtx(ctx context.Context, m *ir.Module, ninstr int, cfg Config)
 		}
 		// Identify with M+1 cuts on the block just chosen and refresh its
 		// improvement value.
-		r := identify(bestB, st.m+1)
+		r, bs := searchBlockMultiSafe(ctx, bgs[bestB].g, st.m+1, cfg)
+		res.IdentCalls++
+		res.Stats.add(r.Stats)
+		mergeBlockStatus(&blockStat[bestB], bs)
 		st.totals = append(st.totals, r.TotalMerit)
 		st.results = append(st.results, r)
 		st.gain = r.TotalMerit - st.totals[st.m]
@@ -335,17 +267,14 @@ func SelectOptimalCtx(ctx context.Context, m *ir.Module, ninstr int, cfg Config)
 		}
 		r := st.results[st.m]
 		for j, c := range r.Cuts {
-			sel := Selected{
+			res.Instructions = append(res.Instructions, Selected{
 				Fn:           bgs[i].fn,
 				Block:        bgs[i].b,
 				InstrIndexes: instrIndexesOf(bgs[i].g, c),
 				Est:          r.Ests[j],
+				CutHash:      bgs[i].g.CutCanonHash(c),
 				ChosenAt:     -1,
-			}
-			if memo.enabled() {
-				sel.CutHash = bgs[i].g.CutCanonHash(c)
-			}
-			res.Instructions = append(res.Instructions, sel)
+			})
 			res.TotalMerit += r.Ests[j].Merit
 		}
 	}
@@ -389,87 +318,14 @@ func SelectIterativeCtx(ctx context.Context, m *ir.Module, ninstr int, cfg Confi
 	}
 	states := make([]blockState, len(bgs))
 	blockStat := make([]BlockStatus, len(bgs))
-	memo := newDedupMemo(cfg)
-	hs := make([]dfg.CanonDigest, len(bgs))
-	// identify serves block i's single-cut identification on graph g,
-	// from the dedup memo when an isomorphic graph was already searched
-	// (DedupHits), from a fresh search otherwise (IdentCalls + store).
-	identify := func(i int, g *dfg.Graph, h dfg.CanonDigest) (Result, BlockStatus) {
-		if r, bb, ok := memo.lookupSingle(g, h); ok {
-			res.DedupHits++
-			return r, bb
-		}
-		r, bs := searchBlockSafe(ctx, g, cfg)
-		res.IdentCalls++
-		res.Stats.add(r.Stats)
-		memo.storeSingle(g, h, r, bs)
-		return r, bs
-	}
-	// The initial identification of every block is independent; with
-	// Parallel set the blocks are searched concurrently (deterministic:
-	// results land in fixed slots, and the stats are merged afterwards).
-	// Only dedup leaders are searched — the plan is computed from the
-	// graphs up front so the serial and parallel passes make identical
-	// decisions.
-	if cfg.Parallel && len(bgs) > 1 {
-		for i := range bgs {
-			states[i].g = bgs[i].g
-		}
-		leader := dedupPlan(memo, hs, func(i int) *dfg.Graph { return bgs[i].g }, len(bgs))
-		results := make([]Result, len(bgs))
-		stats := make([]BlockStatus, len(bgs))
-		// Leaders consult the memo before searching — a no-op for a
-		// private memo (necessarily empty here) but a real hit when a
-		// shared DedupCache already holds a twin from another selection
-		// call; this mirrors the serial path, whose identify() is
-		// lookup-first.
-		adopted := make([]bool, len(bgs))
-		var wg sync.WaitGroup
-		for i := range bgs {
-			if leader[i] != i {
-				continue
-			}
-			if r, bb, ok := memo.lookupSingle(bgs[i].g, hs[i]); ok {
-				adopted[i], results[i], stats[i] = true, r, bb
-				continue
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				results[i], stats[i] = searchBlockSafe(ctx, states[i].g, cfg)
-			}(i)
-		}
-		wg.Wait()
-		for i := range bgs {
-			if leader[i] == i {
-				if adopted[i] {
-					res.DedupHits++
-					states[i].best = results[i]
-					blockStat[i] = stats[i]
-					continue
-				}
-				res.IdentCalls++
-				res.Stats.add(results[i].Stats)
-				states[i].best = results[i]
-				blockStat[i] = stats[i]
-				memo.storeSingle(states[i].g, hs[i], results[i], stats[i])
-				continue
-			}
-			// Followers adopt their leader's identification; when the
-			// leader's result is not adoptable (non-exhaustive, or the
-			// translation was refused) the block searches itself.
-			states[i].best, blockStat[i] = identify(i, states[i].g, hs[i])
-		}
-	} else {
-		if memo.enabled() {
-			for i := range bgs {
-				hs[i] = memo.hash(bgs[i].g)
-			}
-		}
-		for i := range bgs {
-			states[i].g = bgs[i].g
-			states[i].best, blockStat[i] = identify(i, states[i].g, hs[i])
-		}
+	// The initial identification of every block is independent.
+	searchEach(len(bgs), cfg.Parallel, func(i int) {
+		states[i].g = bgs[i].g
+		states[i].best, blockStat[i] = searchBlockSafe(ctx, bgs[i].g, cfg)
+	})
+	res.IdentCalls = len(states)
+	for i := range states {
+		res.Stats.add(states[i].best.Stats)
 	}
 	for chosen := 0; chosen < ninstr; chosen++ {
 		bestB := -1
@@ -484,17 +340,14 @@ func SelectIterativeCtx(ctx context.Context, m *ir.Module, ninstr int, cfg Confi
 			break
 		}
 		st := &states[bestB]
-		sel := Selected{
+		res.Instructions = append(res.Instructions, Selected{
 			Fn:           bgs[bestB].fn,
 			Block:        bgs[bestB].b,
 			InstrIndexes: instrIndexesOf(st.g, st.best.Cut),
 			Est:          st.best.Est,
+			CutHash:      st.g.CutCanonHash(st.best.Cut),
 			ChosenAt:     chosen,
-		}
-		if memo.enabled() {
-			sel.CutHash = st.g.CutCanonHash(st.best.Cut)
-		}
-		res.Instructions = append(res.Instructions, sel)
+		})
 		res.TotalMerit += st.best.Est.Merit
 		// Collapse the chosen cut and re-identify on this block only.
 		name := fmt.Sprintf("ise_%s_%d", bgs[bestB].b.Name, chosen)
@@ -515,7 +368,9 @@ func SelectIterativeCtx(ctx context.Context, m *ir.Module, ninstr int, cfg Confi
 			st.best = Result{}
 			continue
 		}
-		r, bs := identify(bestB, st.g, memo.hash(st.g))
+		r, bs := searchBlockSafe(ctx, st.g, cfg)
+		res.IdentCalls++
+		res.Stats.add(r.Stats)
 		st.best = r
 		mergeBlockStatus(&blockStat[bestB], bs)
 	}
@@ -523,6 +378,26 @@ func SelectIterativeCtx(ctx context.Context, m *ir.Module, ninstr int, cfg Confi
 	res.Blocks = append(res.Blocks, blockStat...)
 	res.finalize()
 	return res
+}
+
+// searchEach runs search(i) for every block index i, each writing only
+// its own slot: in goroutines when parallel is set, in index order
+// otherwise. Callers merge the slots in index order afterwards, so the
+// result does not depend on parallel.
+func searchEach(n int, parallel bool, search func(i int)) {
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		if !parallel {
+			search(i)
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			search(i)
+		}()
+	}
+	wg.Wait()
 }
 
 // sortSelected orders instructions deterministically: by function name,

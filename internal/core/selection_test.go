@@ -61,6 +61,68 @@ int main() {
 }
 `
 
+// twinKernels contains two functions with identical bodies but different
+// names and different profiled frequencies: the same datapath selected
+// in both must be grouped as one shareable implementation.
+const twinKernels = `
+int a0[16] = {3,1,4,1,5,9,2,6,5,3,5,8,9,7,9,3};
+int out0[16];
+
+void fa(int n) {
+    int i;
+    for (i = 0; i < n; i++) {
+        int v = a0[i & 15];
+        int w = ((v << 3) - v) + ((v >> 2) & 7);
+        out0[i & 15] = w ^ (v << 1);
+    }
+}
+void fb(int n) {
+    int i;
+    for (i = 0; i < n; i++) {
+        int v = a0[i & 15];
+        int w = ((v << 3) - v) + ((v >> 2) & 7);
+        out0[i & 15] = w ^ (v << 1);
+    }
+}
+int main() {
+    fa(400);
+    fb(50);
+    return out0[3];
+}
+`
+
+// TestSharedInstructionsTwinFunctions: with no option set, both drivers,
+// serial and Parallel, group the twins' selected instructions — at least
+// one group spans both functions.
+func TestSharedInstructionsTwinFunctions(t *testing.T) {
+	m := compileAndProfile(t, twinKernels)
+	for _, method := range []string{"iterative", "optimal"} {
+		for _, parallel := range []bool{false, true} {
+			cfg := Config{Nin: 2, Nout: 1, Parallel: parallel}
+			var sel SelectionResult
+			if method == "iterative" {
+				sel = SelectIterative(m, 4, cfg)
+			} else {
+				sel = SelectOptimal(m, 4, cfg)
+			}
+			crossFn := false
+			for _, sh := range sel.SharedInstructions {
+				fns := map[string]bool{}
+				for _, mi := range sh.Members {
+					fns[sel.Instructions[mi].Fn.Name] = true
+				}
+				if sh.Count >= 2 && len(fns) >= 2 {
+					crossFn = true
+				}
+			}
+			if !crossFn {
+				t.Errorf("%s parallel=%v: no cross-function shared instruction group: %+v",
+					method, parallel, sel.SharedInstructions)
+			}
+		}
+	}
+}
+
 func TestSelectIterativeOrdersByMerit(t *testing.T) {
 	m := compileAndProfile(t, threeKernels)
 	cfg := Config{Nin: 4, Nout: 2}

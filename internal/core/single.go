@@ -69,18 +69,6 @@ type Config struct {
 	// different, never unsound, portion of the tree). 0 keeps the serial
 	// recursive search.
 	Workers int
-	// WarmStart seeds the exact search's incumbent from a cheap §9
-	// windowed-heuristic pass before the search starts, so PruneMerit
-	// bites from the first node. The seed is applied at one merit unit
-	// below the heuristic's best, which provably leaves the returned cut
-	// and merit identical to a cold search while strictly shrinking the
-	// explored tree. The warm pass is bounded by 2^warmWindow cuts per
-	// window and is charged against neither MaxCuts nor the returned
-	// Stats — the Stats describe the exact search alone, so a warm and a
-	// cold run are directly comparable on the same tree. The parallel
-	// engine warm-starts whenever PruneMerit is set, with or without this
-	// flag; the serial search only when it is set.
-	WarmStart bool
 	// StallWindow, when positive and Workers > 0, arms the engine
 	// watchdog: a worker that shows no poll progress for two consecutive
 	// windows while executing a subproblem is told to abandon it at its
@@ -94,24 +82,6 @@ type Config struct {
 	// the engine's bit-identical guarantee; serial searches
 	// (Workers == 0) ignore it entirely.
 	StallWindow time.Duration
-	// Dedup enables cross-block structural deduplication in the selection
-	// drivers (SelectOptimalCtx, SelectIterativeCtx): blocks — and
-	// collapsed re-search graphs — whose dataflow graphs are isomorphic
-	// under the search order (dfg.OrderMatch) share one identification.
-	// The winning cuts are translated through the node renaming and
-	// revalidated with Legal/Evaluate on each block's own graph
-	// (frequencies stay per-block), so selections are bit-identical to a
-	// run without dedup; only the duplicate searches disappear.
-	// Adopted results are reported in SelectionResult.DedupHits, never in
-	// IdentCalls or Stats, and selected cuts that canonicalize identically
-	// are grouped in SelectionResult.SharedInstructions. Off by default.
-	Dedup bool
-	// DedupCache, when non-nil (and Dedup set), replaces the selection
-	// call's private cross-block memo with this shared, concurrency-safe
-	// cache (see DedupCache): isomorphic blocks across selection calls —
-	// e.g. different benchmarks at the same DSE grid point — then share
-	// one identification. Nil keeps the per-call memo.
-	DedupCache *DedupCache
 	// Seeds, when non-nil, warm-starts every exact single-cut search from
 	// the best stored cut for the graph's fingerprint and publishes each
 	// exhaustive search's winner back into the book (see SeedBook). This
@@ -142,10 +112,10 @@ type Config struct {
 	// Incumbent seeding for the single-cut search (package-internal; armed
 	// by SeedBook.applySeed). When seedOn is set, the search starts with
 	// its recording threshold at seedMerit−1 and seedCut as incumbent —
-	// provably result-preserving exactly like WarmStart, because any cut
-	// of merit ≥ seedMerit, the known optimum's lower bound, is still
-	// recorded in DFS order. Callers must guarantee the witness is legal
-	// on the searched graph with exactly merit seedMerit.
+	// provably result-preserving like the engine's warm start, because
+	// any cut of merit ≥ seedMerit, the known optimum's lower bound, is
+	// still recorded in DFS order. Callers must guarantee the witness is
+	// legal on the searched graph with exactly merit seedMerit.
 	seedOn    bool
 	seedMerit int64
 	seedCut   dfg.Cut
@@ -163,8 +133,8 @@ func (c Config) withSeed(merit int64, cut dfg.Cut) Config {
 }
 
 // stripSeed removes incumbent seeding; the windowed heuristic and the
-// warm pass must run cold (a seed cut need not be legal on a Restrict
-// view, and the seed must never leak into recursive passes).
+// engine's warm pass must run cold (a seed cut need not be legal on a
+// Restrict view, and the seed must never leak into recursive passes).
 func (c Config) stripSeed() Config {
 	c.seedOn = false
 	c.seedMerit = 0
@@ -173,8 +143,7 @@ func (c Config) stripSeed() Config {
 }
 
 // defaultModel is the model every Config with a nil Model uses. One
-// shared instance (models are immutable) keeps DedupCache's per-model
-// memos shared across nil-Model calls and costs no construction per
+// shared instance (models are immutable) costs no construction per
 // search.
 var defaultModel = latency.Default()
 
@@ -263,24 +232,7 @@ func FindBestCutCtx(ctx context.Context, g *dfg.Graph, cfg Config) Result {
 	s.ctx = ctx
 	s.obs = cfg.Probe.Attach()
 	if cfg.seedOn && cfg.seedMerit > 0 && len(cfg.seedCut) > 0 {
-		s.seedIncumbent(Result{Found: true, Cut: cfg.seedCut, Est: Estimate{Merit: cfg.seedMerit}})
-	}
-	if cfg.WarmStart && g.NumOps() > warmWindow {
-		w := findWarmIncumbent(ctx, g, cfg)
-		if w.Found {
-			s.seedIncumbent(w) // keeps the better of seed and warm
-			s.obs.WarmSeed(w.Est.Merit)
-		}
-		if w.Status != Exhaustive {
-			res := Result{Status: w.Status}
-			res.Stats.Aborted = true
-			if s.bestFound && s.bestCut != nil {
-				res.Found = true
-				res.Cut = s.bestCut.Canon()
-				res.Est = Evaluate(g, res.Cut, cfg.model())
-			}
-			return res
-		}
+		s.seedIncumbent(cfg.seedCut, cfg.seedMerit)
 	}
 	s.run()
 	res := Result{Stats: s.stats, Status: s.stop}
@@ -292,21 +244,18 @@ func FindBestCutCtx(ctx context.Context, g *dfg.Graph, cfg Config) Result {
 	return res
 }
 
-// warmWindow sizes the §9 windowed pass that warm-starts the exact
-// search's incumbent (Config.WarmStart; the parallel engine applies it
-// whenever PruneMerit is set). Each window's search is bounded by
-// 2^warmWindow cuts, so the pass is always cheap relative to the exact
-// search it accelerates.
+// warmWindow sizes the §9 windowed pass that warm-starts the parallel
+// engine's incumbent whenever PruneMerit is set. Each window's search is
+// bounded by 2^warmWindow cuts, so the pass is always cheap relative to
+// the exact search it accelerates.
 const warmWindow = 12
 
-// findWarmIncumbent runs the cheap windowed pass that seeds the exact
-// search's incumbent. It strips every recursive option: a window value
-// would re-enter the heuristic, WarmStart would recurse, Workers would
-// spin an engine per window, and MaxCuts would charge the seed against
-// the caller's budget.
+// findWarmIncumbent runs the cheap windowed pass that seeds the
+// engine's incumbent. It strips every recursive option: a window value
+// would re-enter the heuristic, Workers would spin an engine per window,
+// and MaxCuts would charge the seed against the caller's budget.
 func findWarmIncumbent(ctx context.Context, g *dfg.Graph, cfg Config) Result {
 	cfg.Window = 0
-	cfg.WarmStart = false
 	cfg.Workers = 0
 	cfg.MaxCuts = 0
 	cfg.Parallel = false
@@ -416,20 +365,15 @@ func newSearcher(g *dfg.Graph, cfg Config) *searcher {
 	return s
 }
 
-// seedIncumbent warm-starts the incumbent from a windowed-heuristic (or
-// seed-book) result of merit W: the threshold is W−1, so any cut of
-// merit ≥ W — including the first one the cold search would have
-// recorded — still replaces the seed, which keeps the returned cut
-// bit-identical to a cold run while PruneMerit skips everything provably
-// below W. When the searcher already carries a seed, only a strictly
-// better one replaces it.
-func (s *searcher) seedIncumbent(w Result) {
-	if s.bestFound && w.Est.Merit-1 <= s.bestMerit {
-		return
-	}
+// seedIncumbent warm-starts the incumbent from a seed-book cut of merit
+// W: the threshold is W−1, so any cut of merit ≥ W — including the
+// first one the cold search would have recorded — still replaces the
+// seed, which keeps the returned cut bit-identical to a cold run while
+// PruneMerit skips everything provably below W.
+func (s *searcher) seedIncumbent(cut dfg.Cut, merit int64) {
 	s.bestFound = true
-	s.bestMerit = w.Est.Merit - 1
-	s.bestCut = append(dfg.Cut(nil), w.Cut...)
+	s.bestMerit = merit - 1
+	s.bestCut = append(dfg.Cut(nil), cut...)
 }
 
 func (s *searcher) run() {

@@ -30,13 +30,12 @@ func FindBestCutWindowedCtx(ctx context.Context, g *dfg.Graph, cfg Config, windo
 	// The explicit window argument wins: a caller-supplied cfg.Window
 	// would otherwise be forwarded into each per-window FindBestCutCtx
 	// (the Restrict views share the full graph's NumOps) and re-enter
-	// this heuristic inside every window. Workers and WarmStart are
-	// likewise stripped: the windows are small enough that spinning a
-	// worker pool (or a recursive warm-start pass) per window costs more
-	// than it saves, and the §9 rescue path must stay allocation-light.
+	// this heuristic inside every window. Workers is likewise stripped:
+	// the windows are small enough that spinning a worker pool per window
+	// costs more than it saves, and the §9 rescue path must stay
+	// allocation-light.
 	cfg.Window = 0
 	cfg.Workers = 0
-	cfg.WarmStart = false
 	// Per-window sub-searches feed the metrics but never the flight
 	// recorder: a rescue pass would otherwise flood the rings with events
 	// indistinguishable from the main search's.

@@ -9,14 +9,16 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Hand-built graph helpers. CanonHash and CanonMatch operate purely on the
-// Nodes slice, so the differential tests construct graphs directly — this
-// also lets them build cyclic graphs (the WL-hard pair) that Build never
-// produces.
+// Hand-built graph helpers. CutCanonHash and CutCanonMatch operate purely
+// on the Nodes slice, so the differential tests construct graphs directly
+// — this also lets them build cyclic graphs (the WL-hard pair) that Build
+// never produces. A cut of every node (allNodes) induces the whole graph
+// as its datapath, so the cut digest can be checked against whole-graph
+// isomorphism. Cuts never hold forbidden nodes, so none are built.
 
 type tEdge struct{ u, v int }
 
-func handGraph(name string, ops []ir.Op, forb []bool, data, order []tEdge) *Graph {
+func handGraph(name string, ops []ir.Op, data, order []tEdge) *Graph {
 	g := &Graph{
 		Fn:    &ir.Function{Name: name},
 		Block: &ir.Block{Name: "b0"},
@@ -26,9 +28,6 @@ func handGraph(name string, ops []ir.Op, forb []bool, data, order []tEdge) *Grap
 		g.Nodes[i] = Node{
 			ID: i, Kind: KindOp, Op: ops[i], InstrIndex: i, Reg: ir.NoReg,
 			Name: fmt.Sprintf("%s_n%d", name, i),
-		}
-		if forb != nil {
-			g.Nodes[i].Forbidden = forb[i]
 		}
 	}
 	for _, e := range data {
@@ -191,10 +190,8 @@ var canonOps = []ir.Op{ir.OpAdd, ir.OpMul, ir.OpSub, ir.OpXor}
 // lower to higher index, so it is acyclic).
 func randomDAG(rng *rand.Rand, name string, n int) *Graph {
 	ops := make([]ir.Op, n)
-	forb := make([]bool, n)
 	for i := range ops {
 		ops[i] = canonOps[rng.Intn(len(canonOps))]
-		forb[i] = rng.Intn(5) == 0
 	}
 	var data, order []tEdge
 	for i := 0; i < n; i++ {
@@ -207,7 +204,16 @@ func randomDAG(rng *rand.Rand, name string, n int) *Graph {
 			}
 		}
 	}
-	return handGraph(name, ops, forb, data, order)
+	return handGraph(name, ops, data, order)
+}
+
+// allNodes is the cut holding every node of g.
+func allNodes(g *Graph) Cut {
+	c := make(Cut, len(g.Nodes))
+	for i := range c {
+		c[i] = i
+	}
+	return c
 }
 
 func randPerm(rng *rand.Rand, n int) []int {
@@ -218,30 +224,32 @@ func randPerm(rng *rand.Rand, n int) []int {
 	return p
 }
 
-// TestCanonHashDifferential cross-checks CanonHash and CanonMatch against
-// brute-force isomorphism on seeded random graphs: hash equality must
-// coincide with isomorphism on this corpus (soundness always; completeness
-// is a property of the corpus — see TestCanonHashWLHardPair for the known
-// exception class), and every isomorphic pair must yield a verifiable
-// renaming.
+// TestCanonHashDifferential cross-checks CutCanonHash and the matcher
+// behind CutCanonMatch against brute-force isomorphism on seeded random
+// datapaths: hash equality must coincide with isomorphism on this corpus
+// (soundness always; completeness is a property of the corpus — see
+// TestCanonHashWLHardPair for the known exception class), and every
+// isomorphic pair must yield a verifiable renaming.
 func TestCanonHashDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	hash := func(g *Graph) CanonDigest { return g.CutCanonHash(allNodes(g)) }
 	for trial := 0; trial < 150; trial++ {
 		n := 3 + rng.Intn(6) // 3..8 nodes
 		a := randomDAG(rng, "a", n)
 
 		// An ID-permuted, renamed copy is isomorphic: equal hashes, and
-		// CanonMatch must produce a valid renaming.
+		// the matcher must produce a valid renaming (dense indexes of an
+		// allNodes cut are node IDs).
 		b := permuted(a, randPerm(rng, n), "b")
-		if a.CanonHash() != b.CanonHash() {
-			t.Fatalf("trial %d: permuted copy changed CanonHash", trial)
+		if hash(a) != hash(b) {
+			t.Fatalf("trial %d: permuted copy changed CutCanonHash", trial)
 		}
 		if !bruteIso(a, b) {
 			t.Fatalf("trial %d: bruteIso rejects a permuted copy", trial)
 		}
-		ren, ok := CanonMatch(a, b)
+		ren, ok := canonMatch(a.canonCut(allNodes(a)), b.canonCut(allNodes(b)))
 		if !ok {
-			t.Fatalf("trial %d: CanonMatch rejects a permuted copy", trial)
+			t.Fatalf("trial %d: the matcher rejects a permuted copy", trial)
 		}
 		checkRenaming(t, a, b, ren)
 
@@ -255,26 +263,25 @@ func TestCanonHashDifferential(t *testing.T) {
 			nd := &c.Nodes[rng.Intn(n)]
 			nd.Op = canonOps[(int(nd.Op)+1)%len(canonOps)]
 		}
-		hashEq := a.CanonHash() == c.CanonHash()
+		hashEq := hash(a) == hash(c)
 		iso := bruteIso(a, c)
 		if hashEq != iso {
 			t.Fatalf("trial %d: hash equality %v but brute-force isomorphism %v",
 				trial, hashEq, iso)
 		}
-		if _, ok := CanonMatch(a, c); ok != iso {
-			t.Fatalf("trial %d: CanonMatch %v but brute-force isomorphism %v",
+		if ok := CutCanonMatch(a, allNodes(a), c, allNodes(c)); ok != iso {
+			t.Fatalf("trial %d: CutCanonMatch %v but brute-force isomorphism %v",
 				trial, ok, iso)
 		}
 	}
 }
 
 // TestCanonHashWLHardPair documents the accepted incompleteness of the
-// 1-dimensional WL refinement CanonHash uses: a 6-cycle and two disjoint
-// 3-cycles (symmetric directed edges, uniform ops) are locally identical
-// everywhere, so their hashes collide even though they are not isomorphic.
-// This is exactly why dedup adoption is gated on an explicit match — the
-// false merge is rejected by CanonMatch, costing a wasted probe, never a
-// wrong result.
+// 1-dimensional WL refinement CutCanonHash uses: a 6-cycle and two
+// disjoint 3-cycles (symmetric directed edges, uniform ops) are locally
+// identical everywhere, so their hashes collide even though they are not
+// isomorphic. This is why hash equality is only a candidate filter — the
+// false merge is rejected by CutCanonMatch.
 func TestCanonHashWLHardPair(t *testing.T) {
 	sym := func(cycles [][]int) []tEdge {
 		var out []tEdge
@@ -290,17 +297,17 @@ func TestCanonHashWLHardPair(t *testing.T) {
 	for i := range ops {
 		ops[i] = ir.OpAdd
 	}
-	c6 := handGraph("c6", ops, nil, sym([][]int{{0, 1, 2, 3, 4, 5}}), nil)
-	c33 := handGraph("c33", ops, nil, sym([][]int{{0, 1, 2}, {3, 4, 5}}), nil)
+	c6 := handGraph("c6", ops, sym([][]int{{0, 1, 2, 3, 4, 5}}), nil)
+	c33 := handGraph("c33", ops, sym([][]int{{0, 1, 2}, {3, 4, 5}}), nil)
 
-	if c6.CanonHash() != c33.CanonHash() {
+	if c6.CutCanonHash(allNodes(c6)) != c33.CutCanonHash(allNodes(c33)) {
 		t.Fatalf("expected the WL-hard pair to collide (that is the documented limitation)")
 	}
 	if bruteIso(c6, c33) {
 		t.Fatalf("C6 and 2xC3 must not be isomorphic")
 	}
-	if _, ok := CanonMatch(c6, c33); ok {
-		t.Fatalf("CanonMatch must reject the WL-hard pair")
+	if CutCanonMatch(c6, allNodes(c6), c33, allNodes(c33)) {
+		t.Fatalf("CutCanonMatch must reject the WL-hard pair")
 	}
 }
 
@@ -322,57 +329,14 @@ func buildStraightNamed(t *testing.T, name string, last ir.Op) *Graph {
 	return mustBuild(t, f, f.Entry(), ir.Liveness(f))
 }
 
-func TestOrderMatch(t *testing.T) {
-	a := buildStraightNamed(t, "fa", ir.OpSub)
-	b := buildStraightNamed(t, "fb", ir.OpSub)
-	ren, ok := OrderMatch(a, b)
-	if !ok {
-		t.Fatalf("OrderMatch rejects two builds of the same source")
-	}
-	checkRenaming(t, a, b, ren)
-
-	// A translated cut is the same cut on the twin: legal, same ops.
-	c := Cut{opNode(t, a, 0), opNode(t, a, 1)}
-	if !a.Legal(c, 2, 2) {
-		t.Fatalf("test cut not legal on a")
-	}
-	tc, ok := TranslateCut(c, ren)
-	if !ok {
-		t.Fatalf("TranslateCut failed on a full renaming")
-	}
-	if !b.Legal(tc, 2, 2) {
-		t.Fatalf("translated cut not legal on b")
-	}
-
-	// Different structure: refuse.
-	x := buildStraightNamed(t, "fx", ir.OpXor)
-	if _, ok := OrderMatch(a, x); ok {
-		t.Fatalf("OrderMatch accepted graphs with different ops")
-	}
-}
-
-func TestTranslateCutPartialRenaming(t *testing.T) {
-	if _, ok := TranslateCut(Cut{0}, []int{-1}); ok {
-		t.Fatalf("TranslateCut must refuse an unmapped member")
-	}
-	if _, ok := TranslateCut(Cut{3}, []int{0, 1}); ok {
-		t.Fatalf("TranslateCut must refuse an out-of-range member")
-	}
-	tc, ok := TranslateCut(Cut{2, 0}, []int{5, 9, 1})
-	if !ok || len(tc) != 2 || tc[0] != 1 || tc[1] != 5 {
-		t.Fatalf("TranslateCut = %v, %v; want canonical [1 5]", tc, ok)
-	}
-}
-
+// TestCutCanonHash: the same cut, picked by instruction position, on two
+// builds of one source under different function names digests equally
+// and matches; a different cut does not collide.
 func TestCutCanonHash(t *testing.T) {
 	a := buildStraightNamed(t, "fa", ir.OpSub)
 	b := buildStraightNamed(t, "fb", ir.OpSub)
-	ren, ok := OrderMatch(a, b)
-	if !ok {
-		t.Fatal("OrderMatch failed")
-	}
 	ca := Cut{opNode(t, a, 0), opNode(t, a, 1)}
-	cb, _ := TranslateCut(ca, ren)
+	cb := Cut{opNode(t, b, 0), opNode(t, b, 1)}
 	if a.CutCanonHash(ca) != b.CutCanonHash(cb) {
 		t.Fatalf("isomorphic cuts hash differently")
 	}

@@ -14,10 +14,6 @@
 //   - Ninstr prefixing. The iterative greedy loop is identical at every
 //     instruction budget, so one run at max(Ninstr) yields every
 //     smaller budget as a prefix (core.Selected.ChosenAt).
-//   - Cross-benchmark twins. Isomorphic blocks recur across benchmarks
-//     (shared idioms) and across constraint points (the initial blocks
-//     are the same graphs); a core.DedupCache shares the canonical-hash
-//     memo across every selection call of the sweep.
 //   - One-time per-benchmark work. Building, profiling (Prepare) and
 //     the baseline cycle simulation happen once per benchmark/target,
 //     not once per cell.
@@ -32,11 +28,10 @@
 // (Config.Parallel), all admission-gated by one shared core.CPUPool so
 // sweep-level and search-level work draw from a single CPU budget and
 // cannot oversubscribe the machine. Under this discipline the report is
-// byte-identical for every worker count and shard order whenever every
-// search completes within budget (see DESIGN.md §16 for the starvation
-// caveat), and bit-identical to the cold serial reference (Options.Cold)
-// because every sharing mechanism is result-preserving on completed
-// searches.
+// a function of Options alone — byte-identical for every worker count
+// and shard order — and bit-identical to the cold serial reference
+// (Options.Cold) wherever the searches complete, because every sharing
+// mechanism is result-preserving on completed searches (DESIGN.md §16).
 package dse
 
 import (
@@ -86,12 +81,9 @@ type Options struct {
 	// depend on it.
 	Workers int
 	// Cold runs the reference mode: one dedicated serial selection per
-	// cell, no seeding, no dedup sharing, no parallelism — the oracle
-	// the warm sweep is benchmarked against.
+	// cell, no seeding, no parallelism — the oracle the warm sweep is
+	// benchmarked against.
 	Cold bool
-	// Dedup shares the canonical-hash memo across the sweep's selection
-	// calls (per (Nin, Nout, target) segregation is internal).
-	Dedup bool
 	// ShardSeed permutes the chain launch order. Results do not depend
 	// on it — that is what the determinism tests assert.
 	ShardSeed int64
@@ -118,7 +110,6 @@ func DefaultOptions() Options {
 		Targets:     []string{"paper"},
 		Budget:      DefaultBudget,
 		Workers:     runtime.NumCPU(),
-		Dedup:       true,
 	}
 }
 
@@ -201,12 +192,17 @@ func (r *Report) Bytes() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// Stats is the sweep's non-deterministic telemetry, kept out of Report
-// so the report can be byte-compared.
+// Stats is the sweep's telemetry, kept out of Report so the report can
+// be byte-compared. Only Elapsed depends on timing: the selection and
+// identification counts and the seed-book hits and misses are, like the
+// report, a function of Options.
 type Stats struct {
 	Elapsed    time.Duration
 	Selections int
 	IdentCalls int
+	// DedupHits is always zero: no selection adopts another block's
+	// identification. The pipeline benchmark (perfbench) reads it, and
+	// the next change to that benchmark removes it.
 	DedupHits  int
 	SeedHits   int64
 	SeedMisses int64
@@ -215,7 +211,6 @@ type Stats struct {
 func (s *Stats) add(sel core.SelectionResult) {
 	s.Selections++
 	s.IdentCalls += sel.IdentCalls
-	s.DedupHits += sel.DedupHits
 }
 
 // EstSpeedup estimates whole-program speedup from the additive merit
@@ -246,7 +241,6 @@ type sweeper struct {
 	modules []*ir.Module
 	models  []*latency.Model
 	pool    *core.CPUPool
-	cache   *core.DedupCache
 }
 
 type chainOut struct {
@@ -326,7 +320,6 @@ func Sweep(ctx context.Context, opt Options) (*Report, *Stats, error) {
 		}
 	} else {
 		s.pool = core.NewCPUPool(opt.Workers)
-		s.cache = core.NewDedupCache()
 		var wg sync.WaitGroup
 		// The launch permutation proves shard-order independence; the
 		// merge below is by index, so it cannot influence the report.
@@ -367,7 +360,6 @@ func Sweep(ctx context.Context, opt Options) (*Report, *Stats, error) {
 			}
 			stats.Selections += out.stats.Selections
 			stats.IdentCalls += out.stats.IdentCalls
-			stats.DedupHits += out.stats.DedupHits
 			stats.SeedHits += out.stats.SeedHits
 			stats.SeedMisses += out.stats.SeedMisses
 			br.Targets = append(br.Targets, TargetReport{
@@ -470,11 +462,11 @@ func (s *sweeper) runChain(ctx context.Context, bi, ti int) chainOut {
 	return out
 }
 
-// cellConfig builds a cell's search configuration. The search-semantics
-// knobs (prunings, warm start, budget) are identical in warm and cold
-// mode — that is what makes the two modes' completed searches
+// cellConfigProbe builds a cell's search configuration. The
+// search-semantics knobs (prunings, budget) are identical in warm and
+// cold mode — that is what makes the two modes' completed searches
 // bit-identical; warm mode adds only the result-preserving sharing
-// machinery (seeds, shared dedup, parallel block passes, pool gating).
+// machinery (seeds, parallel block passes, pool gating).
 func (s *sweeper) cellConfigProbe(c [2]int, model *latency.Model, probe *obs.Probe) core.Config {
 	return core.Config{
 		Nin:         c[0],
@@ -483,7 +475,6 @@ func (s *sweeper) cellConfigProbe(c [2]int, model *latency.Model, probe *obs.Pro
 		MaxCuts:     s.opt.Budget,
 		PruneInputs: true,
 		PruneMerit:  true,
-		WarmStart:   true,
 		Probe:       probe,
 	}
 }
@@ -494,10 +485,6 @@ func (s *sweeper) warmConfig(cfg core.Config, book *core.SeedBook) core.Config {
 	cfg.Seeds = book
 	cfg.Pool = s.pool
 	cfg.Parallel = true
-	if s.opt.Dedup {
-		cfg.Dedup = true
-		cfg.DedupCache = s.cache
-	}
 	return cfg
 }
 

@@ -9,8 +9,7 @@ import (
 
 // testOptions is a small grid that still exercises every sharing
 // mechanism: two constraint points (monotone seeding), three budgets
-// (prefix derivation), two targets (chain concurrency + dedup
-// segregation by model).
+// (prefix derivation), two targets (chain concurrency).
 func testOptions() Options {
 	opt := DefaultOptions()
 	opt.Benchmarks = []string{"adpcmdecode"}
@@ -22,34 +21,58 @@ func testOptions() Options {
 }
 
 // TestSweepDeterminism asserts the acceptance-critical property: the
-// warm report is byte-identical for every worker count and shard order.
+// warm report is byte-identical for every worker count and shard order,
+// and so is every telemetry count but Elapsed. The default grid runs two
+// benchmarks on one target, so its chains share constraint points and
+// models — the case the test grid, whose chains differ by model, cannot
+// show.
 func TestSweepDeterminism(t *testing.T) {
-	var ref []byte
-	for _, workers := range []int{1, 2, 8} {
-		for _, seed := range []int64{0, 7} {
-			opt := testOptions()
-			opt.Workers = workers
-			opt.ShardSeed = seed
-			rep, _, err := Sweep(context.Background(), opt)
-			if err != nil {
-				t.Fatalf("sweep(workers=%d seed=%d): %v", workers, seed, err)
+	inputs := []struct {
+		name string
+		opt  Options
+		long bool // skipped under -short
+	}{
+		{name: "test-grid", opt: testOptions()},
+		{name: "default-grid", opt: DefaultOptions(), long: true},
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			if in.long && testing.Short() {
+				t.Skip("sweeps the default grid six times")
 			}
-			b, err := rep.Bytes()
-			if err != nil {
-				t.Fatal(err)
+			var ref []byte
+			var refStats Stats
+			for _, workers := range []int{1, 2, 8} {
+				for _, seed := range []int64{0, 7} {
+					opt := in.opt
+					opt.Workers = workers
+					opt.ShardSeed = seed
+					rep, stats, err := Sweep(context.Background(), opt)
+					if err != nil {
+						t.Fatalf("sweep(workers=%d seed=%d): %v", workers, seed, err)
+					}
+					b, err := rep.Bytes()
+					if err != nil {
+						t.Fatal(err)
+					}
+					stats.Elapsed = 0
+					if ref == nil {
+						ref, refStats = b, *stats
+						continue
+					}
+					if !bytes.Equal(ref, b) {
+						t.Fatalf("report diverged at workers=%d seed=%d:\n%s\nvs reference:\n%s", workers, seed, b, ref)
+					}
+					if *stats != refStats {
+						t.Errorf("telemetry diverged at workers=%d seed=%d: %+v, reference %+v", workers, seed, *stats, refStats)
+					}
+				}
 			}
-			if ref == nil {
-				ref = b
-				continue
-			}
-			if !bytes.Equal(ref, b) {
-				t.Fatalf("report diverged at workers=%d seed=%d:\n%s\nvs reference:\n%s", workers, seed, b, ref)
-			}
-		}
+		})
 	}
 }
 
-// TestSweepWarmMatchesCold asserts the seeding/dedup/prefix machinery
+// TestSweepWarmMatchesCold asserts the seeding/prefix machinery
 // is result-preserving: every warm cell selects bit-identical
 // instructions to a dedicated cold serial run. The small test grid's
 // searches all complete; the default grid also has budget-stopped

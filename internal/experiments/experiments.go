@@ -142,15 +142,11 @@ type CompareOptions struct {
 	// do not change — only the wall clock does.
 	//
 	// Workers sets the per-search worker count (0 = serial);
-	// Parallel searches a selection's blocks concurrently; Dedup adopts
-	// results across isomorphic blocks; WarmStart seeds each search
-	// with a windowed heuristic incumbent; PruneInputs and PruneMerit
-	// enable the input-count and merit-bound prunings of both exact
-	// searches (§6.1, and per cut §6.2).
+	// Parallel searches a selection's blocks concurrently; PruneInputs
+	// and PruneMerit enable the input-count and merit-bound prunings of
+	// both exact searches (§6.1, and per cut §6.2).
 	Workers     int
 	Parallel    bool
-	Dedup       bool
-	WarmStart   bool
 	PruneInputs bool
 	PruneMerit  bool
 }
@@ -197,9 +193,8 @@ func Compare(opt CompareOptions) ([]ComparisonRow, error) {
 		for _, c := range opt.Constraints {
 			cfg := core.Config{
 				Nin: c[0], Nout: c[1], Model: model, MaxCuts: opt.Budget,
-				Workers: opt.Workers, Parallel: opt.Parallel, Dedup: opt.Dedup,
-				WarmStart: opt.WarmStart, PruneInputs: opt.PruneInputs,
-				PruneMerit: opt.PruneMerit,
+				Workers: opt.Workers, Parallel: opt.Parallel,
+				PruneInputs: opt.PruneInputs, PruneMerit: opt.PruneMerit,
 			}
 			for _, n := range opt.Ninstr {
 				row := ComparisonRow{

@@ -15,7 +15,7 @@ import (
 // targets the same way. Profiles are deterministic pure functions of the
 // Default() tables, so two Model() calls return structurally identical
 // models (the instances are distinct; cache the pointer when identity
-// matters, e.g. for core.DedupCache segregation).
+// matters).
 type Target struct {
 	// Name is the stable identifier used on CLI axes and in reports.
 	Name string

@@ -2,7 +2,7 @@
 // into a causal span tree — pipeline stage → DSE cell → block search →
 // worker lane → rescue/greedy rung — and computes attribution reports
 // over it: where the wall-clock went, which pruning rule earned its
-// keep, what the warm-start/dedup/seed machinery actually paid.
+// keep, what the warm-start and seed machinery actually paid.
 //
 // The span model costs the recorder nothing new: block searches, stages
 // and cells each allocate one span ID (obs.NextSpan) and parent links
@@ -148,9 +148,7 @@ type Stage struct {
 	Blocks []*Block
 
 	// Driver-scoped events (emitted on the stage span).
-	DedupHits   int64
-	DedupMisses int64
-	Collapses   int64
+	Collapses int64
 }
 
 // Duration returns the stage's wall-clock span in nanoseconds.
@@ -374,12 +372,6 @@ func buildStageEvent(s *Stage, e obs.Event) {
 	case obs.KStageEnd:
 		s.Ended, s.EndT = true, e.T
 		s.Selected, s.TotalMerit, s.IdentCalls = e.A, e.B, e.C
-	case obs.KDedup:
-		if e.A != 0 {
-			s.DedupHits++
-		} else {
-			s.DedupMisses++
-		}
 	case obs.KCollapse:
 		s.Collapses++
 	}
@@ -395,7 +387,7 @@ var blockKinds = []obs.Kind{
 	obs.KGreedy, obs.KSeedHit, obs.KSeedPut, obs.KSeedReject, obs.KPanic,
 }
 
-var stageKinds = []obs.Kind{obs.KStageEnd, obs.KDedup, obs.KCollapse}
+var stageKinds = []obs.Kind{obs.KStageEnd, obs.KCollapse}
 
 // unscopedKinds may legitimately appear with span 0 (coordinator events
 // outside any search: the engine watchdog, pool-leak stalls, manual

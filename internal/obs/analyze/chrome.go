@@ -92,7 +92,7 @@ func WriteChrome(w io.Writer, events []obs.Event) error {
 		lane := alloc(gid).place(s.StartT, end)
 		span("stage "+s.Tag, gid, lane, s.StartT, end, map[string]any{
 			"ninstr": s.Ninstr, "selected": s.Selected,
-			"merit": s.TotalMerit, "dedup_hits": s.DedupHits,
+			"merit": s.TotalMerit,
 		})
 		for _, b := range s.Blocks {
 			bend := b.EndT

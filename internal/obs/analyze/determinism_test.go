@@ -36,11 +36,10 @@ func TestExplainDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		probe := &obs.Probe{Rec: obs.NewRecorder(1 << 18)}
 		cfg := core.Config{
-			Nin:       4,
-			Nout:      2,
-			Workers:   workers,
-			WarmStart: true,
-			Probe:     probe,
+			Nin:     4,
+			Nout:    2,
+			Workers: workers,
+			Probe:   probe,
 		}
 		sel := core.SelectIterativeCtx(context.Background(), m, 2, cfg)
 		for _, b := range sel.Blocks {

@@ -44,9 +44,6 @@ type ExplainStage struct {
 	Cuts         int64          `json:"cuts_considered"`
 	Prunes       int64          `json:"feasibility_prunes"`
 	Bounds       int64          `json:"bound_prunes"`
-	DedupHits    int64          `json:"dedup_hits"`
-	DedupMiss    int64          `json:"dedup_misses"`
-	DedupSaved   int64          `json:"dedup_cuts_avoided_est"`
 	Collapses    int64          `json:"collapses,omitempty"`
 	SeededBlocks int64          `json:"seeded_blocks,omitempty"`
 	HeadStartPct float64        `json:"seed_head_start_pct,omitempty"`
@@ -124,19 +121,14 @@ func explainStage(s *Stage) ExplainStage {
 		Selected:   s.Selected,
 		TotalMerit: s.TotalMerit,
 		IdentCalls: s.IdentCalls,
-		DedupHits:  s.DedupHits,
-		DedupMiss:  s.DedupMisses,
 		Collapses:  s.Collapses,
 	}
-	var searched, seeded int64
+	var seeded int64
 	var headStart float64
 	for _, b := range sortedBlocks(s.Blocks) {
 		es.Cuts += b.Cuts
 		es.Prunes += b.Prunes
 		es.Bounds += b.Bounds
-		if b.Cuts > 0 {
-			searched++
-		}
 		if b.SeedMerit > 0 && b.Merit > 0 {
 			seeded++
 			headStart += float64(b.SeedMerit) / float64(b.Merit)
@@ -146,12 +138,6 @@ func explainStage(s *Stage) ExplainStage {
 	es.SeededBlocks = seeded
 	if seeded > 0 {
 		es.HeadStartPct = round2(100 * headStart / float64(seeded))
-	}
-	// Dedup savings estimate: each hit skipped a search that would have
-	// considered roughly as many cuts as the average searched block in
-	// the same stage. An estimate, labeled as such in the text report.
-	if searched > 0 {
-		es.DedupSaved = es.DedupHits * (es.Cuts / searched)
 	}
 	return es
 }
@@ -218,10 +204,6 @@ func writeExplainStage(w io.Writer, s ExplainStage, indent string) {
 		indent, s.Tag, s.Ninstr, s.Selected, s.TotalMerit, s.IdentCalls)
 	fmt.Fprintf(w, "%s  pruning: %d cuts considered, %d feasibility-pruned, %d bound-pruned\n",
 		indent, s.Cuts, s.Prunes, s.Bounds)
-	if s.DedupHits+s.DedupMiss > 0 {
-		fmt.Fprintf(w, "%s  dedup: %d hits / %d misses (~%d cuts avoided, est)\n",
-			indent, s.DedupHits, s.DedupMiss, s.DedupSaved)
-	}
 	if s.SeededBlocks > 0 {
 		fmt.Fprintf(w, "%s  seed-book: %d blocks warm-started, %.2f%% avg merit head start\n",
 			indent, s.SeededBlocks, s.HeadStartPct)
@@ -323,9 +305,9 @@ func WriteSummary(w io.Writer, a *Analysis) {
 }
 
 func writeSummaryStage(w io.Writer, s *Stage, indent string) {
-	fmt.Fprintf(w, "%sstage %s ninstr=%d wall=%s selected=%d merit=%d blocks=%d dedup=%d/%d\n",
+	fmt.Fprintf(w, "%sstage %s ninstr=%d wall=%s selected=%d merit=%d blocks=%d\n",
 		indent, s.Tag, s.Ninstr, fmtNS(s.Duration()), s.Selected, s.TotalMerit,
-		len(s.Blocks), s.DedupHits, s.DedupHits+s.DedupMisses)
+		len(s.Blocks))
 	// Heaviest blocks first: that is what a human reading a summary wants.
 	blocks := append([]*Block(nil), s.Blocks...)
 	sort.SliceStable(blocks, func(i, j int) bool { return blocks[i].Duration() > blocks[j].Duration() })

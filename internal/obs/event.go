@@ -74,11 +74,6 @@ const (
 	// "cpupool-leak", it instead reports a DSE sweep whose admission pool
 	// lost A of its B slots.
 	KStall
-	// KDedup records a cross-block dedup lookup by the selection drivers.
-	// Tag is "fn/block" of the requesting block, A is 1 on a hit (an
-	// isomorphic block's identification was adopted) and 0 on a miss, B
-	// the per-cut limit m (0 for the single-cut search).
-	KDedup
 	// KStageStart marks a selection driver entering: one stage span per
 	// SelectIterativeCtx/SelectOptimalCtx invocation. Tag is the driver
 	// name ("select/iterative", "select/optimal"), A the parent span (0
@@ -130,7 +125,6 @@ var kindNames = [kindCount]string{
 	KPanic:       "panic",
 	KGreedy:      "greedy_rescue",
 	KStall:       "stall",
-	KDedup:       "dedup",
 	KStageStart:  "stage_start",
 	KStageEnd:    "stage_end",
 	KCellStart:   "cell_start",

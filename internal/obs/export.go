@@ -115,7 +115,6 @@ var chromeArgNames = map[Kind][3]string{
 	KPanic:       {"attempt", "", ""},
 	KGreedy:      {"found", "merit", "candidates"},
 	KStall:       {"worker", "samples", ""},
-	KDedup:       {"hit", "m", ""},
 	KStageStart:  {"parent_span", "ninstr", ""},
 	KStageEnd:    {"selected", "total_merit", "ident_calls"},
 	KCellStart:   {"nin", "nout", "ninstr"},

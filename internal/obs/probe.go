@@ -53,10 +53,6 @@ type Metrics struct {
 	Collapses *Counter
 	PoolLeaks *Counter
 
-	// Cross-block dedup counters.
-	DedupHits   *Counter
-	DedupMisses *Counter
-
 	// Seed-book counters (cross-selection warm starts, DESIGN.md §16).
 	SeedPuts    *Counter
 	SeedHits    *Counter
@@ -95,8 +91,6 @@ func NewMetrics(reg *Registry) *Metrics {
 		DequeDepth:      reg.Histogram("engine_deque_depth"),
 		Collapses:       reg.Counter("sched_collapses_total"),
 		PoolLeaks:       reg.Counter("sched_pool_leaks_total"),
-		DedupHits:       reg.Counter("sched_dedup_hits_total"),
-		DedupMisses:     reg.Counter("sched_dedup_misses_total"),
 		SeedPuts:        reg.Counter("seed_puts_total"),
 		SeedHits:        reg.Counter("seed_hits_total"),
 		SeedRejects:     reg.Counter("seed_revalidate_rejects_total"),
@@ -315,29 +309,6 @@ func (p *Probe) Collapse(tag string, round, cutSize int) {
 		p.Met.Collapses.Inc()
 	}
 	p.sysEmit(KCollapse, tag, int64(round), int64(cutSize), 0)
-}
-
-// Dedup records a cross-block dedup lookup by a selection driver: hit
-// means an isomorphic block's identification was adopted (after
-// Legal/Evaluate revalidation on the requesting block's graph); m is the
-// per-cut limit (0 for the single-cut search).
-func (p *Probe) Dedup(tag string, hit bool, m int) {
-	if p == nil {
-		return
-	}
-	p.fire(SiteDedup, tag)
-	if p.Met != nil {
-		if hit {
-			p.Met.DedupHits.Inc()
-		} else {
-			p.Met.DedupMisses.Inc()
-		}
-	}
-	var h int64
-	if hit {
-		h = 1
-	}
-	p.sysEmit(KDedup, tag, h, int64(m), 0)
 }
 
 // Panic records a recovered panic. Tag is "fn/block" (or a worker

@@ -49,9 +49,6 @@ const (
 	// SiteCollapse fires on a selection-round winner collapse
 	// (Probe.Collapse).
 	SiteCollapse
-	// SiteDedup fires on every cross-block dedup lookup, hit or miss
-	// (Probe.Dedup). Tag is "fn/block" of the requesting block.
-	SiteDedup
 	// SiteStage fires when a selection driver opens or closes its stage
 	// span (Probe.BeginStage, Probe.EndStage). Tag is the driver name.
 	SiteStage
@@ -82,7 +79,6 @@ var siteNames = [SiteCount]string{
 	SitePrune:       "prune",
 	SiteWarmSeed:    "warm_seed",
 	SiteCollapse:    "collapse",
-	SiteDedup:       "dedup",
 	SiteStage:       "stage",
 	SiteCell:        "cell",
 	SiteSeed:        "seed",
@@ -114,7 +110,6 @@ var siteMetrics = [SiteCount][]string{
 	SitePrune:       {"search_cuts_pruned_total", "search_bound_cutoffs_total"},
 	SiteWarmSeed:    {"engine_warm_seed_hits_total"},
 	SiteCollapse:    {"sched_collapses_total"},
-	SiteDedup:       {"sched_dedup_hits_total", "sched_dedup_misses_total"},
 	SiteStage:       {},
 	SiteCell:        {"dse_cells_total"},
 	SiteSeed:        {"seed_puts_total", "seed_hits_total", "seed_revalidate_rejects_total"},

@@ -44,23 +44,8 @@ type Constraints struct {
 	Parallel bool
 	// Workers, when positive, runs each block's exact search on the
 	// work-stealing parallel branch-and-bound engine with that many
-	// workers. Results are bit-identical to the serial search; the engine
-	// additionally warm-starts its shared incumbent bound from the §9
-	// windowed heuristic, so even Workers=1 typically prunes harder than
-	// the serial search.
+	// workers. Results are bit-identical to the serial search.
 	Workers int
-	// WarmStart seeds the serial exact search's incumbent from a cheap §9
-	// windowed-heuristic pass, tightening merit pruning from the first
-	// visit without changing the result. (The parallel engine warm-starts
-	// on its own; this flag is for the serial path.)
-	WarmStart bool
-	// Dedup shares identification results between isomorphic basic
-	// blocks: graphs are keyed by a canonical hash (dfg.CanonHash), a
-	// stored search's cuts are translated through the proven node
-	// renaming and revalidated on the adopting block before use, so
-	// selections stay bit-identical to Dedup-off runs (modulo the node
-	// renaming). See the Selection's DedupHits and SharedInstructions.
-	Dedup bool
 	// Deadline, when positive, bounds the wall-clock time of an
 	// identification call: the search returns the best selection found so
 	// far when it expires (equivalent to passing a context with timeout
@@ -82,8 +67,7 @@ type Constraints struct {
 func (c Constraints) config() core.Config {
 	return core.Config{Nin: c.Nin, Nout: c.Nout, MaxCuts: c.MaxCuts,
 		Window: c.Window, Parallel: c.Parallel,
-		Workers: c.Workers, WarmStart: c.WarmStart,
-		Dedup: c.Dedup, StallWindow: c.StallWindow}
+		Workers: c.Workers, StallWindow: c.StallWindow}
 }
 
 // SearchStatus classifies how an identification search ended: Exhaustive
@@ -107,7 +91,7 @@ const (
 type BlockStatus = core.BlockStatus
 
 // SharedInstruction is a group of selected instructions whose datapaths
-// canonicalize identically (see Constraints.Dedup).
+// canonicalize identically (see Selection.SharedInstructions).
 type SharedInstruction = core.SharedInstruction
 
 // Selection is a chosen set of custom instructions.
@@ -138,13 +122,9 @@ func (s Selection) BlockStatuses() []BlockStatus {
 	return append([]BlockStatus(nil), s.inner.Blocks...)
 }
 
-// DedupHits returns how many identifications were served by the
-// cross-block dedup memo (Constraints.Dedup) instead of a fresh search.
-func (s Selection) DedupHits() int { return s.inner.DedupHits }
-
 // SharedInstructions returns the groups of selected instructions whose
 // datapaths canonicalize identically — candidates for one shared
-// hardware implementation (only populated with Constraints.Dedup).
+// hardware implementation.
 func (s Selection) SharedInstructions() []SharedInstruction {
 	return append([]SharedInstruction(nil), s.inner.SharedInstructions...)
 }
