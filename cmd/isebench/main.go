@@ -25,6 +25,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
@@ -70,36 +71,50 @@ func checkFig(fig string) error {
 }
 
 func main() {
-	var o cliOpts
-	fig := flag.String("fig", "all", "which figure to regenerate: "+strings.Join(figures, ", ")+", all")
-	flag.Int64Var(&o.budget, "budget", experiments.DefaultBudget, "cut budget per identification call")
-	flag.BoolVar(&o.measure, "measure", false, "Fig. 11: additionally patch and measure on the cycle simulator")
-	flag.BoolVar(&o.optimal, "optimal", false, "Fig. 11: include the Optimal selection (slow on large blocks)")
-	benches := flag.String("benchmarks", "adpcmdecode,adpcmencode,gsmlpc", "comma-separated benchmark list for Fig. 11 and the DSE sweep (sweep default: adpcmdecode,adpcmencode)")
-	flag.DurationVar(&o.deadline, "deadline", 0, "Fig. 11: wall-clock budget per selection call (e.g. 2s; 0 = none); tripped cells are marked * as lower bounds")
-	flag.IntVar(&o.workers, "workers", 0, "Fig. 11: per-search worker count (0 = serial); DSE sweep: admission-pool size")
-	flag.BoolVar(&o.parallel, "parallel", false, "Fig. 11: search a selection's blocks concurrently")
-	flag.BoolVar(&o.prune, "prune", false, "Fig. 11: enable the sound merit-bound and input-count prunings")
-	targets := flag.String("targets", "paper", "comma-separated hardware-target profiles for the DSE sweep (among "+strings.Join(latency.TargetNames(), ",")+")")
-	flag.StringVar(&o.sweepMode, "sweepmode", "warm", "DSE sweep mode: warm (shared seeds, parallel) or cold (dedicated serial reference)")
-	flag.StringVar(&o.dseJSON, "dsejson", "", "with -fig dse (or all): write the deterministic sweep/Pareto report to this file as JSON")
-	flag.Parse()
-	if err := checkFig(*fig); err != nil {
-		fmt.Fprintln(os.Stderr, "isebench:", err)
-		os.Exit(2)
+	want, o, err := parseArgs(os.Args[1:])
+	if err == flag.ErrHelp {
+		return
 	}
-	flag.Visit(func(f *flag.Flag) {
+	if err != nil {
+		os.Exit(2) // parseArgs has reported it
+	}
+	if err := run(os.Stdout, want, o); err != nil {
+		fmt.Fprintln(os.Stderr, "isebench:", err)
+		os.Exit(1)
+	}
+}
+
+// parseArgs parses the command line into the figure filter and the
+// options run takes, reporting a bad flag or figure name on stderr.
+func parseArgs(args []string) (want func(string) bool, o cliOpts, err error) {
+	fs := flag.NewFlagSet("isebench", flag.ContinueOnError)
+	fig := fs.String("fig", "all", "which figure to regenerate: "+strings.Join(figures, ", ")+", all")
+	fs.Int64Var(&o.budget, "budget", experiments.DefaultBudget, "cut budget per identification call")
+	fs.BoolVar(&o.measure, "measure", false, "Fig. 11: additionally patch and measure on the cycle simulator")
+	fs.BoolVar(&o.optimal, "optimal", false, "Fig. 11: include the Optimal selection (slow on large blocks)")
+	benches := fs.String("benchmarks", "adpcmdecode,adpcmencode,gsmlpc", "comma-separated benchmark list for Fig. 11 and the DSE sweep (sweep default: adpcmdecode,adpcmencode)")
+	fs.DurationVar(&o.deadline, "deadline", 0, "Fig. 11: wall-clock budget per selection call (e.g. 2s; 0 = none); tripped cells are marked * as lower bounds")
+	fs.IntVar(&o.workers, "workers", 0, "Fig. 11: per-search worker count (0 = serial); DSE sweep: admission-pool size")
+	fs.BoolVar(&o.parallel, "parallel", false, "Fig. 11: search a selection's blocks concurrently")
+	fs.BoolVar(&o.prune, "prune", false, "Fig. 11: enable the sound merit-bound and input-count prunings")
+	targets := fs.String("targets", "paper", "comma-separated hardware-target profiles for the DSE sweep (among "+strings.Join(latency.TargetNames(), ",")+")")
+	fs.StringVar(&o.sweepMode, "sweepmode", "warm", "DSE sweep mode: warm (shared seeds, parallel) or cold (dedicated serial reference)")
+	fs.StringVar(&o.dseJSON, "dsejson", "", "with -fig dse (or all): write the deterministic sweep/Pareto report to this file as JSON")
+	if err := fs.Parse(args); err != nil {
+		return nil, o, err
+	}
+	if err := checkFig(*fig); err != nil {
+		fmt.Fprintln(fs.Output(), "isebench:", err)
+		return nil, o, err
+	}
+	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "benchmarks" {
 			o.benchSet = true
 		}
 	})
 	o.benches = splitList(*benches)
 	o.targets = splitList(*targets)
-	want := func(name string) bool { return *fig == "all" || *fig == name }
-	if err := run(want, o); err != nil {
-		fmt.Fprintln(os.Stderr, "isebench:", err)
-		os.Exit(1)
-	}
+	return func(name string) bool { return *fig == "all" || *fig == name }, o, nil
 }
 
 func splitList(s string) []string {
@@ -112,8 +127,8 @@ func splitList(s string) []string {
 	return out
 }
 
-func run(want func(string) bool, o cliOpts) error {
-	section := func(s string) { fmt.Println(); fmt.Println(s); fmt.Println() }
+func run(w io.Writer, want func(string) bool, o cliOpts) error {
+	section := func(s string) { fmt.Fprintf(w, "\n%s\n\n", s) }
 
 	if want("dse") || o.dseJSON != "" {
 		opt := dseOptions(o)
@@ -130,7 +145,7 @@ func run(want func(string) bool, o cliOpts) error {
 			if err := os.WriteFile(o.dseJSON, data, 0o644); err != nil {
 				return err
 			}
-			fmt.Printf("wrote %s\n", o.dseJSON)
+			fmt.Fprintf(w, "wrote %s\n", o.dseJSON)
 		}
 	}
 
@@ -162,7 +177,7 @@ func run(want func(string) bool, o cliOpts) error {
 		}
 		section(experiments.Fig8Series(points))
 		within, total := experiments.Fig8WithinPolynomialBand(points)
-		fmt.Printf("%d/%d blocks within the N^4 band (paper: all practical cases polynomial)\n", within, total)
+		fmt.Fprintf(w, "%d/%d blocks within the N^4 band (paper: all practical cases polynomial)\n", within, total)
 	}
 	if want("11") {
 		opt := experiments.DefaultCompareOptions()
@@ -234,7 +249,7 @@ func run(want func(string) bool, o cliOpts) error {
 		}
 		section(experiments.AblationTable(rows))
 	}
-	fmt.Println(strings.Repeat("-", 72))
+	fmt.Fprintln(w, strings.Repeat("-", 72))
 	return nil
 }
 

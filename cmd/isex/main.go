@@ -16,7 +16,7 @@
 //	1  error (bad flags, compile/profile failure, I/O failure, ...)
 //	2  -strict was set and the selection degraded below the exact
 //	   search (any per-block status other than "exhaustive": budget,
-//	   deadline, cancellation, watchdog stall, or a recovered failure).
+//	   deadline, cancellation, or a recovered failure).
 package main
 
 import (
@@ -59,6 +59,15 @@ func main() {
 	}
 }
 
+// kernelNames lists the built-in kernels for the -kernel help.
+func kernelNames() string {
+	var names []string
+	for _, k := range workload.All() {
+		names = append(names, k.Name)
+	}
+	return strings.Join(names, ", ")
+}
+
 // errStrictDegraded is returned by run when -strict is set and the
 // selection is not exact; main translates it into exit code 2 so CI can
 // distinguish "degraded result" from a hard failure.
@@ -67,7 +76,7 @@ var errStrictDegraded = errors.New("selection degraded below the exact search (-
 func run() error {
 	var (
 		srcPath   = flag.String("src", "", "MiniC source file to compile")
-		kernel    = flag.String("kernel", "", "built-in benchmark kernel (adpcmdecode, adpcmencode, gsmlpc, fir, viterbi, crc32, sha, fft)")
+		kernel    = flag.String("kernel", "", "built-in benchmark kernel ("+kernelNames()+")")
 		entry     = flag.String("entry", "main", "entry function for profiling (-src mode)")
 		argList   = flag.String("args", "", "comma-separated integer arguments for the entry function")
 		nin       = flag.Int("nin", 4, "register-file read ports available to a special instruction")
@@ -77,7 +86,6 @@ func run() error {
 		budget    = flag.Int64("budget", 2_000_000, "cut budget per identification call (0 = unlimited)")
 		workers   = flag.Int("workers", 0, "run each block's exact search on the work-stealing parallel branch-and-bound engine with this many workers (0 = serial; results are bit-identical)")
 		deadline  = flag.Duration("deadline", 0, "wall-clock budget for identification (e.g. 500ms; 0 = none); on expiry the best selection found so far is reported")
-		stallWin  = flag.Duration("stall-window", 0, "arm the parallel engine's watchdog (needs -workers): a worker with no progress for two such windows has its subproblem requeued for the others and the block degrades to 'stalled' (0 = off)")
 		strict    = flag.Bool("strict", false, "exit with code 2 when any block's search degraded below the exact algorithm (the report is still written); for CI gates that must not accept lower bounds")
 		unroll    = flag.Int("unroll", 0, "fully unroll counted loops up to this trip count (-src mode)")
 		simulate  = flag.Bool("simulate", false, "patch the selection in and measure the speedup on the cycle simulator")
@@ -181,7 +189,7 @@ func run() error {
 
 	model := latency.Default()
 	cfg := core.Config{Nin: *nin, Nout: *nout, Model: model, MaxCuts: *budget,
-		Workers: *workers, StallWindow: *stallWin}
+		Workers: *workers}
 
 	// Telemetry: the flight recorder is on when a trace output is wanted,
 	// the metrics registry when anything will read it (the HTTP endpoint

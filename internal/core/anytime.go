@@ -46,10 +46,6 @@ const (
 	// far (no windowed rescue is attempted — the caller asked to stop;
 	// only the O(E) greedy rung may still fill in an empty result).
 	Canceled
-	// Stalled: the engine watchdog found a worker making no poll
-	// progress and re-split its subproblem; the result is sound but the
-	// stalled subtree may not have been searched exhaustively.
-	Stalled
 	// Recovered: a worker panicked (or the block's graph could not be
 	// built); the block contributes whatever the lower rungs salvaged,
 	// other blocks are unaffected.
@@ -66,8 +62,6 @@ func (s SearchStatus) String() string {
 		return "deadline-exceeded"
 	case Canceled:
 		return "canceled"
-	case Stalled:
-		return "stalled"
 	case Recovered:
 		return "recovered"
 	}
@@ -227,11 +221,11 @@ func legalCut(g *dfg.Graph, c dfg.Cut, nin, nout int) (ok bool) {
 // rescueWorthwhile reports whether the §9 windowed rescue should re-run
 // a block that ended with status s. Canceled is excluded: the caller
 // asked all work to stop, and the windowed pass is a real (if bounded)
-// search. Recovered and Stalled are included — the exact answer may be
-// missing or partial through no fault of the block.
+// search. Recovered is included — the exact answer may be missing or
+// partial through no fault of the block.
 func rescueWorthwhile(s SearchStatus) bool {
 	switch s {
-	case BudgetStopped, DeadlineExceeded, Stalled, Recovered:
+	case BudgetStopped, DeadlineExceeded, Recovered:
 		return true
 	}
 	return false
@@ -309,14 +303,16 @@ func rescueCtx(ctx context.Context, start time.Time) (context.Context, context.C
 	return context.WithTimeout(context.WithoutCancel(ctx), grace)
 }
 
-// searchBlockSafe runs single-cut identification on one block down the
-// degradation ladder: the exact anytime search, then (when it tripped or
-// failed) the §9 windowed rescue under a grace context, then the greedy
-// last resort. Every rung is panic-guarded individually, so any fault —
-// including one injected inside a probe site — degrades the answer
-// instead of losing it; the final backstop keeps a result only if its
-// cut revalidates as Legal.
-func searchBlockSafe(ctx context.Context, g *dfg.Graph, cfg Config) (res Result, bs BlockStatus) {
+// searchBlock runs one block's identification down the degradation
+// ladder: rung 0 is exact (the §6.1 or §6.2 search), then — when it
+// tripped or failed — the §9 windowed rescue under a grace context, then
+// the greedy last resort. The windowed and greedy rungs contribute one
+// cut, a valid 1-of-m assignment, when they beat rung 0's answer. Every
+// rung is panic-guarded individually, so any fault — including one
+// injected inside a probe site — degrades the answer instead of losing
+// it; the final backstop keeps a result only if its cuts revalidate as
+// Legal.
+func searchBlock(ctx context.Context, g *dfg.Graph, cfg Config, exact func(context.Context, Config) MultiResult) (res MultiResult, bs BlockStatus) {
 	// Admission gate (Config.Pool): one slot per in-flight block search,
 	// acquired for exactly the duration of this search — the holder never
 	// blocks on the pool again (cfg.Pool is cleared), so gating cannot
@@ -344,12 +340,17 @@ func searchBlockSafe(ctx context.Context, g *dfg.Graph, cfg Config) (res Result,
 			if bs.Err == nil {
 				bs.Err = panicErr(tag, r)
 			}
-			if res.Found && !legalCut(g, res.Cut, cfg.Nin, cfg.Nout) {
-				res = Result{}
+			if res.Found && !cutsLegal(g, res.Cuts, cfg.Nin, cfg.Nout) {
+				res = MultiResult{}
 			}
 		}
 		res.Status = bs.Status
 	}()
+	// adopt makes a rescue rung's cut the block's answer.
+	adopt := func(cut dfg.Cut, est Estimate, rung Rung) {
+		res.Found, res.Cuts, res.Ests, res.TotalMerit = true, []dfg.Cut{cut}, []Estimate{est}, est.Merit
+		bs.Rung = rung
+	}
 
 	// Rung 0: exact B&B (serial, engine or windowed per cfg).
 	guardRung(cfg.Probe, tag, &bs, func() {
@@ -357,7 +358,7 @@ func searchBlockSafe(ctx context.Context, g *dfg.Graph, cfg Config) (res Result,
 			h(bs.Fn, bs.Block)
 		}
 		cfg.Probe.SearchBegin(tag, g.NumOps(), cfg.Workers)
-		res = FindBestCutCtx(ctx, g, cfg)
+		res = exact(ctx, cfg)
 		bs.Status = res.Status
 		if bs.Err == nil {
 			bs.Err = res.Err
@@ -376,9 +377,8 @@ func searchBlockSafe(ctx context.Context, g *dfg.Graph, cfg Config) (res Result,
 				bs.Fallback = true
 				bs.Status = worse(bs.Status, w.Status)
 				res.Stats.add(w.Stats)
-				if w.Found && (!res.Found || w.Est.Merit > res.Est.Merit) {
-					res.Found, res.Cut, res.Est = true, w.Cut, w.Est
-					bs.Rung = RungWindowed
+				if w.Found && (!res.Found || w.Est.Merit > res.TotalMerit) {
+					adopt(w.Cut, w.Est, RungWindowed)
 				}
 			}
 			// Adoption precedes the probe so an injected fault at the
@@ -395,109 +395,7 @@ func searchBlockSafe(ctx context.Context, g *dfg.Graph, cfg Config) (res Result,
 		guardRung(cfg.Probe, tag, &bs, func() {
 			cut, est, cands, found := greedyRescue(g, cfg)
 			if found {
-				res.Found, res.Cut, res.Est = true, cut, est
-				bs.Rung = RungGreedy
-			}
-			// Adoption precedes the probe so an injected fault at the
-			// greedy site cannot discard a rescue already computed.
-			cfg.Probe.Greedy(tag, found, est.Merit, int64(cands))
-		})
-	}
-
-	guardRung(cfg.Probe, tag, &bs, func() {
-		endMerit := int64(-1)
-		if res.Found {
-			endMerit = res.Est.Merit
-		}
-		cfg.Probe.SearchEnd(tag, int64(bs.Status), endMerit, res.Stats.CutsConsidered)
-	})
-	return res, bs
-}
-
-// SearchBlockCtx runs single-cut identification on one block graph down
-// the full degradation ladder — exact search, §9 windowed rescue, greedy
-// last resort — and reports both the result and the per-block status. It
-// is the single-block entry point the benches and external callers use;
-// the selection pipeline's per-block searches go through the identical
-// path, so anything measured here is what selection pays.
-func SearchBlockCtx(ctx context.Context, g *dfg.Graph, cfg Config) (Result, BlockStatus) {
-	return searchBlockSafe(ctx, g, cfg)
-}
-
-// searchBlockMultiSafe is searchBlockSafe for the multiple-cut search of
-// §6.2. The windowed rescue and the greedy rung contribute a single cut
-// (a valid 1-of-m assignment) when they beat the exact search's best
-// assignment.
-func searchBlockMultiSafe(ctx context.Context, g *dfg.Graph, m int, cfg Config) (res MultiResult, bs BlockStatus) {
-	// Admission gate, exactly as in searchBlockSafe.
-	if cfg.Pool != nil {
-		pool := cfg.Pool
-		cfg.Pool = nil
-		pool.Acquire()
-		defer pool.Release()
-	}
-	start := time.Now()
-	bs = BlockStatus{Fn: g.Fn.Name, Block: g.Block.Name}
-	tag := bs.Fn + "/" + bs.Block
-	// One causal span per block search, exactly as in searchBlockSafe.
-	cfg.Probe = cfg.Probe.Sub()
-	defer func() {
-		if r := recover(); r != nil {
-			bs.Status = worse(bs.Status, Recovered)
-			if bs.Err == nil {
-				bs.Err = panicErr(tag, r)
-			}
-			if res.Found && !cutsLegal(g, res.Cuts, cfg.Nin, cfg.Nout) {
-				res = MultiResult{}
-			}
-		}
-		res.Status = bs.Status
-	}()
-
-	guardRung(cfg.Probe, tag, &bs, func() {
-		if h := cfg.Probe.HookOf(); h != nil {
-			h(bs.Fn, bs.Block)
-		}
-		cfg.Probe.SearchBegin(tag, g.NumOps(), cfg.Workers)
-		res = FindBestCutsCtx(ctx, g, m, cfg)
-		bs.Status = res.Status
-		if bs.Err == nil {
-			bs.Err = res.Err
-		}
-	})
-
-	if rescueWorthwhile(bs.Status) && cfg.Window == 0 && g.NumOps() > fallbackWindow {
-		guardRung(cfg.Probe, tag, &bs, func() {
-			rctx, cancel := rescueCtx(ctx, start)
-			defer cancel()
-			w := FindBestCutWindowedCtx(rctx, g, cfg, fallbackWindow)
-			if w.Stats.CutsConsidered > 0 || w.Found {
-				bs.Fallback = true
-				bs.Status = worse(bs.Status, w.Status)
-				res.Stats.add(w.Stats)
-				if w.Found && (!res.Found || w.Est.Merit > res.TotalMerit) {
-					res.Found = true
-					res.Cuts = []dfg.Cut{w.Cut}
-					res.Ests = []Estimate{w.Est}
-					res.TotalMerit = w.Est.Merit
-					bs.Rung = RungWindowed
-				}
-			}
-			// Adoption precedes the probe so an injected fault at the
-			// rescue site cannot discard a rescue already computed.
-			cfg.Probe.Rescue(tag, w.Found, w.Est.Merit, w.Stats.CutsConsidered)
-		})
-	}
-
-	if !res.Found && bs.Status != Exhaustive {
-		guardRung(cfg.Probe, tag, &bs, func() {
-			cut, est, cands, found := greedyRescue(g, cfg)
-			if found {
-				res.Found = true
-				res.Cuts = []dfg.Cut{cut}
-				res.Ests = []Estimate{est}
-				res.TotalMerit = est.Merit
-				bs.Rung = RungGreedy
+				adopt(cut, est, RungGreedy)
 			}
 			// Adoption precedes the probe so an injected fault at the
 			// greedy site cannot discard a rescue already computed.
@@ -513,6 +411,32 @@ func searchBlockMultiSafe(ctx context.Context, g *dfg.Graph, m int, cfg Config) 
 		cfg.Probe.SearchEnd(tag, int64(bs.Status), endMerit, res.Stats.CutsConsidered)
 	})
 	return res, bs
+}
+
+// searchBlockSafe is searchBlock with the §6.1 single-cut search at
+// rung 0, its answer returned as a Result.
+func searchBlockSafe(ctx context.Context, g *dfg.Graph, cfg Config) (Result, BlockStatus) {
+	mr, bs := searchBlock(ctx, g, cfg, func(ctx context.Context, cfg Config) MultiResult {
+		r := FindBestCutCtx(ctx, g, cfg)
+		mr := MultiResult{Found: r.Found, TotalMerit: r.Est.Merit, Stats: r.Stats, Status: r.Status, Err: r.Err}
+		if r.Found {
+			mr.Cuts, mr.Ests = []dfg.Cut{r.Cut}, []Estimate{r.Est}
+		}
+		return mr
+	})
+	r := Result{Found: mr.Found, Stats: mr.Stats, Status: mr.Status, Err: mr.Err}
+	if mr.Found {
+		r.Cut, r.Est = mr.Cuts[0], mr.Ests[0]
+	}
+	return r, bs
+}
+
+// searchBlockMultiSafe is searchBlock with the §6.2 search for m cuts at
+// rung 0.
+func searchBlockMultiSafe(ctx context.Context, g *dfg.Graph, m int, cfg Config) (MultiResult, BlockStatus) {
+	return searchBlock(ctx, g, cfg, func(ctx context.Context, cfg Config) MultiResult {
+		return FindBestCutsCtx(ctx, g, m, cfg)
+	})
 }
 
 // cutsLegal revalidates a multi-cut answer: every cut must be Legal.

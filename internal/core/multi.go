@@ -2,12 +2,10 @@ package core
 
 import (
 	"context"
-	"math"
 	"math/bits"
 
 	"isex/internal/dfg"
 	"isex/internal/latency"
-	"isex/internal/obs"
 )
 
 // MultiResult is the outcome of a multiple-cut identification (§6.2).
@@ -50,18 +48,16 @@ func FindBestCutsCtx(ctx context.Context, g *dfg.Graph, m int, cfg Config) Multi
 	if m < 1 {
 		return MultiResult{}
 	}
-	if cfg.Workers > 0 {
-		return findBestCutsParallel(ctx, g, m, cfg)
+	if m > 255 {
+		// Prefix decisions are uint8; identification never needs hundreds
+		// of simultaneous cuts, so just run serially.
+		cfg.Workers = 0
 	}
-	s := newMultiSearcher(g, m, cfg)
-	s.ctx = ctx
-	s.obs = cfg.Probe.Attach()
-	s.run()
-	res := MultiResult{Stats: s.stats, Status: s.stop}
-	res.Stats.Aborted = s.stop != Exhaustive
-	if s.bestFound && s.bestCuts != nil {
+	cuts, stats, st, err := exactSearch(ctx, cfg, "multi", func(cfg Config) bbTree { return newMultiSearcher(g, m, cfg) })
+	res := MultiResult{Stats: stats, Status: st, Err: err}
+	if cuts != nil {
 		res.Found = true
-		fillMultiResult(&res, g, s.bestCuts, cfg.model())
+		fillMultiResult(&res, g, cuts, cfg.model())
 	}
 	return res
 }
@@ -81,12 +77,8 @@ func fillMultiResult(res *MultiResult, g *dfg.Graph, cuts []dfg.Cut, model *late
 }
 
 type multiSearcher struct {
-	g     *dfg.Graph
-	cfg   Config
-	model *latency.Model
-	order []int
-	freq  int64
-	m     int
+	searchCore
+	m int
 	// words is the length of a per-node cut mask: bit k of word k/64
 	// stands for cut k (bit 0 is unused), so a mask holds any m.
 	words int
@@ -117,49 +109,6 @@ type multiSearcher struct {
 	overIn   int
 	overPerm int
 
-	// futSW[rank] is the total software latency of includable nodes at
-	// ranks ≥ rank. Each future node joins at most one cut and raises
-	// that cut's merit by at most sw(op)·freq (hardware cycles never
-	// shrink, and a cut opened later still pays ≥ 1 cycle), so
-	// merit + futSW[rank]·freq is an admissible bound for PruneMerit on
-	// the (M+1)-ary tree too.
-	futSW []int64
-
-	// bestFound/bestMerit form the recording threshold; bestCuts is nil
-	// when the threshold was seeded by the parallel engine from a
-	// sibling's result rather than recorded here (see seedThreshold).
-	bestFound bool
-	bestMerit int64
-	bestCuts  []dfg.Cut
-	stats     Stats
-	// ctx is polled every ctxCheckInterval visited nodes (ticks); stop
-	// records why the search ended early (Exhaustive while running).
-	ctx  context.Context
-	stop SearchStatus
-	tick int64
-
-	// obs/boundCuts: telemetry attachment, exactly as in searcher.
-	obs       *obs.SearchObs
-	boundCuts int64
-
-	// Engine attachment, as in searcher: nil for the serial search.
-	eng       *bbEngine
-	flushMark int64
-	wid       int
-	// sharedCache mirrors the engine's shared incumbent bound (refreshed
-	// in poll and on publish); MinInt64 when detached or not yet seen.
-	sharedCache int64
-
-	// Donation bookkeeping (engine runs only; see searcher for the
-	// scheme). path[r] is the cut label of the live frame at rank r, 0
-	// while in its 0-branch, and zeroOK[r] whether that frame's 0-branch
-	// passes the PruneInputs guard.
-	base    int
-	curRank int
-	path    []uint8
-	zeroOK  []bool
-	donated []bool
-
 	replayUndo []multiReplayStep
 }
 
@@ -182,93 +131,17 @@ type cutState struct {
 func newMultiSearcher(g *dfg.Graph, m int, cfg Config) *multiSearcher {
 	nodes := len(g.Nodes)
 	words := m/64 + 1
-	s := &multiSearcher{
-		g:           g,
-		cfg:         cfg,
-		model:       cfg.model(),
-		order:       g.OpOrder,
-		freq:        weight(g.Block.Freq),
-		m:           m,
-		words:       words,
-		assign:      make([]int, nodes),
-		reach:       make([]uint64, nodes*words),
-		cons:        make([]uint64, nodes*words),
-		refCnt:      make([]int, (m+1)*nodes),
-		lenTo:       make([]float64, nodes),
-		cuts:        make([]cutState, m+1),
-		sharedCache: math.MinInt64,
+	return &multiSearcher{
+		searchCore: newCore(g, cfg),
+		m:          m,
+		words:      words,
+		assign:     make([]int, nodes),
+		reach:      make([]uint64, nodes*words),
+		cons:       make([]uint64, nodes*words),
+		refCnt:     make([]int, (m+1)*nodes),
+		lenTo:      make([]float64, nodes),
+		cuts:       make([]cutState, m+1),
 	}
-	s.futSW = make([]int64, len(s.order)+1)
-	for r := len(s.order) - 1; r >= 0; r-- {
-		n := &g.Nodes[s.order[r]]
-		s.futSW[r] = s.futSW[r+1]
-		if !n.Forbidden {
-			s.futSW[r] += int64(s.model.SW(n.Op))
-		}
-	}
-	return s
-}
-
-// seedThreshold raises the recording threshold without providing an
-// assignment: subsequent records must strictly beat merit. Used by the
-// parallel engine to inherit the lineage's running best.
-func (s *multiSearcher) seedThreshold(merit int64) {
-	s.bestFound = true
-	s.bestMerit = merit
-	s.bestCuts = nil
-}
-
-func (s *multiSearcher) run() {
-	s.poll()
-	s.visit(0)
-	s.flushObs()
-}
-
-// flushObs and observeStop mirror searcher's (see single.go).
-func (s *multiSearcher) flushObs() {
-	if s.obs != nil {
-		s.obs.FlushStats(s.stats.CutsConsidered, s.stats.Passed, s.stats.Pruned, s.boundCuts)
-	}
-}
-
-func (s *multiSearcher) observeStop() {
-	if s.obs == nil {
-		return
-	}
-	s.flushObs()
-	s.obs.Stop(int64(s.stop), s.stop == DeadlineExceeded, s.stop == BudgetStopped, s.stop == Canceled)
-}
-
-// poll checks the stop sources: the engine (shared budget and context)
-// when attached, the plain context otherwise. It runs at search entry
-// and every ctxCheckInterval visited nodes — on both branches, so a long
-// run of 0-branches or forbidden nodes cannot outlive a cancellation.
-func (s *multiSearcher) poll() {
-	if s.eng != nil {
-		if st := s.eng.pollSearch(s.wid, &s.stats, &s.flushMark); st != Exhaustive {
-			s.stop = st
-			s.observeStop()
-			return
-		}
-		if s.eng.sharedOn {
-			if v := s.eng.shared.Load(); v > s.sharedCache {
-				s.sharedCache = v
-			}
-		}
-		if s.eng.needWork.Load() {
-			s.tryDonate()
-		}
-		s.flushObs()
-		return
-	}
-	if s.ctx != nil {
-		if err := s.ctx.Err(); err != nil {
-			s.stop = statusOfCtx(err)
-			s.observeStop()
-			return
-		}
-	}
-	s.flushObs()
 }
 
 func (s *multiSearcher) visit(rank int) {
@@ -283,15 +156,8 @@ func (s *multiSearcher) visit(rank int) {
 			return
 		}
 	}
-	if s.cfg.PruneMerit {
-		ub := s.merit + s.futSW[rank]*s.freq
-		if (s.bestFound && ub <= s.bestMerit) || ub < s.sharedCache {
-			if s.obs != nil {
-				s.boundCuts++
-				s.obs.Bound(rank, s.bestMerit)
-			}
-			return
-		}
+	if s.cfg.PruneMerit && s.boundCut(s.merit+s.futSW[rank]*s.freq) {
+		return
 	}
 	id := s.order[rank]
 	node := &s.g.Nodes[id]
@@ -308,15 +174,9 @@ func (s *multiSearcher) visit(rank int) {
 		// Cut labels are symmetric: cut k opens only after cut k−1.
 		maxK := min(s.open+1, s.m)
 		for k := 1; k <= maxK; k++ {
-			if s.stop != Exhaustive {
+			if s.stop != Exhaustive || !s.consider() {
 				return
 			}
-			if s.cfg.MaxCuts > 0 && s.stats.CutsConsidered >= s.cfg.MaxCuts {
-				s.stop = BudgetStopped
-				s.observeStop()
-				return
-			}
-			s.stats.CutsConsidered++
 			s.tryInclude(rank, id, k)
 		}
 	}
@@ -588,10 +448,7 @@ func (s *multiSearcher) undoAssign(id int, node *dfg.Node, k int, u assignUndo) 
 func (s *multiSearcher) tryInclude(rank, id, k int) {
 	node := &s.g.Nodes[id]
 	if !s.assignOK(node, k) {
-		s.stats.Pruned++
-		if s.obs != nil {
-			s.obs.Pruned(rank)
-		}
+		s.pruned(rank)
 		return
 	}
 	u := s.applyAssign(id, node, k)
@@ -606,38 +463,22 @@ func (s *multiSearcher) tryInclude(rank, id, k int) {
 	s.undoAssign(id, node, k, u)
 }
 
-// maybeRecord evaluates the current assignment as a candidate solution.
-// The strict comparison keeps the first assignment (in search order) of
-// each total-merit level, which makes the parallel merge reproducible.
+// maybeRecord evaluates the current assignment as a candidate solution:
+// every non-empty cut must satisfy the input constraint.
 func (s *multiSearcher) maybeRecord() {
-	// Every non-empty cut must satisfy the input constraint.
-	if s.overIn > 0 {
-		return
-	}
-	total := s.merit
-	if total <= 0 || (s.bestFound && total <= s.bestMerit) {
+	if s.overIn > 0 || !s.beats(s.merit) {
 		return
 	}
 	if s.cfg.StrictInterCut && s.interCutCycle() {
 		return
 	}
-	s.bestFound = true
-	s.bestMerit = total
 	cuts := make([]dfg.Cut, s.m)
 	for id, k := range s.assign {
 		if k > 0 {
 			cuts[k-1] = append(cuts[k-1], id)
 		}
 	}
-	s.bestCuts = cuts
-	if s.obs != nil {
-		s.obs.Incumbent(total, s.stats.CutsConsidered, s.curRank)
-	}
-	if s.eng != nil && s.eng.sharedOn {
-		if v := s.eng.publish(total); v > s.sharedCache {
-			s.sharedCache = v
-		}
-	}
+	s.keep(s.merit, cuts)
 }
 
 // interCutCycle reports whether two of the current cuts depend on each
@@ -689,6 +530,42 @@ func (s *multiSearcher) interCutCycle() bool {
 		}
 	}
 	return false
+}
+
+// expand mirrors exactly one visit level at rank len(prefix): the
+// (M+1)-ary branching with symmetry breaking, same counters, same
+// feasibility guards, same candidate recording. The 0-child's reach
+// update is left to the child's own replay.
+func (s *multiSearcher) expand(prefix []uint8, out *bbBest) []bbSub {
+	d := len(prefix)
+	if s.cfg.PruneMerit && s.boundCut(s.merit+s.futSW[d]*s.freq) {
+		return nil
+	}
+	id := s.order[d]
+	node := &s.g.Nodes[id]
+	var children []bbSub
+	if !node.Forbidden {
+		maxK := min(s.open+1, s.m)
+		for k := 1; k <= maxK; k++ {
+			s.stats.CutsConsidered++
+			if !s.assignOK(node, k) {
+				s.pruned(d)
+				continue
+			}
+			u := s.applyAssign(id, node, k)
+			s.stats.Passed++
+			key := childKey(prefix, uint8(k))
+			s.expandRecord(s.maybeRecord, key, out)
+			if s.inputsOK() {
+				children = append(children, s.child(key))
+			}
+			s.undoAssign(id, node, k, u)
+		}
+	}
+	if s.excludeOK(id) {
+		children = append(children, s.child(childKey(prefix, 0)))
+	}
+	return children
 }
 
 // multiReplayStep records one prefix decision for exact unwinding.

@@ -1,7 +1,9 @@
 package core
 
-// Work-stealing parallel branch-and-bound over the §6.1 binary (and §6.2
-// (M+1)-ary) search trees.
+// Work-stealing parallel branch-and-bound over the §6.1 binary and the
+// §6.2 (M+1)-ary search trees. One driver (runEngine, runWorker, runSub)
+// serves both trees; each tree supplies only its visit, expand and
+// replay (bbTree, search.go).
 //
 // The tree is partitioned into prefix-assignment subproblems: a bbSub is
 // a decision vector for ranks [0, len(prefix)) of the search order (for
@@ -33,6 +35,8 @@ package core
 import (
 	"context"
 	"math"
+	"runtime/pprof"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,20 +113,20 @@ func bbKeyBefore(a, b []uint8) bool {
 	return len(a) < len(b)
 }
 
-// bbBest is one candidate result with its merge key. base marks the
-// warm-start incumbent, which loses merit ties to any search result (the
+// bbBest is one candidate result with its merge key: the cuts of a
+// record (one for the §6.1 tree). base marks the seed-book incumbent the
+// engine starts from, which loses merit ties to any search result (the
 // serial search would have re-recorded the first tying cut it reached).
 type bbBest struct {
 	found bool
 	merit int64
-	cut   dfg.Cut   // single-cut engine
-	cuts  []dfg.Cut // multi-cut engine
+	cuts  []dfg.Cut
 	key   []uint8
 	base  bool
 }
 
 // better folds o into b. The ordering (higher merit, search result over
-// warm base, DFS-earlier key) is total over every set of candidates the
+// seeded base, DFS-earlier key) is total over every set of candidates the
 // engine can produce — equal keys imply distinct merits, because a
 // subproblem keyed like an expansion record is seeded at that record's
 // merit — so the merge result is independent of fold order and timing.
@@ -166,19 +170,11 @@ type bbEngine struct {
 	needWork atomic.Bool // pending < nworkers: searchers should donate
 
 	// probe is the run's telemetry handle (nil when off); wobs[w] is
-	// worker w's searcher attachment, published by attachSingle/
-	// attachMulti from worker w's own goroutine so that take — also on
-	// worker w's goroutine — can emit steal events on w's private ring.
+	// worker w's searcher attachment, published by attach from worker
+	// w's own goroutine so that take — also on worker w's goroutine —
+	// can emit steal events on w's private ring.
 	probe *obs.Probe
 	wobs  []*obs.SearchObs
-
-	// progress[w] counts worker w's pollSearch calls; holding[w] marks w
-	// as executing a subproblem; aborted[w] tells w to re-split and
-	// abandon its current subproblem at its next poll. All three are the
-	// watchdog's view of the workers (see watch).
-	progress []atomic.Int64
-	holding  []atomic.Bool
-	aborted  []atomic.Bool
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -199,9 +195,6 @@ func newBBEngine(ctx context.Context, workers, nranks int, maxCuts int64, shared
 		sharedOn: sharedOn,
 		deques:   make([][]bbSub, workers),
 		wobs:     make([]*obs.SearchObs, workers),
-		progress: make([]atomic.Int64, workers),
-		holding:  make([]atomic.Bool, workers),
-		aborted:  make([]atomic.Bool, workers),
 	}
 	e.cond = sync.NewCond(&e.mu)
 	e.shared.Store(math.MinInt64)
@@ -222,25 +215,17 @@ func (e *bbEngine) publish(m int64) int64 {
 	}
 }
 
-// pollSearch is the engine side of searcher.poll: bump the worker's
-// progress counter (the watchdog's liveness signal), flush the caller's
-// cut-count delta into the global counter, then check the watchdog
-// abort flag, the global budget and the context. MaxCuts is therefore
-// enforced at poll granularity: a worker polls every ctxCheckInterval
-// visited nodes, and a visit considers one cut in the §6.1 tree and up
-// to M in the §6.2 one, so the engine can overshoot by up to
-// nworkers × ctxCheckInterval cuts for FindBestCut and
-// nworkers × M × ctxCheckInterval for FindBestCuts.
-func (e *bbEngine) pollSearch(wid int, stats *Stats, flushMark *int64) SearchStatus {
-	if wid >= 0 && wid < len(e.progress) {
-		e.progress[wid].Add(1)
-	}
+// pollSearch is the engine side of searchCore.poll: flush the caller's
+// cut-count delta into the global counter, then check the global budget
+// and the context. MaxCuts is therefore enforced at poll granularity: a
+// worker polls every ctxCheckInterval visited nodes, and a visit
+// considers one cut in the §6.1 tree and up to M in the §6.2 one, so
+// the engine can overshoot by up to nworkers × ctxCheckInterval cuts
+// for FindBestCut and nworkers × M × ctxCheckInterval for FindBestCuts.
+func (e *bbEngine) pollSearch(stats *Stats, flushMark *int64) SearchStatus {
 	if d := stats.CutsConsidered - *flushMark; d > 0 {
 		e.cuts.Add(d)
 		*flushMark = stats.CutsConsidered
-	}
-	if wid >= 0 && wid < len(e.aborted) && e.aborted[wid].Load() {
-		return Stalled
 	}
 	if e.maxCuts > 0 && e.cuts.Load() >= e.maxCuts {
 		return BudgetStopped
@@ -277,23 +262,6 @@ func (e *bbEngine) donate(w int, prefix []uint8, seed int64, seeded bool) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.stopped || e.pending >= e.nworkers {
-		return false
-	}
-	e.deques[w] = append(e.deques[w], bbSub{prefix: prefix, seed: seed, seeded: seeded})
-	e.pending++
-	e.updateNeed()
-	e.cond.Broadcast()
-	return true
-}
-
-// forceDonate requeues a subproblem unconditionally (unless the engine
-// stopped). Used by the stall path to hand a stalled worker's whole
-// subproblem back to the deques, so its unexplored work is picked up by
-// the other workers instead of lost.
-func (e *bbEngine) forceDonate(w int, prefix []uint8, seed int64, seeded bool) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.stopped {
 		return false
 	}
 	e.deques[w] = append(e.deques[w], bbSub{prefix: prefix, seed: seed, seeded: seeded})
@@ -376,8 +344,8 @@ func (e *bbEngine) halt(st SearchStatus) {
 	e.mu.Unlock()
 }
 
-// note records a non-fatal worker outcome (a recovered subproblem panic
-// or a watchdog stall) without stopping the engine.
+// note records a non-fatal worker outcome (a subproblem lost to a
+// recovered panic) without stopping the engine.
 func (e *bbEngine) note(st SearchStatus) {
 	e.mu.Lock()
 	e.status = worse(e.status, st)
@@ -408,13 +376,6 @@ func (e *bbEngine) countRetry() {
 	e.probe.Count(func(m *obs.Metrics) *obs.Counter { return m.WorkerRetries })
 }
 
-// clearAbort re-arms worker w after it has honored a stall abort.
-func (e *bbEngine) clearAbort(w int) {
-	if w >= 0 && w < len(e.aborted) {
-		e.aborted[w].Store(false)
-	}
-}
-
 // workerAbort handles a panic that escaped the per-subproblem recovery
 // (an engine bug, not a search bug): fix the active count so the other
 // workers cannot deadlock, record the panic, and stop — the lost
@@ -442,63 +403,11 @@ func (e *bbEngine) finalStatus() SearchStatus {
 	return e.status
 }
 
-// watch is the engine watchdog: every window it samples each worker's
-// poll-progress counter, and a worker that is executing a subproblem yet
-// shows no progress for two consecutive windows is declared stalled —
-// its abort flag is raised so that, at its next poll, it requeues its
-// whole subproblem (forceDonate) for the other workers and moves on,
-// and the run's status is noted Stalled (conservative: the requeue
-// loses no work — duplicated exploration is absorbed by the idempotent
-// merge — but exhaustiveness is no longer claimed). The watchdog can
-// only intervene cooperatively: a goroutine that never polls again
-// cannot be killed in Go, so the run still waits for it — the watchdog
-// bounds the extra search work, not a non-cooperative goroutine.
-// Returns a stop function; no-op when window <= 0 (watchdog off).
-func (e *bbEngine) watch(window time.Duration) func() {
-	if window <= 0 {
-		return func() {}
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(window)
-		defer t.Stop()
-		last := make([]int64, e.nworkers)
-		stuck := make([]int, e.nworkers)
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-			}
-			for w := 0; w < e.nworkers; w++ {
-				cur := e.progress[w].Load()
-				if !e.holding[w].Load() || cur != last[w] {
-					last[w] = cur
-					stuck[w] = 0
-					continue
-				}
-				stuck[w]++
-				if stuck[w] >= 2 && !e.aborted[w].Load() {
-					e.aborted[w].Store(true)
-					e.note(Stalled)
-					e.probe.Stall(w, stuck[w])
-				}
-			}
-		}
-	}()
-	return func() {
-		close(stop)
-		<-done
-	}
-}
-
 // workerConfig strips the options the engine owns from the per-worker
 // searcher configs: the budget is global (pollSearch), Window / Workers /
 // Parallel must not recurse inside a worker, and incumbent seeds are
-// applied once at the engine root (as the warm base), never per
-// subproblem — subproblems inherit their lineage's threshold instead.
+// applied once at the engine root (as the base), never per subproblem —
+// subproblems inherit their lineage's threshold instead.
 // Probe deliberately survives: each worker attaches its own private
 // flight-recorder ring through it.
 func workerConfig(cfg Config) Config {
@@ -508,4 +417,199 @@ func workerConfig(cfg Config) Config {
 	cfg.Parallel = false
 	cfg.Seeds = nil // book seeding happens once at the engine root
 	return cfg.stripSeed()
+}
+
+// runEngine is exactSearch on the work-stealing engine (Config.Workers >
+// 0), for either tree: newTree builds each worker's private searcher. A
+// completed run returns the bit-identical result of the serial search;
+// see the package comment above. A seed-book seed (withSeed) forms the
+// base incumbent, exactly as exactSearch arms it serially.
+func runEngine(ctx context.Context, cfg Config, engine string, newTree func(Config) bbTree) (best bbBest, stats Stats, st SearchStatus, err error) {
+	if cfg.seedOn {
+		best = bbBest{found: true, merit: cfg.seedMerit, cuts: []dfg.Cut{cfg.seedCut}, base: true}
+	}
+	if err := ctx.Err(); err != nil {
+		return best, Stats{Aborted: true}, statusOfCtx(err), nil
+	}
+	nw := cfg.Workers
+	wcfg := workerConfig(cfg)
+	trees := make([]bbTree, nw)
+	for w := range trees {
+		trees[w] = newTree(wcfg)
+	}
+	e := newBBEngine(ctx, nw, len(trees[0].core().order), cfg.MaxCuts, cfg.PruneMerit)
+	e.probe = cfg.Probe
+	root := bbSub{prefix: []uint8{}}
+	if best.found {
+		// Seed the recording threshold one unit below the seed's merit,
+		// and the (strict-comparison) pruning bound at the merit itself:
+		// cuts tying the seed are still reached and recorded, so the
+		// DFS-first optimum wins exactly as in the serial search.
+		root.seed = best.merit - 1
+		root.seeded = true
+		if e.sharedOn {
+			e.shared.Store(best.merit)
+		}
+	}
+	e.push(0, []bbSub{root})
+
+	outs := make([]bbBest, nw)
+	statsArr := make([]Stats, nw)
+	engineWorkers(cfg.Probe, nw)
+	var wg sync.WaitGroup
+	for w := 0; w < nw; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			runLabeled(ctx, cfg.Probe, engine, w, func() {
+				e.runWorker(w, trees[w], func() bbTree { return newTree(wcfg) }, &outs[w], &statsArr[w])
+			})
+		}(w)
+	}
+	wg.Wait()
+	engineWorkers(cfg.Probe, -nw)
+
+	for w := range outs {
+		best.better(outs[w])
+		stats.add(statsArr[w])
+	}
+	st = e.finalStatus()
+	stats.Aborted = st != Exhaustive
+	return best, stats, st, e.finalErr()
+}
+
+// runLabeled runs f under pprof labels identifying the engine worker,
+// so CPU profiles attribute samples per worker — but only when a probe
+// is attached: the disabled path must not pay the label allocation.
+func runLabeled(ctx context.Context, p *obs.Probe, engine string, w int, f func()) {
+	if p == nil {
+		f()
+		return
+	}
+	pprof.Do(ctx, pprof.Labels("isex_engine", engine, "isex_worker", strconv.Itoa(w)),
+		func(context.Context) { f() })
+}
+
+// engineWorkers adjusts the engine_workers_active gauge (no-op when
+// metrics are off).
+func engineWorkers(p *obs.Probe, delta int) {
+	if p != nil && p.Met != nil {
+		p.Met.WorkersActive.Add(int64(delta))
+	}
+}
+
+// attach wires a worker's private searcher to the engine and allocates
+// the donation bookkeeping (path / zeroOK / donated, indexed by rank;
+// see tryDonate). The searcher keeps an already-attached telemetry ring
+// (rebuild after a recovered panic); otherwise it gets its own, and
+// either way the engine learns it for steal events.
+func (e *bbEngine) attach(c *searchCore, wid int) {
+	c.eng = e
+	c.ctx = e.ctx
+	c.wid = wid
+	if c.obs == nil {
+		c.obs = e.probe.Attach()
+	}
+	e.wobs[wid] = c.obs
+	c.path = make([]uint8, len(c.order))
+	c.zeroOK = make([]bool, len(c.order))
+	c.donated = make([]bool, len(c.order))
+}
+
+// runWorker is one worker's life on its searcher t: pop (or steal)
+// subproblems until the engine stops or the work is exhausted. t
+// persists across subproblems — replay/unreplay keep it clean — and is
+// rebuilt from newTree (carrying its counters) if a recovered panic left
+// it unreliable; a panicked subproblem is retried up to bbSubRetries
+// times with doubling backoff before its loss is accepted as Recovered
+// (replay makes the retry produce exactly what the first attempt would
+// have).
+func (e *bbEngine) runWorker(wid int, t bbTree, newTree func() bbTree, out *bbBest, stats *Stats) {
+	holding := false
+	defer func() {
+		if r := recover(); r != nil {
+			e.workerAbort(holding, r)
+		}
+	}()
+	e.attach(t.core(), wid)
+	for {
+		sub, expand, ok := e.take(wid)
+		if !ok {
+			break
+		}
+		holding = true
+		for attempt := 0; ; attempt++ {
+			if e.runSub(t, sub, expand, out, attempt) {
+				break
+			}
+			t = e.rebuild(t, newTree(), wid)
+			if attempt >= bbSubRetries {
+				e.note(Recovered)
+				break
+			}
+			e.countRetry()
+			time.Sleep(bbRetryBackoff << attempt)
+		}
+		e.release()
+		holding = false
+	}
+	c := t.core()
+	c.flushObs()
+	*stats = c.stats
+}
+
+// rebuild attaches the fresh searcher nt in place of t, carrying over
+// t's telemetry ring (with its flush marks) and its counters.
+func (e *bbEngine) rebuild(t, nt bbTree, wid int) bbTree {
+	o, n := t.core(), nt.core()
+	n.obs, n.boundCuts = o.obs, o.boundCuts
+	n.stats, n.tick, n.flushMark, n.sharedCache = o.stats, o.tick, o.flushMark, o.sharedCache
+	e.attach(n, wid)
+	return nt
+}
+
+// runSub executes one subproblem on worker searcher t: it replays the
+// prefix, then either expands the node into children or searches the
+// whole subtree. A panic is contained to the subproblem (ok=false): the
+// panic is recorded, and the caller rebuilds the searcher and retries;
+// only when the retries are exhausted does the caller note Recovered.
+func (e *bbEngine) runSub(t bbTree, sub bbSub, expand bool, out *bbBest, attempt int) (ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.noteErr(panicErr("engine-sub", r))
+			e.probe.Panic("engine-sub", panicMsg(r), attempt)
+			ok = false
+		}
+	}()
+	if bbSubHook != nil {
+		bbSubHook(sub.prefix)
+	}
+	c := t.core()
+	t.replay(sub.prefix)
+	c.base = len(sub.prefix)
+	c.curRank = c.base
+	c.bestFound, c.bestMerit, c.bestCuts = sub.seeded, 0, nil
+	if sub.seeded {
+		c.bestMerit = sub.seed
+	}
+	c.stop = Exhaustive
+	if expand {
+		if children := t.expand(sub.prefix, out); len(children) > 0 {
+			if c.obs != nil {
+				c.obs.Resplit(len(sub.prefix), len(children))
+			}
+			e.push(c.wid, children)
+		}
+	} else {
+		c.poll()
+		t.visit(c.base)
+		if c.bestCuts != nil {
+			out.better(bbBest{found: true, merit: c.bestMerit, cuts: c.bestCuts, key: sub.prefix})
+		}
+	}
+	if c.stop != Exhaustive {
+		e.halt(c.stop)
+	}
+	t.unreplay()
+	return true
 }

@@ -84,8 +84,8 @@ func (b *SeedBook) put(fp uint64, c dfg.Cut) bool {
 }
 
 // lookup returns the stored cuts for fp (shared slices; callers must
-// treat them as immutable, which seedIncumbent and the engine do by
-// copying).
+// treat them as immutable — a seeded search only ever reads its seed,
+// and results are canonicalized into fresh slices).
 func (b *SeedBook) lookup(fp uint64) []seedEntry {
 	if b == nil {
 		return nil

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
-	"time"
 
 	"isex/internal/dfg"
 	"isex/internal/latency"
@@ -69,19 +67,6 @@ type Config struct {
 	// different, never unsound, portion of the tree). 0 keeps the serial
 	// recursive search.
 	Workers int
-	// StallWindow, when positive and Workers > 0, arms the engine
-	// watchdog: a worker that shows no poll progress for two consecutive
-	// windows while executing a subproblem is told to abandon it at its
-	// next poll — the subproblem is requeued whole for the other workers
-	// and the run's status is degraded to Stalled (the requeue loses no
-	// work, but exhaustiveness is no longer claimed). The watchdog is
-	// cooperative: it cannot interrupt a goroutine that never polls, and
-	// it cannot distinguish a wedged worker from one an overloaded
-	// machine descheduled — size the window generously (hundreds of
-	// milliseconds at least). 0 (the default) disables it, preserving
-	// the engine's bit-identical guarantee; serial searches
-	// (Workers == 0) ignore it entirely.
-	StallWindow time.Duration
 	// Seeds, when non-nil, warm-starts every exact single-cut search from
 	// the best stored cut for the graph's fingerprint and publishes each
 	// exhaustive search's winner back into the book (see SeedBook). This
@@ -104,18 +89,18 @@ type Config struct {
 	// registry, or both (see internal/obs). Observation is strictly
 	// write-only — results, Stats and Status are bit-identical with the
 	// probe on or off — and a nil probe costs one predictable branch
-	// per probe point. Sub-searches too fine-grained to trace (windowed
-	// heuristic windows, warm-start passes) automatically drop the
-	// flight recorder but keep feeding the metrics.
+	// per probe point. Sub-searches too fine-grained to trace (the
+	// windowed heuristic's windows) automatically drop the flight
+	// recorder but keep feeding the metrics.
 	Probe *obs.Probe
 
 	// Incumbent seeding for the single-cut search (package-internal; armed
 	// by SeedBook.applySeed). When seedOn is set, the search starts with
 	// its recording threshold at seedMerit−1 and seedCut as incumbent —
-	// provably result-preserving like the engine's warm start, because
-	// any cut of merit ≥ seedMerit, the known optimum's lower bound, is
-	// still recorded in DFS order. Callers must guarantee the witness is
-	// legal on the searched graph with exactly merit seedMerit.
+	// provably result-preserving, because any cut of merit ≥ seedMerit,
+	// the known optimum's lower bound, is still recorded in DFS order
+	// (see exactSearch). Callers must guarantee the witness is legal on
+	// the searched graph with exactly merit seedMerit.
 	seedOn    bool
 	seedMerit int64
 	seedCut   dfg.Cut
@@ -132,9 +117,9 @@ func (c Config) withSeed(merit int64, cut dfg.Cut) Config {
 	return c
 }
 
-// stripSeed removes incumbent seeding; the windowed heuristic and the
-// engine's warm pass must run cold (a seed cut need not be legal on a
-// Restrict view, and the seed must never leak into recursive passes).
+// stripSeed removes incumbent seeding; the windowed heuristic must run
+// cold (a seed cut need not be legal on a Restrict view), and the engine
+// applies the seed once at its root, never per worker.
 func (c Config) stripSeed() Config {
 	c.seedOn = false
 	c.seedMerit = 0
@@ -225,46 +210,14 @@ func FindBestCutCtx(ctx context.Context, g *dfg.Graph, cfg Config) Result {
 		}
 		return res
 	}
-	if cfg.Workers > 0 {
-		return findBestCutParallel(ctx, g, cfg)
-	}
-	s := newSearcher(g, cfg)
-	s.ctx = ctx
-	s.obs = cfg.Probe.Attach()
-	if cfg.seedOn && cfg.seedMerit > 0 && len(cfg.seedCut) > 0 {
-		s.seedIncumbent(cfg.seedCut, cfg.seedMerit)
-	}
-	s.run()
-	res := Result{Stats: s.stats, Status: s.stop}
-	if s.bestFound && s.bestCut != nil {
+	cuts, stats, st, err := exactSearch(ctx, cfg, "single", func(cfg Config) bbTree { return newSearcher(g, cfg) })
+	res := Result{Stats: stats, Status: st, Err: err}
+	if cuts != nil {
 		res.Found = true
-		res.Cut = s.bestCut.Canon()
+		res.Cut = cuts[0].Canon()
 		res.Est = Evaluate(g, res.Cut, cfg.model())
 	}
 	return res
-}
-
-// warmWindow sizes the §9 windowed pass that warm-starts the parallel
-// engine's incumbent whenever PruneMerit is set. Each window's search is
-// bounded by 2^warmWindow cuts, so the pass is always cheap relative to
-// the exact search it accelerates.
-const warmWindow = 12
-
-// findWarmIncumbent runs the cheap windowed pass that seeds the
-// engine's incumbent. It strips every recursive option: a window value
-// would re-enter the heuristic, Workers would spin an engine per window,
-// and MaxCuts would charge the seed against the caller's budget.
-func findWarmIncumbent(ctx context.Context, g *dfg.Graph, cfg Config) Result {
-	cfg.Window = 0
-	cfg.Workers = 0
-	cfg.MaxCuts = 0
-	cfg.Parallel = false
-	// The warm pass still feeds the metrics registry (its work is real
-	// engine work), but never the flight recorder — its per-window
-	// events would drown the exact search's timeline.
-	cfg.Seeds = nil // a book seed need not be legal on a Restrict view
-	cfg.Probe = cfg.Probe.MetricsOnly()
-	return FindBestCutWindowedCtx(ctx, g, cfg.stripSeed(), warmWindow)
 }
 
 // searcher holds the incremental state of §6.1. All per-node arrays are
@@ -273,11 +226,7 @@ func findWarmIncumbent(ctx context.Context, g *dfg.Graph, cfg Config) Result {
 // decided node is itself decided; this makes OUT(S) and the convexity
 // check exact and monotone (see §6.1 of the paper and DESIGN.md §5).
 type searcher struct {
-	g     *dfg.Graph
-	cfg   Config
-	model *latency.Model
-	order []int
-	freq  int64
+	searchCore
 
 	inCut []bool
 	reach []bool // for decided nodes: can this node reach the cut?
@@ -292,147 +241,19 @@ type searcher struct {
 	crit   float64
 	cyc    int // latency.CyclesOf(crit), kept in step with crit
 
-	// futSW[rank] is the total software latency of includable nodes at
-	// ranks ≥ rank (admissible bound for PruneMerit).
-	futSW []int64
-
-	bestFound bool
-	bestCut   dfg.Cut
-	bestMerit int64
-	stats     Stats
-	// ctx is polled every ctxCheckInterval visited nodes (ticks); stop
-	// records why the search ended early (Exhaustive while running).
-	ctx  context.Context
-	stop SearchStatus
-	tick int64
-
-	// obs is the searcher's telemetry attachment (nil when observability
-	// is off — the only cost is then the nil checks at the probe
-	// points). boundCuts counts PruneMerit subtree cutoffs; it is only
-	// maintained while observed, feeding the metrics registry via
-	// flushObs, never the search itself.
-	obs       *obs.SearchObs
-	boundCuts int64
-
-	// Engine attachment (nil for the serial search): eng supplies the
-	// shared incumbent bound and the global budget, sharedCache is the
-	// last observed shared bound (MinInt64 when detached — the pruning
-	// comparison then never fires), and flushMark is how much of
-	// stats.CutsConsidered has been flushed to the engine's counter.
-	eng         *bbEngine
-	sharedCache int64
-	flushMark   int64
-	wid         int
-
-	// Donation bookkeeping (engine runs only; see tryDonate): base is the
-	// replayed prefix depth, curRank the rank of the innermost live visit
-	// frame, path the decision at each live ancestor rank, zeroOK whether
-	// that frame's 0-branch passes the PruneInputs guard, and donated
-	// whether it was handed to the engine (the frame then skips it).
-	base    int
-	curRank int
-	path    []uint8
-	zeroOK  []bool
-	donated []bool
-
 	// replayUndo records the state deltas of an engine prefix replay so
 	// it can be unwound exactly (see replay/unreplay).
 	replayUndo []replayStep
 }
 
 func newSearcher(g *dfg.Graph, cfg Config) *searcher {
-	m := cfg.model()
-	s := &searcher{
-		g:           g,
-		cfg:         cfg,
-		model:       m,
-		order:       g.OpOrder,
-		freq:        weight(g.Block.Freq),
-		inCut:       make([]bool, len(g.Nodes)),
-		reach:       make([]bool, len(g.Nodes)),
-		refCnt:      make([]int, len(g.Nodes)),
-		lenTo:       make([]float64, len(g.Nodes)),
-		sharedCache: math.MinInt64,
+	return &searcher{
+		searchCore: newCore(g, cfg),
+		inCut:      make([]bool, len(g.Nodes)),
+		reach:      make([]bool, len(g.Nodes)),
+		refCnt:     make([]int, len(g.Nodes)),
+		lenTo:      make([]float64, len(g.Nodes)),
 	}
-	s.futSW = make([]int64, len(s.order)+1)
-	for r := len(s.order) - 1; r >= 0; r-- {
-		n := &g.Nodes[s.order[r]]
-		s.futSW[r] = s.futSW[r+1]
-		if !n.Forbidden {
-			s.futSW[r] += int64(m.SW(n.Op))
-		}
-	}
-	return s
-}
-
-// seedIncumbent warm-starts the incumbent from a seed-book cut of merit
-// W: the threshold is W−1, so any cut of merit ≥ W — including the
-// first one the cold search would have recorded — still replaces the
-// seed, which keeps the returned cut bit-identical to a cold run while
-// PruneMerit skips everything provably below W.
-func (s *searcher) seedIncumbent(cut dfg.Cut, merit int64) {
-	s.bestFound = true
-	s.bestMerit = merit - 1
-	s.bestCut = append(dfg.Cut(nil), cut...)
-}
-
-func (s *searcher) run() {
-	s.poll()
-	s.visit(0)
-	s.stats.Aborted = s.stop != Exhaustive
-	s.flushObs()
-}
-
-// flushObs publishes the searcher's running tallies into the metrics
-// registry as deltas (see obs.SearchObs.FlushStats). Called at poll
-// cadence and at search end; a no-op when observability is off.
-func (s *searcher) flushObs() {
-	if s.obs != nil {
-		s.obs.FlushStats(s.stats.CutsConsidered, s.stats.Passed, s.stats.Pruned, s.boundCuts)
-	}
-}
-
-// observeStop reports the searcher noticing its stop condition (s.stop
-// already set) to the telemetry subsystem.
-func (s *searcher) observeStop() {
-	if s.obs == nil {
-		return
-	}
-	s.flushObs()
-	s.obs.Stop(int64(s.stop), s.stop == DeadlineExceeded, s.stop == BudgetStopped, s.stop == Canceled)
-}
-
-// poll checks the stop sources: the engine (shared budget, context, and
-// shared-bound refresh) when attached, the plain context otherwise. It
-// runs at search entry and every ctxCheckInterval visited nodes — on
-// both branches, so a long run of 0-branches or forbidden nodes cannot
-// outlive a cancellation (the old poll fired only on 1-branches).
-func (s *searcher) poll() {
-	if s.eng != nil {
-		if st := s.eng.pollSearch(s.wid, &s.stats, &s.flushMark); st != Exhaustive {
-			s.stop = st
-			s.observeStop()
-			return
-		}
-		if s.eng.sharedOn {
-			if v := s.eng.shared.Load(); v > s.sharedCache {
-				s.sharedCache = v
-			}
-		}
-		if s.eng.needWork.Load() {
-			s.tryDonate()
-		}
-		s.flushObs()
-		return
-	}
-	if s.ctx != nil {
-		if err := s.ctx.Err(); err != nil {
-			s.stop = statusOfCtx(err)
-			s.observeStop()
-			return
-		}
-	}
-	s.flushObs()
 }
 
 // meritOf converts the current (non-empty) cut state into merit. The
@@ -596,24 +417,10 @@ func (s *searcher) undoExclude(id int, exclPermIn int) {
 	s.reach[id] = false
 }
 
-// record considers the current cut as an incumbent. The strict
-// comparison keeps the first cut (in search order) of each merit level,
-// which is what makes the parallel merge reproducible.
+// record considers the current cut as an incumbent.
 func (s *searcher) record() {
-	m := s.meritOf()
-	if m <= 0 || (s.bestFound && m <= s.bestMerit) {
-		return
-	}
-	s.bestFound = true
-	s.bestMerit = m
-	s.bestCut = s.currentCut()
-	if s.obs != nil {
-		s.obs.Incumbent(m, s.stats.CutsConsidered, s.curRank)
-	}
-	if s.eng != nil && s.eng.sharedOn {
-		if v := s.eng.publish(m); v > s.sharedCache {
-			s.sharedCache = v
-		}
+	if m := s.meritOf(); s.beats(m) {
+		s.keep(m, []dfg.Cut{s.currentCut()})
 	}
 }
 
@@ -629,15 +436,8 @@ func (s *searcher) visit(rank int) {
 			return
 		}
 	}
-	if s.cfg.PruneMerit {
-		ub := s.meritUB(rank)
-		if (s.bestFound && ub <= s.bestMerit) || ub < s.sharedCache {
-			if s.obs != nil {
-				s.boundCuts++
-				s.obs.Bound(rank, s.bestMerit)
-			}
-			return
-		}
+	if s.cfg.PruneMerit && s.boundCut(s.meritUB(rank)) {
+		return
 	}
 	id := s.order[rank]
 	node := &s.g.Nodes[id]
@@ -655,12 +455,9 @@ func (s *searcher) visit(rank int) {
 
 	// 1-branch: include the node (Fig. 5 explores it first).
 	if !node.Forbidden {
-		if s.cfg.MaxCuts > 0 && s.stats.CutsConsidered >= s.cfg.MaxCuts {
-			s.stop = BudgetStopped
-			s.observeStop()
+		if !s.consider() {
 			return
 		}
-		s.stats.CutsConsidered++
 		if s.includeOK(node) {
 			u := s.applyInclude(id, node)
 			s.stats.Passed++
@@ -675,10 +472,7 @@ func (s *searcher) visit(rank int) {
 			}
 			s.undoInclude(id, node, u)
 		} else {
-			s.stats.Pruned++
-			if s.obs != nil {
-				s.obs.Pruned(rank)
-			}
+			s.pruned(rank)
 		}
 	}
 
@@ -715,6 +509,43 @@ type replayStep struct {
 	include    bool
 	incl       inclUndo
 	exclPermIn int
+}
+
+// expand mirrors exactly one visit level at rank len(prefix): same
+// counters, same feasibility guards, same candidate recording (keyed
+// prefix+[1]). The children carry the level's running best as their
+// recording seed.
+func (s *searcher) expand(prefix []uint8, out *bbBest) []bbSub {
+	d := len(prefix)
+	if s.cfg.PruneMerit && s.boundCut(s.meritUB(d)) {
+		return nil
+	}
+	id := s.order[d]
+	node := &s.g.Nodes[id]
+	var children []bbSub
+	if !node.Forbidden {
+		s.stats.CutsConsidered++
+		if s.includeOK(node) {
+			u := s.applyInclude(id, node)
+			s.stats.Passed++
+			key := childKey(prefix, 1)
+			if s.inputs <= s.cfg.Nin {
+				s.expandRecord(s.record, key, out)
+			}
+			if !s.cfg.PruneInputs || s.permIn <= s.cfg.Nin {
+				children = append(children, s.child(key))
+			}
+			s.undoInclude(id, node, u)
+		} else {
+			s.pruned(d)
+		}
+	}
+	exclPermIn := s.applyExclude(id, node)
+	if !s.cfg.PruneInputs || s.permIn <= s.cfg.Nin {
+		children = append(children, s.child(childKey(prefix, 0)))
+	}
+	s.undoExclude(id, exclPermIn)
+	return children
 }
 
 // replay applies a decision prefix (decision r for rank r; nonzero =

@@ -247,7 +247,7 @@ func RandomPlan(seed int64, n int) []Rule {
 		obs.SiteIncumbent, obs.SiteIncumbent,
 		obs.SiteSearchBegin, obs.SiteSearchEnd,
 		obs.SiteStop, obs.SiteSteal, obs.SiteDonate, obs.SiteResplit,
-		obs.SiteWarmSeed, obs.SiteRescue, obs.SiteGreedy,
+		obs.SiteRescue, obs.SiteGreedy,
 		obs.SiteCollapse,
 	}
 	rules := make([]Rule, 0, n)

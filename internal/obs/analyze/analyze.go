@@ -2,7 +2,7 @@
 // into a causal span tree — pipeline stage → DSE cell → block search →
 // worker lane → rescue/greedy rung — and computes attribution reports
 // over it: where the wall-clock went, which pruning rule earned its
-// keep, what the warm-start and seed machinery actually paid.
+// keep, what the seed machinery actually paid.
 //
 // The span model costs the recorder nothing new: block searches, stages
 // and cells each allocate one span ID (obs.NextSpan) and parent links
@@ -39,7 +39,6 @@ var statusNames = []string{
 	"budget-stopped",
 	"deadline-exceeded",
 	"canceled",
-	"stalled",
 	"recovered",
 }
 
@@ -67,7 +66,6 @@ type Lane struct {
 	Donates    int64
 	Resplits   int64
 	Stops      int64
-	WarmSeeds  int64
 }
 
 // IncumbentStep is one incumbent improvement inside a block search.
@@ -107,7 +105,6 @@ type Block struct {
 
 	Lanes       []*Lane
 	Incumbent   []IncumbentStep
-	WarmMerit   int64 // best warm/engine seed merit observed (0 = none)
 	SeedMerit   int64 // seed-book hit merit armed for this search (0 = none)
 	SeedPuts    int64
 	SeedRejects int64
@@ -334,13 +331,6 @@ func buildBlockEvent(a *Analysis, b *Block, e obs.Event, lane func(*Block, int32
 		if l != nil {
 			l.Stops++
 		}
-	case obs.KWarmSeed:
-		if e.A > b.WarmMerit {
-			b.WarmMerit = e.A
-		}
-		if l != nil {
-			l.WarmSeeds++
-		}
 	case obs.KRescue:
 		b.RescueTried = true
 		b.RescueFound = e.A != 0
@@ -383,15 +373,15 @@ func buildStageEvent(s *Stage, e obs.Event) {
 // is claimed by exactly one level (or explicitly listed as unscoped).
 var blockKinds = []obs.Kind{
 	obs.KSearchEnd, obs.KPrune, obs.KBound, obs.KIncumbent, obs.KSteal,
-	obs.KDonate, obs.KResplit, obs.KStop, obs.KWarmSeed, obs.KRescue,
-	obs.KGreedy, obs.KSeedHit, obs.KSeedPut, obs.KSeedReject, obs.KPanic,
+	obs.KDonate, obs.KResplit, obs.KStop, obs.KRescue, obs.KGreedy,
+	obs.KSeedHit, obs.KSeedPut, obs.KSeedReject, obs.KPanic,
 }
 
 var stageKinds = []obs.Kind{obs.KStageEnd, obs.KCollapse}
 
 // unscopedKinds may legitimately appear with span 0 (coordinator events
-// outside any search: the engine watchdog, pool-leak stalls, manual
-// Recorder.Sys calls) and have no per-span attribution.
+// outside any search: pool-leak stalls, manual Recorder.Sys calls) and
+// have no per-span attribution.
 var unscopedKinds = []obs.Kind{obs.KStall}
 
 // spanOpenKinds open a new span.

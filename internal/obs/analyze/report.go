@@ -25,7 +25,6 @@ type ExplainBlock struct {
 	Cuts        int64  `json:"cuts_considered"`
 	Prunes      int64  `json:"feasibility_prunes"`
 	Bounds      int64  `json:"bound_prunes"`
-	WarmMerit   int64  `json:"warm_merit,omitempty"`
 	SeedMerit   int64  `json:"seed_merit,omitempty"`
 	SeedPuts    int64  `json:"seed_puts,omitempty"`
 	SeedRejects int64  `json:"seed_rejects,omitempty"`
@@ -62,8 +61,8 @@ type ExplainCell struct {
 
 // ExplainReport is the deterministic attribution report. Trace-size
 // counters (event/orphan/unscoped totals) are deliberately absent: the
-// engine's coordination events (steals, donations, watchdog samples)
-// vary with worker count, so any raw event tally would break the
+// engine's coordination events (steals, donations) vary with worker
+// count, so any raw event tally would break the
 // byte-identity contract. They live in the full summary instead.
 type ExplainReport struct {
 	Schema string         `json:"schema"`
@@ -95,7 +94,6 @@ func explainBlock(b *Block) ExplainBlock {
 		Cuts:        b.Cuts,
 		Prunes:      b.Prunes,
 		Bounds:      b.Bounds,
-		WarmMerit:   b.WarmMerit,
 		SeedMerit:   b.SeedMerit,
 		SeedPuts:    b.SeedPuts,
 		SeedRejects: b.SeedRejects,
@@ -221,9 +219,6 @@ func writeExplainBlock(w io.Writer, b ExplainBlock, indent string) {
 		indent, b.Tag, b.Ops, b.Status, b.Merit, b.Cuts, b.Prunes, b.Bounds)
 	if b.SeedMerit > 0 {
 		fmt.Fprintf(w, " seed=%d", b.SeedMerit)
-	}
-	if b.WarmMerit > 0 {
-		fmt.Fprintf(w, " warm=%d", b.WarmMerit)
 	}
 	if b.SeedPuts > 0 {
 		fmt.Fprintf(w, " puts=%d", b.SeedPuts)
@@ -351,7 +346,7 @@ type CriticalHop struct {
 }
 
 // criticalBlock lists the decisive moments inside one block search: the
-// seed/warm head start, each incumbent improvement, rescue/greedy
+// seed-book head start, each incumbent improvement, rescue/greedy
 // rungs, and the end.
 func criticalBlock(b *Block, epoch int64) []CriticalHop {
 	var hops []CriticalHop

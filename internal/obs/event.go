@@ -58,9 +58,6 @@ const (
 	// KCollapse records a selection-round winner collapse. Tag is the
 	// super-node name, A the selection round, B the cut size.
 	KCollapse
-	// KWarmSeed records a warm-start pass seeding the incumbent with
-	// merit A before the exact search starts.
-	KWarmSeed
 	// KPanic records a recovered panic. Tag is "fn/block: message"
 	// (truncated); A is the retry attempt that recovered it (0 for the
 	// block-level guard).
@@ -69,10 +66,8 @@ const (
 	// rung of the degradation ladder). Tag is "fn/block", A is 1 when
 	// the rung produced a cut, B its merit, C the candidate count.
 	KGreedy
-	// KStall records the engine watchdog declaring worker A stalled
-	// after B poll-window samples without progress. Tagged
-	// "cpupool-leak", it instead reports a DSE sweep whose admission pool
-	// lost A of its B slots.
+	// KStall records a stalled resource. Tagged "cpupool-leak", it
+	// reports a DSE sweep whose admission pool lost A of its B slots.
 	KStall
 	// KStageStart marks a selection driver entering: one stage span per
 	// SelectIterativeCtx/SelectOptimalCtx invocation. Tag is the driver
@@ -121,7 +116,6 @@ var kindNames = [kindCount]string{
 	KStop:        "stop",
 	KRescue:      "rescue",
 	KCollapse:    "collapse",
-	KWarmSeed:    "warm_seed",
 	KPanic:       "panic",
 	KGreedy:      "greedy_rescue",
 	KStall:       "stall",

@@ -111,10 +111,9 @@ var chromeArgNames = map[Kind][3]string{
 	KStop:        {"status", "", ""},
 	KRescue:      {"found", "merit", "cuts"},
 	KCollapse:    {"round", "cut_size", ""},
-	KWarmSeed:    {"merit", "", ""},
 	KPanic:       {"attempt", "", ""},
 	KGreedy:      {"found", "merit", "candidates"},
-	KStall:       {"worker", "samples", ""},
+	KStall:       {"leaked", "slots", ""},
 	KStageStart:  {"parent_span", "ninstr", ""},
 	KStageEnd:    {"selected", "total_merit", "ident_calls"},
 	KCellStart:   {"nin", "nout", "ninstr"},

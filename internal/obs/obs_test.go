@@ -204,7 +204,6 @@ func TestNilProbeSafety(t *testing.T) {
 	o.Steal(0, 1, 2)
 	o.Donate(3)
 	o.Resplit(1, 2)
-	o.WarmSeed(9)
 }
 
 func TestProbeAttachAndMetricsOnly(t *testing.T) {

@@ -43,9 +43,7 @@ type Metrics struct {
 	StolenSubs    *Counter
 	Donations     *Counter
 	Resplits      *Counter
-	WarmSeedHits  *Counter
 	WorkerRetries *Counter
-	Stalls        *Counter
 	WorkersActive *Gauge
 	DequeDepth    *Histogram
 
@@ -84,9 +82,7 @@ func NewMetrics(reg *Registry) *Metrics {
 		StolenSubs:      reg.Counter("engine_stolen_subproblems_total"),
 		Donations:       reg.Counter("engine_donations_total"),
 		Resplits:        reg.Counter("engine_resplits_total"),
-		WarmSeedHits:    reg.Counter("engine_warm_seed_hits_total"),
 		WorkerRetries:   reg.Counter("engine_worker_retries_total"),
-		Stalls:          reg.Counter("engine_stalls_total"),
 		WorkersActive:   reg.Gauge("engine_workers_active"),
 		DequeDepth:      reg.Histogram("engine_deque_depth"),
 		Collapses:       reg.Counter("sched_collapses_total"),
@@ -180,8 +176,8 @@ func (p *Probe) Sub() *Probe {
 // MetricsOnly returns a probe that keeps the metrics and hook but drops
 // the flight recorder (and the Live sink, which is sys-event-paced like
 // the recorder). Sub-searches that would flood the timeline with
-// repetitive fine-grained events (windowed-heuristic windows, warm-start
-// passes) still contribute to the aggregate counters through it.
+// repetitive fine-grained events (the windowed heuristic's windows)
+// still contribute to the aggregate counters through it.
 // Nil-safe; returns nil when nothing would remain enabled.
 func (p *Probe) MetricsOnly() *Probe {
 	if p == nil || (p.Rec == nil && p.Live == nil) {
@@ -284,19 +280,6 @@ func (p *Probe) Rescue(tag string, found bool, merit, cuts int64) {
 	p.sysEmit(KRescue, tag, f, merit, cuts)
 }
 
-// WarmSeed records a warm-start pass seeding an engine-level incumbent
-// (the searcher-side analog is SearchObs.WarmSeed).
-func (p *Probe) WarmSeed(merit int64) {
-	if p == nil {
-		return
-	}
-	p.fire(SiteWarmSeed, "")
-	if p.Met != nil {
-		p.Met.WarmSeedHits.Inc()
-	}
-	p.sysEmit(KWarmSeed, "", merit, 0, 0)
-}
-
 // Collapse records a selection-round winner collapse: tag is the
 // super-node name, round the selection round, cutSize the collapsed
 // cut's node count.
@@ -346,19 +329,6 @@ func (p *Probe) Greedy(tag string, found bool, merit, cands int64) {
 		f = 1
 	}
 	p.sysEmit(KGreedy, tag, f, merit, cands)
-}
-
-// Stall records the engine watchdog declaring a worker stalled after
-// samples consecutive watchdog windows without poll progress. Like
-// Panic, it is not an injection site.
-func (p *Probe) Stall(wid, samples int) {
-	if p == nil {
-		return
-	}
-	if p.Met != nil {
-		p.Met.Stalls.Inc()
-	}
-	p.sysEmit(KStall, "", int64(wid), int64(samples), 0)
 }
 
 // BeginStage opens a selection-stage span: one per selection-driver
@@ -617,18 +587,4 @@ func (o *SearchObs) Bound(rank int, incumbent int64) {
 		return
 	}
 	o.ring.Emit(KBound, "", int64(rank), incumbent, 0)
-}
-
-// WarmSeed records the search starting from a warm incumbent of merit.
-func (o *SearchObs) WarmSeed(merit int64) {
-	if o == nil {
-		return
-	}
-	o.fire(SiteWarmSeed)
-	if o.met != nil {
-		o.met.WarmSeedHits.Inc()
-	}
-	if o.ring != nil {
-		o.ring.Emit(KWarmSeed, "", merit, 0, 0)
-	}
 }

@@ -43,9 +43,6 @@ const (
 	// SitePrune fires on feasibility and bound rejections
 	// (SearchObs.Pruned, SearchObs.Bound).
 	SitePrune
-	// SiteWarmSeed fires when a warm-start pass seeds an incumbent
-	// (Probe.WarmSeed, SearchObs.WarmSeed).
-	SiteWarmSeed
 	// SiteCollapse fires on a selection-round winner collapse
 	// (Probe.Collapse).
 	SiteCollapse
@@ -77,7 +74,6 @@ var siteNames = [SiteCount]string{
 	SiteDonate:      "donate",
 	SiteResplit:     "resplit",
 	SitePrune:       "prune",
-	SiteWarmSeed:    "warm_seed",
 	SiteCollapse:    "collapse",
 	SiteStage:       "stage",
 	SiteCell:        "cell",
@@ -108,7 +104,6 @@ var siteMetrics = [SiteCount][]string{
 	SiteDonate:      {"engine_donations_total"},
 	SiteResplit:     {"engine_resplits_total"},
 	SitePrune:       {"search_cuts_pruned_total", "search_bound_cutoffs_total"},
-	SiteWarmSeed:    {"engine_warm_seed_hits_total"},
 	SiteCollapse:    {"sched_collapses_total"},
 	SiteStage:       {},
 	SiteCell:        {"dse_cells_total"},

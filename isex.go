@@ -52,22 +52,11 @@ type Constraints struct {
 	// to the *Ctx variants). Per-block outcomes are reported on the
 	// Selection's BlockStatuses.
 	Deadline time.Duration
-	// StallWindow, when positive and Workers > 0, arms the parallel
-	// engine's watchdog: a worker showing no progress for two
-	// consecutive windows is told to abandon its subproblem, which is
-	// requeued whole for the other workers, and the block's status
-	// degrades to Stalled (sound, but exhaustiveness is no longer
-	// claimed). Size it generously — hundreds of milliseconds at least:
-	// the watchdog cannot distinguish a wedged worker from one an
-	// overloaded machine simply descheduled. 0 disables the watchdog
-	// (the default, preserving the engine's bit-identical guarantee).
-	StallWindow time.Duration
 }
 
 func (c Constraints) config() core.Config {
 	return core.Config{Nin: c.Nin, Nout: c.Nout, MaxCuts: c.MaxCuts,
-		Window: c.Window, Parallel: c.Parallel,
-		Workers: c.Workers, StallWindow: c.StallWindow}
+		Window: c.Window, Parallel: c.Parallel, Workers: c.Workers}
 }
 
 // SearchStatus classifies how an identification search ended: Exhaustive
@@ -82,7 +71,6 @@ const (
 	BudgetStopped    = core.BudgetStopped
 	DeadlineExceeded = core.DeadlineExceeded
 	Canceled         = core.Canceled
-	Stalled          = core.Stalled
 	Recovered        = core.Recovered
 )
 
@@ -236,9 +224,10 @@ func (p *Program) Run(entry string, args ...int32) (int32, error) {
 	return ret, err
 }
 
-// Global returns the current initial image of a global (as set by
-// SetInput) or its compile-time initializer; to observe post-run state
-// use RunAndRead.
+// RunAndRead executes entry(args...) like Run, then returns its result
+// together with a copy of each named global's contents as the run left
+// them, keyed by name. Inputs installed with SetInput are applied before
+// the run; an unknown global name is an error.
 func (p *Program) RunAndRead(entry string, globals []string, args ...int32) (int32, map[string][]int32, error) {
 	env, err := p.newEnv()
 	if err != nil {
