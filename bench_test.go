@@ -284,6 +284,47 @@ func BenchmarkSingleCutAdpcm(b *testing.B) {
 	b.ReportMetric(float64(cuts), "cuts")
 }
 
+// BenchmarkMultiCut times the §6.2 multiple-cut search against the §6.1
+// single-cut search on gsmlpc's hottest block (the one executing the
+// most operations: autocorrelation's inner loop) at 8/4 with both
+// prunings. Single is FindBestCut and M=1..3 are FindBestCuts; each
+// reports the cuts it considers and the time per cut. At M = 1 both
+// searches return the same cut, so M=1's time over Single's is what the
+// multiple-cut searcher costs in place of the single-cut one.
+func BenchmarkMultiCut(b *testing.B) {
+	graphs, err := workload.RealBlockGraphs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var hot *workload.BlockInfo
+	heat := func(bi *workload.BlockInfo) int64 { return bi.Graph.Block.Freq * int64(bi.Graph.NumOps()) }
+	for i := range graphs {
+		if graphs[i].Kernel == "gsmlpc" && (hot == nil || heat(&graphs[i]) > heat(hot)) {
+			hot = &graphs[i]
+		}
+	}
+	b.Logf("block %s/%s: %d ops", hot.Fn, hot.Block, hot.Graph.NumOps())
+	cfg := core.Config{Nin: 8, Nout: 4, PruneInputs: true, PruneMerit: true}
+	for m := 0; m <= 3; m++ {
+		name := "Single"
+		if m > 0 {
+			name = fmt.Sprintf("M=%d", m)
+		}
+		b.Run(name, func(b *testing.B) {
+			var cuts int64
+			for i := 0; i < b.N; i++ {
+				if m == 0 {
+					cuts = core.FindBestCut(hot.Graph, cfg).Stats.CutsConsidered
+				} else {
+					cuts = core.FindBestCuts(hot.Graph, m, cfg).Stats.CutsConsidered
+				}
+			}
+			b.ReportMetric(float64(cuts), "cuts")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cuts), "ns/cut")
+		})
+	}
+}
+
 // BenchmarkSingleCutSynthetic sweeps synthetic DAG sizes, reporting how
 // the exact search scales (the Fig. 8 trend under controlled shape).
 func BenchmarkSingleCutSynthetic(b *testing.B) {

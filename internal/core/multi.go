@@ -79,12 +79,18 @@ func fillMultiResult(res *MultiResult, g *dfg.Graph, cuts []dfg.Cut, model *late
 type multiSearcher struct {
 	searchCore
 	m int
-	// words is the length of a per-node cut mask: bit k of word k/64
-	// stands for cut k (bit 0 is unused), so a mask holds any m.
+	// words is the length of a cut mask: bit k of word k/64 stands for
+	// cut k (bit 0 is unused), so a mask holds any m. Masks are stored
+	// word by word, word i of every node's (or rank's) mask before word
+	// i+1 of any, so the first word, which is the whole mask below 64
+	// cuts, sits at the node's (or rank's) own index. The visit keeps the
+	// first word in registers and leaves the others, when there are any,
+	// to enterWide and copyWide.
 	words int
 
 	assign []int // node id -> cut number 1..m, or 0
-	// Per-node cut masks, words per node. reach has bit k set when the
+	// Per-node cut masks: word i of node id's mask at i*len(g.Nodes)+id.
+	// reach has bit k set when the
 	// decided node reaches cut k. Each decision overwrites the node's
 	// mask, and an undo leaves it stale: it is read only through the
 	// node's producers, which sit at later ranks and so are decided after
@@ -100,6 +106,23 @@ type multiSearcher struct {
 	lenTo []float64
 	cuts  []cutState // indexed by cut number; cuts[0] is unused
 
+	// Per-node constants of the decisions, read from dfg.Node and the
+	// model once per searcher: the software latency and hardware delay
+	// of the node's operation, and whether the node is a live-in.
+	sw     []int64
+	hw     []float64
+	liveIn []bool
+
+	// The state of every live visit frame, by rank: the consumer scan
+	// (see enter), whose masks bad and union keep word i at
+	// i*len(order)+rank and whose longest in-cut path below the node for
+	// cut k sits at below[rank*(m+1)+k], and the rest of the frame in
+	// frames[rank].
+	bad    []uint64
+	union  []uint64
+	below  []float64
+	frames []multiFrame
+
 	// Running totals over the cuts, kept in step with cuts so that a visit
 	// never scans them: merit sums the non-empty cuts' merit, open counts
 	// the non-empty cuts (always cuts 1..open), and overIn and overPerm
@@ -109,7 +132,21 @@ type multiSearcher struct {
 	overIn   int
 	overPerm int
 
-	replayUndo []multiReplayStep
+	// replayed is the depth of the prefix replay applied (see replay).
+	replayed int
+}
+
+// multiFrame is the part of a live visit frame that is not a mask: the
+// scan's home (see enter), and what applyAssign changed that undoAssign
+// does not recompute.
+type multiFrame struct {
+	home     int
+	prevCrit float64
+	prevCyc  int
+	// The k-branch's change to the running totals.
+	dMerit    int64
+	dOverIn   int
+	dOverPerm int
 }
 
 // cutState is the incremental state of one cut.
@@ -120,18 +157,17 @@ type cutState struct {
 	// live-ins, and producers decided outside the cut (excluded or put in
 	// another cut). Cuts only grow along a path, so inputs ≥ permIn in
 	// every descendant. Only the PruneInputs guard reads it, so without
-	// PruneInputs the producers go uncounted (see bumpPermIn).
+	// PruneInputs the producers go uncounted (see enter).
 	permIn int
 	out    int // OUT(S)
-	sw     int64
 	crit   float64
 	cyc    int // latency.CyclesOf(crit), kept in step with crit
 }
 
 func newMultiSearcher(g *dfg.Graph, m int, cfg Config) *multiSearcher {
-	nodes := len(g.Nodes)
+	nodes, ranks := len(g.Nodes), len(g.OpOrder)
 	words := m/64 + 1
-	return &multiSearcher{
+	s := &multiSearcher{
 		searchCore: newCore(g, cfg),
 		m:          m,
 		words:      words,
@@ -141,6 +177,123 @@ func newMultiSearcher(g *dfg.Graph, m int, cfg Config) *multiSearcher {
 		refCnt:     make([]int, (m+1)*nodes),
 		lenTo:      make([]float64, nodes),
 		cuts:       make([]cutState, m+1),
+		sw:         make([]int64, nodes),
+		hw:         make([]float64, nodes),
+		liveIn:     make([]bool, nodes),
+		bad:        make([]uint64, ranks*words),
+		union:      make([]uint64, ranks*words),
+		below:      make([]float64, ranks*(m+1)),
+		frames:     make([]multiFrame, ranks),
+	}
+	for id := range g.Nodes {
+		n := &g.Nodes[id]
+		s.sw[id] = int64(s.model.SW(n.Op))
+		s.hw[id] = s.model.HW(n.Op)
+		s.liveIn[id] = n.Kind == dfg.KindIn
+	}
+	return s
+}
+
+// enter opens the visit frame of node id at rank. It makes the one pass
+// over id's decided consumers that every branch of the visit reads, for
+// the cuts 1..maxK (maxK ≥ open) at once:
+//
+//   - bad: bit k set when assigning id to cut k would break k's
+//     convexity: a consumer outside cut k reaches k. A consumer's reach
+//     mask holds its own cut, which is not outside it, so that bit is
+//     dropped from that consumer's contribution only.
+//   - union: the union of the consumers' reach masks, data and order
+//     edges both, which is id's own reach mask once decided (plus cut k
+//     on a k-branch).
+//   - home: −1 when id has no data consumer, k > 0 when every data
+//     consumer is in cut k, and 0 otherwise. id is an output of every
+//     cut but home, and of none when home is −1: a live-out's V+ node,
+//     a forbidden node and an excluded node all sit outside every cut.
+//   - below[k]: the longest path through cut k's members among the data
+//     consumers, which id's lenTo extends on the k-branch.
+//
+// The consumers sit at earlier ranks, so nothing decided inside the
+// frame's subtrees changes them, and the scan stays exact for every
+// branch of the frame. Under PruneInputs, enter also counts id as a
+// permanent input of every cut consuming it: id stays one on the
+// 0-branch and, of every cut but k, on the k-branch, and applyAssign
+// takes it back from cut k. leave closes the frame.
+func (s *multiSearcher) enter(rank, id, maxK int) {
+	below := s.below[rank*(s.m+1) : rank*(s.m+1)+maxK+1]
+	for k := 0; k <= maxK; k++ { // a loop, not clear: a call costs more
+		below[k] = 0
+	}
+	var bad, union uint64 // the masks' first words
+	home := -1
+	node := &s.g.Nodes[id]
+	for _, sc := range node.Succs {
+		a := s.assign[sc]
+		r := s.reach[sc]
+		union |= r
+		bad |= r &^ (1 << uint(a)) // a ≥ 64 shifts past the word: no bit
+		switch {
+		case home < 0:
+			home = a
+		case home != a:
+			home = 0
+		}
+		if l := s.lenTo[sc]; l > below[a] {
+			below[a] = l
+		}
+	}
+	for _, sc := range node.OrderSuccs {
+		r := s.reach[sc]
+		union |= r
+		bad |= r &^ (1 << uint(s.assign[sc]))
+	}
+	s.bad[rank], s.union[rank] = bad, union
+	s.frames[rank].home = home
+	if s.words > 1 {
+		s.enterWide(rank, node)
+	}
+	if s.cfg.PruneInputs {
+		s.bumpPermIn(id, 1)
+	}
+}
+
+// enterWide is enter's scan for the mask words past the first.
+func (s *multiSearcher) enterWide(rank int, node *dfg.Node) {
+	n, ranks := len(s.assign), len(s.order)
+	for i := 1; i < s.words; i++ {
+		var bad, union uint64
+		for _, succs := range [][]int{node.Succs, node.OrderSuccs} {
+			for _, sc := range succs {
+				r := s.reach[i*n+sc]
+				union |= r
+				if a := s.assign[sc]; a>>6 == i {
+					r &^= 1 << (a & 63)
+				}
+				bad |= r
+			}
+		}
+		s.bad[i*ranks+rank], s.union[i*ranks+rank] = bad, union
+	}
+}
+
+// leave closes the visit frame of node id opened by enter.
+func (s *multiSearcher) leave(id int) {
+	if s.cfg.PruneInputs {
+		s.bumpPermIn(id, -1)
+	}
+}
+
+// bumpPermIn adds d (±1) to the permanent inputs of every cut that
+// consumes id, keeping overPerm in step. It runs twice per visit and is
+// kept within the inlining budget, so that leave inlines into visit.
+func (s *multiSearcher) bumpPermIn(id, d int) {
+	for i := range s.words {
+		for word := s.cons[i*len(s.assign)+id]; word != 0; word &= word - 1 {
+			c := &s.cuts[i<<6|bits.TrailingZeros64(word)]
+			if c.permIn+min(d, 0) == s.cfg.Nin {
+				s.overPerm += d // crossing Nin, up or down
+			}
+			c.permIn += d
+		}
 	}
 }
 
@@ -160,42 +313,37 @@ func (s *multiSearcher) visit(rank int) {
 		return
 	}
 	id := s.order[rank]
-	node := &s.g.Nodes[id]
-	zeroOK := s.excludeOK(id)
+	// Cut labels are symmetric: cut k opens only after cut k−1.
+	maxK := min(s.open+1, s.m)
+	s.enter(rank, id, maxK)
+	// The 0-branch's PruneInputs guard, on the frame-entry state, which
+	// is exactly the state the 0-branch starts from (every k-subtree is
+	// undone by then) and the state a donated 0-branch rebuilds by
+	// replaying its path; tryDonate reads it from inner frames.
+	zeroOK := s.inputsOK()
 	if s.eng != nil {
-		// tryDonate reads it from inner frames. It is evaluated on the
-		// frame-entry state, which is exactly the state the serial
-		// 0-branch starts from (every k-subtree is undone by then) and
-		// the state a donated 0-branch rebuilds by replaying its path.
 		s.zeroOK[rank] = zeroOK
 	}
 
-	if !node.Forbidden {
-		// Cut labels are symmetric: cut k opens only after cut k−1.
-		maxK := min(s.open+1, s.m)
-		for k := 1; k <= maxK; k++ {
-			if s.stop != Exhaustive || !s.consider() {
-				return
-			}
+	if !s.g.Nodes[id].Forbidden {
+		for k := 1; k <= maxK && s.stop == Exhaustive && s.consider(); k++ {
 			s.tryInclude(rank, id, k)
 		}
 	}
 
 	// 0-branch: leave the node out of every cut.
-	if s.eng != nil {
-		if s.donated[rank] {
-			// Handed to another worker by tryDonate while one of this
-			// frame's k-subtrees was being searched.
-			s.donated[rank] = false
-			return
+	if s.eng != nil && s.donated[rank] {
+		// Handed to another worker by tryDonate while one of this
+		// frame's k-subtrees was being searched.
+		s.donated[rank] = false
+	} else if zeroOK {
+		if s.eng != nil {
+			s.path[rank] = 0
 		}
-		s.path[rank] = 0
-	}
-	if zeroOK {
-		s.applyExclude(id)
+		s.applyExclude(rank, id)
 		s.visit(rank + 1)
-		s.undoExclude(id)
 	}
+	s.leave(id)
 }
 
 // inputsOK is the PruneInputs guard: a subtree is searched only while no
@@ -206,235 +354,139 @@ func (s *multiSearcher) inputsOK() bool {
 	return !s.cfg.PruneInputs || s.overPerm == 0
 }
 
-// excludeOK is inputsOK for id's 0-branch, evaluated before the branch
-// is taken: excluded, id becomes a permanent input of every cut that
-// consumes it.
-func (s *multiSearcher) excludeOK(id int) bool {
-	if !s.cfg.PruneInputs {
-		return true
+// applyExclude decides node id, entered at rank, out of every cut: its
+// reach mask is its consumers'. Nothing else changes, so it needs no
+// undo; the mask goes stale as every reach mask does.
+func (s *multiSearcher) applyExclude(rank, id int) {
+	s.reach[id] = s.union[rank]
+	if s.words > 1 {
+		s.copyWide(rank, id)
 	}
-	if s.overPerm > 0 {
+}
+
+// copyWide copies the mask words past the first of the union of frame
+// rank into the reach mask of node id.
+func (s *multiSearcher) copyWide(rank, id int) {
+	for i := 1; i < s.words; i++ {
+		s.reach[i*len(s.assign)+id] = s.union[i*len(s.order)+rank]
+	}
+}
+
+// assignOK is includeOK for cut k: it reports, from the scan of the node
+// entered at rank, whether assigning the node to cut k keeps k convex
+// with OUT ≤ Nout, so a failing branch leaves the state untouched.
+func (s *multiSearcher) assignOK(rank, k int) bool {
+	if s.bad[(k>>6)*len(s.order)+rank]&(1<<(k&63)) != 0 {
 		return false
-	}
-	w := s.words
-	for i, word := range s.cons[id*w : id*w+w] {
-		for ; word != 0; word &= word - 1 {
-			if s.cuts[i<<6|bits.TrailingZeros64(word)].permIn >= s.cfg.Nin {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// cutMerit is a non-empty cut's merit; the instruction always costs at
-// least one cycle.
-func (s *multiSearcher) cutMerit(c *cutState) int64 {
-	hw := c.cyc
-	if hw < 1 {
-		hw = 1
-	}
-	return (c.sw - int64(hw)) * s.freq
-}
-
-// setReach sets the decided node id's reach mask: the union of its data
-// and order successors' masks, plus cut k when id joins cut k (k > 0).
-func (s *multiSearcher) setReach(id int, node *dfg.Node, k int) {
-	w := s.words
-	for i := 0; i < w; i++ {
-		var r uint64
-		if k > 0 && k>>6 == i {
-			r = 1 << (k & 63)
-		}
-		for _, sc := range node.Succs {
-			r |= s.reach[sc*w+i]
-		}
-		for _, sc := range node.OrderSuccs {
-			r |= s.reach[sc*w+i]
-		}
-		s.reach[id*w+i] = r
-	}
-}
-
-// reaches reports whether the decided node id reaches cut k.
-func (s *multiSearcher) reaches(id, k int) bool {
-	return s.reach[id*s.words+k>>6]&(1<<(k&63)) != 0
-}
-
-// bumpPermIn adds d (±1) to the permanent inputs of every cut that
-// consumes id except cut skip, keeping overPerm in step. With
-// PruneInputs it runs at every decision and its undo, so it is kept
-// within the inlining budget; without it nothing reads permIn, and the
-// callers skip it.
-func (s *multiSearcher) bumpPermIn(id, skip, d int) {
-	w := s.words
-	for i, word := range s.cons[id*w : id*w+w] {
-		if i == skip>>6 {
-			word &^= 1 << (skip & 63)
-		}
-		for ; word != 0; word &= word - 1 {
-			c := &s.cuts[i<<6|bits.TrailingZeros64(word)]
-			if c.permIn+min(d, 0) == s.cfg.Nin {
-				s.overPerm += d // crossing Nin, up or down
-			}
-			c.permIn += d
-		}
-	}
-}
-
-// applyExclude decides node id out of every cut: reach propagates from
-// its successors, and every cut consuming id gains a permanent input.
-func (s *multiSearcher) applyExclude(id int) {
-	s.setReach(id, &s.g.Nodes[id], 0)
-	if s.cfg.PruneInputs {
-		s.bumpPermIn(id, 0, 1)
-	}
-}
-
-func (s *multiSearcher) undoExclude(id int) {
-	if s.cfg.PruneInputs {
-		s.bumpPermIn(id, 0, -1)
-	}
-}
-
-// assignOK is includeOK for cut k: it reports whether assigning node to
-// cut k keeps k convex with OUT ≤ Nout, reading only the node's decided
-// consumers, so a failing branch leaves the state untouched.
-func (s *multiSearcher) assignOK(node *dfg.Node, k int) bool {
-	isOut := false
-	for _, sc := range node.Succs {
-		if s.g.Nodes[sc].Kind != dfg.KindOp {
-			isOut = true
-		} else if s.assign[sc] != k {
-			if s.reaches(sc, k) {
-				return false
-			}
-			isOut = true
-		}
-	}
-	for _, sc := range node.OrderSuccs {
-		if s.assign[sc] != k && s.reaches(sc, k) {
-			return false
-		}
 	}
 	// Every reached state has out ≤ Nout for every cut, so out < Nout
 	// before the branch is exactly the test out+1 ≤ Nout after applying
 	// it (see searcher.includeOK, also for a negative Nout).
-	if isOut {
+	if s.isOut(rank, k) {
 		return s.cuts[k].out < s.cfg.Nout
 	}
 	return s.cuts[k].out <= s.cfg.Nout
 }
 
-// tally adds cut c's share of the running totals (d = 1) or takes it
-// out (d = −1); a decision takes the share out, changes the cut, and
-// adds it back.
-func (s *multiSearcher) tally(c *cutState, d int) {
-	if c.size == 0 {
-		return
-	}
-	s.merit += int64(d) * s.cutMerit(c)
-	if c.inputs > s.cfg.Nin {
-		s.overIn += d
-	}
-	if c.permIn > s.cfg.Nin {
-		s.overPerm += d
-	}
+// isOut reports whether the node entered at rank is an output of cut k
+// once it joins k.
+func (s *multiSearcher) isOut(rank, k int) bool {
+	h := s.frames[rank].home
+	return h >= 0 && h != k
 }
 
-// assignUndo captures what applyAssign changed beyond the per-node
-// arrays, so undoAssign can restore the state exactly.
-type assignUndo struct {
-	isOut     bool
-	absorbed  bool
-	newPermIn int
-	prevCrit  float64
-	prevCyc   int
-}
-
-// applyAssign puts node id into cut k, updating the incremental per-cut
-// IN/OUT, permanent-input, software-latency and critical-path state and
-// the running totals.
-func (s *multiSearcher) applyAssign(id int, node *dfg.Node, k int) assignUndo {
+// applyAssign puts node id, entered at rank, into cut k, updating the
+// incremental per-cut IN/OUT, permanent-input and critical-path state,
+// and the running totals by the cut's change. It keeps in frame rank
+// what undoAssign needs.
+func (s *multiSearcher) applyAssign(rank, id, k int) {
 	c := &s.cuts[k]
-	u := assignUndo{prevCrit: c.crit, prevCyc: c.cyc}
-	s.tally(c, -1)
+	f := &s.frames[rank]
+	f.prevCrit, f.prevCyc = c.crit, c.cyc
+	// The cut's share of the totals before the branch: an empty cut has
+	// none.
+	var hw0 int
+	var in0, perm0 bool
 	if c.size == 0 {
 		s.open++
+	} else {
+		hw0 = max(c.cyc, 1)
+		in0, perm0 = c.inputs > s.cfg.Nin, c.permIn > s.cfg.Nin
 	}
 	s.assign[id] = k
 	c.size++
-	s.setReach(id, node, k)
-	best := 0.0 // longest path through the cut below id
-	for _, sc := range node.Succs {
-		if s.g.Nodes[sc].Kind == dfg.KindOp && s.assign[sc] == k {
-			if s.lenTo[sc] > best {
-				best = s.lenTo[sc]
-			}
-		} else {
-			u.isOut = true
-		}
+	// Cut k's bit: word kw (an offset into the per-node masks), bit kb.
+	kw, kb := (k>>6)*len(s.assign), uint64(1)<<(k&63)
+	s.reach[id] = s.union[rank]
+	if s.words > 1 {
+		s.copyWide(rank, id)
 	}
-	if u.isOut {
+	s.reach[kw+id] |= kb
+	if s.isOut(rank, k) {
 		c.out++
 	}
-	kw, kb := k>>6, uint64(1)<<(k&63)
-	u.absorbed = s.cons[id*s.words+kw]&kb != 0
-	if u.absorbed {
+	if s.cons[kw+id]&kb != 0 {
+		// Absorbed: id is no longer an input of cut k, nor a permanent
+		// one (see enter).
 		c.inputs--
+		if s.cfg.PruneInputs {
+			c.permIn--
+		}
 	}
-	if s.cfg.PruneInputs {
-		s.bumpPermIn(id, k, 1) // id is now decided outside the other cuts
-	}
-	refCnt := s.refCnt[k*len(s.g.Nodes):]
-	for _, p := range node.Preds {
-		refCnt[p]++
-		if refCnt[p] == 1 {
-			s.cons[p*s.words+kw] |= kb
-			if s.assign[p] != k {
-				c.inputs++
-				if s.g.Nodes[p].Kind == dfg.KindIn {
-					u.newPermIn++ // live-ins can never join the cut
-				}
+	// id's producers sit at later ranks, undecided, so each one not yet
+	// consumed by cut k is a new input of it; live-ins can never join it.
+	ref := k * len(s.assign)
+	for _, p := range s.g.Nodes[id].Preds {
+		s.refCnt[ref+p]++
+		if s.refCnt[ref+p] == 1 {
+			s.cons[kw+p] |= kb
+			c.inputs++
+			if s.liveIn[p] {
+				c.permIn++
 			}
 		}
 	}
-	c.permIn += u.newPermIn
-	c.sw += int64(s.model.SW(node.Op))
-	s.lenTo[id] = best + s.model.HW(node.Op)
+	s.lenTo[id] = s.below[rank*(s.m+1)+k] + s.hw[id]
 	if s.lenTo[id] > c.crit {
 		c.crit = s.lenTo[id]
 		c.cyc = latency.CyclesOf(c.crit)
 	}
-	s.tally(c, 1)
-	return u
+	f.dMerit = (s.sw[id] - int64(max(c.cyc, 1)-hw0)) * s.freq
+	f.dOverIn = b2i(c.inputs > s.cfg.Nin) - b2i(in0)
+	f.dOverPerm = b2i(c.permIn > s.cfg.Nin) - b2i(perm0)
+	s.merit += f.dMerit
+	s.overIn += f.dOverIn
+	s.overPerm += f.dOverPerm
 }
 
-func (s *multiSearcher) undoAssign(id int, node *dfg.Node, k int, u assignUndo) {
+// undoAssign reverts applyAssign(rank, id, k) from the state it left.
+func (s *multiSearcher) undoAssign(rank, id, k int) {
 	c := &s.cuts[k]
-	s.tally(c, -1)
-	c.crit, c.cyc = u.prevCrit, u.prevCyc
+	f := &s.frames[rank]
+	s.merit -= f.dMerit
+	s.overIn -= f.dOverIn
+	s.overPerm -= f.dOverPerm
+	c.crit, c.cyc = f.prevCrit, f.prevCyc
 	s.lenTo[id] = 0
-	c.sw -= int64(s.model.SW(node.Op))
-	c.permIn -= u.newPermIn
-	kw, kb := k>>6, uint64(1)<<(k&63)
-	refCnt := s.refCnt[k*len(s.g.Nodes):]
-	for _, p := range node.Preds {
-		if refCnt[p] == 1 {
-			s.cons[p*s.words+kw] &^= kb
-			if s.assign[p] != k {
-				c.inputs--
+	kw, kb := (k>>6)*len(s.assign), uint64(1)<<(k&63)
+	ref := k * len(s.assign)
+	for _, p := range s.g.Nodes[id].Preds {
+		if s.refCnt[ref+p] == 1 {
+			s.cons[kw+p] &^= kb
+			c.inputs--
+			if s.liveIn[p] {
+				c.permIn--
 			}
 		}
-		refCnt[p]--
+		s.refCnt[ref+p]--
 	}
-	if s.cfg.PruneInputs {
-		s.bumpPermIn(id, k, -1)
-	}
-	if u.absorbed {
+	if s.cons[kw+id]&kb != 0 {
 		c.inputs++
+		if s.cfg.PruneInputs {
+			c.permIn++
+		}
 	}
-	if u.isOut {
+	if s.isOut(rank, k) {
 		c.out--
 	}
 	c.size--
@@ -442,16 +494,22 @@ func (s *multiSearcher) undoAssign(id int, node *dfg.Node, k int, u assignUndo) 
 		s.open--
 	}
 	s.assign[id] = 0
-	s.tally(c, 1)
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func (s *multiSearcher) tryInclude(rank, id, k int) {
-	node := &s.g.Nodes[id]
-	if !s.assignOK(node, k) {
+	if !s.assignOK(rank, k) {
 		s.pruned(rank)
 		return
 	}
-	u := s.applyAssign(id, node, k)
+	s.applyAssign(rank, id, k)
 	s.stats.Passed++
 	s.maybeRecord()
 	if s.inputsOK() {
@@ -460,7 +518,7 @@ func (s *multiSearcher) tryInclude(rank, id, k int) {
 		}
 		s.visit(rank + 1)
 	}
-	s.undoAssign(id, node, k, u)
+	s.undoAssign(rank, id, k)
 }
 
 // maybeRecord evaluates the current assignment as a candidate solution:
@@ -532,77 +590,72 @@ func (s *multiSearcher) interCutCycle() bool {
 	return false
 }
 
-// expand mirrors exactly one visit level at rank len(prefix): the
-// (M+1)-ary branching with symmetry breaking, same counters, same
-// feasibility guards, same candidate recording. The 0-child's reach
-// update is left to the child's own replay.
+// expand mirrors exactly one visit level at rank len(prefix): the same
+// consumer scan, the (M+1)-ary branching with symmetry breaking, same
+// counters, same feasibility guards, same candidate recording. The
+// 0-child's reach update is left to the child's own replay.
 func (s *multiSearcher) expand(prefix []uint8, out *bbBest) []bbSub {
 	d := len(prefix)
 	if s.cfg.PruneMerit && s.boundCut(s.merit+s.futSW[d]*s.freq) {
 		return nil
 	}
 	id := s.order[d]
-	node := &s.g.Nodes[id]
+	maxK := min(s.open+1, s.m)
+	s.enter(d, id, maxK)
 	var children []bbSub
-	if !node.Forbidden {
-		maxK := min(s.open+1, s.m)
+	if !s.g.Nodes[id].Forbidden {
 		for k := 1; k <= maxK; k++ {
 			s.stats.CutsConsidered++
-			if !s.assignOK(node, k) {
+			if !s.assignOK(d, k) {
 				s.pruned(d)
 				continue
 			}
-			u := s.applyAssign(id, node, k)
+			s.applyAssign(d, id, k)
 			s.stats.Passed++
 			key := childKey(prefix, uint8(k))
 			s.expandRecord(s.maybeRecord, key, out)
 			if s.inputsOK() {
 				children = append(children, s.child(key))
 			}
-			s.undoAssign(id, node, k, u)
+			s.undoAssign(d, id, k)
 		}
 	}
-	if s.excludeOK(id) {
+	if s.inputsOK() {
 		children = append(children, s.child(childKey(prefix, 0)))
 	}
+	s.leave(id)
 	return children
-}
-
-// multiReplayStep records one prefix decision for exact unwinding.
-type multiReplayStep struct {
-	id int
-	k  int // 0 = exclude
-	u  assignUndo
 }
 
 // replay applies a decision prefix (decision r for rank r; 0 = exclude,
 // k = assign to cut k) onto a clean multiSearcher, rebuilding the exact
-// incremental state the serial search would have at that tree position.
+// incremental state the serial search would have at that tree position:
+// each decision reads the same consumer scan as the serial visit.
 func (s *multiSearcher) replay(prefix []uint8) {
 	for r, d := range prefix {
 		id := s.order[r]
 		if s.path != nil {
 			s.path[r] = d // tryDonate rebuilds prefixes from path
 		}
-		step := multiReplayStep{id: id, k: int(d)}
-		if step.k > 0 {
-			step.u = s.applyAssign(id, &s.g.Nodes[id], step.k)
+		s.enter(r, id, min(s.open+1, s.m))
+		if d > 0 {
+			s.applyAssign(r, id, int(d))
 		} else {
-			s.applyExclude(id)
+			s.applyExclude(r, id)
 		}
-		s.replayUndo = append(s.replayUndo, step)
 	}
+	s.replayed = len(prefix)
 }
 
-// unreplay unwinds a replay, restoring the clean state.
+// unreplay unwinds a replay, restoring the clean state; each rank's
+// decision is its node's cut.
 func (s *multiSearcher) unreplay() {
-	for i := len(s.replayUndo) - 1; i >= 0; i-- {
-		st := s.replayUndo[i]
-		if st.k > 0 {
-			s.undoAssign(st.id, &s.g.Nodes[st.id], st.k, st.u)
-		} else {
-			s.undoExclude(st.id)
+	for r := s.replayed - 1; r >= 0; r-- {
+		id := s.order[r]
+		if k := s.assign[id]; k > 0 {
+			s.undoAssign(r, id, k)
 		}
+		s.leave(id)
 	}
-	s.replayUndo = s.replayUndo[:0]
+	s.replayed = 0
 }

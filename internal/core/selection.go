@@ -349,6 +349,9 @@ func SelectIterativeCtx(ctx context.Context, m *ir.Module, ninstr int, cfg Confi
 			ChosenAt:     chosen,
 		})
 		res.TotalMerit += st.best.Est.Merit
+		if chosen == ninstr-1 {
+			break // nothing would read a further identification
+		}
 		// Collapse the chosen cut and re-identify on this block only.
 		name := fmt.Sprintf("ise_%s_%d", bgs[bestB].b.Name, chosen)
 		ng, err := st.g.Collapse(st.best.Cut, name, st.best.Est.HWCycles)

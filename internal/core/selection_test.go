@@ -9,6 +9,7 @@ import (
 	"isex/internal/ir"
 	"isex/internal/minic"
 	"isex/internal/passes"
+	"isex/internal/workload"
 )
 
 // compileAndProfile builds a module, runs the pass pipeline, and profiles
@@ -201,11 +202,56 @@ func TestSelectOptimalIdentCallBound(t *testing.T) {
 	for _, f := range m.Funcs {
 		nbb += len(f.Blocks)
 	}
-	for _, n := range []int{1, 2, 3} {
-		res := SelectOptimal(m, n, cfg)
-		if res.IdentCalls > n+nbb-1 {
-			t.Errorf("ninstr=%d: %d identification calls, bound is %d",
-				n, res.IdentCalls, n+nbb-1)
+	// §6.2 proves the bound for the optimal algorithm; the iterative one
+	// makes one identification per block and one per pick but the last,
+	// which nothing would read, so it keeps the same bound.
+	drivers := []struct {
+		name string
+		run  func(*ir.Module, int, Config) SelectionResult
+	}{{"optimal", SelectOptimal}, {"iterative", SelectIterative}}
+	for _, d := range drivers {
+		for _, n := range []int{1, 2, 3} {
+			res := d.run(m, n, cfg)
+			if res.IdentCalls > n+nbb-1 {
+				t.Errorf("%s ninstr=%d: %d identification calls, bound is %d",
+					d.name, n, res.IdentCalls, n+nbb-1)
+			}
+		}
+	}
+}
+
+// TestWindowKeepsRescue: Config.Window switches only §6.1 to the windowed
+// search, and only on blocks larger than the window. Wherever the exact
+// search runs instead (§6.2 always, §6.1 on blocks no larger than the
+// window), a budget stop is rescued by the §9 windowed pass as it is
+// without Window. On adpcmdecode at 4/2 under a 20,000-cut budget, the
+// exact searches of body2 (60 operations, the largest block) stop at the
+// budget; with Window set, each driver must still rescue body2 and select
+// exactly what it selects without Window.
+func TestWindowKeepsRescue(t *testing.T) {
+	m, err := workload.ByName("adpcmdecode").Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	drivers := []struct {
+		name   string
+		run    func(*ir.Module, int, Config) SelectionResult
+		window int
+	}{{"optimal", SelectOptimal, 8}, {"iterative", SelectIterative, 64}}
+	for _, d := range drivers {
+		cfg := Config{Nin: 4, Nout: 2, MaxCuts: 20_000}
+		want := d.run(m, 4, cfg)
+		cfg.Window = d.window
+		got := d.run(m, 4, cfg)
+		assertSelectionsEqual(t, d.name+"/window", want, got, true)
+		rescued := false
+		for _, b := range got.Blocks {
+			if b.Block == "body2" {
+				rescued = b.Status == BudgetStopped && b.Fallback
+			}
+		}
+		if !rescued {
+			t.Errorf("%s: body2 not budget-stopped and rescued: %+v", d.name, got.Blocks)
 		}
 	}
 }

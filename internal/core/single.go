@@ -48,10 +48,13 @@ type Config struct {
 	// Workers × ctxCheckInterval cuts, or Workers × M × ctxCheckInterval
 	// for FindBestCuts (a visit there considers up to M cuts).
 	MaxCuts int64
-	// Window, when positive, replaces the exact search by the §9
-	// windowed heuristic (see FindBestCutWindowed): overlapping
+	// Window, when positive, replaces the exact single-cut search (§6.1,
+	// and so SelectIterative) on blocks of more than Window operations by
+	// the §9 windowed heuristic (see FindBestCutWindowed): overlapping
 	// topological windows of this many nodes. Sound, possibly
-	// sub-optimal; for blocks the exact search cannot finish.
+	// sub-optimal; for blocks the exact search cannot finish. The
+	// multiple-cut search (§6.2, and so SelectOptimal) has no windowed
+	// form and ignores it.
 	Window int
 	// Parallel lets selection search independent basic blocks
 	// concurrently (one goroutine per block in the initial round).
@@ -132,6 +135,12 @@ func (c Config) stripSeed() Config {
 // search.
 var defaultModel = latency.Default()
 
+// windowed reports whether FindBestCutCtx runs the §9 windowed heuristic
+// on g instead of the exact search (see Window).
+func (c Config) windowed(g *dfg.Graph) bool {
+	return c.Window > 0 && c.Window < g.NumOps()
+}
+
 func (c Config) model() *latency.Model {
 	if c.Model != nil {
 		return c.Model
@@ -188,7 +197,7 @@ func FindBestCut(g *dfg.Graph, cfg Config) Result {
 // ctx every ctxCheckInterval visited nodes and, on expiry or
 // cancellation, returns the incumbent with Status set accordingly.
 func FindBestCutCtx(ctx context.Context, g *dfg.Graph, cfg Config) Result {
-	if cfg.Window > 0 && cfg.Window < g.NumOps() {
+	if cfg.windowed(g) {
 		w := cfg.Window
 		cfg.Window = 0
 		return FindBestCutWindowedCtx(ctx, g, cfg, w)

@@ -39,6 +39,7 @@ type Constraints struct {
 	MaxCuts int64
 	// Window, when positive, switches to the §9 windowed heuristic for
 	// blocks larger than this many nodes (sound, possibly sub-optimal).
+	// It applies to Identify only: IdentifyOptimal has no windowed form.
 	Window int
 	// Parallel searches independent basic blocks concurrently.
 	Parallel bool
