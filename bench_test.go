@@ -19,7 +19,10 @@ import (
 
 	"isex/internal/core"
 	"isex/internal/experiments"
+	"isex/internal/interp"
+	"isex/internal/ir"
 	"isex/internal/latency"
+	"isex/internal/sim"
 	"isex/internal/workload"
 )
 
@@ -323,6 +326,59 @@ func BenchmarkMultiCut(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cuts), "ns/cut")
 		})
 	}
+}
+
+// BenchmarkSimulate times the cycle-accounting simulator on
+// kernels-optimal's programs: gsmlpc, fir, sad and vlc, each unpatched
+// and patched after SelectOptimal (8 instructions, both prunings) at 2/1,
+// 4/2, 4/3 and 8/4. It reports the time per simulated instruction.
+func BenchmarkSimulate(b *testing.B) {
+	type program struct {
+		k *workload.Kernel
+		m *ir.Module
+	}
+	var progs []program
+	for _, name := range []string{"gsmlpc", "fir", "sad", "vlc"} {
+		k := workload.ByName(name)
+		base, err := k.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs = append(progs, program{k, base})
+		for _, ports := range [][2]int{{2, 1}, {4, 2}, {4, 3}, {8, 4}} {
+			m, err := k.Prepare()
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := core.Config{Nin: ports[0], Nout: ports[1], MaxCuts: 2_000_000, PruneInputs: true, PruneMerit: true}
+			sel := core.SelectOptimal(m, 8, cfg)
+			if _, _, err := core.ApplySelection(m, sel.Instructions, nil); err != nil {
+				b.Fatal(err)
+			}
+			progs = append(progs, program{k, m})
+		}
+	}
+	b.ResetTimer()
+	var instrs int64
+	for i := 0; i < b.N; i++ {
+		instrs = 0
+		for _, p := range progs {
+			r := &sim.Runner{Setup: func(env *interp.Env) error {
+				for name, vals := range p.k.Inputs {
+					if err := env.SetGlobal(name, vals); err != nil {
+						return err
+					}
+				}
+				return nil
+			}}
+			rep, err := r.Run(p.m, p.k.Entry, p.k.Args...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			instrs += rep.Instructions
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(instrs), "ns/instr")
 }
 
 // BenchmarkSingleCutSynthetic sweeps synthetic DAG sizes, reporting how

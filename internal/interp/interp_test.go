@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -30,23 +32,64 @@ func buildSum() *ir.Module {
 	return &ir.Module{Funcs: []*ir.Function{b.Finish()}}
 }
 
+// buildCustomLoop builds: func macs(n) { s=0; for i in [0,n): (x, y) =
+// custom(i, s); s = x - y; return s }, whose custom instruction has two
+// outputs: x = (i+s)*2 and y = i+s.
+func buildCustomLoop() *ir.Module {
+	m := &ir.Module{}
+	afu := m.AddAFU(ir.AFUDef{
+		Name: "addshift", NumIn: 2, NumSlots: 4,
+		Body: []ir.AFUOp{
+			{Op: ir.OpAdd, A: 0, B: 1, Dst: 2},
+			{Op: ir.OpConst, Imm: 1, Dst: 3},
+			{Op: ir.OpShl, A: 2, B: 3, Dst: 3},
+		},
+		OutSlots: []int{3, 2},
+	})
+	b := ir.NewBuilder("macs", 1)
+	n := b.Fn.Params[0]
+	s, i, x, y := b.Fn.NewReg(), b.Fn.NewReg(), b.Fn.NewReg(), b.Fn.NewReg()
+	head := b.NewBlock("head")
+	body := b.NewBlock("body")
+	exit := b.NewBlock("exit")
+	b.CopyTo(s, b.Const(0))
+	b.CopyTo(i, b.Const(0))
+	b.Jump(head)
+	b.SetBlock(head)
+	b.Branch(b.Op(ir.OpLt, i, n), body, exit)
+	b.SetBlock(body)
+	b.Emit(ir.Instr{Op: ir.OpCustom, AFU: afu, Dsts: []ir.Reg{x, y}, Args: []ir.Reg{i, s}})
+	b.CopyTo(s, b.Op(ir.OpSub, x, y))
+	b.CopyTo(i, b.Op(ir.OpAdd, i, b.Const(1)))
+	b.Jump(head)
+	b.SetBlock(exit)
+	b.Ret(s)
+	m.Funcs = append(m.Funcs, b.Finish())
+	return m
+}
+
 // TestExecAllocsIndependentOfSteps guards the interpreter's inner loop:
-// executing an instruction allocates nothing, so running the sum loop
-// 1000 times allocates exactly what running it 10 times does.
+// executing an instruction, custom instructions included, allocates
+// nothing, so running a loop 1000 times allocates exactly what running
+// it 10 times does.
 func TestExecAllocsIndependentOfSteps(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	m := buildSum()
-	allocs := func(n int32) float64 {
-		return testing.AllocsPerRun(5, func() {
-			if _, _, err := NewEnv(m).Call("sum", n); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	if short, long := allocs(10), allocs(1000); short != long {
-		t.Fatalf("sum(10) allocates %v, sum(1000) allocates %v; want equal", short, long)
+	for _, tc := range []struct {
+		fn string
+		m  *ir.Module
+	}{{"sum", buildSum()}, {"macs", buildCustomLoop()}} {
+		allocs := func(n int32) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, _, err := NewEnv(tc.m).Call(tc.fn, n); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if short, long := allocs(10), allocs(1000); short != long {
+			t.Errorf("%s(10) allocates %v, %s(1000) allocates %v; want equal", tc.fn, short, tc.fn, long)
+		}
 	}
 }
 
@@ -245,8 +288,8 @@ func TestCustomInstruction(t *testing.T) {
 	}
 }
 
-// A custom instruction with more operands than exec's stack buffer holds
-// must still see every operand in order.
+// A custom instruction with more than three operands must still see
+// every operand in order.
 func TestWideCustomInstruction(t *testing.T) {
 	m := &ir.Module{}
 	afu := m.AddAFU(ir.AFUDef{
@@ -270,15 +313,63 @@ func TestWideCustomInstruction(t *testing.T) {
 	}
 }
 
+// TestObserver checks the block-entry counts the simulator charges
+// cycles from: sum(5) enters entry and exit once, head 6 times and body
+// 5 times, so it executes 6 comparisons and 10 additions.
 func TestObserver(t *testing.T) {
-	env := NewEnv(buildSum())
-	count := map[ir.Op]int{}
-	env.Observer = func(b *ir.Block, in *ir.Instr) { count[in.Op]++ }
+	m := buildSum()
+	env := NewEnv(m)
 	if _, _, err := env.Call("sum", 5); err != nil {
 		t.Fatal(err)
 	}
+	entries := map[string]int64{}
+	count := map[ir.Op]int64{}
+	var steps int64
+	env.BlockEntries(func(b *ir.Block, n int64) {
+		entries[b.Name] += n
+		for i := range b.Instrs {
+			count[b.Instrs[i].Op] += n
+		}
+		steps += n * int64(len(b.Instrs)+1)
+	})
+	want := map[string]int64{m.Funcs[0].Blocks[0].Name: 1, "head": 6, "body": 5, "exit": 1}
+	if len(entries) != len(want) {
+		t.Errorf("entries = %v, want %v", entries, want)
+	}
+	for name, n := range want {
+		if entries[name] != n {
+			t.Errorf("block %s entered %d times, want %d", name, entries[name], n)
+		}
+	}
 	if count[ir.OpLt] != 6 || count[ir.OpAdd] != 10 {
-		t.Errorf("observer counts wrong: %v", count)
+		t.Errorf("op counts from block entries wrong: %v", count)
+	}
+	if steps != env.Steps() {
+		t.Errorf("block entries account for %d steps, Steps() = %d", steps, env.Steps())
+	}
+}
+
+// TestFramesStartZeroed: a register read before any write reads 0, also
+// in a frame that reuses the stack words of an earlier call.
+func TestFramesStartZeroed(t *testing.T) {
+	lb := ir.NewBuilder("leak", 1)
+	lb.Ret(lb.Fn.Params[0])
+	pb := ir.NewBuilder("peek", 0)
+	pb.Ret(pb.Fn.NewReg())
+	mb := ir.NewBuilder("main", 0)
+	r, p := mb.Fn.NewReg(), mb.Fn.NewReg()
+	mb.Call("leak", []ir.Reg{r}, mb.Const(42))
+	mb.Call("peek", []ir.Reg{p})
+	mb.Ret(p)
+	env := NewEnv(&ir.Module{Funcs: []*ir.Function{lb.Finish(), pb.Finish(), mb.Finish()}})
+	if got, _, err := env.Call("main"); err != nil || got != 0 {
+		t.Errorf("main() = %d, %v; want 0", got, err)
+	}
+	if _, _, err := env.Call("leak", 7); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := env.Call("peek"); err != nil || got != 0 {
+		t.Errorf("peek() after leak(7) = %d, %v; want 0", got, err)
 	}
 }
 
@@ -312,5 +403,78 @@ func TestCallDepthLimit(t *testing.T) {
 	got, _, err := env2.Call("g", 50)
 	if err != nil || got != 50 {
 		t.Errorf("bounded recursion: %d, %v", got, err)
+	}
+}
+
+// TestInterpMatchesEval runs every pure op as a one-instruction function
+// over edge-case operands: the interpreter returns what ir.Eval returns
+// and fails where it fails, division and remainder by zero included. It
+// also checks that an instruction naming an unknown global or callee, or
+// a bad AFU index, is an error only when its block runs.
+func TestInterpMatchesEval(t *testing.T) {
+	vals := []int32{0, 1, -1, 31, 32, math.MinInt32, math.MaxInt32}
+	for op := ir.OpConst; op <= ir.OpCustom; op++ {
+		if !op.Pure() {
+			continue
+		}
+		arity := op.Info().Arity
+		imms := []int64{0}
+		if op == ir.OpConst {
+			imms = []int64{0, 1, -1, math.MinInt32, math.MaxInt32, 1<<40 + 5, -(1 << 33)}
+		}
+		tuples := 1
+		for range arity {
+			tuples *= len(vals)
+		}
+		for _, imm := range imms {
+			b := ir.NewBuilder("f", 3)
+			d := b.Fn.NewReg()
+			b.Emit(ir.Instr{Op: op, Dsts: []ir.Reg{d}, Args: b.Fn.Params[:arity], Imm: imm})
+			b.Ret(d)
+			env := NewEnv(&ir.Module{Funcs: []*ir.Function{b.Finish()}})
+			for i := 0; i < tuples; i++ {
+				var args [3]int32
+				for k, r := 0, i; k < arity; k, r = k+1, r/len(vals) {
+					args[k] = vals[r%len(vals)]
+				}
+				want, werr := ir.Eval(op, imm, args[0], args[1], args[2])
+				got, _, err := env.Call("f", args[0], args[1], args[2])
+				switch {
+				case werr != nil && !errors.Is(err, werr):
+					t.Errorf("%s%v: interpreter error %v, Eval error %v", op, args[:arity], err, werr)
+				case werr == nil && (err != nil || got != want):
+					t.Errorf("%s%v imm %d = %d, %v; Eval gives %d", op, args[:arity], imm, got, err, want)
+				}
+			}
+		}
+	}
+
+	m := &ir.Module{}
+	for _, tc := range []struct {
+		in   ir.Instr
+		want string
+	}{
+		{ir.Instr{Op: ir.OpGlobal, Sym: "nope"}, `unknown global "nope"`},
+		{ir.Instr{Op: ir.OpCall, Sym: "nope"}, `unknown function "nope"`},
+		{ir.Instr{Op: ir.OpCustom, AFU: 3}, "bad AFU index 3"},
+	} {
+		b := ir.NewBuilder("g", 1)
+		bad := b.NewBlock("bad")
+		ok := b.NewBlock("ok")
+		b.Branch(b.Fn.Params[0], bad, ok)
+		b.SetBlock(bad)
+		d := b.Fn.NewReg()
+		tc.in.Dsts = []ir.Reg{d}
+		b.Emit(tc.in)
+		b.Ret(d)
+		b.SetBlock(ok)
+		b.Ret(b.Const(7))
+		m.Funcs = []*ir.Function{b.Finish()}
+		if got, _, err := NewEnv(m).Call("g", 0); err != nil || got != 7 {
+			t.Errorf("%s in a block not run: g(0) = %d, %v", tc.in.Op, got, err)
+		}
+		if _, _, err := NewEnv(m).Call("g", 1); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s in a block run: err = %v, want %q", tc.in.Op, err, tc.want)
+		}
 	}
 }

@@ -139,33 +139,53 @@ func (d *AFUDef) Exec(in []int32) ([]int32, error) {
 	if len(in) != d.NumIn {
 		return nil, fmt.Errorf("ir: afu %s: got %d inputs, want %d", d.Name, len(in), d.NumIn)
 	}
-	slots := make([]int32, d.NumSlots)
+	slots := make([]int32, max(d.NumSlots, d.NumIn))
 	copy(slots, in)
+	out := make([]int32, len(d.OutSlots))
+	if err := d.ExecInto(out, slots); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ExecInto evaluates the AFU in caller-owned buffers, allocating
+// nothing. The caller stores the NumIn inputs in slots[:NumIn]; slots
+// must hold at least NumSlots words, and ExecInto zeroes the ones past
+// the inputs before running the body. out receives the len(OutSlots)
+// outputs.
+func (d *AFUDef) ExecInto(out, slots []int32) error {
+	slots = slots[:d.NumSlots]
+	clear(slots[min(d.NumIn, d.NumSlots):])
 	for i := range d.Body {
 		op := &d.Body[i]
-		var args []int32
-		switch op.Op.Info().Arity {
-		case 0:
-		case 1:
-			args = []int32{slots[op.A]}
-		case 2:
-			args = []int32{slots[op.A], slots[op.B]}
-		case 3:
-			args = []int32{slots[op.A], slots[op.B], slots[op.C]}
-		default:
-			return nil, fmt.Errorf("ir: afu %s: bad micro-op %s", d.Name, op.Op)
+		arity := 0 // Op.Info's arity, read without copying the OpInfo
+		if op.Op < opCount {
+			arity = opInfos[op.Op].Arity
 		}
-		v, err := Eval(op.Op, op.Imm, args...)
+		var a, b, c int32
+		switch arity {
+		case 3:
+			c = slots[op.C]
+			fallthrough
+		case 2:
+			b = slots[op.B]
+			fallthrough
+		case 1:
+			a = slots[op.A]
+		case 0:
+		default:
+			return fmt.Errorf("ir: afu %s: bad micro-op %s", d.Name, op.Op)
+		}
+		v, err := Eval(op.Op, op.Imm, a, b, c)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		slots[op.Dst] = v
 	}
-	out := make([]int32, len(d.OutSlots))
 	for i, s := range d.OutSlots {
 		out[i] = slots[s]
 	}
-	return out, nil
+	return nil
 }
 
 // Module is a whole program: functions, globals and the table of custom

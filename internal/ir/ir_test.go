@@ -191,6 +191,17 @@ func TestAFUExec(t *testing.T) {
 	if err != nil || out[0] != 22 {
 		t.Errorf("sel afu: %v %v", out, err)
 	}
+	// ExecInto in reused buffers: the slots past the inputs read 0 until
+	// the body defines them, as in Exec's fresh ones.
+	d3 := AFUDef{
+		Name: "undef", NumIn: 1, NumSlots: 3,
+		Body:     []AFUOp{{Op: OpAdd, A: 0, B: 1, Dst: 2}},
+		OutSlots: []int{2},
+	}
+	slots, out := []int32{5, 99, 99, 99}, []int32{-1}
+	if err := d3.ExecInto(out, slots); err != nil || out[0] != 5 {
+		t.Errorf("ExecInto over dirty slots: %v %v, want [5]", out, err)
+	}
 }
 
 func TestModuleLookups(t *testing.T) {

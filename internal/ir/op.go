@@ -160,22 +160,14 @@ func bool32(b bool) int32 {
 // ErrDivByZero is reported by Eval for a division or remainder by zero.
 var ErrDivByZero = fmt.Errorf("ir: division by zero")
 
-// Eval computes a pure operation on 32-bit values. The args slice must
-// hold exactly the operation's arity. imm supplies the immediate for
-// OpConst. OpGlobal and OpAlloca are not evaluable here: their results
-// depend on the execution environment.
-func Eval(op Op, imm int64, args ...int32) (int32, error) {
-	var a, b, c int32
-	switch len(args) {
-	case 3:
-		c = args[2]
-		fallthrough
-	case 2:
-		b = args[1]
-		fallthrough
-	case 1:
-		a = args[0]
-	}
+// Eval computes a pure operation on 32-bit values: it is the one place
+// each operation's semantics is written, which the interpreter, AFU
+// execution and constant folding all call. a, b and c are the operands
+// in order; an operation reads only the first Arity of them, so callers
+// pass 0 for the rest. imm supplies the immediate for OpConst. OpGlobal
+// and OpAlloca are not evaluable here: their results depend on the
+// execution environment.
+func Eval(op Op, imm int64, a, b, c int32) (int32, error) {
 	switch op {
 	case OpConst:
 		return int32(imm), nil

@@ -8,7 +8,9 @@ import (
 
 func evalOK(t *testing.T, op Op, want int32, args ...int32) {
 	t.Helper()
-	got, err := Eval(op, 0, args...)
+	var v [3]int32
+	copy(v[:], args)
+	got, err := Eval(op, 0, v[0], v[1], v[2])
 	if err != nil {
 		t.Fatalf("Eval(%s, %v): %v", op, args, err)
 	}
@@ -69,24 +71,24 @@ func TestEvalSelectExt(t *testing.T) {
 }
 
 func TestEvalConst(t *testing.T) {
-	got, err := Eval(OpConst, -123)
+	got, err := Eval(OpConst, -123, 0, 0, 0)
 	if err != nil || got != -123 {
 		t.Fatalf("Eval(const -123) = %d, %v", got, err)
 	}
 }
 
 func TestEvalDivByZero(t *testing.T) {
-	if _, err := Eval(OpDiv, 0, 1, 0); err != ErrDivByZero {
+	if _, err := Eval(OpDiv, 0, 1, 0, 0); err != ErrDivByZero {
 		t.Errorf("div by zero: err = %v, want ErrDivByZero", err)
 	}
-	if _, err := Eval(OpRem, 0, 1, 0); err != ErrDivByZero {
+	if _, err := Eval(OpRem, 0, 1, 0, 0); err != ErrDivByZero {
 		t.Errorf("rem by zero: err = %v, want ErrDivByZero", err)
 	}
 }
 
 func TestEvalBarrierOpsRejected(t *testing.T) {
 	for _, op := range []Op{OpLoad, OpStore, OpCall, OpCustom, OpGlobal, OpAlloca, OpInvalid} {
-		if _, err := Eval(op, 0, 0, 0); err == nil {
+		if _, err := Eval(op, 0, 0, 0, 0); err == nil {
 			t.Errorf("Eval(%s) should fail", op)
 		}
 	}
@@ -99,9 +101,8 @@ func TestOpInfoConsistency(t *testing.T) {
 			t.Errorf("op %d has no name", op)
 		}
 		if op.Pure() {
-			// Every pure op must be evaluable with `arity` zero args.
-			args := make([]int32, info.Arity)
-			if _, err := Eval(op, 0, args...); err != nil && err != ErrDivByZero {
+			// Every pure op must be evaluable with zero operands.
+			if _, err := Eval(op, 0, 0, 0, 0); err != nil && err != ErrDivByZero {
 				t.Errorf("pure op %s not evaluable: %v", op, err)
 			}
 		}
@@ -114,8 +115,8 @@ func TestCommutativity(t *testing.T) {
 			if !op.Info().Commutative || op.Info().Arity != 2 {
 				continue
 			}
-			x, errx := Eval(op, 0, a, b)
-			y, erry := Eval(op, 0, b, a)
+			x, errx := Eval(op, 0, a, b, 0)
+			y, erry := Eval(op, 0, b, a, 0)
 			if (errx == nil) != (erry == nil) || x != y {
 				return false
 			}

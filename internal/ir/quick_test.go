@@ -12,7 +12,7 @@ import (
 
 func eval2(t *testing.T, op Op, a, b int32) int32 {
 	t.Helper()
-	v, err := Eval(op, 0, a, b)
+	v, err := Eval(op, 0, a, b, 0)
 	if err != nil {
 		t.Fatalf("Eval(%s, %d, %d): %v", op, a, b, err)
 	}
@@ -32,11 +32,11 @@ func TestQuickAddSubInverse(t *testing.T) {
 func TestQuickDeMorgan(t *testing.T) {
 	f := func(a, b int32) bool {
 		// ~(a & b) == ~a | ~b
-		and, _ := Eval(OpAnd, 0, a, b)
-		nand, _ := Eval(OpNot, 0, and)
-		na, _ := Eval(OpNot, 0, a)
-		nb, _ := Eval(OpNot, 0, b)
-		or, _ := Eval(OpOr, 0, na, nb)
+		and, _ := Eval(OpAnd, 0, a, b, 0)
+		nand, _ := Eval(OpNot, 0, and, 0, 0)
+		na, _ := Eval(OpNot, 0, a, 0, 0)
+		nb, _ := Eval(OpNot, 0, b, 0, 0)
+		or, _ := Eval(OpOr, 0, na, nb, 0)
 		return nand == or
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -49,15 +49,15 @@ func TestQuickShiftDecomposition(t *testing.T) {
 		sh := int32(s % 32)
 		// Arithmetic and logical right shift agree on non-negative values.
 		if a >= 0 {
-			ar, _ := Eval(OpAShr, 0, a, sh)
-			lr, _ := Eval(OpLShr, 0, a, sh)
+			ar, _ := Eval(OpAShr, 0, a, sh, 0)
+			lr, _ := Eval(OpLShr, 0, a, sh, 0)
 			if ar != lr {
 				return false
 			}
 		}
 		// (a << s) uses only the low 5 bits of s.
-		l1, _ := Eval(OpShl, 0, a, sh)
-		l2, _ := Eval(OpShl, 0, a, sh+32)
+		l1, _ := Eval(OpShl, 0, a, sh, 0)
+		l2, _ := Eval(OpShl, 0, a, sh+32, 0)
 		return l1 == l2
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -114,8 +114,8 @@ func TestQuickCompareTotality(t *testing.T) {
 func TestQuickExtIdempotent(t *testing.T) {
 	f := func(a int32) bool {
 		for _, op := range []Op{OpSExt8, OpSExt16, OpZExt8, OpZExt16} {
-			once, _ := Eval(op, 0, a)
-			twice, _ := Eval(op, 0, once)
+			once, _ := Eval(op, 0, a, 0, 0)
+			twice, _ := Eval(op, 0, once, 0, 0)
 			if once != twice {
 				return false
 			}
@@ -189,7 +189,7 @@ func TestQuickAFUExecMatchesEval(t *testing.T) {
 			var v int32
 			switch op.Info().Arity {
 			case 2:
-				v, _ = Eval(op, 0, slots[a], slots[b])
+				v, _ = Eval(op, 0, slots[a], slots[b], 0)
 			case 3:
 				v, _ = Eval(op, 0, slots[a], slots[b], slots[c])
 			}

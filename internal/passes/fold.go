@@ -262,7 +262,9 @@ func (s *vnState) processPure(in *ir.Instr) (ir.Instr, bool) {
 	argVNs := s.argVNs
 	// Full constant folding.
 	if allConst {
-		if v, err := ir.Eval(in.Op, in.Imm, s.consts...); err == nil {
+		var c [3]int32
+		copy(c[:], s.consts)
+		if v, err := ir.Eval(in.Op, in.Imm, c[0], c[1], c[2]); err == nil {
 			return s.toConst(in, v)
 		}
 	}

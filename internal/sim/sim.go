@@ -40,17 +40,25 @@ type Report struct {
 type Runner struct {
 	Model *latency.Model
 	// Setup, if non-nil, initializes the environment (input globals)
-	// before the run.
+	// before the run. Code it executes on the environment is charged to
+	// the run too.
 	Setup func(env *interp.Env) error
 	// StepLimit bounds execution (0 = interp default).
 	StepLimit int64
 }
 
-// Run executes entry(args...) on m and returns the cycle report.
+// defaultModel is the model of every Runner whose Model is nil.
+var defaultModel = latency.Default()
+
+// Run executes entry(args...) on m and returns the cycle report. Every
+// entry of a block executes its instructions and its terminator once, so
+// the report is the sum over blocks of entries times the block's static
+// cost: each instruction's latency (a custom instruction's AFU latency,
+// at least 1) plus one control cycle.
 func (r *Runner) Run(m *ir.Module, entry string, args ...int32) (*Report, error) {
 	model := r.Model
 	if model == nil {
-		model = latency.Default()
+		model = defaultModel
 	}
 	env := interp.NewEnv(m)
 	env.StepLimit = r.StepLimit
@@ -59,38 +67,35 @@ func (r *Runner) Run(m *ir.Module, entry string, args ...int32) (*Report, error)
 			return nil, err
 		}
 	}
-	rep := &Report{
-		CustomCycles:     map[int]int64{},
-		CustomExecutions: map[int]int64{},
-	}
-	env.Observer = func(b *ir.Block, in *ir.Instr) {
-		rep.Instructions++
-		if in.Op == ir.OpCustom {
-			if in.AFU < 0 || in.AFU >= len(m.AFUs) {
-				return // the interpreter rejects the bad index next
-			}
-			lat := int64(m.AFUs[in.AFU].Latency)
-			if lat < 1 {
-				lat = 1
-			}
-			rep.Cycles += lat
-			rep.CustomCycles[in.AFU] += lat
-			rep.CustomExecutions[in.AFU]++
-			return
-		}
-		rep.Cycles += int64(model.SW(in.Op))
-	}
-	env.BlockObserver = func(b *ir.Block) {
-		// One cycle per control transfer into the block's terminator.
-		rep.Cycles++
-		rep.ControlCycles++
-	}
 	ret, hasRet, err := env.Call(entry, args...)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	rep.Ret = ret
-	rep.HasRet = hasRet
+	rep := &Report{
+		CustomCycles:     map[int]int64{},
+		CustomExecutions: map[int]int64{},
+		Ret:              ret,
+		HasRet:           hasRet,
+	}
+	env.BlockEntries(func(b *ir.Block, n int64) {
+		rep.Instructions += n * int64(len(b.Instrs))
+		// One cycle per control transfer into the block's terminator.
+		rep.ControlCycles += n
+		cycles := int64(1)
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			if in.Op != ir.OpCustom {
+				cycles += int64(model.SW(in.Op))
+				continue
+			}
+			// The run completed, so the interpreter accepted the AFU index.
+			lat := max(int64(m.AFUs[in.AFU].Latency), 1)
+			cycles += lat
+			rep.CustomCycles[in.AFU] += n * lat
+			rep.CustomExecutions[in.AFU] += n
+		}
+		rep.Cycles += n * cycles
+	})
 	return rep, nil
 }
 

@@ -205,3 +205,57 @@ func TestBadAFUIndexIsAnError(t *testing.T) {
 		t.Fatalf("err = %v, want the interpreter's bad AFU index error", err)
 	}
 }
+
+// TestRunAllocsIndependentOfSteps guards the simulator's inner loop: a
+// loop that executes a two-output custom instruction on every iteration
+// allocates the same whether it runs 10 or 1000 times, since executing an
+// instruction allocates nothing and cycles are charged per block.
+func TestRunAllocsIndependentOfSteps(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	m := &ir.Module{}
+	afu := m.AddAFU(ir.AFUDef{
+		Name: "addshift", NumIn: 2, NumSlots: 4,
+		Body: []ir.AFUOp{
+			{Op: ir.OpAdd, A: 0, B: 1, Dst: 2},
+			{Op: ir.OpConst, Imm: 1, Dst: 3},
+			{Op: ir.OpShl, A: 2, B: 3, Dst: 3},
+		},
+		OutSlots: []int{3, 2},
+		Latency:  1,
+	})
+	// macs(n) { s=0; for i in [0,n): (x, y) = custom(i, s); s = x - y; return s }
+	b := ir.NewBuilder("macs", 1)
+	n := b.Fn.Params[0]
+	s, i, x, y := b.Fn.NewReg(), b.Fn.NewReg(), b.Fn.NewReg(), b.Fn.NewReg()
+	head, body, exit := b.NewBlock("head"), b.NewBlock("body"), b.NewBlock("exit")
+	b.CopyTo(s, b.Const(0))
+	b.CopyTo(i, b.Const(0))
+	b.Jump(head)
+	b.SetBlock(head)
+	b.Branch(b.Op(ir.OpLt, i, n), body, exit)
+	b.SetBlock(body)
+	b.Emit(ir.Instr{Op: ir.OpCustom, AFU: afu, Dsts: []ir.Reg{x, y}, Args: []ir.Reg{i, s}})
+	b.CopyTo(s, b.Op(ir.OpSub, x, y))
+	b.CopyTo(i, b.Op(ir.OpAdd, i, b.Const(1)))
+	b.Jump(head)
+	b.SetBlock(exit)
+	b.Ret(s)
+	m.Funcs = append(m.Funcs, b.Finish())
+
+	allocs := func(n int32) float64 {
+		return testing.AllocsPerRun(5, func() {
+			rep, err := (&Runner{}).Run(m, "macs", n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.CustomExecutions[afu] != int64(n) {
+				t.Fatalf("macs(%d) executed the custom instruction %d times", n, rep.CustomExecutions[afu])
+			}
+		})
+	}
+	if short, long := allocs(10), allocs(1000); short != long {
+		t.Fatalf("macs(10) allocates %v, macs(1000) allocates %v; want equal", short, long)
+	}
+}
