@@ -19,7 +19,6 @@ import (
 
 	"isex/internal/core"
 	"isex/internal/experiments"
-	"isex/internal/interp"
 	"isex/internal/ir"
 	"isex/internal/latency"
 	"isex/internal/sim"
@@ -363,14 +362,7 @@ func BenchmarkSimulate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		instrs = 0
 		for _, p := range progs {
-			r := &sim.Runner{Setup: func(env *interp.Env) error {
-				for name, vals := range p.k.Inputs {
-					if err := env.SetGlobal(name, vals); err != nil {
-						return err
-					}
-				}
-				return nil
-			}}
+			r := &sim.Runner{Setup: p.k.SetInputs}
 			rep, err := r.Run(p.m, p.k.Entry, p.k.Args...)
 			if err != nil {
 				b.Fatal(err)

@@ -94,11 +94,11 @@ func parseArgs(args []string) (want func(string) bool, o cliOpts, err error) {
 	fs.BoolVar(&o.optimal, "optimal", false, "Fig. 11: include the Optimal selection (slow on large blocks)")
 	benches := fs.String("benchmarks", "adpcmdecode,adpcmencode,gsmlpc", "comma-separated benchmark list for Fig. 11 and the DSE sweep (sweep default: adpcmdecode,adpcmencode)")
 	fs.DurationVar(&o.deadline, "deadline", 0, "Fig. 11: wall-clock budget per selection call (e.g. 2s; 0 = none); tripped cells are marked * as lower bounds")
-	fs.IntVar(&o.workers, "workers", 0, "Fig. 11: per-search worker count (0 = serial); DSE sweep: admission-pool size")
+	fs.IntVar(&o.workers, "workers", 0, "Fig. 11: per-search worker count (0 = serial); DSE sweep: constraint groups searched at once (0 = one per CPU)")
 	fs.BoolVar(&o.parallel, "parallel", false, "Fig. 11: search a selection's blocks concurrently")
 	fs.BoolVar(&o.prune, "prune", false, "Fig. 11: enable the sound merit-bound and input-count prunings")
 	targets := fs.String("targets", "paper", "comma-separated hardware-target profiles for the DSE sweep (among "+strings.Join(latency.TargetNames(), ",")+")")
-	fs.StringVar(&o.sweepMode, "sweepmode", "warm", "DSE sweep mode: warm (shared seeds, parallel) or cold (dedicated serial reference)")
+	fs.StringVar(&o.sweepMode, "sweepmode", "warm", "DSE sweep mode: warm (one selection per constraint group, groups and blocks searched concurrently) or cold (one serial selection per cell, the reference)")
 	fs.StringVar(&o.dseJSON, "dsejson", "", "with -fig dse (or all): write the deterministic sweep/Pareto report to this file as JSON")
 	if err := fs.Parse(args); err != nil {
 		return nil, o, err

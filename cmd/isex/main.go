@@ -84,7 +84,7 @@ func run() error {
 		ninstr    = flag.Int("ninstr", 8, "maximum number of special instructions to select")
 		method    = flag.String("method", "iterative", "selection algorithm: iterative, optimal, clubbing, maxmiso")
 		budget    = flag.Int64("budget", 2_000_000, "cut budget per identification call (0 = unlimited)")
-		workers   = flag.Int("workers", 0, "run each block's exact search on the work-stealing parallel branch-and-bound engine with this many workers (0 = serial; results are bit-identical)")
+		workers   = flag.Int("workers", 0, "run each block's exact search on the work-stealing parallel branch-and-bound engine with this many workers (0 = serial; results are bit-identical); with -sweep, the number of constraint groups searched at once (0 = one per CPU)")
 		deadline  = flag.Duration("deadline", 0, "wall-clock budget for identification (e.g. 500ms; 0 = none); on expiry the best selection found so far is reported")
 		strict    = flag.Bool("strict", false, "exit with code 2 when any block's search degraded below the exact algorithm (the report is still written); for CI gates that must not accept lower bounds")
 		unroll    = flag.Int("unroll", 0, "fully unroll counted loops up to this trip count (-src mode)")
@@ -99,9 +99,9 @@ func run() error {
 		sweepTargets     = flag.String("targets", "paper", "-sweep: comma-separated hardware-target profiles (paper, pipelined, fwdcost)")
 		sweepConstraints = flag.String("constraints", "", "-sweep: comma-separated nin/nout grid points, e.g. 2/1,4/2,4/3,8/4 (default: those four)")
 		sweepNinstr      = flag.String("ninstrs", "", "-sweep: comma-separated instruction budgets (default 1,2,4,8,16)")
-		sweepMode        = flag.String("sweep-mode", "warm", "-sweep: warm (monotone seeding, pool-gated parallelism) or cold (dedicated serial reference; bit-identical cells)")
+		sweepMode        = flag.String("sweep-mode", "warm", "-sweep: warm (one selection per constraint group, Ninstr budgets as its prefixes, groups and blocks searched concurrently) or cold (one serial selection per cell, one at a time; bit-identical cells)")
 		sweepJSON        = flag.String("sweep-json", "", "-sweep: write the deterministic sweep/Pareto report to this file as JSON (with -trace, an attribution section derived from the cell spans is merged in)")
-		sweepProgress    = flag.Bool("progress", false, "-sweep: render live per-chain/per-cell progress (queued/searching/done, current block and rung, ETA from completed-cell rates) to stderr; also served as JSON at /sweep/status when -metrics-addr is set")
+		sweepProgress    = flag.Bool("progress", false, "-sweep: render live per-cell progress (queued/searching/done, current block and rung, ETA from completed-cell rates) to stderr; also served as JSON at /sweep/status when -metrics-addr is set")
 
 		tracePath   = flag.String("trace", "", "record the search's flight-recorder timeline and write it as JSONL (one event per line) to this file; works for single runs and -sweep")
 		traceChrome = flag.String("trace-chrome", "", "record the search timeline and write it in Chrome trace_event format (load in Perfetto / chrome://tracing)")
@@ -354,12 +354,16 @@ func run() error {
 	}
 
 	var baseCycles int64
+	var setup func(*interp.Env) error // a -src program has no inputs
+	if k != nil {
+		setup = k.SetInputs
+	}
 	if *simulate {
 		fresh, err := freshModule(k, *srcPath, *unroll)
 		if err != nil {
 			return fmt.Errorf("baseline build: %w", err)
 		}
-		runner := &sim.Runner{Model: model, Setup: setupFor(k)}
+		runner := &sim.Runner{Model: model, Setup: setup}
 		rep, err := runner.Run(fresh, entryFor(k, *entry), argsFor(k, args)...)
 		if err != nil {
 			return fmt.Errorf("baseline simulation: %w", err)
@@ -378,7 +382,7 @@ func run() error {
 
 	if *simulate {
 		interp.ClearProfile(m)
-		runner := &sim.Runner{Model: model, Setup: setupFor(k)}
+		runner := &sim.Runner{Model: model, Setup: setup}
 		rep, err := runner.Run(m, entryFor(k, *entry), argsFor(k, args)...)
 		if err != nil {
 			return fmt.Errorf("patched simulation: %w", err)
@@ -556,20 +560,6 @@ func freshModule(k *workload.Kernel, srcPath string, unroll int) (*ir.Module, er
 		return nil, err
 	}
 	return m, nil
-}
-
-func setupFor(k *workload.Kernel) func(*interp.Env) error {
-	if k == nil {
-		return nil
-	}
-	return func(env *interp.Env) error {
-		for name, vals := range k.Inputs {
-			if err := env.SetGlobal(name, vals); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 }
 
 func entryFor(k *workload.Kernel, entry string) string {

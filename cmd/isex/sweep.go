@@ -30,11 +30,12 @@ type sweepIO struct {
 }
 
 // runSweep is the -sweep entry: a design-space-exploration sweep over
-// the (constraints × ninstr × kernel × target) grid, warm-started via
-// constraint monotonicity and Ninstr prefixing (package dse). The
-// table prints one section per (kernel, target) with the Pareto
-// frontier; -sweep-json writes the deterministic machine-readable
-// report (byte-identical across -workers values and shard orders).
+// the (constraints × ninstr × kernel × target) grid, one selection per
+// constraint group with the smaller Ninstr budgets as its prefixes
+// (package dse). The table prints one section per (kernel, target) with
+// the Pareto frontier; -sweep-json writes the deterministic
+// machine-readable report (byte-identical across -workers values and
+// shard orders).
 func runSweep(kernels, targets, constraints, ninstrs, mode, jsonPath string, budget int64, workers int, deadline time.Duration, sio sweepIO) error {
 	opt := dse.DefaultOptions()
 	if kernels != "" {
@@ -69,7 +70,7 @@ func runSweep(kernels, targets, constraints, ninstrs, mode, jsonPath string, bud
 		opt.Workers = workers
 	}
 
-	// Observability: one recorder shared by all chains when a trace is
+	// Observability: one recorder shared by all tasks when a trace is
 	// wanted (race-clean: per-searcher rings plus the locked sys ring),
 	// a live progress tracker for -progress and /sweep/status, and the
 	// metrics registry when an HTTP reader exists.
@@ -168,8 +169,8 @@ func runSweep(kernels, targets, constraints, ninstrs, mode, jsonPath string, bud
 
 	fmt.Printf("DSE sweep (%s mode): %v × %v, constraints %v, ninstr %v, budget %d\n",
 		rep.Mode, opt.Benchmarks, opt.Targets, rep.Constraints, rep.Ninstr, rep.Budget)
-	fmt.Printf("%.2fs wall; %d selections, %d identification calls, %d seed hits\n",
-		stats.Elapsed.Seconds(), stats.Selections, stats.IdentCalls, stats.SeedHits)
+	fmt.Printf("%.2fs wall; %d selections, %d identification calls\n",
+		stats.Elapsed.Seconds(), stats.Selections, stats.IdentCalls)
 	for _, b := range rep.Benchmarks {
 		for _, tr := range b.Targets {
 			t := &report.Table{

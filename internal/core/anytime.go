@@ -313,16 +313,6 @@ func rescueCtx(ctx context.Context, start time.Time) (context.Context, context.C
 // it; the final backstop keeps a result only if its cuts revalidate as
 // Legal.
 func searchBlock(ctx context.Context, g *dfg.Graph, cfg Config, exact func(context.Context, Config) MultiResult) (res MultiResult, bs BlockStatus) {
-	// Admission gate (Config.Pool): one slot per in-flight block search,
-	// acquired for exactly the duration of this search — the holder never
-	// blocks on the pool again (cfg.Pool is cleared), so gating cannot
-	// deadlock.
-	if cfg.Pool != nil {
-		pool := cfg.Pool
-		cfg.Pool = nil
-		pool.Acquire()
-		defer pool.Release()
-	}
 	start := time.Now()
 	bs = BlockStatus{Fn: g.Fn.Name, Block: g.Block.Name}
 	tag := bs.Fn + "/" + bs.Block

@@ -11,8 +11,7 @@ package core
 //     bit-identical to the fault-free serial reference, and a schedule
 //     that never fired implies Exhaustive;
 //   - completeness: when the greedy last resort can find a cut, the
-//     ladder never comes back empty-handed;
-//   - hygiene: a shared CPUPool gets every slot back.
+//     ladder never comes back empty-handed.
 //
 // Every schedule derives from a seed. Override the seed list with
 // ISEX_CHAOS_SEED=<n> to replay one schedule; set
@@ -223,11 +222,11 @@ func TestChaosMultiSearch(t *testing.T) {
 	}
 }
 
-// TestChaosSelection runs program-wide selection — serial and per-block
-// parallel (ungated and admission-gated on a CPUPool) — under seeded
-// schedules: the selection must return, report a truthful status,
-// select only positive-merit instructions, and give every pool slot
-// back.
+// TestChaosSelection runs program-wide selection — serial, per-block
+// parallel with serial searches (the DSE sweep's configuration) and
+// per-block parallel on the engine — under seeded schedules: the
+// selection must return, report a truthful status and select only
+// positive-merit instructions.
 func TestChaosSelection(t *testing.T) {
 	m := compileAndProfile(t, threeKernels)
 	base := Config{Nin: 4, Nout: 2}
@@ -235,14 +234,11 @@ func TestChaosSelection(t *testing.T) {
 	if ref.Status != Exhaustive {
 		t.Fatalf("reference selection not exhaustive: %v", ref.Status)
 	}
-	variants := []struct {
-		cfg  Config
-		pool bool // gate the block searches on a fresh CPUPool per run
-	}{
-		{cfg: Config{Nin: 4, Nout: 2}},
-		{cfg: Config{Nin: 4, Nout: 2, Parallel: true, Workers: 4}},
-		{cfg: Config{Nin: 4, Nout: 2, Parallel: true, Workers: 4}, pool: true},
-		{cfg: Config{Nin: 4, Nout: 2, Parallel: true, Workers: 4}},
+	variants := []Config{
+		{Nin: 4, Nout: 2},
+		{Nin: 4, Nout: 2, Parallel: true, Workers: 4},
+		{Nin: 4, Nout: 2, Parallel: true},
+		{Nin: 4, Nout: 2, Parallel: true, Workers: 4},
 	}
 	for _, seed := range chaosSeeds(t, 21, 22, 23) {
 		for vi, v := range variants {
@@ -252,11 +248,8 @@ func TestChaosSelection(t *testing.T) {
 				inj := faultinject.New(plan...)
 				ctx, cancel := inj.Context(context.Background())
 				defer cancel()
-				cfg := v.cfg
+				cfg := v
 				cfg.Probe = chaosProbe(inj)
-				if v.pool {
-					cfg.Pool = NewCPUPool(2)
-				}
 				res := SelectIterativeCtx(ctx, m, 4, cfg)
 				for _, sel := range res.Instructions {
 					if sel.Est.Merit <= 0 {
@@ -278,11 +271,6 @@ func TestChaosSelection(t *testing.T) {
 					}
 					if res.TotalMerit != ref.TotalMerit {
 						t.Errorf("no fault fired yet merit %d != reference %d", res.TotalMerit, ref.TotalMerit)
-					}
-				}
-				if cfg.Pool != nil {
-					if n := cfg.Pool.Leaked(); n != 0 {
-						t.Errorf("CPUPool leaked %d slots", n)
 					}
 				}
 			})
@@ -385,27 +373,5 @@ func TestChaosZeroFaultBitIdentical(t *testing.T) {
 			t.Errorf("workers=%d: result diverges from the uninstrumented run: %v/%d vs %v/%d",
 				nw, res.Cut, res.Est.Merit, ref.Cut, ref.Est.Merit)
 		}
-	}
-}
-
-// TestChaosPoolLeakDetection provokes an actual slot leak on a bare
-// CPUPool (acquires whose releases are skipped, as a panic without the
-// deferred release would) and checks Leaked reports it; the healthy
-// path must report zero.
-func TestChaosPoolLeakDetection(t *testing.T) {
-	p := NewCPUPool(4)
-	p.Acquire()
-	p.Acquire()
-	p.Release()
-	p.Release()
-	if n := p.Leaked(); n != 0 {
-		t.Fatalf("balanced pool reports %d leaked slots", n)
-	}
-	// Simulate panic paths that lost their deferred releases.
-	for i := 0; i < 3; i++ {
-		p.Acquire()
-	}
-	if n := p.Leaked(); n != 3 {
-		t.Fatalf("Leaked() = %d, want 3", n)
 	}
 }

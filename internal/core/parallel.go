@@ -114,43 +114,24 @@ func bbKeyBefore(a, b []uint8) bool {
 }
 
 // bbBest is one candidate result with its merge key: the cuts of a
-// record (one for the §6.1 tree). base marks the seed-book incumbent the
-// engine starts from, which loses merit ties to any search result (the
-// serial search would have re-recorded the first tying cut it reached).
+// record (one for the §6.1 tree).
 type bbBest struct {
 	found bool
 	merit int64
 	cuts  []dfg.Cut
 	key   []uint8
-	base  bool
 }
 
-// better folds o into b. The ordering (higher merit, search result over
-// seeded base, DFS-earlier key) is total over every set of candidates the
-// engine can produce — equal keys imply distinct merits, because a
-// subproblem keyed like an expansion record is seeded at that record's
-// merit — so the merge result is independent of fold order and timing.
+// better folds o into b. The ordering (higher merit, then DFS-earlier
+// key) is total over every set of candidates the engine can produce —
+// equal keys imply distinct merits, because a subproblem keyed like an
+// expansion record is seeded at that record's merit — so the merge
+// result is independent of fold order and timing.
 func (b *bbBest) better(o bbBest) {
 	if !o.found {
 		return
 	}
-	if !b.found {
-		*b = o
-		return
-	}
-	if o.merit != b.merit {
-		if o.merit > b.merit {
-			*b = o
-		}
-		return
-	}
-	if b.base != o.base {
-		if b.base {
-			*b = o
-		}
-		return
-	}
-	if !b.base && bbKeyBefore(o.key, b.key) {
+	if !b.found || o.merit > b.merit || (o.merit == b.merit && bbKeyBefore(o.key, b.key)) {
 		*b = o
 	}
 }
@@ -404,30 +385,23 @@ func (e *bbEngine) finalStatus() SearchStatus {
 }
 
 // workerConfig strips the options the engine owns from the per-worker
-// searcher configs: the budget is global (pollSearch), Window / Workers /
-// Parallel must not recurse inside a worker, and incumbent seeds are
-// applied once at the engine root (as the base), never per subproblem —
-// subproblems inherit their lineage's threshold instead.
-// Probe deliberately survives: each worker attaches its own private
+// searcher configs: the budget is global (pollSearch), and Window /
+// Workers / Parallel must not recurse inside a worker. Probe
+// deliberately survives: each worker attaches its own private
 // flight-recorder ring through it.
 func workerConfig(cfg Config) Config {
 	cfg.MaxCuts = 0
 	cfg.Window = 0
 	cfg.Workers = 0
 	cfg.Parallel = false
-	cfg.Seeds = nil // book seeding happens once at the engine root
-	return cfg.stripSeed()
+	return cfg
 }
 
 // runEngine is exactSearch on the work-stealing engine (Config.Workers >
 // 0), for either tree: newTree builds each worker's private searcher. A
 // completed run returns the bit-identical result of the serial search;
-// see the package comment above. A seed-book seed (withSeed) forms the
-// base incumbent, exactly as exactSearch arms it serially.
+// see the package comment above.
 func runEngine(ctx context.Context, cfg Config, engine string, newTree func(Config) bbTree) (best bbBest, stats Stats, st SearchStatus, err error) {
-	if cfg.seedOn {
-		best = bbBest{found: true, merit: cfg.seedMerit, cuts: []dfg.Cut{cfg.seedCut}, base: true}
-	}
 	if err := ctx.Err(); err != nil {
 		return best, Stats{Aborted: true}, statusOfCtx(err), nil
 	}
@@ -439,19 +413,7 @@ func runEngine(ctx context.Context, cfg Config, engine string, newTree func(Conf
 	}
 	e := newBBEngine(ctx, nw, len(trees[0].core().order), cfg.MaxCuts, cfg.PruneMerit)
 	e.probe = cfg.Probe
-	root := bbSub{prefix: []uint8{}}
-	if best.found {
-		// Seed the recording threshold one unit below the seed's merit,
-		// and the (strict-comparison) pruning bound at the merit itself:
-		// cuts tying the seed are still reached and recorded, so the
-		// DFS-first optimum wins exactly as in the serial search.
-		root.seed = best.merit - 1
-		root.seeded = true
-		if e.sharedOn {
-			e.shared.Store(best.merit)
-		}
-	}
-	e.push(0, []bbSub{root})
+	e.push(0, []bbSub{{prefix: []uint8{}}})
 
 	outs := make([]bbBest, nw)
 	statsArr := make([]Stats, nw)

@@ -31,9 +31,8 @@ type searchCore struct {
 
 	// bestFound/bestMerit form the recording threshold: a record must
 	// strictly beat bestMerit. bestCuts holds the cuts recorded at it
-	// (one cut for §6.1), or the seed-book seed; it is nil when the
-	// engine seeded the threshold from the lineage's running best
-	// rather than a record made here.
+	// (one cut for §6.1); it is nil when the engine seeded the threshold
+	// from the lineage's running best rather than a record made here.
 	bestFound bool
 	bestMerit int64
 	bestCuts  []dfg.Cut
@@ -127,11 +126,7 @@ func (c *searchCore) core() *searchCore { return c }
 // exactSearch runs one exact search: on the work-stealing engine when
 // cfg.Workers > 0, serially on newTree(cfg) otherwise. It returns the
 // best cuts found (nil when none), the work done and how the search
-// ended. A seed-book seed (withSeed) arms the threshold at its merit−1
-// with the seed as incumbent, so any cut of merit ≥ the seed's — the
-// first one the cold search would record included — still replaces it,
-// which keeps the result bit-identical to a cold run while PruneMerit
-// skips everything provably below the seed.
+// ended.
 func exactSearch(ctx context.Context, cfg Config, engine string, newTree func(Config) bbTree) (cuts []dfg.Cut, stats Stats, st SearchStatus, err error) {
 	if cfg.Workers > 0 {
 		best, stats, st, err := runEngine(ctx, cfg, engine, newTree)
@@ -141,9 +136,6 @@ func exactSearch(ctx context.Context, cfg Config, engine string, newTree func(Co
 	c := t.core()
 	c.ctx = ctx
 	c.obs = cfg.Probe.Attach()
-	if cfg.seedOn {
-		c.bestFound, c.bestMerit, c.bestCuts = true, cfg.seedMerit-1, []dfg.Cut{cfg.seedCut}
-	}
 	c.poll()
 	t.visit(0)
 	c.stats.Aborted = c.stop != Exhaustive

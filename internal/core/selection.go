@@ -19,8 +19,10 @@ type Selected struct {
 	InstrIndexes []int
 	Est          Estimate
 	// CutHash is the canonical digest of the cut's induced datapath
-	// (dfg.CutCanonHash): two selections with equal hashes compute the
-	// same function and could share one hardware implementation.
+	// (dfg.CutCanonHash): two selections with equal hashes are
+	// candidates for one shared hardware implementation. Equal hashes
+	// do not prove equal datapaths (WL-hard pairs collide; see
+	// dfg.CanonDigest).
 	CutHash dfg.CanonDigest
 	// ChosenAt is the greedy iteration (0-based) at which the iterative
 	// drivers picked this instruction — the key to Ninstr prefix sharing:

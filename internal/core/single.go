@@ -70,23 +70,6 @@ type Config struct {
 	// different, never unsound, portion of the tree). 0 keeps the serial
 	// recursive search.
 	Workers int
-	// Seeds, when non-nil, warm-starts every exact single-cut search from
-	// the best stored cut for the graph's fingerprint and publishes each
-	// exhaustive search's winner back into the book (see SeedBook). This
-	// is how the DSE sweep shares incumbents across neighboring grid
-	// points: constraint monotonicity makes a tight point's winner a legal
-	// incumbent at every looser point, and the Legal/Evaluate revalidation
-	// on lookup makes the transfer sound in every direction. Seeding uses
-	// the W−1 rule, so completed searches are bit-identical with the book
-	// present or absent; only the explored tree shrinks. Nil by default.
-	Seeds *SeedBook
-	// Pool, when non-nil, admission-gates every per-block search of the
-	// selection drivers on this shared CPUPool: each in-flight block
-	// search holds exactly one slot for its duration, so concurrent
-	// selection calls sharing one pool (the DSE sweep's grid tasks) bound
-	// their total CPU draw to the pool's capacity instead of multiplying.
-	// Nil disables gating.
-	Pool *CPUPool
 	// Probe, when non-nil, enables the search telemetry subsystem: a
 	// flight recorder of typed search events, an atomic metrics
 	// registry, or both (see internal/obs). Observation is strictly
@@ -96,38 +79,6 @@ type Config struct {
 	// windowed heuristic's windows) automatically drop the flight
 	// recorder but keep feeding the metrics.
 	Probe *obs.Probe
-
-	// Incumbent seeding for the single-cut search (package-internal; armed
-	// by SeedBook.applySeed). When seedOn is set, the search starts with
-	// its recording threshold at seedMerit−1 and seedCut as incumbent —
-	// provably result-preserving, because any cut of merit ≥ seedMerit,
-	// the known optimum's lower bound, is still recorded in DFS order
-	// (see exactSearch). Callers must guarantee the witness is legal on
-	// the searched graph with exactly merit seedMerit.
-	seedOn    bool
-	seedMerit int64
-	seedCut   dfg.Cut
-}
-
-// withSeed arms incumbent seeding (see the seed fields above).
-func (c Config) withSeed(merit int64, cut dfg.Cut) Config {
-	if merit <= 0 || cut == nil {
-		return c
-	}
-	c.seedOn = true
-	c.seedMerit = merit
-	c.seedCut = cut
-	return c
-}
-
-// stripSeed removes incumbent seeding; the windowed heuristic must run
-// cold (a seed cut need not be legal on a Restrict view), and the engine
-// applies the seed once at its root, never per worker.
-func (c Config) stripSeed() Config {
-	c.seedOn = false
-	c.seedMerit = 0
-	c.seedCut = nil
-	return c
 }
 
 // defaultModel is the model every Config with a nil Model uses. One
@@ -201,23 +152,6 @@ func FindBestCutCtx(ctx context.Context, g *dfg.Graph, cfg Config) Result {
 		w := cfg.Window
 		cfg.Window = 0
 		return FindBestCutWindowedCtx(ctx, g, cfg, w)
-	}
-	if cfg.Seeds != nil {
-		// Detach the book, arm the incumbent seed from it, run the
-		// search normally, and publish the winner back. Only exhaustive
-		// winners are stored: a budget-stopped incumbent from the parallel
-		// engine can depend on timing, and the book must stay a function of
-		// completed work (see SeedBook on determinism).
-		book, fp := cfg.Seeds, g.Fingerprint()
-		cfg.Seeds = nil
-		cfg = book.applySeed(g, fp, cfg)
-		res := FindBestCutCtx(ctx, g, cfg)
-		if res.Found && res.Status == Exhaustive {
-			if book.put(fp, res.Cut) {
-				cfg.Probe.SeedPut(g.Fn.Name+"/"+g.Block.Name, res.Est.Merit, len(res.Cut))
-			}
-		}
-		return res
 	}
 	cuts, stats, st, err := exactSearch(ctx, cfg, "single", func(cfg Config) bbTree { return newSearcher(g, cfg) })
 	res := Result{Stats: stats, Status: st, Err: err}

@@ -40,12 +40,6 @@ func FindBestCutWindowedCtx(ctx context.Context, g *dfg.Graph, cfg Config, windo
 	// recorder: a rescue pass would otherwise flood the rings with events
 	// indistinguishable from the main search's.
 	cfg.Probe = cfg.Probe.MetricsOnly()
-	// A seed-book cut need not be legal on a Restrict view (its
-	// members may fall outside the window), so the windows run cold.
-	cfg = cfg.stripSeed()
-	// A seed book keyed by full-graph fingerprints must not collect (or
-	// serve) Restrict-view cuts.
-	cfg.Seeds = nil
 	n := g.NumOps()
 	if window <= 0 || window >= n {
 		return FindBestCutCtx(ctx, g, cfg)

@@ -3,9 +3,9 @@
 // CutCanonHash assigns the datapath a cut induces a 128-bit digest that
 // is invariant under node renumbering and renaming: the same unrolled MAC
 // selected in function f and in its clone in function g digests
-// identically even though the two blocks' Fingerprints differ
-// (Fingerprint bakes in function/block names, node IDs and construction
-// order). The digest is built by Weisfeiler-Lehman (1-WL) color
+// identically, although the two blocks differ in function and block
+// names, node IDs and construction order. The digest is built by
+// Weisfeiler-Lehman (1-WL) color
 // refinement: every member starts from a color derived from its local
 // invariants (op, super-latency, external inputs, output escape) and is
 // iteratively re-colored with the sorted multiset of its neighbours'
@@ -30,8 +30,7 @@ type CanonDigest struct{ Hi, Lo uint64 }
 
 func (d CanonDigest) String() string { return fmt.Sprintf("%016x%016x", d.Hi, d.Lo) }
 
-// FNV-1a word folding, same construction as Fingerprint: byte-wise so
-// every bit of v lands in the state.
+// FNV-1a word folding, byte-wise so every bit of v lands in the state.
 const (
 	fnvPrime   = 1099511628211
 	fnvOffset  = 14695981039346656037

@@ -307,62 +307,6 @@ func (g *Graph) Collapse(c Cut, name string, latency int) (*Graph, error) {
 	return ng, nil
 }
 
-// Fingerprint hashes the graph's search-relevant structure — function and
-// block identity, execution frequency, and every node's kind, operation,
-// instruction index, register, forbidden flag, super-node payload and
-// exact edge lists — into a 64-bit FNV-1a digest. Node names are cosmetic
-// (they label V+ nodes and super-nodes for printing) and are excluded, so
-// collapses that differ only in the super-node label hash equally. The
-// fingerprint keys the seed book (core.SeedBook), whose entries are
-// revalidated on every lookup, so determinism (identical builds hash
-// identically) is the property that matters, not isomorphism invariance.
-func (g *Graph) Fingerprint() uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	word := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v >> (8 * i) & 0xff
-			h *= prime
-		}
-	}
-	str := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime
-		}
-		word(uint64(len(s)))
-	}
-	ints := func(xs []int) {
-		word(uint64(len(xs)))
-		for _, x := range xs {
-			word(uint64(int64(x)))
-		}
-	}
-	str(g.Fn.Name)
-	str(g.Block.Name)
-	word(uint64(g.Block.Freq))
-	word(uint64(len(g.Nodes)))
-	for i := range g.Nodes {
-		n := &g.Nodes[i]
-		word(uint64(n.Kind))
-		word(uint64(n.Op))
-		word(uint64(int64(n.InstrIndex)))
-		word(uint64(int64(n.Reg)))
-		b := uint64(0)
-		if n.Forbidden {
-			b = 1
-		}
-		word(b)
-		word(uint64(int64(n.SuperLatency)))
-		ints(n.SuperMembers)
-		ints(n.Preds)
-		ints(n.Succs)
-		ints(n.OrderPreds)
-		ints(n.OrderSuccs)
-	}
-	return h
-}
-
 // Restrict returns a view of the graph in which every operation node
 // whose search rank lies outside [lo, hi) is additionally forbidden.
 // Edges, IDs and the search order are shared with the original, so cuts

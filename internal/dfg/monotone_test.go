@@ -5,14 +5,14 @@ import (
 	"testing"
 )
 
-// TestLegalMonotoneInConstraints property-checks the lemma the DSE
-// sweep's warm-starting rests on (package dse, DESIGN.md §16): the port
+// TestLegalMonotoneInConstraints property-checks that the port
 // constraints only ever appear as upper bounds in Problem 1, so
 //
 //	Legal(c, nin, nout) ⟹ Legal(c, nin′, nout′)  for nin′ ≥ nin, nout′ ≥ nout
 //
-// — a cut found legal at a tight grid point may be re-used as a seed
-// incumbent at every looser point. The test drives seeded random graphs
+// — a cut found legal at a tight grid point is legal at every looser
+// point (DESIGN.md §16 prices reusing such cuts as incumbents across a
+// sweep's constraint points). The test drives seeded random graphs
 // and random cuts through the production bitset kernel (Legal/LegalSet)
 // and the specification predicate (LegalSpec) in lockstep: the two must
 // agree at the base point, and a legal base point must stay legal at

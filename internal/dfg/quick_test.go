@@ -256,24 +256,6 @@ func TestQuickRestrictSoundness(t *testing.T) {
 	}
 }
 
-// convexRandomCut draws a random cut of non-forbidden ops and keeps it
-// only if convex (the only cuts selection ever collapses).
-func convexRandomCut(rng *rand.Rand, g *Graph) Cut {
-	for trial := 0; trial < 12; trial++ {
-		c := randomCut(rng, g)
-		if len(c) > 0 && g.ConvexSpec(c) {
-			return c
-		}
-	}
-	// Fall back to a singleton, which is always convex.
-	for _, id := range g.OpOrder {
-		if !g.Nodes[id].Forbidden {
-			return Cut{id}
-		}
-	}
-	return nil
-}
-
 // TestIncrementalCollapseRejectsNonConvex: Collapse errors on exactly
 // the non-convex cuts — contracting one would fold a path through
 // outside nodes into a cycle.
@@ -300,39 +282,5 @@ func TestIncrementalCollapseRejectsNonConvex(t *testing.T) {
 	}
 	if found == 0 {
 		t.Skip("no non-convex cut drawn")
-	}
-}
-
-// TestFingerprint: deterministic, structure-sensitive, name-insensitive.
-func TestFingerprint(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g := randomGraphLocal(rng, 12)
-	if g.Fingerprint() != g.Fingerprint() {
-		t.Fatal("fingerprint is not deterministic")
-	}
-	c := convexRandomCut(rng, g)
-	if c == nil {
-		t.Fatal("no convex cut on the test graph")
-	}
-	a, err := g.Collapse(c, "ise_a", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := g.Collapse(c, "ise_b", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("fingerprint depends on the cosmetic super-node name")
-	}
-	if a.Fingerprint() == g.Fingerprint() {
-		t.Fatal("fingerprint did not change across a collapse")
-	}
-	b2, err := g.Collapse(c, "ise_b", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b2.Fingerprint() == b.Fingerprint() {
-		t.Fatal("fingerprint ignores the super-node latency")
 	}
 }

@@ -2,36 +2,27 @@
 // (port-constraint × Ninstr × benchmark × hardware-target) grid of the
 // paper's evaluation. One §6/§7 run answers "what do I gain at
 // (Nin, Nout) with N instructions on this target"; an architect wants
-// the whole surface, and the surface has enormous internal redundancy
-// that a cell-at-a-time loop re-pays at every point:
+// the whole surface. The sweep shares only the work the grid provably
+// repeats:
 //
-//   - Constraint monotonicity. A cut legal at (2,1) is legal at every
-//     (Nin′ ≥ 2, Nout′ ≥ 1), and cut merit does not depend on the port
-//     constraints at all (core.Evaluate takes none). So the winners of
-//     a tight grid point are legal incumbents — W−1 seeds via the
-//     core.SeedBook — for every looser point, where they prune the
-//     branch-and-bound from the first node.
 //   - Ninstr prefixing. The iterative greedy loop is identical at every
 //     instruction budget, so one run at max(Ninstr) yields every
 //     smaller budget as a prefix (core.Selected.ChosenAt).
-//   - One-time per-benchmark work. Building, profiling (Prepare) and
-//     the baseline cycle simulation happen once per benchmark/target,
-//     not once per cell.
+//   - One-time per-benchmark work. Building and profiling (Prepare)
+//     happen once per benchmark and the baseline cycle simulation once
+//     per (benchmark, target), not once per cell.
 //
-// Parallelism and determinism. Budget-stopped searches are only
-// reproducible when searched serially, and seed lookups are only
-// reproducible when the book's content at lookup time is a
-// deterministic function of program order. The sweep therefore runs
-// each (benchmark, target) chain's constraint groups sequentially,
-// tightest-first, with serial per-block searches; the parallelism is
-// across chains and across the blocks of one selection call
-// (Config.Parallel), all admission-gated by one shared core.CPUPool so
-// sweep-level and search-level work draw from a single CPU budget and
-// cannot oversubscribe the machine. Under this discipline the report is
-// a function of Options alone — byte-identical for every worker count
-// and shard order — and bit-identical to the cold serial reference
-// (Options.Cold) wherever the searches complete, because every sharing
-// mechanism is result-preserving on completed searches (DESIGN.md §16).
+// Every search starts cold, so a constraint group's selection depends
+// only on its own (benchmark, target, constraint) point and the groups
+// are independent tasks. Warm mode runs one task per group at
+// max(Ninstr) on Options.Workers goroutines, loosest constraint first:
+// the loose groups search longest, so they start first and the short
+// tight ones fill the tail. Each task's selection also searches its
+// blocks concurrently (core.Config.Parallel), but every block search is
+// serial, so even a budget-stopped search trips at the same cut count on
+// every run. The report is therefore a function of Options alone —
+// byte-identical for every worker count and shard order — and equal,
+// cell for cell, to the cold reference (Options.Cold).
 package dse
 
 import (
@@ -42,10 +33,10 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"isex/internal/core"
-	"isex/internal/interp"
 	"isex/internal/ir"
 	"isex/internal/latency"
 	"isex/internal/obs"
@@ -76,20 +67,21 @@ type Options struct {
 	Targets []string
 	// Budget bounds each block search (core.Config.MaxCuts).
 	Budget int64
-	// Workers sizes the shared admission pool: the number of block
-	// searches in flight at once across the whole sweep. Results do not
-	// depend on it.
+	// Workers is the number of selection tasks run at once in warm mode;
+	// each task also searches its blocks concurrently. Cold mode runs
+	// one task at a time. Results do not depend on it.
 	Workers int
 	// Cold runs the reference mode: one dedicated serial selection per
-	// cell, no seeding, no parallelism — the oracle the warm sweep is
-	// benchmarked against.
+	// cell, one at a time, without prefix sharing or block-level
+	// parallelism — the oracle the warm sweep is checked against.
 	Cold bool
-	// ShardSeed permutes the chain launch order. Results do not depend
-	// on it — that is what the determinism tests assert.
+	// ShardSeed permutes the (benchmark, target) order of the task queue
+	// within each constraint point. Results do not depend on it — that
+	// is what the determinism tests assert.
 	ShardSeed int64
-	// Probe observes the sweep: each constraint group runs under its own
+	// Probe observes the sweep: each selection task runs under its own
 	// cell span (obs.Probe.BeginCell) so the analyzer can attribute
-	// search work to grid cells. All chains may share one recorder — the
+	// search work to grid cells. All tasks may share one recorder — the
 	// per-searcher rings and the mutex-guarded sys ring make that
 	// race-clean. Purely observational: results do not depend on it.
 	Probe *obs.Probe
@@ -194,15 +186,15 @@ func (r *Report) Bytes() ([]byte, error) {
 
 // Stats is the sweep's telemetry, kept out of Report so the report can
 // be byte-compared. Only Elapsed depends on timing: the selection and
-// identification counts and the seed-book hits and misses are, like the
-// report, a function of Options.
+// identification counts are, like the report, a function of Options.
 type Stats struct {
 	Elapsed    time.Duration
 	Selections int
 	IdentCalls int
-	// DedupHits is always zero: no selection adopts another block's
-	// identification. The pipeline benchmark (perfbench) reads it, and
-	// the next change to that benchmark removes it.
+	// DedupHits, SeedHits and SeedMisses are always zero: no selection
+	// adopts another block's identification or starts from another
+	// search's incumbent. The pipeline benchmark (perfbench) reads them,
+	// and the next change to that benchmark removes them.
 	DedupHits  int
 	SeedHits   int64
 	SeedMisses int64
@@ -231,23 +223,24 @@ func EstSpeedup(base, merit int64) (speedup float64, clamped bool) {
 	return float64(base) / float64(base-merit), false
 }
 
-// sweeper carries the per-sweep immutable state shared by all chains.
+// sweeper carries the per-sweep immutable state shared by all tasks.
 type sweeper struct {
 	opt     Options
-	order   [][2]int // constraints, tightest-first
-	ninstr  []int    // ascending
-	nmax    int
+	ninstr  []int // ascending
+	budgets []int // each task's ninstr: the largest (warm) or each (cold)
 	kernels []*workload.Kernel
 	modules []*ir.Module
 	models  []*latency.Model
-	pool    *core.CPUPool
 }
 
-type chainOut struct {
-	baseline int64
-	cells    []Cell
-	stats    Stats
-	err      error
+// task is one selection of the sweep: a constraint group at the largest
+// instruction budget in warm mode, one (constraint, ninstr) cell in cold
+// mode. Tasks share nothing but the read-only prepared modules.
+type task struct {
+	bi, ti int    // benchmark and target index
+	c      [2]int // (Nin, Nout)
+	ninstr int
+	sel    core.SelectionResult
 }
 
 // Sweep runs the grid and returns the deterministic report plus the
@@ -262,10 +255,12 @@ func Sweep(ctx context.Context, opt Options) (*Report, *Stats, error) {
 	}
 
 	s := &sweeper{opt: opt}
-	s.order = constraintOrder(opt.Constraints)
 	s.ninstr = append([]int(nil), opt.Ninstr...)
 	sort.Ints(s.ninstr)
-	s.nmax = s.ninstr[len(s.ninstr)-1]
+	s.budgets = s.ninstr[len(s.ninstr)-1:]
+	if opt.Cold {
+		s.budgets = s.ninstr
+	}
 
 	s.models = make([]*latency.Model, len(opt.Targets))
 	for i, name := range opt.Targets {
@@ -277,7 +272,7 @@ func Sweep(ctx context.Context, opt Options) (*Report, *Stats, error) {
 	}
 
 	// One Build+Profile per benchmark for the whole sweep; selection
-	// drivers are read-only on the module, so chains share it.
+	// drivers are read-only on the module, so tasks share it.
 	s.kernels = make([]*workload.Kernel, len(opt.Benchmarks))
 	s.modules = make([]*ir.Module, len(opt.Benchmarks))
 	for i, name := range opt.Benchmarks {
@@ -292,60 +287,55 @@ func Sweep(ctx context.Context, opt Options) (*Report, *Stats, error) {
 		s.kernels[i], s.modules[i] = k, m
 	}
 
+	mode := map[bool]string{false: "warm", true: "cold"}[opt.Cold]
+	tasks := s.tasks()
 	if opt.Progress != nil {
-		var keys []cellKey
-		for _, b := range opt.Benchmarks {
-			for _, t := range opt.Targets {
-				chain := b + "/" + t
-				for _, c := range s.order {
-					if opt.Cold {
-						for _, n := range s.ninstr {
-							keys = append(keys, cellKey{chain, c[0], c[1], n})
-						}
-					} else {
-						keys = append(keys, cellKey{chain, c[0], c[1], s.nmax})
-					}
-				}
-			}
-		}
-		opt.Progress.begin(map[bool]string{false: "warm", true: "cold"}[opt.Cold], keys)
+		opt.Progress.begin(mode, s.progressKeys())
 	}
 
-	nchains := len(opt.Benchmarks) * len(opt.Targets)
-	outs := make([]chainOut, nchains)
+	// One job per task, then one baseline simulation per (benchmark,
+	// target): the baselines are short and fill the tail. Nothing is
+	// merged until every job is done, and then by index, so completion
+	// order cannot reach the report.
+	nt := len(opt.Targets)
+	bases := make([]int64, len(opt.Benchmarks)*nt)
+	baseErrs := make([]error, len(bases))
+	jobs := make([]func(), 0, len(tasks)+len(bases))
+	for i := range tasks {
+		t := &tasks[i]
+		jobs = append(jobs, func() { s.run(ctx, t) })
+	}
+	for ci := range bases {
+		jobs = append(jobs, func() {
+			bases[ci], baseErrs[ci] = baselineCycles(s.kernels[ci/nt], s.models[ci%nt])
+		})
+	}
+	workers := opt.Workers
 	if opt.Cold {
-		// Reference mode: strictly serial, deterministic chain order.
-		for ci := 0; ci < nchains; ci++ {
-			outs[ci] = s.runChain(ctx, ci/len(opt.Targets), ci%len(opt.Targets))
-		}
-	} else {
-		s.pool = core.NewCPUPool(opt.Workers)
-		var wg sync.WaitGroup
-		// The launch permutation proves shard-order independence; the
-		// merge below is by index, so it cannot influence the report.
-		for _, ci := range rand.New(rand.NewSource(opt.ShardSeed)).Perm(nchains) {
-			wg.Add(1)
-			go func(ci int) {
-				defer wg.Done()
-				outs[ci] = s.runChain(ctx, ci/len(opt.Targets), ci%len(opt.Targets))
-			}(ci)
-		}
-		wg.Wait()
-		// Every admission slot must be back once no chain is left: a
-		// shortfall means a block search lost its release, a leak that
-		// would throttle a long-lived service forever.
-		if n := s.pool.Leaked(); n > 0 {
-			if p := opt.Probe; p != nil && p.Met != nil {
-				p.Met.PoolLeaks.Add(int64(n))
-			}
-			opt.Probe.Sys(obs.KStall, "cpupool-leak", int64(n), int64(opt.Workers), 0)
+		workers = 1
+	}
+	runJobs(workers, jobs)
+
+	for ci, err := range baseErrs {
+		if err != nil {
+			return nil, nil, fmt.Errorf("dse: %s/%s: baseline: %w", opt.Benchmarks[ci/nt], opt.Targets[ci%nt], err)
 		}
 	}
-
 	stats := &Stats{}
+	cells := make([][]Cell, len(bases))
+	for i := range tasks {
+		t := &tasks[i]
+		ci := t.bi*nt + t.ti
+		ninstrs := s.ninstr
+		if opt.Cold {
+			ninstrs = []int{t.ninstr}
+		}
+		cells[ci] = append(cells[ci], cellsFrom(t.sel, ninstrs, bases[ci], t.c)...)
+		stats.add(t.sel)
+	}
 	rep := &Report{
 		Schema:      Schema,
-		Mode:        map[bool]string{false: "warm", true: "cold"}[opt.Cold],
+		Mode:        mode,
 		Budget:      opt.Budget,
 		Constraints: opt.Constraints,
 		Ninstr:      s.ninstr,
@@ -354,19 +344,22 @@ func Sweep(ctx context.Context, opt Options) (*Report, *Stats, error) {
 	for bi, bname := range opt.Benchmarks {
 		br := BenchmarkReport{Benchmark: bname}
 		for ti, tname := range opt.Targets {
-			out := outs[bi*len(opt.Targets)+ti]
-			if out.err != nil {
-				return nil, nil, fmt.Errorf("dse: %s/%s: %w", bname, tname, out.err)
-			}
-			stats.Selections += out.stats.Selections
-			stats.IdentCalls += out.stats.IdentCalls
-			stats.SeedHits += out.stats.SeedHits
-			stats.SeedMisses += out.stats.SeedMisses
+			cs := cells[bi*nt+ti]
+			sort.Slice(cs, func(i, j int) bool {
+				a, b := cs[i], cs[j]
+				if a.Nin != b.Nin {
+					return a.Nin < b.Nin
+				}
+				if a.Nout != b.Nout {
+					return a.Nout < b.Nout
+				}
+				return a.Ninstr < b.Ninstr
+			})
 			br.Targets = append(br.Targets, TargetReport{
 				Target:         tname,
-				BaselineCycles: out.baseline,
-				Cells:          out.cells,
-				Pareto:         paretoFrontier(out.cells),
+				BaselineCycles: bases[bi*nt+ti],
+				Cells:          cs,
+				Pareto:         paretoFrontier(cs),
 			})
 		}
 		rep.Benchmarks = append(rep.Benchmarks, br)
@@ -375,123 +368,92 @@ func Sweep(ctx context.Context, opt Options) (*Report, *Stats, error) {
 	return rep, stats, nil
 }
 
-// runChain sweeps one (benchmark, target): baseline simulation once,
-// then the constraint groups sequentially tightest-first so the seed
-// book's content at every lookup is a deterministic function of the
-// completed earlier groups.
-func (s *sweeper) runChain(ctx context.Context, bi, ti int) chainOut {
-	var out chainOut
-	k, m, model := s.kernels[bi], s.modules[bi], s.models[ti]
-	base, err := baselineCycles(k, model)
-	if err != nil {
-		out.err = fmt.Errorf("baseline: %w", err)
-		return out
-	}
-	out.baseline = base
-
-	// Observation plumbing: the chain's probe carries the shared
-	// recorder (race-clean across chains) and, when live progress is
-	// requested, a chain-scoped Live sink feeding the tracker. Each
-	// constraint group then runs under its own cell span.
-	chain := s.opt.Benchmarks[bi] + "/" + s.opt.Targets[ti]
-	probe := s.opt.Probe
-	if pr := s.opt.Progress; pr != nil {
-		var lp obs.Probe
-		if probe != nil {
-			lp = *probe
-		}
-		prev := lp.Live
-		lp.Live = func(e obs.Event) {
-			if prev != nil {
-				prev(e)
+// tasks lists the sweep's selections in launch order: constraint points
+// loosest first, and within one point the (benchmark, target) pairs in
+// the ShardSeed permutation. Cold mode has one task per instruction
+// budget, warm mode one at the largest.
+func (s *sweeper) tasks() []task {
+	order := constraintOrder(s.opt.Constraints)
+	nt := len(s.opt.Targets)
+	pairs := rand.New(rand.NewSource(s.opt.ShardSeed)).Perm(len(s.opt.Benchmarks) * nt)
+	var ts []task
+	for i := len(order) - 1; i >= 0; i-- {
+		for _, ci := range pairs {
+			for _, n := range s.budgets {
+				ts = append(ts, task{bi: ci / nt, ti: ci % nt, c: order[i], ninstr: n})
 			}
-			pr.live(chain, e)
 		}
-		probe = &lp
 	}
-	runCell := func(c [2]int, groupMax int, run func(cfg core.Config) core.SelectionResult) core.SelectionResult {
-		if pr := s.opt.Progress; pr != nil {
-			pr.cellStart(chain, c[0], c[1], groupMax)
-		}
-		cp := probe.BeginCell(chain, c[0], c[1], groupMax)
-		cfg := s.cellConfigProbe(c, model, cp)
-		sel := run(cfg)
-		cp.EndCell(chain, c[0], c[1], sel.TotalMerit)
-		if pr := s.opt.Progress; pr != nil {
-			pr.cellDone(chain, c[0], c[1], groupMax, sel.TotalMerit)
-		}
-		return sel
-	}
-
-	var book *core.SeedBook
-	if !s.opt.Cold {
-		book = core.NewSeedBook()
-	}
-	for _, c := range s.order {
-		if s.opt.Cold {
-			for _, n := range s.ninstr {
-				n := n
-				sel := runCell(c, n, func(cfg core.Config) core.SelectionResult {
-					return core.SelectIterativeCtx(ctx, m, n, cfg)
-				})
-				out.cells = append(out.cells, s.cellsFrom(sel, []int{n}, base, c)...)
-				out.stats.add(sel)
-			}
-			continue
-		}
-		sel := runCell(c, s.nmax, func(cfg core.Config) core.SelectionResult {
-			cfg = s.warmConfig(cfg, book)
-			return core.SelectIterativeCtx(ctx, m, s.nmax, cfg)
-		})
-		out.cells = append(out.cells, s.cellsFrom(sel, s.ninstr, base, c)...)
-		out.stats.add(sel)
-	}
-	if book != nil {
-		out.stats.SeedHits, out.stats.SeedMisses = book.Stats()
-	}
-	sort.Slice(out.cells, func(i, j int) bool {
-		a, b := out.cells[i], out.cells[j]
-		if a.Nin != b.Nin {
-			return a.Nin < b.Nin
-		}
-		if a.Nout != b.Nout {
-			return a.Nout < b.Nout
-		}
-		return a.Ninstr < b.Ninstr
-	})
-	return out
+	return ts
 }
 
-// cellConfigProbe builds a cell's search configuration. The
-// search-semantics knobs (prunings, budget) are identical in warm and
-// cold mode — that is what makes the two modes' completed searches
-// bit-identical; warm mode adds only the result-preserving sharing
-// machinery (seeds, parallel block passes, pool gating).
-func (s *sweeper) cellConfigProbe(c [2]int, model *latency.Model, probe *obs.Probe) core.Config {
-	return core.Config{
-		Nin:         c[0],
-		Nout:        c[1],
-		Model:       model,
+// progressKeys lists the tasks' cells in grid order — benchmark,
+// target, constraint tightest first, budget — for the live tracker.
+func (s *sweeper) progressKeys() []cellKey {
+	var keys []cellKey
+	for _, b := range s.opt.Benchmarks {
+		for _, t := range s.opt.Targets {
+			for _, c := range constraintOrder(s.opt.Constraints) {
+				for _, n := range s.budgets {
+					keys = append(keys, cellKey{b + "/" + t, c[0], c[1], n})
+				}
+			}
+		}
+	}
+	return keys
+}
+
+// run performs one task's selection under its own cell span and, with
+// live progress on, its own Live sink keyed by the cell. The search
+// semantics (prunings, budget) are the same in warm and cold mode,
+// which is what makes the two modes' cells equal; warm mode adds only
+// the result-preserving block-level parallelism.
+func (s *sweeper) run(ctx context.Context, t *task) {
+	chain := s.opt.Benchmarks[t.bi] + "/" + s.opt.Targets[t.ti]
+	key := cellKey{chain, t.c[0], t.c[1], t.ninstr}
+	probe := s.opt.Probe
+	if pr := s.opt.Progress; pr != nil {
+		probe = pr.sink(probe, key)
+		pr.cellStart(key)
+	}
+	cp := probe.BeginCell(chain, t.c[0], t.c[1], t.ninstr)
+	t.sel = core.SelectIterativeCtx(ctx, s.modules[t.bi], t.ninstr, core.Config{
+		Nin:         t.c[0],
+		Nout:        t.c[1],
+		Model:       s.models[t.ti],
 		MaxCuts:     s.opt.Budget,
 		PruneInputs: true,
 		PruneMerit:  true,
-		Probe:       probe,
+		Parallel:    !s.opt.Cold,
+		Probe:       cp,
+	})
+	cp.EndCell(chain, t.c[0], t.c[1], t.sel.TotalMerit)
+	if pr := s.opt.Progress; pr != nil {
+		pr.cellDone(key, t.sel.TotalMerit)
 	}
 }
 
-// warmConfig adds warm mode's result-preserving sharing machinery on
-// top of the base cell configuration.
-func (s *sweeper) warmConfig(cfg core.Config, book *core.SeedBook) core.Config {
-	cfg.Seeds = book
-	cfg.Pool = s.pool
-	cfg.Parallel = true
-	return cfg
+// runJobs runs jobs on n goroutines, each taking the next job in list
+// order until none is left.
+func runJobs(n int, jobs []func()) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < n && w < len(jobs); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(jobs)); i = next.Add(1) - 1 {
+				jobs[i]()
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // cellsFrom derives one cell per requested budget from a single
 // selection via the greedy prefix property: the instructions with
 // ChosenAt < n are bit-identical to a dedicated ninstr = n run.
-func (s *sweeper) cellsFrom(sel core.SelectionResult, ninstrs []int, base int64, c [2]int) []Cell {
+func cellsFrom(sel core.SelectionResult, ninstrs []int, base int64, c [2]int) []Cell {
 	cells := make([]Cell, 0, len(ninstrs))
 	for _, n := range ninstrs {
 		var instrs []Instr
@@ -529,22 +491,14 @@ func (s *sweeper) cellsFrom(sel core.SelectionResult, ninstrs []int, base int64,
 }
 
 // baselineCycles simulates the unmodified kernel once under the
-// target's model (mirrors experiments.BaselineCycles; duplicated here
-// because experiments imports this package).
+// target's model (as experiments.BaselineCycles, which this package
+// cannot import: experiments imports it).
 func baselineCycles(k *workload.Kernel, model *latency.Model) (int64, error) {
 	m, err := k.Build()
 	if err != nil {
 		return 0, err
 	}
-	r := &sim.Runner{Model: model, Setup: func(env *interp.Env) error {
-		for name, vals := range k.Inputs {
-			if err := env.SetGlobal(name, vals); err != nil {
-				return err
-			}
-		}
-		return nil
-	}}
-	rep, err := r.Run(m, k.Entry, k.Args...)
+	rep, err := (&sim.Runner{Model: model, Setup: k.SetInputs}).Run(m, k.Entry, k.Args...)
 	if err != nil {
 		return 0, err
 	}
@@ -552,8 +506,8 @@ func baselineCycles(k *workload.Kernel, model *latency.Model) (int64, error) {
 }
 
 // constraintOrder returns the constraints sorted tightest-first
-// (fewest total ports, then fewest inputs): monotone seeding wants
-// tight winners in the book before loose points look them up.
+// (fewest total ports, then fewest inputs); the task queue walks it
+// backwards.
 func constraintOrder(cs [][2]int) [][2]int {
 	out := append([][2]int(nil), cs...)
 	sort.Slice(out, func(i, j int) bool {
@@ -592,16 +546,42 @@ func (o Options) normalized() Options {
 	return o
 }
 
+// validate rejects invalid grid values and repeated ones: a repeated
+// value would run its cells twice and list them twice in the report.
 func (o Options) validate() error {
-	for _, c := range o.Constraints {
+	if err := unique("benchmark", o.Benchmarks); err != nil {
+		return err
+	}
+	if err := unique("target", o.Targets); err != nil {
+		return err
+	}
+	ports := make([]string, len(o.Constraints))
+	for i, c := range o.Constraints {
 		if c[0] < 1 || c[1] < 1 {
 			return fmt.Errorf("dse: invalid constraint (%d,%d)", c[0], c[1])
 		}
+		ports[i] = fmt.Sprintf("%d/%d", c[0], c[1])
+	}
+	if err := unique("constraint", ports); err != nil {
+		return err
 	}
 	for _, n := range o.Ninstr {
 		if n < 1 {
 			return fmt.Errorf("dse: invalid ninstr %d", n)
 		}
+	}
+	return unique("ninstr", o.Ninstr)
+}
+
+// unique returns an error naming the first value of axis that vals
+// lists twice.
+func unique[T comparable](axis string, vals []T) error {
+	seen := make(map[T]bool, len(vals))
+	for _, v := range vals {
+		if seen[v] {
+			return fmt.Errorf("dse: %s %v listed twice", axis, v)
+		}
+		seen[v] = true
 	}
 	return nil
 }

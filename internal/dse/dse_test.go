@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-// testOptions is a small grid that still exercises every sharing
-// mechanism: two constraint points (monotone seeding), three budgets
-// (prefix derivation), two targets (chain concurrency).
+// testOptions is a small grid that still exercises every part of the
+// sweep: two constraint points (concurrent tasks of one benchmark and
+// target), three budgets (prefix derivation), two targets.
 func testOptions() Options {
 	opt := DefaultOptions()
 	opt.Benchmarks = []string{"adpcmdecode"}
@@ -23,9 +24,9 @@ func testOptions() Options {
 // TestSweepDeterminism asserts the acceptance-critical property: the
 // warm report is byte-identical for every worker count and shard order,
 // and so is every telemetry count but Elapsed. The default grid runs two
-// benchmarks on one target, so its chains share constraint points and
-// models — the case the test grid, whose chains differ by model, cannot
-// show.
+// benchmarks on one target, so its tasks share constraint points and
+// models — the case the test grid, whose benchmark-target pairs differ
+// by model, cannot show.
 func TestSweepDeterminism(t *testing.T) {
 	inputs := []struct {
 		name string
@@ -72,9 +73,9 @@ func TestSweepDeterminism(t *testing.T) {
 	}
 }
 
-// TestSweepWarmMatchesCold asserts the seeding/prefix machinery
-// is result-preserving: every warm cell selects bit-identical
-// instructions to a dedicated cold serial run. The small test grid's
+// TestSweepWarmMatchesCold asserts that prefix sharing and block-level
+// parallelism are result-preserving: every warm cell selects
+// bit-identical instructions to a dedicated cold serial run. The small test grid's
 // searches all complete; the default grid also has budget-stopped
 // cells, where the warm and cold incumbents must agree as well.
 func TestSweepWarmMatchesCold(t *testing.T) {
@@ -131,24 +132,46 @@ func TestSweepWarmMatchesCold(t *testing.T) {
 	}
 }
 
-// TestSweepSharingPays sanity-checks that the warm machinery actually
-// engages on a grid with overlapping constraint points.
+// TestSweepSharingPays sanity-checks that Ninstr prefix sharing
+// engages: one selection per constraint group, not per cell.
 func TestSweepSharingPays(t *testing.T) {
 	opt := testOptions()
 	_, stats, err := Sweep(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.SeedHits == 0 {
-		t.Errorf("expected seed hits on a tight-then-loose grid, got 0 (misses %d)", stats.SeedMisses)
-	}
 	if stats.Selections == 0 || stats.IdentCalls == 0 {
 		t.Errorf("implausible telemetry: %+v", stats)
 	}
-	// One selection per (constraint × target) chain group, not per cell:
+	// One selection per (constraint × target) group, not per cell:
 	// 2 constraints × 2 targets = 4, versus 12 cells.
 	if want := 4; stats.Selections != want {
 		t.Errorf("Selections = %d, want %d (prefix sharing should collapse the ninstr axis)", stats.Selections, want)
+	}
+}
+
+// TestSweepRejectsRepeats: a grid value listed twice on any axis is an
+// error naming it, not a sweep that runs and reports its cells twice.
+func TestSweepRejectsRepeats(t *testing.T) {
+	cases := []struct {
+		axis string
+		edit func(*Options)
+		want string
+	}{
+		{"benchmarks", func(o *Options) { o.Benchmarks = []string{"fir", "sad", "fir"} }, `benchmark fir listed twice`},
+		{"targets", func(o *Options) { o.Targets = []string{"paper", "paper"} }, `target paper listed twice`},
+		{"constraints", func(o *Options) { o.Constraints = [][2]int{{2, 1}, {4, 2}, {2, 1}} }, `constraint 2/1 listed twice`},
+		{"ninstr", func(o *Options) { o.Ninstr = []int{1, 2, 1} }, `ninstr 1 listed twice`},
+	}
+	for _, c := range cases {
+		t.Run(c.axis, func(t *testing.T) {
+			opt := testOptions()
+			c.edit(&opt)
+			_, _, err := Sweep(context.Background(), opt)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Sweep with a repeated %s: err = %v, want one containing %q", c.axis, err, c.want)
+			}
+		})
 	}
 }
 

@@ -44,8 +44,8 @@ type StatusReport struct {
 	Done      int    `json:"done"`
 	Total     int    `json:"total"`
 	ElapsedMS int64  `json:"elapsed_ms"`
-	// ETAMS extrapolates from completed-cell rates; 0 until the first
-	// cell lands.
+	// ETAMS extrapolates from completed-cell rates, shared among the
+	// cells searching now; 0 until the first cell lands.
 	ETAMS int64          `json:"eta_ms,omitempty"`
 	Cells []CellProgress `json:"cells"`
 }
@@ -61,27 +61,27 @@ type cellState struct {
 	done    time.Time
 }
 
-// Progress tracks a sweep's live state. Safe for concurrent use: chains
-// update it from their own goroutines while HTTP handlers and the
-// terminal renderer snapshot it. Zero value is not usable — construct
-// with NewProgress. The clock is injectable for tests.
+// Progress tracks a sweep's live state. Safe for concurrent use: the
+// sweep's tasks update it from their own goroutines while HTTP handlers
+// and the terminal renderer snapshot it. Zero value is not usable —
+// construct with NewProgress. The clock is injectable for tests.
 type Progress struct {
 	Now func() time.Time // defaults to time.Now
 
-	mu      sync.Mutex
-	mode    string
-	start   time.Time
-	cells   []*cellState
-	index   map[cellKey]int
-	current map[string]int // chain -> index of its searching cell
-	doneN   int
-	doneDur time.Duration
+	mu        sync.Mutex
+	mode      string
+	start     time.Time
+	cells     []*cellState
+	index     map[cellKey]int
+	searching int // cells in state "searching"
+	doneN     int
+	doneDur   time.Duration
 }
 
 // NewProgress returns an empty tracker; Sweep populates it when
 // Options.Progress points at it.
 func NewProgress() *Progress {
-	return &Progress{Now: time.Now, index: map[cellKey]int{}, current: map[string]int{}}
+	return &Progress{Now: time.Now, index: map[cellKey]int{}}
 }
 
 func (p *Progress) now() time.Time {
@@ -110,23 +110,23 @@ func (p *Progress) begin(mode string, keys []cellKey) {
 	}
 }
 
-func (p *Progress) cellStart(chain string, nin, nout, ninstr int) {
+func (p *Progress) cellStart(k cellKey) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	i, ok := p.index[cellKey{chain, nin, nout, ninstr}]
+	i, ok := p.index[k]
 	if !ok {
 		return
 	}
 	c := p.cells[i]
 	c.State = "searching"
 	c.started = p.now()
-	p.current[chain] = i
+	p.searching++
 }
 
-func (p *Progress) cellDone(chain string, nin, nout, ninstr int, merit int64) {
+func (p *Progress) cellDone(k cellKey, merit int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	i, ok := p.index[cellKey{chain, nin, nout, ninstr}]
+	i, ok := p.index[k]
 	if !ok {
 		return
 	}
@@ -141,17 +141,34 @@ func (p *Progress) cellDone(chain string, nin, nout, ninstr int, merit int64) {
 		p.doneDur += d
 	}
 	p.doneN++
-	delete(p.current, chain)
+	p.searching--
 }
 
-// live is the obs.Probe.Live sink for one chain: sys-path search and
-// rung events update the chain's searching cell. Must stay cheap — it
+// sink returns a copy of probe (nil means none) whose Live feed also
+// updates cell k.
+func (p *Progress) sink(probe *obs.Probe, k cellKey) *obs.Probe {
+	var lp obs.Probe
+	if probe != nil {
+		lp = *probe
+	}
+	prev := lp.Live
+	lp.Live = func(e obs.Event) {
+		if prev != nil {
+			prev(e)
+		}
+		p.live(k, e)
+	}
+	return &lp
+}
+
+// live is the obs.Probe.Live sink for one cell: sys-path search and
+// rung events update the cell while it searches. Must stay cheap — it
 // runs on the coordinator path of every block search.
-func (p *Progress) live(chain string, e obs.Event) {
+func (p *Progress) live(k cellKey, e obs.Event) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	i, ok := p.current[chain]
-	if !ok {
+	i, ok := p.index[k]
+	if !ok || p.cells[i].State != "searching" {
 		return
 	}
 	c := p.cells[i]
@@ -183,12 +200,9 @@ func (p *Progress) Snapshot() StatusReport {
 	}
 	if p.doneN > 0 && p.doneN < len(p.cells) {
 		avg := p.doneDur / time.Duration(p.doneN)
-		// Chains run concurrently; scale the serial estimate down by the
-		// number of chains still holding work.
-		active := len(p.current)
-		if active == 0 {
-			active = 1
-		}
+		// Cells search concurrently; scale the serial estimate down by
+		// the number searching now.
+		active := max(p.searching, 1)
 		left := len(p.cells) - p.doneN
 		r.ETAMS = (avg * time.Duration(left) / time.Duration(active)).Milliseconds()
 	}
@@ -225,31 +239,29 @@ func (p *Progress) Render(w io.Writer) {
 	for _, ch := range chains {
 		cells := byChain[ch]
 		done := 0
-		var cur *CellProgress
-		var parts []string
-		for i := range cells {
-			c := &cells[i]
+		var parts, searching []string
+		for _, c := range cells {
 			switch c.State {
 			case "done":
 				done++
 				parts = append(parts, fmt.Sprintf("(%d,%d)=%d", c.Nin, c.Nout, c.Merit))
 			case "searching":
-				cur = c
+				s := fmt.Sprintf("(%d,%d)", c.Nin, c.Nout)
+				if c.Block != "" {
+					s += " block " + c.Block
+				}
+				if c.Rung != "" {
+					s += " [" + c.Rung + "]"
+				}
+				searching = append(searching, fmt.Sprintf("%s %d searches", s, c.Searches))
 			}
 		}
 		fmt.Fprintf(w, "  %s: %d/%d", ch, done, len(cells))
 		if len(parts) > 0 {
 			fmt.Fprintf(w, " done[%s]", strings.Join(parts, " "))
 		}
-		if cur != nil {
-			fmt.Fprintf(w, " searching (%d,%d)", cur.Nin, cur.Nout)
-			if cur.Block != "" {
-				fmt.Fprintf(w, " block %s", cur.Block)
-			}
-			if cur.Rung != "" {
-				fmt.Fprintf(w, " [%s]", cur.Rung)
-			}
-			fmt.Fprintf(w, " %d searches", cur.Searches)
+		if len(searching) > 0 {
+			fmt.Fprintf(w, " searching %s", strings.Join(searching, ", "))
 		}
 		fmt.Fprintln(w)
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // TestSweepTraceRaceClean is the -trace + -sweep regression: all
-// concurrent chains share ONE recorder, and that must be race-clean
+// concurrent tasks share ONE recorder, and that must be race-clean
 // (run under -race in CI) without corrupting ring ownership. The
 // invariants checked here are exactly the ones interleaved-ring
 // corruption would break: every searcher ring belongs to exactly one
@@ -46,9 +46,6 @@ func TestSweepTraceRaceClean(t *testing.T) {
 	}
 	if !bytes.Equal(bareBytes, repBytes) {
 		t.Fatalf("observed sweep diverged from unobserved sweep:\n%s\nvs\n%s", repBytes, bareBytes)
-	}
-	if n := probe.Met.PoolLeaks.Value(); n != 0 {
-		t.Fatalf("sweep admission pool leaked %d slots", n)
 	}
 
 	events := probe.Rec.Merge()
@@ -119,12 +116,10 @@ func TestProgressTracker(t *testing.T) {
 	p := NewProgress()
 	p.Now = func() time.Time { return now }
 
-	keys := []cellKey{
-		{"adpcm/paper", 4, 2, 3},
-		{"adpcm/paper", 2, 1, 3},
-		{"fir/paper", 4, 2, 3},
-	}
-	p.begin("warm", keys)
+	adpcm42 := cellKey{"adpcm/paper", 4, 2, 3}
+	adpcm21 := cellKey{"adpcm/paper", 2, 1, 3}
+	fir42 := cellKey{"fir/paper", 4, 2, 3}
+	p.begin("warm", []cellKey{adpcm42, adpcm21, fir42})
 
 	snap := p.Snapshot()
 	if snap.Total != 3 || snap.Done != 0 || snap.Mode != "warm" {
@@ -136,8 +131,8 @@ func TestProgressTracker(t *testing.T) {
 		}
 	}
 
-	p.cellStart("adpcm/paper", 4, 2, 3)
-	p.live("adpcm/paper", obs.Event{Kind: obs.KSearchStart, Tag: "f/hot"})
+	p.cellStart(adpcm42)
+	p.live(adpcm42, obs.Event{Kind: obs.KSearchStart, Tag: "f/hot"})
 	now = now.Add(2 * time.Second)
 	snap = p.Snapshot()
 	var cur *CellProgress
@@ -150,20 +145,20 @@ func TestProgressTracker(t *testing.T) {
 		t.Fatalf("searching cell: %+v", cur)
 	}
 
-	p.live("adpcm/paper", obs.Event{Kind: obs.KRescue})
-	p.live("adpcm/paper", obs.Event{Kind: obs.KSearchEnd})
-	p.cellDone("adpcm/paper", 4, 2, 3, 77)
+	p.live(adpcm42, obs.Event{Kind: obs.KRescue})
+	p.live(adpcm42, obs.Event{Kind: obs.KSearchEnd})
+	p.cellDone(adpcm42, 77)
 	snap = p.Snapshot()
 	if snap.Done != 1 {
 		t.Fatalf("done=%d want 1", snap.Done)
 	}
-	// One cell took 2s; two remain on one active chain — but no chain is
-	// currently searching, so the ETA divides by max(active, 1) = 1.
+	// One cell took 2s and two remain, but no cell is searching, so the
+	// ETA divides by max(searching, 1) = 1.
 	if snap.ETAMS != 4000 {
 		t.Fatalf("eta=%dms want 4000", snap.ETAMS)
 	}
 
-	p.cellStart("fir/paper", 4, 2, 3)
+	p.cellStart(fir42)
 	var sb strings.Builder
 	p.Render(&sb)
 	out := sb.String()
@@ -177,12 +172,52 @@ func TestProgressTracker(t *testing.T) {
 		}
 	}
 
-	// Events for chains with no searching cell are dropped, not
+	// Events for a cell that is not searching are dropped, not
 	// misattributed.
-	p.live("adpcm/paper", obs.Event{Kind: obs.KSearchStart, Tag: "ghost"})
+	p.live(adpcm42, obs.Event{Kind: obs.KSearchStart, Tag: "ghost"})
+	p.live(adpcm21, obs.Event{Kind: obs.KSearchStart, Tag: "ghost"})
 	for _, c := range p.Snapshot().Cells {
 		if c.Block == "ghost" {
 			t.Fatal("event without a searching cell was misattributed")
 		}
+	}
+
+	// Two constraint groups of one chain search at once: each cell keeps
+	// its own block, rung and search count, Render shows both, and the
+	// ETA shares the remaining work among the searching cells.
+	fir84, fir21 := cellKey{"fir/paper", 8, 4, 3}, cellKey{"fir/paper", 2, 1, 3}
+	q := NewProgress()
+	q.Now = func() time.Time { return now }
+	q.begin("warm", []cellKey{fir84, fir42, fir21})
+	q.cellStart(fir84)
+	now = now.Add(3 * time.Second)
+	q.cellDone(fir84, 9)
+	q.cellStart(fir42)
+	q.cellStart(fir21)
+	q.live(fir42, obs.Event{Kind: obs.KSearchStart, Tag: "f/big"})
+	q.live(fir42, obs.Event{Kind: obs.KRescue})
+	q.live(fir21, obs.Event{Kind: obs.KSearchStart, Tag: "f/a"})
+	q.live(fir21, obs.Event{Kind: obs.KSearchEnd})
+	q.live(fir21, obs.Event{Kind: obs.KSearchStart, Tag: "f/b"})
+	snap = q.Snapshot()
+	got := map[cellKey]CellProgress{}
+	for _, c := range snap.Cells {
+		got[cellKey{c.Chain, c.Nin, c.Nout, c.Ninstr}] = c
+	}
+	if c := got[fir42]; c.State != "searching" || c.Block != "f/big" || c.Rung != "rescue" || c.Searches != 0 {
+		t.Errorf("fir 4/2 cell: %+v", c)
+	}
+	if c := got[fir21]; c.State != "searching" || c.Block != "f/b" || c.Rung != "" || c.Searches != 1 {
+		t.Errorf("fir 2/1 cell: %+v", c)
+	}
+	// 3s per cell, two cells left, two searching.
+	if snap.ETAMS != 3000 {
+		t.Errorf("eta=%dms want 3000 with two cells searching", snap.ETAMS)
+	}
+	sb.Reset()
+	q.Render(&sb)
+	want := "fir/paper: 1/3 done[(8,4)=9] searching (4,2) block f/big [rescue] 0 searches, (2,1) block f/b 1 searches"
+	if !strings.Contains(sb.String(), want) {
+		t.Errorf("render missing %q:\n%s", want, sb.String())
 	}
 }

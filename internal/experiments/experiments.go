@@ -79,14 +79,7 @@ func BaselineCycles(k *workload.Kernel, model *latency.Model) (int64, error) {
 }
 
 func simRunner(k *workload.Kernel, model *latency.Model) *sim.Runner {
-	return &sim.Runner{Model: model, Setup: func(env *interp.Env) error {
-		for name, vals := range k.Inputs {
-			if err := env.SetGlobal(name, vals); err != nil {
-				return err
-			}
-		}
-		return nil
-	}}
+	return &sim.Runner{Model: model, Setup: k.SetInputs}
 }
 
 // Cell is one method's outcome for one configuration.

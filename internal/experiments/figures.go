@@ -700,8 +700,8 @@ func DSETable(rep *dse.Report, stats *dse.Stats) string {
 	fmt.Fprintf(&sb, "DSE sweep (%s mode) — constraints %v, ninstr %v, budget %d\n",
 		rep.Mode, rep.Constraints, rep.Ninstr, rep.Budget)
 	if stats != nil {
-		fmt.Fprintf(&sb, "%.2fs wall, %d selections, %d ident calls, %d seed hits\n",
-			stats.Elapsed.Seconds(), stats.Selections, stats.IdentCalls, stats.SeedHits)
+		fmt.Fprintf(&sb, "%.2fs wall, %d selections, %d ident calls\n",
+			stats.Elapsed.Seconds(), stats.Selections, stats.IdentCalls)
 	}
 	for _, b := range rep.Benchmarks {
 		for _, t := range b.Targets {

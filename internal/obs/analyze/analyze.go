@@ -2,7 +2,7 @@
 // into a causal span tree — pipeline stage → DSE cell → block search →
 // worker lane → rescue/greedy rung — and computes attribution reports
 // over it: where the wall-clock went, which pruning rule earned its
-// keep, what the seed machinery actually paid.
+// keep, which rescue rung delivered.
 //
 // The span model costs the recorder nothing new: block searches, stages
 // and cells each allocate one span ID (obs.NextSpan) and parent links
@@ -103,11 +103,8 @@ type Block struct {
 	Donates    int64
 	Resplits   int64
 
-	Lanes       []*Lane
-	Incumbent   []IncumbentStep
-	SeedMerit   int64 // seed-book hit merit armed for this search (0 = none)
-	SeedPuts    int64
-	SeedRejects int64
+	Lanes     []*Lane
+	Incumbent []IncumbentStep
 
 	// Degradation-ladder outcomes (sys events scoped to this span).
 	RescueTried bool
@@ -339,14 +336,6 @@ func buildBlockEvent(a *Analysis, b *Block, e obs.Event, lane func(*Block, int32
 		b.GreedyTried = true
 		b.GreedyFound = e.A != 0
 		b.GreedyMerit = e.B
-	case obs.KSeedHit:
-		if e.A > b.SeedMerit {
-			b.SeedMerit = e.A
-		}
-	case obs.KSeedPut:
-		b.SeedPuts++
-	case obs.KSeedReject:
-		b.SeedRejects += e.A
 	case obs.KPanic:
 		b.Panics++
 	default:
@@ -370,19 +359,14 @@ func buildStageEvent(s *Stage, e obs.Event) {
 // blockKinds and stageKinds declare which kinds the builder attributes
 // to which span level; HandledKinds is the union plus the span-opening
 // and cell kinds. The exhaustiveness guard test asserts every obs.Kind
-// is claimed by exactly one level (or explicitly listed as unscoped).
+// is claimed by exactly one level.
 var blockKinds = []obs.Kind{
 	obs.KSearchEnd, obs.KPrune, obs.KBound, obs.KIncumbent, obs.KSteal,
 	obs.KDonate, obs.KResplit, obs.KStop, obs.KRescue, obs.KGreedy,
-	obs.KSeedHit, obs.KSeedPut, obs.KSeedReject, obs.KPanic,
+	obs.KPanic,
 }
 
 var stageKinds = []obs.Kind{obs.KStageEnd, obs.KCollapse}
-
-// unscopedKinds may legitimately appear with span 0 (coordinator events
-// outside any search: pool-leak stalls, manual Recorder.Sys calls) and
-// have no per-span attribution.
-var unscopedKinds = []obs.Kind{obs.KStall}
 
 // spanOpenKinds open a new span.
 var spanOpenKinds = []obs.Kind{obs.KSearchStart, obs.KStageStart, obs.KCellStart}
@@ -395,7 +379,7 @@ var cellKinds = []obs.Kind{obs.KCellEnd}
 // added kind is missing here and in the builder.
 func HandledKinds() map[obs.Kind]bool {
 	m := make(map[obs.Kind]bool)
-	for _, set := range [][]obs.Kind{blockKinds, stageKinds, unscopedKinds, spanOpenKinds, cellKinds} {
+	for _, set := range [][]obs.Kind{blockKinds, stageKinds, spanOpenKinds, cellKinds} {
 		for _, k := range set {
 			m[k] = true
 		}

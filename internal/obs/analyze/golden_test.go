@@ -17,9 +17,9 @@ var update = flag.Bool("update", false, "rewrite the golden analyzer outputs fro
 // loadFixture parses the committed trace fixture. The fixture is a
 // hand-written timeline that exercises every span level and every
 // block-scoped event kind: a cell with a two-block stage (parallel
-// lanes, rescue/greedy rungs, seed-book traffic, a recovered
-// panic), a top-level stage, a top-level block, an unscoped stall and
-// one orphaned ring event.
+// lanes, rescue/greedy rungs, a recovered panic), a top-level stage, a
+// top-level block, an unscoped collapse (as a bare Recorder.Sys call
+// writes it) and one orphaned ring event.
 func loadFixture(t *testing.T) []obs.Event {
 	t.Helper()
 	f, err := os.Open(filepath.Join("testdata", "golden.jsonl"))
@@ -115,8 +115,8 @@ func TestGoldenSpanTree(t *testing.T) {
 	if !b1.GreedyTried || b1.GreedyFound {
 		t.Fatalf("b1 greedy tried=%v found=%v; want tried, empty", b1.GreedyTried, b1.GreedyFound)
 	}
-	if b1.SeedMerit != 30 || b1.SeedPuts != 1 || b1.SeedRejects != 1 || b1.Panics != 1 {
-		t.Fatalf("b1 seed=%d puts=%d rejects=%d panics=%d", b1.SeedMerit, b1.SeedPuts, b1.SeedRejects, b1.Panics)
+	if b1.Panics != 1 {
+		t.Fatalf("b1 panics=%d; want 1", b1.Panics)
 	}
 	st := cell.Stages[0]
 	if st.Collapses != 1 {

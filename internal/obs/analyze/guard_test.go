@@ -33,7 +33,7 @@ func TestEveryKindFullyWired(t *testing.T) {
 			t.Errorf("kind %s has no chrome arg-name mapping", name)
 		}
 		if !handled[k] {
-			t.Errorf("kind %s has no analyze decode case (add it to blockKinds/stageKinds/unscopedKinds)", name)
+			t.Errorf("kind %s has no analyze decode case (add it to blockKinds or stageKinds)", name)
 		}
 	}
 }

@@ -18,35 +18,30 @@ import (
 
 // ExplainBlock is the deterministic view of one block search.
 type ExplainBlock struct {
-	Tag         string `json:"tag"`
-	Ops         int64  `json:"ops"`
-	Status      string `json:"status"`
-	Merit       int64  `json:"merit"`
-	Cuts        int64  `json:"cuts_considered"`
-	Prunes      int64  `json:"feasibility_prunes"`
-	Bounds      int64  `json:"bound_prunes"`
-	SeedMerit   int64  `json:"seed_merit,omitempty"`
-	SeedPuts    int64  `json:"seed_puts,omitempty"`
-	SeedRejects int64  `json:"seed_rejects,omitempty"`
-	Rescue      string `json:"rescue,omitempty"`
-	Greedy      string `json:"greedy,omitempty"`
-	Panics      int64  `json:"panics,omitempty"`
+	Tag    string `json:"tag"`
+	Ops    int64  `json:"ops"`
+	Status string `json:"status"`
+	Merit  int64  `json:"merit"`
+	Cuts   int64  `json:"cuts_considered"`
+	Prunes int64  `json:"feasibility_prunes"`
+	Bounds int64  `json:"bound_prunes"`
+	Rescue string `json:"rescue,omitempty"`
+	Greedy string `json:"greedy,omitempty"`
+	Panics int64  `json:"panics,omitempty"`
 }
 
 // ExplainStage is the deterministic view of one selection stage.
 type ExplainStage struct {
-	Tag          string         `json:"tag"`
-	Ninstr       int64          `json:"ninstr"`
-	Selected     int64          `json:"selected"`
-	TotalMerit   int64          `json:"total_merit"`
-	IdentCalls   int64          `json:"ident_calls"`
-	Cuts         int64          `json:"cuts_considered"`
-	Prunes       int64          `json:"feasibility_prunes"`
-	Bounds       int64          `json:"bound_prunes"`
-	Collapses    int64          `json:"collapses,omitempty"`
-	SeededBlocks int64          `json:"seeded_blocks,omitempty"`
-	HeadStartPct float64        `json:"seed_head_start_pct,omitempty"`
-	Blocks       []ExplainBlock `json:"blocks"`
+	Tag        string         `json:"tag"`
+	Ninstr     int64          `json:"ninstr"`
+	Selected   int64          `json:"selected"`
+	TotalMerit int64          `json:"total_merit"`
+	IdentCalls int64          `json:"ident_calls"`
+	Cuts       int64          `json:"cuts_considered"`
+	Prunes     int64          `json:"feasibility_prunes"`
+	Bounds     int64          `json:"bound_prunes"`
+	Collapses  int64          `json:"collapses,omitempty"`
+	Blocks     []ExplainBlock `json:"blocks"`
 }
 
 // ExplainCell is the deterministic view of one DSE constraint group.
@@ -87,19 +82,16 @@ func rungOutcome(tried, found bool, merit int64) string {
 
 func explainBlock(b *Block) ExplainBlock {
 	return ExplainBlock{
-		Tag:         b.Tag,
-		Ops:         b.Ops,
-		Status:      StatusName(b.Status),
-		Merit:       b.Merit,
-		Cuts:        b.Cuts,
-		Prunes:      b.Prunes,
-		Bounds:      b.Bounds,
-		SeedMerit:   b.SeedMerit,
-		SeedPuts:    b.SeedPuts,
-		SeedRejects: b.SeedRejects,
-		Rescue:      rungOutcome(b.RescueTried, b.RescueFound, b.RescueMerit),
-		Greedy:      rungOutcome(b.GreedyTried, b.GreedyFound, b.GreedyMerit),
-		Panics:      b.Panics,
+		Tag:    b.Tag,
+		Ops:    b.Ops,
+		Status: StatusName(b.Status),
+		Merit:  b.Merit,
+		Cuts:   b.Cuts,
+		Prunes: b.Prunes,
+		Bounds: b.Bounds,
+		Rescue: rungOutcome(b.RescueTried, b.RescueFound, b.RescueMerit),
+		Greedy: rungOutcome(b.GreedyTried, b.GreedyFound, b.GreedyMerit),
+		Panics: b.Panics,
 	}
 }
 
@@ -121,27 +113,13 @@ func explainStage(s *Stage) ExplainStage {
 		IdentCalls: s.IdentCalls,
 		Collapses:  s.Collapses,
 	}
-	var seeded int64
-	var headStart float64
 	for _, b := range sortedBlocks(s.Blocks) {
 		es.Cuts += b.Cuts
 		es.Prunes += b.Prunes
 		es.Bounds += b.Bounds
-		if b.SeedMerit > 0 && b.Merit > 0 {
-			seeded++
-			headStart += float64(b.SeedMerit) / float64(b.Merit)
-		}
 		es.Blocks = append(es.Blocks, explainBlock(b))
 	}
-	es.SeededBlocks = seeded
-	if seeded > 0 {
-		es.HeadStartPct = round2(100 * headStart / float64(seeded))
-	}
 	return es
-}
-
-func round2(f float64) float64 {
-	return float64(int64(f*100+0.5)) / 100
 }
 
 // BuildExplain derives the deterministic report from a span tree.
@@ -202,10 +180,6 @@ func writeExplainStage(w io.Writer, s ExplainStage, indent string) {
 		indent, s.Tag, s.Ninstr, s.Selected, s.TotalMerit, s.IdentCalls)
 	fmt.Fprintf(w, "%s  pruning: %d cuts considered, %d feasibility-pruned, %d bound-pruned\n",
 		indent, s.Cuts, s.Prunes, s.Bounds)
-	if s.SeededBlocks > 0 {
-		fmt.Fprintf(w, "%s  seed-book: %d blocks warm-started, %.2f%% avg merit head start\n",
-			indent, s.SeededBlocks, s.HeadStartPct)
-	}
 	if s.Collapses > 0 {
 		fmt.Fprintf(w, "%s  collapses: %d\n", indent, s.Collapses)
 	}
@@ -217,15 +191,6 @@ func writeExplainStage(w io.Writer, s ExplainStage, indent string) {
 func writeExplainBlock(w io.Writer, b ExplainBlock, indent string) {
 	fmt.Fprintf(w, "%sblock %s ops=%d %s merit=%d cuts=%d prune=%d bound=%d",
 		indent, b.Tag, b.Ops, b.Status, b.Merit, b.Cuts, b.Prunes, b.Bounds)
-	if b.SeedMerit > 0 {
-		fmt.Fprintf(w, " seed=%d", b.SeedMerit)
-	}
-	if b.SeedPuts > 0 {
-		fmt.Fprintf(w, " puts=%d", b.SeedPuts)
-	}
-	if b.SeedRejects > 0 {
-		fmt.Fprintf(w, " seed_rej=%d", b.SeedRejects)
-	}
 	if b.Rescue != "" {
 		fmt.Fprintf(w, " rescue[%s]", b.Rescue)
 	}
@@ -345,18 +310,14 @@ type CriticalHop struct {
 	Label string
 }
 
-// criticalBlock lists the decisive moments inside one block search: the
-// seed-book head start, each incumbent improvement, rescue/greedy
-// rungs, and the end.
+// criticalBlock lists the decisive moments inside one block search:
+// each incumbent improvement, rescue/greedy rungs, and the end.
 func criticalBlock(b *Block, epoch int64) []CriticalHop {
 	var hops []CriticalHop
 	add := func(t int64, format string, args ...any) {
 		hops = append(hops, CriticalHop{T: t - epoch, Label: fmt.Sprintf(format, args...)})
 	}
 	add(b.StartT, "block %s start (ops=%d)", b.Tag, b.Ops)
-	if b.SeedMerit > 0 {
-		add(b.StartT, "seed-book incumbent merit=%d", b.SeedMerit)
-	}
 	for _, s := range b.Incumbent {
 		add(s.T, "incumbent merit=%d after %d cuts", s.Merit, s.Cuts)
 	}

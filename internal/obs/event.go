@@ -66,9 +66,6 @@ const (
 	// rung of the degradation ladder). Tag is "fn/block", A is 1 when
 	// the rung produced a cut, B its merit, C the candidate count.
 	KGreedy
-	// KStall records a stalled resource. Tagged "cpupool-leak", it
-	// reports a DSE sweep whose admission pool lost A of its B slots.
-	KStall
 	// KStageStart marks a selection driver entering: one stage span per
 	// SelectIterativeCtx/SelectOptimalCtx invocation. Tag is the driver
 	// name ("select/iterative", "select/optimal"), A the parent span (0
@@ -79,7 +76,7 @@ const (
 	// KStageEnd marks the driver returning: A the number of instructions
 	// selected, B the total merit, C the identification calls consumed.
 	KStageEnd
-	// KCellStart marks a DSE chain beginning one constraint group's
+	// KCellStart marks a DSE sweep task beginning one constraint group's
 	// selection. Tag is "benchmark/target", A is Nin, B is Nout, C the
 	// maximum Ninstr the group searches. The event's Span is the cell
 	// span; the group's selection stage carries it as its parent.
@@ -87,20 +84,10 @@ const (
 	// KCellEnd marks the constraint group done: A is Nin, B is Nout, C
 	// the selection's total merit.
 	KCellEnd
-	// KSeedPut records a SeedBook storing an exhaustive winner: A its
-	// merit, B the cut size. Tag is "fn/block".
-	KSeedPut
-	// KSeedHit records a SeedBook lookup arming a revalidated incumbent
-	// seed of merit A (B is the cut size). Tag is "fn/block".
-	KSeedHit
-	// KSeedReject records a SeedBook lookup rejecting A stored cuts at
-	// revalidation (illegal at the consuming ports, or non-positive
-	// re-evaluated merit). Tag is "fn/block".
-	KSeedReject
 
 	// KindCount is the number of defined kinds; kinds are dense, so
 	// Kind(i) for i < KindCount enumerates them (see AllKinds).
-	KindCount = int(KSeedReject) + 1
+	KindCount = int(KCellEnd) + 1
 	kindCount = KindCount
 )
 
@@ -118,14 +105,10 @@ var kindNames = [kindCount]string{
 	KCollapse:    "collapse",
 	KPanic:       "panic",
 	KGreedy:      "greedy_rescue",
-	KStall:       "stall",
 	KStageStart:  "stage_start",
 	KStageEnd:    "stage_end",
 	KCellStart:   "cell_start",
 	KCellEnd:     "cell_end",
-	KSeedPut:     "seed_put",
-	KSeedHit:     "seed_hit",
-	KSeedReject:  "seed_reject",
 }
 
 // AllKinds enumerates every defined kind, in declaration order.

@@ -113,14 +113,10 @@ var chromeArgNames = map[Kind][3]string{
 	KCollapse:    {"round", "cut_size", ""},
 	KPanic:       {"attempt", "", ""},
 	KGreedy:      {"found", "merit", "candidates"},
-	KStall:       {"leaked", "slots", ""},
 	KStageStart:  {"parent_span", "ninstr", ""},
 	KStageEnd:    {"selected", "total_merit", "ident_calls"},
 	KCellStart:   {"nin", "nout", "ninstr"},
 	KCellEnd:     {"nin", "nout", "merit"},
-	KSeedPut:     {"merit", "cut_size", ""},
-	KSeedHit:     {"merit", "cut_size", ""},
-	KSeedReject:  {"rejected", "", ""},
 }
 
 // KindArgNames returns the named meanings of kind k's A/B/C payload

@@ -192,7 +192,6 @@ func TestNilProbeSafety(t *testing.T) {
 	if p.HookOf() != nil {
 		t.Fatal("nil probe HookOf must be nil")
 	}
-	p.Sys(KCollapse, "x", 0, 0, 0)
 	p.Count(func(m *Metrics) *Counter { return m.Collapses })
 
 	var o *SearchObs

@@ -47,14 +47,8 @@ type Metrics struct {
 	WorkersActive *Gauge
 	DequeDepth    *Histogram
 
-	// Selection-driver and admission-pool counters.
+	// Selection-driver counters.
 	Collapses *Counter
-	PoolLeaks *Counter
-
-	// Seed-book counters (cross-selection warm starts, DESIGN.md §16).
-	SeedPuts    *Counter
-	SeedHits    *Counter
-	SeedRejects *Counter
 
 	// DSE sweep counters.
 	Cells *Counter
@@ -86,10 +80,6 @@ func NewMetrics(reg *Registry) *Metrics {
 		WorkersActive:   reg.Gauge("engine_workers_active"),
 		DequeDepth:      reg.Histogram("engine_deque_depth"),
 		Collapses:       reg.Counter("sched_collapses_total"),
-		PoolLeaks:       reg.Counter("sched_pool_leaks_total"),
-		SeedPuts:        reg.Counter("seed_puts_total"),
-		SeedHits:        reg.Counter("seed_hits_total"),
-		SeedRejects:     reg.Counter("seed_revalidate_rejects_total"),
 		Cells:           reg.Counter("dse_cells_total"),
 	}
 }
@@ -214,16 +204,6 @@ func (p *Probe) Attach() *SearchObs {
 		o.ring.span = p.span
 	}
 	return o
-}
-
-// Sys records a coordinator-side event if the flight recorder or Live
-// sink is on, stamped with the probe's span. Nil-safe; safe from any
-// goroutine.
-func (p *Probe) Sys(k Kind, tag string, a, b, c int64) {
-	if p == nil {
-		return
-	}
-	p.sysEmit(k, tag, a, b, c)
 }
 
 // Count increments counter c if metrics are on. Nil-safe.
@@ -360,8 +340,8 @@ func (p *Probe) EndStage(tag string, selected int, totalMerit int64, identCalls 
 	p.sysEmit(KStageEnd, tag, int64(selected), totalMerit, int64(identCalls))
 }
 
-// BeginCell opens a DSE-cell span: one per constraint group of a sweep
-// chain. Tag is "benchmark/target"; nin/nout the port constraints and
+// BeginCell opens a DSE-cell span: one per selection task of a sweep.
+// Tag is "benchmark/target"; nin/nout the port constraints and
 // ninstr the group's maximum instruction budget. Returns a probe copy
 // bound to the cell span, exactly like BeginStage.
 func (p *Probe) BeginCell(tag string, nin, nout, ninstr int) *Probe {
@@ -387,46 +367,6 @@ func (p *Probe) EndCell(tag string, nin, nout int, totalMerit int64) {
 	}
 	p.fire(SiteCell, tag)
 	p.sysEmit(KCellEnd, tag, int64(nin), int64(nout), totalMerit)
-}
-
-// SeedPut records a SeedBook storing an exhaustive winner of the given
-// merit and cut size for the block.
-func (p *Probe) SeedPut(tag string, merit int64, size int) {
-	if p == nil {
-		return
-	}
-	p.fire(SiteSeed, tag)
-	if p.Met != nil {
-		p.Met.SeedPuts.Inc()
-	}
-	p.sysEmit(KSeedPut, tag, merit, int64(size), 0)
-}
-
-// SeedHit records a SeedBook lookup arming a revalidated incumbent seed
-// of the given merit and cut size.
-func (p *Probe) SeedHit(tag string, merit int64, size int) {
-	if p == nil {
-		return
-	}
-	p.fire(SiteSeed, tag)
-	if p.Met != nil {
-		p.Met.SeedHits.Inc()
-	}
-	p.sysEmit(KSeedHit, tag, merit, int64(size), 0)
-}
-
-// SeedReject records a SeedBook lookup rejecting rejected stored cuts at
-// revalidation (illegal at the consuming constraints or non-positive
-// re-evaluated merit).
-func (p *Probe) SeedReject(tag string, rejected int) {
-	if p == nil || rejected <= 0 {
-		return
-	}
-	p.fire(SiteSeed, tag)
-	if p.Met != nil {
-		p.Met.SeedRejects.Add(int64(rejected))
-	}
-	p.sysEmit(KSeedReject, tag, int64(rejected), 0, 0)
 }
 
 // SearchObs is one searcher goroutine's view of the probe: a private

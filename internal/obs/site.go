@@ -49,17 +49,12 @@ const (
 	// SiteStage fires when a selection driver opens or closes its stage
 	// span (Probe.BeginStage, Probe.EndStage). Tag is the driver name.
 	SiteStage
-	// SiteCell fires when a DSE chain opens or closes a constraint
+	// SiteCell fires when a DSE sweep task opens or closes a constraint
 	// group's cell span (Probe.BeginCell, Probe.EndCell). Tag is
 	// "benchmark/target".
 	SiteCell
-	// SiteSeed fires on every SeedBook interaction: storing an
-	// exhaustive winner, arming a revalidated seed, or rejecting stored
-	// cuts at revalidation (Probe.SeedPut, Probe.SeedHit,
-	// Probe.SeedReject). Tag is "fn/block".
-	SiteSeed
 
-	SiteCount = int(SiteSeed) + 1
+	SiteCount = int(SiteCell) + 1
 )
 
 var siteNames = [SiteCount]string{
@@ -77,7 +72,6 @@ var siteNames = [SiteCount]string{
 	SiteCollapse:    "collapse",
 	SiteStage:       "stage",
 	SiteCell:        "cell",
-	SiteSeed:        "seed",
 }
 
 func (s Site) String() string {
@@ -107,7 +101,6 @@ var siteMetrics = [SiteCount][]string{
 	SiteCollapse:    {"sched_collapses_total"},
 	SiteStage:       {},
 	SiteCell:        {"dse_cells_total"},
-	SiteSeed:        {"seed_puts_total", "seed_hits_total", "seed_revalidate_rejects_total"},
 }
 
 // SiteMetricNames returns the registry instrument names site's probe

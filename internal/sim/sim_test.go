@@ -123,14 +123,7 @@ func TestMeasuredSpeedupMatchesEstimate(t *testing.T) {
 				}
 			}
 
-			r := &Runner{Setup: func(env *interp.Env) error {
-				for name, vals := range k.Inputs {
-					if err := env.SetGlobal(name, vals); err != nil {
-						return err
-					}
-				}
-				return nil
-			}}
+			r := &Runner{Setup: k.SetInputs}
 			cmp, err := r.Compare(base, m, k.Entry, k.Args...)
 			if err != nil {
 				t.Fatal(err)
@@ -173,14 +166,7 @@ func TestPerturbedModelStillGains(t *testing.T) {
 		t.Fatal(err)
 	}
 	interp.ClearProfile(m)
-	r := &Runner{Model: pert, Setup: func(env *interp.Env) error {
-		for name, vals := range k.Inputs {
-			if err := env.SetGlobal(name, vals); err != nil {
-				return err
-			}
-		}
-		return nil
-	}}
+	r := &Runner{Model: pert, Setup: k.SetInputs}
 	cmp, err := r.Compare(base, m, k.Entry, k.Args...)
 	if err != nil {
 		t.Fatal(err)

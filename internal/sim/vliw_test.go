@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"isex/internal/core"
-	"isex/internal/interp"
 	"isex/internal/ir"
 	"isex/internal/latency"
 	"isex/internal/workload"
@@ -159,13 +158,11 @@ func TestVLIWProfileWeighting(t *testing.T) {
 	if c != 0 {
 		t.Errorf("unprofiled module contributed %d cycles", c)
 	}
-	env := interp.NewEnv(m)
-	env.Profile = true
-	for name, vals := range k.Inputs {
-		if err := env.SetGlobal(name, vals); err != nil {
-			t.Fatal(err)
-		}
+	env, err := k.NewEnv(m)
+	if err != nil {
+		t.Fatal(err)
 	}
+	env.Profile = true
 	if _, _, err := env.Call(k.Entry, k.Args...); err != nil {
 		t.Fatal(err)
 	}

@@ -50,14 +50,23 @@ func (k *Kernel) Build() (*ir.Module, error) {
 	return m, nil
 }
 
+// SetInputs installs the kernel's inputs into env. It has the shape of
+// sim.Runner.Setup, so a simulation of the kernel can pass it directly.
+func (k *Kernel) SetInputs(env *interp.Env) error {
+	for name, vals := range k.Inputs {
+		if err := env.SetGlobal(name, vals); err != nil {
+			return fmt.Errorf("workload %s: %w", k.Name, err)
+		}
+	}
+	return nil
+}
+
 // NewEnv creates an execution environment with the kernel's inputs
 // installed.
 func (k *Kernel) NewEnv(m *ir.Module) (*interp.Env, error) {
 	env := interp.NewEnv(m)
-	for name, vals := range k.Inputs {
-		if err := env.SetGlobal(name, vals); err != nil {
-			return nil, fmt.Errorf("workload %s: %w", k.Name, err)
-		}
+	if err := k.SetInputs(env); err != nil {
+		return nil, err
 	}
 	return env, nil
 }
