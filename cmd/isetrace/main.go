@@ -11,10 +11,10 @@
 //	isetrace -mode chrome trace.jsonl     # Chrome trace with span nesting
 //
 // summary/critical/lanes embrace wall-clock — byte-stable only against
-// a fixed trace file. explain is the deterministic view (same renderer
-// as `isex -explain`): byte-identical across worker counts for
-// exhaustive runs. chrome re-exports for Perfetto / chrome://tracing
-// with cells, stages and block searches as nested duration events.
+// a fixed trace file. explain is the deterministic view: byte-identical
+// across worker counts for exhaustive runs. chrome re-exports for
+// Perfetto / chrome://tracing with cells, stages and block searches as
+// nested duration events.
 package main
 
 import (

@@ -107,15 +107,8 @@ func run() error {
 		traceChrome = flag.String("trace-chrome", "", "record the search timeline and write it in Chrome trace_event format (load in Perfetto / chrome://tracing)")
 		metricsAddr = flag.String("metrics-addr", "", "serve live search metrics over HTTP on this address (e.g. :6060): Prometheus text on /metrics, expvar JSON on /debug/vars, pprof on /debug/pprof/, and with -sweep the live sweep status on /sweep/status")
 		jsonOut     = flag.Bool("json", false, "emit the selection report as JSON on stdout instead of the table (includes per-block statuses, Stats, and telemetry counters)")
-
-		explainPath = flag.String("explain", "", "read a recorded flight-recorder JSONL trace (from -trace), lift it into the causal span tree, and print the deterministic search-attribution report; exits afterwards")
-		explainJSON = flag.Bool("explain-json", false, "with -explain: emit the attribution report as JSON instead of text")
 	)
 	flag.Parse()
-
-	if *explainPath != "" {
-		return runExplain(*explainPath, *explainJSON)
-	}
 
 	if *list {
 		for _, k := range workload.All() {
@@ -246,7 +239,7 @@ func run() error {
 	if wantRec {
 		events := probe.Rec.Merge()
 		if n := probe.Rec.Dropped(); n > 0 {
-			fmt.Fprintf(os.Stderr, "isex: flight recorder dropped %d oldest events (raise ring capacity to keep them)\n", n)
+			fmt.Fprintf(os.Stderr, "isex: flight recorder dropped the %d oldest events; the trace is incomplete\n", n)
 		}
 		if *tracePath != "" {
 			if err := writeTrace(*tracePath, events, obs.WriteJSONL); err != nil {
@@ -354,21 +347,10 @@ func run() error {
 	}
 
 	var baseCycles int64
-	var setup func(*interp.Env) error // a -src program has no inputs
-	if k != nil {
-		setup = k.SetInputs
-	}
 	if *simulate {
-		fresh, err := freshModule(k, *srcPath, *unroll)
-		if err != nil {
-			return fmt.Errorf("baseline build: %w", err)
-		}
-		runner := &sim.Runner{Model: model, Setup: setup}
-		rep, err := runner.Run(fresh, entryFor(k, *entry), argsFor(k, args)...)
-		if err != nil {
-			return fmt.Errorf("baseline simulation: %w", err)
-		}
-		baseCycles = rep.Cycles
+		// The unpatched baseline is the profiling run, priced before the
+		// patch changes m.
+		baseCycles = sim.FromProfile(m, model).Cycles
 	}
 
 	afus, skipped, err := core.ApplySelection(m, sel.Instructions, model)
@@ -382,6 +364,10 @@ func run() error {
 
 	if *simulate {
 		interp.ClearProfile(m)
+		var setup func(*interp.Env) error // a -src program has no inputs
+		if k != nil {
+			setup = k.SetInputs
+		}
 		runner := &sim.Runner{Model: model, Setup: setup}
 		rep, err := runner.Run(m, entryFor(k, *entry), argsFor(k, args)...)
 		if err != nil {
@@ -540,26 +526,6 @@ func writeJSONReport(w *os.File, method string, nin, nout, ninstr int, sel core.
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
-}
-
-// freshModule rebuilds an unpatched copy of the program for baseline
-// simulation.
-func freshModule(k *workload.Kernel, srcPath string, unroll int) (*ir.Module, error) {
-	if k != nil {
-		return k.Build()
-	}
-	src, err := os.ReadFile(srcPath)
-	if err != nil {
-		return nil, err
-	}
-	m, err := minic.Compile(string(src), minic.Options{UnrollLimit: unroll})
-	if err != nil {
-		return nil, err
-	}
-	if err := passes.Run(m, passes.Options{}); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 func entryFor(k *workload.Kernel, entry string) string {

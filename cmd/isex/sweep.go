@@ -71,7 +71,7 @@ func runSweep(kernels, targets, constraints, ninstrs, mode, jsonPath string, bud
 	}
 
 	// Observability: one recorder shared by all tasks when a trace is
-	// wanted (race-clean: per-searcher rings plus the locked sys ring),
+	// wanted (race-clean: every event goes through its locked buffer),
 	// a live progress tracker for -progress and /sweep/status, and the
 	// metrics registry when an HTTP reader exists.
 	wantRec := sio.tracePath != "" || sio.traceChrome != ""
@@ -117,8 +117,9 @@ func runSweep(kernels, targets, constraints, ninstrs, mode, jsonPath string, bud
 	}
 
 	// The terminal progress surface redraws every two seconds while the
-	// sweep runs; the final render lands after completion so short
-	// sweeps still show their outcome once.
+	// sweep runs; the final render lands after a successful sweep so
+	// short sweeps still show their outcome once. A failed sweep (a
+	// rejected grid, say) has no outcome to show.
 	doneCh := make(chan struct{})
 	renderDone := make(chan struct{})
 	if sio.progress {
@@ -131,7 +132,6 @@ func runSweep(kernels, targets, constraints, ninstrs, mode, jsonPath string, bud
 				case <-t.C:
 					opt.Progress.Render(os.Stderr)
 				case <-doneCh:
-					opt.Progress.Render(os.Stderr)
 					return
 				}
 			}
@@ -142,6 +142,9 @@ func runSweep(kernels, targets, constraints, ninstrs, mode, jsonPath string, bud
 	close(doneCh)
 	if sio.progress {
 		<-renderDone
+		if err == nil {
+			opt.Progress.Render(os.Stderr)
+		}
 	}
 	if err != nil {
 		return err
@@ -150,7 +153,7 @@ func runSweep(kernels, targets, constraints, ninstrs, mode, jsonPath string, bud
 	if wantRec {
 		events := probe.Rec.Merge()
 		if n := probe.Rec.Dropped(); n > 0 {
-			fmt.Fprintf(os.Stderr, "isex: flight recorder dropped %d oldest events (raise ring capacity to keep them)\n", n)
+			fmt.Fprintf(os.Stderr, "isex: flight recorder dropped the %d oldest events; the trace is incomplete\n", n)
 		}
 		dse.AttachAttribution(rep, events)
 		if sio.tracePath != "" {

@@ -12,9 +12,9 @@ import (
 	"os"
 
 	"isex/internal/core"
-	"isex/internal/experiments"
 	"isex/internal/latency"
 	"isex/internal/report"
+	"isex/internal/sim"
 	"isex/internal/workload"
 )
 
@@ -28,14 +28,11 @@ func main() {
 		log.Fatalf("unknown kernel %q (try: adpcmdecode adpcmencode gsmlpc fir viterbi crc32 sha fft)", name)
 	}
 	model := latency.Default()
-	base, err := experiments.BaselineCycles(k, model)
-	if err != nil {
-		log.Fatal(err)
-	}
 	m, err := k.Prepare()
 	if err != nil {
 		log.Fatal(err)
 	}
+	base := sim.FromProfile(m, model).Cycles // the profiling run's cycles
 	fmt.Printf("%s: baseline %d cycles\n\n", name, base)
 
 	const ninstr = 8

@@ -317,7 +317,7 @@ func searchBlock(ctx context.Context, g *dfg.Graph, cfg Config, exact func(conte
 	bs = BlockStatus{Fn: g.Fn.Name, Block: g.Block.Name}
 	tag := bs.Fn + "/" + bs.Block
 	// Every block search owns one causal span: the rescue rungs, the
-	// engine's worker rings and the sub-searches all inherit the
+	// engine's worker lanes and the sub-searches all inherit the
 	// sub-probe, so their events group under this search in the
 	// analyzer's span tree. One atomic add per block search.
 	cfg.Probe = cfg.Probe.Sub()
@@ -344,9 +344,6 @@ func searchBlock(ctx context.Context, g *dfg.Graph, cfg Config, exact func(conte
 
 	// Rung 0: exact B&B (serial, engine or windowed per cfg).
 	guardRung(cfg.Probe, tag, &bs, func() {
-		if h := cfg.Probe.HookOf(); h != nil {
-			h(bs.Fn, bs.Block)
-		}
 		cfg.Probe.SearchBegin(tag, g.NumOps(), cfg.Workers)
 		res = exact(ctx, cfg)
 		bs.Status = res.Status

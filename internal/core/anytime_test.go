@@ -283,11 +283,7 @@ func TestPanicInWorkerIsolated(t *testing.T) {
 	}
 	for _, d := range drivers {
 		label := d.label
-		probe := &obs.Probe{Hook: func(fn, block string) {
-			if fn == "warm" {
-				panic("injected failure")
-			}
-		}}
+		probe := &obs.Probe{Inj: panicAtSearchBegin{"warm/", "injected failure"}}
 		before := runtime.NumGoroutine()
 		cfg := Config{Nin: 4, Nout: 2, Parallel: d.parallel, Probe: probe}
 		var res SelectionResult
@@ -405,7 +401,7 @@ func TestMultiSearchAnytime(t *testing.T) {
 		t.Errorf("canceled multi search status = %v", cres.Status)
 	}
 
-	boom := &obs.Probe{Hook: func(string, string) { panic("multi boom") }}
+	boom := &obs.Probe{Inj: panicAtSearchBegin{"", "multi boom"}}
 	res, bs := searchBlockMultiSafe(context.Background(), g, 2, Config{Nin: 4, Nout: 2, Probe: boom})
 	if bs.Status != Recovered || bs.Err == nil {
 		t.Fatalf("multi panic not recovered: %+v", bs)
@@ -413,11 +409,11 @@ func TestMultiSearchAnytime(t *testing.T) {
 	if res.Status != Recovered {
 		t.Errorf("recovered multi result status = %v, out of sync with block status", res.Status)
 	}
-	// The exact search never ran (the Hook fires before it starts), so
-	// any result can only come from the ladder's lower rungs — here the
-	// windowed rescue (the graph exceeds fallbackWindow), with greedy
-	// behind it. One of them must deliver: the exhaustive reference
-	// finds merit on this graph (checked for this seed).
+	// The exact search never ran (the search_begin site fires before it
+	// starts), so any result can only come from the ladder's lower rungs
+	// — here the windowed rescue (the graph exceeds fallbackWindow), with
+	// greedy behind it. One of them must deliver: the exhaustive
+	// reference finds merit on this graph (checked for this seed).
 	if full.Found {
 		if !res.Found {
 			t.Error("ladder returned no cut although a legal one exists")
@@ -434,5 +430,15 @@ func TestMultiSearchAnytime(t *testing.T) {
 			t.Errorf("greedy-rescued merit %d exceeds exhaustive optimum %d — unsound",
 				res.TotalMerit, full.TotalMerit)
 		}
+	}
+}
+
+// panicAtSearchBegin is an obs.Injector that panics with msg when a
+// block search whose "fn/block" tag starts with prefix begins.
+type panicAtSearchBegin struct{ prefix, msg string }
+
+func (p panicAtSearchBegin) Fire(site obs.Site, tag string) {
+	if site == obs.SiteSearchBegin && strings.HasPrefix(tag, p.prefix) {
+		panic(p.msg)
 	}
 }

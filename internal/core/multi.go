@@ -506,7 +506,7 @@ func b2i(b bool) int {
 
 func (s *multiSearcher) tryInclude(rank, id, k int) {
 	if !s.assignOK(rank, k) {
-		s.pruned(rank)
+		s.pruned()
 		return
 	}
 	s.applyAssign(rank, id, k)
@@ -607,7 +607,7 @@ func (s *multiSearcher) expand(prefix []uint8, out *bbBest) []bbSub {
 		for k := 1; k <= maxK; k++ {
 			s.stats.CutsConsidered++
 			if !s.assignOK(d, k) {
-				s.pruned(d)
+				s.pruned()
 				continue
 			}
 			s.applyAssign(d, id, k)

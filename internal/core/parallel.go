@@ -153,7 +153,7 @@ type bbEngine struct {
 	// probe is the run's telemetry handle (nil when off); wobs[w] is
 	// worker w's searcher attachment, published by attach from worker
 	// w's own goroutine so that take — also on worker w's goroutine —
-	// can emit steal events on w's private ring.
+	// can record steal events on w's lane.
 	probe *obs.Probe
 	wobs  []*obs.SearchObs
 
@@ -387,8 +387,8 @@ func (e *bbEngine) finalStatus() SearchStatus {
 // workerConfig strips the options the engine owns from the per-worker
 // searcher configs: the budget is global (pollSearch), and Window /
 // Workers / Parallel must not recurse inside a worker. Probe
-// deliberately survives: each worker attaches its own private
-// flight-recorder ring through it.
+// deliberately survives: each worker attaches its own recorder lane
+// through it.
 func workerConfig(cfg Config) Config {
 	cfg.MaxCuts = 0
 	cfg.Window = 0
@@ -462,7 +462,7 @@ func engineWorkers(p *obs.Probe, delta int) {
 
 // attach wires a worker's private searcher to the engine and allocates
 // the donation bookkeeping (path / zeroOK / donated, indexed by rank;
-// see tryDonate). The searcher keeps an already-attached telemetry ring
+// see tryDonate). The searcher keeps an already-attached telemetry lane
 // (rebuild after a recovered panic); otherwise it gets its own, and
 // either way the engine learns it for steal events.
 func (e *bbEngine) attach(c *searchCore, wid int) {
@@ -494,8 +494,11 @@ func (e *bbEngine) runWorker(wid int, t bbTree, newTree func() bbTree, out *bbBe
 		}
 	}()
 	e.attach(t.core(), wid)
+	o := e.wobs[wid] // survives rebuilds
 	for {
+		o.Idle()
 		sub, expand, ok := e.take(wid)
+		o.Busy()
 		if !ok {
 			break
 		}
@@ -516,15 +519,15 @@ func (e *bbEngine) runWorker(wid int, t bbTree, newTree func() bbTree, out *bbBe
 		holding = false
 	}
 	c := t.core()
-	c.flushObs()
+	c.endObs()
 	*stats = c.stats
 }
 
 // rebuild attaches the fresh searcher nt in place of t, carrying over
-// t's telemetry ring (with its flush marks) and its counters.
+// t's telemetry lane (with its flush marks) and its counters.
 func (e *bbEngine) rebuild(t, nt bbTree, wid int) bbTree {
 	o, n := t.core(), nt.core()
-	n.obs, n.boundCuts = o.obs, o.boundCuts
+	n.obs = o.obs
 	n.stats, n.tick, n.flushMark, n.sharedCache = o.stats, o.tick, o.flushMark, o.sharedCache
 	e.attach(n, wid)
 	return nt

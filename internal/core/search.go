@@ -48,11 +48,8 @@ type searchCore struct {
 
 	// obs is the searcher's telemetry attachment (nil when observability
 	// is off — the only cost is then the nil checks at the probe
-	// points). boundCuts counts PruneMerit subtree cutoffs; it is only
-	// maintained while observed, feeding the metrics registry via
-	// flushObs, never the search itself.
-	obs       *obs.SearchObs
-	boundCuts int64
+	// points).
+	obs *obs.SearchObs
 
 	// Engine attachment (nil for the serial search): eng supplies the
 	// shared incumbent bound and the global budget, sharedCache is the
@@ -139,7 +136,7 @@ func exactSearch(ctx context.Context, cfg Config, engine string, newTree func(Co
 	c.poll()
 	t.visit(0)
 	c.stats.Aborted = c.stop != Exhaustive
-	c.flushObs()
+	c.endObs()
 	return c.bestCuts, c.stats, c.stop, nil
 }
 
@@ -148,7 +145,16 @@ func exactSearch(ctx context.Context, cfg Config, engine string, newTree func(Co
 // cadence and at search end; a no-op when observability is off.
 func (c *searchCore) flushObs() {
 	if c.obs != nil {
-		c.obs.FlushStats(c.stats.CutsConsidered, c.stats.Passed, c.stats.Pruned, c.boundCuts)
+		c.obs.FlushStats(c.stats.CutsConsidered, c.stats.Passed, c.stats.Pruned, c.stats.Bounded)
+	}
+}
+
+// endObs flushes the searcher's final tallies and closes its recorder
+// lane with its exact prune and bound-cutoff totals.
+func (c *searchCore) endObs() {
+	if c.obs != nil {
+		c.flushObs()
+		c.obs.End(c.stats.Pruned, c.stats.Bounded)
 	}
 }
 
@@ -201,33 +207,20 @@ func (c *searchCore) consider() bool {
 	return true
 }
 
-// pruned counts a branch that failed the output-port or convexity check
-// at rank.
-func (c *searchCore) pruned(rank int) {
-	c.stats.Pruned++
-	if c.obs != nil {
-		c.obs.Pruned(rank)
-	}
-}
+// pruned counts a branch that failed the output-port or convexity check.
+func (c *searchCore) pruned() { c.stats.Pruned++ }
 
-// boundCut reports whether PruneMerit eliminates the subtree at
-// curRank, whose admissible merit upper bound is ub: it cannot beat the
-// local incumbent, or falls strictly below the engine's shared bound
-// (strict, so a path to a cut tying the optimum is never pruned).
+// boundCut reports, and counts in Stats.Bounded, whether PruneMerit
+// eliminates the subtree whose admissible merit upper bound is ub: it
+// cannot beat the local incumbent, or falls strictly below the engine's
+// shared bound (strict, so a path to a cut tying the optimum is never
+// pruned). It inlines into the visit loops.
 func (c *searchCore) boundCut(ub int64) bool {
-	return ((c.bestFound && ub <= c.bestMerit) || ub < c.sharedCache) &&
-		(c.obs == nil || c.noteBound())
-}
-
-// noteBound reports a PruneMerit cutoff to the telemetry and returns
-// true. It is kept out of line so that boundCut inlines into the visit
-// loops.
-//
-//go:noinline
-func (c *searchCore) noteBound() bool {
-	c.boundCuts++
-	c.obs.Bound(c.curRank, c.bestMerit)
-	return true
+	if (c.bestFound && ub <= c.bestMerit) || ub < c.sharedCache {
+		c.stats.Bounded++
+		return true
+	}
+	return false
 }
 
 // beats reports whether merit m clears the recording threshold. The

@@ -110,6 +110,9 @@ type Stats struct {
 	// Pruned counts 1-branches whose subtree was eliminated after a
 	// failed output-port or convexity check (Fig. 7's "failed" nodes).
 	Pruned int64
+	// Bounded counts subtrees the PruneMerit bound cut off: their
+	// admissible merit upper bound could not beat the incumbent.
+	Bounded int64
 	// Aborted reports that the MaxCuts valve stopped the search early.
 	Aborted bool
 }
@@ -118,6 +121,7 @@ func (s *Stats) add(o Stats) {
 	s.CutsConsidered += o.CutsConsidered
 	s.Passed += o.Passed
 	s.Pruned += o.Pruned
+	s.Bounded += o.Bounded
 	s.Aborted = s.Aborted || o.Aborted
 }
 
@@ -415,7 +419,7 @@ func (s *searcher) visit(rank int) {
 			}
 			s.undoInclude(id, node, u)
 		} else {
-			s.pruned(rank)
+			s.pruned()
 		}
 	}
 
@@ -480,7 +484,7 @@ func (s *searcher) expand(prefix []uint8, out *bbBest) []bbSub {
 			}
 			s.undoInclude(id, node, u)
 		} else {
-			s.pruned(d)
+			s.pruned()
 		}
 	}
 	exclPermIn := s.applyExclude(id, node)

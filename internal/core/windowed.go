@@ -37,8 +37,9 @@ func FindBestCutWindowedCtx(ctx context.Context, g *dfg.Graph, cfg Config, windo
 	cfg.Window = 0
 	cfg.Workers = 0
 	// Per-window sub-searches feed the metrics but never the flight
-	// recorder: a rescue pass would otherwise flood the rings with events
-	// indistinguishable from the main search's.
+	// recorder: each window would otherwise close a lane of its own under
+	// the block's span, and the block's recorded prune and bound totals
+	// would mix the windows' work into the exact search's.
 	cfg.Probe = cfg.Probe.MetricsOnly()
 	n := g.NumOps()
 	if window <= 0 || window >= n {

@@ -9,8 +9,9 @@
 //     instruction budget, so one run at max(Ninstr) yields every
 //     smaller budget as a prefix (core.Selected.ChosenAt).
 //   - One-time per-benchmark work. Building and profiling (Prepare)
-//     happen once per benchmark and the baseline cycle simulation once
-//     per (benchmark, target), not once per cell.
+//     happen once per benchmark, not once per cell, and each target's
+//     baseline cycles are that profiling run priced under the target's
+//     model (sim.FromProfile), not another build and run.
 //
 // Every search starts cold, so a constraint group's selection depends
 // only on its own (benchmark, target, constraint) point and the groups
@@ -228,7 +229,6 @@ type sweeper struct {
 	opt     Options
 	ninstr  []int // ascending
 	budgets []int // each task's ninstr: the largest (warm) or each (cold)
-	kernels []*workload.Kernel
 	modules []*ir.Module
 	models  []*latency.Model
 }
@@ -273,7 +273,6 @@ func Sweep(ctx context.Context, opt Options) (*Report, *Stats, error) {
 
 	// One Build+Profile per benchmark for the whole sweep; selection
 	// drivers are read-only on the module, so tasks share it.
-	s.kernels = make([]*workload.Kernel, len(opt.Benchmarks))
 	s.modules = make([]*ir.Module, len(opt.Benchmarks))
 	for i, name := range opt.Benchmarks {
 		k := workload.ByName(name)
@@ -284,7 +283,7 @@ func Sweep(ctx context.Context, opt Options) (*Report, *Stats, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("dse: prepare %s: %w", name, err)
 		}
-		s.kernels[i], s.modules[i] = k, m
+		s.modules[i] = m
 	}
 
 	mode := map[bool]string{false: "warm", true: "cold"}[opt.Cold]
@@ -293,22 +292,19 @@ func Sweep(ctx context.Context, opt Options) (*Report, *Stats, error) {
 		opt.Progress.begin(mode, s.progressKeys())
 	}
 
-	// One job per task, then one baseline simulation per (benchmark,
-	// target): the baselines are short and fill the tail. Nothing is
+	// Each (benchmark, target) baseline is Prepare's profiling run,
+	// priced under the target's model. Then one job per task; nothing is
 	// merged until every job is done, and then by index, so completion
 	// order cannot reach the report.
 	nt := len(opt.Targets)
 	bases := make([]int64, len(opt.Benchmarks)*nt)
-	baseErrs := make([]error, len(bases))
-	jobs := make([]func(), 0, len(tasks)+len(bases))
+	for ci := range bases {
+		bases[ci] = sim.FromProfile(s.modules[ci/nt], s.models[ci%nt]).Cycles
+	}
+	jobs := make([]func(), len(tasks))
 	for i := range tasks {
 		t := &tasks[i]
-		jobs = append(jobs, func() { s.run(ctx, t) })
-	}
-	for ci := range bases {
-		jobs = append(jobs, func() {
-			bases[ci], baseErrs[ci] = baselineCycles(s.kernels[ci/nt], s.models[ci%nt])
-		})
+		jobs[i] = func() { s.run(ctx, t) }
 	}
 	workers := opt.Workers
 	if opt.Cold {
@@ -316,11 +312,6 @@ func Sweep(ctx context.Context, opt Options) (*Report, *Stats, error) {
 	}
 	runJobs(workers, jobs)
 
-	for ci, err := range baseErrs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("dse: %s/%s: baseline: %w", opt.Benchmarks[ci/nt], opt.Targets[ci%nt], err)
-		}
-	}
 	stats := &Stats{}
 	cells := make([][]Cell, len(bases))
 	for i := range tasks {
@@ -488,21 +479,6 @@ func cellsFrom(sel core.SelectionResult, ninstrs []int, base int64, c [2]int) []
 		})
 	}
 	return cells
-}
-
-// baselineCycles simulates the unmodified kernel once under the
-// target's model (as experiments.BaselineCycles, which this package
-// cannot import: experiments imports it).
-func baselineCycles(k *workload.Kernel, model *latency.Model) (int64, error) {
-	m, err := k.Build()
-	if err != nil {
-		return 0, err
-	}
-	rep, err := (&sim.Runner{Model: model, Setup: k.SetInputs}).Run(m, k.Entry, k.Args...)
-	if err != nil {
-		return 0, err
-	}
-	return rep.Cycles, nil
 }
 
 // constraintOrder returns the constraints sorted tightest-first

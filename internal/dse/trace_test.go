@@ -13,11 +13,12 @@ import (
 
 // TestSweepTraceRaceClean is the -trace + -sweep regression: all
 // concurrent tasks share ONE recorder, and that must be race-clean
-// (run under -race in CI) without corrupting ring ownership. The
-// invariants checked here are exactly the ones interleaved-ring
-// corruption would break: every searcher ring belongs to exactly one
-// block-search span, timestamps are monotone within a ring, and the
-// observed sweep is byte-identical to an unobserved one.
+// (run under -race in CI) without corrupting lane ownership. The
+// invariants checked here are exactly the ones interleaved writers
+// would break: every searcher lane belongs to exactly one block-search
+// span and closes with one lane_end, timestamps are monotone across the
+// buffer, nothing is dropped, and the observed sweep is byte-identical
+// to an unobserved one.
 func TestSweepTraceRaceClean(t *testing.T) {
 	bare, _, err := Sweep(context.Background(), testOptions())
 	if err != nil {
@@ -52,23 +53,33 @@ func TestSweepTraceRaceClean(t *testing.T) {
 	if len(events) == 0 {
 		t.Fatal("sweep under a tracing probe recorded nothing")
 	}
-	// Ring ownership: a searcher ring serves exactly one (block search,
-	// worker) pair, so all its surviving events carry one span. The sys
-	// ring (0) is the shared multi-span channel by design.
-	ringSpan := map[int32]int64{}
-	ringLastT := map[int32]int64{}
-	for _, e := range events {
-		if last, ok := ringLastT[e.Ring]; ok && e.T < last {
-			t.Fatalf("ring %d time went backwards (%d after %d): interleaved-ring corruption", e.Ring, e.T, last)
+	if n := probe.Rec.Dropped(); n != 0 {
+		t.Fatalf("recorder dropped %d events", n)
+	}
+	// Lane ownership: a searcher lane serves exactly one (block search,
+	// worker) pair, so all its events carry one span, and it closes
+	// once. Lane 0 is the shared coordinator channel by design.
+	laneSpan := map[int32]int64{}
+	laneEnds := map[int32]int{}
+	for i, e := range events {
+		if i > 0 && e.T < events[i-1].T {
+			t.Fatalf("event %d at %d before event %d at %d: the buffer is out of time order", i, e.T, i-1, events[i-1].T)
 		}
-		ringLastT[e.Ring] = e.T
-		if e.Ring == 0 {
+		if e.Lane == 0 {
 			continue
 		}
-		if span, ok := ringSpan[e.Ring]; ok && span != e.Span {
-			t.Fatalf("ring %d carries spans %d and %d: ring ownership broken under sweep fan-out", e.Ring, span, e.Span)
+		if span, ok := laneSpan[e.Lane]; ok && span != e.Span {
+			t.Fatalf("lane %d carries spans %d and %d: lane ownership broken under sweep fan-out", e.Lane, span, e.Span)
 		}
-		ringSpan[e.Ring] = e.Span
+		laneSpan[e.Lane] = e.Span
+		if e.Kind == obs.KLaneEnd {
+			laneEnds[e.Lane]++
+		}
+	}
+	for lane := range laneSpan {
+		if laneEnds[lane] != 1 {
+			t.Fatalf("lane %d closed %d times, want once", lane, laneEnds[lane])
+		}
 	}
 
 	// The span tree must lift cleanly: every cell of the warm grid opens

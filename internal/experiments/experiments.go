@@ -64,20 +64,6 @@ func runSelection(ctx context.Context, method Method, m *ir.Module, ninstr int, 
 	panic("unknown method " + method)
 }
 
-// BaselineCycles measures the unpatched kernel on the cycle model.
-func BaselineCycles(k *workload.Kernel, model *latency.Model) (int64, error) {
-	m, err := k.Build()
-	if err != nil {
-		return 0, err
-	}
-	r := simRunner(k, model)
-	rep, err := r.Run(m, k.Entry, k.Args...)
-	if err != nil {
-		return 0, err
-	}
-	return rep.Cycles, nil
-}
-
 func simRunner(k *workload.Kernel, model *latency.Model) *sim.Runner {
 	return &sim.Runner{Model: model, Setup: k.SetInputs}
 }
@@ -175,14 +161,11 @@ func Compare(opt CompareOptions) ([]ComparisonRow, error) {
 		if k == nil {
 			return nil, fmt.Errorf("experiments: unknown benchmark %q", bname)
 		}
-		base, err := BaselineCycles(k, model)
-		if err != nil {
-			return nil, err
-		}
 		prof, err := k.Prepare()
 		if err != nil {
 			return nil, err
 		}
+		base := sim.FromProfile(prof, model).Cycles
 		for _, c := range opt.Constraints {
 			cfg := core.Config{
 				Nin: c[0], Nout: c[1], Model: model, MaxCuts: opt.Budget,

@@ -426,14 +426,11 @@ func AreaTradeoff(bench string, nin, nout, ninstr int, budgets []float64, cutBud
 		return nil, fmt.Errorf("experiments: unknown benchmark %q", bench)
 	}
 	model := latency.Default()
-	base, err := BaselineCycles(k, model)
-	if err != nil {
-		return nil, err
-	}
 	m, err := k.Prepare()
 	if err != nil {
 		return nil, err
 	}
+	base := sim.FromProfile(m, model).Cycles
 	cfg := core.Config{Nin: nin, Nout: nout, Model: model, MaxCuts: cutBudget}
 	var rows []TradeoffRow
 	for _, b := range budgets {
@@ -556,14 +553,11 @@ func Motivation(benchmarks []string, nin, nout, ninstr int, cutBudget int64) ([]
 		if k == nil {
 			return nil, fmt.Errorf("experiments: unknown benchmark %q", bname)
 		}
-		base, err := BaselineCycles(k, model)
-		if err != nil {
-			return nil, err
-		}
 		m, err := k.Prepare()
 		if err != nil {
 			return nil, err
 		}
+		base := sim.FromProfile(m, model).Cycles
 		cfg := core.Config{Nin: nin, Nout: nout, Model: model, MaxCuts: cutBudget}
 		rec := runSelection(context.Background(), MethodRecurrence, m, ninstr, cfg)
 		exact := runSelection(context.Background(), MethodIterative, m, ninstr, cfg)
@@ -636,11 +630,8 @@ func IfConvAblation(benchmarks []string, nin, nout, ninstr int, cutBudget int64)
 		if k == nil {
 			return nil, fmt.Errorf("experiments: unknown benchmark %q", bname)
 		}
-		base, err := BaselineCycles(k, model)
-		if err != nil {
-			return nil, err
-		}
 		row := IfConvRow{Benchmark: bname, Nin: nin, Nout: nout}
+		var base int64 // the if-converted program's cycles, set first
 		for _, noIfConv := range []bool{false, true} {
 			m, err := minic.Compile(k.Source, minic.Options{UnrollLimit: k.Unroll})
 			if err != nil {
@@ -656,6 +647,9 @@ func IfConvAblation(benchmarks []string, nin, nout, ninstr int, cutBudget int64)
 			env.Profile = true
 			if _, _, err := env.Call(k.Entry, k.Args...); err != nil {
 				return nil, err
+			}
+			if !noIfConv {
+				base = sim.FromProfile(m, model).Cycles
 			}
 			cfg := core.Config{Nin: nin, Nout: nout, Model: model, MaxCuts: cutBudget}
 			sel := core.SelectIterative(m, ninstr, cfg)

@@ -234,16 +234,15 @@ func (in *Injector) Hits(i int) int64 {
 // seed. Sites, actions, hit indices and periods are drawn from ranges
 // chosen so that typical block searches actually reach them: hit
 // indices are small for rare sites (search begin/end, rescue) and
-// larger for per-poll/per-prune sites. Delays stay in the microsecond
-// range and fire once (Period 0), so schedules never turn into sleeps
-// that dominate a test run.
+// larger for the per-poll and per-incumbent sites. Delays stay in the
+// microsecond range and fire once (Period 0), so schedules never turn
+// into sleeps that dominate a test run.
 func RandomPlan(seed int64, n int) []Rule {
 	rng := rand.New(rand.NewSource(seed))
 	// Weighted site pool: hot sites appear more often because they are
 	// where faults have the most interleavings to explore.
 	pool := []obs.Site{
 		obs.SitePoll, obs.SitePoll, obs.SitePoll,
-		obs.SitePrune, obs.SitePrune,
 		obs.SiteIncumbent, obs.SiteIncumbent,
 		obs.SiteSearchBegin, obs.SiteSearchEnd,
 		obs.SiteStop, obs.SiteSteal, obs.SiteDonate, obs.SiteResplit,
@@ -255,7 +254,7 @@ func RandomPlan(seed int64, n int) []Rule {
 		site := pool[rng.Intn(len(pool))]
 		r := Rule{Site: site}
 		switch site {
-		case obs.SitePoll, obs.SitePrune, obs.SiteIncumbent:
+		case obs.SitePoll, obs.SiteIncumbent:
 			r.Nth = 1 + rng.Int63n(256)
 		default:
 			r.Nth = 1 + rng.Int63n(4)
@@ -271,8 +270,8 @@ func RandomPlan(seed int64, n int) []Rule {
 		case 2, 3:
 			r.Action = ActDelay
 			r.Delay = time.Duration(1+rng.Intn(200)) * 10 * time.Microsecond
-			// A delay fires once: re-fired at a per-prune or per-poll
-			// site it would sleep thousands of times in one search.
+			// A delay fires once: re-fired at the per-poll site it
+			// would sleep thousands of times in one search.
 			r.Period = 0
 		default:
 			r.Action = ActPanic

@@ -7,15 +7,17 @@
 // The span model costs the recorder nothing new: block searches, stages
 // and cells each allocate one span ID (obs.NextSpan) and parent links
 // ride payload slots of the span's start event (KSearchStart.C,
-// KStageStart.A); worker rings are bound to their search's span once at
-// Probe.Attach. The analyzer only ever consumes the merged JSONL form,
-// so it can run post-mortem on any recorded trace (cmd/isetrace) or
-// in-process right after a run (isex -explain, the DSE sweep's per-cell
+// KStageStart.A); searcher lanes are bound to their search's span once
+// at Probe.Attach. Prune and bound-cutoff counts are never tallied from
+// events: each lane's lane_end event carries its searcher's exact
+// core.Stats totals. The analyzer only ever consumes the merged event
+// form, so it can run post-mortem on any recorded trace (cmd/isetrace)
+// or in-process right after a run (the DSE sweep's per-cell
 // attribution).
 //
 // Determinism contract: everything reachable from Analysis is grouped
 // and keyed by stable names (tags, constraint tuples) — never by raw
-// span IDs, ring IDs or timestamps, which are allocation- and
+// span IDs, lane IDs or timestamps, which are allocation- and
 // timing-order dependent. The deterministic renderers (WriteExplain,
 // ExplainReport) additionally exclude all timing- and worker-dependent
 // quantities, so their output is byte-identical across worker counts
@@ -50,16 +52,19 @@ func StatusName(code int64) string {
 	return fmt.Sprintf("status(%d)", code)
 }
 
-// Lane is one worker ring's activity inside one block search. Ring IDs
-// are allocation-order dependent; lanes are therefore reported in
-// ring-ID order only inside full (non-deterministic) renderings.
+// Lane is one searcher's activity inside one block search: the serial
+// search, or one engine worker. Lane IDs are allocation-order
+// dependent; lanes are therefore reported in ID order only inside full
+// (non-deterministic) renderings.
 type Lane struct {
-	Ring       int32
-	FirstT     int64 // first event timestamp (ns since recorder epoch)
-	LastT      int64
-	Events     int64
-	Prunes     int64 // feasibility rejections (KPrune)
-	Bounds     int64 // merit-bound cutoffs (KBound)
+	ID     int32
+	Events int64
+	// Active (ns the searcher spent searching rather than waiting for
+	// work), Prunes (its feasibility rejections) and Bounds (its
+	// merit-bound cutoffs) come from the lane's lane_end event.
+	Active     int64
+	Prunes     int64
+	Bounds     int64
 	Incumbents int64
 	Steals     int64
 	StolenSubs int64
@@ -91,10 +96,11 @@ type Block struct {
 	Merit   int64 // -1 when nothing found
 	Cuts    int64 // cuts considered (from search_end; exact)
 
-	// Ring-derived tallies, summed over lanes. Exact whenever no ring
-	// overflowed during recording (the recorder reports drops at write
-	// time); worker-count-invariant for exhaustive runs without
-	// merit-bound pruning, because the engine partitions the tree.
+	// Tallies summed over lanes. Prunes and Bounds are the searchers'
+	// own counters from their lane_end events: exact, and for exhaustive
+	// runs without merit-bound pruning worker-count-invariant, because
+	// the engine partitions the tree. The rest count events. All are
+	// complete unless the recorder dropped events, which it reports.
 	Prunes     int64
 	Bounds     int64
 	Incumbents int64
@@ -187,9 +193,9 @@ type Analysis struct {
 	Blocks    []*Block
 	TopStages []*Stage
 	TopBlocks []*Block
-	// Orphans counts ring events whose span has no search_start in the
-	// trace (a ring overflow ate the opening event) plus sys events on
-	// unknown spans; Unscoped counts span-0 events.
+	// Orphans counts events whose span has no opening event in the
+	// trace (the recorder dropped it) or whose span level does not take
+	// their kind; Unscoped counts span-0 events.
 	Orphans  int
 	Unscoped int
 }
@@ -201,17 +207,6 @@ func Build(events []obs.Event) *Analysis {
 	cells := make(map[int64]*Cell)
 	stages := make(map[int64]*Stage)
 	blocks := make(map[int64]*Block)
-
-	lane := func(b *Block, ring int32, t int64) *Lane {
-		for _, l := range b.Lanes {
-			if l.Ring == ring {
-				return l
-			}
-		}
-		l := &Lane{Ring: ring, FirstT: t}
-		b.Lanes = append(b.Lanes, l)
-		return l
-	}
 
 	for _, e := range events {
 		if e.Span == 0 {
@@ -237,7 +232,7 @@ func Build(events []obs.Event) *Analysis {
 			continue
 		}
 		if b, ok := blocks[e.Span]; ok {
-			buildBlockEvent(a, b, e, lane)
+			buildBlockEvent(a, b, e)
 			continue
 		}
 		if s, ok := stages[e.Span]; ok {
@@ -270,36 +265,42 @@ func Build(events []obs.Event) *Analysis {
 		}
 	}
 	for _, b := range a.Blocks {
-		sort.Slice(b.Lanes, func(i, j int) bool { return b.Lanes[i].Ring < b.Lanes[j].Ring })
+		sort.Slice(b.Lanes, func(i, j int) bool { return b.Lanes[i].ID < b.Lanes[j].ID })
 	}
 	return a
 }
 
-// buildBlockEvent folds one block-scoped event into its span.
-func buildBlockEvent(a *Analysis, b *Block, e obs.Event, lane func(*Block, int32, int64) *Lane) {
-	// Ring events update the per-worker lane; ring 0 is the shared sys
-	// ring, whose events are coordinator-side.
-	var l *Lane
-	if e.Ring != 0 {
-		l = lane(b, e.Ring, e.T)
-		l.Events++
-		if e.T > l.LastT {
-			l.LastT = e.T
+// lane returns b's lane with the given id, adding it on the lane's
+// first event.
+func (b *Block) lane(id int32) *Lane {
+	for _, l := range b.Lanes {
+		if l.ID == id {
+			return l
 		}
+	}
+	l := &Lane{ID: id}
+	b.Lanes = append(b.Lanes, l)
+	return l
+}
+
+// buildBlockEvent folds one block-scoped event into its span.
+func buildBlockEvent(a *Analysis, b *Block, e obs.Event) {
+	// Searcher events update their lane; lane 0 events are
+	// coordinator-side.
+	var l *Lane
+	if e.Lane != 0 {
+		l = b.lane(e.Lane)
+		l.Events++
 	}
 	switch e.Kind {
 	case obs.KSearchEnd:
 		b.Ended, b.EndT = true, e.T
 		b.Status, b.Merit, b.Cuts = e.A, e.B, e.C
-	case obs.KPrune:
-		b.Prunes++
+	case obs.KLaneEnd:
+		b.Prunes += e.A
+		b.Bounds += e.B
 		if l != nil {
-			l.Prunes++
-		}
-	case obs.KBound:
-		b.Bounds++
-		if l != nil {
-			l.Bounds++
+			l.Prunes, l.Bounds, l.Active = e.A, e.B, e.C
 		}
 	case obs.KIncumbent:
 		b.Incumbents++
@@ -361,7 +362,7 @@ func buildStageEvent(s *Stage, e obs.Event) {
 // and cell kinds. The exhaustiveness guard test asserts every obs.Kind
 // is claimed by exactly one level.
 var blockKinds = []obs.Kind{
-	obs.KSearchEnd, obs.KPrune, obs.KBound, obs.KIncumbent, obs.KSteal,
+	obs.KSearchEnd, obs.KLaneEnd, obs.KIncumbent, obs.KSteal,
 	obs.KDonate, obs.KResplit, obs.KStop, obs.KRescue, obs.KGreedy,
 	obs.KPanic,
 }

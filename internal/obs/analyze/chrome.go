@@ -149,7 +149,7 @@ func WriteChrome(w io.Writer, events []obs.Event) error {
 		}
 		tid, ok := blockTID[e.Span]
 		if !ok {
-			tid = int(e.Ring)
+			tid = int(e.Lane)
 		}
 		args := map[string]any{}
 		for i, n := range obs.KindArgNames(e.Kind) {

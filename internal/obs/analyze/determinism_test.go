@@ -15,10 +15,9 @@ import (
 // TestExplainDeterministicAcrossWorkers is the acceptance-critical
 // property: for exhaustive runs the deterministic attribution report is
 // byte-identical across engine worker counts. PruneMerit stays off so
-// the feasibility-prune tallies are a property of the search tree (PR 3
-// exact-Stats-parity), not of incumbent arrival timing; the recorder is
-// over-provisioned so no ring overflows and the ring-derived tallies
-// are exact.
+// the feasibility-prune tallies — the searchers' own counters, summed
+// over lanes — are a property of the search tree (the engine's
+// exact-Stats parity), not of incumbent arrival timing.
 func TestExplainDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full selections at several worker counts")
@@ -34,7 +33,7 @@ func TestExplainDeterministicAcrossWorkers(t *testing.T) {
 
 	var refJSON, refText []byte
 	for _, workers := range []int{1, 2, 8} {
-		probe := &obs.Probe{Rec: obs.NewRecorder(1 << 18)}
+		probe := &obs.Probe{Rec: obs.NewRecorder(obs.DefaultRingCap)}
 		cfg := core.Config{
 			Nin:     4,
 			Nout:    2,
@@ -49,11 +48,11 @@ func TestExplainDeterministicAcrossWorkers(t *testing.T) {
 		}
 
 		// Round-trip through JSONL exactly as `isex -trace` +
-		// `isex -explain`/cmd/isetrace would.
+		// `isetrace -mode explain` would.
 		var wire bytes.Buffer
 		events := probe.Rec.Merge()
 		if n := probe.Rec.Dropped(); n > 0 {
-			t.Fatalf("workers=%d: recorder dropped %d events; enlarge the test ring", workers, n)
+			t.Fatalf("workers=%d: recorder dropped %d events", workers, n)
 		}
 		if err := obs.WriteJSONL(&wire, events); err != nil {
 			t.Fatal(err)

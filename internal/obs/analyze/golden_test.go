@@ -17,9 +17,9 @@ var update = flag.Bool("update", false, "rewrite the golden analyzer outputs fro
 // loadFixture parses the committed trace fixture. The fixture is a
 // hand-written timeline that exercises every span level and every
 // block-scoped event kind: a cell with a two-block stage (parallel
-// lanes, rescue/greedy rungs, a recovered panic), a top-level stage, a
-// top-level block, an unscoped collapse (as a bare Recorder.Sys call
-// writes it) and one orphaned ring event.
+// lanes closed by lane_end events, rescue/greedy rungs, a recovered
+// panic), a top-level stage, a top-level block, an unscoped (span-0)
+// collapse and one orphaned lane_end.
 func loadFixture(t *testing.T) []obs.Event {
 	t.Helper()
 	f, err := os.Open(filepath.Join("testdata", "golden.jsonl"))
@@ -126,7 +126,8 @@ func TestGoldenSpanTree(t *testing.T) {
 
 // TestExplainJSONLRoundTrip asserts the analyzer sees the identical
 // report whether it consumes in-memory events or their JSONL form —
-// the property that makes `isex -explain` and cmd/isetrace agree.
+// the property that makes the sweep's in-process attribution and
+// cmd/isetrace agree.
 func TestExplainJSONLRoundTrip(t *testing.T) {
 	events := loadFixture(t)
 	var buf bytes.Buffer

@@ -8,10 +8,10 @@ import (
 )
 
 // ---------------------------------------------------------------------
-// Deterministic surface: `isex -explain`.
+// Deterministic surface: `isetrace -mode explain`.
 //
 // Everything emitted here is a pure function of the search *tree*, not
-// of scheduling: no timestamps, no worker counts, no ring or span IDs,
+// of scheduling: no timestamps, no worker counts, no lane or span IDs,
 // no steal/donate/incumbent-interleaving tallies. For exhaustive runs
 // the output is byte-identical across worker counts.
 // ---------------------------------------------------------------------
@@ -221,8 +221,8 @@ func fmtNS(ns int64) string {
 	}
 }
 
-// Utilization returns the fraction of (lanes × block duration) covered
-// by lane activity windows, in percent. 0 when unknowable.
+// Utilization returns the lanes' summed active time as a share of
+// (lanes × block duration), in percent. 0 when unknowable.
 func (b *Block) Utilization() float64 {
 	d := b.Duration()
 	if d <= 0 || len(b.Lanes) == 0 {
@@ -230,9 +230,7 @@ func (b *Block) Utilization() float64 {
 	}
 	var active int64
 	for _, l := range b.Lanes {
-		if l.LastT > l.FirstT {
-			active += l.LastT - l.FirstT
-		}
+		active += l.Active
 	}
 	return 100 * float64(active) / float64(d*int64(len(b.Lanes)))
 }
@@ -293,12 +291,8 @@ func WriteLanes(w io.Writer, a *Analysis) {
 		fmt.Fprintf(w, "block %s wall=%s lanes=%d util=%.1f%%\n",
 			b.Tag, fmtNS(b.Duration()), len(b.Lanes), b.Utilization())
 		for _, l := range b.Lanes {
-			active := l.LastT - l.FirstT
-			if active < 0 {
-				active = 0
-			}
-			fmt.Fprintf(w, "  ring %d: active=%s events=%d prune=%d bound=%d inc=%d steal=%d(+%d) donate=%d resplit=%d stop=%d\n",
-				l.Ring, fmtNS(active), l.Events, l.Prunes, l.Bounds,
+			fmt.Fprintf(w, "  lane %d: active=%s events=%d prune=%d bound=%d inc=%d steal=%d(+%d) donate=%d resplit=%d stop=%d\n",
+				l.ID, fmtNS(l.Active), l.Events, l.Prunes, l.Bounds,
 				l.Incumbents, l.Steals, l.StolenSubs, l.Donates, l.Resplits, l.Stops)
 		}
 	}

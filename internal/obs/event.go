@@ -1,6 +1,6 @@
-// Package obs is the search telemetry subsystem: a per-worker lock-free
-// flight recorder of typed search events, an atomic metrics registry, and
-// the Probe handle that internal/core threads through every search layer.
+// Package obs is the search telemetry subsystem: a flight recorder of
+// typed search events, an atomic metrics registry, and the Probe handle
+// that internal/core threads through every search layer.
 //
 // Design constraints, in priority order:
 //
@@ -11,9 +11,11 @@
 //     Probe and SearchObs methods are nil-receiver safe, and the hot
 //     per-cut counters are not emitted per cut at all — they are flushed
 //     as deltas at the search's existing poll cadence.
-//  3. The enabled path must be allocation-free per event. Events are
-//     fixed-size structs written into preallocated rings; metric updates
-//     are single atomic adds.
+//  3. The enabled path must be allocation-free per event, and no event
+//     is per cut. Events are fixed-size structs written into one
+//     preallocated buffer; a searcher's prune and bound-cutoff totals
+//     are its own core.Stats counters, recorded once when it ends;
+//     metric updates are single atomic adds.
 package obs
 
 import "fmt"
@@ -33,14 +35,8 @@ const (
 	// the cuts considered so far by the emitting searcher, C the node
 	// rank at which the cut completed.
 	KIncumbent
-	// KPrune records a feasibility rejection (ports or convexity) at
-	// node rank A.
-	KPrune
-	// KBound records a merit-upper-bound subtree cutoff at node rank A
-	// with incumbent B (PruneMerit only).
-	KBound
-	// KSteal records worker Ring stealing A subproblems from victim
-	// worker B.
+	// KSteal records the emitting worker stealing A subproblems from
+	// victim worker B, whose deque held C.
 	KSteal
 	// KDonate records the emitting worker donating the unexplored
 	// 0-branch at prefix rank A back to the deques.
@@ -51,6 +47,12 @@ const (
 	// KStop records a searcher observing a stop condition: A the
 	// SearchStatus code (BudgetStopped, DeadlineExceeded, Canceled).
 	KStop
+	// KLaneEnd closes one searcher's lane: the serial search or one
+	// engine worker. A is the searcher's exact count of feasibility
+	// prunes (core.Stats.Pruned), B its merit-bound cutoffs
+	// (core.Stats.Bounded), C its active nanoseconds — the time since
+	// Probe.Attach less its waits for work.
+	KLaneEnd
 	// KRescue records a §9 windowed rescue attempt after a trip. Tag is
 	// "fn/block", A is 1 when the rescue found a cut, B its merit, C
 	// the cuts the rescue examined.
@@ -95,12 +97,11 @@ var kindNames = [kindCount]string{
 	KSearchStart: "search_start",
 	KSearchEnd:   "search_end",
 	KIncumbent:   "incumbent",
-	KPrune:       "prune",
-	KBound:       "bound",
 	KSteal:       "steal",
 	KDonate:      "donate",
 	KResplit:     "resplit",
 	KStop:        "stop",
+	KLaneEnd:     "lane_end",
 	KRescue:      "rescue",
 	KCollapse:    "collapse",
 	KPanic:       "panic",
@@ -130,21 +131,22 @@ func (k Kind) String() string {
 }
 
 // Event is one fixed-size flight-recorder entry. T is nanoseconds since
-// the owning Recorder's epoch; Ring identifies the buffer that recorded
-// it (one per searcher goroutine, plus the shared "sys" ring 0). The
-// meaning of A, B, C and Tag depends on Kind; unused fields are zero.
+// the owning Recorder's epoch; Lane identifies the searcher that
+// recorded it (the id Probe.Attach handed out; 0 for coordinator-side
+// events). The meaning of A, B, C and Tag depends on Kind; unused
+// fields are zero.
 //
 // Span is the causal-span ID the event belongs to (0 = unscoped): block
 // searches, selection stages and DSE cells each allocate one via
 // NextSpan, and parent links ride the payload slots of the span's start
-// event (KSearchStart.C, KStageStart.A, KCellStart.C) — so the flat
+// event (KSearchStart.C, KStageStart.A) — so the flat
 // timeline lifts into the stage → cell → block → worker tree without
 // any per-event parent pointer. Span IDs are process-unique and
 // allocation-order dependent; deterministic analyzer output must never
 // expose raw IDs, only the relations they encode.
 type Event struct {
 	T    int64
-	Ring int32
+	Lane int32
 	Kind Kind
 	Span int64
 	A    int64

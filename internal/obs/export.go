@@ -11,7 +11,7 @@ import (
 // the Kind documentation; zero payload fields are omitted.
 type jsonlEvent struct {
 	T    int64  `json:"t_ns"`
-	Ring int32  `json:"ring"`
+	Lane int32  `json:"lane"`
 	Kind string `json:"kind"`
 	Span int64  `json:"span,omitempty"`
 	A    int64  `json:"a,omitempty"`
@@ -25,7 +25,7 @@ func WriteJSONL(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for _, e := range events {
-		je := jsonlEvent{T: e.T, Ring: e.Ring, Kind: e.Kind.String(),
+		je := jsonlEvent{T: e.T, Lane: e.Lane, Kind: e.Kind.String(),
 			Span: e.Span, A: e.A, B: e.B, C: e.C, Tag: e.Tag}
 		if err := enc.Encode(je); err != nil {
 			return err
@@ -73,7 +73,7 @@ func ParseJSONL(r io.Reader) ([]Event, error) {
 		if !ok {
 			return nil, fmt.Errorf("obs: trace line %d: unknown event kind %q", line, je.Kind)
 		}
-		out = append(out, Event{T: je.T, Ring: je.Ring, Kind: k,
+		out = append(out, Event{T: je.T, Lane: je.Lane, Kind: k,
 			Span: je.Span, A: je.A, B: je.B, C: je.C, Tag: je.Tag})
 	}
 	if err := sc.Err(); err != nil {
@@ -84,7 +84,7 @@ func ParseJSONL(r io.Reader) ([]Event, error) {
 
 // chromeEvent is one entry of the Chrome trace_event format
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU):
-// instant events on one process, one thread per flight-recorder ring,
+// instant events on one process, one thread per recorder lane,
 // loadable by chrome://tracing and Perfetto.
 type chromeEvent struct {
 	Name  string         `json:"name"`
@@ -103,12 +103,11 @@ var chromeArgNames = map[Kind][3]string{
 	KSearchStart: {"ops", "workers", "parent_span"},
 	KSearchEnd:   {"status", "merit", "cuts"},
 	KIncumbent:   {"merit", "cuts", "rank"},
-	KPrune:       {"rank", "", ""},
-	KBound:       {"rank", "incumbent", ""},
 	KSteal:       {"count", "victim", "deque_depth"},
 	KDonate:      {"rank", "", ""},
 	KResplit:     {"depth", "children", ""},
 	KStop:        {"status", "", ""},
+	KLaneEnd:     {"pruned", "bounded", "active_ns"},
 	KRescue:      {"found", "merit", "cuts"},
 	KCollapse:    {"round", "cut_size", ""},
 	KPanic:       {"attempt", "", ""},
@@ -134,7 +133,7 @@ func KindHasArgNames(k Kind) bool {
 }
 
 // chrome converts an Event to its trace_event form: a thread-scoped
-// instant on tid = ring id, so the per-worker interleaving is visible
+// instant on tid = lane id, so the per-worker interleaving is visible
 // on separate tracks.
 func (e Event) chrome() chromeEvent {
 	ce := chromeEvent{
@@ -142,7 +141,7 @@ func (e Event) chrome() chromeEvent {
 		Phase: "i",
 		TS:    float64(e.T) / 1e3,
 		PID:   1,
-		TID:   e.Ring,
+		TID:   e.Lane,
 		Scope: "t",
 	}
 	names := chromeArgNames[e.Kind]

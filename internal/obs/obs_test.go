@@ -8,14 +8,10 @@ import (
 
 func TestRingDropOldest(t *testing.T) {
 	rec := NewRecorder(8)
-	r := rec.NewRing()
 	for i := 0; i < 20; i++ {
-		r.Emit(KIncumbent, "", int64(i), 0, 0)
+		rec.emit(1, 0, KIncumbent, "", int64(i), 0, 0)
 	}
-	if got := r.Len(); got != 8 {
-		t.Fatalf("Len = %d, want 8", got)
-	}
-	if got := r.Dropped(); got != 12 {
+	if got := rec.Dropped(); got != 12 {
 		t.Fatalf("Dropped = %d, want 12", got)
 	}
 	events := rec.Merge()
@@ -28,74 +24,62 @@ func TestRingDropOldest(t *testing.T) {
 			t.Fatalf("event %d: A = %d, want %d (oldest must drop first)", i, e.A, want)
 		}
 	}
-	if got := rec.Dropped(); got != 12 {
-		t.Fatalf("recorder Dropped = %d, want 12", got)
-	}
 }
 
 func TestRingNoDropUnderCapacity(t *testing.T) {
 	rec := NewRecorder(16)
-	r := rec.NewRing()
 	for i := 0; i < 16; i++ {
-		r.Emit(KPrune, "", int64(i), 0, 0)
+		rec.emit(1, 0, KDonate, "", int64(i), 0, 0)
 	}
-	if r.Dropped() != 0 {
-		t.Fatalf("Dropped = %d, want 0 at exactly capacity", r.Dropped())
+	if rec.Dropped() != 0 {
+		t.Fatalf("Dropped = %d, want 0 at exactly capacity", rec.Dropped())
 	}
-	r.Emit(KPrune, "", 16, 0, 0)
-	if r.Dropped() != 1 {
-		t.Fatalf("Dropped = %d, want 1 one past capacity", r.Dropped())
+	rec.emit(1, 0, KDonate, "", 16, 0, 0)
+	if rec.Dropped() != 1 {
+		t.Fatalf("Dropped = %d, want 1 one past capacity", rec.Dropped())
 	}
 }
 
 func TestRecorderCapacityRounding(t *testing.T) {
 	rec := NewRecorder(100) // rounds up to 128
-	r := rec.NewRing()
 	for i := 0; i < 128; i++ {
-		r.Emit(KDonate, "", 0, 0, 0)
+		rec.emit(1, 0, KDonate, "", 0, 0, 0)
 	}
-	if r.Dropped() != 0 {
-		t.Fatalf("Dropped = %d, want 0: capacity should round up to 128", r.Dropped())
+	if rec.Dropped() != 0 {
+		t.Fatalf("Dropped = %d, want 0: capacity should round up to 128", rec.Dropped())
 	}
 }
 
-func TestMergeOrdersAcrossRings(t *testing.T) {
-	rec := NewRecorder(16)
-	a := rec.NewRing()
-	b := rec.NewRing()
-	// Interleave with forced timestamps to make ordering deterministic.
-	a.Emit(KIncumbent, "", 1, 0, 0)
-	b.Emit(KSteal, "", 1, 0, 0)
-	a.Emit(KIncumbent, "", 2, 0, 0)
-	rec.Sys(KCollapse, "sn0", 0, 3, 0)
-	// Overwrite timestamps directly (single-writer rings, test-local).
-	a.buf[0].T, b.buf[0].T, a.buf[1].T = 10, 20, 30
-	rec.sys.buf[0].T = 25
-	events := rec.Merge()
-	if len(events) != 4 {
-		t.Fatalf("merged %d events, want 4", len(events))
+// TestLanesAndSpans: every Attach opens a new lane bound to the probe's
+// span, searcher events carry it, coordinator events ride lane 0, and
+// lane_end reports the totals it is given — all in one time-ordered
+// buffer.
+func TestLanesAndSpans(t *testing.T) {
+	p := (&Probe{Rec: NewRecorder(16)}).Sub()
+	a, b := p.Attach(), p.Attach()
+	a.Incumbent(5, 1, 2)
+	p.Collapse("sn0", 1, 3)
+	b.Idle()
+	b.Busy()
+	b.End(7, 2)
+	events := p.Rec.Merge()
+	if len(events) != 3 {
+		t.Fatalf("merged %d events, want 3", len(events))
 	}
-	want := []int64{10, 20, 25, 30}
-	for i, e := range events {
-		if e.T != want[i] {
-			t.Fatalf("event %d: T = %d, want %d", i, e.T, want[i])
+	for i, want := range []struct {
+		lane int32
+		kind Kind
+	}{{1, KIncumbent}, {0, KCollapse}, {2, KLaneEnd}} {
+		e := events[i]
+		if e.Lane != want.lane || e.Kind != want.kind || e.Span != p.SpanID() {
+			t.Fatalf("event %d = %+v, want lane %d kind %v span %d", i, e, want.lane, want.kind, p.SpanID())
+		}
+		if i > 0 && e.T < events[i-1].T {
+			t.Fatalf("event %d at %d before event %d at %d", i, e.T, i-1, events[i-1].T)
 		}
 	}
-	if events[2].Kind != KCollapse || events[2].Tag != "sn0" {
-		t.Fatalf("sys event lost: %+v", events[2])
-	}
-}
-
-func TestMergeTieBreaksByRing(t *testing.T) {
-	rec := NewRecorder(4)
-	a := rec.NewRing() // ring 1
-	b := rec.NewRing() // ring 2
-	b.Emit(KDonate, "", 0, 0, 0)
-	a.Emit(KSteal, "", 0, 0, 0)
-	a.buf[0].T, b.buf[0].T = 7, 7
-	events := rec.Merge()
-	if events[0].Ring != 1 || events[1].Ring != 2 {
-		t.Fatalf("tie not broken by ring id: %+v", events)
+	if e := events[2]; e.A != 7 || e.B != 2 || e.C < 0 {
+		t.Fatalf("lane_end = %+v, want pruned 7, bounded 2, active >= 0", e)
 	}
 }
 
@@ -189,38 +173,36 @@ func TestNilProbeSafety(t *testing.T) {
 	if p.MetricsOnly() != nil {
 		t.Fatal("nil probe MetricsOnly must stay nil")
 	}
-	if p.HookOf() != nil {
-		t.Fatal("nil probe HookOf must be nil")
-	}
 	p.Count(func(m *Metrics) *Counter { return m.Collapses })
 
 	var o *SearchObs
 	o.FlushStats(1, 2, 3, 4)
 	o.Incumbent(1, 2, 3)
-	o.Pruned(1)
-	o.Bound(1, 2)
 	o.Stop(2, false, true, false)
 	o.Steal(0, 1, 2)
 	o.Donate(3)
 	o.Resplit(1, 2)
+	o.Idle()
+	o.Busy()
+	o.End(1, 2)
 }
 
 func TestProbeAttachAndMetricsOnly(t *testing.T) {
 	reg := NewRegistry()
 	p := &Probe{Rec: NewRecorder(16), Met: NewMetrics(reg)}
 	o := p.Attach()
-	if o == nil || o.ring == nil || o.met == nil {
-		t.Fatal("full probe must attach ring and metrics")
+	if o == nil || o.rec == nil || o.lane != 1 || o.met == nil {
+		t.Fatal("full probe must attach a recorder lane and metrics")
 	}
 	mo := p.MetricsOnly()
 	if mo == nil || mo.Rec != nil || mo.Met != p.Met {
 		t.Fatalf("MetricsOnly must keep metrics, drop recorder: %+v", mo)
 	}
 	oo := mo.Attach()
-	if oo == nil || oo.ring != nil {
-		t.Fatal("metrics-only attach must have no ring")
+	if oo == nil || oo.rec != nil {
+		t.Fatal("metrics-only attach must have no recorder lane")
 	}
-	// Trace-only probe with no metrics or hook collapses to nil.
+	// Trace-only probe with no metrics or injector collapses to nil.
 	tp := &Probe{Rec: NewRecorder(16)}
 	if tp.MetricsOnly() != nil {
 		t.Fatal("trace-only probe must collapse to nil under MetricsOnly")
@@ -250,9 +232,8 @@ func TestFlushStatsDeltas(t *testing.T) {
 
 func TestWriteJSONL(t *testing.T) {
 	rec := NewRecorder(8)
-	r := rec.NewRing()
-	r.Emit(KIncumbent, "", 5120, 17, 42)
-	rec.Sys(KSearchEnd, "main/entry", 0, 5120, 100)
+	rec.emit(1, 0, KIncumbent, "", 5120, 17, 42)
+	rec.emit(0, 0, KSearchEnd, "main/entry", 0, 5120, 100)
 	var sb strings.Builder
 	if err := WriteJSONL(&sb, rec.Merge()); err != nil {
 		t.Fatal(err)
@@ -275,9 +256,8 @@ func TestWriteJSONL(t *testing.T) {
 
 func TestWriteChromeTrace(t *testing.T) {
 	rec := NewRecorder(8)
-	r := rec.NewRing()
-	r.Emit(KSteal, "", 3, 2, 5)
-	r.Emit(KIncumbent, "", 100, 7, 9)
+	rec.emit(1, 0, KSteal, "", 3, 2, 5)
+	rec.emit(1, 0, KIncumbent, "", 100, 7, 9)
 	var sb strings.Builder
 	if err := WriteChromeTrace(&sb, rec.Merge()); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,9 @@
 package obs
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // spanCounter allocates process-unique causal-span IDs. Span 0 is
 // reserved for "unscoped"; the first allocated span is 1.
@@ -90,27 +93,21 @@ func (m *Metrics) Registry() *Registry { return m.reg }
 // Probe is the observability handle carried in core.Config. A nil
 // *Probe means observability is off and every probe point reduces to
 // one nil check. Any combination of fields may be set: Rec enables the
-// flight recorder, Met enables metrics, Hook is the per-block-search
-// test seam that replaced the old core.searchHook global.
+// flight recorder, Met enables metrics, Inj is the fault-injection seam.
 type Probe struct {
 	// Rec, when non-nil, records the event timeline.
 	Rec *Recorder
 	// Met, when non-nil, receives metric updates.
 	Met *Metrics
-	// Hook, when non-nil, runs at the start of every panic-guarded
-	// block search with the function and block names. It exists for
-	// fault injection in tests; a panic inside it is handled by the
-	// search's normal recovery path.
-	Hook func(fn, block string)
 	// Inj, when non-nil, fires at the head of every probe method with
 	// the method's Site, before any recorder/metrics work — so a fault
 	// injector observes every site even with telemetry off.
 	Inj Injector
 	// Live, when non-nil, receives a copy of every coordinator-side
-	// (sys-ring) event as it is emitted — the feed behind the live sweep
+	// (lane 0) event as it is emitted — the feed behind the live sweep
 	// progress surface. Only the rare block/stage/cell-scoped events flow
-	// through it, never the per-worker ring events, so it stays off the
-	// hot loops. The Event's T is zero (Live consumers track their own
+	// through it, never the searchers' own, so it stays off the search
+	// loops. The Event's T is zero (Live consumers track their own
 	// clocks); Live must be safe for concurrent use.
 	Live func(Event)
 
@@ -133,7 +130,7 @@ func (p *Probe) fire(s Site, tag string) {
 // span, and feeds the Live sink. Callers gate on p != nil.
 func (p *Probe) sysEmit(k Kind, tag string, a, b, c int64) {
 	if p.Rec != nil {
-		p.Rec.SysSpan(p.span, k, tag, a, b, c)
+		p.Rec.emit(0, p.span, k, tag, a, b, c)
 	}
 	if p.Live != nil {
 		p.Live(Event{Kind: k, Span: p.span, A: a, B: b, C: c, Tag: tag})
@@ -163,17 +160,17 @@ func (p *Probe) Sub() *Probe {
 	return &q
 }
 
-// MetricsOnly returns a probe that keeps the metrics and hook but drops
-// the flight recorder (and the Live sink, which is sys-event-paced like
-// the recorder). Sub-searches that would flood the timeline with
-// repetitive fine-grained events (the windowed heuristic's windows)
+// MetricsOnly returns a probe that keeps the metrics and the injector
+// but drops the flight recorder (and the Live sink, which is paced by
+// the recorder's coordinator events). Sub-searches that would flood the
+// timeline with repetitive events (the windowed heuristic's windows)
 // still contribute to the aggregate counters through it.
 // Nil-safe; returns nil when nothing would remain enabled.
 func (p *Probe) MetricsOnly() *Probe {
 	if p == nil || (p.Rec == nil && p.Live == nil) {
 		return p
 	}
-	if p.Met == nil && p.Hook == nil && p.Inj == nil {
+	if p.Met == nil && p.Inj == nil {
 		return nil
 	}
 	q := *p
@@ -181,18 +178,10 @@ func (p *Probe) MetricsOnly() *Probe {
 	return &q
 }
 
-// HookOf returns the probe's hook, nil-safe.
-func (p *Probe) HookOf() func(fn, block string) {
-	if p == nil {
-		return nil
-	}
-	return p.Hook
-}
-
-// Attach binds a new searcher goroutine to the probe, allocating it a
-// private flight-recorder ring stamped with the probe's span (one ring
-// per (block search, worker), so the binding is exact). Returns nil when
-// the probe is nil or fully disabled, so searchers keep a single
+// Attach binds a new searcher goroutine to the probe, handing it a
+// fresh lane id: its events carry that lane and the probe's span (one
+// lane per (block search, worker), so the binding is exact). Returns nil
+// when the probe is nil or fully disabled, so searchers keep a single
 // `s.obs != nil` gate.
 func (p *Probe) Attach() *SearchObs {
 	if p == nil || (p.Rec == nil && p.Met == nil && p.Inj == nil) {
@@ -200,8 +189,7 @@ func (p *Probe) Attach() *SearchObs {
 	}
 	o := &SearchObs{met: p.Met, inj: p.Inj}
 	if p.Rec != nil {
-		o.ring = p.Rec.NewRing()
-		o.ring.span = p.span
+		o.rec, o.lane, o.span, o.start = p.Rec, p.Rec.newLane(), p.span, time.Now()
 	}
 	return o
 }
@@ -369,14 +357,22 @@ func (p *Probe) EndCell(tag string, nin, nout int, totalMerit int64) {
 	p.sysEmit(KCellEnd, tag, int64(nin), int64(nout), totalMerit)
 }
 
-// SearchObs is one searcher goroutine's view of the probe: a private
-// ring (may be nil under MetricsOnly) plus the shared metrics. The
-// flush marks implement delta-flushing of the searcher's running Stats
-// into the global counters without per-cut atomics.
+// SearchObs is one searcher goroutine's view of the probe: its lane in
+// the recorder (rec is nil under MetricsOnly) plus the shared metrics.
+// The flush marks implement delta-flushing of the searcher's running
+// Stats into the global counters without per-cut atomics.
 type SearchObs struct {
-	ring *Ring
+	rec  *Recorder
+	lane int32
+	span int64
 	met  *Metrics
 	inj  Injector
+
+	// start is when the lane was attached; idle sums its waits for work
+	// (Idle to Busy), and idleAt is when the current wait began.
+	start  time.Time
+	idle   time.Duration
+	idleAt time.Time
 
 	flushedConsidered int64
 	flushedPassed     int64
@@ -384,9 +380,6 @@ type SearchObs struct {
 	flushedBounds     int64
 }
 
-// FlushStats publishes the searcher's running totals as deltas against
-// what was already flushed. Called at poll cadence and at search end;
-// totals must be monotone per SearchObs.
 // fire dispatches a searcher-local site to the injector, nil-safe.
 func (o *SearchObs) fire(s Site) {
 	if o == nil || o.inj == nil {
@@ -395,6 +388,15 @@ func (o *SearchObs) fire(s Site) {
 	o.inj.Fire(s, "")
 }
 
+// emit records an event on the searcher's lane. Callers gate on
+// o.rec != nil.
+func (o *SearchObs) emit(k Kind, a, b, c int64) {
+	o.rec.emit(o.lane, o.span, k, "", a, b, c)
+}
+
+// FlushStats publishes the searcher's running totals as deltas against
+// what was already flushed. Called at poll cadence and at search end;
+// totals must be monotone per SearchObs.
 func (o *SearchObs) FlushStats(considered, passed, pruned, bounds int64) {
 	if o == nil {
 		return
@@ -431,8 +433,8 @@ func (o *SearchObs) Incumbent(merit, cuts int64, rank int) {
 	if o.met != nil {
 		o.met.Incumbents.Inc()
 	}
-	if o.ring != nil {
-		o.ring.Emit(KIncumbent, "", merit, cuts, int64(rank))
+	if o.rec != nil {
+		o.emit(KIncumbent, merit, cuts, int64(rank))
 	}
 }
 
@@ -453,8 +455,8 @@ func (o *SearchObs) Stop(status int64, deadline, budget, canceled bool) {
 			o.met.CancelTrips.Inc()
 		}
 	}
-	if o.ring != nil {
-		o.ring.Emit(KStop, "", status, 0, 0)
+	if o.rec != nil {
+		o.emit(KStop, status, 0, 0)
 	}
 }
 
@@ -469,8 +471,8 @@ func (o *SearchObs) Steal(victim, n, depth int64) {
 		o.met.StolenSubs.Add(n)
 		o.met.DequeDepth.Observe(depth)
 	}
-	if o.ring != nil {
-		o.ring.Emit(KSteal, "", n, victim, depth)
+	if o.rec != nil {
+		o.emit(KSteal, n, victim, depth)
 	}
 }
 
@@ -483,8 +485,8 @@ func (o *SearchObs) Donate(rank int) {
 	if o.met != nil {
 		o.met.Donations.Inc()
 	}
-	if o.ring != nil {
-		o.ring.Emit(KDonate, "", int64(rank), 0, 0)
+	if o.rec != nil {
+		o.emit(KDonate, int64(rank), 0, 0)
 	}
 }
 
@@ -498,33 +500,34 @@ func (o *SearchObs) Resplit(depth, children int) {
 	if o.met != nil {
 		o.met.Resplits.Inc()
 	}
-	if o.ring != nil {
-		o.ring.Emit(KResplit, "", int64(depth), int64(children), 0)
+	if o.rec != nil {
+		o.emit(KResplit, int64(depth), int64(children), 0)
 	}
 }
 
-// Pruned records a feasibility rejection (ports or convexity) at node
-// rank. Ring-only: the aggregate count flows through FlushStats.
-func (o *SearchObs) Pruned(rank int) {
-	if o == nil {
-		return
+// Idle and Busy bracket one of the lane's waits for work (an engine
+// worker taking its next subproblem); End leaves that time out of the
+// lane's active time. Recorder-only.
+func (o *SearchObs) Idle() {
+	if o != nil && o.rec != nil {
+		o.idleAt = time.Now()
 	}
-	o.fire(SitePrune)
-	if o.ring == nil {
-		return
-	}
-	o.ring.Emit(KPrune, "", int64(rank), 0, 0)
 }
 
-// Bound records a merit-upper-bound subtree cutoff at node rank against
-// the current incumbent. Ring-only, like Pruned.
-func (o *SearchObs) Bound(rank int, incumbent int64) {
-	if o == nil {
+// Busy ends the wait Idle began.
+func (o *SearchObs) Busy() {
+	if o != nil && o.rec != nil {
+		o.idle += time.Since(o.idleAt)
+	}
+}
+
+// End closes the lane with its lane_end event: the searcher's final
+// feasibility-prune and bound-cutoff totals and its active time. Called
+// once, when the searcher is done. Recorder-only, and no site fires: the
+// searcher's last FlushStats has just fired SitePoll.
+func (o *SearchObs) End(pruned, bounded int64) {
+	if o == nil || o.rec == nil {
 		return
 	}
-	o.fire(SitePrune)
-	if o.ring == nil {
-		return
-	}
-	o.ring.Emit(KBound, "", int64(rank), incumbent, 0)
+	o.emit(KLaneEnd, pruned, bounded, int64(time.Since(o.start)-o.idle))
 }

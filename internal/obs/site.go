@@ -40,9 +40,6 @@ const (
 	// SiteResplit fires when a worker re-splits a shallow subproblem
 	// (SearchObs.Resplit).
 	SiteResplit
-	// SitePrune fires on feasibility and bound rejections
-	// (SearchObs.Pruned, SearchObs.Bound).
-	SitePrune
 	// SiteCollapse fires on a selection-round winner collapse
 	// (Probe.Collapse).
 	SiteCollapse
@@ -68,7 +65,6 @@ var siteNames = [SiteCount]string{
 	SiteSteal:       "steal",
 	SiteDonate:      "donate",
 	SiteResplit:     "resplit",
-	SitePrune:       "prune",
 	SiteCollapse:    "collapse",
 	SiteStage:       "stage",
 	SiteCell:        "cell",
@@ -97,7 +93,6 @@ var siteMetrics = [SiteCount][]string{
 	SiteSteal:       {"engine_steals_total", "engine_stolen_subproblems_total", "engine_deque_depth"},
 	SiteDonate:      {"engine_donations_total"},
 	SiteResplit:     {"engine_resplits_total"},
-	SitePrune:       {"search_cuts_pruned_total", "search_bound_cutoffs_total"},
 	SiteCollapse:    {"sched_collapses_total"},
 	SiteStage:       {},
 	SiteCell:        {"dse_cells_total"},

@@ -53,13 +53,9 @@ var defaultModel = latency.Default()
 // Run executes entry(args...) on m and returns the cycle report. Every
 // entry of a block executes its instructions and its terminator once, so
 // the report is the sum over blocks of entries times the block's static
-// cost: each instruction's latency (a custom instruction's AFU latency,
-// at least 1) plus one control cycle.
+// cost (see charge).
 func (r *Runner) Run(m *ir.Module, entry string, args ...int32) (*Report, error) {
-	model := r.Model
-	if model == nil {
-		model = defaultModel
-	}
+	model := modelOr(r.Model)
 	env := interp.NewEnv(m)
 	env.StepLimit = r.StepLimit
 	if r.Setup != nil {
@@ -71,32 +67,62 @@ func (r *Runner) Run(m *ir.Module, entry string, args ...int32) (*Report, error)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	rep := &Report{
-		CustomCycles:     map[int]int64{},
-		CustomExecutions: map[int]int64{},
-		Ret:              ret,
-		HasRet:           hasRet,
-	}
-	env.BlockEntries(func(b *ir.Block, n int64) {
-		rep.Instructions += n * int64(len(b.Instrs))
-		// One cycle per control transfer into the block's terminator.
-		rep.ControlCycles += n
-		cycles := int64(1)
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			if in.Op != ir.OpCustom {
-				cycles += int64(model.SW(in.Op))
-				continue
-			}
-			// The run completed, so the interpreter accepted the AFU index.
-			lat := max(int64(m.AFUs[in.AFU].Latency), 1)
-			cycles += lat
-			rep.CustomCycles[in.AFU] += n * lat
-			rep.CustomExecutions[in.AFU] += n
-		}
-		rep.Cycles += n * cycles
-	})
+	rep := newReport()
+	rep.Ret, rep.HasRet = ret, hasRet
+	// The run completed, so the interpreter accepted every AFU index.
+	env.BlockEntries(func(b *ir.Block, n int64) { rep.charge(m, model, b, n) })
 	return rep, nil
+}
+
+// FromProfile returns the report of the run that profiled m (block
+// frequencies filled by interp.Env.Profile on a module that had none),
+// priced under model without running m again: a block's frequency is
+// exactly its entry count in that run, and Run charges per entry. The
+// return value is not known, so Ret and HasRet stay zero. m's custom
+// instructions, if any, must be valid AFU indices.
+func FromProfile(m *ir.Module, model *latency.Model) *Report {
+	model = modelOr(model)
+	rep := newReport()
+	for _, f := range m.Funcs {
+		for _, b := range f.Blocks {
+			if b.Freq > 0 {
+				rep.charge(m, model, b, b.Freq)
+			}
+		}
+	}
+	return rep
+}
+
+func modelOr(model *latency.Model) *latency.Model {
+	if model == nil {
+		return defaultModel
+	}
+	return model
+}
+
+func newReport() *Report {
+	return &Report{CustomCycles: map[int]int64{}, CustomExecutions: map[int]int64{}}
+}
+
+// charge adds n entries of block b of m: each entry costs every
+// instruction's latency (a custom instruction's AFU latency, at least 1)
+// plus one control cycle for the terminator.
+func (rep *Report) charge(m *ir.Module, model *latency.Model, b *ir.Block, n int64) {
+	rep.Instructions += n * int64(len(b.Instrs))
+	rep.ControlCycles += n
+	cycles := int64(1)
+	for i := range b.Instrs {
+		in := &b.Instrs[i]
+		if in.Op != ir.OpCustom {
+			cycles += int64(model.SW(in.Op))
+			continue
+		}
+		lat := max(int64(m.AFUs[in.AFU].Latency), 1)
+		cycles += lat
+		rep.CustomCycles[in.AFU] += n * lat
+		rep.CustomExecutions[in.AFU] += n
+	}
+	rep.Cycles += n * cycles
 }
 
 // Comparison contrasts a baseline run with a patched run.

@@ -245,3 +245,35 @@ func TestRunAllocsIndependentOfSteps(t *testing.T) {
 		t.Fatalf("macs(10) allocates %v, macs(1000) allocates %v; want equal", short, long)
 	}
 }
+
+// TestFromProfileMatchesRun: pricing a kernel's profiled module gives
+// exactly the cycles, instructions and control cycles of simulating the
+// unpatched kernel, for all 12 kernels on every hardware target — the
+// baselines the DSE sweep, the experiments and `isex -simulate` take
+// from the profile instead of a second build and run.
+func TestFromProfileMatchesRun(t *testing.T) {
+	for _, k := range workload.All() {
+		prof, err := k.Prepare()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := k.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, target := range latency.Targets() {
+			model := target.Model()
+			want, err := (&Runner{Model: model, Setup: k.SetInputs}).Run(fresh, k.Entry, k.Args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := FromProfile(prof, model)
+			if got.Cycles != want.Cycles || got.Instructions != want.Instructions ||
+				got.ControlCycles != want.ControlCycles || len(got.CustomCycles) != 0 {
+				t.Errorf("%s on %s: priced %d cycles, %d instructions, %d control; simulated %d, %d, %d",
+					k.Name, target.Name, got.Cycles, got.Instructions, got.ControlCycles,
+					want.Cycles, want.Instructions, want.ControlCycles)
+			}
+		}
+	}
+}
