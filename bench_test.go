@@ -19,8 +19,12 @@ import (
 
 	"isex/internal/core"
 	"isex/internal/experiments"
+	"isex/internal/interp"
 	"isex/internal/ir"
 	"isex/internal/latency"
+	"isex/internal/minic"
+	"isex/internal/passes"
+	"isex/internal/progen"
 	"isex/internal/sim"
 	"isex/internal/workload"
 )
@@ -324,6 +328,93 @@ func BenchmarkMultiCut(b *testing.B) {
 			b.ReportMetric(float64(cuts), "cuts")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cuts), "ns/cut")
 		})
+	}
+}
+
+// BenchmarkEngine times selection on the parallel engine against the
+// serial search (workers=0) over perfbench's job lists: kernels-iterative
+// (the 12 kernels at 4/3 and 8/4, §6.3), kernels-optimal (gsmlpc, fir,
+// sad and vlc at 2/1, 4/2, 4/3 and 8/4, §6.2) and small-programs (the 12
+// kernels and progen programs 1–48 at 2/1, §6.3), with ninstr 8 and
+// perfbench's search config: both sound prunings under a 2M-cut budget.
+// One op selects every job of a list; the modules are built and
+// profiled before any timer starts. The merit metric is the list's
+// summed total merit, equal at every worker count where the searches
+// finish.
+func BenchmarkEngine(b *testing.B) {
+	type job struct {
+		m         *ir.Module
+		nin, nout int
+		optimal   bool
+	}
+	kernels := map[string]*ir.Module{}
+	for _, k := range workload.All() {
+		m, err := k.Prepare()
+		if err != nil {
+			b.Fatal(err)
+		}
+		kernels[k.Name] = m
+	}
+	kernelJobs := func(names []string, ports [][2]int, optimal bool) []job {
+		var jobs []job
+		for _, p := range ports {
+			for _, name := range names {
+				jobs = append(jobs, job{kernels[name], p[0], p[1], optimal})
+			}
+		}
+		return jobs
+	}
+	var all []string
+	for _, k := range workload.All() {
+		all = append(all, k.Name)
+	}
+	small := kernelJobs(all, [][2]int{{2, 1}}, false)
+	for seed := int64(1); seed <= 48; seed++ {
+		p := progen.Generate(progen.Config{Seed: seed})
+		m, err := minic.Compile(p.Source, minic.Options{})
+		if err == nil {
+			err = passes.Run(m, passes.Options{})
+		}
+		if err == nil {
+			env := interp.NewEnv(m)
+			env.Profile = true
+			_, _, err = env.Call(p.Entry)
+		}
+		if err != nil {
+			b.Fatalf("progen seed %d: %v", seed, err)
+		}
+		small = append(small, job{m, 2, 1, false})
+	}
+	lists := []struct {
+		name string
+		jobs []job
+	}{
+		{"small-programs", small},
+		{"kernels-iterative", kernelJobs(all, [][2]int{{4, 3}, {8, 4}}, false)},
+		{"kernels-optimal", kernelJobs([]string{"gsmlpc", "fir", "sad", "vlc"},
+			[][2]int{{2, 1}, {4, 2}, {4, 3}, {8, 4}}, true)},
+	}
+	for _, l := range lists {
+		for _, workers := range []int{0, 2, 4} {
+			b.Run(fmt.Sprintf("%s/workers=%d", l.name, workers), func(b *testing.B) {
+				var merit int64
+				for i := 0; i < b.N; i++ {
+					merit = 0
+					for _, j := range l.jobs {
+						cfg := core.Config{Nin: j.nin, Nout: j.nout, MaxCuts: 2_000_000,
+							PruneInputs: true, PruneMerit: true, Workers: workers}
+						var sel core.SelectionResult
+						if j.optimal {
+							sel = core.SelectOptimal(j.m, 8, cfg)
+						} else {
+							sel = core.SelectIterative(j.m, 8, cfg)
+						}
+						merit += sel.TotalMerit
+					}
+				}
+				b.ReportMetric(float64(merit), "merit")
+			})
+		}
 	}
 }
 

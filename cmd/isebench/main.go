@@ -8,7 +8,7 @@
 //
 //	isebench                  # everything, default budgets
 //	isebench -fig 11 -measure # only Fig. 11, with simulator validation
-//	isebench -fig 11 -workers 8 -parallel -prune
+//	isebench -fig 11 -workers 8 -prune
 //	                          # Fig. 11 with the engine optimizations on
 //	                          # (same numbers, less wall clock)
 //	isebench -budget 10000000 # spend more search effort
@@ -47,9 +47,8 @@ type cliOpts struct {
 	deadline time.Duration
 
 	// Fig. 11 engine knobs (result-preserving; wall clock only).
-	workers  int
-	parallel bool
-	prune    bool
+	workers int
+	prune   bool
 
 	// DSE sweep axes.
 	targets   []string
@@ -95,10 +94,9 @@ func parseArgs(args []string) (want func(string) bool, o cliOpts, err error) {
 	benches := fs.String("benchmarks", "adpcmdecode,adpcmencode,gsmlpc", "comma-separated benchmark list for Fig. 11 and the DSE sweep (sweep default: adpcmdecode,adpcmencode)")
 	fs.DurationVar(&o.deadline, "deadline", 0, "Fig. 11: wall-clock budget per selection call (e.g. 2s; 0 = none); tripped cells are marked * as lower bounds")
 	fs.IntVar(&o.workers, "workers", 0, "Fig. 11: per-search worker count (0 = serial); DSE sweep: constraint groups searched at once (0 = one per CPU)")
-	fs.BoolVar(&o.parallel, "parallel", false, "Fig. 11: search a selection's blocks concurrently")
 	fs.BoolVar(&o.prune, "prune", false, "Fig. 11: enable the sound merit-bound and input-count prunings")
 	targets := fs.String("targets", "paper", "comma-separated hardware-target profiles for the DSE sweep (among "+strings.Join(latency.TargetNames(), ",")+")")
-	fs.StringVar(&o.sweepMode, "sweepmode", "warm", "DSE sweep mode: warm (one selection per constraint group, groups and blocks searched concurrently) or cold (one serial selection per cell, the reference)")
+	fs.StringVar(&o.sweepMode, "sweepmode", "warm", "DSE sweep mode: warm (one selection per constraint group, groups searched concurrently) or cold (one serial selection per cell, the reference)")
 	fs.StringVar(&o.dseJSON, "dsejson", "", "with -fig dse (or all): write the deterministic sweep/Pareto report to this file as JSON")
 	if err := fs.Parse(args); err != nil {
 		return nil, o, err
@@ -186,7 +184,6 @@ func run(w io.Writer, want func(string) bool, o cliOpts) error {
 		opt.Measure = o.measure
 		opt.Deadline = o.deadline
 		opt.Workers = o.workers
-		opt.Parallel = o.parallel
 		opt.PruneInputs = o.prune
 		opt.PruneMerit = o.prune
 		if !o.optimal {

@@ -23,11 +23,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"path/filepath"
@@ -50,7 +47,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "isex:", err)
 		if errors.Is(err, errStrictDegraded) {
 			os.Exit(2)
@@ -73,42 +70,44 @@ func kernelNames() string {
 // distinguish "degraded result" from a hard failure.
 var errStrictDegraded = errors.New("selection degraded below the exact search (-strict)")
 
-func run() error {
+// run is the isex command on the command-line arguments argv.
+func run(argv []string) error {
+	fs := flag.NewFlagSet("isex", flag.ExitOnError)
 	var (
-		srcPath   = flag.String("src", "", "MiniC source file to compile")
-		kernel    = flag.String("kernel", "", "built-in benchmark kernel ("+kernelNames()+")")
-		entry     = flag.String("entry", "main", "entry function for profiling (-src mode)")
-		argList   = flag.String("args", "", "comma-separated integer arguments for the entry function")
-		nin       = flag.Int("nin", 4, "register-file read ports available to a special instruction")
-		nout      = flag.Int("nout", 2, "register-file write ports available to a special instruction")
-		ninstr    = flag.Int("ninstr", 8, "maximum number of special instructions to select")
-		method    = flag.String("method", "iterative", "selection algorithm: iterative, optimal, clubbing, maxmiso")
-		budget    = flag.Int64("budget", 2_000_000, "cut budget per identification call (0 = unlimited)")
-		workers   = flag.Int("workers", 0, "run each block's exact search on the work-stealing parallel branch-and-bound engine with this many workers (0 = serial; results are bit-identical); with -sweep, the number of constraint groups searched at once (0 = one per CPU)")
-		deadline  = flag.Duration("deadline", 0, "wall-clock budget for identification (e.g. 500ms; 0 = none); on expiry the best selection found so far is reported")
-		strict    = flag.Bool("strict", false, "exit with code 2 when any block's search degraded below the exact algorithm (the report is still written); for CI gates that must not accept lower bounds")
-		unroll    = flag.Int("unroll", 0, "fully unroll counted loops up to this trip count (-src mode)")
-		simulate  = flag.Bool("simulate", false, "patch the selection in and measure the speedup on the cycle simulator")
-		verilogTo = flag.String("verilog", "", "directory to write one Verilog file (+ testbench) per AFU")
-		dotTo     = flag.String("dot", "", "write the hottest block's dataflow graph (best cut highlighted) to this file")
-		showIR    = flag.Bool("ir", false, "dump the preprocessed IR")
-		emitIR    = flag.String("emit-ir", "", "write the final module (custom instructions included, if patched) in textual IR form to this file")
-		list      = flag.Bool("list", false, "list the built-in benchmark kernels and exit")
+		srcPath   = fs.String("src", "", "MiniC source file to compile")
+		kernel    = fs.String("kernel", "", "built-in benchmark kernel ("+kernelNames()+")")
+		entry     = fs.String("entry", "main", "entry function for profiling (-src mode)")
+		argList   = fs.String("args", "", "comma-separated integer arguments for the entry function")
+		nin       = fs.Int("nin", 4, "register-file read ports available to a special instruction")
+		nout      = fs.Int("nout", 2, "register-file write ports available to a special instruction")
+		ninstr    = fs.Int("ninstr", 8, "maximum number of special instructions to select")
+		method    = fs.String("method", "iterative", "selection algorithm: iterative, optimal, clubbing, maxmiso")
+		budget    = fs.Int64("budget", 2_000_000, "cut budget per identification call (0 = unlimited)")
+		workers   = fs.Int("workers", 0, "run each block's exact search on the parallel branch-and-bound engine with this many workers, splitting a search that outlasts a poll interval among them (0 = serial; results are bit-identical); with -sweep, the number of constraint groups searched at once, each searching its blocks serially (0 = one per CPU)")
+		deadline  = fs.Duration("deadline", 0, "wall-clock budget for identification (e.g. 500ms; 0 = none); on expiry the best selection found so far is reported")
+		strict    = fs.Bool("strict", false, "exit with code 2 when any block's search degraded below the exact algorithm (the report is still written); for CI gates that must not accept lower bounds")
+		unroll    = fs.Int("unroll", 0, "fully unroll counted loops up to this trip count (-src mode)")
+		simulate  = fs.Bool("simulate", false, "patch the selection in and measure the speedup on the cycle simulator")
+		verilogTo = fs.String("verilog", "", "directory to write one Verilog file (+ testbench) per AFU")
+		dotTo     = fs.String("dot", "", "write the hottest block's dataflow graph (best cut highlighted) to this file")
+		showIR    = fs.Bool("ir", false, "dump the preprocessed IR")
+		emitIR    = fs.String("emit-ir", "", "write the final module (custom instructions included, if patched) in textual IR form to this file")
+		list      = fs.Bool("list", false, "list the built-in benchmark kernels and exit")
 
-		sweep            = flag.Bool("sweep", false, "run a design-space-exploration sweep over the (constraints x ninstr x kernel x target) grid and exit; -kernel may list several kernels comma-separated (default adpcmdecode,adpcmencode)")
-		sweepTargets     = flag.String("targets", "paper", "-sweep: comma-separated hardware-target profiles (paper, pipelined, fwdcost)")
-		sweepConstraints = flag.String("constraints", "", "-sweep: comma-separated nin/nout grid points, e.g. 2/1,4/2,4/3,8/4 (default: those four)")
-		sweepNinstr      = flag.String("ninstrs", "", "-sweep: comma-separated instruction budgets (default 1,2,4,8,16)")
-		sweepMode        = flag.String("sweep-mode", "warm", "-sweep: warm (one selection per constraint group, Ninstr budgets as its prefixes, groups and blocks searched concurrently) or cold (one serial selection per cell, one at a time; bit-identical cells)")
-		sweepJSON        = flag.String("sweep-json", "", "-sweep: write the deterministic sweep/Pareto report to this file as JSON (with -trace, an attribution section derived from the cell spans is merged in)")
-		sweepProgress    = flag.Bool("progress", false, "-sweep: render live per-cell progress (queued/searching/done, current block and rung, ETA from completed-cell rates) to stderr; also served as JSON at /sweep/status when -metrics-addr is set")
+		sweep            = fs.Bool("sweep", false, "run a design-space-exploration sweep over the (constraints x ninstr x kernel x target) grid and exit; -kernel may list several kernels comma-separated (default adpcmdecode,adpcmencode)")
+		sweepTargets     = fs.String("targets", "paper", "-sweep: comma-separated hardware-target profiles (paper, pipelined, fwdcost)")
+		sweepConstraints = fs.String("constraints", "", "-sweep: comma-separated nin/nout grid points, e.g. 2/1,4/2,4/3,8/4 (default: those four)")
+		sweepNinstr      = fs.String("ninstrs", "", "-sweep: comma-separated instruction budgets (default 1,2,4,8,16)")
+		sweepMode        = fs.String("sweep-mode", "warm", "-sweep: warm (one selection per constraint group, Ninstr budgets as its prefixes, -workers groups searched at once) or cold (one serial selection per cell, one at a time; bit-identical cells)")
+		sweepJSON        = fs.String("sweep-json", "", "-sweep: write the deterministic sweep/Pareto report to this file as JSON (with -trace, an attribution section derived from the cell spans is merged in)")
+		sweepProgress    = fs.Bool("progress", false, "-sweep: render live per-cell progress (queued/searching/done, current block and rung, ETA from completed-cell rates) to stderr; also served as JSON at /sweep/status when -metrics-addr is set")
 
-		tracePath   = flag.String("trace", "", "record the search's flight-recorder timeline and write it as JSONL (one event per line) to this file; works for single runs and -sweep")
-		traceChrome = flag.String("trace-chrome", "", "record the search timeline and write it in Chrome trace_event format (load in Perfetto / chrome://tracing)")
-		metricsAddr = flag.String("metrics-addr", "", "serve live search metrics over HTTP on this address (e.g. :6060): Prometheus text on /metrics, expvar JSON on /debug/vars, pprof on /debug/pprof/, and with -sweep the live sweep status on /sweep/status")
-		jsonOut     = flag.Bool("json", false, "emit the selection report as JSON on stdout instead of the table (includes per-block statuses, Stats, and telemetry counters)")
+		tracePath   = fs.String("trace", "", "record the search's flight-recorder timeline and write it as JSONL (one event per line) to this file; works for single runs and -sweep")
+		traceChrome = fs.String("trace-chrome", "", "record the search timeline and write it in Chrome trace_event format, block searches nested under their selection stages and sweep cells (load in Perfetto / chrome://tracing); works for single runs and -sweep")
+		metricsAddr = fs.String("metrics-addr", "", "serve live search metrics over HTTP on this address (e.g. :6060): Prometheus text on /metrics, expvar JSON on /debug/vars, pprof on /debug/pprof/, and with -sweep the live sweep status on /sweep/status")
+		jsonOut     = fs.Bool("json", false, "emit the selection report as JSON on stdout instead of the table (includes per-block statuses, Stats, and telemetry counters)")
 	)
-	flag.Parse()
+	fs.Parse(argv)
 
 	if *list {
 		for _, k := range workload.All() {
@@ -184,37 +183,9 @@ func run() error {
 	cfg := core.Config{Nin: *nin, Nout: *nout, Model: model, MaxCuts: *budget,
 		Workers: *workers}
 
-	// Telemetry: the flight recorder is on when a trace output is wanted,
-	// the metrics registry when anything will read it (the HTTP endpoint
-	// or the JSON report). A nil probe keeps the search byte-for-byte on
-	// its fast path.
-	var probe *obs.Probe
-	wantRec := *tracePath != "" || *traceChrome != ""
-	wantMet := *metricsAddr != "" || *jsonOut
-	if wantRec || wantMet {
-		probe = &obs.Probe{}
-		if wantRec {
-			probe.Rec = obs.NewRecorder(obs.DefaultRingCap)
-		}
-		if wantMet {
-			probe.Met = obs.NewMetrics(obs.NewRegistry())
-		}
-		cfg.Probe = probe
-	}
-	if *metricsAddr != "" {
-		reg := probe.Met.Registry()
-		expvar.Publish("isex", expvar.Func(func() any { return reg.Snapshot() }))
-		http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			reg.WritePrometheus(w)
-		})
-		go func() {
-			if err := http.ListenAndServe(*metricsAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "isex: metrics server:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "serving live metrics on %s (/metrics, /debug/vars, /debug/pprof/)\n", *metricsAddr)
-	}
+	// The JSON report reads the metrics too.
+	tel := startTelemetry(*tracePath, *traceChrome, *metricsAddr, *jsonOut, nil)
+	cfg.Probe = tel.probe
 
 	ctx := context.Background()
 	if *deadline > 0 {
@@ -236,26 +207,11 @@ func run() error {
 		return fmt.Errorf("unknown method %q", *method)
 	}
 
-	if wantRec {
-		events := probe.Rec.Merge()
-		if n := probe.Rec.Dropped(); n > 0 {
-			fmt.Fprintf(os.Stderr, "isex: flight recorder dropped the %d oldest events; the trace is incomplete\n", n)
-		}
-		if *tracePath != "" {
-			if err := writeTrace(*tracePath, events, obs.WriteJSONL); err != nil {
-				return fmt.Errorf("writing -trace: %w", err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%d events, JSONL)\n", *tracePath, len(events))
-		}
-		if *traceChrome != "" {
-			if err := writeTrace(*traceChrome, events, obs.WriteChromeTrace); err != nil {
-				return fmt.Errorf("writing -trace-chrome: %w", err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%d events, Chrome trace_event)\n", *traceChrome, len(events))
-		}
+	if _, err := tel.finish(); err != nil {
+		return err
 	}
 	if *jsonOut {
-		if err := writeJSONReport(os.Stdout, *method, *nin, *nout, *ninstr, sel, probe); err != nil {
+		if err := writeJSONReport(os.Stdout, *method, *nin, *nout, *ninstr, sel, tel.probe); err != nil {
 			return err
 		}
 	} else {
@@ -409,20 +365,6 @@ func checkPorts(nin, nout int) error {
 		return fmt.Errorf("-nin and -nout must be at least 1 (got %d and %d)", nin, nout)
 	}
 	return nil
-}
-
-// writeTrace writes the merged event timeline to path in the format
-// implemented by write (JSONL or Chrome trace_event).
-func writeTrace(path string, events []obs.Event, write func(w io.Writer, evs []obs.Event) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f, events); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // jsonReport is the machine-readable selection report (-json).

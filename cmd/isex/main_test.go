@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -61,5 +63,60 @@ func TestSweepProgressNotDrawnOnFailure(t *testing.T) {
 	}
 	if !strings.Contains(out, "cells done") {
 		t.Errorf("successful sweep drew no final progress view: %q", out)
+	}
+}
+
+// TestTraceChromeNestsBlocks: a single run's -trace-chrome file has the
+// format a sweep's has — the analyzer's re-export, in which every block
+// search is a duration event inside its selection stage's.
+func TestTraceChromeNestsBlocks(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	stdout, stderr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = devnull, devnull
+	err = run([]string{"-kernel", "fir", "-nin", "2", "-nout", "1", "-ninstr", "2", "-trace-chrome", path})
+	os.Stdout, os.Stderr = stdout, stderr
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Name string  `json:"name"`
+		Ph   string  `json:"ph"`
+		TS   float64 `json:"ts"`
+		Dur  float64 `json:"dur"`
+	}
+	if err := json.Unmarshal(data, &events); err != nil {
+		t.Fatalf("-trace-chrome is not a trace_event array: %v", err)
+	}
+	var stage *struct{ ts, end float64 }
+	blocks := 0
+	for _, e := range events {
+		if e.Ph == "X" && e.Name == "stage select/iterative" {
+			stage = &struct{ ts, end float64 }{e.TS, e.TS + e.Dur}
+		}
+	}
+	if stage == nil {
+		t.Fatalf("no stage span in %s", data)
+	}
+	for _, e := range events {
+		if e.Ph != "X" || !strings.HasPrefix(e.Name, "block ") {
+			continue
+		}
+		blocks++
+		const ns = 1e-3 // the timestamps are microseconds
+		if e.TS < stage.ts-ns || e.TS+e.Dur > stage.end+ns {
+			t.Errorf("%s [%v, %v] lies outside its stage [%v, %v]", e.Name, e.TS, e.TS+e.Dur, stage.ts, stage.end)
+		}
+	}
+	if blocks == 0 {
+		t.Fatalf("no block spans in %s", data)
 	}
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net/http"
 	"os"
@@ -12,8 +11,6 @@ import (
 	"time"
 
 	"isex/internal/dse"
-	"isex/internal/obs"
-	"isex/internal/obs/analyze"
 	"isex/internal/report"
 )
 
@@ -74,40 +71,17 @@ func runSweep(kernels, targets, constraints, ninstrs, mode, jsonPath string, bud
 	// wanted (race-clean: every event goes through its locked buffer),
 	// a live progress tracker for -progress and /sweep/status, and the
 	// metrics registry when an HTTP reader exists.
-	wantRec := sio.tracePath != "" || sio.traceChrome != ""
-	var probe *obs.Probe
-	if wantRec || sio.metricsAddr != "" {
-		probe = &obs.Probe{}
-		if wantRec {
-			probe.Rec = obs.NewRecorder(obs.DefaultRingCap)
-		}
-		if sio.metricsAddr != "" {
-			probe.Met = obs.NewMetrics(obs.NewRegistry())
-		}
-		opt.Probe = probe
-	}
+	var routes map[string]http.HandlerFunc
 	if sio.progress || sio.metricsAddr != "" {
-		opt.Progress = dse.NewProgress()
-	}
-	if sio.metricsAddr != "" {
-		reg := probe.Met.Registry()
-		expvar.Publish("isex", expvar.Func(func() any { return reg.Snapshot() }))
-		http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			reg.WritePrometheus(w)
-		})
-		pr := opt.Progress
-		http.HandleFunc("/sweep/status", func(w http.ResponseWriter, _ *http.Request) {
+		pr := dse.NewProgress()
+		opt.Progress = pr
+		routes = map[string]http.HandlerFunc{"/sweep/status": func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			_ = json.NewEncoder(w).Encode(pr.Snapshot())
-		})
-		go func() {
-			if err := http.ListenAndServe(sio.metricsAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "isex: metrics server:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "serving live sweep status on %s (/sweep/status, /metrics, /debug/vars, /debug/pprof/)\n", sio.metricsAddr)
+		}}
 	}
+	tel := startTelemetry(sio.tracePath, sio.traceChrome, sio.metricsAddr, false, routes)
+	opt.Probe = tel.probe
 
 	ctx := context.Background()
 	if deadline > 0 {
@@ -150,24 +124,12 @@ func runSweep(kernels, targets, constraints, ninstrs, mode, jsonPath string, bud
 		return err
 	}
 
-	if wantRec {
-		events := probe.Rec.Merge()
-		if n := probe.Rec.Dropped(); n > 0 {
-			fmt.Fprintf(os.Stderr, "isex: flight recorder dropped the %d oldest events; the trace is incomplete\n", n)
-		}
+	events, err := tel.finish()
+	if err != nil {
+		return err
+	}
+	if events != nil {
 		dse.AttachAttribution(rep, events)
-		if sio.tracePath != "" {
-			if err := writeTrace(sio.tracePath, events, obs.WriteJSONL); err != nil {
-				return fmt.Errorf("writing -trace: %w", err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%d events, JSONL)\n", sio.tracePath, len(events))
-		}
-		if sio.traceChrome != "" {
-			if err := writeTrace(sio.traceChrome, events, analyze.WriteChrome); err != nil {
-				return fmt.Errorf("writing -trace-chrome: %w", err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%d events, Chrome trace_event with span nesting)\n", sio.traceChrome, len(events))
-		}
 	}
 
 	fmt.Printf("DSE sweep (%s mode): %v × %v, constraints %v, ninstr %v, budget %d\n",

@@ -342,10 +342,14 @@ func searchBlock(ctx context.Context, g *dfg.Graph, cfg Config, exact func(conte
 		bs.Rung = rung
 	}
 
-	// Rung 0: exact B&B (serial, engine or windowed per cfg).
+	// Rung 0: exact B&B (serial, engine or windowed per cfg). search_end
+	// reports its cuts alone, as its lanes report its prunes alone; the
+	// rescue's cuts ride the rescue's own event.
+	var exactCuts int64
 	guardRung(cfg.Probe, tag, &bs, func() {
 		cfg.Probe.SearchBegin(tag, g.NumOps(), cfg.Workers)
 		res = exact(ctx, cfg)
+		exactCuts = res.Stats.CutsConsidered
 		bs.Status = res.Status
 		if bs.Err == nil {
 			bs.Err = res.Err
@@ -396,7 +400,7 @@ func searchBlock(ctx context.Context, g *dfg.Graph, cfg Config, exact func(conte
 		if res.Found {
 			endMerit = res.TotalMerit
 		}
-		cfg.Probe.SearchEnd(tag, int64(bs.Status), endMerit, res.Stats.CutsConsidered)
+		cfg.Probe.SearchEnd(tag, int64(bs.Status), endMerit, exactCuts)
 	})
 	return res, bs
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"isex/internal/obs"
+	"isex/internal/obs/analyze"
 )
 
 func TestSearchStatusOrderAndString(t *testing.T) {
@@ -103,7 +104,9 @@ func TestFindBestCutCtxCanceled(t *testing.T) {
 // TestSearchBlockSafeWindowedRescue: when MaxCuts trips the exact search
 // on a large block, searchBlockSafe re-runs it with the §9 windowed
 // heuristic and keeps the better of the two sound answers; the rescued
-// merit never exceeds the exhaustive optimum.
+// merit never exceeds the exhaustive optimum. The traced block's explain
+// line counts the exact search alone — MaxCuts cuts and its prunes —
+// while the result's Stats add the rescue's.
 func TestSearchBlockSafeWindowedRescue(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := randomGraph(t, rng, 30)
@@ -116,12 +119,22 @@ func TestSearchBlockSafeWindowedRescue(t *testing.T) {
 		t.Fatalf("raw search status = %v, want budget-stopped", raw.Status)
 	}
 
-	res, bs := searchBlockSafe(context.Background(), g, cfg)
+	traced := cfg
+	traced.Probe = &obs.Probe{Rec: obs.NewRecorder(obs.DefaultRingCap)}
+	res, bs := searchBlockSafe(context.Background(), g, traced)
 	if bs.Status != BudgetStopped {
 		t.Fatalf("block status = %v, want budget-stopped", bs.Status)
 	}
-	if !bs.Fallback {
-		t.Fatal("windowed rescue did not run")
+	if !bs.Fallback || res.Stats.CutsConsidered <= cfg.MaxCuts {
+		t.Fatalf("windowed rescue did not run (fallback %v, %d cuts)", bs.Fallback, res.Stats.CutsConsidered)
+	}
+	rep := analyze.BuildExplain(analyze.Build(traced.Probe.Rec.Merge()))
+	if len(rep.Blocks) != 1 {
+		t.Fatalf("explain holds %d blocks, want 1", len(rep.Blocks))
+	}
+	if b := rep.Blocks[0]; b.Cuts != cfg.MaxCuts || b.Prunes != raw.Stats.Pruned {
+		t.Errorf("explain reads %d cuts and %d prunes; the exact search considered %d and pruned %d",
+			b.Cuts, b.Prunes, raw.Stats.CutsConsidered, raw.Stats.Pruned)
 	}
 	if raw.Found && !res.Found {
 		t.Error("rescue lost the exact search's incumbent")
@@ -273,19 +286,19 @@ func TestMaxCutsLowerBound(t *testing.T) {
 func TestPanicInWorkerIsolated(t *testing.T) {
 	m := compileAndProfile(t, threeKernels)
 	drivers := []struct {
-		label    string
-		parallel bool
-		area     bool
+		label   string
+		workers int
+		area    bool
 	}{
-		{"iterative/parallel", true, false},
-		{"iterative/serial", false, false},
-		{"area", false, true},
+		{"iterative/engine", 2, false},
+		{"iterative/serial", 0, false},
+		{"area", 0, true},
 	}
 	for _, d := range drivers {
 		label := d.label
 		probe := &obs.Probe{Inj: panicAtSearchBegin{"warm/", "injected failure"}}
 		before := runtime.NumGoroutine()
-		cfg := Config{Nin: 4, Nout: 2, Parallel: d.parallel, Probe: probe}
+		cfg := Config{Nin: 4, Nout: 2, Workers: d.workers, Probe: probe}
 		var res SelectionResult
 		if d.area {
 			res = SelectAreaConstrainedCtx(context.Background(), m, 4, 64, 0, cfg)

@@ -103,6 +103,18 @@ func chaosProbe(inj *faultinject.Injector) *obs.Probe {
 	return &obs.Probe{Inj: inj, Met: obs.NewMetrics(obs.NewRegistry())}
 }
 
+// assertChaosSplit is assertSplit over a chaos test's engine runs: under
+// the default schedules every worker count must split some search, or
+// the faults never meet a donated subproblem. A replayed seed
+// (ISEX_CHAOS_SEED) is one schedule, which may cancel before the first
+// poll, so the check is left to the full seed list.
+func assertChaosSplit(t *testing.T, donated map[int]int64) {
+	t.Helper()
+	if os.Getenv("ISEX_CHAOS_SEED") == "" {
+		assertSplit(t, donated)
+	}
+}
+
 // checkChaosSingle asserts the ladder invariants for one single-cut run
 // against its fault-free serial reference.
 func checkChaosSingle(t *testing.T, label string, g *dfg.Graph, cfg Config,
@@ -141,6 +153,8 @@ func checkChaosSingle(t *testing.T, label string, g *dfg.Graph, cfg Config,
 // TestChaosSingleSearch runs the single-cut ladder under randomized but
 // seeded schedules across the full worker matrix.
 func TestChaosSingleSearch(t *testing.T) {
+	donated := map[int]int64{}
+	defer assertChaosSplit(t, donated)
 	for _, seed := range chaosSeeds(t, 1, 2, 3, 4, 5, 6) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
@@ -161,6 +175,9 @@ func TestChaosSingleSearch(t *testing.T) {
 				cfg.Probe = chaosProbe(inj)
 				res, bs := searchBlockSafe(ctx, g, cfg)
 				cancel()
+				if nw > 0 {
+					donated[nw] += cfg.Probe.Met.Donations.Value()
+				}
 				checkChaosSingle(t, fmt.Sprintf("workers=%d", nw), g, cfg, ref, res, bs, inj, greedyFinds)
 			}
 		})
@@ -170,6 +187,8 @@ func TestChaosSingleSearch(t *testing.T) {
 // TestChaosMultiSearch is the same contract for the (M+1)-ary
 // multiple-cut ladder.
 func TestChaosMultiSearch(t *testing.T) {
+	donated := map[int]int64{}
+	defer assertChaosSplit(t, donated)
 	for _, seed := range chaosSeeds(t, 11, 12, 13) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
@@ -189,6 +208,9 @@ func TestChaosMultiSearch(t *testing.T) {
 				cfg.Probe = chaosProbe(inj)
 				res, bs := searchBlockMultiSafe(ctx, g, 2, cfg)
 				cancel()
+				if nw > 0 {
+					donated[nw] += cfg.Probe.Met.Donations.Value()
+				}
 				label := fmt.Sprintf("workers=%d", nw)
 				if res.Status != bs.Status {
 					t.Errorf("%s: MultiResult.Status %v != BlockStatus.Status %v", label, res.Status, bs.Status)
@@ -222,11 +244,10 @@ func TestChaosMultiSearch(t *testing.T) {
 	}
 }
 
-// TestChaosSelection runs program-wide selection — serial, per-block
-// parallel with serial searches (the DSE sweep's configuration) and
-// per-block parallel on the engine — under seeded schedules: the
-// selection must return, report a truthful status and select only
-// positive-merit instructions.
+// TestChaosSelection runs program-wide selection — serial, and with the
+// block searches on the engine at 4, 2 and 8 workers — under seeded
+// schedules: the selection must return, report a truthful status and
+// select only positive-merit instructions.
 func TestChaosSelection(t *testing.T) {
 	m := compileAndProfile(t, threeKernels)
 	base := Config{Nin: 4, Nout: 2}
@@ -236,10 +257,12 @@ func TestChaosSelection(t *testing.T) {
 	}
 	variants := []Config{
 		{Nin: 4, Nout: 2},
-		{Nin: 4, Nout: 2, Parallel: true, Workers: 4},
-		{Nin: 4, Nout: 2, Parallel: true},
-		{Nin: 4, Nout: 2, Parallel: true, Workers: 4},
+		{Nin: 4, Nout: 2, Workers: 4},
+		{Nin: 4, Nout: 2, Workers: 2},
+		{Nin: 4, Nout: 2, Workers: 8},
 	}
+	donated := map[int]int64{}
+	defer assertChaosSplit(t, donated)
 	for _, seed := range chaosSeeds(t, 21, 22, 23) {
 		for vi, v := range variants {
 			t.Run(fmt.Sprintf("seed=%d/variant=%d", seed, vi), func(t *testing.T) {
@@ -251,6 +274,9 @@ func TestChaosSelection(t *testing.T) {
 				cfg := v
 				cfg.Probe = chaosProbe(inj)
 				res := SelectIterativeCtx(ctx, m, 4, cfg)
+				if v.Workers > 0 {
+					donated[v.Workers] += cfg.Probe.Met.Donations.Value()
+				}
 				for _, sel := range res.Instructions {
 					if sel.Est.Merit <= 0 {
 						t.Errorf("selected instruction in %s/%s with non-positive merit %d",
@@ -295,6 +321,8 @@ func TestChaosPerSiteLadder(t *testing.T) {
 	if !greedyFinds {
 		t.Fatal("fixture graph has no greedy-findable cut; pick another seed")
 	}
+	donated := map[int]int64{}
+	defer assertSplit(t, donated)
 	for site := 0; site < obs.SiteCount; site++ {
 		for _, nw := range []int{0, 4} {
 			label := fmt.Sprintf("site=%s/workers=%d", obs.Site(site), nw)
@@ -304,6 +332,9 @@ func TestChaosPerSiteLadder(t *testing.T) {
 			cfg.Workers = nw
 			cfg.Probe = chaosProbe(inj)
 			res, bs := searchBlockSafe(context.Background(), g, cfg)
+			if nw > 0 {
+				donated[nw] += cfg.Probe.Met.Donations.Value()
+			}
 			checkChaosSingle(t, label, g, cfg, ref, res, bs, inj, true)
 			// A fired panic must leave a trace: either the status degrades
 			// to Recovered, or — when the engine's bounded retry re-ran the
@@ -365,6 +396,9 @@ func TestChaosZeroFaultBitIdentical(t *testing.T) {
 		cancel()
 		if fired := inj.FiredCount(); fired != 0 {
 			t.Fatalf("workers=%d: %d rules fired; schedule was meant to be inert", nw, fired)
+		}
+		if nw > 0 && cfg.Probe.Met.Donations.Value() == 0 {
+			t.Errorf("workers=%d: the search never split", nw)
 		}
 		if res.Status != Exhaustive || bs.Rung != RungExact {
 			t.Errorf("workers=%d: status %v rung %v under a zero-fault schedule", nw, res.Status, bs.Rung)

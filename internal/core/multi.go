@@ -511,19 +511,20 @@ func (s *multiSearcher) tryInclude(rank, id, k int) {
 	}
 	s.applyAssign(rank, id, k)
 	s.stats.Passed++
-	s.maybeRecord()
+	if s.eng != nil {
+		s.path[rank] = uint8(k)
+	}
+	s.maybeRecord(rank)
 	if s.inputsOK() {
-		if s.eng != nil {
-			s.path[rank] = uint8(k)
-		}
 		s.visit(rank + 1)
 	}
 	s.undoAssign(rank, id, k)
 }
 
-// maybeRecord evaluates the current assignment as a candidate solution:
-// every non-empty cut must satisfy the input constraint.
-func (s *multiSearcher) maybeRecord() {
+// maybeRecord evaluates the current assignment, made by the decision at
+// rank, as a candidate solution: every non-empty cut must satisfy the
+// input constraint.
+func (s *multiSearcher) maybeRecord(rank int) {
 	if s.overIn > 0 || !s.beats(s.merit) {
 		return
 	}
@@ -536,7 +537,7 @@ func (s *multiSearcher) maybeRecord() {
 			cuts[k-1] = append(cuts[k-1], id)
 		}
 	}
-	s.keep(s.merit, cuts)
+	s.keep(s.merit, cuts, rank)
 }
 
 // interCutCycle reports whether two of the current cuts depend on each
@@ -588,43 +589,6 @@ func (s *multiSearcher) interCutCycle() bool {
 		}
 	}
 	return false
-}
-
-// expand mirrors exactly one visit level at rank len(prefix): the same
-// consumer scan, the (M+1)-ary branching with symmetry breaking, same
-// counters, same feasibility guards, same candidate recording. The
-// 0-child's reach update is left to the child's own replay.
-func (s *multiSearcher) expand(prefix []uint8, out *bbBest) []bbSub {
-	d := len(prefix)
-	if s.cfg.PruneMerit && s.boundCut(s.merit+s.futSW[d]*s.freq) {
-		return nil
-	}
-	id := s.order[d]
-	maxK := min(s.open+1, s.m)
-	s.enter(d, id, maxK)
-	var children []bbSub
-	if !s.g.Nodes[id].Forbidden {
-		for k := 1; k <= maxK; k++ {
-			s.stats.CutsConsidered++
-			if !s.assignOK(d, k) {
-				s.pruned()
-				continue
-			}
-			s.applyAssign(d, id, k)
-			s.stats.Passed++
-			key := childKey(prefix, uint8(k))
-			s.expandRecord(s.maybeRecord, key, out)
-			if s.inputsOK() {
-				children = append(children, s.child(key))
-			}
-			s.undoAssign(d, id, k)
-		}
-	}
-	if s.inputsOK() {
-		children = append(children, s.child(childKey(prefix, 0)))
-	}
-	s.leave(id)
-	return children
 }
 
 // replay applies a decision prefix (decision r for rank r; 0 = exclude,

@@ -144,7 +144,6 @@ func TestObsDifferentialSelection(t *testing.T) {
 		for _, w := range diffWorkers {
 			cfg := diffConfig(w, pruned)
 			cfg.Nin, cfg.Nout = 4, 2
-			cfg.Parallel = w > 0
 			base := SelectIterativeCtx(context.Background(), mod, 4, cfg)
 			cfg.Probe = fullProbe()
 			traced := SelectIterativeCtx(context.Background(), mod, 4, cfg)

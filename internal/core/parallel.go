@@ -1,31 +1,31 @@
 package core
 
-// Work-stealing parallel branch-and-bound over the §6.1 binary and the
-// §6.2 (M+1)-ary search trees. One driver (runEngine, runWorker, runSub)
-// serves both trees; each tree supplies only its visit, expand and
+// Parallel branch-and-bound over the §6.1 binary and the §6.2 (M+1)-ary
+// search trees, split only on demand. One driver (runEngine, runWorker,
+// runSub) serves both trees; each tree supplies only its visit and
 // replay (bbTree, search.go).
 //
-// The tree is partitioned into prefix-assignment subproblems: a bbSub is
-// a decision vector for ranks [0, len(prefix)) of the search order (for
-// the single-cut tree 1 = include / 0 = exclude; for the multi-cut tree
-// k = assign to cut k / 0 = none). A worker replays the prefix into its
-// private searcher clone — rebuilding the exact incremental state the
-// serial search would have at that tree position — and either *expands*
-// the node (mirrors exactly one visit level, pushing the children as new
-// subproblems) or *searches* the whole subtree sequentially. Expansion
-// happens while the engine is starving for work and the subtree is still
-// deep enough to be worth splitting; on top of that, a worker stuck in a
-// deep sequential subtree donates pending 0-branches of its recursion
-// stack at poll points (dynamic re-splitting, see tryDonate).
+// A subproblem (bbSub) is a decision vector for ranks [0, len(prefix))
+// of the search order (for the single-cut tree 1 = include / 0 =
+// exclude; for the multi-cut tree k = assign to cut k / 0 = none). A
+// worker replays the prefix into its private searcher clone — rebuilding
+// the exact incremental state the serial search would have at that tree
+// position — and searches the whole subtree sequentially. The run starts
+// with one subproblem, the root. While fewer subproblems wait than there
+// are workers, a busy worker hands the shallowest pending 0-branch of its
+// recursion stack to the engine at its next poll (tryDonate, search.go),
+// and an idle worker takes the oldest waiting subproblem, which carries
+// the shallowest prefix. A search shorter than one poll interval
+// therefore never leaves its first worker.
 //
-// Determinism: the subproblem prefixes partition the leaf space, each
-// subproblem inherits its lineage's running-best merit as a recording
-// threshold (seed), and results merge by (higher merit, then DFS-earlier
-// key, see bbKeyBefore). Workers additionally share one atomic incumbent
-// merit used for PruneMerit pruning with a *strict* comparison — it can
-// never prune a path to a cut tying the optimum, and recording
-// thresholds never come from it — so a completed parallel run returns
-// the bit-identical cut, merit and Status of the serial search for every
+// Determinism: the subproblems partition the serial tree, each inherits
+// its donor's running-best merit as a recording threshold (seed), and
+// results merge by (higher merit, then DFS-earlier record position, see
+// bbKeyBefore). Workers additionally share one atomic incumbent merit
+// used for PruneMerit pruning with a *strict* comparison — it can never
+// prune a path to a cut tying the optimum, and recording thresholds
+// never come from it — so a completed parallel run returns the
+// bit-identical cut, merit and Status of the serial search for every
 // worker count and timing. Stats are also identical when PruneMerit is
 // off (the executed subproblems partition exactly the serial tree); with
 // PruneMerit on the shared bound prunes a different — never unsound —
@@ -45,12 +45,6 @@ import (
 	"isex/internal/obs"
 )
 
-// bbMinSeqRanks is the subtree depth below which splitting stops: a
-// subproblem whose remaining ranks are at most this is always searched
-// sequentially. Small enough that work can always be balanced, large
-// enough that subproblems amortize their replay cost.
-const bbMinSeqRanks = 12
-
 // bbSubRetries is how many times a worker re-runs a subproblem whose
 // execution panicked (after rebuilding its searcher) before giving up
 // and noting Recovered. Replay is deterministic, so a retry that
@@ -69,22 +63,13 @@ const bbRetryBackoff = 200 * time.Microsecond
 var bbSubHook func(prefix []uint8)
 
 // bbSub is one prefix-assignment subproblem. seed/seeded carry the
-// lineage's running-best merit as the recording threshold: the
-// subproblem records only strictly better solutions, which is what the
-// serial search would do arriving here with that incumbent.
+// donor's running-best merit as the recording threshold: the subproblem
+// records only strictly better solutions, which is what the serial
+// search would do arriving here with that incumbent.
 type bbSub struct {
 	prefix []uint8
 	seed   int64
 	seeded bool
-}
-
-// childKey returns prefix + [d] in fresh storage (prefixes are shared
-// between deque entries and merge keys, and must stay immutable).
-func childKey(prefix []uint8, d uint8) []uint8 {
-	k := make([]uint8, len(prefix)+1)
-	copy(k, prefix)
-	k[len(prefix)] = d
-	return k
 }
 
 // bbKeyBefore reports whether tree position a comes before b in the
@@ -114,7 +99,8 @@ func bbKeyBefore(a, b []uint8) bool {
 }
 
 // bbBest is one candidate result with its merge key: the cuts of a
-// record (one for the §6.1 tree).
+// record (one for the §6.1 tree) and the tree position it was recorded
+// at.
 type bbBest struct {
 	found bool
 	merit int64
@@ -123,10 +109,13 @@ type bbBest struct {
 }
 
 // better folds o into b. The ordering (higher merit, then DFS-earlier
-// key) is total over every set of candidates the engine can produce —
-// equal keys imply distinct merits, because a subproblem keyed like an
-// expansion record is seeded at that record's merit — so the merge
-// result is independent of fold order and timing.
+// key) is total over every set of candidates the engine can produce: the
+// subproblems partition the tree, so two candidates with equal keys are
+// the same record, and the merge result is independent of fold order and
+// timing. The key is the record's own position rather than its
+// subproblem's prefix because a §6.2 donor keeps the k-siblings of the
+// frames whose 0-branches it gave away, and those come after the donated
+// subtrees in DFS order.
 func (b *bbBest) better(o bbBest) {
 	if !o.found {
 		return
@@ -136,46 +125,39 @@ func (b *bbBest) better(o bbBest) {
 	}
 }
 
-// bbEngine coordinates the workers: per-worker deques under one mutex
-// (fine for the deque's coarse grain — a pop hands out an entire
-// subtree), a shared atomic incumbent for cross-worker PruneMerit, and a
-// shared approximate cut counter for the global MaxCuts budget.
+// bbEngine coordinates the workers: one list of waiting subproblems
+// under one mutex (fine for its coarse grain — a take hands out an
+// entire subtree), a shared atomic incumbent for cross-worker
+// PruneMerit, and a shared approximate cut counter for the global
+// MaxCuts budget.
 type bbEngine struct {
 	ctx      context.Context
 	nworkers int
-	nranks   int
 	maxCuts  int64 // global budget, 0 = none; enforced at poll grain
 	sharedOn bool  // publish/observe the shared incumbent (PruneMerit)
 	shared   atomic.Int64
 	cuts     atomic.Int64
-	needWork atomic.Bool // pending < nworkers: searchers should donate
+	needWork atomic.Bool // len(list) < nworkers: searchers should donate
 
-	// probe is the run's telemetry handle (nil when off); wobs[w] is
-	// worker w's searcher attachment, published by attach from worker
-	// w's own goroutine so that take — also on worker w's goroutine —
-	// can record steal events on w's lane.
-	probe *obs.Probe
-	wobs  []*obs.SearchObs
+	probe *obs.Probe // the run's telemetry handle (nil when off)
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	deques   [][]bbSub
-	pending  int // subproblems across all deques
-	active   int // workers currently executing a subproblem
+	list     []bbSub // waiting subproblems, oldest first
+	active   int     // workers currently executing a subproblem
 	stopped  bool
 	status   SearchStatus
 	firstErr error // first recovered worker panic (stack-annotated)
 }
 
-func newBBEngine(ctx context.Context, workers, nranks int, maxCuts int64, sharedOn bool) *bbEngine {
+// newBBEngine returns an engine whose list holds the root subproblem.
+func newBBEngine(ctx context.Context, workers int, maxCuts int64, sharedOn bool) *bbEngine {
 	e := &bbEngine{
 		ctx:      ctx,
 		nworkers: workers,
-		nranks:   nranks,
 		maxCuts:  maxCuts,
 		sharedOn: sharedOn,
-		deques:   make([][]bbSub, workers),
-		wobs:     make([]*obs.SearchObs, workers),
+		list:     []bbSub{{prefix: []uint8{}}},
 	}
 	e.cond = sync.NewCond(&e.mu)
 	e.shared.Store(math.MinInt64)
@@ -218,104 +200,61 @@ func (e *bbEngine) pollSearch(stats *Stats, flushMark *int64) SearchStatus {
 }
 
 func (e *bbEngine) updateNeed() {
-	e.needWork.Store(!e.stopped && e.pending < e.nworkers)
+	e.needWork.Store(!e.stopped && len(e.list) < e.nworkers)
 }
 
-// push appends children (given in DFS order) to worker w's deque in
-// reverse, so the owner's LIFO pop takes the DFS-first child next.
-func (e *bbEngine) push(w int, subs []bbSub) {
-	e.mu.Lock()
-	if !e.stopped {
-		for i := len(subs) - 1; i >= 0; i-- {
-			e.deques[w] = append(e.deques[w], subs[i])
-		}
-		e.pending += len(subs)
-		e.updateNeed()
-		e.cond.Broadcast()
-	}
-	e.mu.Unlock()
-}
-
-// donate offers one re-split subproblem from a busy worker's recursion
-// stack. It is refused once the engine has enough pending work (or has
-// stopped), so donation stops exactly when starvation ends.
-func (e *bbEngine) donate(w int, prefix []uint8, seed int64, seeded bool) bool {
+// donate appends a subproblem split off a busy worker's recursion stack
+// to the list. It is refused once the list holds a subproblem per worker
+// (or the engine has stopped), so donation stops exactly when starvation
+// ends.
+func (e *bbEngine) donate(sub bbSub) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.stopped || e.pending >= e.nworkers {
+	if e.stopped || len(e.list) >= e.nworkers {
 		return false
 	}
-	e.deques[w] = append(e.deques[w], bbSub{prefix: prefix, seed: seed, seeded: seeded})
-	e.pending++
+	e.list = append(e.list, sub)
 	e.updateNeed()
-	e.cond.Broadcast()
+	e.cond.Signal()
 	return true
 }
 
-// take hands worker w its next subproblem: LIFO from its own deque, else
-// the oldest half of the richest victim's deque is stolen (the oldest
-// entries carry the shallowest prefixes, i.e. the largest subtrees). The
-// second result tells the worker to expand rather than search: true
-// while the engine is starving and the subtree is deep enough to split.
-// ok=false means the engine stopped or all work is exhausted.
-func (e *bbEngine) take(w int) (sub bbSub, expand, ok bool) {
+// take hands a worker the oldest waiting subproblem: it carries the
+// shallowest prefix, and so the largest subtree. ok=false means the
+// engine stopped or all work is exhausted.
+func (e *bbEngine) take() (sub bbSub, ok bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for {
-		if e.stopped {
-			return bbSub{}, false, false
+	for !e.stopped {
+		if len(e.list) > 0 {
+			sub = e.list[0]
+			e.list[0] = bbSub{}
+			e.list = e.list[1:]
+			e.active++
+			e.updateNeed()
+			return sub, true
 		}
-		if len(e.deques[w]) == 0 {
-			v, vn := -1, 0
-			for i := range e.deques {
-				if len(e.deques[i]) > vn {
-					v, vn = i, len(e.deques[i])
-				}
-			}
-			if v >= 0 {
-				k := (vn + 1) / 2
-				e.deques[w] = append(e.deques[w], e.deques[v][:k]...)
-				rest := copy(e.deques[v], e.deques[v][k:])
-				for i := rest; i < vn; i++ {
-					e.deques[v][i] = bbSub{}
-				}
-				e.deques[v] = e.deques[v][:rest]
-				if o := e.wobs[w]; o != nil {
-					o.Steal(int64(v), int64(k), int64(vn))
-				}
-				continue
-			}
-			if e.active == 0 {
-				e.cond.Broadcast()
-				return bbSub{}, false, false
-			}
-			e.cond.Wait()
-			continue
+		if e.active == 0 {
+			e.cond.Broadcast()
+			break
 		}
-		n := len(e.deques[w])
-		sub = e.deques[w][n-1]
-		e.deques[w][n-1] = bbSub{}
-		e.deques[w] = e.deques[w][:n-1]
-		e.pending--
-		e.active++
-		e.updateNeed()
-		expand = e.pending < e.nworkers && e.nranks-len(sub.prefix) > bbMinSeqRanks
-		return sub, expand, true
+		e.cond.Wait()
 	}
+	return bbSub{}, false
 }
 
-// release marks worker w's current subproblem finished.
+// release marks a worker's current subproblem finished.
 func (e *bbEngine) release() {
 	e.mu.Lock()
 	e.active--
-	if e.active == 0 && e.pending == 0 {
+	if e.active == 0 && len(e.list) == 0 {
 		e.cond.Broadcast()
 	}
 	e.mu.Unlock()
 }
 
 // halt stops the engine: workers drain (their next take returns false)
-// and the pending deque entries are abandoned.
+// and the waiting subproblems are abandoned.
 func (e *bbEngine) halt(st SearchStatus) {
 	e.mu.Lock()
 	e.status = worse(e.status, st)
@@ -386,19 +325,17 @@ func (e *bbEngine) finalStatus() SearchStatus {
 
 // workerConfig strips the options the engine owns from the per-worker
 // searcher configs: the budget is global (pollSearch), and Window /
-// Workers / Parallel must not recurse inside a worker. Probe
-// deliberately survives: each worker attaches its own recorder lane
-// through it.
+// Workers must not recurse inside a worker. Probe deliberately
+// survives: each worker attaches its own recorder lane through it.
 func workerConfig(cfg Config) Config {
 	cfg.MaxCuts = 0
 	cfg.Window = 0
 	cfg.Workers = 0
-	cfg.Parallel = false
 	return cfg
 }
 
-// runEngine is exactSearch on the work-stealing engine (Config.Workers >
-// 0), for either tree: newTree builds each worker's private searcher. A
+// runEngine is exactSearch on the parallel engine (Config.Workers > 0),
+// for either tree: newTree builds each worker's private searcher. A
 // completed run returns the bit-identical result of the serial search;
 // see the package comment above.
 func runEngine(ctx context.Context, cfg Config, engine string, newTree func(Config) bbTree) (best bbBest, stats Stats, st SearchStatus, err error) {
@@ -407,13 +344,8 @@ func runEngine(ctx context.Context, cfg Config, engine string, newTree func(Conf
 	}
 	nw := cfg.Workers
 	wcfg := workerConfig(cfg)
-	trees := make([]bbTree, nw)
-	for w := range trees {
-		trees[w] = newTree(wcfg)
-	}
-	e := newBBEngine(ctx, nw, len(trees[0].core().order), cfg.MaxCuts, cfg.PruneMerit)
+	e := newBBEngine(ctx, nw, cfg.MaxCuts, cfg.PruneMerit)
 	e.probe = cfg.Probe
-	e.push(0, []bbSub{{prefix: []uint8{}}})
 
 	outs := make([]bbBest, nw)
 	statsArr := make([]Stats, nw)
@@ -424,7 +356,7 @@ func runEngine(ctx context.Context, cfg Config, engine string, newTree func(Conf
 		go func(w int) {
 			defer wg.Done()
 			runLabeled(ctx, cfg.Probe, engine, w, func() {
-				e.runWorker(w, trees[w], func() bbTree { return newTree(wcfg) }, &outs[w], &statsArr[w])
+				e.runWorker(func() bbTree { return newTree(wcfg) }, &outs[w], &statsArr[w])
 			})
 		}(w)
 	}
@@ -463,51 +395,48 @@ func engineWorkers(p *obs.Probe, delta int) {
 // attach wires a worker's private searcher to the engine and allocates
 // the donation bookkeeping (path / zeroOK / donated, indexed by rank;
 // see tryDonate). The searcher keeps an already-attached telemetry lane
-// (rebuild after a recovered panic); otherwise it gets its own, and
-// either way the engine learns it for steal events.
-func (e *bbEngine) attach(c *searchCore, wid int) {
+// (rebuild after a recovered panic); otherwise it gets its own.
+func (e *bbEngine) attach(c *searchCore) {
 	c.eng = e
 	c.ctx = e.ctx
-	c.wid = wid
 	if c.obs == nil {
 		c.obs = e.probe.Attach()
 	}
-	e.wobs[wid] = c.obs
 	c.path = make([]uint8, len(c.order))
 	c.zeroOK = make([]bool, len(c.order))
 	c.donated = make([]bool, len(c.order))
 }
 
-// runWorker is one worker's life on its searcher t: pop (or steal)
-// subproblems until the engine stops or the work is exhausted. t
-// persists across subproblems — replay/unreplay keep it clean — and is
-// rebuilt from newTree (carrying its counters) if a recovered panic left
-// it unreliable; a panicked subproblem is retried up to bbSubRetries
-// times with doubling backoff before its loss is accepted as Recovered
-// (replay makes the retry produce exactly what the first attempt would
-// have).
-func (e *bbEngine) runWorker(wid int, t bbTree, newTree func() bbTree, out *bbBest, stats *Stats) {
+// runWorker is one worker's life: take subproblems until the engine
+// stops or the work is exhausted. Its searcher, from newTree, persists
+// across subproblems — replay/unreplay keep it clean — and is rebuilt
+// (carrying its counters) if a recovered panic left it unreliable; a
+// panicked subproblem is retried up to bbSubRetries times with doubling
+// backoff before its loss is accepted as Recovered (replay makes the
+// retry produce exactly what the first attempt would have).
+func (e *bbEngine) runWorker(newTree func() bbTree, out *bbBest, stats *Stats) {
 	holding := false
 	defer func() {
 		if r := recover(); r != nil {
 			e.workerAbort(holding, r)
 		}
 	}()
-	e.attach(t.core(), wid)
-	o := e.wobs[wid] // survives rebuilds
+	t := newTree()
+	e.attach(t.core())
+	o := t.core().obs // survives rebuilds
 	for {
 		o.Idle()
-		sub, expand, ok := e.take(wid)
+		sub, ok := e.take()
 		o.Busy()
 		if !ok {
 			break
 		}
 		holding = true
 		for attempt := 0; ; attempt++ {
-			if e.runSub(t, sub, expand, out, attempt) {
+			if e.runSub(t, sub, out, attempt) {
 				break
 			}
-			t = e.rebuild(t, newTree(), wid)
+			t = e.rebuild(t, newTree())
 			if attempt >= bbSubRetries {
 				e.note(Recovered)
 				break
@@ -525,20 +454,21 @@ func (e *bbEngine) runWorker(wid int, t bbTree, newTree func() bbTree, out *bbBe
 
 // rebuild attaches the fresh searcher nt in place of t, carrying over
 // t's telemetry lane (with its flush marks) and its counters.
-func (e *bbEngine) rebuild(t, nt bbTree, wid int) bbTree {
+func (e *bbEngine) rebuild(t, nt bbTree) bbTree {
 	o, n := t.core(), nt.core()
 	n.obs = o.obs
 	n.stats, n.tick, n.flushMark, n.sharedCache = o.stats, o.tick, o.flushMark, o.sharedCache
-	e.attach(n, wid)
+	e.attach(n)
 	return nt
 }
 
 // runSub executes one subproblem on worker searcher t: it replays the
-// prefix, then either expands the node into children or searches the
-// whole subtree. A panic is contained to the subproblem (ok=false): the
-// panic is recorded, and the caller rebuilds the searcher and retries;
-// only when the retries are exhausted does the caller note Recovered.
-func (e *bbEngine) runSub(t bbTree, sub bbSub, expand bool, out *bbBest, attempt int) (ok bool) {
+// prefix and searches the whole subtree, donating 0-branches on the way
+// while the engine is short of work. A panic is contained to the
+// subproblem (ok=false): the panic is recorded, and the caller rebuilds
+// the searcher and retries; only when the retries are exhausted does
+// the caller note Recovered.
+func (e *bbEngine) runSub(t bbTree, sub bbSub, out *bbBest, attempt int) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.noteErr(panicErr("engine-sub", r))
@@ -553,24 +483,15 @@ func (e *bbEngine) runSub(t bbTree, sub bbSub, expand bool, out *bbBest, attempt
 	t.replay(sub.prefix)
 	c.base = len(sub.prefix)
 	c.curRank = c.base
-	c.bestFound, c.bestMerit, c.bestCuts = sub.seeded, 0, nil
+	c.bestFound, c.bestMerit, c.bestCuts, c.bestKey = sub.seeded, 0, nil, nil
 	if sub.seeded {
 		c.bestMerit = sub.seed
 	}
 	c.stop = Exhaustive
-	if expand {
-		if children := t.expand(sub.prefix, out); len(children) > 0 {
-			if c.obs != nil {
-				c.obs.Resplit(len(sub.prefix), len(children))
-			}
-			e.push(c.wid, children)
-		}
-	} else {
-		c.poll()
-		t.visit(c.base)
-		if c.bestCuts != nil {
-			out.better(bbBest{found: true, merit: c.bestMerit, cuts: c.bestCuts, key: sub.prefix})
-		}
+	c.poll()
+	t.visit(c.base)
+	if c.bestCuts != nil {
+		out.better(bbBest{found: true, merit: c.bestMerit, cuts: c.bestCuts, key: c.bestKey})
 	}
 	if c.stop != Exhaustive {
 		e.halt(c.stop)

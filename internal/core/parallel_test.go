@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,19 +12,50 @@ import (
 
 	"isex/internal/dfg"
 	"isex/internal/ir"
+	"isex/internal/obs"
 	"isex/internal/workload"
 )
 
 var parallelWorkerCounts = []int{1, 2, 4, 8}
+
+// withDonationCount returns cfg with a metrics-only probe attached and a
+// function reading how many subproblems the run's engine split off
+// (engine_donations_total). The probe is write-only, so the run's
+// results and Stats are those of the bare cfg.
+func withDonationCount(cfg Config) (Config, func() int64) {
+	p := &obs.Probe{Met: obs.NewMetrics(obs.NewRegistry())}
+	cfg.Probe = p
+	return cfg, p.Met.Donations.Value
+}
+
+// assertSplit fails for every worker count whose runs, together, never
+// split a search. The engine splits only on demand, so a search shorter
+// than one poll interval stays on its first worker, and a fixture that
+// never splits would leave the engine's replay and merge untested.
+func assertSplit(t *testing.T, donated map[int]int64) {
+	t.Helper()
+	counts := make([]int, 0, len(donated))
+	for nw := range donated {
+		counts = append(counts, nw)
+	}
+	slices.Sort(counts)
+	for _, nw := range counts {
+		if donated[nw] == 0 {
+			t.Errorf("workers=%d: no run donated a subproblem; the fixtures never split", nw)
+		}
+	}
+}
 
 // TestParallelMatchesSerial is the determinism contract: for every
 // worker count and every Config variant, a completed parallel run
 // returns the bit-identical result of the serial search — same Found,
 // same merit, same canonical cut, same Status. With PruneMerit off the
 // Stats must match exactly too (the executed subproblems partition the
-// serial tree); with PruneMerit on only the result is guaranteed.
+// serial tree); with PruneMerit on only the result is guaranteed. Every
+// worker count must split some of the searches.
 func TestParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(401))
+	donated := map[int]int64{}
 	variants := []Config{
 		{Nin: 3, Nout: 2},
 		{Nin: 4, Nout: 2, PruneInputs: true},
@@ -38,9 +70,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("trial %d variant %d: serial not exhaustive", trial, vi)
 			}
 			for _, nw := range parallelWorkerCounts {
-				cfg := base
+				cfg, donations := withDonationCount(base)
 				cfg.Workers = nw
 				par := FindBestCut(g, cfg)
+				donated[nw] += donations()
 				if par.Status != Exhaustive {
 					t.Fatalf("trial %d variant %d workers %d: status %v",
 						trial, vi, nw, par.Status)
@@ -66,6 +99,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+	assertSplit(t, donated)
 }
 
 // TestParallelRepeatDeterministic re-runs the same pruned parallel
@@ -88,17 +122,18 @@ func TestParallelRepeatDeterministic(t *testing.T) {
 // TestParallelMultiMatchesSerial is the determinism contract for the
 // (M+1)-ary multi-cut engine. No variant sets PruneMerit, so the
 // executed subproblems partition the serial tree and Stats must match
-// the serial run exactly; with PruneInputs the engine must emit and
-// donate only the branches the serial search takes. At Nin = 1 the
-// guard already fires at the shallow ranks the engine expands.
+// the serial run exactly; with PruneInputs the engine must donate only
+// the branches the serial search takes. At Nin = 1 the guard already
+// fires at the shallow ranks where donation looks first.
 //
 // Under -short the pruned variants run at M = 2 only, since CI repeats
 // the -short pass under the race detector; at M = 3 they take about 30%
 // of the test's time. The full run keeps M = 3: its trial 2 (over 10M
 // cuts) is the one search long enough for a poll to donate a 0-branch
-// the guard rejects.
+// the guard rejects. Every worker count must split some of the searches.
 func TestParallelMultiMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(403))
+	donated := map[int]int64{}
 	pruned := []int{2, 3}
 	if testing.Short() {
 		pruned = []int{2}
@@ -117,9 +152,10 @@ func TestParallelMultiMatchesSerial(t *testing.T) {
 			for _, m := range v.ms {
 				serial := FindBestCuts(g, m, v.cfg)
 				for _, nw := range parallelWorkerCounts {
-					cfg := v.cfg
+					cfg, donations := withDonationCount(v.cfg)
 					cfg.Workers = nw
 					par := FindBestCuts(g, m, cfg)
+					donated[nw] += donations()
 					if par.Found != serial.Found || par.TotalMerit != serial.TotalMerit ||
 						par.Status != serial.Status {
 						t.Fatalf("trial %d m=%d variant %d workers %d: %v/%d/%v vs serial %v/%d/%v",
@@ -144,6 +180,48 @@ func TestParallelMultiMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+	assertSplit(t, donated)
+}
+
+// TestParallelMultiTiesMatchSerial: §6.2 searches whose optimum is tied
+// by several assignments return the serial search's cuts, not just its
+// merit. A donor keeps the k-siblings of the frames whose 0-branches it
+// gave away, and those come after the donated subtrees in DFS order, so
+// the merge must order candidates by their record's tree position: keyed
+// by their subproblem's prefix, these graphs returned another tied
+// assignment in about one engine run in five.
+func TestParallelMultiTiesMatchSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tied := map[int]bool{3: true, 49: true, 225: true, 275: true}
+	donated := map[int]int64{}
+	for trial := 0; trial <= 275; trial++ {
+		g := randomGraph(t, rng, 11+rng.Intn(4))
+		if !tied[trial] {
+			continue
+		}
+		for _, base := range []Config{{Nin: 3, Nout: 2}, {Nin: 2, Nout: 1}} {
+			serial := FindBestCuts(g, 2, base)
+			for rep := 0; rep < 3; rep++ {
+				for _, nw := range []int{2, 4, 8} {
+					cfg, donations := withDonationCount(base)
+					cfg.Workers = nw
+					par := FindBestCuts(g, 2, cfg)
+					donated[nw] += donations()
+					same := par.Status == Exhaustive && par.TotalMerit == serial.TotalMerit &&
+						len(par.Cuts) == len(serial.Cuts)
+					for i := 0; same && i < len(par.Cuts); i++ {
+						same = par.Cuts[i].Equal(serial.Cuts[i])
+					}
+					if !same {
+						t.Fatalf("trial %d %d/%d workers %d: %v/%d/%v, serial %v/%d",
+							trial, base.Nin, base.Nout, nw, par.Cuts, par.TotalMerit, par.Status,
+							serial.Cuts, serial.TotalMerit)
+					}
+				}
+			}
+		}
+	}
+	assertSplit(t, donated)
 }
 
 // TestParallelPreCanceled: a context canceled before the call returns
@@ -243,7 +321,11 @@ func TestParallelPanicRecovered(t *testing.T) {
 	}
 	defer func() { bbSubHook = nil }()
 	before := runtime.NumGoroutine()
-	res := FindBestCut(g, Config{Nin: 3, Nout: 2, Workers: 4})
+	cfg, donations := withDonationCount(Config{Nin: 3, Nout: 2, Workers: 4})
+	res := FindBestCut(g, cfg)
+	if donations() == 0 {
+		t.Fatal("the search never split, so no subproblem could panic")
+	}
 	if res.Status != Exhaustive {
 		t.Fatalf("transient panic: status %v, want Exhaustive (the retry replays the subproblem)", res.Status)
 	}
@@ -265,7 +347,11 @@ func TestParallelPanicRecovered(t *testing.T) {
 			panic("persistent subproblem panic")
 		}
 	}
-	pres := FindBestCut(g, Config{Nin: 3, Nout: 2, Workers: 4})
+	cfg, donations = withDonationCount(Config{Nin: 3, Nout: 2, Workers: 4})
+	pres := FindBestCut(g, cfg)
+	if donations() == 0 {
+		t.Fatal("persistent panic: the search never split, so no subproblem could panic")
+	}
 	if pres.Status != Recovered {
 		t.Fatalf("persistent panic: status %v, want Recovered", pres.Status)
 	}
@@ -356,13 +442,16 @@ func TestParallelAdpcmMatchesSerial(t *testing.T) {
 			t.Fatalf("%s: reference status %v", tc.kernel, ref.Status)
 		}
 		for _, nw := range tc.workers {
-			pcfg := tc.cfg
+			pcfg, donations := withDonationCount(tc.cfg)
 			pcfg.Workers = nw
 			par := FindBestCut(g, pcfg)
 			if par.Status != Exhaustive || par.Found != ref.Found ||
 				par.Est.Merit != ref.Est.Merit || !par.Cut.Equal(ref.Cut) {
 				t.Fatalf("%s workers %d: %v/%d/%v diverges from the reference %v/%d",
 					tc.kernel, nw, par.Cut, par.Est.Merit, par.Status, ref.Cut, ref.Est.Merit)
+			}
+			if nw > 0 && donations() == 0 {
+				t.Errorf("%s workers %d: the search never split", tc.kernel, nw)
 			}
 		}
 	}
@@ -373,9 +462,12 @@ func TestParallelAdpcmMatchesSerial(t *testing.T) {
 		t.Fatalf("g721 M=2: serial status %v", serial.Status)
 	}
 	for _, nw := range []int{2, 4} {
-		pcfg := pruned
+		pcfg, donations := withDonationCount(pruned)
 		pcfg.Workers = nw
 		par := FindBestCuts(g, 2, pcfg)
+		if donations() == 0 {
+			t.Errorf("g721 M=2 workers %d: the search never split", nw)
+		}
 		if par.Status != Exhaustive || par.Found != serial.Found || par.TotalMerit != serial.TotalMerit ||
 			len(par.Cuts) != len(serial.Cuts) {
 			t.Fatalf("g721 M=2 workers %d: %v/%d/%v diverges from serial %v/%d",

@@ -32,10 +32,13 @@ type searchCore struct {
 	// bestFound/bestMerit form the recording threshold: a record must
 	// strictly beat bestMerit. bestCuts holds the cuts recorded at it
 	// (one cut for §6.1); it is nil when the engine seeded the threshold
-	// from the lineage's running best rather than a record made here.
+	// from the donor's running best rather than a record made here.
+	// bestKey is the tree position of that record (engine runs only): the
+	// decisions path[:rank+1], the engine's merge key.
 	bestFound bool
 	bestMerit int64
 	bestCuts  []dfg.Cut
+	bestKey   []uint8
 	stats     Stats
 	// budget is cfg.MaxCuts, or MaxInt64 when unlimited: one comparison
 	// in consider, which keeps it within the inlining budget.
@@ -54,20 +57,19 @@ type searchCore struct {
 	// Engine attachment (nil for the serial search): eng supplies the
 	// shared incumbent bound and the global budget, sharedCache is the
 	// last observed shared bound (MinInt64 when detached — the pruning
-	// comparison then never fires), flushMark is how much of
-	// stats.CutsConsidered has been flushed to the engine's counter, and
-	// wid is the worker's deque.
+	// comparison then never fires), and flushMark is how much of
+	// stats.CutsConsidered has been flushed to the engine's counter.
 	eng         *bbEngine
 	sharedCache int64
 	flushMark   int64
-	wid         int
 
 	// Donation bookkeeping (engine runs only; see tryDonate): base is the
 	// replayed prefix depth, curRank the rank of the innermost live visit
 	// frame, path the decision at each live ancestor rank (the cut label
-	// while in a 1- or k-subtree, 0 in the 0-branch), zeroOK whether that
-	// frame's 0-branch passes the PruneInputs guard, and donated whether
-	// it was handed to the engine (the frame then skips it).
+	// in a 1- or k-branch, set before its record; 0 in the 0-branch),
+	// zeroOK whether that frame's 0-branch passes the PruneInputs guard,
+	// and donated whether it was handed to the engine (the frame then
+	// skips it).
 	base    int
 	curRank int
 	path    []uint8
@@ -100,17 +102,13 @@ func newCore(g *dfg.Graph, cfg Config) searchCore {
 }
 
 // bbTree is what exactSearch and the engine need of one exact searcher.
-// Everything but visit, expand and replay lives in the shared core;
-// visit recurses on the concrete type, so the interface costs one call
-// per search or subproblem, never one per node.
+// Everything but visit and replay lives in the shared core; visit
+// recurses on the concrete type, so the interface costs one call per
+// search or subproblem, never one per node.
 type bbTree interface {
 	core() *searchCore
 	// visit searches the subtree at rank.
 	visit(rank int)
-	// expand mirrors exactly one visit level at rank len(prefix), merging
-	// the level's records into out and returning the children in DFS
-	// order (see the engine's package comment in parallel.go).
-	expand(prefix []uint8, out *bbBest) []bbSub
 	// replay applies a decision prefix onto a clean searcher, rebuilding
 	// the exact state the serial search has at that tree position;
 	// unreplay unwinds it.
@@ -120,7 +118,7 @@ type bbTree interface {
 
 func (c *searchCore) core() *searchCore { return c }
 
-// exactSearch runs one exact search: on the work-stealing engine when
+// exactSearch runs one exact search: on the parallel engine when
 // cfg.Workers > 0, serially on newTree(cfg) otherwise. It returns the
 // best cuts found (nil when none), the work done and how the search
 // ended.
@@ -230,39 +228,25 @@ func (c *searchCore) beats(m int64) bool {
 	return m > 0 && (!c.bestFound || m > c.bestMerit)
 }
 
-// keep records cuts of merit m as the incumbent and publishes it to the
-// telemetry and to the engine's shared bound.
-func (c *searchCore) keep(m int64, cuts []dfg.Cut) {
+// keep records cuts of merit m, made by the decision at rank, as the
+// incumbent and publishes it to the telemetry and, with its tree
+// position, to the engine.
+func (c *searchCore) keep(m int64, cuts []dfg.Cut, rank int) {
 	c.bestFound, c.bestMerit, c.bestCuts = true, m, cuts
 	if c.obs != nil {
-		c.obs.Incumbent(m, c.stats.CutsConsidered, c.curRank)
+		c.obs.Incumbent(m, c.stats.CutsConsidered, rank)
 	}
-	if c.eng != nil && c.eng.sharedOn {
-		if v := c.eng.publish(m); v > c.sharedCache {
-			c.sharedCache = v
+	if c.eng != nil {
+		c.bestKey = append([]uint8(nil), c.path[:rank+1]...)
+		if c.eng.sharedOn {
+			if v := c.eng.publish(m); v > c.sharedCache {
+				c.sharedCache = v
+			}
 		}
 	}
 }
 
-// expandRecord runs record at an expansion level and merges into out,
-// keyed key, the incumbent it recorded, if any (the serial search
-// records a cut when its last node joins — before descending — so the
-// record belongs to the level, not to the child subproblem).
-func (c *searchCore) expandRecord(record func(), key []uint8, out *bbBest) {
-	f0, m0 := c.bestFound, c.bestMerit
-	record()
-	if c.bestCuts != nil && (!f0 || c.bestMerit > m0) {
-		out.better(bbBest{found: true, merit: c.bestMerit, cuts: c.bestCuts, key: key})
-	}
-}
-
-// child returns the subproblem prefix key, seeded with the running best
-// as its recording threshold.
-func (c *searchCore) child(key []uint8) bbSub {
-	return bbSub{prefix: key, seed: c.bestMerit, seeded: c.bestFound}
-}
-
-// tryDonate re-splits the running subtree: the shallowest live ancestor
+// tryDonate splits the running subtree: the shallowest live ancestor
 // frame still inside a 1- or k-subtree (path[r] != 0) whose 0-branch
 // would pass the serial search's PruneInputs guard (zeroOK) is handed to
 // the engine as a fresh subproblem, and the frame skips that branch on
@@ -278,7 +262,7 @@ func (c *searchCore) tryDonate() {
 		if c.path[r] != 0 && !c.donated[r] && c.zeroOK[r] {
 			pfx := make([]uint8, r+1) // pfx[r] = 0: the 0-branch
 			copy(pfx, c.path[:r])
-			if c.eng.donate(c.wid, pfx, c.bestMerit, c.bestFound) {
+			if c.eng.donate(bbSub{prefix: pfx, seed: c.bestMerit, seeded: c.bestFound}) {
 				c.donated[r] = true
 				if c.obs != nil {
 					c.obs.Donate(r)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"isex/internal/dfg"
 	"isex/internal/ir"
@@ -183,7 +182,7 @@ func SelectOptimal(m *ir.Module, ninstr int, cfg Config) SelectionResult {
 
 // SelectOptimalCtx is SelectOptimal under a context: identification runs
 // poll ctx and stop at its deadline, tripped blocks are rescued with the
-// §9 windowed heuristic, per-block workers are panic-safe, and the best
+// §9 windowed heuristic, every block search is panic-safe, and the best
 // selection assembled so far is always returned (see SelectionResult's
 // Blocks/Status for how trustworthy each block's answer is).
 func SelectOptimalCtx(ctx context.Context, m *ir.Module, ninstr int, cfg Config) (res SelectionResult) {
@@ -209,19 +208,15 @@ func SelectOptimalCtx(ctx context.Context, m *ir.Module, ninstr int, cfg Config)
 	}
 	states := make([]blockState, len(bgs))
 	blockStat := make([]BlockStatus, len(bgs))
-	// The initial identification of every block is independent, exactly
-	// like SelectIterativeCtx's initial pass.
-	results := make([]MultiResult, len(bgs))
-	searchEach(len(bgs), cfg.Parallel, func(i int) {
-		results[i], blockStat[i] = searchBlockMultiSafe(ctx, bgs[i].g, 1, cfg)
-	})
-	res.IdentCalls = len(bgs)
-	for i, r := range results {
+	for i := range bgs {
+		var r MultiResult
+		r, blockStat[i] = searchBlockMultiSafe(ctx, bgs[i].g, 1, cfg)
 		res.Stats.add(r.Stats)
 		states[i].totals = []int64{0, r.TotalMerit}
 		states[i].results = []MultiResult{{}, r}
 		states[i].gain = r.TotalMerit
 	}
+	res.IdentCalls = len(bgs)
 	chosen := 0
 	for chosen < ninstr {
 		bestB, bestGain := -1, int64(0)
@@ -298,8 +293,8 @@ func SelectIterative(m *ir.Module, ninstr int, cfg Config) SelectionResult {
 // SelectIterativeCtx is SelectIterative under a context: identification
 // runs poll ctx and stop at its deadline, a budget- or deadline-stopped
 // exact search is rescued with the §9 windowed heuristic (keeping the
-// better sound answer), and every block worker — parallel or serial — is
-// panic-safe: a panicking block is reported as Recovered and the other
+// better sound answer), and every block search is panic-safe: a
+// panicking block is reported as Recovered and the other
 // blocks' selections survive.
 func SelectIterativeCtx(ctx context.Context, m *ir.Module, ninstr int, cfg Config) (res SelectionResult) {
 	defer guardDriver(cfg.Probe, &res)
@@ -320,15 +315,12 @@ func SelectIterativeCtx(ctx context.Context, m *ir.Module, ninstr int, cfg Confi
 	}
 	states := make([]blockState, len(bgs))
 	blockStat := make([]BlockStatus, len(bgs))
-	// The initial identification of every block is independent.
-	searchEach(len(bgs), cfg.Parallel, func(i int) {
+	for i := range bgs {
 		states[i].g = bgs[i].g
 		states[i].best, blockStat[i] = searchBlockSafe(ctx, bgs[i].g, cfg)
-	})
-	res.IdentCalls = len(states)
-	for i := range states {
 		res.Stats.add(states[i].best.Stats)
 	}
+	res.IdentCalls = len(states)
 	for chosen := 0; chosen < ninstr; chosen++ {
 		bestB := -1
 		var bestMerit int64
@@ -383,26 +375,6 @@ func SelectIterativeCtx(ctx context.Context, m *ir.Module, ninstr int, cfg Confi
 	res.Blocks = append(res.Blocks, blockStat...)
 	res.finalize()
 	return res
-}
-
-// searchEach runs search(i) for every block index i, each writing only
-// its own slot: in goroutines when parallel is set, in index order
-// otherwise. Callers merge the slots in index order afterwards, so the
-// result does not depend on parallel.
-func searchEach(n int, parallel bool, search func(i int)) {
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		if !parallel {
-			search(i)
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			search(i)
-		}()
-	}
-	wg.Wait()
 }
 
 // sortSelected orders instructions deterministically: by function name,

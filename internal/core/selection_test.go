@@ -93,13 +93,13 @@ int main() {
 `
 
 // TestSharedInstructionsTwinFunctions: with no option set, both drivers,
-// serial and Parallel, group the twins' selected instructions — at least
-// one group spans both functions.
+// serial and on the engine, group the twins' selected instructions — at
+// least one group spans both functions.
 func TestSharedInstructionsTwinFunctions(t *testing.T) {
 	m := compileAndProfile(t, twinKernels)
 	for _, method := range []string{"iterative", "optimal"} {
-		for _, parallel := range []bool{false, true} {
-			cfg := Config{Nin: 2, Nout: 1, Parallel: parallel}
+		for _, workers := range []int{0, 2} {
+			cfg := Config{Nin: 2, Nout: 1, Workers: workers}
 			var sel SelectionResult
 			if method == "iterative" {
 				sel = SelectIterative(m, 4, cfg)
@@ -117,8 +117,8 @@ func TestSharedInstructionsTwinFunctions(t *testing.T) {
 				}
 			}
 			if !crossFn {
-				t.Errorf("%s parallel=%v: no cross-function shared instruction group: %+v",
-					method, parallel, sel.SharedInstructions)
+				t.Errorf("%s workers=%d: no cross-function shared instruction group: %+v",
+					method, workers, sel.SharedInstructions)
 			}
 		}
 	}
@@ -338,12 +338,12 @@ func TestSelectionZeroRequest(t *testing.T) {
 	}
 }
 
-// TestParallelSelectionDeterministic: the concurrent initial round must
-// produce exactly the serial result.
+// TestParallelSelectionDeterministic: a selection whose block searches
+// run on the engine must produce exactly the serial result.
 func TestParallelSelectionDeterministic(t *testing.T) {
 	m := compileAndProfile(t, threeKernels)
 	serial := SelectIterative(m, 4, Config{Nin: 4, Nout: 2, MaxCuts: 200_000})
-	parallel := SelectIterative(m, 4, Config{Nin: 4, Nout: 2, MaxCuts: 200_000, Parallel: true})
+	parallel := SelectIterative(m, 4, Config{Nin: 4, Nout: 2, MaxCuts: 200_000, Workers: 2})
 	if serial.TotalMerit != parallel.TotalMerit ||
 		len(serial.Instructions) != len(parallel.Instructions) {
 		t.Fatalf("parallel selection diverged: %d/%d vs %d/%d",
@@ -416,17 +416,17 @@ func assertSelectionsEqual(t *testing.T, label string, want, got SelectionResult
 	}
 }
 
-// TestSelectOptimalParallelInitialPass: the optimal driver's initial
-// per-block single-cut pass honors Config.Parallel and stays
-// deterministic (the fix mirrors SelectIterativeCtx's fixed-slot
-// fan-out).
-func TestSelectOptimalParallelInitialPass(t *testing.T) {
+// TestSelectOptimalParallelMatchesSerial: the optimal driver with its
+// §6.2 searches on the engine selects exactly what the serial driver
+// does, with the same Stats (PruneMerit is off, so the engine's
+// subproblems partition each serial tree).
+func TestSelectOptimalParallelMatchesSerial(t *testing.T) {
 	m := compileAndProfile(t, threeKernels)
 	cfg := Config{Nin: 2, Nout: 1}
 	serial := SelectOptimal(m, 3, cfg)
-	cfg.Parallel = true
+	cfg.Workers = 2
 	par := SelectOptimal(m, 3, cfg)
-	assertSelectionsEqual(t, "optimal/parallel-initial", serial, par, true)
+	assertSelectionsEqual(t, "optimal/engine", serial, par, true)
 }
 
 // TestInstrIndexesOfSuperNode: a cut containing a collapsed super-node

@@ -56,14 +56,11 @@ type Config struct {
 	// multiple-cut search (§6.2, and so SelectOptimal) has no windowed
 	// form and ignores it.
 	Window int
-	// Parallel lets selection search independent basic blocks
-	// concurrently (one goroutine per block in the initial round).
-	// Results are identical to the serial run. It composes with Workers:
-	// each block's search then runs its own worker pool.
-	Parallel bool
 	// Workers, when positive, runs the exact single- and multiple-cut
-	// searches on the work-stealing parallel branch-and-bound engine
-	// (see parallel.go) with that many workers. Completed runs are
+	// searches on the parallel branch-and-bound engine (see parallel.go)
+	// with that many workers; it is the only way a selection uses more
+	// than one CPU. A search splits only when it outlasts a poll
+	// interval, so short searches stay on one worker. Completed runs are
 	// bit-identical to the serial search for every worker count — same
 	// merit, same canonical cut, same Status — though Stats may differ
 	// when PruneMerit is set (the shared incumbent bound prunes a
@@ -364,10 +361,10 @@ func (s *searcher) undoExclude(id int, exclPermIn int) {
 	s.reach[id] = false
 }
 
-// record considers the current cut as an incumbent.
-func (s *searcher) record() {
+// record considers the current cut, completed at rank, as an incumbent.
+func (s *searcher) record(rank int) {
 	if m := s.meritOf(); s.beats(m) {
-		s.keep(m, []dfg.Cut{s.currentCut()})
+		s.keep(m, []dfg.Cut{s.currentCut()}, rank)
 	}
 }
 
@@ -408,13 +405,13 @@ func (s *searcher) visit(rank int) {
 		if s.includeOK(node) {
 			u := s.applyInclude(id, node)
 			s.stats.Passed++
+			if s.eng != nil {
+				s.path[rank] = 1
+			}
 			if s.inputs <= s.cfg.Nin {
-				s.record()
+				s.record(rank)
 			}
 			if !s.cfg.PruneInputs || s.permIn <= s.cfg.Nin {
-				if s.eng != nil {
-					s.path[rank] = 1
-				}
 				s.visit(rank + 1)
 			}
 			s.undoInclude(id, node, u)
@@ -458,47 +455,10 @@ type replayStep struct {
 	exclPermIn int
 }
 
-// expand mirrors exactly one visit level at rank len(prefix): same
-// counters, same feasibility guards, same candidate recording (keyed
-// prefix+[1]). The children carry the level's running best as their
-// recording seed.
-func (s *searcher) expand(prefix []uint8, out *bbBest) []bbSub {
-	d := len(prefix)
-	if s.cfg.PruneMerit && s.boundCut(s.meritUB(d)) {
-		return nil
-	}
-	id := s.order[d]
-	node := &s.g.Nodes[id]
-	var children []bbSub
-	if !node.Forbidden {
-		s.stats.CutsConsidered++
-		if s.includeOK(node) {
-			u := s.applyInclude(id, node)
-			s.stats.Passed++
-			key := childKey(prefix, 1)
-			if s.inputs <= s.cfg.Nin {
-				s.expandRecord(s.record, key, out)
-			}
-			if !s.cfg.PruneInputs || s.permIn <= s.cfg.Nin {
-				children = append(children, s.child(key))
-			}
-			s.undoInclude(id, node, u)
-		} else {
-			s.pruned()
-		}
-	}
-	exclPermIn := s.applyExclude(id, node)
-	if !s.cfg.PruneInputs || s.permIn <= s.cfg.Nin {
-		children = append(children, s.child(childKey(prefix, 0)))
-	}
-	s.undoExclude(id, exclPermIn)
-	return children
-}
-
 // replay applies a decision prefix (decision r for rank r; nonzero =
 // include) onto a clean searcher, rebuilding the exact incremental state
 // the serial search would have at that tree position. Prefixes come from
-// engine expansion, which only emits decisions the serial search would
+// donation, which only hands out branches the serial search would
 // descend through, so no feasibility re-checks are needed here.
 func (s *searcher) replay(prefix []uint8) {
 	for r, d := range prefix {

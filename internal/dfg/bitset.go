@@ -77,16 +77,6 @@ func (b BitSet) CopyFrom(o BitSet) {
 	copy(b, o)
 }
 
-// Empty reports whether no bit is set.
-func (b BitSet) Empty() bool {
-	for _, w := range b {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Count returns the number of members.
 func (b BitSet) Count() int {
 	n := 0

@@ -12,20 +12,18 @@
 // colors over the four edge classes (data preds/succs, order
 // preds/succs) until the color partition stabilizes. 1-WL is incomplete
 // — regular graph pairs such as one 6-cycle versus two triangles refine
-// to the same palette — so hash equality is a candidate filter:
-// CutCanonMatch verifies an actual isomorphism.
+// to the same palette — so equal digests suggest, but do not prove, an
+// isomorphism.
 package dfg
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // CanonDigest is a 128-bit isomorphism-invariant datapath digest. Two
 // isomorphic datapaths always digest equally; the converse is not
-// guaranteed (WL-hard pairs collide) and must be confirmed with
-// CutCanonMatch.
+// guaranteed (WL-hard pairs collide).
 type CanonDigest struct{ Hi, Lo uint64 }
 
 func (d CanonDigest) String() string { return fmt.Sprintf("%016x%016x", d.Hi, d.Lo) }
@@ -189,135 +187,4 @@ func (cg *canonGraph) digest(colors []uint64) CanonDigest {
 func (g *Graph) CutCanonHash(c Cut) CanonDigest {
 	cg := g.canonCut(c)
 	return cg.digest(cg.refine())
-}
-
-// CutCanonMatch reports whether cut cb of gb is datapath-isomorphic to
-// cut ca of ga: the exact check that CutCanonHash equality only
-// suggests. The search is a color-class-constrained backtracking over
-// the refined WL palette — candidate images are restricted to the
-// matching color class, most-constrained classes first — with a step
-// budget, so pathological instances report no match rather than hang.
-func CutCanonMatch(ga *Graph, ca Cut, gb *Graph, cb Cut) bool {
-	_, ok := canonMatch(ga.canonCut(ca), gb.canonCut(cb))
-	return ok
-}
-
-// canonMatchBudget caps backtracking steps; beyond it canonMatch gives up
-// and reports no match. Block graphs are small (tens of nodes) and the
-// color classes after refinement are nearly singletons, so real matches
-// finish in O(n) steps — the budget only guards adversarial regulars.
-const canonMatchBudget = 1 << 18
-
-func canonMatch(ca, cb *canonGraph) ([]int, bool) {
-	if ca.n != cb.n {
-		return nil, false
-	}
-	if ca.n == 0 {
-		return []int{}, true
-	}
-	colA, colB := ca.refine(), cb.refine()
-	// The color multisets must agree exactly.
-	sa := append([]uint64(nil), colA...)
-	sb := append([]uint64(nil), colB...)
-	sort.Slice(sa, func(i, j int) bool { return sa[i] < sa[j] })
-	sort.Slice(sb, func(i, j int) bool { return sb[i] < sb[j] })
-	for i := range sa {
-		if sa[i] != sb[i] {
-			return nil, false
-		}
-	}
-	classB := map[uint64][]int{}
-	for j, c := range colB {
-		classB[c] = append(classB[c], j)
-	}
-	// Sorted adjacency copies for O(log n) membership tests.
-	sortedAdj := func(cg *canonGraph) [4][][]int {
-		var out [4][][]int
-		for cl := range cg.adj {
-			out[cl] = make([][]int, cg.n)
-			for i, ns := range cg.adj[cl] {
-				s := append([]int(nil), ns...)
-				sort.Ints(s)
-				out[cl][i] = s
-			}
-		}
-		return out
-	}
-	adjA, adjB := sortedAdj(ca), sortedAdj(cb)
-	contains := func(s []int, x int) bool {
-		k := sort.SearchInts(s, x)
-		return k < len(s) && s[k] == x
-	}
-	// Assign most-constrained color classes first.
-	order := make([]int, ca.n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		u, v := order[i], order[j]
-		su, sv := len(classB[colA[u]]), len(classB[colA[v]])
-		if su != sv {
-			return su < sv
-		}
-		if colA[u] != colA[v] {
-			return colA[u] < colA[v]
-		}
-		return u < v
-	})
-	phi := make([]int, ca.n)
-	inv := make([]int, cb.n)
-	for i := range phi {
-		phi[i], inv[i] = -1, -1
-	}
-	steps := 0
-	var assign func(k int) bool
-	assign = func(k int) bool {
-		if k == ca.n {
-			return true
-		}
-		u := order[k]
-		for _, v := range classB[colA[u]] {
-			if inv[v] >= 0 {
-				continue
-			}
-			steps++
-			if steps > canonMatchBudget {
-				return false
-			}
-			ok := true
-			for cl := 0; cl < 4 && ok; cl++ {
-				for _, w := range ca.adj[cl][u] {
-					if mw := phi[w]; mw >= 0 && !contains(adjB[cl][v], mw) {
-						ok = false
-						break
-					}
-				}
-				if !ok {
-					break
-				}
-				for _, x := range cb.adj[cl][v] {
-					if ix := inv[x]; ix >= 0 && !contains(adjA[cl][u], ix) {
-						ok = false
-						break
-					}
-				}
-			}
-			if !ok {
-				continue
-			}
-			phi[u], inv[v] = v, u
-			if assign(k + 1) {
-				return true
-			}
-			phi[u], inv[v] = -1, -1
-			if steps > canonMatchBudget {
-				return false
-			}
-		}
-		return false
-	}
-	if !assign(0) {
-		return nil, false
-	}
-	return phi, true
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Hand-built graph helpers. CutCanonHash and CutCanonMatch operate purely
-// on the Nodes slice, so the differential tests construct graphs directly
+// Hand-built graph helpers. CutCanonHash operates purely on the Nodes
+// slice, so the differential tests construct graphs directly
 // — this also lets them build cyclic graphs (the WL-hard pair) that Build
 // never produces. A cut of every node (allNodes) induces the whole graph
 // as its datapath, so the cut digest can be checked against whole-graph
@@ -138,52 +138,6 @@ func bruteIso(a, b *Graph) bool {
 	return rec(0)
 }
 
-// checkRenaming fails the test unless ren is a valid isomorphism a → b:
-// a bijection preserving base attributes and both edge classes.
-func checkRenaming(t *testing.T, a, b *Graph, ren []int) {
-	t.Helper()
-	if len(ren) != len(a.Nodes) {
-		t.Fatalf("renaming length %d, want %d", len(ren), len(a.Nodes))
-	}
-	seen := map[int]bool{}
-	for i := range a.Nodes {
-		j := ren[i]
-		if j < 0 || j >= len(b.Nodes) || seen[j] {
-			t.Fatalf("renaming[%d] = %d is not a bijection", i, j)
-		}
-		seen[j] = true
-		na, nb := &a.Nodes[i], &b.Nodes[j]
-		if na.Kind != nb.Kind || na.Op != nb.Op || na.Forbidden != nb.Forbidden ||
-			na.SuperLatency != nb.SuperLatency {
-			t.Fatalf("renaming %d->%d maps different base attributes", i, j)
-		}
-		wantSucc := map[int]bool{}
-		for _, s := range nb.Succs {
-			wantSucc[s] = true
-		}
-		if len(na.Succs) != len(nb.Succs) {
-			t.Fatalf("renaming %d->%d: succ degree mismatch", i, j)
-		}
-		for _, s := range na.Succs {
-			if !wantSucc[ren[s]] {
-				t.Fatalf("renaming %d->%d does not preserve edge %d->%d", i, j, i, s)
-			}
-		}
-		wantOrd := map[int]bool{}
-		for _, s := range nb.OrderSuccs {
-			wantOrd[s] = true
-		}
-		if len(na.OrderSuccs) != len(nb.OrderSuccs) {
-			t.Fatalf("renaming %d->%d: order degree mismatch", i, j)
-		}
-		for _, s := range na.OrderSuccs {
-			if !wantOrd[ren[s]] {
-				t.Fatalf("renaming %d->%d does not preserve order edge %d->%d", i, j, i, s)
-			}
-		}
-	}
-}
-
 var canonOps = []ir.Op{ir.OpAdd, ir.OpMul, ir.OpSub, ir.OpXor}
 
 // randomDAG builds a random op-node DAG with n nodes (edges only from
@@ -224,12 +178,11 @@ func randPerm(rng *rand.Rand, n int) []int {
 	return p
 }
 
-// TestCanonHashDifferential cross-checks CutCanonHash and the matcher
-// behind CutCanonMatch against brute-force isomorphism on seeded random
-// datapaths: hash equality must coincide with isomorphism on this corpus
-// (soundness always; completeness is a property of the corpus — see
-// TestCanonHashWLHardPair for the known exception class), and every
-// isomorphic pair must yield a verifiable renaming.
+// TestCanonHashDifferential cross-checks CutCanonHash against
+// brute-force isomorphism on seeded random datapaths: hash equality must
+// coincide with isomorphism on this corpus (soundness always;
+// completeness is a property of the corpus — see TestCanonHashWLHardPair
+// for the known exception class).
 func TestCanonHashDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	hash := func(g *Graph) CanonDigest { return g.CutCanonHash(allNodes(g)) }
@@ -237,9 +190,7 @@ func TestCanonHashDifferential(t *testing.T) {
 		n := 3 + rng.Intn(6) // 3..8 nodes
 		a := randomDAG(rng, "a", n)
 
-		// An ID-permuted, renamed copy is isomorphic: equal hashes, and
-		// the matcher must produce a valid renaming (dense indexes of an
-		// allNodes cut are node IDs).
+		// An ID-permuted, renamed copy is isomorphic: equal hashes.
 		b := permuted(a, randPerm(rng, n), "b")
 		if hash(a) != hash(b) {
 			t.Fatalf("trial %d: permuted copy changed CutCanonHash", trial)
@@ -247,11 +198,6 @@ func TestCanonHashDifferential(t *testing.T) {
 		if !bruteIso(a, b) {
 			t.Fatalf("trial %d: bruteIso rejects a permuted copy", trial)
 		}
-		ren, ok := canonMatch(a.canonCut(allNodes(a)), b.canonCut(allNodes(b)))
-		if !ok {
-			t.Fatalf("trial %d: the matcher rejects a permuted copy", trial)
-		}
-		checkRenaming(t, a, b, ren)
 
 		// An independently drawn graph (or a mutated copy) agrees with the
 		// ground truth in both directions.
@@ -269,10 +215,6 @@ func TestCanonHashDifferential(t *testing.T) {
 			t.Fatalf("trial %d: hash equality %v but brute-force isomorphism %v",
 				trial, hashEq, iso)
 		}
-		if ok := CutCanonMatch(a, allNodes(a), c, allNodes(c)); ok != iso {
-			t.Fatalf("trial %d: CutCanonMatch %v but brute-force isomorphism %v",
-				trial, ok, iso)
-		}
 	}
 }
 
@@ -280,8 +222,7 @@ func TestCanonHashDifferential(t *testing.T) {
 // 1-dimensional WL refinement CutCanonHash uses: a 6-cycle and two
 // disjoint 3-cycles (symmetric directed edges, uniform ops) are locally
 // identical everywhere, so their hashes collide even though they are not
-// isomorphic. This is why hash equality is only a candidate filter — the
-// false merge is rejected by CutCanonMatch.
+// isomorphic. This is why equal digests only suggest an isomorphism.
 func TestCanonHashWLHardPair(t *testing.T) {
 	sym := func(cycles [][]int) []tEdge {
 		var out []tEdge
@@ -306,9 +247,6 @@ func TestCanonHashWLHardPair(t *testing.T) {
 	if bruteIso(c6, c33) {
 		t.Fatalf("C6 and 2xC3 must not be isomorphic")
 	}
-	if CutCanonMatch(c6, allNodes(c6), c33, allNodes(c33)) {
-		t.Fatalf("CutCanonMatch must reject the WL-hard pair")
-	}
 }
 
 // buildStraightNamed is buildStraightLine for an arbitrary function name,
@@ -330,8 +268,8 @@ func buildStraightNamed(t *testing.T, name string, last ir.Op) *Graph {
 }
 
 // TestCutCanonHash: the same cut, picked by instruction position, on two
-// builds of one source under different function names digests equally
-// and matches; a different cut does not collide.
+// builds of one source under different function names digests equally;
+// a different cut does not collide.
 func TestCutCanonHash(t *testing.T) {
 	a := buildStraightNamed(t, "fa", ir.OpSub)
 	b := buildStraightNamed(t, "fb", ir.OpSub)
@@ -343,8 +281,5 @@ func TestCutCanonHash(t *testing.T) {
 	other := Cut{opNode(t, a, 0)}
 	if a.CutCanonHash(ca) == a.CutCanonHash(other) {
 		t.Fatalf("different cuts collide")
-	}
-	if !CutCanonMatch(a, ca, b, cb) {
-		t.Fatalf("CutCanonMatch rejects isomorphic cuts")
 	}
 }

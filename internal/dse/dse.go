@@ -18,10 +18,9 @@
 // are independent tasks. Warm mode runs one task per group at
 // max(Ninstr) on Options.Workers goroutines, loosest constraint first:
 // the loose groups search longest, so they start first and the short
-// tight ones fill the tail. Each task's selection also searches its
-// blocks concurrently (core.Config.Parallel), but every block search is
-// serial, so even a budget-stopped search trips at the same cut count on
-// every run. The report is therefore a function of Options alone —
+// tight ones fill the tail. Each task searches its blocks serially, so
+// even a budget-stopped search trips at the same cut count on every
+// run. The report is therefore a function of Options alone —
 // byte-identical for every worker count and shard order — and equal,
 // cell for cell, to the cold reference (Options.Cold).
 package dse
@@ -69,12 +68,12 @@ type Options struct {
 	// Budget bounds each block search (core.Config.MaxCuts).
 	Budget int64
 	// Workers is the number of selection tasks run at once in warm mode;
-	// each task also searches its blocks concurrently. Cold mode runs
-	// one task at a time. Results do not depend on it.
+	// each task searches its blocks serially. Cold mode runs one task at
+	// a time. Results do not depend on it.
 	Workers int
 	// Cold runs the reference mode: one dedicated serial selection per
-	// cell, one at a time, without prefix sharing or block-level
-	// parallelism — the oracle the warm sweep is checked against.
+	// cell, one at a time, without prefix sharing or concurrent tasks —
+	// the oracle the warm sweep is checked against.
 	Cold bool
 	// ShardSeed permutes the (benchmark, target) order of the task queue
 	// within each constraint point. Results do not depend on it — that
@@ -396,9 +395,8 @@ func (s *sweeper) progressKeys() []cellKey {
 
 // run performs one task's selection under its own cell span and, with
 // live progress on, its own Live sink keyed by the cell. The search
-// semantics (prunings, budget) are the same in warm and cold mode,
-// which is what makes the two modes' cells equal; warm mode adds only
-// the result-preserving block-level parallelism.
+// (prunings, budget, serial block by block) is the same in warm and
+// cold mode, which is what makes the two modes' cells equal.
 func (s *sweeper) run(ctx context.Context, t *task) {
 	chain := s.opt.Benchmarks[t.bi] + "/" + s.opt.Targets[t.ti]
 	key := cellKey{chain, t.c[0], t.c[1], t.ninstr}
@@ -415,7 +413,6 @@ func (s *sweeper) run(ctx context.Context, t *task) {
 		MaxCuts:     s.opt.Budget,
 		PruneInputs: true,
 		PruneMerit:  true,
-		Parallel:    !s.opt.Cold,
 		Probe:       cp,
 	})
 	cp.EndCell(chain, t.c[0], t.c[1], t.sel.TotalMerit)

@@ -121,11 +121,9 @@ type CompareOptions struct {
 	// do not change — only the wall clock does.
 	//
 	// Workers sets the per-search worker count (0 = serial);
-	// Parallel searches a selection's blocks concurrently; PruneInputs
-	// and PruneMerit enable the input-count and merit-bound prunings of
-	// both exact searches (§6.1, and per cut §6.2).
+	// PruneInputs and PruneMerit enable the input-count and merit-bound
+	// prunings of both exact searches (§6.1, and per cut §6.2).
 	Workers     int
-	Parallel    bool
 	PruneInputs bool
 	PruneMerit  bool
 }
@@ -169,7 +167,7 @@ func Compare(opt CompareOptions) ([]ComparisonRow, error) {
 		for _, c := range opt.Constraints {
 			cfg := core.Config{
 				Nin: c[0], Nout: c[1], Model: model, MaxCuts: opt.Budget,
-				Workers: opt.Workers, Parallel: opt.Parallel,
+				Workers:     opt.Workers,
 				PruneInputs: opt.PruneInputs, PruneMerit: opt.PruneMerit,
 			}
 			for _, n := range opt.Ninstr {

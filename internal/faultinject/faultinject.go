@@ -245,7 +245,7 @@ func RandomPlan(seed int64, n int) []Rule {
 		obs.SitePoll, obs.SitePoll, obs.SitePoll,
 		obs.SiteIncumbent, obs.SiteIncumbent,
 		obs.SiteSearchBegin, obs.SiteSearchEnd,
-		obs.SiteStop, obs.SiteSteal, obs.SiteDonate, obs.SiteResplit,
+		obs.SiteStop, obs.SiteDonate,
 		obs.SiteRescue, obs.SiteGreedy,
 		obs.SiteCollapse,
 	}

@@ -66,10 +66,7 @@ type Lane struct {
 	Prunes     int64
 	Bounds     int64
 	Incumbents int64
-	Steals     int64
-	StolenSubs int64
 	Donates    int64
-	Resplits   int64
 	Stops      int64
 }
 
@@ -104,10 +101,7 @@ type Block struct {
 	Prunes     int64
 	Bounds     int64
 	Incumbents int64
-	Steals     int64
-	StolenSubs int64
 	Donates    int64
-	Resplits   int64
 
 	Lanes     []*Lane
 	Incumbent []IncumbentStep
@@ -308,22 +302,10 @@ func buildBlockEvent(a *Analysis, b *Block, e obs.Event) {
 			l.Incumbents++
 		}
 		b.Incumbent = append(b.Incumbent, IncumbentStep{T: e.T, Merit: e.A, Cuts: e.B})
-	case obs.KSteal:
-		b.Steals++
-		b.StolenSubs += e.A
-		if l != nil {
-			l.Steals++
-			l.StolenSubs += e.A
-		}
 	case obs.KDonate:
 		b.Donates++
 		if l != nil {
 			l.Donates++
-		}
-	case obs.KResplit:
-		b.Resplits++
-		if l != nil {
-			l.Resplits++
 		}
 	case obs.KStop:
 		if l != nil {
@@ -362,9 +344,8 @@ func buildStageEvent(s *Stage, e obs.Event) {
 // and cell kinds. The exhaustiveness guard test asserts every obs.Kind
 // is claimed by exactly one level.
 var blockKinds = []obs.Kind{
-	obs.KSearchEnd, obs.KLaneEnd, obs.KIncumbent, obs.KSteal,
-	obs.KDonate, obs.KResplit, obs.KStop, obs.KRescue, obs.KGreedy,
-	obs.KPanic,
+	obs.KSearchEnd, obs.KLaneEnd, obs.KIncumbent, obs.KDonate,
+	obs.KStop, obs.KRescue, obs.KGreedy, obs.KPanic,
 }
 
 var stageKinds = []obs.Kind{obs.KStageEnd, obs.KCollapse}

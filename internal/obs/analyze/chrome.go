@@ -8,10 +8,11 @@ import (
 	"isex/internal/obs"
 )
 
-// chromeSpan is one Chrome trace-viewer event. The re-export differs
-// from obs.WriteChrome in that cells, stages and block searches become
-// complete ("X") duration events nested on per-chain tracks, so the
-// causal structure is visible as a gantt instead of a dust of instants.
+// chromeSpan is one Chrome trace-viewer event (the trace_event format,
+// loadable by chrome://tracing and Perfetto). Cells, stages and block
+// searches become complete ("X") duration events nested on per-chain
+// tracks, so the causal structure is visible as a gantt instead of a
+// dust of instants.
 type chromeSpan struct {
 	Name  string         `json:"name"`
 	Phase string         `json:"ph"`
@@ -152,14 +153,10 @@ func WriteChrome(w io.Writer, events []obs.Event) error {
 			tid = int(e.Lane)
 		}
 		args := map[string]any{}
+		vals := [3]int64{e.A, e.B, e.C}
 		for i, n := range obs.KindArgNames(e.Kind) {
-			switch i {
-			case 0:
-				args[n] = e.A
-			case 1:
-				args[n] = e.B
-			case 2:
-				args[n] = e.C
+			if n != "" {
+				args[n] = vals[i]
 			}
 		}
 		if e.Tag != "" {

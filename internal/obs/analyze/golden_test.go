@@ -105,8 +105,8 @@ func TestGoldenSpanTree(t *testing.T) {
 	if b0.Tag != "f/b0" || b0.Merit != 60 || b0.Cuts != 120 {
 		t.Fatalf("b0 = %q merit=%d cuts=%d; want f/b0 60 120", b0.Tag, b0.Merit, b0.Cuts)
 	}
-	if len(b0.Lanes) != 2 || b0.Prunes != 1 || b0.Bounds != 1 || b0.Steals != 1 || b0.StolenSubs != 2 {
-		t.Fatalf("b0 lanes=%d prunes=%d bounds=%d steals=%d stolen=%d", len(b0.Lanes), b0.Prunes, b0.Bounds, b0.Steals, b0.StolenSubs)
+	if len(b0.Lanes) != 2 || b0.Prunes != 1 || b0.Bounds != 1 || b0.Donates != 1 {
+		t.Fatalf("b0 lanes=%d prunes=%d bounds=%d donates=%d", len(b0.Lanes), b0.Prunes, b0.Bounds, b0.Donates)
 	}
 	b1 := cell.Stages[0].Blocks[1]
 	if !b1.RescueTried || !b1.RescueFound || b1.RescueMerit != 35 {

@@ -12,7 +12,7 @@ import (
 //
 // Everything emitted here is a pure function of the search *tree*, not
 // of scheduling: no timestamps, no worker counts, no lane or span IDs,
-// no steal/donate/incumbent-interleaving tallies. For exhaustive runs
+// no donation or incumbent-interleaving tallies. For exhaustive runs
 // the output is byte-identical across worker counts.
 // ---------------------------------------------------------------------
 
@@ -56,7 +56,7 @@ type ExplainCell struct {
 
 // ExplainReport is the deterministic attribution report. Trace-size
 // counters (event/orphan/unscoped totals) are deliberately absent: the
-// engine's coordination events (steals, donations) vary with worker
+// engine's coordination events (donations) vary with worker
 // count, so any raw event tally would break the
 // byte-identity contract. They live in the full summary instead.
 type ExplainReport struct {
@@ -278,9 +278,8 @@ func writeSummaryBlock(w io.Writer, b *Block, indent string) {
 	fmt.Fprintf(w, "%sblock %s ops=%d wall=%s %s merit=%d cuts=%d workers=%d lanes=%d util=%.1f%%",
 		indent, b.Tag, b.Ops, fmtNS(b.Duration()), StatusName(b.Status),
 		b.Merit, b.Cuts, b.Workers, len(b.Lanes), b.Utilization())
-	if b.Steals+b.Donates+b.Resplits > 0 {
-		fmt.Fprintf(w, " steal=%d(+%d sub) donate=%d resplit=%d",
-			b.Steals, b.StolenSubs, b.Donates, b.Resplits)
+	if b.Donates > 0 {
+		fmt.Fprintf(w, " donate=%d", b.Donates)
 	}
 	fmt.Fprintln(w)
 }
@@ -291,9 +290,9 @@ func WriteLanes(w io.Writer, a *Analysis) {
 		fmt.Fprintf(w, "block %s wall=%s lanes=%d util=%.1f%%\n",
 			b.Tag, fmtNS(b.Duration()), len(b.Lanes), b.Utilization())
 		for _, l := range b.Lanes {
-			fmt.Fprintf(w, "  lane %d: active=%s events=%d prune=%d bound=%d inc=%d steal=%d(+%d) donate=%d resplit=%d stop=%d\n",
+			fmt.Fprintf(w, "  lane %d: active=%s events=%d prune=%d bound=%d inc=%d donate=%d stop=%d\n",
 				l.ID, fmtNS(l.Active), l.Events, l.Prunes, l.Bounds,
-				l.Incumbents, l.Steals, l.StolenSubs, l.Donates, l.Resplits, l.Stops)
+				l.Incumbents, l.Donates, l.Stops)
 		}
 	}
 }

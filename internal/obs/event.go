@@ -29,21 +29,16 @@ const (
 	KSearchStart Kind = iota
 	// KSearchEnd marks the end of one block search. Tag is "fn/block",
 	// A the SearchStatus code, B the merit found (-1 when none), C the
-	// cuts considered.
+	// cuts the exact search (rung 0) considered; a rescue's cuts ride
+	// its KRescue event.
 	KSearchEnd
 	// KIncumbent records an incumbent improvement: A the new merit, B
 	// the cuts considered so far by the emitting searcher, C the node
 	// rank at which the cut completed.
 	KIncumbent
-	// KSteal records the emitting worker stealing A subproblems from
-	// victim worker B, whose deque held C.
-	KSteal
 	// KDonate records the emitting worker donating the unexplored
-	// 0-branch at prefix rank A back to the deques.
+	// 0-branch at prefix rank A to the engine's list of subproblems.
 	KDonate
-	// KResplit records the emitting worker expanding a shallow
-	// subproblem at depth A into B children instead of searching it.
-	KResplit
 	// KStop records a searcher observing a stop condition: A the
 	// SearchStatus code (BudgetStopped, DeadlineExceeded, Canceled).
 	KStop
@@ -97,9 +92,7 @@ var kindNames = [kindCount]string{
 	KSearchStart: "search_start",
 	KSearchEnd:   "search_end",
 	KIncumbent:   "incumbent",
-	KSteal:       "steal",
 	KDonate:      "donate",
-	KResplit:     "resplit",
 	KStop:        "stop",
 	KLaneEnd:     "lane_end",
 	KRescue:      "rescue",
@@ -121,8 +114,8 @@ func AllKinds() []Kind {
 	return out
 }
 
-// String returns the stable wire name of the kind ("incumbent", "steal",
-// ...) used by both export formats.
+// String returns the stable wire name of the kind ("incumbent", "donate",
+// ...) used by the JSONL export and the analyzer's Chrome re-export.
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
 		return kindNames[k]

@@ -43,7 +43,7 @@ var kindByName = func() map[string]Kind {
 	return m
 }()
 
-// KindByName resolves a wire name ("incumbent", "steal", ...) back to
+// KindByName resolves a wire name ("incumbent", "donate", ...) back to
 // its Kind; ok is false for unknown names. The decode half of
 // Kind.String, used by the JSONL reader in internal/obs/analyze.
 func KindByName(name string) (Kind, bool) {
@@ -82,30 +82,15 @@ func ParseJSONL(r io.Reader) ([]Event, error) {
 	return out, nil
 }
 
-// chromeEvent is one entry of the Chrome trace_event format
-// (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU):
-// instant events on one process, one thread per recorder lane,
-// loadable by chrome://tracing and Perfetto.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	TS    float64        `json:"ts"` // microseconds
-	PID   int            `json:"pid"`
-	TID   int32          `json:"tid"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-// chromeArgNames maps each kind's A/B/C payload onto named trace args.
+// chromeArgNames maps each kind's A/B/C payload onto named args, as the
+// analyzer's reports and Chrome re-export decode them.
 // Total over KindCount — the exhaustiveness guard test fails when a new
 // kind forgets its decode entry ("" marks an unused slot).
 var chromeArgNames = map[Kind][3]string{
 	KSearchStart: {"ops", "workers", "parent_span"},
 	KSearchEnd:   {"status", "merit", "cuts"},
 	KIncumbent:   {"merit", "cuts", "rank"},
-	KSteal:       {"count", "victim", "deque_depth"},
 	KDonate:      {"rank", "", ""},
-	KResplit:     {"depth", "children", ""},
 	KStop:        {"status", "", ""},
 	KLaneEnd:     {"pruned", "bounded", "active_ns"},
 	KRescue:      {"found", "merit", "cuts"},
@@ -119,8 +104,8 @@ var chromeArgNames = map[Kind][3]string{
 }
 
 // KindArgNames returns the named meanings of kind k's A/B/C payload
-// slots ("" = unused). Shared with the analyzer so attribution reports
-// and the Chrome re-export decode payloads identically.
+// slots ("" = unused), for the analyzer's attribution reports and its
+// Chrome re-export.
 func KindArgNames(k Kind) [3]string { return chromeArgNames[k] }
 
 // KindHasArgNames reports whether kind k has an arg-name mapping at all.
@@ -130,62 +115,4 @@ func KindArgNames(k Kind) [3]string { return chromeArgNames[k] }
 func KindHasArgNames(k Kind) bool {
 	_, ok := chromeArgNames[k]
 	return ok
-}
-
-// chrome converts an Event to its trace_event form: a thread-scoped
-// instant on tid = lane id, so the per-worker interleaving is visible
-// on separate tracks.
-func (e Event) chrome() chromeEvent {
-	ce := chromeEvent{
-		Name:  e.Kind.String(),
-		Phase: "i",
-		TS:    float64(e.T) / 1e3,
-		PID:   1,
-		TID:   e.Lane,
-		Scope: "t",
-	}
-	names := chromeArgNames[e.Kind]
-	args := make(map[string]any, 5)
-	for i, v := range [3]int64{e.A, e.B, e.C} {
-		if names[i] != "" {
-			args[names[i]] = v
-		}
-	}
-	if e.Span != 0 {
-		args["span"] = e.Span
-	}
-	if e.Tag != "" {
-		args["tag"] = e.Tag
-	}
-	if len(args) > 0 {
-		ce.Args = args
-	}
-	return ce
-}
-
-// WriteChromeTrace writes events as a Chrome trace_event JSON array for
-// chrome://tracing / Perfetto.
-func WriteChromeTrace(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("[\n"); err != nil {
-		return err
-	}
-	for i, e := range events {
-		if i > 0 {
-			if _, err := bw.WriteString(",\n"); err != nil {
-				return err
-			}
-		}
-		data, err := json.Marshal(e.chrome())
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(data); err != nil {
-			return err
-		}
-	}
-	if _, err := bw.WriteString("\n]\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
 }

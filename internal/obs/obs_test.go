@@ -85,10 +85,10 @@ func TestLanesAndSpans(t *testing.T) {
 
 func TestRegistryInstruments(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("engine_steals_total")
+	c := reg.Counter("engine_donations_total")
 	c.Inc()
 	c.Add(4)
-	if reg.Counter("engine_steals_total") != c {
+	if reg.Counter("engine_donations_total") != c {
 		t.Fatal("Counter lookup must return the same instrument")
 	}
 	if c.Value() != 5 {
@@ -100,32 +100,12 @@ func TestRegistryInstruments(t *testing.T) {
 	if g.Value() != 5 {
 		t.Fatalf("gauge = %d, want 5", g.Value())
 	}
-	h := reg.Histogram("engine_deque_depth")
-	for _, v := range []int64{0, 1, 2, 3, 900} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 || h.Sum() != 906 {
-		t.Fatalf("histogram count/sum = %d/%d, want 5/906", h.Count(), h.Sum())
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	cases := []struct {
-		v    int64
-		want int
-	}{{-5, 0}, {0, 0}, {1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {1 << 16, 16}, {1 << 60, histBuckets - 1}}
-	for _, c := range cases {
-		if got := histBucket(c.v); got != c.want {
-			t.Errorf("histBucket(%d) = %d, want %d", c.v, got, c.want)
-		}
-	}
 }
 
 func TestPrometheusText(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("search_cuts_considered_total").Add(42)
 	reg.Gauge("engine_workers_active").Set(3)
-	reg.Histogram("engine_deque_depth").Observe(5)
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -136,11 +116,6 @@ func TestPrometheusText(t *testing.T) {
 		"isex_search_cuts_considered_total 42",
 		"# TYPE isex_engine_workers_active gauge",
 		"isex_engine_workers_active 3",
-		"# TYPE isex_engine_deque_depth histogram",
-		`isex_engine_deque_depth_bucket{le="8"} 1`,
-		`isex_engine_deque_depth_bucket{le="+Inf"} 1`,
-		"isex_engine_deque_depth_sum 5",
-		"isex_engine_deque_depth_count 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q:\n%s", want, out)
@@ -151,14 +126,10 @@ func TestPrometheusText(t *testing.T) {
 func TestSnapshot(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("a_total").Add(7)
-	reg.Histogram("h").Observe(3)
+	reg.Gauge("g").Set(-2)
 	snap := reg.Snapshot()
-	if snap["a_total"] != int64(7) {
-		t.Fatalf("snapshot a_total = %v, want 7", snap["a_total"])
-	}
-	h, ok := snap["h"].(map[string]int64)
-	if !ok || h["count"] != 1 || h["sum"] != 3 {
-		t.Fatalf("snapshot h = %v", snap["h"])
+	if snap["a_total"] != int64(7) || snap["g"] != int64(-2) {
+		t.Fatalf("snapshot = %v, want a_total 7 and g -2", snap)
 	}
 	if _, err := json.Marshal(snap); err != nil {
 		t.Fatalf("snapshot must marshal: %v", err)
@@ -179,9 +150,7 @@ func TestNilProbeSafety(t *testing.T) {
 	o.FlushStats(1, 2, 3, 4)
 	o.Incumbent(1, 2, 3)
 	o.Stop(2, false, true, false)
-	o.Steal(0, 1, 2)
 	o.Donate(3)
-	o.Resplit(1, 2)
 	o.Idle()
 	o.Busy()
 	o.End(1, 2)
@@ -251,31 +220,6 @@ func TestWriteJSONL(t *testing.T) {
 	if !strings.Contains(sb.String(), `"kind":"incumbent"`) ||
 		!strings.Contains(sb.String(), `"tag":"main/entry"`) {
 		t.Fatalf("JSONL missing expected fields:\n%s", sb.String())
-	}
-}
-
-func TestWriteChromeTrace(t *testing.T) {
-	rec := NewRecorder(8)
-	rec.emit(1, 0, KSteal, "", 3, 2, 5)
-	rec.emit(1, 0, KIncumbent, "", 100, 7, 9)
-	var sb strings.Builder
-	if err := WriteChromeTrace(&sb, rec.Merge()); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &events); err != nil {
-		t.Fatalf("chrome trace not a JSON array: %v\n%s", err, sb.String())
-	}
-	if len(events) != 2 {
-		t.Fatalf("got %d trace events, want 2", len(events))
-	}
-	e := events[0]
-	if e["name"] != "steal" || e["ph"] != "i" || e["tid"] != float64(1) {
-		t.Fatalf("unexpected trace event: %v", e)
-	}
-	args, ok := e["args"].(map[string]any)
-	if !ok || args["count"] != float64(3) || args["victim"] != float64(2) {
-		t.Fatalf("steal args wrong: %v", e["args"])
 	}
 }
 

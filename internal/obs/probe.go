@@ -41,14 +41,10 @@ type Metrics struct {
 	GreedyRescues   *Counter
 	GreedyHits      *Counter
 
-	// Work-stealing engine counters.
-	Steals        *Counter
-	StolenSubs    *Counter
+	// Parallel engine counters.
 	Donations     *Counter
-	Resplits      *Counter
 	WorkerRetries *Counter
 	WorkersActive *Gauge
-	DequeDepth    *Histogram
 
 	// Selection-driver counters.
 	Collapses *Counter
@@ -75,13 +71,9 @@ func NewMetrics(reg *Registry) *Metrics {
 		PanicsRecovered: reg.Counter("search_panics_recovered_total"),
 		GreedyRescues:   reg.Counter("search_greedy_rescues_total"),
 		GreedyHits:      reg.Counter("search_greedy_hits_total"),
-		Steals:          reg.Counter("engine_steals_total"),
-		StolenSubs:      reg.Counter("engine_stolen_subproblems_total"),
 		Donations:       reg.Counter("engine_donations_total"),
-		Resplits:        reg.Counter("engine_resplits_total"),
 		WorkerRetries:   reg.Counter("engine_worker_retries_total"),
 		WorkersActive:   reg.Gauge("engine_workers_active"),
-		DequeDepth:      reg.Histogram("engine_deque_depth"),
 		Collapses:       reg.Counter("sched_collapses_total"),
 		Cells:           reg.Counter("dse_cells_total"),
 	}
@@ -460,22 +452,6 @@ func (o *SearchObs) Stop(status int64, deadline, budget, canceled bool) {
 	}
 }
 
-// Steal records this searcher stealing n subproblems from victim.
-func (o *SearchObs) Steal(victim, n, depth int64) {
-	if o == nil {
-		return
-	}
-	o.fire(SiteSteal)
-	if o.met != nil {
-		o.met.Steals.Inc()
-		o.met.StolenSubs.Add(n)
-		o.met.DequeDepth.Observe(depth)
-	}
-	if o.rec != nil {
-		o.emit(KSteal, n, victim, depth)
-	}
-}
-
 // Donate records this searcher donating its 0-branch at prefix rank.
 func (o *SearchObs) Donate(rank int) {
 	if o == nil {
@@ -487,21 +463,6 @@ func (o *SearchObs) Donate(rank int) {
 	}
 	if o.rec != nil {
 		o.emit(KDonate, int64(rank), 0, 0)
-	}
-}
-
-// Resplit records this searcher expanding a shallow subproblem at depth
-// into children child subproblems.
-func (o *SearchObs) Resplit(depth, children int) {
-	if o == nil {
-		return
-	}
-	o.fire(SiteResplit)
-	if o.met != nil {
-		o.met.Resplits.Inc()
-	}
-	if o.rec != nil {
-		o.emit(KResplit, int64(depth), int64(children), 0)
 	}
 }
 

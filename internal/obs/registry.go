@@ -3,14 +3,13 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
 // Registry is a names-to-instruments metrics registry. Instrument
-// lookup (Counter/Gauge/Histogram) takes a lock and is meant for setup;
+// lookup (Counter/Gauge) takes a lock and is meant for setup;
 // the instruments themselves are plain atomics with zero allocation on
 // the update path.
 type Registry struct {
@@ -46,11 +45,6 @@ func (reg *Registry) Gauge(name string) *Gauge {
 	return reg.lookup(name, func() any { return new(Gauge) }).(*Gauge)
 }
 
-// Histogram returns the histogram registered under name.
-func (reg *Registry) Histogram(name string) *Histogram {
-	return reg.lookup(name, func() any { return new(Histogram) }).(*Histogram)
-}
-
 // Counter is a monotonically increasing atomic counter.
 type Counter struct{ v atomic.Int64 }
 
@@ -75,50 +69,11 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// histBuckets is the number of power-of-two histogram buckets: bucket i
-// counts observations v with 2^(i-1) < v <= 2^i (bucket 0 counts v <= 1,
-// negative included), and the last bucket is the +Inf overflow.
-const histBuckets = 18
-
-// Histogram is an atomic power-of-two-bucket histogram. Observe is one
-// bits.Len64 plus two atomic adds — cheap enough for per-steal deque
-// depths, not meant for per-cut rates (those are counters).
-type Histogram struct {
-	buckets [histBuckets]atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Int64
-}
-
-func histBucket(v int64) int {
-	if v <= 1 {
-		return 0
-	}
-	b := bits.Len64(uint64(v - 1)) // smallest b with v <= 2^b
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	return b
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v int64) {
-	h.buckets[histBucket(v)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 // promPrefix namespaces every exported series.
 const promPrefix = "isex_"
 
 // WritePrometheus renders the registry in the Prometheus text exposition
-// format (one isex_-prefixed series per instrument, histograms as
-// cumulative le buckets).
+// format (one isex_-prefixed series per instrument).
 func (reg *Registry) WritePrometheus(w io.Writer) error {
 	reg.mu.Lock()
 	names := make([]string, 0, len(reg.items))
@@ -143,31 +98,13 @@ func (reg *Registry) WritePrometheus(w io.Writer) error {
 			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", full, full, it.Value()); err != nil {
 				return err
 			}
-		case *Histogram:
-			if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", full); err != nil {
-				return err
-			}
-			var cum int64
-			for b := 0; b < histBuckets; b++ {
-				cum += it.buckets[b].Load()
-				le := fmt.Sprintf("%d", int64(1)<<uint(b))
-				if b == histBuckets-1 {
-					le = "+Inf"
-				}
-				if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", full, le, cum); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", full, it.Sum(), full, it.Count()); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
 }
 
-// Snapshot returns a point-in-time map of every instrument: counters
-// and gauges as int64, histograms as {count, sum}. The map is freshly
+// Snapshot returns a point-in-time map of every instrument, counters
+// and gauges alike as int64. The map is freshly
 // allocated and safe to marshal; it also backs the expvar exposure.
 func (reg *Registry) Snapshot() map[string]any {
 	reg.mu.Lock()
@@ -179,8 +116,6 @@ func (reg *Registry) Snapshot() map[string]any {
 			out[name] = it.Value()
 		case *Gauge:
 			out[name] = it.Value()
-		case *Histogram:
-			out[name] = map[string]int64{"count": it.Count(), "sum": it.Sum()}
 		}
 	}
 	return out

@@ -12,12 +12,12 @@ import (
 //
 // Every event goes through the one buffer: the coordinator-side ones
 // (block, stage and cell spans, rescues, collapses, panics) on lane 0,
-// and each searcher's own (incumbents, stops, engine steals, donations
-// and re-splits, and its closing lane_end) on the lane Probe.Attach
-// handed it. None is per cut — the searchers count prunes and bound
-// cutoffs in core.Stats and report the totals once, in lane_end — so a
-// traced serial selection records tens of events (an engine run adds one
-// per steal, donation and re-split) and one lock for all of them is
+// and each searcher's own (incumbents, stops, engine donations, and its
+// closing lane_end) on the lane Probe.Attach handed it. None is per cut
+// — the searchers count prunes and bound cutoffs in core.Stats and
+// report the totals once, in lane_end — so a traced serial selection
+// records tens of events (an engine run adds one per donation) and one
+// lock for all of them is
 // cheap. Timestamps are taken under the lock, so the buffer is in time
 // order.
 type Recorder struct {

@@ -32,14 +32,9 @@ const (
 	// SiteStop fires when a searcher observes a stop condition
 	// (SearchObs.Stop).
 	SiteStop
-	// SiteSteal fires when a worker steals subproblems (SearchObs.Steal).
-	SiteSteal
 	// SiteDonate fires when a worker donates a 0-branch
 	// (SearchObs.Donate).
 	SiteDonate
-	// SiteResplit fires when a worker re-splits a shallow subproblem
-	// (SearchObs.Resplit).
-	SiteResplit
 	// SiteCollapse fires on a selection-round winner collapse
 	// (Probe.Collapse).
 	SiteCollapse
@@ -62,9 +57,7 @@ var siteNames = [SiteCount]string{
 	SitePoll:        "poll",
 	SiteIncumbent:   "incumbent",
 	SiteStop:        "stop",
-	SiteSteal:       "steal",
 	SiteDonate:      "donate",
-	SiteResplit:     "resplit",
 	SiteCollapse:    "collapse",
 	SiteStage:       "stage",
 	SiteCell:        "cell",
@@ -90,9 +83,7 @@ var siteMetrics = [SiteCount][]string{
 	SitePoll:        {"search_cuts_considered_total", "search_cuts_passed_total", "search_cuts_pruned_total", "search_bound_cutoffs_total"},
 	SiteIncumbent:   {"search_incumbents_total"},
 	SiteStop:        {"search_deadline_trips_total", "search_budget_trips_total", "search_cancel_trips_total"},
-	SiteSteal:       {"engine_steals_total", "engine_stolen_subproblems_total", "engine_deque_depth"},
 	SiteDonate:      {"engine_donations_total"},
-	SiteResplit:     {"engine_resplits_total"},
 	SiteCollapse:    {"sched_collapses_total"},
 	SiteStage:       {},
 	SiteCell:        {"dse_cells_total"},

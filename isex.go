@@ -41,11 +41,10 @@ type Constraints struct {
 	// blocks larger than this many nodes (sound, possibly sub-optimal).
 	// It applies to Identify only: IdentifyOptimal has no windowed form.
 	Window int
-	// Parallel searches independent basic blocks concurrently.
-	Parallel bool
 	// Workers, when positive, runs each block's exact search on the
-	// work-stealing parallel branch-and-bound engine with that many
-	// workers. Results are bit-identical to the serial search.
+	// parallel branch-and-bound engine with that many workers; a search
+	// that outlasts a poll interval is split among them. Results are
+	// bit-identical to the serial search.
 	Workers int
 	// Deadline, when positive, bounds the wall-clock time of an
 	// identification call: the search returns the best selection found so
@@ -57,7 +56,7 @@ type Constraints struct {
 
 func (c Constraints) config() core.Config {
 	return core.Config{Nin: c.Nin, Nout: c.Nout, MaxCuts: c.MaxCuts,
-		Window: c.Window, Parallel: c.Parallel, Workers: c.Workers}
+		Window: c.Window, Workers: c.Workers}
 }
 
 // SearchStatus classifies how an identification search ended: Exhaustive

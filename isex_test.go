@@ -217,8 +217,8 @@ func TestFacadeAreaConstrainedAndOptions(t *testing.T) {
 	if _, err := p.IdentifyAreaConstrained(Constraints{}, 4, 1); err == nil {
 		t.Error("zero ports accepted")
 	}
-	// Windowed + parallel options run and stay sound.
-	win, err := p.Identify(Constraints{Nin: 4, Nout: 2, Window: 8, Parallel: true}, 4)
+	// Windowed + engine options run and stay sound.
+	win, err := p.Identify(Constraints{Nin: 4, Nout: 2, Window: 8, Workers: 2}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
