@@ -184,8 +184,7 @@ func run(w io.Writer, want func(string) bool, o cliOpts) error {
 		opt.Measure = o.measure
 		opt.Deadline = o.deadline
 		opt.Workers = o.workers
-		opt.PruneInputs = o.prune
-		opt.PruneMerit = o.prune
+		opt.Prune = o.prune
 		if !o.optimal {
 			opt.Methods = []experiments.Method{
 				experiments.MethodIterative, experiments.MethodClubbing, experiments.MethodMaxMISO,

@@ -181,7 +181,7 @@ func run(argv []string) error {
 
 	model := latency.Default()
 	cfg := core.Config{Nin: *nin, Nout: *nout, Model: model, MaxCuts: *budget,
-		Workers: *workers}
+		Workers: *workers, PruneInputs: true, PruneMerit: true}
 
 	// The JSON report reads the metrics too.
 	tel := startTelemetry(*tracePath, *traceChrome, *metricsAddr, *jsonOut, nil)
@@ -302,11 +302,14 @@ func run(argv []string) error {
 		return writeIR()
 	}
 
-	var baseCycles int64
+	var base *sim.Report
+	var baseOut programOutputs
 	if *simulate {
-		// The unpatched baseline is the profiling run, priced before the
-		// patch changes m.
-		baseCycles = sim.FromProfile(m, model).Cycles
+		// The unpatched run, before the patch changes m.
+		base, baseOut, err = simulateRun(m, model, k, *entry, args)
+		if err != nil {
+			return fmt.Errorf("unpatched simulation: %w", err)
+		}
 	}
 
 	afus, skipped, err := core.ApplySelection(m, sel.Instructions, model)
@@ -320,17 +323,16 @@ func run(argv []string) error {
 
 	if *simulate {
 		interp.ClearProfile(m)
-		var setup func(*interp.Env) error // a -src program has no inputs
-		if k != nil {
-			setup = k.SetInputs
-		}
-		runner := &sim.Runner{Model: model, Setup: setup}
-		rep, err := runner.Run(m, entryFor(k, *entry), argsFor(k, args)...)
+		rep, out, err := simulateRun(m, model, k, *entry, args)
 		if err != nil {
 			return fmt.Errorf("patched simulation: %w", err)
 		}
 		fmt.Printf("cycles: %d -> %d  (measured speedup %.3fx)\n",
-			baseCycles, rep.Cycles, float64(baseCycles)/float64(rep.Cycles))
+			base.Cycles, rep.Cycles, float64(base.Cycles)/float64(rep.Cycles))
+		if err := diffOutputs(baseOut, out); err != nil {
+			return fmt.Errorf("patched program: %w", err)
+		}
+		fmt.Printf("outputs: match (return value and %d global(s))\n", len(out.names))
 	}
 
 	if *verilogTo != "" {
@@ -470,18 +472,64 @@ func writeJSONReport(w *os.File, method string, nin, nout, ninstr int, sel core.
 	return enc.Encode(rep)
 }
 
-func entryFor(k *workload.Kernel, entry string) string {
-	if k != nil {
-		return k.Entry
-	}
-	return entry
+// programOutputs is what one run of a program computes: the entry
+// function's return value and the contents of the compared globals.
+type programOutputs struct {
+	ret     int32
+	names   []string
+	globals [][]int32
 }
 
-func argsFor(k *workload.Kernel, args []int32) []int32 {
+// simulateRun runs the program on the cycle simulator — a kernel from
+// its entry, arguments and inputs, a -src program from entry(args...)
+// — and returns the cycle report with the run's outputs: the kernel's
+// Outputs globals, or every global of a -src program.
+func simulateRun(m *ir.Module, model *latency.Model, k *workload.Kernel, entry string, args []int32) (*sim.Report, programOutputs, error) {
+	var out programOutputs
+	var env *interp.Env
+	runner := &sim.Runner{Model: model, Setup: func(e *interp.Env) error {
+		env = e
+		if k != nil {
+			return k.SetInputs(e)
+		}
+		return nil // a -src program has no inputs
+	}}
 	if k != nil {
-		return k.Args
+		entry, args, out.names = k.Entry, k.Args, k.Outputs
+	} else {
+		for _, g := range m.Globals {
+			out.names = append(out.names, g.Name)
+		}
 	}
-	return args
+	rep, err := runner.Run(m, entry, args...)
+	if err != nil {
+		return nil, out, err
+	}
+	out.ret = rep.Ret
+	for _, name := range out.names {
+		vals, err := env.GlobalSlice(name)
+		if err != nil {
+			return nil, out, err
+		}
+		out.globals = append(out.globals, append([]int32(nil), vals...))
+	}
+	return rep, out, nil
+}
+
+// diffOutputs names the first difference between the outputs of the
+// original program (want) and the patched one (got), or returns nil.
+func diffOutputs(want, got programOutputs) error {
+	if got.ret != want.ret {
+		return fmt.Errorf("returned %d, the original %d", got.ret, want.ret)
+	}
+	for i, name := range want.names {
+		for j, v := range want.globals[i] {
+			if g := got.globals[i][j]; g != v {
+				return fmt.Errorf("%s[%d] = %d, the original %d", name, j, g, v)
+			}
+		}
+	}
+	return nil
 }
 
 // defaultVectors produces a few deterministic test vectors for an AFU's

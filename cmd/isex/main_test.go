@@ -120,3 +120,49 @@ func TestTraceChromeNestsBlocks(t *testing.T) {
 		t.Fatalf("no block spans in %s", data)
 	}
 }
+
+// TestSimulateChecksOutputs: -simulate runs the original and the patched
+// program and reports that they compute the same outputs.
+func TestSimulateChecksOutputs(t *testing.T) {
+	for _, k := range []string{"adpcmdecode", "sha"} {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := make(chan []byte)
+		go func() {
+			out, _ := io.ReadAll(r)
+			read <- out
+		}()
+		stdout := os.Stdout
+		os.Stdout = w
+		err = run([]string{"-kernel", k, "-simulate"})
+		os.Stdout = stdout
+		w.Close()
+		out := string(<-read)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", k, err, out)
+		}
+		if !strings.Contains(out, "outputs: match") {
+			t.Errorf("%s: no output check reported:\n%s", k, out)
+		}
+	}
+}
+
+// TestDiffOutputs: the output check names the first global element, or
+// the return value, that a planted difference changes.
+func TestDiffOutputs(t *testing.T) {
+	want := programOutputs{ret: 7, names: []string{"a", "b"}, globals: [][]int32{{1, 2}, {3, 4, 5}}}
+	same := programOutputs{ret: 7, names: want.names, globals: [][]int32{{1, 2}, {3, 4, 5}}}
+	if err := diffOutputs(want, same); err != nil {
+		t.Fatalf("equal outputs reported as different: %v", err)
+	}
+	planted := programOutputs{ret: 7, names: want.names, globals: [][]int32{{1, 2}, {3, 9, 6}}}
+	if err := diffOutputs(want, planted); err == nil || err.Error() != "b[1] = 9, the original 4" {
+		t.Errorf("planted global difference: err = %v", err)
+	}
+	planted = programOutputs{ret: 8, names: want.names, globals: want.globals}
+	if err := diffOutputs(want, planted); err == nil || !strings.Contains(err.Error(), "returned 8") {
+		t.Errorf("planted return-value difference: err = %v", err)
+	}
+}

@@ -31,8 +31,7 @@ type sweepIO struct {
 // constraint group with the smaller Ninstr budgets as its prefixes
 // (package dse). The table prints one section per (kernel, target) with
 // the Pareto frontier; -sweep-json writes the deterministic
-// machine-readable report (byte-identical across -workers values and
-// shard orders).
+// machine-readable report (byte-identical across -workers values).
 func runSweep(kernels, targets, constraints, ninstrs, mode, jsonPath string, budget int64, workers int, deadline time.Duration, sio sweepIO) error {
 	opt := dse.DefaultOptions()
 	if kernels != "" {

@@ -351,7 +351,7 @@ func TestBaselinePatchable(t *testing.T) {
 func TestRecurrenceLegalAndSmall(t *testing.T) {
 	m := prepModule(t)
 	cfg := core.Config{Nin: 4, Nout: 2}
-	sel := SelectRecurrence(m, 8, cfg, RecurrenceOptions{})
+	sel := SelectRecurrence(m, 8, cfg)
 	for _, s := range sel.Instructions {
 		if s.Est.In > cfg.Nin || s.Est.Out > cfg.Nout {
 			t.Errorf("recurrence cluster violates ports: %v", s.Est)
@@ -385,7 +385,7 @@ func TestRecurrenceLegalAndSmall(t *testing.T) {
 
 func TestRecurrenceDisjoint(t *testing.T) {
 	m := prepModule(t)
-	sel := SelectRecurrence(m, 8, core.Config{Nin: 4, Nout: 2}, RecurrenceOptions{})
+	sel := SelectRecurrence(m, 8, core.Config{Nin: 4, Nout: 2})
 	seen := map[*ir.Block]map[int]bool{}
 	for _, s := range sel.Instructions {
 		if seen[s.Block] == nil {
@@ -403,7 +403,7 @@ func TestRecurrenceDisjoint(t *testing.T) {
 func TestRecurrencePatchable(t *testing.T) {
 	m := prepModule(t)
 	ref := prepModule(t)
-	sel := SelectRecurrence(m, 4, core.Config{Nin: 4, Nout: 2}, RecurrenceOptions{})
+	sel := SelectRecurrence(m, 4, core.Config{Nin: 4, Nout: 2})
 	if len(sel.Instructions) == 0 {
 		t.Skip("recurrence found nothing")
 	}

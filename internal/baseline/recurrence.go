@@ -32,25 +32,17 @@ type recCluster struct {
 // pairKey identifies a producer→consumer signature pair.
 type pairKey struct{ from, to string }
 
-// RecurrenceOptions bound the growth.
-type RecurrenceOptions struct {
-	// MinPairCount is the recurrence threshold: a pair is merged only if
-	// it appears at least this often program-wide (default 2 — a pattern
-	// seen once is not "recurrent").
-	MinPairCount int
-	// MaxRounds bounds merge rounds (default 8).
-	MaxRounds int
-}
+// Bounds of the growth: a pair is merged only if it appears at least
+// minPairCount times program-wide (a pattern seen once is not
+// "recurrent"), in at most maxMergeRounds merge rounds.
+const (
+	minPairCount   = 2
+	maxMergeRounds = 8
+)
 
 // SelectRecurrence builds clusters by recurrent-pair contraction and then
 // selects the best ones that happen to satisfy the port constraints.
-func SelectRecurrence(m *ir.Module, ninstr int, cfg core.Config, opt RecurrenceOptions) core.SelectionResult {
-	if opt.MinPairCount == 0 {
-		opt.MinPairCount = 2
-	}
-	if opt.MaxRounds == 0 {
-		opt.MaxRounds = 8
-	}
+func SelectRecurrence(m *ir.Module, ninstr int, cfg core.Config) core.SelectionResult {
 	res := core.SelectionResult{}
 	if ninstr < 1 {
 		return res
@@ -81,7 +73,7 @@ func SelectRecurrence(m *ir.Module, ninstr int, cfg core.Config, opt RecurrenceO
 		}
 	}
 	// Iteratively merge the most recurrent adjacent signature pair.
-	for round := 0; round < opt.MaxRounds; round++ {
+	for round := 0; round < maxMergeRounds; round++ {
 		counts := map[pairKey]int{}
 		for _, g := range graphs {
 			for id, c := range clusterOf[g] {
@@ -110,7 +102,7 @@ func SelectRecurrence(m *ir.Module, ninstr int, cfg core.Config, opt RecurrenceO
 				bestPair, bestCount = k, counts[k]
 			}
 		}
-		if bestCount < opt.MinPairCount {
+		if bestCount < minPairCount {
 			break
 		}
 		// Contract every instance of the winning pair (greedy, convexity-

@@ -342,7 +342,7 @@ func searchBlock(ctx context.Context, g *dfg.Graph, cfg Config, exact func(conte
 		bs.Rung = rung
 	}
 
-	// Rung 0: exact B&B (serial, engine or windowed per cfg). search_end
+	// Rung 0: exact B&B (serial or engine per cfg). search_end
 	// reports its cuts alone, as its lanes report its prunes alone; the
 	// rescue's cuts ride the rescue's own event.
 	var exactCuts int64
@@ -356,11 +356,10 @@ func searchBlock(ctx context.Context, g *dfg.Graph, cfg Config, exact func(conte
 		}
 	})
 
-	// Rung 1: §9 windowed rescue, unless rung 0 already was the windowed
-	// search (§6.1 only). Fallback and the rescue's stats are reported
-	// only when the rescue actually examined something — a rescue killed
-	// at its first context poll contributed nothing.
-	if rescueWorthwhile(bs.Status) && !cfg.windowed(g) && g.NumOps() > fallbackWindow {
+	// Rung 1: §9 windowed rescue. Fallback and the rescue's stats are
+	// reported only when the rescue actually examined something — a
+	// rescue killed at its first context poll contributed nothing.
+	if rescueWorthwhile(bs.Status) && g.NumOps() > fallbackWindow {
 		guardRung(cfg.Probe, tag, &bs, func() {
 			rctx, cancel := rescueCtx(ctx, start)
 			defer cancel()
@@ -424,10 +423,8 @@ func searchBlockSafe(ctx context.Context, g *dfg.Graph, cfg Config) (Result, Blo
 }
 
 // searchBlockMultiSafe is searchBlock with the §6.2 search for m cuts at
-// rung 0. The §6.2 search has no windowed form, so Config.Window does not
-// apply: rung 0 is always exact, and rung 1 rescues it as it does §6.1's.
+// rung 0; rung 1 rescues it as it does §6.1's.
 func searchBlockMultiSafe(ctx context.Context, g *dfg.Graph, m int, cfg Config) (MultiResult, BlockStatus) {
-	cfg.Window = 0
 	return searchBlock(ctx, g, cfg, func(ctx context.Context, cfg Config) MultiResult {
 		return FindBestCutsCtx(ctx, g, m, cfg)
 	})

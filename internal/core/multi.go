@@ -32,11 +32,6 @@ type MultiResult struct {
 // (Fig. 9): at every level a node either joins one of the m cuts or none.
 // Cut labels are symmetric, so the search only opens cut k after cut k−1
 // is non-empty.
-//
-// StrictInterCut (an extension, see Config) additionally rejects
-// assignments whose cuts depend on each other cyclically and hence could
-// not be scheduled as atomic instructions; the paper does not perform
-// this check, so it defaults to off.
 func FindBestCuts(g *dfg.Graph, m int, cfg Config) MultiResult {
 	return FindBestCutsCtx(context.Background(), g, m, cfg)
 }
@@ -528,9 +523,6 @@ func (s *multiSearcher) maybeRecord(rank int) {
 	if s.overIn > 0 || !s.beats(s.merit) {
 		return
 	}
-	if s.cfg.StrictInterCut && s.interCutCycle() {
-		return
-	}
 	cuts := make([]dfg.Cut, s.m)
 	for id, k := range s.assign {
 		if k > 0 {
@@ -538,57 +530,6 @@ func (s *multiSearcher) maybeRecord(rank int) {
 		}
 	}
 	s.keep(s.merit, cuts, rank)
-}
-
-// interCutCycle reports whether two of the current cuts depend on each
-// other through any path, which would make a joint schedule of the
-// collapsed instructions impossible.
-func (s *multiSearcher) interCutCycle() bool {
-	// reaches[k][j]: some member of cut k reaches some member of cut j.
-	reaches := make([][]bool, s.m+1)
-	for k := 1; k <= s.m; k++ {
-		if s.cuts[k].size == 0 {
-			continue
-		}
-		seen := make([]bool, len(s.g.Nodes))
-		r := make([]bool, s.m+1)
-		var stack []int
-		for id, a := range s.assign {
-			if a == k {
-				seen[id] = true
-				stack = append(stack, id)
-			}
-		}
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			visit := func(w int) {
-				if seen[w] {
-					return
-				}
-				seen[w] = true
-				if a := s.assign[w]; a > 0 && a != k {
-					r[a] = true
-				}
-				stack = append(stack, w)
-			}
-			for _, w := range s.g.Nodes[v].Succs {
-				visit(w)
-			}
-			for _, w := range s.g.Nodes[v].OrderSuccs {
-				visit(w)
-			}
-		}
-		reaches[k] = r
-	}
-	for a := 1; a <= s.m; a++ {
-		for b := a + 1; b <= s.m; b++ {
-			if reaches[a] != nil && reaches[b] != nil && reaches[a][b] && reaches[b][a] {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // replay applies a decision prefix (decision r for rank r; 0 = exclude,

@@ -263,79 +263,6 @@ func TestSingleCutTakesDisconnected(t *testing.T) {
 	}
 }
 
-func TestStrictInterCut(t *testing.T) {
-	// x -> load -> y: cut1 = {x}, cut2 = {y} has a one-way dependence —
-	// fine. Build a mutual dependence: a -> LD -> b and b' -> LD2 -> a'
-	// where a,a' in cut1 and b,b' in cut2.
-	bld := ir.NewBuilder("f", 4)
-	p := bld.Fn.Params
-	a := bld.Op(ir.OpAdd, p[0], p[1])  // cut1 candidate
-	ld1 := bld.Load(a)                 // barrier
-	b := bld.Op(ir.OpXor, ld1, p[2])   // cut2 candidate, depends on cut1
-	bb := bld.Op(ir.OpSub, p[2], p[3]) // cut2 candidate
-	ld2 := bld.Load(bb)                // barrier
-	a2 := bld.Op(ir.OpAnd, ld2, p[0])  // cut1 candidate, depends on cut2
-	nxt := bld.NewBlock("next")
-	bld.Jump(nxt)
-	bld.SetBlock(nxt)
-	bld.Ret(bld.Op(ir.OpOr, bld.Op(ir.OpOr, b, a2), a))
-	f := bld.Finish()
-	g := mustBuildGraph(t, f, f.Entry(), ir.Liveness(f))
-
-	// Force the specific assignment via brute check: with strict mode the
-	// total merit can only be lower or equal.
-	loose := FindBestCuts(g, 2, Config{Nin: 4, Nout: 2})
-	strict := FindBestCuts(g, 2, Config{Nin: 4, Nout: 2, StrictInterCut: true})
-	var lm, sm int64
-	if loose.Found {
-		lm = loose.TotalMerit
-	}
-	if strict.Found {
-		sm = strict.TotalMerit
-	}
-	if sm > lm {
-		t.Errorf("strict mode improved merit: %d > %d", sm, lm)
-	}
-	// Verify the strict result really has no inter-cut cycle.
-	if strict.Found && len(strict.Cuts) == 2 {
-		if cyclic(g, strict.Cuts[0], strict.Cuts[1]) {
-			t.Error("strict mode returned cyclic cuts")
-		}
-	}
-}
-
-// cyclic reports mutual reachability between two cuts.
-func cyclic(g *dfg.Graph, c1, c2 dfg.Cut) bool {
-	return reachesCut(g, c1, c2) && reachesCut(g, c2, c1)
-}
-
-func reachesCut(g *dfg.Graph, from, to dfg.Cut) bool {
-	target := map[int]bool{}
-	for _, id := range to {
-		target[id] = true
-	}
-	seen := map[int]bool{}
-	stack := append([]int{}, from...)
-	for _, id := range from {
-		seen[id] = true
-	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		next := append(append([]int{}, g.Nodes[v].Succs...), g.Nodes[v].OrderSuccs...)
-		for _, w := range next {
-			if target[w] {
-				return true
-			}
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	return false
-}
-
 func TestMultiCutStats(t *testing.T) {
 	g, _ := fig4Graph(t)
 	res := FindBestCuts(g, 2, Config{Nin: 8, Nout: 1})
@@ -355,5 +282,85 @@ func TestMultiCutStats(t *testing.T) {
 	}
 	if total < 3 {
 		t.Errorf("expected substantial coverage with two cuts, got %v", res.Cuts)
+	}
+}
+
+// TestMultiCutWideMasks covers the §6.2 search at M ≥ 64, where a cut
+// mask takes more than one word, so enterWide, copyWide and every
+// words > 1 branch run; SelectOptimal gets there when one block wins 63
+// rounds. A graph with n candidates opens at most n cuts, so M = 64 and
+// M = 65 must return the merit and cuts of M = n, serially with the same
+// Stats too, and on the engine. Brute force checks the merit of graphs
+// with 5 candidates or fewer.
+func TestMultiCutWideMasks(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	prunings := []Config{{}, {PruneInputs: true, PruneMerit: true}}
+	for graphs := 0; graphs < 12; {
+		g := randomGraph(t, rng, 4+rng.Intn(7))
+		n := 0
+		for _, id := range g.OpOrder {
+			if !g.Nodes[id].Forbidden {
+				n++
+			}
+		}
+		if n == 0 || n > 8 {
+			continue
+		}
+		graphs++
+		for _, c := range []struct{ nin, nout int }{{2, 1}, {4, 2}} {
+			for _, base := range prunings {
+				base.Nin, base.Nout = c.nin, c.nout
+				label := fmt.Sprintf("graph %d (%d candidates) %d/%d prune=%v", graphs, n, c.nin, c.nout, base.PruneMerit)
+				want := FindBestCuts(g, n, base)
+				if n <= 5 {
+					if brute := enumerateBestMulti(g, n, base); want.TotalMerit != brute {
+						t.Fatalf("%s: M=%d merit %d, brute force %d", label, n, want.TotalMerit, brute)
+					}
+				}
+				for _, m := range []int{64, 65} {
+					for _, nw := range []int{0, 2} {
+						cfg := base
+						cfg.Workers = nw
+						got := FindBestCuts(g, m, cfg)
+						if got.Found != want.Found || got.TotalMerit != want.TotalMerit ||
+							got.Status != want.Status || len(got.Cuts) != len(want.Cuts) {
+							t.Fatalf("%s M=%d workers %d: %v/%d/%v %v, M=%d %v/%d/%v %v", label, m, nw,
+								got.Found, got.TotalMerit, got.Status, got.Cuts, n,
+								want.Found, want.TotalMerit, want.Status, want.Cuts)
+						}
+						for i := range want.Cuts {
+							if !got.Cuts[i].Equal(want.Cuts[i]) {
+								t.Fatalf("%s M=%d workers %d: cut %d is %v, M=%d %v", label, m, nw, i, got.Cuts[i], n, want.Cuts[i])
+							}
+						}
+						if nw == 0 && got.Stats != want.Stats {
+							t.Fatalf("%s M=%d: stats %+v, M=%d %+v", label, m, got.Stats, n, want.Stats)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// One engine run on a kernel block long enough to split: fir's
+	// largest block at 2/1, pruned.
+	g := hotBlock(t, "fir")
+	cfg := Config{Nin: 2, Nout: 1, PruneInputs: true, PruneMerit: true}
+	serial := FindBestCuts(g, 64, cfg)
+	cfg, donations := withDonationCount(cfg)
+	cfg.Workers = 2
+	par := FindBestCuts(g, 64, cfg)
+	if donations() == 0 {
+		t.Error("fir M=64 workers 2: the search never split")
+	}
+	if serial.Status != Exhaustive || par.Status != Exhaustive || par.TotalMerit != serial.TotalMerit ||
+		len(par.Cuts) != len(serial.Cuts) {
+		t.Fatalf("fir M=64 workers 2: %v/%d/%v diverges from serial %v/%d/%v",
+			par.Cuts, par.TotalMerit, par.Status, serial.Cuts, serial.TotalMerit, serial.Status)
+	}
+	for i := range par.Cuts {
+		if !par.Cuts[i].Equal(serial.Cuts[i]) {
+			t.Fatalf("fir M=64 workers 2: cut %d is %v, serial %v", i, par.Cuts[i], serial.Cuts[i])
+		}
 	}
 }

@@ -324,12 +324,11 @@ func (e *bbEngine) finalStatus() SearchStatus {
 }
 
 // workerConfig strips the options the engine owns from the per-worker
-// searcher configs: the budget is global (pollSearch), and Window /
-// Workers must not recurse inside a worker. Probe deliberately
-// survives: each worker attaches its own recorder lane through it.
+// searcher configs: the budget is global (pollSearch), and Workers
+// must not recurse inside a worker. Probe deliberately survives: each
+// worker attaches its own recorder lane through it.
 func workerConfig(cfg Config) Config {
 	cfg.MaxCuts = 0
-	cfg.Window = 0
 	cfg.Workers = 0
 	return cfg
 }

@@ -14,8 +14,8 @@ import (
 // AFUs. Any selection can lose a cut: the patcher schedules with register
 // anti-dependences that the DFG does not model, so a cut the search found
 // convex can still be impossible to schedule atomically (as can cuts of a
-// multi-cut selection that depend on each other — see
-// Config.StrictInterCut). Such cuts are skipped and returned in skipped.
+// multi-cut selection that depend on each other). Such cuts are skipped
+// and returned in skipped.
 func ApplySelection(m *ir.Module, sel []Selected, model *latency.Model) (afus []int, skipped []Selected, err error) {
 	if model == nil {
 		model = latency.Default()

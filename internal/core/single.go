@@ -33,11 +33,6 @@ type Config struct {
 	// software latency, minus the current hardware cycle count) cannot
 	// beat the incumbent.
 	PruneMerit bool
-	// StrictInterCut, in multiple-cut identification, rejects assignments
-	// whose cuts depend on each other cyclically (they could not be
-	// scheduled as atomic instructions). The paper performs only per-cut
-	// convexity, so this defaults to off.
-	StrictInterCut bool
 
 	// MaxCuts aborts the search after considering this many cuts
 	// (0 = unlimited). The incumbent found so far is returned with
@@ -48,14 +43,6 @@ type Config struct {
 	// Workers × ctxCheckInterval cuts, or Workers × M × ctxCheckInterval
 	// for FindBestCuts (a visit there considers up to M cuts).
 	MaxCuts int64
-	// Window, when positive, replaces the exact single-cut search (§6.1,
-	// and so SelectIterative) on blocks of more than Window operations by
-	// the §9 windowed heuristic (see FindBestCutWindowed): overlapping
-	// topological windows of this many nodes. Sound, possibly
-	// sub-optimal; for blocks the exact search cannot finish. The
-	// multiple-cut search (§6.2, and so SelectOptimal) has no windowed
-	// form and ignores it.
-	Window int
 	// Workers, when positive, runs the exact single- and multiple-cut
 	// searches on the parallel branch-and-bound engine (see parallel.go)
 	// with that many workers; it is the only way a selection uses more
@@ -82,12 +69,6 @@ type Config struct {
 // shared instance (models are immutable) costs no construction per
 // search.
 var defaultModel = latency.Default()
-
-// windowed reports whether FindBestCutCtx runs the §9 windowed heuristic
-// on g instead of the exact search (see Window).
-func (c Config) windowed(g *dfg.Graph) bool {
-	return c.Window > 0 && c.Window < g.NumOps()
-}
 
 func (c Config) model() *latency.Model {
 	if c.Model != nil {
@@ -149,11 +130,6 @@ func FindBestCut(g *dfg.Graph, cfg Config) Result {
 // ctx every ctxCheckInterval visited nodes and, on expiry or
 // cancellation, returns the incumbent with Status set accordingly.
 func FindBestCutCtx(ctx context.Context, g *dfg.Graph, cfg Config) Result {
-	if cfg.windowed(g) {
-		w := cfg.Window
-		cfg.Window = 0
-		return FindBestCutWindowedCtx(ctx, g, cfg, w)
-	}
 	cuts, stats, st, err := exactSearch(ctx, cfg, "single", func(cfg Config) bbTree { return newSearcher(g, cfg) })
 	res := Result{Stats: stats, Status: st, Err: err}
 	if cuts != nil {

@@ -27,14 +27,9 @@ func FindBestCutWindowed(g *dfg.Graph, cfg Config, window int) Result {
 // and on expiry the best cut over the windows completed so far is
 // returned with Status set accordingly.
 func FindBestCutWindowedCtx(ctx context.Context, g *dfg.Graph, cfg Config, window int) Result {
-	// The explicit window argument wins: a caller-supplied cfg.Window
-	// would otherwise be forwarded into each per-window FindBestCutCtx
-	// (the Restrict views share the full graph's NumOps) and re-enter
-	// this heuristic inside every window. Workers is likewise stripped:
-	// the windows are small enough that spinning a worker pool per window
-	// costs more than it saves, and the §9 rescue path must stay
-	// allocation-light.
-	cfg.Window = 0
+	// Workers is stripped: the windows are small enough that spinning a
+	// worker pool per window costs more than it saves, and the §9 rescue
+	// path must stay allocation-light.
 	cfg.Workers = 0
 	// Per-window sub-searches feed the metrics but never the flight
 	// recorder: each window would otherwise close a lane of its own under

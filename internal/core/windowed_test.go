@@ -36,43 +36,6 @@ func TestWindowedSoundAndBounded(t *testing.T) {
 	}
 }
 
-func TestWindowedViaConfig(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	g := randomGraph(t, rng, 12)
-	cfg := Config{Nin: 3, Nout: 2, Window: 5}
-	viaConfig := FindBestCut(g, cfg)
-	direct := FindBestCutWindowed(g, Config{Nin: 3, Nout: 2}, 5)
-	if viaConfig.Found != direct.Found ||
-		(viaConfig.Found && viaConfig.Est.Merit != direct.Est.Merit) {
-		t.Error("Config.Window dispatch diverges from direct call")
-	}
-}
-
-// TestWindowedIgnoresConfigWindow: regression for the re-entrant window
-// bug. A direct call like FindBestCutWindowed(g, Config{Window: 20}, 50)
-// used to forward the non-zero cfg.Window into each per-window
-// FindBestCutCtx, which re-entered the windowed heuristic inside every
-// window — inflating Stats and wall time. The explicit window argument
-// must win: results AND stats must match the same call with a zeroed
-// cfg.Window.
-func TestWindowedIgnoresConfigWindow(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 10; trial++ {
-		g := randomGraph(t, rng, 14+rng.Intn(10))
-		clean := FindBestCutWindowed(g, Config{Nin: 3, Nout: 2}, 8)
-		dirty := FindBestCutWindowed(g, Config{Nin: 3, Nout: 2, Window: 4}, 8)
-		if clean.Found != dirty.Found ||
-			(clean.Found && clean.Est.Merit != dirty.Est.Merit) {
-			t.Fatalf("trial %d: cfg.Window changed the windowed result: %+v vs %+v",
-				trial, clean.Est, dirty.Est)
-		}
-		if clean.Stats != dirty.Stats {
-			t.Fatalf("trial %d: cfg.Window inflated the windowed stats: %+v vs %+v",
-				trial, clean.Stats, dirty.Stats)
-		}
-	}
-}
-
 // TestWindowedOnLargeBlock: on the adpcm decoder body (which the exact
 // search needs ~1.6M cuts for at (2,1)), the windowed heuristic finds a
 // high-quality cut with a small fraction of the effort.
@@ -111,16 +74,25 @@ func TestWindowedOnLargeBlock(t *testing.T) {
 		quality*100, 100*float64(heur.Stats.CutsConsidered)/float64(exact.Stats.CutsConsidered))
 }
 
+// TestWindowedSelectionEndToEnd: a selection whose block answer comes
+// from the §9 windowed rescue patches like any other. On adpcmdecode at
+// 2/1 under a 20,000-cut budget, the rescue's cut replaces the exact
+// search's on body2.
 func TestWindowedSelectionEndToEnd(t *testing.T) {
 	k := workload.ByName("adpcmdecode")
 	m, err := k.Prepare()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Nin: 4, Nout: 2, Window: 20}
-	sel := SelectIterative(m, 4, cfg)
-	if len(sel.Instructions) == 0 {
-		t.Fatal("windowed selection found nothing")
+	sel := SelectIterative(m, 4, Config{Nin: 2, Nout: 1, MaxCuts: 20_000})
+	windowed := 0
+	for _, b := range sel.Blocks {
+		if b.Rung == RungWindowed {
+			windowed++
+		}
+	}
+	if windowed == 0 || len(sel.Instructions) == 0 {
+		t.Fatalf("no windowed rescue adopted: %+v", sel.Blocks)
 	}
 	if _, _, err := ApplySelection(m, sel.Instructions, nil); err != nil {
 		t.Fatal(err)

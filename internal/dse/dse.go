@@ -21,15 +21,14 @@
 // tight ones fill the tail. Each task searches its blocks serially, so
 // even a budget-stopped search trips at the same cut count on every
 // run. The report is therefore a function of Options alone —
-// byte-identical for every worker count and shard order — and equal,
-// cell for cell, to the cold reference (Options.Cold).
+// byte-identical for every worker count — and equal, cell for cell, to
+// the cold reference (Options.Cold).
 package dse
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -75,10 +74,6 @@ type Options struct {
 	// cell, one at a time, without prefix sharing or concurrent tasks —
 	// the oracle the warm sweep is checked against.
 	Cold bool
-	// ShardSeed permutes the (benchmark, target) order of the task queue
-	// within each constraint point. Results do not depend on it — that
-	// is what the determinism tests assert.
-	ShardSeed int64
 	// Probe observes the sweep: each selection task runs under its own
 	// cell span (obs.Probe.BeginCell) so the analyzer can attribute
 	// search work to grid cells. All tasks may share one recorder — the
@@ -150,7 +145,7 @@ type BenchmarkReport struct {
 
 // Report is the deterministic sweep result: no timestamps, wall-clocks
 // or timing-dependent counters — byte-identical across worker counts
-// and shard orders (Stats carries the telemetry instead).
+// (Stats carries the telemetry instead).
 type Report struct {
 	Schema      string            `json:"schema"`
 	Mode        string            `json:"mode"`
@@ -360,17 +355,17 @@ func Sweep(ctx context.Context, opt Options) (*Report, *Stats, error) {
 
 // tasks lists the sweep's selections in launch order: constraint points
 // loosest first, and within one point the (benchmark, target) pairs in
-// the ShardSeed permutation. Cold mode has one task per instruction
-// budget, warm mode one at the largest.
+// grid order. Cold mode has one task per instruction budget, warm mode
+// one at the largest.
 func (s *sweeper) tasks() []task {
 	order := constraintOrder(s.opt.Constraints)
-	nt := len(s.opt.Targets)
-	pairs := rand.New(rand.NewSource(s.opt.ShardSeed)).Perm(len(s.opt.Benchmarks) * nt)
 	var ts []task
 	for i := len(order) - 1; i >= 0; i-- {
-		for _, ci := range pairs {
-			for _, n := range s.budgets {
-				ts = append(ts, task{bi: ci / nt, ti: ci % nt, c: order[i], ninstr: n})
+		for bi := range s.opt.Benchmarks {
+			for ti := range s.opt.Targets {
+				for _, n := range s.budgets {
+					ts = append(ts, task{bi: bi, ti: ti, c: order[i], ninstr: n})
+				}
 			}
 		}
 	}

@@ -22,8 +22,8 @@ func testOptions() Options {
 }
 
 // TestSweepDeterminism asserts the acceptance-critical property: the
-// warm report is byte-identical for every worker count and shard order,
-// and so is every telemetry count but Elapsed. The default grid runs two
+// warm report is byte-identical for every worker count, and so is every
+// telemetry count but Elapsed. The default grid runs two
 // benchmarks on one target, so its tasks share constraint points and
 // models — the case the test grid, whose benchmark-target pairs differ
 // by model, cannot show.
@@ -39,34 +39,31 @@ func TestSweepDeterminism(t *testing.T) {
 	for _, in := range inputs {
 		t.Run(in.name, func(t *testing.T) {
 			if in.long && testing.Short() {
-				t.Skip("sweeps the default grid six times")
+				t.Skip("sweeps the default grid three times")
 			}
 			var ref []byte
 			var refStats Stats
 			for _, workers := range []int{1, 2, 8} {
-				for _, seed := range []int64{0, 7} {
-					opt := in.opt
-					opt.Workers = workers
-					opt.ShardSeed = seed
-					rep, stats, err := Sweep(context.Background(), opt)
-					if err != nil {
-						t.Fatalf("sweep(workers=%d seed=%d): %v", workers, seed, err)
-					}
-					b, err := rep.Bytes()
-					if err != nil {
-						t.Fatal(err)
-					}
-					stats.Elapsed = 0
-					if ref == nil {
-						ref, refStats = b, *stats
-						continue
-					}
-					if !bytes.Equal(ref, b) {
-						t.Fatalf("report diverged at workers=%d seed=%d:\n%s\nvs reference:\n%s", workers, seed, b, ref)
-					}
-					if *stats != refStats {
-						t.Errorf("telemetry diverged at workers=%d seed=%d: %+v, reference %+v", workers, seed, *stats, refStats)
-					}
+				opt := in.opt
+				opt.Workers = workers
+				rep, stats, err := Sweep(context.Background(), opt)
+				if err != nil {
+					t.Fatalf("sweep(workers=%d): %v", workers, err)
+				}
+				b, err := rep.Bytes()
+				if err != nil {
+					t.Fatal(err)
+				}
+				stats.Elapsed = 0
+				if ref == nil {
+					ref, refStats = b, *stats
+					continue
+				}
+				if !bytes.Equal(ref, b) {
+					t.Fatalf("report diverged at workers=%d:\n%s\nvs reference:\n%s", workers, b, ref)
+				}
+				if *stats != refStats {
+					t.Errorf("telemetry diverged at workers=%d: %+v, reference %+v", workers, *stats, refStats)
 				}
 			}
 		})

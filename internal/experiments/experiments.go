@@ -59,7 +59,7 @@ func runSelection(ctx context.Context, method Method, m *ir.Module, ninstr int, 
 	case MethodMaxMISO:
 		return baseline.SelectMaxMISO(m, ninstr, cfg)
 	case MethodRecurrence:
-		return baseline.SelectRecurrence(m, ninstr, cfg, baseline.RecurrenceOptions{})
+		return baseline.SelectRecurrence(m, ninstr, cfg)
 	}
 	panic("unknown method " + method)
 }
@@ -111,21 +111,19 @@ type CompareOptions struct {
 	// Measure additionally patches each selection and validates the
 	// speedup on the simulator.
 	Measure bool
-	Model   *latency.Model
 	// Deadline, when positive, bounds each selection call's wall clock;
 	// cells that trip it report a degraded (lower-bound) status.
 	Deadline time.Duration
 	// Engine knobs, forwarded to core.Config for the exact methods
-	// (Optimal/Iterative; the linear baselines ignore them). All are
+	// (Optimal/Iterative; the linear baselines ignore them). Both are
 	// result-preserving on searches that complete, so Fig. 11 numbers
 	// do not change — only the wall clock does.
 	//
-	// Workers sets the per-search worker count (0 = serial);
-	// PruneInputs and PruneMerit enable the input-count and merit-bound
-	// prunings of both exact searches (§6.1, and per cut §6.2).
-	Workers     int
-	PruneInputs bool
-	PruneMerit  bool
+	// Workers sets the per-search worker count (0 = serial); Prune
+	// enables the input-count and merit-bound prunings of both exact
+	// searches (§6.1, and per cut §6.2).
+	Workers int
+	Prune   bool
 }
 
 // DefaultCompareOptions mirrors the paper's setup: three benchmarks,
@@ -149,10 +147,7 @@ func Compare(opt CompareOptions) ([]ComparisonRow, error) {
 	if len(opt.Methods) == 0 {
 		opt.Methods = AllMethods
 	}
-	model := opt.Model
-	if model == nil {
-		model = latency.Default()
-	}
+	model := latency.Default()
 	var rows []ComparisonRow
 	for _, bname := range opt.Benchmarks {
 		k := workload.ByName(bname)
@@ -168,7 +163,7 @@ func Compare(opt CompareOptions) ([]ComparisonRow, error) {
 			cfg := core.Config{
 				Nin: c[0], Nout: c[1], Model: model, MaxCuts: opt.Budget,
 				Workers:     opt.Workers,
-				PruneInputs: opt.PruneInputs, PruneMerit: opt.PruneMerit,
+				PruneInputs: opt.Prune, PruneMerit: opt.Prune,
 			}
 			for _, n := range opt.Ninstr {
 				row := ComparisonRow{

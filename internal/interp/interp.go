@@ -81,23 +81,6 @@ func NewEnv(m *ir.Module) *Env {
 	return e
 }
 
-// ResetHeap discards all alloca storage (keeping globals), so repeated
-// calls do not grow memory without bound.
-func (e *Env) ResetHeap() {
-	e.Mem = e.Mem[:e.heapBase]
-	e.heapTop = e.heapBase
-}
-
-// ResetGlobals restores every global to its initial image.
-func (e *Env) ResetGlobals() {
-	for i := range e.Mod.Globals {
-		g := &e.Mod.Globals[i]
-		s := e.Mem[e.globalBase[i] : e.globalBase[i]+int32(g.Size)]
-		clear(s)
-		copy(s, g.Init)
-	}
-}
-
 // Steps returns the number of IR instructions and terminators executed
 // so far.
 func (e *Env) Steps() int64 { return e.steps }
@@ -118,15 +101,6 @@ func (e *Env) BlockEntries(visit func(b *ir.Block, entries int64)) {
 			}
 		}
 	}
-}
-
-// GlobalBase returns the memory address of the named global.
-func (e *Env) GlobalBase(name string) (int32, error) {
-	gi := e.Mod.GlobalIndex(name)
-	if gi < 0 {
-		return 0, fmt.Errorf("interp: unknown global %q", name)
-	}
-	return e.globalBase[gi], nil
 }
 
 // GlobalSlice returns the live memory of the named global.

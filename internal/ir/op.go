@@ -141,15 +141,6 @@ func (op Op) Pure() bool {
 	return info.HasDst && !info.Barrier
 }
 
-// IsCompare reports whether op is one of the comparison operators.
-func (op Op) IsCompare() bool {
-	switch op {
-	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpULt, OpULe, OpUGt, OpUGe:
-		return true
-	}
-	return false
-}
-
 func bool32(b bool) int32 {
 	if b {
 		return 1

@@ -148,9 +148,3 @@ func TestPureOpClassification(t *testing.T) {
 		}
 	}
 }
-
-func TestIsCompare(t *testing.T) {
-	if !OpLt.IsCompare() || !OpUGe.IsCompare() || OpAdd.IsCompare() || OpSelect.IsCompare() {
-		t.Error("IsCompare misclassifies")
-	}
-}

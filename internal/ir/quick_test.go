@@ -156,13 +156,12 @@ func TestQuickRegSet(t *testing.T) {
 		if s.Count() != len(ref) {
 			return false
 		}
-		c := s.Copy()
 		u := NewRegSet(n)
 		if u.UnionWith(s) != (len(ref) > 0) {
 			return false
 		}
 		for r := range ref {
-			if !c.Has(r) || !u.Has(r) {
+			if !u.Has(r) {
 				return false
 			}
 		}

@@ -47,13 +47,6 @@ func (s RegSet) UnionWith(t RegSet) bool {
 	return changed
 }
 
-// Copy returns an independent copy of the set.
-func (s RegSet) Copy() RegSet {
-	c := make(RegSet, len(s))
-	copy(c, s)
-	return c
-}
-
 // Count returns the number of members.
 func (s RegSet) Count() int {
 	n := 0

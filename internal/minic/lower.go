@@ -16,9 +16,11 @@ type Options struct {
 	// constant folding this turns small kernels into the block sizes of
 	// Fig. 8.
 	UnrollLimit int
-	// UnrollBodyLimit caps trip count × body statement count (default 4096).
-	UnrollBodyLimit int
 }
+
+// unrollBodyLimit caps an unrolled loop's trip count × body statement
+// count.
+const unrollBodyLimit = 4096
 
 // Compile parses, checks and lowers a MiniC translation unit.
 func Compile(src string, opt Options) (*ir.Module, error) {
@@ -34,9 +36,6 @@ func Compile(src string, opt Options) (*ir.Module, error) {
 
 // Lower translates a checked program to IR.
 func Lower(prog *Program, opt Options) (*ir.Module, error) {
-	if opt.UnrollBodyLimit == 0 {
-		opt.UnrollBodyLimit = 4096
-	}
 	m := &ir.Module{}
 	for _, g := range prog.Globals {
 		init := make([]int32, len(g.Init))

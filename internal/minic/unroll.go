@@ -9,7 +9,7 @@ package minic
 // where i is a scalar already in scope (or the loop is rejected), the body
 // contains no break/continue, never assigns or redeclares i, and the trip
 // count is positive, at most UnrollLimit, and trip × bodyStmts is at most
-// UnrollBodyLimit. Each iteration binds i to its constant value, so the
+// unrollBodyLimit. Each iteration binds i to its constant value, so the
 // later constant-folding pass collapses index arithmetic — this is how
 // very large basic blocks (paper §9) are produced.
 func (lw *lowerer) tryUnroll(st *ForStmt) (done bool, err error) {
@@ -93,7 +93,7 @@ func (lw *lowerer) tryUnroll(st *ForStmt) (done bool, err error) {
 		}
 	}
 	nStmts := countStmts(st.Body)
-	if len(values)*nStmts > lw.opt.UnrollBodyLimit {
+	if len(values)*nStmts > unrollBodyLimit {
 		return false, nil
 	}
 	// The induction variable must resolve to a plain scalar.

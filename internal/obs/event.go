@@ -83,7 +83,7 @@ const (
 	KCellEnd
 
 	// KindCount is the number of defined kinds; kinds are dense, so
-	// Kind(i) for i < KindCount enumerates them (see AllKinds).
+	// Kind(i) for i < KindCount enumerates them.
 	KindCount = int(KCellEnd) + 1
 	kindCount = KindCount
 )
@@ -103,15 +103,6 @@ var kindNames = [kindCount]string{
 	KStageEnd:    "stage_end",
 	KCellStart:   "cell_start",
 	KCellEnd:     "cell_end",
-}
-
-// AllKinds enumerates every defined kind, in declaration order.
-func AllKinds() []Kind {
-	out := make([]Kind, KindCount)
-	for i := range out {
-		out[i] = Kind(i)
-	}
-	return out
 }
 
 // String returns the stable wire name of the kind ("incumbent", "donate",

@@ -107,12 +107,3 @@ var chromeArgNames = map[Kind][3]string{
 // slots ("" = unused), for the analyzer's attribution reports and its
 // Chrome re-export.
 func KindArgNames(k Kind) [3]string { return chromeArgNames[k] }
-
-// KindHasArgNames reports whether kind k has an arg-name mapping at all.
-// KindArgNames returns the zero value for unmapped kinds, so the
-// exhaustiveness guard needs the membership test to catch a new kind
-// that forgot its entry.
-func KindHasArgNames(k Kind) bool {
-	_, ok := chromeArgNames[k]
-	return ok
-}

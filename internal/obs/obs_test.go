@@ -71,8 +71,8 @@ func TestLanesAndSpans(t *testing.T) {
 		kind Kind
 	}{{1, KIncumbent}, {0, KCollapse}, {2, KLaneEnd}} {
 		e := events[i]
-		if e.Lane != want.lane || e.Kind != want.kind || e.Span != p.SpanID() {
-			t.Fatalf("event %d = %+v, want lane %d kind %v span %d", i, e, want.lane, want.kind, p.SpanID())
+		if e.Lane != want.lane || e.Kind != want.kind || e.Span != p.span {
+			t.Fatalf("event %d = %+v, want lane %d kind %v span %d", i, e, want.lane, want.kind, p.span)
 		}
 		if i > 0 && e.T < events[i-1].T {
 			t.Fatalf("event %d at %d before event %d at %d", i, e.T, i-1, events[i-1].T)

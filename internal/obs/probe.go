@@ -129,15 +129,6 @@ func (p *Probe) sysEmit(k Kind, tag string, a, b, c int64) {
 	}
 }
 
-// SpanID returns the causal span the probe is bound to (0 when nil or
-// unscoped).
-func (p *Probe) SpanID() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.span
-}
-
 // Sub returns a copy of the probe bound to a freshly allocated span
 // whose parent is the probe's current span. The block-search wrappers
 // call it once per search — span allocation is one atomic add, far off

@@ -70,35 +70,6 @@ func (s Site) String() string {
 	return fmt.Sprintf("site(%d)", uint8(s))
 }
 
-// siteMetrics maps every site onto the registry instrument names its
-// probe methods may touch. The mapping is total over SiteCount — the
-// exhaustiveness guard test fails when a new site forgets to declare
-// its metrics footprint (an empty slice is a deliberate "no metrics"
-// declaration, a missing entry is drift). Names match NewMetrics.
-var siteMetrics = [SiteCount][]string{
-	SiteSearchBegin: {"search_block_searches_total"},
-	SiteSearchEnd:   {},
-	SiteRescue:      {"search_rescues_total", "search_rescue_hits_total"},
-	SiteGreedy:      {"search_greedy_rescues_total", "search_greedy_hits_total"},
-	SitePoll:        {"search_cuts_considered_total", "search_cuts_passed_total", "search_cuts_pruned_total", "search_bound_cutoffs_total"},
-	SiteIncumbent:   {"search_incumbents_total"},
-	SiteStop:        {"search_deadline_trips_total", "search_budget_trips_total", "search_cancel_trips_total"},
-	SiteDonate:      {"engine_donations_total"},
-	SiteCollapse:    {"sched_collapses_total"},
-	SiteStage:       {},
-	SiteCell:        {"dse_cells_total"},
-}
-
-// SiteMetricNames returns the registry instrument names site's probe
-// methods may update (nil for out-of-range sites). The slice is shared;
-// treat it as read-only.
-func SiteMetricNames(s Site) []string {
-	if int(s) < len(siteMetrics) {
-		return siteMetrics[s]
-	}
-	return nil
-}
-
 // Injector is the fault-injection hook carried by a Probe. Fire is
 // called at the head of every probe method with the site class and the
 // site's tag ("fn/block" for block-scoped sites, "" for searcher-local

@@ -2,14 +2,6 @@ package passes
 
 import "isex/internal/ir"
 
-// IfConvertOptions tune the if-conversion pass.
-type IfConvertOptions struct {
-	// MaxArmOps bounds the number of instructions speculated per arm
-	// (0 = unlimited). The paper applies if-conversion unconditionally to
-	// its kernels; the bound exists for experiments on sensitivity.
-	MaxArmOps int
-}
-
 // IfConvert repeatedly converts triangle and diamond conditionals whose
 // arms contain only speculatable (pure) instructions into straight-line
 // code with SEL operations, then re-merges blocks. This is the "classic
@@ -22,14 +14,15 @@ type IfConvertOptions struct {
 //
 //	r = sel(cond, value-in-then-arm, value-in-else-arm)
 //
+// Arms of any size are converted, as the paper does for its kernels.
 // It returns true if anything changed.
-func IfConvert(f *ir.Function, opt IfConvertOptions) bool {
+func IfConvert(f *ir.Function) bool {
 	changed := false
 	for {
 		MergeBlocks(f)
 		converted := false
 		for _, b := range f.Blocks {
-			if convertAt(f, b, opt) {
+			if convertAt(f, b) {
 				converted = true
 				break // CFG changed; restart scan
 			}
@@ -43,10 +36,7 @@ func IfConvert(f *ir.Function, opt IfConvertOptions) bool {
 
 // speculatable reports whether every instruction of the block may be
 // executed unconditionally.
-func speculatable(b *ir.Block, opt IfConvertOptions) bool {
-	if opt.MaxArmOps > 0 && len(b.Instrs) > opt.MaxArmOps {
-		return false
-	}
+func speculatable(b *ir.Block) bool {
 	for i := range b.Instrs {
 		op := b.Instrs[i].Op
 		if !op.Pure() {
@@ -61,7 +51,7 @@ func speculatable(b *ir.Block, opt IfConvertOptions) bool {
 }
 
 // convertAt tries to if-convert the conditional rooted at block a.
-func convertAt(f *ir.Function, a *ir.Block, opt IfConvertOptions) bool {
+func convertAt(f *ir.Function, a *ir.Block) bool {
 	if a.Term.Kind != ir.TermBranch {
 		return false
 	}
@@ -71,7 +61,7 @@ func convertAt(f *ir.Function, a *ir.Block, opt IfConvertOptions) bool {
 	isArm := func(arm, join *ir.Block) bool {
 		return arm != a && arm != f.Entry() && len(arm.Preds) == 1 &&
 			arm.Term.Kind == ir.TermJump && arm.Term.Targets[0] == join &&
-			speculatable(arm, opt)
+			speculatable(arm)
 	}
 
 	var armT, armE *ir.Block

@@ -131,7 +131,7 @@ int f(int x) {
 }`
 	m := compile(t, src)
 	f := m.Func("f")
-	if !IfConvert(f, IfConvertOptions{}) {
+	if !IfConvert(f) {
 		t.Fatal("diamond not converted")
 	}
 	if len(f.Blocks) != 1 {
@@ -166,7 +166,7 @@ int g(int x) {
 	m := compile(t, src)
 	for _, name := range []string{"f", "g"} {
 		fn := m.Func(name)
-		IfConvert(fn, IfConvertOptions{})
+		IfConvert(fn)
 		if len(fn.Blocks) != 1 {
 			t.Errorf("%s: blocks = %d, want 1", name, len(fn.Blocks))
 		}
@@ -198,7 +198,7 @@ int f(int x, int y) {
 }`
 	m := compile(t, src)
 	f := m.Func("f")
-	IfConvert(f, IfConvertOptions{})
+	IfConvert(f)
 	if len(f.Blocks) != 1 {
 		t.Errorf("nested if-conversion left %d blocks", len(f.Blocks))
 	}
@@ -220,7 +220,7 @@ int divv(int x, int y) { int r = 0; if (y != 0) { r = x / y; } return r; }`
 	m := compile(t, src)
 	for _, name := range []string{"st", "call", "divv"} {
 		fn := m.Func(name)
-		IfConvert(fn, IfConvertOptions{})
+		IfConvert(fn)
 		if len(fn.Blocks) == 1 {
 			t.Errorf("%s: side-effecting arm was if-converted", name)
 		}
@@ -228,24 +228,6 @@ int divv(int x, int y) { int r = 0; if (y != 0) { r = x / y; } return r; }`
 	// divv would trap if speculated with y == 0.
 	if got := runFn(t, m, "divv", 10, 0); got != 0 {
 		t.Errorf("divv(10,0) = %d", got)
-	}
-}
-
-func TestIfConvertArmBound(t *testing.T) {
-	src := `
-int f(int x) {
-    int r = 0;
-    if (x > 0) { r = x*2 + x*3 + x*4 + x*5; }
-    return r;
-}`
-	m := compile(t, src)
-	f := m.Func("f")
-	if IfConvert(f, IfConvertOptions{MaxArmOps: 2}) {
-		t.Error("arm larger than bound was converted")
-	}
-	m2 := compile(t, src)
-	if !IfConvert(m2.Func("f"), IfConvertOptions{MaxArmOps: 64}) {
-		t.Error("arm within bound not converted")
 	}
 }
 
@@ -261,7 +243,7 @@ int f(int n) {
 }`
 	m := compile(t, src)
 	f := m.Func("f")
-	IfConvert(f, IfConvertOptions{})
+	IfConvert(f)
 	// The loop must survive; the inner conditional must be gone.
 	if len(f.Blocks) < 3 {
 		t.Errorf("loop structure destroyed: %d blocks", len(f.Blocks))

@@ -7,27 +7,22 @@ type Options struct {
 	// NoIfConvert disables if-conversion (for ablation experiments; the
 	// paper always if-converts).
 	NoIfConvert bool
-	// IfConvert options (MaxArmOps bound).
-	IfConvert IfConvertOptions
-	// MaxRounds bounds optimize iterations (default 8).
-	MaxRounds int
 }
+
+// maxRounds bounds the optimize iterations of Run.
+const maxRounds = 8
 
 // Run applies the standard preprocessing pipeline to every function:
 // CFG cleanup, if-conversion to SEL operations, then rounds of local
 // value numbering, copy coalescing and dead-code elimination until a
-// fixpoint. The module is re-verified afterwards.
+// fixpoint (at most maxRounds). The module is re-verified afterwards.
 func Run(m *ir.Module, opt Options) error {
-	rounds := opt.MaxRounds
-	if rounds == 0 {
-		rounds = 8
-	}
 	for _, f := range m.Funcs {
 		MergeBlocks(f)
 		if !opt.NoIfConvert {
-			IfConvert(f, opt.IfConvert)
+			IfConvert(f)
 		}
-		for r := 0; r < rounds; r++ {
+		for r := 0; r < maxRounds; r++ {
 			changed := LocalOptimize(f)
 			if Coalesce(f) {
 				changed = true

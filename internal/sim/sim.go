@@ -43,8 +43,6 @@ type Runner struct {
 	// before the run. Code it executes on the environment is charged to
 	// the run too.
 	Setup func(env *interp.Env) error
-	// StepLimit bounds execution (0 = interp default).
-	StepLimit int64
 }
 
 // defaultModel is the model of every Runner whose Model is nil.
@@ -57,7 +55,6 @@ var defaultModel = latency.Default()
 func (r *Runner) Run(m *ir.Module, entry string, args ...int32) (*Report, error) {
 	model := modelOr(r.Model)
 	env := interp.NewEnv(m)
-	env.StepLimit = r.StepLimit
 	if r.Setup != nil {
 		if err := r.Setup(env); err != nil {
 			return nil, err

@@ -32,15 +32,15 @@ import (
 // Constraints are the microarchitectural limits of Problem 1 (§5 of the
 // paper): register-file read ports (Nin) and write ports (Nout)
 // available to a custom instruction, plus an optional search budget.
+// Every search runs with the two sound subtree eliminations beyond the
+// paper's (core.Config's PruneInputs and PruneMerit): they change how
+// many cuts a search considers, never the answer of a search that
+// completes.
 type Constraints struct {
 	Nin, Nout int
 	// MaxCuts bounds the cuts considered per identification call
 	// (0 = unlimited); budget-stopped results are lower bounds.
 	MaxCuts int64
-	// Window, when positive, switches to the §9 windowed heuristic for
-	// blocks larger than this many nodes (sound, possibly sub-optimal).
-	// It applies to Identify only: IdentifyOptimal has no windowed form.
-	Window int
 	// Workers, when positive, runs each block's exact search on the
 	// parallel branch-and-bound engine with that many workers; a search
 	// that outlasts a poll interval is split among them. Results are
@@ -56,7 +56,7 @@ type Constraints struct {
 
 func (c Constraints) config() core.Config {
 	return core.Config{Nin: c.Nin, Nout: c.Nout, MaxCuts: c.MaxCuts,
-		Window: c.Window, Workers: c.Workers}
+		Workers: c.Workers, PruneInputs: true, PruneMerit: true}
 }
 
 // SearchStatus classifies how an identification search ended: Exhaustive

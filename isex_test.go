@@ -2,9 +2,14 @@ package isex
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"isex/internal/core"
+	"isex/internal/ir"
+	"isex/internal/workload"
 )
 
 const facadeSrc = `
@@ -217,13 +222,61 @@ func TestFacadeAreaConstrainedAndOptions(t *testing.T) {
 	if _, err := p.IdentifyAreaConstrained(Constraints{}, 4, 1); err == nil {
 		t.Error("zero ports accepted")
 	}
-	// Windowed + engine options run and stay sound.
-	win, err := p.Identify(Constraints{Nin: 4, Nout: 2, Window: 8, Workers: 2}, 4)
+	// The engine option runs and selects what the serial search does.
+	eng, err := p.Identify(Constraints{Nin: 4, Nout: 2, MaxCuts: 300_000, Workers: 2}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if win.EstimatedGain() > full.EstimatedGain() {
-		t.Errorf("windowed gain %d beats exact %d", win.EstimatedGain(), full.EstimatedGain())
+	if !full.Degraded() && eng.EstimatedGain() != full.EstimatedGain() {
+		t.Errorf("engine gain %d, serial %d", eng.EstimatedGain(), full.EstimatedGain())
+	}
+}
+
+// TestFacadeSearchesPruned: Identify and IdentifyOptimal select exactly
+// what the core drivers select with both sound prunings on, with the
+// same serial Stats; the unpruned search considers more cuts on the same
+// kernel, so the test tells the two defaults apart.
+func TestFacadeSearchesPruned(t *testing.T) {
+	m, err := workload.ByName("gsmlpc").Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &Program{mod: m, inputs: map[string][]int32{}}
+	c := Constraints{Nin: 4, Nout: 2, MaxCuts: 2_000_000}
+	pruned := core.Config{Nin: 4, Nout: 2, MaxCuts: 2_000_000, PruneInputs: true, PruneMerit: true}
+	unpruned := core.Config{Nin: 4, Nout: 2, MaxCuts: 2_000_000}
+	ctx := context.Background()
+	for _, d := range []struct {
+		name     string
+		identify func(Constraints, int) (Selection, error)
+		core     func(context.Context, *ir.Module, int, core.Config) core.SelectionResult
+	}{
+		{"iterative", p.Identify, core.SelectIterativeCtx},
+		{"optimal", p.IdentifyOptimal, core.SelectOptimalCtx},
+	} {
+		sel, err := d.identify(c, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := sel.inner, d.core(ctx, m, 4, pruned)
+		if got.TotalMerit != want.TotalMerit || got.Status != want.Status || got.Stats != want.Stats {
+			t.Fatalf("%s: facade merit %d, %v, %+v; pruned core %d, %v, %+v", d.name,
+				got.TotalMerit, got.Status, got.Stats, want.TotalMerit, want.Status, want.Stats)
+		}
+		if len(got.Instructions) != len(want.Instructions) {
+			t.Fatalf("%s: %d instructions, want %d", d.name, len(got.Instructions), len(want.Instructions))
+		}
+		for i, a := range want.Instructions {
+			b := got.Instructions[i]
+			if a.Fn != b.Fn || a.Block != b.Block || a.Est != b.Est || !slices.Equal(a.InstrIndexes, b.InstrIndexes) {
+				t.Fatalf("%s: instruction %d is %s/%s %v, want %s/%s %v", d.name, i,
+					b.Fn.Name, b.Block.Name, b.InstrIndexes, a.Fn.Name, a.Block.Name, a.InstrIndexes)
+			}
+		}
+		if off := d.core(ctx, m, 4, unpruned); off.Stats.CutsConsidered <= got.Stats.CutsConsidered {
+			t.Errorf("%s: unpruned search considered %d cuts, pruned %d", d.name,
+				off.Stats.CutsConsidered, got.Stats.CutsConsidered)
+		}
 	}
 }
 
