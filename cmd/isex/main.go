@@ -25,7 +25,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	_ "net/http/pprof"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -38,7 +37,6 @@ import (
 	"isex/internal/ir"
 	"isex/internal/latency"
 	"isex/internal/minic"
-	"isex/internal/obs"
 	"isex/internal/passes"
 	"isex/internal/report"
 	"isex/internal/rtl"
@@ -100,12 +98,10 @@ func run(argv []string) error {
 		sweepNinstr      = fs.String("ninstrs", "", "-sweep: comma-separated instruction budgets (default 1,2,4,8,16)")
 		sweepMode        = fs.String("sweep-mode", "warm", "-sweep: warm (one selection per constraint group, Ninstr budgets as its prefixes, -workers groups searched at once) or cold (one serial selection per cell, one at a time; bit-identical cells)")
 		sweepJSON        = fs.String("sweep-json", "", "-sweep: write the deterministic sweep/Pareto report to this file as JSON (with -trace, an attribution section derived from the cell spans is merged in)")
-		sweepProgress    = fs.Bool("progress", false, "-sweep: render live per-cell progress (queued/searching/done, current block and rung, ETA from completed-cell rates) to stderr; also served as JSON at /sweep/status when -metrics-addr is set")
 
 		tracePath   = fs.String("trace", "", "record the search's flight-recorder timeline and write it as JSONL (one event per line) to this file; works for single runs and -sweep")
 		traceChrome = fs.String("trace-chrome", "", "record the search timeline and write it in Chrome trace_event format, block searches nested under their selection stages and sweep cells (load in Perfetto / chrome://tracing); works for single runs and -sweep")
-		metricsAddr = fs.String("metrics-addr", "", "serve live search metrics over HTTP on this address (e.g. :6060): Prometheus text on /metrics, expvar JSON on /debug/vars, pprof on /debug/pprof/, and with -sweep the live sweep status on /sweep/status")
-		jsonOut     = fs.Bool("json", false, "emit the selection report as JSON on stdout instead of the table (includes per-block statuses, Stats, and telemetry counters)")
+		jsonOut     = fs.Bool("json", false, "emit the selection report as JSON on stdout instead of the table (includes per-block statuses and Stats)")
 	)
 	fs.Parse(argv)
 
@@ -116,11 +112,25 @@ func run(argv []string) error {
 		return nil
 	}
 
+	if *kernel != "" {
+		var conflict string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "src", "entry", "args", "unroll": // configure a -src program
+				if conflict == "" {
+					conflict = f.Name
+				}
+			}
+		})
+		if conflict != "" {
+			return fmt.Errorf("-%s cannot be combined with -kernel: a kernel brings its own source, entry, arguments and unrolling", conflict)
+		}
+	}
+
+	tel := startTelemetry(*tracePath, *traceChrome)
 	if *sweep {
 		return runSweep(*kernel, *sweepTargets, *sweepConstraints, *sweepNinstr,
-			*sweepMode, *sweepJSON, *budget, *workers, *deadline,
-			sweepIO{tracePath: *tracePath, traceChrome: *traceChrome,
-				metricsAddr: *metricsAddr, progress: *sweepProgress})
+			*sweepMode, *sweepJSON, *budget, *workers, *deadline, tel)
 	}
 
 	if err := checkPorts(*nin, *nout); err != nil {
@@ -181,11 +191,7 @@ func run(argv []string) error {
 
 	model := latency.Default()
 	cfg := core.Config{Nin: *nin, Nout: *nout, Model: model, MaxCuts: *budget,
-		Workers: *workers, PruneInputs: true, PruneMerit: true}
-
-	// The JSON report reads the metrics too.
-	tel := startTelemetry(*tracePath, *traceChrome, *metricsAddr, *jsonOut, nil)
-	cfg.Probe = tel.probe
+		Workers: *workers, PruneInputs: true, PruneMerit: true, Probe: tel.probe}
 
 	ctx := context.Background()
 	if *deadline > 0 {
@@ -211,7 +217,7 @@ func run(argv []string) error {
 		return err
 	}
 	if *jsonOut {
-		if err := writeJSONReport(os.Stdout, *method, *nin, *nout, *ninstr, sel, tel.probe); err != nil {
+		if err := writeJSONReport(os.Stdout, *method, *nin, *nout, *ninstr, sel); err != nil {
 			return err
 		}
 	} else {
@@ -371,20 +377,19 @@ func checkPorts(nin, nout int) error {
 
 // jsonReport is the machine-readable selection report (-json).
 type jsonReport struct {
-	Method       string         `json:"method"`
-	Nin          int            `json:"nin"`
-	Nout         int            `json:"nout"`
-	Ninstr       int            `json:"ninstr"`
-	TotalMerit   int64          `json:"total_merit"`
-	IdentCalls   int            `json:"ident_calls"`
-	Status       string         `json:"status"`
-	Degraded     bool           `json:"degraded"`
-	FirstPanic   string         `json:"first_panic,omitempty"`
-	Stats        jsonStats      `json:"stats"`
-	Instructions []jsonInstr    `json:"instructions"`
-	Shared       []jsonShared   `json:"shared_instructions,omitempty"`
-	Blocks       []jsonBlock    `json:"blocks"`
-	Metrics      map[string]any `json:"metrics,omitempty"`
+	Method       string       `json:"method"`
+	Nin          int          `json:"nin"`
+	Nout         int          `json:"nout"`
+	Ninstr       int          `json:"ninstr"`
+	TotalMerit   int64        `json:"total_merit"`
+	IdentCalls   int          `json:"ident_calls"`
+	Status       string       `json:"status"`
+	Degraded     bool         `json:"degraded"`
+	FirstPanic   string       `json:"first_panic,omitempty"`
+	Stats        jsonStats    `json:"stats"`
+	Instructions []jsonInstr  `json:"instructions"`
+	Shared       []jsonShared `json:"shared_instructions,omitempty"`
+	Blocks       []jsonBlock  `json:"blocks"`
 }
 
 // jsonShared is one group of selected instructions whose datapaths
@@ -400,6 +405,7 @@ type jsonStats struct {
 	CutsConsidered int64 `json:"cuts_considered"`
 	Passed         int64 `json:"passed"`
 	Pruned         int64 `json:"pruned"`
+	Bounded        int64 `json:"bounded"`
 	Aborted        bool  `json:"aborted"`
 }
 
@@ -425,7 +431,7 @@ type jsonBlock struct {
 	Err      string `json:"err,omitempty"`
 }
 
-func writeJSONReport(w *os.File, method string, nin, nout, ninstr int, sel core.SelectionResult, probe *obs.Probe) error {
+func writeJSONReport(w *os.File, method string, nin, nout, ninstr int, sel core.SelectionResult) error {
 	rep := jsonReport{
 		Method:     method,
 		Nin:        nin,
@@ -440,6 +446,7 @@ func writeJSONReport(w *os.File, method string, nin, nout, ninstr int, sel core.
 			CutsConsidered: sel.Stats.CutsConsidered,
 			Passed:         sel.Stats.Passed,
 			Pruned:         sel.Stats.Pruned,
+			Bounded:        sel.Stats.Bounded,
 			Aborted:        sel.Stats.Aborted,
 		},
 	}
@@ -463,9 +470,6 @@ func writeJSONReport(w *os.File, method string, nin, nout, ninstr int, sel core.
 			jb.Err = b.Err.Error()
 		}
 		rep.Blocks = append(rep.Blocks, jb)
-	}
-	if probe != nil && probe.Met != nil {
-		rep.Metrics = probe.Met.Registry().Snapshot()
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -29,40 +29,20 @@ func TestCheckPorts(t *testing.T) {
 	}
 }
 
-// TestSweepProgressNotDrawnOnFailure: `isex -sweep -progress` on a grid
-// that dse rejects (one constraint listed twice) reports the error and
-// draws no progress view, while a sweep that succeeds still draws its
-// final view once.
-func TestSweepProgressNotDrawnOnFailure(t *testing.T) {
-	sweep := func(constraints string) (string, error) {
-		r, w, err := os.Pipe()
-		if err != nil {
-			t.Fatal(err)
+// TestKernelRejectsSrcFlags: the flags that configure a -src program
+// would have no effect on a built-in kernel, so combining one with
+// -kernel is an error that names it.
+func TestKernelRejectsSrcFlags(t *testing.T) {
+	for _, c := range []struct{ flag, value string }{
+		{"-unroll", "32"},
+		{"-args", "1,2"},
+		{"-entry", "main"},
+		{"-src", "prog.mc"},
+	} {
+		err := run([]string{"-kernel", "sha", c.flag, c.value})
+		if err == nil || !strings.Contains(err.Error(), c.flag+" ") {
+			t.Errorf("-kernel sha %s %s: err = %v, want an error naming %s", c.flag, c.value, err, c.flag)
 		}
-		stderr := os.Stderr
-		os.Stderr = w
-		err = runSweep("fir", "", constraints, "1", "warm", "", 0, 1, 0, sweepIO{progress: true})
-		os.Stderr = stderr
-		w.Close()
-		out, rerr := io.ReadAll(r)
-		if rerr != nil {
-			t.Fatal(rerr)
-		}
-		return string(out), err
-	}
-	out, err := sweep("2/1,2/1")
-	if err == nil || !strings.Contains(err.Error(), "listed twice") {
-		t.Fatalf("repeated constraint: err = %v, want the dse rejection", err)
-	}
-	if out != "" {
-		t.Errorf("failed sweep drew a progress view: %q", out)
-	}
-	out, err = sweep("2/1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "cells done") {
-		t.Errorf("successful sweep drew no final progress view: %q", out)
 	}
 }
 

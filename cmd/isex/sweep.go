@@ -2,9 +2,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -14,25 +12,15 @@ import (
 	"isex/internal/report"
 )
 
-// sweepIO carries the observability knobs of a -sweep run: trace
-// outputs, the live-metrics address, and the terminal progress surface.
-// All purely observational — the deterministic report does not depend
-// on any of them (the optional attribution section is additive and only
-// present when tracing is on).
-type sweepIO struct {
-	tracePath   string
-	traceChrome string
-	metricsAddr string
-	progress    bool
-}
-
 // runSweep is the -sweep entry: a design-space-exploration sweep over
 // the (constraints × ninstr × kernel × target) grid, one selection per
 // constraint group with the smaller Ninstr budgets as its prefixes
 // (package dse). The table prints one section per (kernel, target) with
 // the Pareto frontier; -sweep-json writes the deterministic
-// machine-readable report (byte-identical across -workers values).
-func runSweep(kernels, targets, constraints, ninstrs, mode, jsonPath string, budget int64, workers int, deadline time.Duration, sio sweepIO) error {
+// machine-readable report (byte-identical across -workers values). The
+// tasks share tel's recorder, when a trace is wanted: every event goes
+// through its locked buffer, which keeps the sharing race-clean.
+func runSweep(kernels, targets, constraints, ninstrs, mode, jsonPath string, budget int64, workers int, deadline time.Duration, tel *telemetry) error {
 	opt := dse.DefaultOptions()
 	if kernels != "" {
 		opt.Benchmarks = splitList(kernels)
@@ -65,21 +53,6 @@ func runSweep(kernels, targets, constraints, ninstrs, mode, jsonPath string, bud
 	if workers > 0 {
 		opt.Workers = workers
 	}
-
-	// Observability: one recorder shared by all tasks when a trace is
-	// wanted (race-clean: every event goes through its locked buffer),
-	// a live progress tracker for -progress and /sweep/status, and the
-	// metrics registry when an HTTP reader exists.
-	var routes map[string]http.HandlerFunc
-	if sio.progress || sio.metricsAddr != "" {
-		pr := dse.NewProgress()
-		opt.Progress = pr
-		routes = map[string]http.HandlerFunc{"/sweep/status": func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(pr.Snapshot())
-		}}
-	}
-	tel := startTelemetry(sio.tracePath, sio.traceChrome, sio.metricsAddr, false, routes)
 	opt.Probe = tel.probe
 
 	ctx := context.Background()
@@ -89,36 +62,7 @@ func runSweep(kernels, targets, constraints, ninstrs, mode, jsonPath string, bud
 		defer cancel()
 	}
 
-	// The terminal progress surface redraws every two seconds while the
-	// sweep runs; the final render lands after a successful sweep so
-	// short sweeps still show their outcome once. A failed sweep (a
-	// rejected grid, say) has no outcome to show.
-	doneCh := make(chan struct{})
-	renderDone := make(chan struct{})
-	if sio.progress {
-		go func() {
-			defer close(renderDone)
-			t := time.NewTicker(2 * time.Second)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					opt.Progress.Render(os.Stderr)
-				case <-doneCh:
-					return
-				}
-			}
-		}()
-	}
-
 	rep, stats, err := dse.Sweep(ctx, opt)
-	close(doneCh)
-	if sio.progress {
-		<-renderDone
-		if err == nil {
-			opt.Progress.Render(os.Stderr)
-		}
-	}
 	if err != nil {
 		return err
 	}

@@ -1,23 +1,19 @@
 package main
 
 import (
-	"expvar"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
-	"sort"
-	"strings"
 
 	"isex/internal/obs"
 	"isex/internal/obs/analyze"
 )
 
 // telemetry is one run's observability, shared by single runs and
-// -sweep: the probe the searches feed, the live metrics server, and the
-// trace files written when the run is done.
+// -sweep: the probe the searches feed and the trace files written when
+// the run is done.
 type telemetry struct {
-	// probe is nil when nothing reads it, which keeps the search
+	// probe is nil when no trace is wanted, which keeps the search
 	// byte-for-byte on its fast path.
 	probe       *obs.Probe
 	tracePath   string
@@ -25,46 +21,12 @@ type telemetry struct {
 }
 
 // startTelemetry builds the run's probe: the flight recorder when a
-// trace file is wanted, the metrics registry when wantMet is set or
-// metricsAddr serves it. With metricsAddr it starts the HTTP server:
-// Prometheus text on /metrics, expvar JSON on /debug/vars, pprof on
-// /debug/pprof/, and the given extra routes.
-func startTelemetry(tracePath, traceChrome, metricsAddr string, wantMet bool, routes map[string]http.HandlerFunc) *telemetry {
+// trace file is wanted, nothing otherwise.
+func startTelemetry(tracePath, traceChrome string) *telemetry {
 	t := &telemetry{tracePath: tracePath, traceChrome: traceChrome}
-	wantRec := tracePath != "" || traceChrome != ""
-	wantMet = wantMet || metricsAddr != ""
-	if !wantRec && !wantMet {
-		return t
+	if tracePath != "" || traceChrome != "" {
+		t.probe = &obs.Probe{Rec: obs.NewRecorder(obs.DefaultRingCap)}
 	}
-	t.probe = &obs.Probe{}
-	if wantRec {
-		t.probe.Rec = obs.NewRecorder(obs.DefaultRingCap)
-	}
-	if wantMet {
-		t.probe.Met = obs.NewMetrics(obs.NewRegistry())
-	}
-	if metricsAddr == "" {
-		return t
-	}
-	reg := t.probe.Met.Registry()
-	expvar.Publish("isex", expvar.Func(func() any { return reg.Snapshot() }))
-	http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		reg.WritePrometheus(w)
-	})
-	var paths []string
-	for path, h := range routes {
-		http.HandleFunc(path, h)
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	paths = append(paths, "/metrics", "/debug/vars", "/debug/pprof/")
-	go func() {
-		if err := http.ListenAndServe(metricsAddr, nil); err != nil {
-			fmt.Fprintln(os.Stderr, "isex: metrics server:", err)
-		}
-	}()
-	fmt.Fprintf(os.Stderr, "serving live metrics on %s (%s)\n", metricsAddr, strings.Join(paths, ", "))
 	return t
 }
 
@@ -73,7 +35,7 @@ func startTelemetry(tracePath, traceChrome, metricsAddr string, wantMet bool, ro
 // (Chrome trace_event, block searches nested under their stages and
 // cells). It returns the events, nil when nothing was recorded.
 func (t *telemetry) finish() ([]obs.Event, error) {
-	if t.probe == nil || t.probe.Rec == nil {
+	if t.probe == nil {
 		return nil, nil
 	}
 	events := t.probe.Rec.Merge()

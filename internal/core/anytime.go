@@ -344,10 +344,15 @@ func searchBlock(ctx context.Context, g *dfg.Graph, cfg Config, exact func(conte
 
 	// Rung 0: exact B&B (serial or engine per cfg). search_end
 	// reports its cuts alone, as its lanes report its prunes alone; the
-	// rescue's cuts ride the rescue's own event.
+	// rescue's cuts ride the rescue's own event. A graph with no
+	// operation node skips it: its answer, no cut, is exact under any
+	// deadline.
 	var exactCuts int64
 	guardRung(cfg.Probe, tag, &bs, func() {
 		cfg.Probe.SearchBegin(tag, g.NumOps(), cfg.Workers)
+		if g.NumOps() == 0 {
+			return
+		}
 		res = exact(ctx, cfg)
 		exactCuts = res.Stats.CutsConsidered
 		bs.Status = res.Status

@@ -10,6 +10,7 @@ import (
 
 	"isex/internal/obs"
 	"isex/internal/obs/analyze"
+	"isex/internal/workload"
 )
 
 func TestSearchStatusOrderAndString(t *testing.T) {
@@ -391,6 +392,51 @@ func TestSelectIterativeCtxDeadline(t *testing.T) {
 	for _, b := range cres.Blocks {
 		if b.Fallback {
 			t.Errorf("block %s/%s ran the windowed rescue after cancellation", b.Fn, b.Block)
+		}
+	}
+}
+
+// TestEmptyBlockExactUnderDeadline: a block with no operation node has
+// no cut to find, so both drivers report it exhaustive even when the
+// selection's deadline expired before its turn — g721's
+// g721_encode/exit4 among them — while the blocks that do search stop.
+func TestEmptyBlockExactUnderDeadline(t *testing.T) {
+	m, err := workload.ByName("g721").Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs, _ := allBlockGraphs(m)
+	empty := map[string]bool{}
+	for _, bg := range graphs {
+		if bg.g.NumOps() == 0 {
+			empty[bg.fn.Name+"/"+bg.b.Name] = true
+		}
+	}
+	if !empty["g721_encode/exit4"] {
+		t.Fatalf("g721_encode/exit4 is not among g721's empty blocks %v", empty)
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	cfg := Config{Nin: 4, Nout: 2, PruneInputs: true, PruneMerit: true}
+	for name, sel := range map[string]SelectionResult{
+		"iterative": SelectIterativeCtx(ctx, m, 8, cfg),
+		"optimal":   SelectOptimalCtx(ctx, m, 8, cfg),
+	} {
+		seen := 0
+		for _, b := range sel.Blocks {
+			if !empty[b.Fn+"/"+b.Block] {
+				continue
+			}
+			seen++
+			if b.Status != Exhaustive {
+				t.Errorf("%s: empty block %s/%s is %v, want exhaustive", name, b.Fn, b.Block, b.Status)
+			}
+		}
+		if seen != len(empty) {
+			t.Errorf("%s: %d of %d empty blocks reported", name, seen, len(empty))
+		}
+		if sel.Status != DeadlineExceeded {
+			t.Errorf("%s: selection status %v, want deadline-exceeded", name, sel.Status)
 		}
 	}
 }

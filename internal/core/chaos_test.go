@@ -99,10 +99,6 @@ func chaosArtifact(t *testing.T, seed int64, rules []faultinject.Rule) {
 	})
 }
 
-func chaosProbe(inj *faultinject.Injector) *obs.Probe {
-	return &obs.Probe{Inj: inj, Met: obs.NewMetrics(obs.NewRegistry())}
-}
-
 // assertChaosSplit is assertSplit over a chaos test's engine runs: under
 // the default schedules every worker count must split some search, or
 // the faults never meet a donated subproblem. A replayed seed
@@ -170,13 +166,12 @@ func TestChaosSingleSearch(t *testing.T) {
 				chaosArtifact(t, seed*31+int64(nw), plan)
 				inj := faultinject.New(plan...)
 				ctx, cancel := inj.Context(context.Background())
-				cfg := base
+				cfg, donations := withDonationCount(base, inj)
 				cfg.Workers = nw
-				cfg.Probe = chaosProbe(inj)
 				res, bs := searchBlockSafe(ctx, g, cfg)
 				cancel()
 				if nw > 0 {
-					donated[nw] += cfg.Probe.Met.Donations.Value()
+					donated[nw] += donations()
 				}
 				checkChaosSingle(t, fmt.Sprintf("workers=%d", nw), g, cfg, ref, res, bs, inj, greedyFinds)
 			}
@@ -203,13 +198,12 @@ func TestChaosMultiSearch(t *testing.T) {
 				chaosArtifact(t, seed*37+int64(nw), plan)
 				inj := faultinject.New(plan...)
 				ctx, cancel := inj.Context(context.Background())
-				cfg := base
+				cfg, donations := withDonationCount(base, inj)
 				cfg.Workers = nw
-				cfg.Probe = chaosProbe(inj)
 				res, bs := searchBlockMultiSafe(ctx, g, 2, cfg)
 				cancel()
 				if nw > 0 {
-					donated[nw] += cfg.Probe.Met.Donations.Value()
+					donated[nw] += donations()
 				}
 				label := fmt.Sprintf("workers=%d", nw)
 				if res.Status != bs.Status {
@@ -271,11 +265,10 @@ func TestChaosSelection(t *testing.T) {
 				inj := faultinject.New(plan...)
 				ctx, cancel := inj.Context(context.Background())
 				defer cancel()
-				cfg := v
-				cfg.Probe = chaosProbe(inj)
+				cfg, donations := withDonationCount(v, inj)
 				res := SelectIterativeCtx(ctx, m, 4, cfg)
 				if v.Workers > 0 {
-					donated[v.Workers] += cfg.Probe.Met.Donations.Value()
+					donated[v.Workers] += donations()
 				}
 				for _, sel := range res.Instructions {
 					if sel.Est.Merit <= 0 {
@@ -328,12 +321,11 @@ func TestChaosPerSiteLadder(t *testing.T) {
 			label := fmt.Sprintf("site=%s/workers=%d", obs.Site(site), nw)
 			rules := []faultinject.Rule{{Site: obs.Site(site), Action: faultinject.ActPanic, Nth: 1, Period: 1}}
 			inj := faultinject.New(rules...)
-			cfg := base
+			cfg, donations := withDonationCount(base, inj)
 			cfg.Workers = nw
-			cfg.Probe = chaosProbe(inj)
 			res, bs := searchBlockSafe(context.Background(), g, cfg)
 			if nw > 0 {
-				donated[nw] += cfg.Probe.Met.Donations.Value()
+				donated[nw] += donations()
 			}
 			checkChaosSingle(t, label, g, cfg, ref, res, bs, inj, true)
 			// A fired panic must leave a trace: either the status degrades
@@ -357,7 +349,7 @@ func TestChaosPerSiteLadder(t *testing.T) {
 func TestChaosDriverSites(t *testing.T) {
 	m := compileAndProfile(t, threeKernels)
 	inj := faultinject.New(faultinject.Rule{Site: obs.SiteCollapse, Action: faultinject.ActPanic, Nth: 1, Period: 1})
-	cfg := Config{Nin: 4, Nout: 2, Probe: chaosProbe(inj)}
+	cfg := Config{Nin: 4, Nout: 2, Probe: &obs.Probe{Inj: inj}}
 	res := SelectIterativeCtx(context.Background(), m, 4, cfg)
 	if inj.FiredCount() > 0 && res.Status != Recovered {
 		t.Errorf("%d injected panics but status is %v, not Recovered", inj.FiredCount(), res.Status)
@@ -389,15 +381,14 @@ func TestChaosZeroFaultBitIdentical(t *testing.T) {
 	for _, nw := range chaosWorkerCounts {
 		inj := faultinject.New(rules...)
 		ctx, cancel := inj.Context(context.Background())
-		cfg := base
+		cfg, donations := withDonationCount(base, inj)
 		cfg.Workers = nw
-		cfg.Probe = chaosProbe(inj)
 		res, bs := searchBlockSafe(ctx, g, cfg)
 		cancel()
 		if fired := inj.FiredCount(); fired != 0 {
 			t.Fatalf("workers=%d: %d rules fired; schedule was meant to be inert", nw, fired)
 		}
-		if nw > 0 && cfg.Probe.Met.Donations.Value() == 0 {
+		if nw > 1 && donations() == 0 {
 			t.Errorf("workers=%d: the search never split", nw)
 		}
 		if res.Status != Exhaustive || bs.Rung != RungExact {

@@ -48,7 +48,7 @@ func FindBestCutsCtx(ctx context.Context, g *dfg.Graph, m int, cfg Config) Multi
 		// of simultaneous cuts, so just run serially.
 		cfg.Workers = 0
 	}
-	cuts, stats, st, err := exactSearch(ctx, cfg, "multi", func(cfg Config) bbTree { return newMultiSearcher(g, m, cfg) })
+	cuts, stats, st, err := exactSearch(ctx, cfg, func(cfg Config) bbTree { return newMultiSearcher(g, m, cfg) })
 	res := MultiResult{Stats: stats, Status: st, Err: err}
 	if cuts != nil {
 		res.Found = true

@@ -347,7 +347,7 @@ func TestMultiCutWideMasks(t *testing.T) {
 	g := hotBlock(t, "fir")
 	cfg := Config{Nin: 2, Nout: 1, PruneInputs: true, PruneMerit: true}
 	serial := FindBestCuts(g, 64, cfg)
-	cfg, donations := withDonationCount(cfg)
+	cfg, donations := withDonationCount(cfg, nil)
 	cfg.Workers = 2
 	par := FindBestCuts(g, 64, cfg)
 	if donations() == 0 {

@@ -17,12 +17,13 @@ import (
 // full tracing enabled as with the probe nil. Observation must never
 // change the search.
 
-// fullProbe returns a probe with both the flight recorder and the metrics
-// registry enabled — the most invasive configuration the subsystem has.
+// fullProbe returns a probe with both the flight recorder and an
+// injector (one that only counts donations) attached — the most
+// invasive configuration the subsystem has.
 func fullProbe() *obs.Probe {
 	return &obs.Probe{
 		Rec: obs.NewRecorder(obs.DefaultRingCap),
-		Met: obs.NewMetrics(obs.NewRegistry()),
+		Inj: &donationCounter{},
 	}
 }
 
@@ -51,9 +52,9 @@ func statsComparable(workers int, pruned bool) bool {
 }
 
 // TestObsDifferentialSingle runs the single-cut search with the probe
-// off, metrics-only and full tracing, and demands the same search end to
-// end: on a random graph, on fir's hottest block, and (not under -short)
-// on g721's g721_encode/body2 at 2/1, the largest block of the suite.
+// off and fully on, and demands the same search end to end: on a random
+// graph, on fir's hottest block, and (not under -short) on g721's
+// g721_encode/body2 at 2/1, the largest block of the suite.
 func TestObsDifferentialSingle(t *testing.T) {
 	type input struct {
 		name      string
@@ -74,34 +75,20 @@ func TestObsDifferentialSingle(t *testing.T) {
 				cfg := diffConfig(w, pruned)
 				cfg.Nin, cfg.Nout = in.nin, in.nout
 				base := FindBestCutCtx(context.Background(), in.g, cfg)
-				for _, mode := range []struct {
-					name  string
-					probe *obs.Probe
-				}{
-					{"metrics", &obs.Probe{Met: obs.NewMetrics(obs.NewRegistry())}},
-					{"trace", fullProbe()},
-				} {
-					label := fmt.Sprintf("%s workers=%d pruned=%v %s", in.name, w, pruned, mode.name)
-					cfg.Probe = mode.probe
-					got := FindBestCutCtx(context.Background(), in.g, cfg)
-					if base.Found != got.Found || !reflect.DeepEqual(base.Cut, got.Cut) ||
-						base.Est != got.Est || base.Status != got.Status {
-						t.Errorf("%s: observed result diverged:\n base=%+v\n  got=%+v", label, base, got)
-					}
-					if statsComparable(w, pruned) && base.Stats != got.Stats {
-						t.Errorf("%s: observed Stats diverged: base=%+v got=%+v", label, base.Stats, got.Stats)
-					}
-					// The probe must actually have observed the search — a
-					// silent no-op probe would make this whole suite
-					// vacuous — and at every worker count the registry
-					// counts exactly the cuts the result's Stats charge.
-					c, _ := mode.probe.Met.Registry().Snapshot()["search_cuts_considered_total"].(int64)
-					if c != got.Stats.CutsConsidered {
-						t.Errorf("%s: registry saw %d considered cuts, Stats say %d", label, c, got.Stats.CutsConsidered)
-					}
-					if mode.probe.Rec != nil && len(mode.probe.Rec.Merge()) == 0 {
-						t.Errorf("%s: flight recorder captured no events", label)
-					}
+				label := fmt.Sprintf("%s workers=%d pruned=%v", in.name, w, pruned)
+				cfg.Probe = fullProbe()
+				got := FindBestCutCtx(context.Background(), in.g, cfg)
+				if base.Found != got.Found || !reflect.DeepEqual(base.Cut, got.Cut) ||
+					base.Est != got.Est || base.Status != got.Status {
+					t.Errorf("%s: observed result diverged:\n base=%+v\n  got=%+v", label, base, got)
+				}
+				if statsComparable(w, pruned) && base.Stats != got.Stats {
+					t.Errorf("%s: observed Stats diverged: base=%+v got=%+v", label, base.Stats, got.Stats)
+				}
+				// The probe must actually have observed the search — a
+				// silent no-op probe would make this whole suite vacuous.
+				if len(cfg.Probe.Rec.Merge()) == 0 {
+					t.Errorf("%s: flight recorder captured no events", label)
 				}
 			}
 		}

@@ -12,11 +12,12 @@ package core
 // the exact incremental state the serial search would have at that tree
 // position — and searches the whole subtree sequentially. The run starts
 // with one subproblem, the root. While fewer subproblems wait than there
-// are workers, a busy worker hands the shallowest pending 0-branch of its
-// recursion stack to the engine at its next poll (tryDonate, search.go),
-// and an idle worker takes the oldest waiting subproblem, which carries
-// the shallowest prefix. A search shorter than one poll interval
-// therefore never leaves its first worker.
+// are idle workers, a busy worker hands the shallowest pending 0-branch
+// of its recursion stack to the engine at its next poll (tryDonate,
+// search.go), and an idle worker takes the oldest waiting subproblem,
+// which carries the shallowest prefix. A search shorter than one poll
+// interval therefore never leaves its first worker, and a single worker
+// never splits.
 //
 // Determinism: the subproblems partition the serial tree, each inherits
 // its donor's running-best merit as a recording threshold (seed), and
@@ -35,8 +36,6 @@ package core
 import (
 	"context"
 	"math"
-	"runtime/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,7 +136,7 @@ type bbEngine struct {
 	sharedOn bool  // publish/observe the shared incumbent (PruneMerit)
 	shared   atomic.Int64
 	cuts     atomic.Int64
-	needWork atomic.Bool // len(list) < nworkers: searchers should donate
+	needWork atomic.Bool // short of work (see short): searchers should donate
 
 	probe *obs.Probe // the run's telemetry handle (nil when off)
 
@@ -199,18 +198,25 @@ func (e *bbEngine) pollSearch(stats *Stats, flushMark *int64) SearchStatus {
 	return Exhaustive
 }
 
+// short reports whether fewer subproblems wait than workers are idle:
+// only then is a split worth its replay. A lone worker is never short.
+// Callers hold e.mu.
+func (e *bbEngine) short() bool {
+	return !e.stopped && len(e.list) < e.nworkers-e.active
+}
+
 func (e *bbEngine) updateNeed() {
-	e.needWork.Store(!e.stopped && len(e.list) < e.nworkers)
+	e.needWork.Store(e.short())
 }
 
 // donate appends a subproblem split off a busy worker's recursion stack
-// to the list. It is refused once the list holds a subproblem per worker
-// (or the engine has stopped), so donation stops exactly when starvation
-// ends.
+// to the list. It is refused once every idle worker has a subproblem
+// waiting (or the engine has stopped), so donation stops exactly when
+// starvation ends.
 func (e *bbEngine) donate(sub bbSub) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.stopped || len(e.list) >= e.nworkers {
+	if !e.short() {
 		return false
 	}
 	e.list = append(e.list, sub)
@@ -243,10 +249,12 @@ func (e *bbEngine) take() (sub bbSub, ok bool) {
 	return bbSub{}, false
 }
 
-// release marks a worker's current subproblem finished.
+// release marks a worker's current subproblem finished: the worker is
+// idle, so the others may have to donate again.
 func (e *bbEngine) release() {
 	e.mu.Lock()
 	e.active--
+	e.updateNeed()
 	if e.active == 0 && len(e.list) == 0 {
 		e.cond.Broadcast()
 	}
@@ -291,11 +299,6 @@ func (e *bbEngine) finalErr() error {
 	return e.firstErr
 }
 
-// countRetry bumps the worker-retry metric before a subproblem re-run.
-func (e *bbEngine) countRetry() {
-	e.probe.Count(func(m *obs.Metrics) *obs.Counter { return m.WorkerRetries })
-}
-
 // workerAbort handles a panic that escaped the per-subproblem recovery
 // (an engine bug, not a search bug): fix the active count so the other
 // workers cannot deadlock, record the panic, and stop — the lost
@@ -337,7 +340,7 @@ func workerConfig(cfg Config) Config {
 // for either tree: newTree builds each worker's private searcher. A
 // completed run returns the bit-identical result of the serial search;
 // see the package comment above.
-func runEngine(ctx context.Context, cfg Config, engine string, newTree func(Config) bbTree) (best bbBest, stats Stats, st SearchStatus, err error) {
+func runEngine(ctx context.Context, cfg Config, newTree func(Config) bbTree) (best bbBest, stats Stats, st SearchStatus, err error) {
 	if err := ctx.Err(); err != nil {
 		return best, Stats{Aborted: true}, statusOfCtx(err), nil
 	}
@@ -348,19 +351,15 @@ func runEngine(ctx context.Context, cfg Config, engine string, newTree func(Conf
 
 	outs := make([]bbBest, nw)
 	statsArr := make([]Stats, nw)
-	engineWorkers(cfg.Probe, nw)
 	var wg sync.WaitGroup
 	for w := 0; w < nw; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			runLabeled(ctx, cfg.Probe, engine, w, func() {
-				e.runWorker(func() bbTree { return newTree(wcfg) }, &outs[w], &statsArr[w])
-			})
+			e.runWorker(func() bbTree { return newTree(wcfg) }, &outs[w], &statsArr[w])
 		}(w)
 	}
 	wg.Wait()
-	engineWorkers(cfg.Probe, -nw)
 
 	for w := range outs {
 		best.better(outs[w])
@@ -369,26 +368,6 @@ func runEngine(ctx context.Context, cfg Config, engine string, newTree func(Conf
 	st = e.finalStatus()
 	stats.Aborted = st != Exhaustive
 	return best, stats, st, e.finalErr()
-}
-
-// runLabeled runs f under pprof labels identifying the engine worker,
-// so CPU profiles attribute samples per worker — but only when a probe
-// is attached: the disabled path must not pay the label allocation.
-func runLabeled(ctx context.Context, p *obs.Probe, engine string, w int, f func()) {
-	if p == nil {
-		f()
-		return
-	}
-	pprof.Do(ctx, pprof.Labels("isex_engine", engine, "isex_worker", strconv.Itoa(w)),
-		func(context.Context) { f() })
-}
-
-// engineWorkers adjusts the engine_workers_active gauge (no-op when
-// metrics are off).
-func engineWorkers(p *obs.Probe, delta int) {
-	if p != nil && p.Met != nil {
-		p.Met.WorkersActive.Add(int64(delta))
-	}
 }
 
 // attach wires a worker's private searcher to the engine and allocates
@@ -440,7 +419,6 @@ func (e *bbEngine) runWorker(newTree func() bbTree, out *bbBest, stats *Stats) {
 				e.note(Recovered)
 				break
 			}
-			e.countRetry()
 			time.Sleep(bbRetryBackoff << attempt)
 		}
 		e.release()

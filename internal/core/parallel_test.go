@@ -18,20 +18,38 @@ import (
 
 var parallelWorkerCounts = []int{1, 2, 4, 8}
 
-// withDonationCount returns cfg with a metrics-only probe attached and a
-// function reading how many subproblems the run's engine split off
-// (engine_donations_total). The probe is write-only, so the run's
-// results and Stats are those of the bare cfg.
-func withDonationCount(cfg Config) (Config, func() int64) {
-	p := &obs.Probe{Met: obs.NewMetrics(obs.NewRegistry())}
-	cfg.Probe = p
-	return cfg, p.Met.Donations.Value
+// donationCounter is an obs.Injector that counts SiteDonate fires, one
+// per subproblem an engine split off, and passes every fire on to next
+// when one is set.
+type donationCounter struct {
+	next obs.Injector
+	n    atomic.Int64
 }
 
-// assertSplit fails for every worker count whose runs, together, never
-// split a search. The engine splits only on demand, so a search shorter
-// than one poll interval stays on its first worker, and a fixture that
-// never splits would leave the engine's replay and merge untested.
+func (d *donationCounter) Fire(s obs.Site, tag string) {
+	if s == obs.SiteDonate {
+		d.n.Add(1)
+	}
+	if d.next != nil {
+		d.next.Fire(s, tag)
+	}
+}
+
+// withDonationCount returns cfg with a probe whose injector counts
+// donations and passes every site on to next (nil for none), and a
+// function reading the count. Without next the probe only observes, so
+// the run's results and Stats are those of the bare cfg.
+func withDonationCount(cfg Config, next obs.Injector) (Config, func() int64) {
+	d := &donationCounter{next: next}
+	cfg.Probe = &obs.Probe{Inj: d}
+	return cfg, d.n.Load
+}
+
+// assertSplit fails for every worker count of 2 or more whose runs,
+// together, never split a search, and for a single worker that did. The
+// engine splits only while a worker is idle, so a search shorter than
+// one poll interval stays on its first worker, and a fixture that never
+// splits would leave the engine's replay and merge untested.
 func assertSplit(t *testing.T, donated map[int]int64) {
 	t.Helper()
 	counts := make([]int, 0, len(donated))
@@ -40,7 +58,10 @@ func assertSplit(t *testing.T, donated map[int]int64) {
 	}
 	slices.Sort(counts)
 	for _, nw := range counts {
-		if donated[nw] == 0 {
+		switch {
+		case nw == 1 && donated[nw] != 0:
+			t.Errorf("workers=1: a lone worker split off %d subproblems", donated[nw])
+		case nw > 1 && donated[nw] == 0:
 			t.Errorf("workers=%d: no run donated a subproblem; the fixtures never split", nw)
 		}
 	}
@@ -70,7 +91,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("trial %d variant %d: serial not exhaustive", trial, vi)
 			}
 			for _, nw := range parallelWorkerCounts {
-				cfg, donations := withDonationCount(base)
+				cfg, donations := withDonationCount(base, nil)
 				cfg.Workers = nw
 				par := FindBestCut(g, cfg)
 				donated[nw] += donations()
@@ -152,7 +173,7 @@ func TestParallelMultiMatchesSerial(t *testing.T) {
 			for _, m := range v.ms {
 				serial := FindBestCuts(g, m, v.cfg)
 				for _, nw := range parallelWorkerCounts {
-					cfg, donations := withDonationCount(v.cfg)
+					cfg, donations := withDonationCount(v.cfg, nil)
 					cfg.Workers = nw
 					par := FindBestCuts(g, m, cfg)
 					donated[nw] += donations()
@@ -203,7 +224,7 @@ func TestParallelMultiTiesMatchSerial(t *testing.T) {
 			serial := FindBestCuts(g, 2, base)
 			for rep := 0; rep < 3; rep++ {
 				for _, nw := range []int{2, 4, 8} {
-					cfg, donations := withDonationCount(base)
+					cfg, donations := withDonationCount(base, nil)
 					cfg.Workers = nw
 					par := FindBestCuts(g, 2, cfg)
 					donated[nw] += donations()
@@ -321,7 +342,7 @@ func TestParallelPanicRecovered(t *testing.T) {
 	}
 	defer func() { bbSubHook = nil }()
 	before := runtime.NumGoroutine()
-	cfg, donations := withDonationCount(Config{Nin: 3, Nout: 2, Workers: 4})
+	cfg, donations := withDonationCount(Config{Nin: 3, Nout: 2, Workers: 4}, nil)
 	res := FindBestCut(g, cfg)
 	if donations() == 0 {
 		t.Fatal("the search never split, so no subproblem could panic")
@@ -347,7 +368,7 @@ func TestParallelPanicRecovered(t *testing.T) {
 			panic("persistent subproblem panic")
 		}
 	}
-	cfg, donations = withDonationCount(Config{Nin: 3, Nout: 2, Workers: 4})
+	cfg, donations = withDonationCount(Config{Nin: 3, Nout: 2, Workers: 4}, nil)
 	pres := FindBestCut(g, cfg)
 	if donations() == 0 {
 		t.Fatal("persistent panic: the search never split, so no subproblem could panic")
@@ -442,7 +463,7 @@ func TestParallelAdpcmMatchesSerial(t *testing.T) {
 			t.Fatalf("%s: reference status %v", tc.kernel, ref.Status)
 		}
 		for _, nw := range tc.workers {
-			pcfg, donations := withDonationCount(tc.cfg)
+			pcfg, donations := withDonationCount(tc.cfg, nil)
 			pcfg.Workers = nw
 			par := FindBestCut(g, pcfg)
 			if par.Status != Exhaustive || par.Found != ref.Found ||
@@ -450,7 +471,7 @@ func TestParallelAdpcmMatchesSerial(t *testing.T) {
 				t.Fatalf("%s workers %d: %v/%d/%v diverges from the reference %v/%d",
 					tc.kernel, nw, par.Cut, par.Est.Merit, par.Status, ref.Cut, ref.Est.Merit)
 			}
-			if nw > 0 && donations() == 0 {
+			if nw > 1 && donations() == 0 {
 				t.Errorf("%s workers %d: the search never split", tc.kernel, nw)
 			}
 		}
@@ -462,7 +483,7 @@ func TestParallelAdpcmMatchesSerial(t *testing.T) {
 		t.Fatalf("g721 M=2: serial status %v", serial.Status)
 	}
 	for _, nw := range []int{2, 4} {
-		pcfg, donations := withDonationCount(pruned)
+		pcfg, donations := withDonationCount(pruned, nil)
 		pcfg.Workers = nw
 		par := FindBestCuts(g, 2, pcfg)
 		if donations() == 0 {

@@ -122,9 +122,9 @@ func (c *searchCore) core() *searchCore { return c }
 // cfg.Workers > 0, serially on newTree(cfg) otherwise. It returns the
 // best cuts found (nil when none), the work done and how the search
 // ended.
-func exactSearch(ctx context.Context, cfg Config, engine string, newTree func(Config) bbTree) (cuts []dfg.Cut, stats Stats, st SearchStatus, err error) {
+func exactSearch(ctx context.Context, cfg Config, newTree func(Config) bbTree) (cuts []dfg.Cut, stats Stats, st SearchStatus, err error) {
 	if cfg.Workers > 0 {
-		best, stats, st, err := runEngine(ctx, cfg, engine, newTree)
+		best, stats, st, err := runEngine(ctx, cfg, newTree)
 		return best.cuts, stats, st, err
 	}
 	t := newTree(cfg)
@@ -138,20 +138,11 @@ func exactSearch(ctx context.Context, cfg Config, engine string, newTree func(Co
 	return c.bestCuts, c.stats, c.stop, nil
 }
 
-// flushObs publishes the searcher's running tallies into the metrics
-// registry as deltas (see obs.SearchObs.FlushStats). Called at poll
-// cadence and at search end; a no-op when observability is off.
-func (c *searchCore) flushObs() {
-	if c.obs != nil {
-		c.obs.FlushStats(c.stats.CutsConsidered, c.stats.Passed, c.stats.Pruned, c.stats.Bounded)
-	}
-}
-
-// endObs flushes the searcher's final tallies and closes its recorder
-// lane with its exact prune and bound-cutoff totals.
+// endObs closes the searcher's recorder lane with its exact prune and
+// bound-cutoff totals.
 func (c *searchCore) endObs() {
 	if c.obs != nil {
-		c.flushObs()
+		c.obs.Poll()
 		c.obs.End(c.stats.Pruned, c.stats.Bounded)
 	}
 }
@@ -161,8 +152,8 @@ func (c *searchCore) endObs() {
 func (c *searchCore) stopAt(st SearchStatus) bool {
 	c.stop = st
 	if c.obs != nil {
-		c.flushObs()
-		c.obs.Stop(int64(st), st == DeadlineExceeded, st == BudgetStopped, st == Canceled)
+		c.obs.Poll()
+		c.obs.Stop(int64(st))
 	}
 	return false
 }
@@ -192,7 +183,9 @@ func (c *searchCore) poll() {
 			return
 		}
 	}
-	c.flushObs()
+	if c.obs != nil {
+		c.obs.Poll()
+	}
 }
 
 // consider charges one cut (a 1- or k-branch) against MaxCuts and

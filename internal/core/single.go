@@ -55,13 +55,13 @@ type Config struct {
 	// recursive search.
 	Workers int
 	// Probe, when non-nil, enables the search telemetry subsystem: a
-	// flight recorder of typed search events, an atomic metrics
-	// registry, or both (see internal/obs). Observation is strictly
-	// write-only — results, Stats and Status are bit-identical with the
-	// probe on or off — and a nil probe costs one predictable branch
-	// per probe point. Sub-searches too fine-grained to trace (the
-	// windowed heuristic's windows) automatically drop the flight
-	// recorder but keep feeding the metrics.
+	// flight recorder of typed search events, a fault injector, or both
+	// (see internal/obs). Observation is strictly write-only — results,
+	// Stats and Status are bit-identical with the probe on or off — and
+	// a nil probe costs one predictable branch per probe point.
+	// Sub-searches that must not open recorder lanes of their own (the
+	// windowed heuristic's windows) drop the flight recorder and keep
+	// the injector.
 	Probe *obs.Probe
 }
 
@@ -130,7 +130,7 @@ func FindBestCut(g *dfg.Graph, cfg Config) Result {
 // ctx every ctxCheckInterval visited nodes and, on expiry or
 // cancellation, returns the incumbent with Status set accordingly.
 func FindBestCutCtx(ctx context.Context, g *dfg.Graph, cfg Config) Result {
-	cuts, stats, st, err := exactSearch(ctx, cfg, "single", func(cfg Config) bbTree { return newSearcher(g, cfg) })
+	cuts, stats, st, err := exactSearch(ctx, cfg, func(cfg Config) bbTree { return newSearcher(g, cfg) })
 	res := Result{Stats: stats, Status: st, Err: err}
 	if cuts != nil {
 		res.Found = true

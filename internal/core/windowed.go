@@ -31,10 +31,10 @@ func FindBestCutWindowedCtx(ctx context.Context, g *dfg.Graph, cfg Config, windo
 	// worker pool per window costs more than it saves, and the §9 rescue
 	// path must stay allocation-light.
 	cfg.Workers = 0
-	// Per-window sub-searches feed the metrics but never the flight
-	// recorder: each window would otherwise close a lane of its own under
-	// the block's span, and the block's recorded prune and bound totals
-	// would mix the windows' work into the exact search's.
+	// Per-window sub-searches keep the injector but never reach the
+	// flight recorder: each window would otherwise close a lane of its
+	// own under the block's span, and the block's recorded prune and
+	// bound totals would mix the windows' work into the exact search's.
 	cfg.Probe = cfg.Probe.MetricsOnly()
 	n := g.NumOps()
 	if window <= 0 || window >= n {

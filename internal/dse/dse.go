@@ -80,11 +80,6 @@ type Options struct {
 	// per-searcher rings and the mutex-guarded sys ring make that
 	// race-clean. Purely observational: results do not depend on it.
 	Probe *obs.Probe
-	// Progress, when non-nil, receives live per-cell status (queued /
-	// searching / done, current block and rung, completed-cell rates)
-	// for the -progress terminal surface and the /sweep/status endpoint.
-	// Purely observational.
-	Progress *Progress
 }
 
 // DefaultOptions is the default grid: the Fig. 11 ADPCM pair on the
@@ -282,9 +277,6 @@ func Sweep(ctx context.Context, opt Options) (*Report, *Stats, error) {
 
 	mode := map[bool]string{false: "warm", true: "cold"}[opt.Cold]
 	tasks := s.tasks()
-	if opt.Progress != nil {
-		opt.Progress.begin(mode, s.progressKeys())
-	}
 
 	// Each (benchmark, target) baseline is Prepare's profiling run,
 	// priced under the target's model. Then one job per task; nothing is
@@ -372,35 +364,12 @@ func (s *sweeper) tasks() []task {
 	return ts
 }
 
-// progressKeys lists the tasks' cells in grid order — benchmark,
-// target, constraint tightest first, budget — for the live tracker.
-func (s *sweeper) progressKeys() []cellKey {
-	var keys []cellKey
-	for _, b := range s.opt.Benchmarks {
-		for _, t := range s.opt.Targets {
-			for _, c := range constraintOrder(s.opt.Constraints) {
-				for _, n := range s.budgets {
-					keys = append(keys, cellKey{b + "/" + t, c[0], c[1], n})
-				}
-			}
-		}
-	}
-	return keys
-}
-
-// run performs one task's selection under its own cell span and, with
-// live progress on, its own Live sink keyed by the cell. The search
-// (prunings, budget, serial block by block) is the same in warm and
-// cold mode, which is what makes the two modes' cells equal.
+// run performs one task's selection under its own cell span. The
+// search (prunings, budget, serial block by block) is the same in warm
+// and cold mode, which is what makes the two modes' cells equal.
 func (s *sweeper) run(ctx context.Context, t *task) {
 	chain := s.opt.Benchmarks[t.bi] + "/" + s.opt.Targets[t.ti]
-	key := cellKey{chain, t.c[0], t.c[1], t.ninstr}
-	probe := s.opt.Probe
-	if pr := s.opt.Progress; pr != nil {
-		probe = pr.sink(probe, key)
-		pr.cellStart(key)
-	}
-	cp := probe.BeginCell(chain, t.c[0], t.c[1], t.ninstr)
+	cp := s.opt.Probe.BeginCell(chain, t.c[0], t.c[1], t.ninstr)
 	t.sel = core.SelectIterativeCtx(ctx, s.modules[t.bi], t.ninstr, core.Config{
 		Nin:         t.c[0],
 		Nout:        t.c[1],
@@ -411,9 +380,6 @@ func (s *sweeper) run(ctx context.Context, t *task) {
 		Probe:       cp,
 	})
 	cp.EndCell(chain, t.c[0], t.c[1], t.sel.TotalMerit)
-	if pr := s.opt.Progress; pr != nil {
-		pr.cellDone(key, t.sel.TotalMerit)
-	}
 }
 
 // runJobs runs jobs on n goroutines, each taking the next job in list

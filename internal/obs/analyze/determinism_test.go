@@ -14,10 +14,12 @@ import (
 
 // TestExplainDeterministicAcrossWorkers is the acceptance-critical
 // property: for exhaustive runs the deterministic attribution report is
-// byte-identical across engine worker counts. PruneMerit stays off so
-// the feasibility-prune tallies — the searchers' own counters, summed
-// over lanes — are a property of the search tree (the engine's
-// exact-Stats parity), not of incumbent arrival timing.
+// byte-identical for the serial search and across engine worker counts,
+// and at every worker count its cut, feasibility-prune and bound-cutoff
+// totals equal the selection's Stats. PruneMerit stays off so the
+// feasibility-prune tallies — the searchers' own counters, summed over
+// lanes — are a property of the search tree (the engine's exact-Stats
+// parity), not of incumbent arrival timing.
 func TestExplainDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full selections at several worker counts")
@@ -32,7 +34,7 @@ func TestExplainDeterministicAcrossWorkers(t *testing.T) {
 	}
 
 	var refJSON, refText []byte
-	for _, workers := range []int{1, 2, 8} {
+	for _, workers := range []int{0, 1, 2, 8} {
 		probe := &obs.Probe{Rec: obs.NewRecorder(obs.DefaultRingCap)}
 		cfg := core.Config{
 			Nin:     4,
@@ -62,7 +64,13 @@ func TestExplainDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := analyze.Build(back)
-		rep, err := json.Marshal(analyze.BuildExplain(a))
+		explain := analyze.BuildExplain(a)
+		if got, want := explainStats(explain), sel.Stats; got.CutsConsidered != want.CutsConsidered || got.Pruned != want.Pruned || got.Bounded != want.Bounded {
+			t.Errorf("workers=%d: explain reads %d cuts, %d feasibility prunes, %d bound cutoffs; Stats say %d, %d, %d",
+				workers, got.CutsConsidered, got.Pruned, got.Bounded,
+				want.CutsConsidered, want.Pruned, want.Bounded)
+		}
+		rep, err := json.Marshal(explain)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,10 +83,10 @@ func TestExplainDeterministicAcrossWorkers(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(refJSON, rep) {
-			t.Errorf("explain JSON diverged at workers=%d:\n%s\nvs workers=1:\n%s", workers, rep, refJSON)
+			t.Errorf("explain JSON diverged at workers=%d:\n%s\nvs the serial search:\n%s", workers, rep, refJSON)
 		}
 		if !bytes.Equal(refText, []byte(text)) {
-			t.Errorf("explain text diverged at workers=%d:\n%s\nvs workers=1:\n%s", workers, text, refText)
+			t.Errorf("explain text diverged at workers=%d:\n%s\nvs the serial search:\n%s", workers, text, refText)
 		}
 	}
 }

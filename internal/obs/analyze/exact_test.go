@@ -18,6 +18,18 @@ func prunedConfig(nin, nout int, maxCuts int64, probe *obs.Probe) core.Config {
 		PruneInputs: true, PruneMerit: true, Probe: probe}
 }
 
+// explainStats sums the explain report's per-stage cuts, feasibility
+// prunes and bound cutoffs.
+func explainStats(rep analyze.ExplainReport) core.Stats {
+	var st core.Stats
+	for _, s := range rep.Stages {
+		st.CutsConsidered += s.Cuts
+		st.Pruned += s.Prunes
+		st.Bounded += s.Bounds
+	}
+	return st
+}
+
 // TestExplainCountsExact: the explain report's cut, prune and bound
 // totals are the searchers' own counters, so they equal the selection's
 // Stats exactly, and the recorder drops nothing at its default capacity.
@@ -43,13 +55,7 @@ func TestExplainCountsExact(t *testing.T) {
 		if n := probe.Rec.Dropped(); n != 0 {
 			t.Fatalf("%s: recorder dropped %d events", name, n)
 		}
-		rep := analyze.BuildExplain(analyze.Build(probe.Rec.Merge()))
-		var got core.Stats
-		for _, s := range rep.Stages {
-			got.CutsConsidered += s.Cuts
-			got.Pruned += s.Prunes
-			got.Bounded += s.Bounds
-		}
+		got := explainStats(analyze.BuildExplain(analyze.Build(probe.Rec.Merge())))
 		want := sel.Stats
 		if got.CutsConsidered != want.CutsConsidered || got.Pruned != want.Pruned || got.Bounded != want.Bounded {
 			t.Errorf("%s: explain reads %d cuts, %d feasibility prunes, %d bound prunes; Stats say %d, %d, %d",

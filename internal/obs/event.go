@@ -1,21 +1,20 @@
 // Package obs is the search telemetry subsystem: a flight recorder of
-// typed search events, an atomic metrics registry, and the Probe handle
-// that internal/core threads through every search layer.
+// typed search events and the Probe handle that internal/core threads
+// through every search layer, which also carries the fault-injection
+// seam (Injector).
 //
 // Design constraints, in priority order:
 //
-//  1. Observation must never change what the search computes. Events and
-//     metrics are strictly write-only side channels; nothing in this
-//     package feeds a value back into search decisions.
+//  1. Observation must never change what the search computes. Events
+//     are a strictly write-only side channel; nothing in this package
+//     feeds a value back into search decisions.
 //  2. A nil probe must cost one predictable branch per probe point. All
 //     Probe and SearchObs methods are nil-receiver safe, and the hot
-//     per-cut counters are not emitted per cut at all — they are flushed
-//     as deltas at the search's existing poll cadence.
+//     per-cut counters are never emitted: they stay in core.Stats.
 //  3. The enabled path must be allocation-free per event, and no event
 //     is per cut. Events are fixed-size structs written into one
 //     preallocated buffer; a searcher's prune and bound-cutoff totals
-//     are its own core.Stats counters, recorded once when it ends;
-//     metric updates are single atomic adds.
+//     are its own core.Stats counters, recorded once when it ends.
 package obs
 
 import "fmt"

@@ -83,59 +83,6 @@ func TestLanesAndSpans(t *testing.T) {
 	}
 }
 
-func TestRegistryInstruments(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("engine_donations_total")
-	c.Inc()
-	c.Add(4)
-	if reg.Counter("engine_donations_total") != c {
-		t.Fatal("Counter lookup must return the same instrument")
-	}
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d, want 5", c.Value())
-	}
-	g := reg.Gauge("engine_workers_active")
-	g.Set(8)
-	g.Add(-3)
-	if g.Value() != 5 {
-		t.Fatalf("gauge = %d, want 5", g.Value())
-	}
-}
-
-func TestPrometheusText(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("search_cuts_considered_total").Add(42)
-	reg.Gauge("engine_workers_active").Set(3)
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"# TYPE isex_search_cuts_considered_total counter",
-		"isex_search_cuts_considered_total 42",
-		"# TYPE isex_engine_workers_active gauge",
-		"isex_engine_workers_active 3",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prometheus output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestSnapshot(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("a_total").Add(7)
-	reg.Gauge("g").Set(-2)
-	snap := reg.Snapshot()
-	if snap["a_total"] != int64(7) || snap["g"] != int64(-2) {
-		t.Fatalf("snapshot = %v, want a_total 7 and g -2", snap)
-	}
-	if _, err := json.Marshal(snap); err != nil {
-		t.Fatalf("snapshot must marshal: %v", err)
-	}
-}
-
 func TestNilProbeSafety(t *testing.T) {
 	var p *Probe
 	if p.Attach() != nil {
@@ -144,12 +91,11 @@ func TestNilProbeSafety(t *testing.T) {
 	if p.MetricsOnly() != nil {
 		t.Fatal("nil probe MetricsOnly must stay nil")
 	}
-	p.Count(func(m *Metrics) *Counter { return m.Collapses })
 
 	var o *SearchObs
-	o.FlushStats(1, 2, 3, 4)
+	o.Poll()
 	o.Incumbent(1, 2, 3)
-	o.Stop(2, false, true, false)
+	o.Stop(2)
 	o.Donate(3)
 	o.Idle()
 	o.Busy()
@@ -157,47 +103,31 @@ func TestNilProbeSafety(t *testing.T) {
 }
 
 func TestProbeAttachAndMetricsOnly(t *testing.T) {
-	reg := NewRegistry()
-	p := &Probe{Rec: NewRecorder(16), Met: NewMetrics(reg)}
+	inj := injectorFunc(func(Site, string) {})
+	p := &Probe{Rec: NewRecorder(16), Inj: inj}
 	o := p.Attach()
-	if o == nil || o.rec == nil || o.lane != 1 || o.met == nil {
-		t.Fatal("full probe must attach a recorder lane and metrics")
+	if o == nil || o.rec == nil || o.lane != 1 || o.inj == nil {
+		t.Fatal("full probe must attach a recorder lane and the injector")
 	}
 	mo := p.MetricsOnly()
-	if mo == nil || mo.Rec != nil || mo.Met != p.Met {
-		t.Fatalf("MetricsOnly must keep metrics, drop recorder: %+v", mo)
+	if mo == nil || mo.Rec != nil || mo.Inj == nil {
+		t.Fatalf("MetricsOnly must keep the injector, drop the recorder: %+v", mo)
 	}
 	oo := mo.Attach()
-	if oo == nil || oo.rec != nil {
-		t.Fatal("metrics-only attach must have no recorder lane")
+	if oo == nil || oo.rec != nil || oo.inj == nil {
+		t.Fatal("MetricsOnly attach must have the injector and no recorder lane")
 	}
-	// Trace-only probe with no metrics or injector collapses to nil.
+	// Trace-only probe with no injector collapses to nil.
 	tp := &Probe{Rec: NewRecorder(16)}
 	if tp.MetricsOnly() != nil {
 		t.Fatal("trace-only probe must collapse to nil under MetricsOnly")
 	}
 }
 
-func TestFlushStatsDeltas(t *testing.T) {
-	reg := NewRegistry()
-	p := &Probe{Met: NewMetrics(reg)}
-	o := p.Attach()
-	o.FlushStats(10, 4, 6, 1)
-	o.FlushStats(25, 9, 16, 1) // +15, +5, +10, +0
-	m := p.Met
-	if m.CutsConsidered.Value() != 25 || m.CutsPassed.Value() != 9 ||
-		m.CutsPruned.Value() != 16 || m.BoundCutoffs.Value() != 1 {
-		t.Fatalf("flushed totals = %d/%d/%d/%d, want 25/9/16/1",
-			m.CutsConsidered.Value(), m.CutsPassed.Value(),
-			m.CutsPruned.Value(), m.BoundCutoffs.Value())
-	}
-	// A second searcher flushing its own totals adds, not overwrites.
-	o2 := p.Attach()
-	o2.FlushStats(5, 1, 4, 0)
-	if m.CutsConsidered.Value() != 30 {
-		t.Fatalf("second searcher flush: considered = %d, want 30", m.CutsConsidered.Value())
-	}
-}
+// injectorFunc adapts a function to the Injector interface.
+type injectorFunc func(Site, string)
+
+func (f injectorFunc) Fire(s Site, tag string) { f(s, tag) }
 
 func TestWriteJSONL(t *testing.T) {
 	rec := NewRecorder(8)

@@ -14,94 +14,17 @@ var spanCounter atomic.Int64
 // identities): deterministic artifacts must never expose raw IDs.
 func NextSpan() int64 { return spanCounter.Add(1) }
 
-// Metrics is the well-known instrument set the search layers update.
-// Resolving the instruments once here keeps registry lookups off every
-// probe point. All fields are non-nil after NewMetrics.
-type Metrics struct {
-	reg *Registry
-
-	// Search-progress counters (flushed as deltas at poll cadence, so
-	// they lag live state by at most one poll interval).
-	CutsConsidered *Counter
-	CutsPassed     *Counter
-	CutsPruned     *Counter
-	BoundCutoffs   *Counter
-	Incumbents     *Counter
-	Searches       *Counter
-
-	// Anytime-contract counters.
-	DeadlineTrips *Counter
-	BudgetTrips   *Counter
-	CancelTrips   *Counter
-	Rescues       *Counter
-	RescueHits    *Counter
-
-	// Degradation-ladder and fault-recovery counters.
-	PanicsRecovered *Counter
-	GreedyRescues   *Counter
-	GreedyHits      *Counter
-
-	// Parallel engine counters.
-	Donations     *Counter
-	WorkerRetries *Counter
-	WorkersActive *Gauge
-
-	// Selection-driver counters.
-	Collapses *Counter
-
-	// DSE sweep counters.
-	Cells *Counter
-}
-
-// NewMetrics resolves the well-known instrument set in reg.
-func NewMetrics(reg *Registry) *Metrics {
-	return &Metrics{
-		reg:             reg,
-		CutsConsidered:  reg.Counter("search_cuts_considered_total"),
-		CutsPassed:      reg.Counter("search_cuts_passed_total"),
-		CutsPruned:      reg.Counter("search_cuts_pruned_total"),
-		BoundCutoffs:    reg.Counter("search_bound_cutoffs_total"),
-		Incumbents:      reg.Counter("search_incumbents_total"),
-		Searches:        reg.Counter("search_block_searches_total"),
-		DeadlineTrips:   reg.Counter("search_deadline_trips_total"),
-		BudgetTrips:     reg.Counter("search_budget_trips_total"),
-		CancelTrips:     reg.Counter("search_cancel_trips_total"),
-		Rescues:         reg.Counter("search_rescues_total"),
-		RescueHits:      reg.Counter("search_rescue_hits_total"),
-		PanicsRecovered: reg.Counter("search_panics_recovered_total"),
-		GreedyRescues:   reg.Counter("search_greedy_rescues_total"),
-		GreedyHits:      reg.Counter("search_greedy_hits_total"),
-		Donations:       reg.Counter("engine_donations_total"),
-		WorkerRetries:   reg.Counter("engine_worker_retries_total"),
-		WorkersActive:   reg.Gauge("engine_workers_active"),
-		Collapses:       reg.Counter("sched_collapses_total"),
-		Cells:           reg.Counter("dse_cells_total"),
-	}
-}
-
-// Registry returns the registry the metrics were resolved from.
-func (m *Metrics) Registry() *Registry { return m.reg }
-
 // Probe is the observability handle carried in core.Config. A nil
 // *Probe means observability is off and every probe point reduces to
-// one nil check. Any combination of fields may be set: Rec enables the
-// flight recorder, Met enables metrics, Inj is the fault-injection seam.
+// one nil check. Either field may be set: Rec enables the flight
+// recorder, Inj is the fault-injection seam.
 type Probe struct {
 	// Rec, when non-nil, records the event timeline.
 	Rec *Recorder
-	// Met, when non-nil, receives metric updates.
-	Met *Metrics
 	// Inj, when non-nil, fires at the head of every probe method with
-	// the method's Site, before any recorder/metrics work — so a fault
-	// injector observes every site even with telemetry off.
+	// the method's Site, before any recorder work — so a fault injector
+	// observes every site even with the recorder off.
 	Inj Injector
-	// Live, when non-nil, receives a copy of every coordinator-side
-	// (lane 0) event as it is emitted — the feed behind the live sweep
-	// progress surface. Only the rare block/stage/cell-scoped events flow
-	// through it, never the searchers' own, so it stays off the search
-	// loops. The Event's T is zero (Live consumers track their own
-	// clocks); Live must be safe for concurrent use.
-	Live func(Event)
 
 	// span is the causal span the probe's block-scoped events belong to;
 	// parent is the enclosing span (stage or cell). Both ride probe
@@ -119,13 +42,10 @@ func (p *Probe) fire(s Site, tag string) {
 }
 
 // sysEmit records a coordinator-side event stamped with the probe's
-// span, and feeds the Live sink. Callers gate on p != nil.
+// span. Callers gate on p != nil.
 func (p *Probe) sysEmit(k Kind, tag string, a, b, c int64) {
 	if p.Rec != nil {
 		p.Rec.emit(0, p.span, k, tag, a, b, c)
-	}
-	if p.Live != nil {
-		p.Live(Event{Kind: k, Span: p.span, A: a, B: b, C: c, Tag: tag})
 	}
 }
 
@@ -143,21 +63,17 @@ func (p *Probe) Sub() *Probe {
 	return &q
 }
 
-// MetricsOnly returns a probe that keeps the metrics and the injector
-// but drops the flight recorder (and the Live sink, which is paced by
-// the recorder's coordinator events). Sub-searches that would flood the
-// timeline with repetitive events (the windowed heuristic's windows)
-// still contribute to the aggregate counters through it.
-// Nil-safe; returns nil when nothing would remain enabled.
+// MetricsOnly returns a copy of the probe that drops the flight
+// recorder and keeps the injector. Sub-searches that must not open
+// lanes of their own (the windowed heuristic's windows) run under it,
+// so an injector still sees their sites. Nil-safe; returns nil when no
+// injector is attached.
 func (p *Probe) MetricsOnly() *Probe {
-	if p == nil || (p.Rec == nil && p.Live == nil) {
-		return p
-	}
-	if p.Met == nil && p.Inj == nil {
+	if p == nil || p.Inj == nil {
 		return nil
 	}
 	q := *p
-	q.Rec, q.Live = nil, nil
+	q.Rec = nil
 	return &q
 }
 
@@ -167,22 +83,14 @@ func (p *Probe) MetricsOnly() *Probe {
 // when the probe is nil or fully disabled, so searchers keep a single
 // `s.obs != nil` gate.
 func (p *Probe) Attach() *SearchObs {
-	if p == nil || (p.Rec == nil && p.Met == nil && p.Inj == nil) {
+	if p == nil || (p.Rec == nil && p.Inj == nil) {
 		return nil
 	}
-	o := &SearchObs{met: p.Met, inj: p.Inj}
+	o := &SearchObs{inj: p.Inj}
 	if p.Rec != nil {
 		o.rec, o.lane, o.span, o.start = p.Rec, p.Rec.newLane(), p.span, time.Now()
 	}
 	return o
-}
-
-// Count increments counter c if metrics are on. Nil-safe.
-func (p *Probe) Count(c func(*Metrics) *Counter) {
-	if p == nil || p.Met == nil {
-		return
-	}
-	c(p.Met).Inc()
 }
 
 // SearchBegin records a panic-guarded block search starting. Tag is
@@ -194,9 +102,6 @@ func (p *Probe) SearchBegin(tag string, ops, workers int) {
 		return
 	}
 	p.fire(SiteSearchBegin, tag)
-	if p.Met != nil {
-		p.Met.Searches.Inc()
-	}
 	p.sysEmit(KSearchStart, tag, int64(ops), int64(workers), p.parent)
 }
 
@@ -218,12 +123,6 @@ func (p *Probe) Rescue(tag string, found bool, merit, cuts int64) {
 		return
 	}
 	p.fire(SiteRescue, tag)
-	if p.Met != nil {
-		p.Met.Rescues.Inc()
-		if found {
-			p.Met.RescueHits.Inc()
-		}
-	}
 	var f int64
 	if found {
 		f = 1
@@ -239,9 +138,6 @@ func (p *Probe) Collapse(tag string, round, cutSize int) {
 		return
 	}
 	p.fire(SiteCollapse, tag)
-	if p.Met != nil {
-		p.Met.Collapses.Inc()
-	}
 	p.sysEmit(KCollapse, tag, int64(round), int64(cutSize), 0)
 }
 
@@ -255,9 +151,6 @@ func (p *Probe) Panic(tag, msg string, attempt int) {
 	if p == nil {
 		return
 	}
-	if p.Met != nil {
-		p.Met.PanicsRecovered.Inc()
-	}
 	p.sysEmit(KPanic, tag+": "+msg, int64(attempt), 0, 0)
 }
 
@@ -269,12 +162,6 @@ func (p *Probe) Greedy(tag string, found bool, merit, cands int64) {
 		return
 	}
 	p.fire(SiteGreedy, tag)
-	if p.Met != nil {
-		p.Met.GreedyRescues.Inc()
-		if found {
-			p.Met.GreedyHits.Inc()
-		}
-	}
 	var f int64
 	if found {
 		f = 1
@@ -320,9 +207,6 @@ func (p *Probe) BeginCell(tag string, nin, nout, ninstr int) *Probe {
 		return nil
 	}
 	p.fire(SiteCell, tag)
-	if p.Met != nil {
-		p.Met.Cells.Inc()
-	}
 	q := *p
 	q.parent = p.span
 	q.span = NextSpan()
@@ -341,14 +225,11 @@ func (p *Probe) EndCell(tag string, nin, nout int, totalMerit int64) {
 }
 
 // SearchObs is one searcher goroutine's view of the probe: its lane in
-// the recorder (rec is nil under MetricsOnly) plus the shared metrics.
-// The flush marks implement delta-flushing of the searcher's running
-// Stats into the global counters without per-cut atomics.
+// the recorder (rec is nil under MetricsOnly) and the injector.
 type SearchObs struct {
 	rec  *Recorder
 	lane int32
 	span int64
-	met  *Metrics
 	inj  Injector
 
 	// start is when the lane was attached; idle sums its waits for work
@@ -356,11 +237,6 @@ type SearchObs struct {
 	start  time.Time
 	idle   time.Duration
 	idleAt time.Time
-
-	flushedConsidered int64
-	flushedPassed     int64
-	flushedPruned     int64
-	flushedBounds     int64
 }
 
 // fire dispatches a searcher-local site to the injector, nil-safe.
@@ -377,33 +253,10 @@ func (o *SearchObs) emit(k Kind, a, b, c int64) {
 	o.rec.emit(o.lane, o.span, k, "", a, b, c)
 }
 
-// FlushStats publishes the searcher's running totals as deltas against
-// what was already flushed. Called at poll cadence and at search end;
-// totals must be monotone per SearchObs.
-func (o *SearchObs) FlushStats(considered, passed, pruned, bounds int64) {
-	if o == nil {
-		return
-	}
+// Poll fires SitePoll: at the searcher's poll cadence, and once more
+// when it stops and when it ends.
+func (o *SearchObs) Poll() {
 	o.fire(SitePoll)
-	if o.met == nil {
-		return
-	}
-	if d := considered - o.flushedConsidered; d > 0 {
-		o.met.CutsConsidered.Add(d)
-		o.flushedConsidered = considered
-	}
-	if d := passed - o.flushedPassed; d > 0 {
-		o.met.CutsPassed.Add(d)
-		o.flushedPassed = passed
-	}
-	if d := pruned - o.flushedPruned; d > 0 {
-		o.met.CutsPruned.Add(d)
-		o.flushedPruned = pruned
-	}
-	if d := bounds - o.flushedBounds; d > 0 {
-		o.met.BoundCutoffs.Add(d)
-		o.flushedBounds = bounds
-	}
 }
 
 // Incumbent records an incumbent improvement to merit at node rank,
@@ -413,31 +266,18 @@ func (o *SearchObs) Incumbent(merit, cuts int64, rank int) {
 		return
 	}
 	o.fire(SiteIncumbent)
-	if o.met != nil {
-		o.met.Incumbents.Inc()
-	}
 	if o.rec != nil {
 		o.emit(KIncumbent, merit, cuts, int64(rank))
 	}
 }
 
 // Stop records the searcher observing stop condition status (the
-// core.SearchStatus code) and bumps the matching trip counter.
-func (o *SearchObs) Stop(status int64, deadline, budget, canceled bool) {
+// core.SearchStatus code).
+func (o *SearchObs) Stop(status int64) {
 	if o == nil {
 		return
 	}
 	o.fire(SiteStop)
-	if o.met != nil {
-		switch {
-		case deadline:
-			o.met.DeadlineTrips.Inc()
-		case budget:
-			o.met.BudgetTrips.Inc()
-		case canceled:
-			o.met.CancelTrips.Inc()
-		}
-	}
 	if o.rec != nil {
 		o.emit(KStop, status, 0, 0)
 	}
@@ -449,9 +289,6 @@ func (o *SearchObs) Donate(rank int) {
 		return
 	}
 	o.fire(SiteDonate)
-	if o.met != nil {
-		o.met.Donations.Inc()
-	}
 	if o.rec != nil {
 		o.emit(KDonate, int64(rank), 0, 0)
 	}
@@ -476,7 +313,7 @@ func (o *SearchObs) Busy() {
 // End closes the lane with its lane_end event: the searcher's final
 // feasibility-prune and bound-cutoff totals and its active time. Called
 // once, when the searcher is done. Recorder-only, and no site fires: the
-// searcher's last FlushStats has just fired SitePoll.
+// searcher's last Poll has just fired SitePoll.
 func (o *SearchObs) End(pruned, bounded int64) {
 	if o == nil || o.rec == nil {
 		return

@@ -8,7 +8,7 @@ import "fmt"
 // instead of adding new instrumentation to the hot loops: each Probe and
 // SearchObs method fires its site through the probe's Injector (when
 // one is attached) before doing any telemetry work, so an injector sees
-// the site even when the recorder and metrics are off.
+// the site even when the recorder is off.
 type Site uint8
 
 const (
@@ -23,8 +23,8 @@ const (
 	// SiteGreedy fires when the greedy last-resort rung reports its
 	// outcome (Probe.Greedy).
 	SiteGreedy
-	// SitePoll fires at every searcher stats flush (SearchObs.FlushStats),
-	// i.e. at the search's poll cadence. Tag is empty.
+	// SitePoll fires at the search's poll cadence, and when a searcher
+	// stops or ends (SearchObs.Poll). Tag is empty.
 	SitePoll
 	// SiteIncumbent fires on every incumbent improvement
 	// (SearchObs.Incumbent).
