@@ -68,6 +68,35 @@ func kernelNames() string {
 // distinguish "degraded result" from a hard failure.
 var errStrictDegraded = errors.New("selection degraded below the exact search (-strict)")
 
+// singleRunFlags configure one selection on one program; a sweep runs a
+// grid of selections on the built-in kernels and reads none of them.
+var singleRunFlags = map[string]bool{
+	"json": true, "strict": true, "method": true, "simulate": true,
+	"nin": true, "nout": true, "ninstr": true, "verilog": true, "dot": true,
+	"emit-ir": true, "ir": true, "src": true, "entry": true, "args": true, "unroll": true,
+}
+
+// sweepFlags configure a -sweep grid and nothing else.
+var sweepFlags = map[string]bool{
+	"targets": true, "constraints": true, "ninstrs": true, "sweep-mode": true, "sweep-json": true,
+}
+
+// checkModeFlags rejects a flag set on the command line that the chosen
+// mode ignores: a single-run flag with -sweep, or a sweep flag without.
+func checkModeFlags(fs *flag.FlagSet, sweep bool) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case err != nil:
+		case sweep && singleRunFlags[f.Name]:
+			err = fmt.Errorf("-%s cannot be combined with -sweep: a sweep takes its ports, budgets and kernels from -constraints, -ninstrs and -kernel, and reports its grid as a table or with -sweep-json", f.Name)
+		case !sweep && sweepFlags[f.Name]:
+			err = fmt.Errorf("-%s configures a -sweep grid and needs -sweep", f.Name)
+		}
+	})
+	return err
+}
+
 // run is the isex command on the command-line arguments argv.
 func run(argv []string) error {
 	fs := flag.NewFlagSet("isex", flag.ExitOnError)
@@ -110,6 +139,10 @@ func run(argv []string) error {
 			fmt.Printf("%-12s entry %s(%v), outputs %v\n", k.Name, k.Entry, k.Args, k.Outputs)
 		}
 		return nil
+	}
+
+	if err := checkModeFlags(fs, *sweep); err != nil {
+		return err
 	}
 
 	if *kernel != "" {

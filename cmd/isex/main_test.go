@@ -46,6 +46,43 @@ func TestKernelRejectsSrcFlags(t *testing.T) {
 	}
 }
 
+// TestModeRejectsIgnoredFlags: a flag the chosen mode would ignore is an
+// error that names it — a single-run flag with -sweep, a sweep flag
+// without it — returned before any search runs.
+func TestModeRejectsIgnoredFlags(t *testing.T) {
+	sweep := []string{"-sweep", "-kernel", "fir", "-constraints", "2/1", "-ninstrs", "1"}
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-json", append(sweep, "-json")},
+		{"-strict", append(sweep, "-strict")},
+		{"-method", append(sweep, "-method", "optimal")},
+		{"-simulate", append(sweep, "-simulate")},
+		{"-nin", append(sweep, "-nin", "9")},
+		{"-nout", append(sweep, "-nout", "1")},
+		{"-ninstr", append(sweep, "-ninstr", "2")},
+		{"-verilog", append(sweep, "-verilog", "out")},
+		{"-dot", append(sweep, "-dot", "g.dot")},
+		{"-emit-ir", append(sweep, "-emit-ir", "m.ir")},
+		{"-ir", append(sweep, "-ir")},
+		{"-src", append(sweep, "-src", "prog.mc")},
+		{"-entry", append(sweep, "-entry", "main")},
+		{"-args", append(sweep, "-args", "1")},
+		{"-unroll", append(sweep, "-unroll", "4")},
+		{"-targets", []string{"-kernel", "fir", "-nin", "2", "-targets", "pipelined"}},
+		{"-constraints", []string{"-kernel", "fir", "-constraints", "2/1"}},
+		{"-ninstrs", []string{"-kernel", "fir", "-ninstrs", "1,2"}},
+		{"-sweep-mode", []string{"-kernel", "fir", "-sweep-mode", "cold"}},
+		{"-sweep-json", []string{"-kernel", "fir", "-sweep-json", "s.json"}},
+	} {
+		err := run(c.args)
+		if err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
+			t.Errorf("isex %s: err = %v, want an error naming %s", strings.Join(c.args, " "), err, c.flag)
+		}
+	}
+}
+
 // TestTraceChromeNestsBlocks: a single run's -trace-chrome file has the
 // format a sweep's has — the analyzer's re-export, in which every block
 // search is a duration event inside its selection stage's.

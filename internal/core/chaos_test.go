@@ -400,3 +400,43 @@ func TestChaosZeroFaultBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosRetryCountsSerialWork: an engine subproblem retried after a
+// recovered panic counts only the work the serial search does. One
+// one-shot panic fires at the Nth poll of a two-worker search with
+// PruneMerit off, where the engine promises the serial search's Stats;
+// every run that still ends Exhaustive must report exactly them, so the
+// retry neither recounts the failed attempt's cuts nor searches again
+// the 0-branches that attempt donated.
+func TestChaosRetryCountsSerialWork(t *testing.T) {
+	retried := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomGraph(t, rng, 22)
+		base := Config{Nin: 4, Nout: 2}
+		ref := FindBestCut(g, base)
+		if ref.Status != Exhaustive {
+			t.Fatalf("seed %d: reference search not exhaustive: %v", seed, ref.Status)
+		}
+		for _, nth := range []int64{5, 20, 60} {
+			inj := faultinject.New(faultinject.Rule{Site: obs.SitePoll, Action: faultinject.ActPanic, Nth: nth})
+			cfg := base
+			cfg.Workers = 2
+			cfg.Probe = &obs.Probe{Inj: inj}
+			res := FindBestCut(g, cfg)
+			if res.Status != Exhaustive {
+				continue
+			}
+			if inj.FiredCount() > 0 {
+				retried++
+			}
+			if res.Stats != ref.Stats || res.Est.Merit != ref.Est.Merit || !res.Cut.Equal(ref.Cut) {
+				t.Errorf("seed %d, panic at poll %d: Exhaustive with stats %+v, merit %d, cut %v; serial %+v, %d, %v",
+					seed, nth, res.Stats, res.Est.Merit, res.Cut, ref.Stats, ref.Est.Merit, ref.Cut)
+			}
+		}
+	}
+	if retried == 0 {
+		t.Fatal("no run recovered from its panic and finished Exhaustive; the fixture tests no retry")
+	}
+}

@@ -44,29 +44,35 @@ func weight(freq int64) int64 {
 	return freq
 }
 
-// evalScratch is Evaluate's reusable state: a membership bitset and a
-// longest-path table indexed by node ID. Pooled so Evaluate — called once
-// per candidate by the baselines and the enumerators — allocates nothing
-// in steady state.
+// evalScratch is Evaluate's reusable state: membership and visited
+// bitsets, a component stack and a longest-path table indexed by node
+// ID. Pooled so Evaluate — called once per candidate by the baselines and
+// the enumerators — allocates nothing in steady state.
 type evalScratch struct {
-	in   dfg.BitSet
-	long []float64
+	in, seen dfg.BitSet
+	stack    []int
+	long     []float64
 }
 
 var evalPool = sync.Pool{New: func() any { return new(evalScratch) }}
 
 func (s *evalScratch) fit(g *dfg.Graph) {
 	if n := len(g.Nodes); len(s.long) < n {
-		s.in = dfg.NewBitSet(n)
+		s.in, s.seen = dfg.NewBitSet(n), dfg.NewBitSet(n)
 		s.long = make([]float64, n)
 	} else {
 		s.in.Reset()
+		s.seen.Reset()
 	}
 }
 
 // Evaluate computes the Estimate of an arbitrary cut. It is the reference
 // (non-incremental) implementation; the search maintains the same
-// quantities incrementally and is checked against this in tests.
+// quantities incrementally and is checked against this in tests. IN, OUT
+// and the component count come from the members' edge lists, as §5
+// defines them, so Evaluate never builds the graph's constraint tables:
+// a selection calls it on every cut it keeps, and its graphs need no
+// other query.
 func Evaluate(g *dfg.Graph, c dfg.Cut, model *latency.Model) Estimate {
 	sc := evalPool.Get().(*evalScratch)
 	defer evalPool.Put(sc)
@@ -74,13 +80,54 @@ func Evaluate(g *dfg.Graph, c dfg.Cut, model *latency.Model) Estimate {
 	for _, id := range c {
 		sc.in.Set(id)
 	}
-	est := Estimate{
-		In:         g.InputsSet(sc.in),
-		Out:        g.OutputsSet(sc.in),
-		Freq:       g.Block.Freq,
-		Components: g.ComponentsSet(sc.in),
-		Size:       len(c),
+	est := Estimate{Freq: g.Block.Freq, Size: len(c)}
+	// seen marks the producers already counted as inputs, and then the
+	// members already placed in a component: the two never overlap.
+	for _, id := range c {
+		if sc.seen.Has(id) {
+			continue // a repeated member
+		}
+		sc.seen.Set(id)
+		n := &g.Nodes[id]
+		for _, p := range n.Preds {
+			if !sc.in.Has(p) && !sc.seen.Has(p) {
+				sc.seen.Set(p)
+				est.In++
+			}
+		}
+		for _, s := range n.Succs {
+			if !sc.in.Has(s) {
+				est.Out++
+				break // count nodes, not edges
+			}
+		}
 	}
+	for _, id := range c {
+		sc.seen.Unset(id)
+	}
+	// Weakly connected components over data edges inside the cut.
+	stack := sc.stack[:0]
+	for _, id := range c {
+		if sc.seen.Has(id) {
+			continue
+		}
+		est.Components++
+		sc.seen.Set(id)
+		stack = append(stack, id)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, adj := range [2][]int{g.Nodes[v].Preds, g.Nodes[v].Succs} {
+				for _, w := range adj {
+					if sc.in.Has(w) && !sc.seen.Has(w) {
+						sc.seen.Set(w)
+						stack = append(stack, w)
+					}
+				}
+			}
+		}
+	}
+	sc.stack = stack
 	// Software cost: plain sum of per-op latencies (single-issue, §7).
 	for _, id := range c {
 		est.SWCycles += int64(model.SW(g.Nodes[id].Op))

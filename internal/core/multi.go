@@ -318,6 +318,9 @@ func (s *multiSearcher) visit(rank int) {
 	zeroOK := s.inputsOK()
 	if s.eng != nil {
 		s.zeroOK[rank] = zeroOK
+		if len(s.given) > 0 {
+			s.skipGiven(rank)
+		}
 	}
 
 	if !s.g.Nodes[id].Forbidden {

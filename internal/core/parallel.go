@@ -388,10 +388,10 @@ func (e *bbEngine) attach(c *searchCore) {
 // runWorker is one worker's life: take subproblems until the engine
 // stops or the work is exhausted. Its searcher, from newTree, persists
 // across subproblems — replay/unreplay keep it clean — and is rebuilt
-// (carrying its counters) if a recovered panic left it unreliable; a
-// panicked subproblem is retried up to bbSubRetries times with doubling
-// backoff before its loss is accepted as Recovered (replay makes the
-// retry produce exactly what the first attempt would have).
+// if a recovered panic left it unreliable; a panicked subproblem is
+// retried up to bbSubRetries times with doubling backoff before its loss
+// is accepted as Recovered (replay makes the retry produce exactly what
+// the first attempt would have).
 func (e *bbEngine) runWorker(newTree func() bbTree, out *bbBest, stats *Stats) {
 	holding := false
 	defer func() {
@@ -410,11 +410,17 @@ func (e *bbEngine) runWorker(newTree func() bbTree, out *bbBest, stats *Stats) {
 			break
 		}
 		holding = true
+		// A retry counts only the work the serial search does: it starts
+		// from the counters the subproblem started with, and skips the
+		// 0-branches the failed attempts donated.
+		c := t.core()
+		start, mark := c.stats, c.flushMark
+		c.given = c.given[:0]
 		for attempt := 0; ; attempt++ {
 			if e.runSub(t, sub, out, attempt) {
 				break
 			}
-			t = e.rebuild(t, newTree())
+			t = e.rebuild(t, newTree(), start, mark)
 			if attempt >= bbSubRetries {
 				e.note(Recovered)
 				break
@@ -429,12 +435,17 @@ func (e *bbEngine) runWorker(newTree func() bbTree, out *bbBest, stats *Stats) {
 	*stats = c.stats
 }
 
-// rebuild attaches the fresh searcher nt in place of t, carrying over
-// t's telemetry lane (with its flush marks) and its counters.
-func (e *bbEngine) rebuild(t, nt bbTree) bbTree {
+// rebuild attaches the fresh searcher nt in place of t for a retry of
+// the subproblem that failed on t. nt keeps t's telemetry lane, poll
+// cadence, shared bound and the prefixes t's attempts donated, and takes
+// the counters and flush mark the subproblem started with: the failed
+// attempt's work is not counted, and the retry does not search again
+// what other workers now own.
+func (e *bbEngine) rebuild(t, nt bbTree, stats Stats, flushMark int64) bbTree {
 	o, n := t.core(), nt.core()
 	n.obs = o.obs
-	n.stats, n.tick, n.flushMark, n.sharedCache = o.stats, o.tick, o.flushMark, o.sharedCache
+	n.tick, n.sharedCache, n.given = o.tick, o.sharedCache, o.given
+	n.stats, n.flushMark = stats, flushMark
 	e.attach(n)
 	return nt
 }

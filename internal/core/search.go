@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 
 	"isex/internal/dfg"
 	"isex/internal/latency"
@@ -69,12 +70,15 @@ type searchCore struct {
 	// in a 1- or k-branch, set before its record; 0 in the 0-branch),
 	// zeroOK whether that frame's 0-branch passes the PruneInputs guard,
 	// and donated whether it was handed to the engine (the frame then
-	// skips it).
+	// skips it). given lists the prefixes donated by the running
+	// subproblem's attempts, so that a retry after a recovered panic
+	// skips them too (skipGiven).
 	base    int
 	curRank int
 	path    []uint8
 	zeroOK  []bool
 	donated []bool
+	given   [][]uint8
 }
 
 func newCore(g *dfg.Graph, cfg Config) searchCore {
@@ -252,11 +256,12 @@ func (c *searchCore) keep(m int64, cuts []dfg.Cut, rank int) {
 // a seed, because it may hold a merit from a DFS-*later* position.
 func (c *searchCore) tryDonate() {
 	for r := c.base; r < c.curRank; r++ {
-		if c.path[r] != 0 && !c.donated[r] && c.zeroOK[r] {
+		if c.path[r] != 0 && !c.donated[r] && c.zeroOK[r] && !c.givenWithin(r) {
 			pfx := make([]uint8, r+1) // pfx[r] = 0: the 0-branch
 			copy(pfx, c.path[:r])
 			if c.eng.donate(bbSub{prefix: pfx, seed: c.bestMerit, seeded: c.bestFound}) {
 				c.donated[r] = true
+				c.given = append(c.given, pfx)
 				if c.obs != nil {
 					c.obs.Donate(r)
 				}
@@ -264,4 +269,29 @@ func (c *searchCore) tryDonate() {
 			return
 		}
 	}
+}
+
+// skipGiven marks the 0-branch of the frame at rank as donated when an
+// earlier attempt of the running subproblem gave it away: the frame then
+// skips it, as that attempt's frame would have. The visits call it on
+// frame entry while given is non-empty, that is, only in a retry.
+func (c *searchCore) skipGiven(rank int) {
+	for _, p := range c.given {
+		if len(p) == rank+1 && slices.Equal(p[:rank], c.path[:rank]) {
+			c.donated[rank] = true
+			return
+		}
+	}
+}
+
+// givenWithin reports whether the 0-subtree of the frame at rank holds a
+// branch an earlier attempt gave away. A retry must not donate that
+// subtree: the branch would then be searched twice.
+func (c *searchCore) givenWithin(rank int) bool {
+	for _, p := range c.given {
+		if len(p) > rank+1 && p[rank] == 0 && slices.Equal(p[:rank], c.path[:rank]) {
+			return true
+		}
+	}
+	return false
 }

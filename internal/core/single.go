@@ -371,6 +371,9 @@ func (s *searcher) visit(rank int) {
 			excl = 1
 		}
 		s.zeroOK[rank] = !s.cfg.PruneInputs || s.permIn+excl <= s.cfg.Nin
+		if len(s.given) > 0 {
+			s.skipGiven(rank)
+		}
 	}
 
 	// 1-branch: include the node (Fig. 5 explores it first).

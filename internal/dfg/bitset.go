@@ -22,14 +22,18 @@
 // any witness walk at the last member before u and the first member after
 // u yields the outside-only path the specification predicate searches for.
 //
-// The tables are immutable after construction and shared by Restrict
-// views; the small scratch accumulators are per-Graph, so queries on one
-// Graph value are not safe for concurrent use. The search engines honor
-// this: the parallel branch-and-bound workers touch only the immutable
-// node tables (their searchers keep private incremental state) and every
-// kernel query — Evaluate at merge time, the selection layer's checks —
-// runs single-threaded on the owning goroutine, or on a Restrict view,
-// which shares the tables but owns its scratch.
+// The tables are built on a graph's first constraint query, not with the
+// graph: the §6 searchers keep their own incremental state and
+// core.Evaluate reads the edge lists, so a selection's graphs never need
+// them. Only the baselines, the enumerators, the greedy rescue and the
+// legality backstop query them. Once built they are immutable and shared
+// by Restrict views, which Restrict builds them for; the small scratch
+// accumulators are per-Graph, so queries on one Graph value — including
+// the first, which builds — are not safe for concurrent use. The search
+// engines honor this: the parallel branch-and-bound workers touch only
+// the node lists (their searchers keep private incremental state), and
+// every kernel query runs single-threaded on the owning goroutine, or on
+// a Restrict view, which shares the tables but owns its scratch.
 package dfg
 
 import "math/bits"
@@ -86,9 +90,9 @@ func (b BitSet) Count() int {
 	return n
 }
 
-// kernel holds the precomputed word-parallel tables of one graph. It is
-// immutable after buildKernel and shared between a graph and its Restrict
-// views (which differ only in their forbidden set).
+// kernel holds the word-parallel tables of one graph. It is immutable
+// after newKernel and shared between a graph and its Restrict views
+// (which differ only in their forbidden set).
 type kernel struct {
 	words int
 	// preds/succs are data-edge neighbours; adj is their union (the
@@ -125,11 +129,23 @@ func bitTable(n, words int) []BitSet {
 	return bs
 }
 
-// buildKernel precomputes the constraint tables. Called whenever the
-// graph's structure is (re)established — after Build and after Collapse —
-// with OpOrder already valid; the sweeps below rely on its topological
-// property (consumers before producers, order edges included).
-func (g *Graph) buildKernel() {
+// tables returns the graph's constraint tables, building them — and the
+// graph's forbidden set and scratch — on the first query.
+func (g *Graph) tables() *kernel {
+	if g.scr == nil {
+		if g.kern == nil {
+			g.kern = newKernel(g)
+		}
+		g.rebuildForbidSet()
+		g.scr = newScratch(len(g.Nodes))
+	}
+	return g.kern
+}
+
+// newKernel precomputes g's constraint tables. OpOrder must be valid: the
+// sweeps below rely on its topological property (consumers before
+// producers, order edges included).
+func newKernel(g *Graph) *kernel {
 	n := len(g.Nodes)
 	words := (n + 63) / 64
 	if words < 2 {
@@ -196,14 +212,12 @@ func (g *Graph) buildKernel() {
 		copy(row[2*words:], k.desc[i])
 		copy(row[3*words:], k.anc[i])
 	}
-	g.kern = k
-	g.rebuildForbidSet()
-	g.scr = newScratch(n)
+	return k
 }
 
-// rebuildForbidSet recomputes the per-graph set of nodes that may never
-// join a cut: V+ nodes and Forbidden operation nodes. Restrict views call
-// this after widening Forbidden, keeping the shared kernel untouched.
+// rebuildForbidSet computes the per-graph set of nodes that may never
+// join a cut: V+ nodes and Forbidden operation nodes. A Restrict view's
+// set includes the nodes it forbids; the shared kernel is untouched.
 func (g *Graph) rebuildForbidSet() {
 	g.forbid = NewBitSet(len(g.Nodes))
 	for i := range g.Nodes {
@@ -221,7 +235,7 @@ func (g *Graph) NewSet() BitSet { return NewBitSet(len(g.Nodes)) }
 // SetOf fills dst (reset first) with the members of c and returns it; a
 // nil or undersized dst is replaced by a fresh set.
 func (g *Graph) SetOf(c Cut, dst BitSet) BitSet {
-	if len(dst) < g.kern.words {
+	if len(dst) < g.tables().words {
 		dst = g.NewSet()
 	} else {
 		dst.Reset()
@@ -236,6 +250,7 @@ func (g *Graph) SetOf(c Cut, dst BitSet) BitSet {
 // case accumulates in registers: repeated Set calls are read-modify-write
 // chains on the same memory words and show up hot in profiles.
 func (g *Graph) memberBits(c Cut) BitSet {
+	g.tables()
 	s := g.scr.member
 	if len(s) == 2 {
 		var w0, w1 uint64
@@ -259,9 +274,9 @@ func (g *Graph) memberBits(c Cut) BitSet {
 
 // InputsSet is Inputs on a membership bitset: |(∪ preds) \ S|.
 func (g *Graph) InputsSet(s BitSet) int {
+	k := g.tables()
 	acc := g.scr.acc1
 	acc.Reset()
-	k := g.kern
 	for wi, w := range s {
 		for w != 0 {
 			id := wi<<6 + bits.TrailingZeros64(w)
@@ -279,7 +294,7 @@ func (g *Graph) InputsSet(s BitSet) int {
 // OutputsSet is Outputs on a membership bitset: members with a data
 // successor outside S (nodes, not edges).
 func (g *Graph) OutputsSet(s BitSet) int {
-	k := g.kern
+	k := g.tables()
 	n := 0
 	for wi, w := range s {
 		for w != 0 {
@@ -299,7 +314,7 @@ func (g *Graph) OutputsSet(s BitSet) int {
 // ConvexSet is Convex on a membership bitset: S is convex iff no outside
 // node is both reachable from S and reaches S.
 func (g *Graph) ConvexSet(s BitSet) bool {
-	k := g.kern
+	k := g.tables()
 	accD, accA := g.scr.acc1, g.scr.acc2
 	accD.Reset()
 	accA.Reset()
@@ -325,7 +340,7 @@ func (g *Graph) ConvexSet(s BitSet) bool {
 // member — so the hottest call of the whole engine touches each member's
 // tables exactly once.
 func (g *Graph) LegalSet(s BitSet, nin, nout int) bool {
-	k := g.kern
+	k := g.tables()
 	words := k.words
 	s = s[:words]
 	if words == 2 {
@@ -413,7 +428,7 @@ func (g *Graph) LegalSet(s BitSet, nin, nout int) bool {
 // ComponentsSet is Components on a membership bitset: weakly connected
 // components over data edges, grown by bitset closure.
 func (g *Graph) ComponentsSet(s BitSet) int {
-	k := g.kern
+	k := g.tables()
 	remaining, comp := g.scr.acc1, g.scr.acc2
 	remaining.CopyFrom(s)
 	n := 0

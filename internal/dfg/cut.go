@@ -1,6 +1,9 @@
 package dfg
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Cut is a set of operation-node IDs of one graph (a subgraph S ⊆ G).
 type Cut []int
@@ -216,30 +219,58 @@ func (g *Graph) ComponentsSpec(c Cut) int {
 // super-node, and name labels it. Collapsing a non-convex cut would fold
 // a path through outside nodes into a cycle; that is reported as an
 // error, never a panic.
+//
+// Like Build, Collapse carves every node's edge lists from one slab; a
+// node's capacity there is the old degree of the nodes it replaces.
 func (g *Graph) Collapse(c Cut, name string, latency int) (*Graph, error) {
-	in := g.memberSet(c)
-	ng := &Graph{Fn: g.Fn, Block: g.Block}
-	// Map old IDs to new IDs; all cut members map to the super-node.
+	// idMap maps old IDs to new IDs; all cut members map to the
+	// super-node. Members are marked first.
+	const member = -2
 	idMap := make([]int, len(g.Nodes))
-	for i := range idMap {
-		idMap[i] = -1
-	}
 	maxInstr := -1
 	var members []int
+	var superDeg [4]int // the super-node's list capacities
 	for _, id := range c {
-		if g.Nodes[id].InstrIndex > maxInstr {
-			maxInstr = g.Nodes[id].InstrIndex
+		n := &g.Nodes[id]
+		if n.InstrIndex > maxInstr {
+			maxInstr = n.InstrIndex
 		}
-		if g.Nodes[id].Kind == KindOp && g.Nodes[id].InstrIndex >= 0 {
-			members = append(members, g.Nodes[id].InstrIndex)
+		if n.Kind == KindOp && n.InstrIndex >= 0 {
+			members = append(members, n.InstrIndex)
 		}
-		members = append(members, g.Nodes[id].SuperMembers...)
+		members = append(members, n.SuperMembers...)
+		if idMap[id] != member {
+			idMap[id] = member
+			superDeg[0] += len(n.Preds)
+			superDeg[1] += len(n.Succs)
+			superDeg[2] += len(n.OrderPreds)
+			superDeg[3] += len(n.OrderSuccs)
+		}
 	}
 	sort.Ints(members)
+	nodes, edges := 0, 0
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		if idMap[i] != member {
+			nodes++
+		}
+		edges += len(n.Preds) + len(n.Succs) + len(n.OrderPreds) + len(n.OrderSuccs)
+	}
+	if len(c) > 0 {
+		nodes++ // the super-node
+	}
+	ng := &Graph{Fn: g.Fn, Block: g.Block, Nodes: make([]Node, 0, nodes)}
+	slab := make([]int, edges)
+	// lists gives a node the empty lists it fills below, capped at the
+	// old degrees.
+	lists := func(n *Node, preds, succs, orderPreds, orderSuccs int) {
+		n.Preds, n.Succs = carve(&slab, preds), carve(&slab, succs)
+		n.OrderPreds, n.OrderSuccs = carve(&slab, orderPreds), carve(&slab, orderSuccs)
+	}
 	superID := -1
 	for i := range g.Nodes {
 		old := &g.Nodes[i]
-		if in[old.ID] {
+		if idMap[i] == member {
 			if superID < 0 {
 				superID = len(ng.Nodes)
 				ng.Nodes = append(ng.Nodes, Node{
@@ -252,52 +283,38 @@ func (g *Graph) Collapse(c Cut, name string, latency int) (*Graph, error) {
 					SuperLatency: latency,
 					SuperMembers: members,
 				})
+				lists(&ng.Nodes[superID], superDeg[0], superDeg[1], superDeg[2], superDeg[3])
 			}
-			idMap[old.ID] = superID
+			idMap[i] = superID
 			continue
 		}
 		nid := len(ng.Nodes)
-		nn := *old
+		ng.Nodes = append(ng.Nodes, *old)
+		nn := &ng.Nodes[nid]
 		nn.ID = nid
-		nn.Preds = nil
-		nn.Succs = nil
-		nn.OrderPreds = nil
-		nn.OrderSuccs = nil
-		ng.Nodes = append(ng.Nodes, nn)
-		idMap[old.ID] = nid
+		lists(nn, len(old.Preds), len(old.Succs), len(old.OrderPreds), len(old.OrderSuccs))
+		idMap[i] = nid
 	}
-	// Re-add edges, de-duplicated, skipping internal cut edges.
-	type edge struct {
-		from, to int
-		order    bool
-	}
-	seen := map[edge]bool{}
+	// Re-add edges, de-duplicated, skipping internal cut edges. An edge
+	// repeats only where several members merge, and is dropped when its
+	// source already lists its target.
 	for i := range g.Nodes {
-		from := idMap[g.Nodes[i].ID]
+		from := idMap[i]
+		nf := &ng.Nodes[from]
 		for _, s := range g.Nodes[i].Succs {
 			to := idMap[s]
-			if from == to {
-				continue // internal edge of the collapsed cut
+			if from == to || slices.Contains(nf.Succs, to) {
+				continue // internal edge of the collapsed cut, or a repeat
 			}
-			e := edge{from, to, false}
-			if seen[e] {
-				continue
-			}
-			seen[e] = true
-			ng.Nodes[from].Succs = append(ng.Nodes[from].Succs, to)
+			nf.Succs = append(nf.Succs, to)
 			ng.Nodes[to].Preds = append(ng.Nodes[to].Preds, from)
 		}
 		for _, s := range g.Nodes[i].OrderSuccs {
 			to := idMap[s]
-			if from == to {
+			if from == to || slices.Contains(nf.OrderSuccs, to) {
 				continue
 			}
-			e := edge{from, to, true}
-			if seen[e] {
-				continue
-			}
-			seen[e] = true
-			ng.Nodes[from].OrderSuccs = append(ng.Nodes[from].OrderSuccs, to)
+			nf.OrderSuccs = append(nf.OrderSuccs, to)
 			ng.Nodes[to].OrderPreds = append(ng.Nodes[to].OrderPreds, from)
 		}
 	}
@@ -312,9 +329,13 @@ func (g *Graph) Collapse(c Cut, name string, latency int) (*Graph, error) {
 // Edges, IDs and the search order are shared with the original, so cuts
 // found on the view are valid cuts of the original graph with identical
 // IN/OUT/convexity — the heuristic windowed search of §9 is built on
-// this. The view shares the original's constraint kernel (the edge
-// structure is identical) but carries its own forbidden set and scratch.
+// this. The view shares the original's constraint tables (the edge
+// structure is identical; Restrict builds them if no query has), but
+// has its own forbidden set and scratch, built on its first query.
 func (g *Graph) Restrict(lo, hi int) *Graph {
+	if g.kern == nil {
+		g.kern = newKernel(g)
+	}
 	ng := &Graph{Fn: g.Fn, Block: g.Block, OpOrder: g.OpOrder, pos: g.pos, kern: g.kern}
 	ng.Nodes = make([]Node, len(g.Nodes))
 	copy(ng.Nodes, g.Nodes)
@@ -323,7 +344,5 @@ func (g *Graph) Restrict(lo, hi int) *Graph {
 			ng.Nodes[id].Forbidden = true
 		}
 	}
-	ng.rebuildForbidSet()
-	ng.scr = newScratch(len(ng.Nodes))
 	return ng
 }
