@@ -75,10 +75,7 @@ func BenchmarkFig3Motivation(b *testing.B) {
 // 11 considered / 5 passed / 6 failed / 4 eliminated).
 func BenchmarkFig7Example(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig7()
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := experiments.Fig7()
 		printFigure("fig7", experiments.Fig7Table(r))
 		if r.Considered != 11 || r.Passed != 5 || r.Failed != 6 || r.Eliminated != 4 {
 			b.Fatalf("trace diverged from the paper: %+v", r)
@@ -468,7 +465,7 @@ func BenchmarkSimulate(b *testing.B) {
 // the exact search scales (the Fig. 8 trend under controlled shape).
 func BenchmarkSingleCutSynthetic(b *testing.B) {
 	for _, n := range []int{10, 20, 30, 40, 60} {
-		g := workload.MustSynthesize(workload.SyntheticSpec{
+		g := workload.Synthesize(workload.SyntheticSpec{
 			Ops: n, BarrierRatio: 0.15, FanoutBias: 0.6, LiveOuts: 3, Seed: int64(n),
 		})
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {

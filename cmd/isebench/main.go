@@ -155,18 +155,10 @@ func run(w io.Writer, want func(string) bool, o cliOpts) error {
 		section(experiments.Fig3Table(rows))
 	}
 	if want("5") {
-		tree, err := experiments.Fig5Tree()
-		if err != nil {
-			return err
-		}
-		section("Fig. 5/7 — the search tree on the Fig. 4 example (Nout=1)\n\n" + tree)
+		section("Fig. 5/7 — the search tree on the Fig. 4 example (Nout=1)\n\n" + experiments.Fig5Tree())
 	}
 	if want("7") {
-		r, err := experiments.Fig7()
-		if err != nil {
-			return err
-		}
-		section(experiments.Fig7Table(r))
+		section(experiments.Fig7Table(experiments.Fig7()))
 	}
 	if want("8") {
 		points, err := experiments.Fig8(o.budget)

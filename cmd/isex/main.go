@@ -182,7 +182,7 @@ func run(argv []string) error {
 		if k == nil {
 			return fmt.Errorf("unknown kernel %q", *kernel)
 		}
-		m, err = k.Prepare()
+		m, err = k.Build()
 		if err != nil {
 			return err
 		}
@@ -209,13 +209,14 @@ func run(argv []string) error {
 			}
 			args = append(args, int32(v))
 		}
-		env := interp.NewEnv(m)
-		env.Profile = true
-		if _, _, err := env.Call(*entry, args...); err != nil {
-			return fmt.Errorf("profiling run: %w", err)
-		}
 	default:
 		return fmt.Errorf("one of -src or -kernel is required")
+	}
+	// The profiling run's outputs are the reference -simulate checks
+	// the patched program against.
+	ref, err := profileRun(m, k, *entry, args)
+	if err != nil {
+		return fmt.Errorf("profiling run: %w", err)
 	}
 
 	if *showIR {
@@ -271,10 +272,6 @@ func run(argv []string) error {
 			fmt.Printf(" (search degraded; results are lower bounds)")
 		}
 		fmt.Println()
-		for _, sh := range sel.SharedInstructions {
-			fmt.Printf("  shared datapath %s: %d instruction(s) (%s)\n",
-				sh.Hash[:16], sh.Count, strings.Join(sh.Blocks, ", "))
-		}
 		if sel.Degraded() {
 			for _, b := range sel.Blocks {
 				if b.Status == core.Exhaustive {
@@ -304,11 +301,7 @@ func run(argv []string) error {
 
 	if *dotTo != "" && len(sel.Instructions) > 0 {
 		s := sel.Instructions[0]
-		li := ir.Liveness(s.Fn)
-		g, err := dfg.Build(s.Fn, s.Block, li)
-		if err != nil {
-			return fmt.Errorf("dot output: %w", err)
-		}
+		g := dfg.Build(s.Fn, s.Block, ir.Liveness(s.Fn))
 		var cut dfg.Cut
 		for _, id := range g.OpOrder {
 			for _, idx := range s.InstrIndexes {
@@ -342,13 +335,9 @@ func run(argv []string) error {
 	}
 
 	var base *sim.Report
-	var baseOut programOutputs
 	if *simulate {
-		// The unpatched run, before the patch changes m.
-		base, baseOut, err = simulateRun(m, model, k, *entry, args)
-		if err != nil {
-			return fmt.Errorf("unpatched simulation: %w", err)
-		}
+		// The profiling run's cycles, priced before the patch changes m.
+		base = sim.FromProfile(m, model)
 	}
 
 	afus, skipped, err := core.ApplySelection(m, sel.Instructions, model)
@@ -362,13 +351,14 @@ func run(argv []string) error {
 
 	if *simulate {
 		interp.ClearProfile(m)
-		rep, out, err := simulateRun(m, model, k, *entry, args)
+		out, err := profileRun(m, k, *entry, args)
 		if err != nil {
-			return fmt.Errorf("patched simulation: %w", err)
+			return fmt.Errorf("patched run: %w", err)
 		}
+		rep := sim.FromProfile(m, model)
 		fmt.Printf("cycles: %d -> %d  (measured speedup %.3fx)\n",
 			base.Cycles, rep.Cycles, float64(base.Cycles)/float64(rep.Cycles))
-		if err := diffOutputs(baseOut, out); err != nil {
+		if err := diffOutputs(ref, out); err != nil {
 			return fmt.Errorf("patched program: %w", err)
 		}
 		fmt.Printf("outputs: match (return value and %d global(s))\n", len(out.names))
@@ -384,7 +374,11 @@ func run(argv []string) error {
 			if err != nil {
 				return err
 			}
-			tb, err := rtl.Testbench(d, defaultVectors(d))
+			vecs, err := defaultVectors(d)
+			if err != nil {
+				return err
+			}
+			tb, err := rtl.Testbench(d, vecs)
 			if err != nil {
 				return err
 			}
@@ -410,28 +404,18 @@ func checkPorts(nin, nout int) error {
 
 // jsonReport is the machine-readable selection report (-json).
 type jsonReport struct {
-	Method       string       `json:"method"`
-	Nin          int          `json:"nin"`
-	Nout         int          `json:"nout"`
-	Ninstr       int          `json:"ninstr"`
-	TotalMerit   int64        `json:"total_merit"`
-	IdentCalls   int          `json:"ident_calls"`
-	Status       string       `json:"status"`
-	Degraded     bool         `json:"degraded"`
-	FirstPanic   string       `json:"first_panic,omitempty"`
-	Stats        jsonStats    `json:"stats"`
-	Instructions []jsonInstr  `json:"instructions"`
-	Shared       []jsonShared `json:"shared_instructions,omitempty"`
-	Blocks       []jsonBlock  `json:"blocks"`
-}
-
-// jsonShared is one group of selected instructions whose datapaths
-// canonicalize identically (core.SharedInstruction).
-type jsonShared struct {
-	Hash    string   `json:"hash"`
-	Count   int      `json:"count"`
-	Members []int    `json:"members"`
-	Blocks  []string `json:"blocks"`
+	Method       string      `json:"method"`
+	Nin          int         `json:"nin"`
+	Nout         int         `json:"nout"`
+	Ninstr       int         `json:"ninstr"`
+	TotalMerit   int64       `json:"total_merit"`
+	IdentCalls   int         `json:"ident_calls"`
+	Status       string      `json:"status"`
+	Degraded     bool        `json:"degraded"`
+	FirstPanic   string      `json:"first_panic,omitempty"`
+	Stats        jsonStats   `json:"stats"`
+	Instructions []jsonInstr `json:"instructions"`
+	Blocks       []jsonBlock `json:"blocks"`
 }
 
 type jsonStats struct {
@@ -491,11 +475,6 @@ func writeJSONReport(w *os.File, method string, nin, nout, ninstr int, sel core.
 			Merit: s.Est.Merit, Area: s.Est.Area,
 		})
 	}
-	for _, sh := range sel.SharedInstructions {
-		rep.Shared = append(rep.Shared, jsonShared{
-			Hash: sh.Hash, Count: sh.Count, Members: sh.Members, Blocks: sh.Blocks,
-		})
-	}
 	for _, b := range sel.Blocks {
 		jb := jsonBlock{Fn: b.Fn, Block: b.Block, Status: b.Status.String(),
 			Rung: b.Rung.String(), Fallback: b.Fallback}
@@ -517,40 +496,37 @@ type programOutputs struct {
 	globals [][]int32
 }
 
-// simulateRun runs the program on the cycle simulator — a kernel from
-// its entry, arguments and inputs, a -src program from entry(args...)
-// — and returns the cycle report with the run's outputs: the kernel's
-// Outputs globals, or every global of a -src program.
-func simulateRun(m *ir.Module, model *latency.Model, k *workload.Kernel, entry string, args []int32) (*sim.Report, programOutputs, error) {
+// profileRun runs the program once with profiling on, filling every
+// block's Freq — a kernel from its entry, arguments and inputs, a -src
+// program from entry(args...) — and returns the run's outputs: the
+// kernel's Outputs globals, or every global of a -src program.
+func profileRun(m *ir.Module, k *workload.Kernel, entry string, args []int32) (programOutputs, error) {
 	var out programOutputs
-	var env *interp.Env
-	runner := &sim.Runner{Model: model, Setup: func(e *interp.Env) error {
-		env = e
-		if k != nil {
-			return k.SetInputs(e)
-		}
-		return nil // a -src program has no inputs
-	}}
+	env := interp.NewEnv(m)
 	if k != nil {
+		if err := k.SetInputs(env); err != nil {
+			return out, err
+		}
 		entry, args, out.names = k.Entry, k.Args, k.Outputs
 	} else {
 		for _, g := range m.Globals {
 			out.names = append(out.names, g.Name)
 		}
 	}
-	rep, err := runner.Run(m, entry, args...)
+	env.Profile = true
+	ret, _, err := env.Call(entry, args...)
 	if err != nil {
-		return nil, out, err
+		return out, err
 	}
-	out.ret = rep.Ret
+	out.ret = ret
 	for _, name := range out.names {
 		vals, err := env.GlobalSlice(name)
 		if err != nil {
-			return nil, out, err
+			return out, err
 		}
 		out.globals = append(out.globals, append([]int32(nil), vals...))
 	}
-	return rep, out, nil
+	return out, nil
 }
 
 // diffOutputs names the first difference between the outputs of the
@@ -570,8 +546,11 @@ func diffOutputs(want, got programOutputs) error {
 }
 
 // defaultVectors produces a few deterministic test vectors for an AFU's
-// self-checking bench.
-func defaultVectors(d *ir.AFUDef) [][]int32 {
+// self-checking bench: those of six patterns that d can evaluate. A
+// vector that makes d divide by zero is left out, since the interpreter
+// traps on a zero divisor too, so no run of the program feeds the AFU
+// such a vector. An AFU left with no vector is an error naming it.
+func defaultVectors(d *ir.AFUDef) ([][]int32, error) {
 	patterns := []int32{0, 1, -1, 7, -128, 32767, -32768, 123456789}
 	var out [][]int32
 	for v := 0; v < 6; v++ {
@@ -579,7 +558,15 @@ func defaultVectors(d *ir.AFUDef) [][]int32 {
 		for i := range vec {
 			vec[i] = patterns[(v+i*3)%len(patterns)]
 		}
-		out = append(out, vec)
+		switch _, err := d.Exec(vec); {
+		case err == nil:
+			out = append(out, vec)
+		case !errors.Is(err, ir.ErrDivByZero):
+			return nil, err
+		}
 	}
-	return out
+	if len(out) == 0 {
+		return nil, fmt.Errorf("%s divides by zero on every test vector", d.Name)
+	}
+	return out, nil
 }

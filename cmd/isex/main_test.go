@@ -2,11 +2,16 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"isex/internal/ir"
+	"isex/internal/sim"
+	"isex/internal/workload"
 )
 
 // TestCheckPorts: a special instruction needs at least one read and one
@@ -138,30 +143,133 @@ func TestTraceChromeNestsBlocks(t *testing.T) {
 	}
 }
 
-// TestSimulateChecksOutputs: -simulate runs the original and the patched
-// program and reports that they compute the same outputs.
+// runOutput runs the isex command on argv and returns what it printed.
+func runOutput(t *testing.T, argv ...string) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan []byte)
+	go func() {
+		out, _ := io.ReadAll(r)
+		read <- out
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	err = run(argv)
+	os.Stdout = stdout
+	w.Close()
+	return string(<-read), err
+}
+
+// simulated runs m on the cycle simulator with k's inputs.
+func simulated(t *testing.T, k *workload.Kernel, m *ir.Module) int64 {
+	t.Helper()
+	rep, err := (&sim.Runner{Setup: k.SetInputs}).Run(m, k.Entry, k.Args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.Cycles
+}
+
+// TestSimulateChecksOutputs: -simulate prices the profiled runs of the
+// original and the patched program at the cycles the simulator measures
+// for each, and reports that they compute the same outputs — for a
+// kernel, and for a -src program run from -entry with -args.
 func TestSimulateChecksOutputs(t *testing.T) {
-	for _, k := range []string{"adpcmdecode", "sha"} {
-		r, w, err := os.Pipe()
+	for _, name := range []string{"adpcmdecode", "sha"} {
+		patchedIR := filepath.Join(t.TempDir(), "patched.ir")
+		out, err := runOutput(t, "-kernel", name, "-simulate", "-emit-ir", patchedIR)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", name, err, out)
+		}
+		if !strings.Contains(out, "outputs: match") {
+			t.Errorf("%s: no output check reported:\n%s", name, out)
+		}
+		var base, patched int64
+		i := strings.Index(out, "cycles: ")
+		if i < 0 {
+			t.Fatalf("%s: no cycles reported:\n%s", name, out)
+		}
+		if _, err := fmt.Sscanf(out[i:], "cycles: %d -> %d", &base, &patched); err != nil {
+			t.Fatalf("%s: %v:\n%s", name, err, out)
+		}
+		k := workload.ByName(name)
+		m, err := k.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		read := make(chan []byte)
-		go func() {
-			out, _ := io.ReadAll(r)
-			read <- out
-		}()
-		stdout := os.Stdout
-		os.Stdout = w
-		err = run([]string{"-kernel", k, "-simulate"})
-		os.Stdout = stdout
-		w.Close()
-		out := string(<-read)
-		if err != nil {
-			t.Fatalf("%s: %v\n%s", k, err, out)
+		if want := simulated(t, k, m); base != want {
+			t.Errorf("%s: base cycles %d, the simulator measures %d", name, base, want)
 		}
-		if !strings.Contains(out, "outputs: match") {
-			t.Errorf("%s: no output check reported:\n%s", k, out)
+		text, err := os.ReadFile(patchedIR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pm, err := ir.ParseModule(string(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := simulated(t, k, pm); patched != want {
+			t.Errorf("%s: patched cycles %d, the simulator measures %d", name, patched, want)
+		}
+	}
+
+	src := filepath.Join(t.TempDir(), "prog.mc")
+	prog := `
+int a0[16] = {3,1,4,1,5,9,2,6,5,3,5,8,9,7,9,3};
+int out0[16];
+int acc;
+
+int run(int n, int k) {
+    int i;
+    for (i = 0; i < n; i++) {
+        int v = a0[i & 15];
+        int w = ((v << 3) - v) + ((v >> 2) & 7) * k;
+        int x = w > 64 ? 64 + (w & 31) : w;
+        out0[i & 15] = x ^ (v * 3 + 5);
+        acc = acc + (x >> 1) - k;
+    }
+    return acc & 1023;
+}
+`
+	if err := os.WriteFile(src, []byte(prog), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := runOutput(t, "-src", src, "-entry", "run", "-args", "300,5", "-nin", "2", "-nout", "1", "-simulate")
+	if err != nil {
+		t.Fatalf("-src: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "outputs: match (return value and 3 global(s))") {
+		t.Errorf("-src: no output check reported:\n%s", out)
+	}
+}
+
+// TestVerilogDividingAFUs: -verilog writes one file per patched
+// instruction on gsmlpc and fft, whose AFUs divide by an input that some
+// of the default test vectors set to 0.
+func TestVerilogDividingAFUs(t *testing.T) {
+	for _, name := range []string{"gsmlpc", "fft"} {
+		dir := t.TempDir()
+		out, err := runOutput(t, "-kernel", name, "-verilog", dir)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", name, err, out)
+		}
+		var patched int
+		i := strings.Index(out, "patched in ")
+		if i < 0 {
+			t.Fatalf("%s: nothing patched:\n%s", name, out)
+		}
+		if _, err := fmt.Sscanf(out[i:], "patched in %d", &patched); err != nil {
+			t.Fatalf("%s: %v:\n%s", name, err, out)
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "*.v"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if patched == 0 || len(files) != patched {
+			t.Errorf("%s: %d Verilog file(s) for %d patched instruction(s)", name, len(files), patched)
 		}
 	}
 }

@@ -34,10 +34,7 @@ func main() {
 			hot = b
 		}
 	}
-	g, err := dfg.Build(f, hot, ir.Liveness(f))
-	if err != nil {
-		log.Fatal(err)
-	}
+	g := dfg.Build(f, hot, ir.Liveness(f))
 	fmt.Printf("hot block %s: %d operations, executed %d times\n\n",
 		hot.Name, g.NumOps(), hot.Freq)
 

@@ -93,10 +93,7 @@ func main() {
 
 	if len(two.Instructions) == 1 {
 		s := two.Instructions[0]
-		g, err := dfg.Build(s.Fn, s.Block, ir.Liveness(s.Fn))
-		if err != nil {
-			log.Fatal(err)
-		}
+		g := dfg.Build(s.Fn, s.Block, ir.Liveness(s.Fn))
 		var cut dfg.Cut
 		for _, id := range g.OpOrder {
 			for _, idx := range s.InstrIndexes {

@@ -37,11 +37,7 @@ func randomGraph(t testing.TB, rng *rand.Rand, nOps int) *dfg.Graph {
 	}
 	b.Ret(acc)
 	f := b.Finish()
-	g, err := dfg.Build(f, f.Entry(), ir.Liveness(f))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
+	return dfg.Build(f, f.Entry(), ir.Liveness(f))
 }
 
 func TestMaxMISOIsPartition(t *testing.T) {
@@ -144,10 +140,7 @@ func TestMaxMISOChain(t *testing.T) {
 	}
 	b.Ret(v)
 	f := b.Finish()
-	g, err := dfg.Build(f, f.Entry(), ir.Liveness(f))
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := dfg.Build(f, f.Entry(), ir.Liveness(f))
 	cuts := MaxMISODecompose(g)
 	if len(cuts) != 1 || len(cuts[0]) != 5 {
 		t.Errorf("chain decomposition = %v", cuts)
@@ -165,10 +158,7 @@ func TestMaxMISONinBlindness(t *testing.T) {
 	outer := b.Op(ir.OpSub, inner2, p[2]) // the MISO needs 3 inputs
 	b.Ret(outer)
 	f := b.Finish()
-	g, err := dfg.Build(f, f.Entry(), ir.Liveness(f))
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := dfg.Build(f, f.Entry(), ir.Liveness(f))
 
 	cuts := MaxMISODecompose(g)
 	if len(cuts) != 1 || len(cuts[0]) != 3 {
@@ -232,10 +222,7 @@ func TestClubbingMergesChains(t *testing.T) {
 	v = b.Op(ir.OpShl, v, b.Fn.Params[1])
 	b.Ret(v)
 	f := b.Finish()
-	g, err := dfg.Build(f, f.Entry(), ir.Liveness(f))
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := dfg.Build(f, f.Entry(), ir.Liveness(f))
 	cuts := Clubbing(g, 2, 1)
 	if len(cuts) != 1 || len(cuts[0]) != 3 {
 		t.Errorf("chain clubbing = %v", cuts)

@@ -48,10 +48,7 @@ func SelectClubbing(m *ir.Module, ninstr int, cfg core.Config) core.SelectionRes
 	for _, f := range m.Funcs {
 		li := ir.Liveness(f)
 		for _, b := range f.Blocks {
-			g, err := dfg.Build(f, b, li)
-			if err != nil {
-				continue // malformed block contributes no clubs
-			}
+			g := dfg.Build(f, b, li)
 			res.IdentCalls++
 			for _, c := range Clubbing(g, cfg.Nin, cfg.Nout) {
 				est := core.Evaluate(g, c, modelOrDefault(cfg.Model))

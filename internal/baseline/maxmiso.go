@@ -48,10 +48,7 @@ func SelectMaxMISO(m *ir.Module, ninstr int, cfg core.Config) core.SelectionResu
 	for _, f := range m.Funcs {
 		li := ir.Liveness(f)
 		for _, b := range f.Blocks {
-			g, err := dfg.Build(f, b, li)
-			if err != nil {
-				continue // malformed block contributes no MISOs
-			}
+			g := dfg.Build(f, b, li)
 			res.IdentCalls++
 			for _, c := range MaxMISODecompose(g) {
 				est := core.Evaluate(g, c, modelOrDefault(model))

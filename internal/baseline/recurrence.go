@@ -54,10 +54,7 @@ func SelectRecurrence(m *ir.Module, ninstr int, cfg core.Config) core.SelectionR
 	for _, f := range m.Funcs {
 		li := ir.Liveness(f)
 		for _, b := range f.Blocks {
-			g, err := dfg.Build(f, b, li)
-			if err != nil {
-				continue // malformed block contributes no clusters
-			}
+			g := dfg.Build(f, b, li)
 			graphs = append(graphs, g)
 			clusterOf[g] = map[int]*recCluster{}
 			res.IdentCalls++

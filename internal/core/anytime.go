@@ -46,8 +46,8 @@ const (
 	// far (no windowed rescue is attempted — the caller asked to stop;
 	// only the O(E) greedy rung may still fill in an empty result).
 	Canceled
-	// Recovered: a worker panicked (or the block's graph could not be
-	// built); the block contributes whatever the lower rungs salvaged,
+	// Recovered: a worker panicked (or the §6.3 collapse of a chosen cut
+	// failed); the block contributes whatever the lower rungs salvaged,
 	// other blocks are unaffected.
 	Recovered
 )
@@ -125,7 +125,7 @@ type BlockStatus struct {
 	// (the degradation reason when below RungExact).
 	Rung Rung
 	// Err carries the first recovered panic (message plus truncated
-	// stack) or graph-construction failure observed for the block.
+	// stack) or failed §6.3 collapse observed for the block.
 	Err error
 }
 

@@ -405,7 +405,7 @@ func TestEmptyBlockExactUnderDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	graphs, _ := allBlockGraphs(m)
+	graphs := allBlockGraphs(m)
 	empty := map[string]bool{}
 	for _, bg := range graphs {
 		if bg.g.NumOps() == 0 {

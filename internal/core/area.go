@@ -48,7 +48,6 @@ func SelectAreaConstrainedCtx(ctx context.Context, m *ir.Module, ninstr int, are
 		res.TotalMerit += s.Est.Merit
 	}
 	sortSelected(res.Instructions)
-	res.computeShared()
 	return res
 }
 

@@ -197,7 +197,7 @@ func TestMultiCutDisjointAndLegal(t *testing.T) {
 	}
 	b.Ret(acc)
 	f := b.Finish()
-	g := mustBuildGraph(t, f, f.Entry(), ir.Liveness(f))
+	g := dfg.Build(f, f.Entry(), ir.Liveness(f))
 	cfg := Config{Nin: 2, Nout: 1, PruneInputs: true, MaxCuts: 20_000}
 	res := FindBestCuts(g, ops, cfg)
 	if len(res.Cuts) != ops {
@@ -220,7 +220,7 @@ func TestMultiCutFindsDisconnectedPair(t *testing.T) {
 	b.SetBlock(nxt)
 	b.Ret(b.Op(ir.OpOr, x2, y2))
 	f := b.Finish()
-	g := mustBuildGraph(t, f, f.Entry(), ir.Liveness(f))
+	g := dfg.Build(f, f.Entry(), ir.Liveness(f))
 
 	one := FindBestCuts(g, 1, Config{Nin: 2, Nout: 1})
 	two := FindBestCuts(g, 2, Config{Nin: 2, Nout: 1})
@@ -246,7 +246,7 @@ func TestSingleCutTakesDisconnected(t *testing.T) {
 	b.SetBlock(nxt)
 	b.Ret(b.Op(ir.OpOr, x2, y2))
 	f := b.Finish()
-	g := mustBuildGraph(t, f, f.Entry(), ir.Liveness(f))
+	g := dfg.Build(f, f.Entry(), ir.Liveness(f))
 
 	res := FindBestCut(g, Config{Nin: 4, Nout: 2})
 	if !res.Found {

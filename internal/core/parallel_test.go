@@ -409,7 +409,7 @@ func allForbiddenGraph(t *testing.T, nOps int) *dfg.Graph {
 		t.Fatal(err)
 	}
 	f.Entry().Freq = 10
-	return mustBuildGraph(t, f, f.Entry(), ir.Liveness(f))
+	return dfg.Build(f, f.Entry(), ir.Liveness(f))
 }
 
 // TestCancelObservedOnZeroBranches is the regression for the old poll,

@@ -17,12 +17,6 @@ type Selected struct {
 	// instruction — the stable currency shared with the IR patcher.
 	InstrIndexes []int
 	Est          Estimate
-	// CutHash is the canonical digest of the cut's induced datapath
-	// (dfg.CutCanonHash): two selections with equal hashes are
-	// candidates for one shared hardware implementation. Equal hashes
-	// do not prove equal datapaths (WL-hard pairs collide; see
-	// dfg.CanonDigest).
-	CutHash dfg.CanonDigest
 	// ChosenAt is the greedy iteration (0-based) at which the iterative
 	// drivers picked this instruction — the key to Ninstr prefix sharing:
 	// because the greedy outer loop is identical at every budget, the
@@ -31,18 +25,6 @@ type Selected struct {
 	// revise earlier picks when a block's M-cut assignment changes, so
 	// they report -1 (no prefix property).
 	ChosenAt int
-}
-
-// SharedInstruction is a group of at least two selected instructions
-// whose datapaths canonicalize identically — candidates for a single
-// shared hardware implementation. Members indexes into
-// SelectionResult.Instructions; Blocks lists the owning "fn/block"
-// names in the same order.
-type SharedInstruction struct {
-	Hash    string
-	Count   int
-	Members []int
-	Blocks  []string
 }
 
 // SelectionResult is the outcome of a program-wide selection (Problem 2).
@@ -54,9 +36,6 @@ type SelectionResult struct {
 	// the §6.2 currency: the optimal algorithm is proven to need at most
 	// Ninstr + Nbb − 1 of them.
 	IdentCalls int
-	// SharedInstructions groups selected instructions whose datapaths
-	// canonicalize identically (groups appear in first-selected order).
-	SharedInstructions []SharedInstruction
 	// Blocks reports, per basic block, how its search ended (sorted by
 	// function name, then block name). Blocks searched to completion are
 	// listed with Status Exhaustive.
@@ -93,35 +72,6 @@ func (r *SelectionResult) finalize() {
 			r.FirstPanic = b.Err.Error()
 		}
 	}
-	r.computeShared()
-}
-
-// computeShared groups the selected instructions by CutHash
-// (first-selected order) and records every group of two or more as a
-// SharedInstruction. Must run after the instructions are sorted —
-// Members are indexes into the final Instructions slice.
-func (r *SelectionResult) computeShared() {
-	r.SharedInstructions = nil
-	groups := make(map[dfg.CanonDigest][]int)
-	var order []dfg.CanonDigest
-	for i, s := range r.Instructions {
-		if _, ok := groups[s.CutHash]; !ok {
-			order = append(order, s.CutHash)
-		}
-		groups[s.CutHash] = append(groups[s.CutHash], i)
-	}
-	for _, h := range order {
-		ms := groups[h]
-		if len(ms) < 2 {
-			continue
-		}
-		si := SharedInstruction{Hash: h.String(), Count: len(ms), Members: ms}
-		for _, m := range ms {
-			si.Blocks = append(si.Blocks,
-				r.Instructions[m].Fn.Name+"/"+r.Instructions[m].Block.Name)
-		}
-		r.SharedInstructions = append(r.SharedInstructions, si)
-	}
 }
 
 // instrIndexesOf maps a cut to block instruction positions, expanding
@@ -149,26 +99,16 @@ type blockGraph struct {
 	g  *dfg.Graph
 }
 
-// allBlockGraphs builds every block's graph. A block whose graph cannot
-// be constructed (malformed IR) is excluded and reported as a Recovered
-// status instead of crashing the selection.
-func allBlockGraphs(m *ir.Module) ([]blockGraph, []BlockStatus) {
+// allBlockGraphs builds every block's graph.
+func allBlockGraphs(m *ir.Module) []blockGraph {
 	var out []blockGraph
-	var failed []BlockStatus
 	for _, f := range m.Funcs {
 		li := ir.Liveness(f)
 		for _, b := range f.Blocks {
-			g, err := dfg.Build(f, b, li)
-			if err != nil {
-				failed = append(failed, BlockStatus{
-					Fn: f.Name, Block: b.Name, Status: Recovered, Err: err,
-				})
-				continue
-			}
-			out = append(out, blockGraph{fn: f, b: b, g: g})
+			out = append(out, blockGraph{fn: f, b: b, g: dfg.Build(f, b, li)})
 		}
 	}
-	return out, failed
+	return out
 }
 
 // SelectOptimal solves Problem 2 with the optimal selection algorithm of
@@ -193,8 +133,7 @@ func SelectOptimalCtx(ctx context.Context, m *ir.Module, ninstr int, cfg Config)
 	defer func() {
 		cfg.Probe.EndStage("select/optimal", len(res.Instructions), res.TotalMerit, res.IdentCalls)
 	}()
-	bgs, failed := allBlockGraphs(m)
-	res = SelectionResult{Blocks: failed}
+	bgs := allBlockGraphs(m)
 	if ninstr < 1 || len(bgs) == 0 {
 		res.finalize()
 		return res
@@ -269,14 +208,13 @@ func SelectOptimalCtx(ctx context.Context, m *ir.Module, ninstr int, cfg Config)
 				Block:        bgs[i].b,
 				InstrIndexes: instrIndexesOf(bgs[i].g, c),
 				Est:          r.Ests[j],
-				CutHash:      bgs[i].g.CutCanonHash(c),
 				ChosenAt:     -1,
 			})
 			res.TotalMerit += r.Ests[j].Merit
 		}
 	}
 	sortSelected(res.Instructions)
-	res.Blocks = append(res.Blocks, blockStat...)
+	res.Blocks = blockStat
 	res.finalize()
 	return res
 }
@@ -303,8 +241,7 @@ func SelectIterativeCtx(ctx context.Context, m *ir.Module, ninstr int, cfg Confi
 	defer func() {
 		cfg.Probe.EndStage("select/iterative", len(res.Instructions), res.TotalMerit, res.IdentCalls)
 	}()
-	bgs, failed := allBlockGraphs(m)
-	res = SelectionResult{Blocks: failed}
+	bgs := allBlockGraphs(m)
 	if ninstr < 1 || len(bgs) == 0 {
 		res.finalize()
 		return res
@@ -339,7 +276,6 @@ func SelectIterativeCtx(ctx context.Context, m *ir.Module, ninstr int, cfg Confi
 			Block:        bgs[bestB].b,
 			InstrIndexes: instrIndexesOf(st.g, st.best.Cut),
 			Est:          st.best.Est,
-			CutHash:      st.g.CutCanonHash(st.best.Cut),
 			ChosenAt:     chosen,
 		})
 		res.TotalMerit += st.best.Est.Merit
@@ -372,7 +308,7 @@ func SelectIterativeCtx(ctx context.Context, m *ir.Module, ninstr int, cfg Confi
 		mergeBlockStatus(&blockStat[bestB], bs)
 	}
 	sortSelected(res.Instructions)
-	res.Blocks = append(res.Blocks, blockStat...)
+	res.Blocks = blockStat
 	res.finalize()
 	return res
 }

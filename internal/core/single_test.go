@@ -9,18 +9,8 @@ import (
 	"isex/internal/latency"
 )
 
-// mustBuildGraph, mustEnumerateBest and mustCountLegalCuts unwrap the
-// error returns of the production API for test inputs that are valid by
-// construction.
-func mustBuildGraph(t testing.TB, f *ir.Function, b *ir.Block, li *ir.LiveInfo) *dfg.Graph {
-	t.Helper()
-	g, err := dfg.Build(f, b, li)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
+// mustEnumerateBest and mustCountLegalCuts unwrap the error returns of
+// the production API for test inputs that are valid by construction.
 func mustEnumerateBest(t testing.TB, g *dfg.Graph, cfg Config) Result {
 	t.Helper()
 	r, err := EnumerateBest(g, cfg)
@@ -64,7 +54,7 @@ func fig4Graph(t testing.TB) (*dfg.Graph, [4]int) {
 	if err := ir.VerifyFunction(f, nil); err != nil {
 		t.Fatal(err)
 	}
-	g := mustBuildGraph(t, f, f.Entry(), ir.Liveness(f))
+	g := dfg.Build(f, f.Entry(), ir.Liveness(f))
 	// Identify nodes by instruction index: instr 0 is paper-node 3, etc.
 	var ids [4]int
 	for i := range g.Nodes {
@@ -204,7 +194,7 @@ func randomGraph(t testing.TB, rng *rand.Rand, nOps int) *dfg.Graph {
 		t.Fatal(err)
 	}
 	f.Entry().Freq = int64(rng.Intn(1000) + 1)
-	return mustBuildGraph(t, f, f.Entry(), ir.Liveness(f))
+	return dfg.Build(f, f.Entry(), ir.Liveness(f))
 }
 
 // TestSearchMatchesBruteForce is the central correctness property: on
@@ -313,7 +303,7 @@ func TestEmptyAndTinyGraphs(t *testing.T) {
 	b.Store(b.Fn.Params[0], v)
 	b.RetVoid()
 	f := b.Finish()
-	g := mustBuildGraph(t, f, f.Entry(), ir.Liveness(f))
+	g := dfg.Build(f, f.Entry(), ir.Liveness(f))
 	res := FindBestCut(g, Config{Nin: 4, Nout: 2})
 	if res.Found {
 		t.Error("found a cut among forbidden nodes")
@@ -324,7 +314,7 @@ func TestEmptyAndTinyGraphs(t *testing.T) {
 	b2 := ir.NewBuilder("g", 2)
 	b2.Ret(b2.Op(ir.OpAdd, b2.Fn.Params[0], b2.Fn.Params[1]))
 	f2 := b2.Finish()
-	g2 := mustBuildGraph(t, f2, f2.Entry(), ir.Liveness(f2))
+	g2 := dfg.Build(f2, f2.Entry(), ir.Liveness(f2))
 	res2 := FindBestCut(g2, Config{Nin: 2, Nout: 1})
 	if res2.Found {
 		t.Errorf("zero-gain single add selected: %+v", res2)
@@ -334,7 +324,7 @@ func TestEmptyAndTinyGraphs(t *testing.T) {
 	s1 := b3.Op(ir.OpAdd, b3.Fn.Params[0], b3.Fn.Params[1])
 	b3.Ret(b3.Op(ir.OpAdd, s1, b3.Fn.Params[2]))
 	f3 := b3.Finish()
-	g3 := mustBuildGraph(t, f3, f3.Entry(), ir.Liveness(f3))
+	g3 := dfg.Build(f3, f3.Entry(), ir.Liveness(f3))
 	res3 := FindBestCut(g3, Config{Nin: 3, Nout: 1})
 	if !res3.Found || len(res3.Cut) != 2 || res3.Est.Saved != 1 {
 		t.Errorf("chained-add graph: %+v", res3)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"isex/internal/dfg"
 	"isex/internal/ir"
 )
 
@@ -90,7 +91,7 @@ func TestTraceTreeTooBig(t *testing.T) {
 	}
 	b.Ret(v)
 	f := b.Finish()
-	g := mustBuildGraph(t, f, f.Entry(), ir.Liveness(f))
+	g := dfg.Build(f, f.Entry(), ir.Liveness(f))
 	if _, err := TraceSearchTree(g, Config{Nin: 4, Nout: 2}); err == nil {
 		t.Error("oversized graph accepted")
 	}

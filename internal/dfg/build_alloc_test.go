@@ -39,9 +39,7 @@ func TestBuildAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(5, func() {
 		for _, bl := range blocks {
-			if _, err := dfg.Build(bl.f, bl.b, bl.li); err != nil {
-				t.Fatal(err)
-			}
+			dfg.Build(bl.f, bl.b, bl.li)
 		}
 	})
 	const bound = 11.5

@@ -97,17 +97,20 @@ func (g *Graph) NumOps() int { return len(g.OpOrder) }
 func (g *Graph) Pos(id int) int { return g.pos[id] }
 
 // Build constructs G+ for block b of f. li must be the result of
-// ir.Liveness(f); it determines the output variable nodes. It returns an
-// error (instead of crashing) when the resulting operation graph is not
-// acyclic — which cannot happen for IR produced by the front end, but can
-// for hand-written or corrupted textual IR.
+// ir.Liveness(f); it determines the output variable nodes.
+//
+// Every edge between operation nodes runs forward in instruction order:
+// an operand resolves to the last definer among earlier instructions or
+// to an input node, and every order edge starts at an earlier memory
+// operation. So G+ is acyclic for any block, and its search order is
+// the reverse instruction order, recorded as the nodes are created.
 //
 // A first pass over the block counts its nodes exactly; the second
 // creates them and records the edges, and every node's four edge lists
 // are then carved from one slab, so a graph costs a few allocations
 // whatever its size. Each list is a full slice expression of the slab:
 // an append by a caller reallocates instead of overwriting a neighbour.
-func Build(f *ir.Function, b *ir.Block, li *ir.LiveInfo) (*Graph, error) {
+func Build(f *ir.Function, b *ir.Block, li *ir.LiveInfo) *Graph {
 	operands := 0
 	for i := range b.Instrs {
 		operands += len(b.Instrs[i].Args) + len(b.Instrs[i].Dsts)
@@ -153,7 +156,11 @@ func Build(f *ir.Function, b *ir.Block, li *ir.LiveInfo) (*Graph, error) {
 	// register's value is now the node holding it: 0 for none yet, id+1
 	// for the operation node that last defined it, and -(id+1) for the
 	// input node that supplies it from outside the block.
-	g := &Graph{Fn: f, Block: b, Nodes: make([]Node, len(b.Instrs)+nIn+len(outs))}
+	nodes := len(b.Instrs) + nIn + len(outs)
+	g := &Graph{Fn: f, Block: b, Nodes: make([]Node, nodes)}
+	// One buffer holds pos and OpOrder.
+	buf := make([]int, nodes+len(b.Instrs))
+	g.pos, g.OpOrder = buf[:nodes:nodes], buf[nodes:]
 	// Ten bytes a name fit registers below 100,000; a longer name only
 	// grows the buffer, and the names cut earlier keep the old one.
 	var names strings.Builder
@@ -164,6 +171,7 @@ func Build(f *ir.Function, b *ir.Block, li *ir.LiveInfo) (*Graph, error) {
 		names.WriteString(prefix)
 		names.Write(strconv.AppendInt(digits[:0], int64(r), 10))
 		g.Nodes[id] = Node{ID: id, Kind: kind, InstrIndex: -1, Reg: r, Name: names.String()[start:]}
+		g.pos[id] = -1
 	}
 	edges := make([]int32, 0, 2*(operands+len(outs)))
 	var order, readers []int32
@@ -180,6 +188,8 @@ func Build(f *ir.Function, b *ir.Block, li *ir.LiveInfo) (*Graph, error) {
 			primary = in.Dsts[0]
 		}
 		g.Nodes[id] = Node{ID: id, Kind: KindOp, Op: in.Op, InstrIndex: i, Reg: primary, Forbidden: !in.Op.Pure()}
+		rank := len(b.Instrs) - 1 - i
+		g.OpOrder[rank], g.pos[id] = id, rank
 		first := len(edges)
 	args:
 		for _, a := range in.Args {
@@ -234,11 +244,7 @@ func Build(f *ir.Function, b *ir.Block, li *ir.LiveInfo) (*Graph, error) {
 		next++
 	}
 	g.link(edges, order)
-
-	if err := g.rebuildOrder(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return g
 }
 
 // regTable maps the registers one block touches to an int32 each, zero
@@ -333,30 +339,27 @@ func carve(slab *[]int, k int) []int {
 	return s
 }
 
-// BuildAll builds graphs for every block of every function in m. It stops
-// at the first block whose graph cannot be ordered (malformed IR).
+// BuildAll builds graphs for every block of every function in m. Its
+// error is always nil, since Build cannot fail; it stays in the
+// signature for callers that still check it.
 func BuildAll(m *ir.Module) (map[*ir.Block]*Graph, error) {
 	out := map[*ir.Block]*Graph{}
 	for _, f := range m.Funcs {
 		li := ir.Liveness(f)
 		for _, b := range f.Blocks {
-			g, err := Build(f, b, li)
-			if err != nil {
-				return nil, err
-			}
-			out[b] = g
+			out[b] = Build(f, b, li)
 		}
 	}
 	return out, nil
 }
 
-// rebuildOrder recomputes OpOrder: a topological order of the operation
-// nodes with consumers before producers (§6.1). Determinism: among ready
-// nodes, the largest instruction index is emitted first, which for a
-// freshly built graph reproduces exactly the reverse instruction order.
-// A cycle among the operation nodes (possible only for malformed input,
-// e.g. a hand-edited textual IR or a non-convex collapse) is reported as
-// an error, never a panic.
+// rebuildOrder recomputes OpOrder after Collapse: a topological order of
+// the operation nodes with consumers before producers (§6.1).
+// Determinism: among ready nodes, the largest instruction index is
+// emitted first, which on an acyclic graph gives Build's reverse
+// instruction order. A cycle among the operation nodes (possible only
+// after collapsing a non-convex cut) is reported as an error, never a
+// panic.
 func (g *Graph) rebuildOrder() error {
 	ops := 0
 	for i := range g.Nodes {

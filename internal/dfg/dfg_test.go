@@ -9,25 +9,8 @@ import (
 	"isex/internal/passes"
 )
 
-// buildStraightLine constructs a single-block function:
-//
-//	t0 = a + b     (uses params a, b -> two input nodes)
-//	t1 = t0 * a    (internal edge + input reuse)
-//	t2 = t0 - t1
-//	store mem[a] = t2  (forbidden node)
-//	ret t2             (t2 is an output)
-//
-// mustBuild and mustCollapse fail the test on the error paths the
-// production code now reports instead of panicking.
-func mustBuild(t *testing.T, f *ir.Function, b *ir.Block, li *ir.LiveInfo) *Graph {
-	t.Helper()
-	g, err := Build(f, b, li)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
+// mustCollapse fails the test on the error Collapse reports for a
+// non-convex cut.
 func mustCollapse(t *testing.T, g *Graph, c Cut, name string, latency int) *Graph {
 	t.Helper()
 	ng, err := g.Collapse(c, name, latency)
@@ -37,6 +20,13 @@ func mustCollapse(t *testing.T, g *Graph, c Cut, name string, latency int) *Grap
 	return ng
 }
 
+// buildStraightLine constructs a single-block function:
+//
+//	t0 = a + b     (uses params a, b -> two input nodes)
+//	t1 = t0 * a    (internal edge + input reuse)
+//	t2 = t0 - t1
+//	store mem[a] = t2  (forbidden node)
+//	ret t2             (t2 is an output)
 func buildStraightLine(t *testing.T) (*ir.Function, *Graph) {
 	t.Helper()
 	b := ir.NewBuilder("f", 2)
@@ -51,7 +41,7 @@ func buildStraightLine(t *testing.T) (*ir.Function, *Graph) {
 		t.Fatal(err)
 	}
 	li := ir.Liveness(f)
-	return f, mustBuild(t, f, f.Entry(), li)
+	return f, Build(f, f.Entry(), li)
 }
 
 func opNode(t *testing.T, g *Graph, instrIdx int) int {
@@ -140,13 +130,16 @@ func checkOrder(t *testing.T, g *Graph) {
 		t.Fatalf("order length %d != ops %d", len(g.OpOrder), g.NumOps())
 	}
 	for _, id := range g.OpOrder {
-		for _, s := range g.Nodes[id].Succs {
-			if g.Nodes[s].Kind != KindOp {
-				continue
-			}
-			if g.Pos(s) >= g.Pos(id) {
-				t.Fatalf("consumer %d (pos %d) not before producer %d (pos %d)",
-					s, g.Pos(s), id, g.Pos(id))
+		n := &g.Nodes[id]
+		for _, succs := range [][]int{n.Succs, n.OrderSuccs} {
+			for _, s := range succs {
+				if g.Nodes[s].Kind != KindOp {
+					continue
+				}
+				if g.Pos(s) >= g.Pos(id) {
+					t.Fatalf("successor %d (pos %d) not before %d (pos %d)",
+						s, g.Pos(s), id, g.Pos(id))
+				}
 			}
 		}
 	}
@@ -158,7 +151,7 @@ func TestDuplicateArgSingleEdge(t *testing.T) {
 	sq := b.Op(ir.OpMul, a, a) // same value twice: one edge
 	b.Ret(sq)
 	f := b.Finish()
-	g := mustBuild(t, f, f.Entry(), ir.Liveness(f))
+	g := Build(f, f.Entry(), ir.Liveness(f))
 	mul := opNode(t, g, 0)
 	if len(g.Nodes[mul].Preds) != 1 {
 		t.Errorf("duplicate arg produced %d edges, want 1", len(g.Nodes[mul].Preds))
@@ -179,7 +172,7 @@ func TestRedefinitionSplitsValues(t *testing.T) {
 	b.CopyTo(r, b.Op(ir.OpAdd, a, b.Const(2)))
 	b.Ret(r)
 	f := b.Finish()
-	g := mustBuild(t, f, f.Entry(), ir.Liveness(f))
+	g := Build(f, f.Entry(), ir.Liveness(f))
 	// Exactly one output V+ node (the final r).
 	outs := 0
 	for i := range g.Nodes {
@@ -217,7 +210,7 @@ func diamondGraph(t *testing.T) (*Graph, [4]int) {
 	n3 := b.Op(ir.OpSub, n1, n2)
 	b.Ret(n3)
 	f := b.Finish()
-	g := mustBuild(t, f, f.Entry(), ir.Liveness(f))
+	g := Build(f, f.Entry(), ir.Liveness(f))
 	return g, [4]int{opNode(t, g, 0), opNode(t, g, 2), opNode(t, g, 4), opNode(t, g, 5)}
 }
 
@@ -273,7 +266,7 @@ func TestLegal(t *testing.T) {
 	v := bld.Load(bld.Fn.Params[0])
 	bld.Ret(v)
 	f := bld.Finish()
-	g2 := mustBuild(t, f, f.Entry(), ir.Liveness(f))
+	g2 := Build(f, f.Entry(), ir.Liveness(f))
 	ld := opNode(t, g2, 0)
 	if g2.Legal(Cut{ld}, 4, 4) {
 		t.Error("forbidden load declared legal")

@@ -19,7 +19,7 @@ func buildMemBlock(t *testing.T) (*ir.Function, *Graph) {
 	u := b.Op(ir.OpMul, bb, b.Const(2)) // 5,6
 	b.Ret(u)
 	f := b.Finish()
-	return f, mustBuild(t, f, f.Entry(), ir.Liveness(f))
+	return f, Build(f, f.Entry(), ir.Liveness(f))
 }
 
 func TestMemoryOrderEdges(t *testing.T) {
@@ -75,7 +75,7 @@ func TestConvexityThroughOrderEdges(t *testing.T) {
 	t2 := b.Op(ir.OpMul, v, x)
 	b.Ret(t2)
 	f := b.Finish()
-	g := mustBuild(t, f, f.Entry(), ir.Liveness(f))
+	g := Build(f, f.Entry(), ir.Liveness(f))
 	var n1, n2 = -1, -1
 	for i := range g.Nodes {
 		switch g.Nodes[i].Op {
@@ -100,7 +100,7 @@ func TestStoreBarriersBetweenWriters(t *testing.T) {
 	b.Store(p, x) // writer 2: must be ordered after writer 1
 	b.RetVoid()
 	f := b.Finish()
-	g := mustBuild(t, f, f.Entry(), ir.Liveness(f))
+	g := Build(f, f.Entry(), ir.Liveness(f))
 	var s1, s2 = -1, -1
 	for i := range g.Nodes {
 		if g.Nodes[i].Op == ir.OpStore {
@@ -133,7 +133,7 @@ func TestCallOrdersWithMemory(t *testing.T) {
 	b.Ret(c)
 	f := b.Finish()
 	// Module with callee so nothing else fails later.
-	g := mustBuild(t, f, f.Entry(), ir.Liveness(f))
+	g := Build(f, f.Entry(), ir.Liveness(f))
 	var ld1, call, ld2 = -1, -1, -1
 	for i := range g.Nodes {
 		switch {

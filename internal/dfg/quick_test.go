@@ -41,11 +41,7 @@ func randomGraphLocal(rng *rand.Rand, nOps int) *Graph {
 	}
 	b.Ret(acc)
 	f := b.Finish()
-	g, err := Build(f, f.Entry(), ir.Liveness(f))
-	if err != nil {
-		panic(err) // builder emits forward edges only
-	}
-	return g
+	return Build(f, f.Entry(), ir.Liveness(f))
 }
 
 func randomCut(rng *rand.Rand, g *Graph) Cut {

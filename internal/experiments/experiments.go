@@ -15,7 +15,6 @@ import (
 	"isex/internal/core"
 	"isex/internal/dfg"
 	"isex/internal/dse"
-	"isex/internal/interp"
 	"isex/internal/ir"
 	"isex/internal/latency"
 	"isex/internal/report"
@@ -213,7 +212,7 @@ func estSpeedup(base, merit int64) float64 {
 // the selection on the fresh module, since Selected references blocks of
 // prof) and returns the measured speedup.
 func measure(k *workload.Kernel, sel core.SelectionResult, model *latency.Model, base int64) (float64, error) {
-	fresh, err := k.Prepare()
+	fresh, err := k.Build()
 	if err != nil {
 		return 0, err
 	}
@@ -233,7 +232,6 @@ func measure(k *workload.Kernel, sel core.SelectionResult, model *latency.Model,
 	if _, _, err := core.ApplySelection(fresh, mapped, model); err != nil {
 		return 0, err
 	}
-	interp.ClearProfile(fresh)
 	rep, err := simRunner(k, model).Run(fresh, k.Entry, k.Args...)
 	if err != nil {
 		return 0, err
@@ -292,10 +290,7 @@ func hotBlock(m *ir.Module) (*ir.Function, *ir.Block, *dfg.Graph) {
 	for _, f := range m.Funcs {
 		li := ir.Liveness(f)
 		for _, b := range f.Blocks {
-			g, err := dfg.Build(f, b, li)
-			if err != nil {
-				continue
-			}
+			g := dfg.Build(f, b, li)
 			cand := 0
 			for _, id := range g.OpOrder {
 				if !g.Nodes[id].Forbidden {

@@ -117,7 +117,7 @@ type Fig7Result struct {
 // Fig4ExampleGraph reconstructs the four-node graph of Fig. 4 (see the
 // node numbering in core's tests: + feeding * and >>, >> feeding the
 // second +; two block outputs).
-func Fig4ExampleGraph() (*dfg.Graph, error) {
+func Fig4ExampleGraph() *dfg.Graph {
 	b := ir.NewBuilder("fig4", 5)
 	p := b.Fn.Params
 	t := b.Op(ir.OpAdd, p[0], p[1]) // paper node 3
@@ -135,18 +135,14 @@ func Fig4ExampleGraph() (*dfg.Graph, error) {
 // Fig7 runs the identification with Nout = 1 on the example and returns
 // the trace statistics (paper: 11 considered, 5 passed, 6 failed, 4
 // eliminated).
-func Fig7() (Fig7Result, error) {
-	g, err := Fig4ExampleGraph()
-	if err != nil {
-		return Fig7Result{}, err
-	}
-	res := core.FindBestCut(g, core.Config{Nin: 100, Nout: 1})
+func Fig7() Fig7Result {
+	res := core.FindBestCut(Fig4ExampleGraph(), core.Config{Nin: 100, Nout: 1})
 	return Fig7Result{
 		Considered: res.Stats.CutsConsidered,
 		Passed:     res.Stats.Passed,
 		Failed:     res.Stats.Pruned,
 		Eliminated: 15 - res.Stats.CutsConsidered,
-	}, nil
+	}
 }
 
 // Fig7Table renders the result next to the paper's numbers.
@@ -594,16 +590,12 @@ func MotivationTable(rows []MotivationRow) string {
 
 // Fig5Tree renders the full annotated search tree of the Fig. 4 example
 // (Fig. 5's structure with Fig. 7's pass/fail annotations).
-func Fig5Tree() (string, error) {
-	g, err := Fig4ExampleGraph()
+func Fig5Tree() string {
+	res, err := core.TraceSearchTree(Fig4ExampleGraph(), core.Config{Nin: 100, Nout: 1})
 	if err != nil {
-		return "", err
+		panic(err) // the example has 4 operation nodes; the tree allows 16
 	}
-	res, err := core.TraceSearchTree(g, core.Config{Nin: 100, Nout: 1})
-	if err != nil {
-		return "", err
-	}
-	return res.Render(), nil
+	return res.Render()
 }
 
 // ---------------------------------------------------------------------------

@@ -89,7 +89,8 @@ const graphDigest = "30644195ad0f2809ae5122480d8ba471724c202c0e1dfc13e398b429b2e
 
 // TestGraphDigest pins the G+ of every block of frontEndCorpus. Each
 // block is collapsed twice, each time on its largest MaxMISO of two or
-// more nodes, so the digest pins dfg.Collapse too.
+// more nodes, so the digest pins dfg.Collapse too. Every freshly built
+// graph must also keep the invariant dfg.Build rests on (checkForward).
 func TestGraphDigest(t *testing.T) {
 	h := sha256.New()
 	for _, p := range frontEndCorpus() {
@@ -102,6 +103,9 @@ func TestGraphDigest(t *testing.T) {
 		for _, f := range m.Funcs {
 			for _, b := range f.Blocks {
 				g := graphs[b]
+				if err := checkForward(g); err != nil {
+					t.Fatalf("%s: %s/%s: %v", p.name, f.Name, b.Name, err)
+				}
 				for round := 0; ; round++ {
 					fmt.Fprintf(h, "-- %s/%s round %d\n", f.Name, b.Name, round)
 					hashGraph(h, g)
@@ -125,6 +129,35 @@ func TestGraphDigest(t *testing.T) {
 		t.Errorf("graph digest = %s, want %s: the G+ of at least one block changed",
 			got, graphDigest)
 	}
+}
+
+// checkForward reports the first edge between operation nodes of a
+// freshly built g that does not run forward in instruction order, or a
+// search order other than the reverse instruction order. dfg.Build
+// relies on the first, so it can record the second without a sort.
+func checkForward(g *dfg.Graph) error {
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		if n.Kind != dfg.KindOp {
+			continue
+		}
+		for _, succs := range [][]int{n.Succs, n.OrderSuccs} {
+			for _, s := range succs {
+				if m := &g.Nodes[s]; m.Kind == dfg.KindOp && m.InstrIndex <= n.InstrIndex {
+					return fmt.Errorf("edge from instruction %d to instruction %d", n.InstrIndex, m.InstrIndex)
+				}
+			}
+		}
+	}
+	if len(g.OpOrder) != len(g.Block.Instrs) {
+		return fmt.Errorf("search order has %d nodes, the block %d instructions", len(g.OpOrder), len(g.Block.Instrs))
+	}
+	for rank, id := range g.OpOrder {
+		if want := len(g.OpOrder) - 1 - rank; g.Nodes[id].InstrIndex != want {
+			return fmt.Errorf("search rank %d is instruction %d, want %d", rank, g.Nodes[id].InstrIndex, want)
+		}
+	}
+	return nil
 }
 
 // hashGraph writes g's search order and every node field but the

@@ -26,7 +26,7 @@ type SyntheticSpec struct {
 
 // Synthesize builds a random single-block function per spec and returns
 // its graph. The block's Freq is 1.
-func Synthesize(spec SyntheticSpec) (*dfg.Graph, error) {
+func Synthesize(spec SyntheticSpec) *dfg.Graph {
 	rng := rand.New(rand.NewSource(spec.Seed))
 	b := ir.NewBuilder("synth", 4)
 	vals := append([]ir.Reg{}, b.Fn.Params...)
@@ -75,16 +75,6 @@ func Synthesize(spec SyntheticSpec) (*dfg.Graph, error) {
 	return dfg.Build(f, f.Entry(), ir.Liveness(f))
 }
 
-// MustSynthesize is Synthesize for benchmarks and tests; the builder only
-// emits forward edges, so failure indicates a generator bug.
-func MustSynthesize(spec SyntheticSpec) *dfg.Graph {
-	g, err := Synthesize(spec)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // RealBlockGraphs compiles every kernel of the suite, profiles it, and
 // returns the graphs of all executed basic blocks (the Fig. 8
 // population), keyed for reporting.
@@ -106,11 +96,7 @@ func RealBlockGraphs() ([]BlockInfo, error) {
 		for _, f := range m.Funcs {
 			li := ir.Liveness(f)
 			for _, b := range f.Blocks {
-				g, err := dfg.Build(f, b, li)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, BlockInfo{Kernel: k.Name, Fn: f.Name, Block: b.Name, Graph: g})
+				out = append(out, BlockInfo{Kernel: k.Name, Fn: f.Name, Block: b.Name, Graph: dfg.Build(f, b, li)})
 			}
 		}
 	}

@@ -475,10 +475,7 @@ func TestSynthesizeShapes(t *testing.T) {
 		{Ops: 40, Seed: 2, BarrierRatio: 0.3, FanoutBias: 0.9, LiveOuts: 4},
 		{Ops: 5, Seed: 3, BarrierRatio: 1.0},
 	} {
-		g, err := Synthesize(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := Synthesize(spec)
 		if g.NumOps() < spec.Ops {
 			t.Errorf("spec %+v: ops = %d", spec, g.NumOps())
 		}
@@ -492,8 +489,8 @@ func TestSynthesizeShapes(t *testing.T) {
 		}
 	}
 	// Determinism.
-	a := MustSynthesize(SyntheticSpec{Ops: 12, Seed: 9})
-	b := MustSynthesize(SyntheticSpec{Ops: 12, Seed: 9})
+	a := Synthesize(SyntheticSpec{Ops: 12, Seed: 9})
+	b := Synthesize(SyntheticSpec{Ops: 12, Seed: 9})
 	if a.NumOps() != b.NumOps() || len(a.Nodes) != len(b.Nodes) {
 		t.Error("synthesis not deterministic")
 	}

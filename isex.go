@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"isex/internal/core"
-	"isex/internal/dfg"
 	"isex/internal/interp"
 	"isex/internal/ir"
 	"isex/internal/latency"
@@ -78,10 +77,6 @@ const (
 // whether the §9 windowed fallback rescued it and any recovered error.
 type BlockStatus = core.BlockStatus
 
-// SharedInstruction is a group of selected instructions whose datapaths
-// canonicalize identically (see Selection.SharedInstructions).
-type SharedInstruction = core.SharedInstruction
-
 // Selection is a chosen set of custom instructions.
 type Selection struct {
 	inner core.SelectionResult
@@ -108,13 +103,6 @@ func (s Selection) Degraded() bool { return s.inner.Degraded() }
 // each block's contribution is.
 func (s Selection) BlockStatuses() []BlockStatus {
 	return append([]BlockStatus(nil), s.inner.Blocks...)
-}
-
-// SharedInstructions returns the groups of selected instructions whose
-// datapaths canonicalize identically — candidates for one shared
-// hardware implementation.
-func (s Selection) SharedInstructions() []SharedInstruction {
-	return append([]SharedInstruction(nil), s.inner.SharedInstructions...)
 }
 
 // FirstPanic returns the first recovered panic across the per-block
@@ -169,17 +157,11 @@ func CompileWith(src string, opt CompileOptions) (*Program, error) {
 }
 
 // LoadIR builds a program from the textual IR format (see SerializeIR).
-// Beyond the structural verification ParseModule performs, every basic
-// block's dataflow graph is constructed once at this boundary, so
-// malformed IR (e.g. a hand-edited file whose operation graph is cyclic)
-// yields an error here instead of a crash deep inside identification.
+// ParseModule verifies its structure; malformed IR yields an error here.
 func LoadIR(text string) (*Program, error) {
 	m, err := ir.ParseModule(text)
 	if err != nil {
 		return nil, err
-	}
-	if _, err := dfg.BuildAll(m); err != nil {
-		return nil, fmt.Errorf("isex: invalid IR: %w", err)
 	}
 	return &Program{mod: m, inputs: map[string][]int32{}}, nil
 }
