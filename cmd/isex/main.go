@@ -1,9 +1,10 @@
 // Command isex is the tool-chain driver: it compiles a MiniC program (or
 // loads a built-in benchmark kernel), profiles it, identifies
-// instruction-set extensions under the given port constraints, and
-// reports the chosen custom instructions. Optionally it patches the
-// program, validates it on the cycle simulator, and emits Verilog for
-// every AFU.
+// instruction-set extensions under the given port constraints, patches
+// them in, runs the patched program again to check its outputs
+// (package pipeline), and reports the chosen custom instructions.
+// Optionally it prints the measured cycles and emits Verilog for every
+// AFU.
 //
 // Usage:
 //
@@ -30,17 +31,13 @@ import (
 	"strconv"
 	"strings"
 
-	"isex/internal/baseline"
 	"isex/internal/core"
 	"isex/internal/dfg"
-	"isex/internal/interp"
 	"isex/internal/ir"
 	"isex/internal/latency"
-	"isex/internal/minic"
-	"isex/internal/passes"
+	"isex/internal/pipeline"
 	"isex/internal/report"
 	"isex/internal/rtl"
-	"isex/internal/sim"
 	"isex/internal/workload"
 )
 
@@ -73,7 +70,7 @@ var errStrictDegraded = errors.New("selection degraded below the exact search (-
 var singleRunFlags = map[string]bool{
 	"json": true, "strict": true, "method": true, "simulate": true,
 	"nin": true, "nout": true, "ninstr": true, "verilog": true, "dot": true,
-	"emit-ir": true, "ir": true, "src": true, "entry": true, "args": true, "unroll": true,
+	"emit-ir": true, "src": true, "entry": true, "args": true, "unroll": true,
 }
 
 // sweepFlags configure a -sweep grid and nothing else.
@@ -108,17 +105,16 @@ func run(argv []string) error {
 		nin       = fs.Int("nin", 4, "register-file read ports available to a special instruction")
 		nout      = fs.Int("nout", 2, "register-file write ports available to a special instruction")
 		ninstr    = fs.Int("ninstr", 8, "maximum number of special instructions to select")
-		method    = fs.String("method", "iterative", "selection algorithm: iterative, optimal, clubbing, maxmiso")
+		method    = fs.String("method", "iterative", "selection algorithm: "+strings.Join(pipeline.Methods, ", "))
 		budget    = fs.Int64("budget", 2_000_000, "cut budget per identification call (0 = unlimited)")
 		workers   = fs.Int("workers", 0, "run each block's exact search on the parallel branch-and-bound engine with this many workers, splitting a search that outlasts a poll interval among them (0 = serial; results are bit-identical); with -sweep, the number of constraint groups searched at once, each searching its blocks serially (0 = one per CPU)")
-		deadline  = fs.Duration("deadline", 0, "wall-clock budget for identification (e.g. 500ms; 0 = none); on expiry the best selection found so far is reported")
+		deadline  = fs.Duration("deadline", 0, "wall-clock budget for identification, counted from before the compile and profiling run (e.g. 500ms; 0 = none); on expiry the best selection found so far is reported")
 		strict    = fs.Bool("strict", false, "exit with code 2 when any block's search degraded below the exact algorithm (the report is still written); for CI gates that must not accept lower bounds")
 		unroll    = fs.Int("unroll", 0, "fully unroll counted loops up to this trip count (-src mode)")
-		simulate  = fs.Bool("simulate", false, "patch the selection in and measure the speedup on the cycle simulator")
+		simulate  = fs.Bool("simulate", false, "print the cycles of the original and the patched run and the output check (every run patches the selection in, runs the program again and compares its return value and globals)")
 		verilogTo = fs.String("verilog", "", "directory to write one Verilog file (+ testbench) per AFU")
 		dotTo     = fs.String("dot", "", "write the hottest block's dataflow graph (best cut highlighted) to this file")
-		showIR    = fs.Bool("ir", false, "dump the preprocessed IR")
-		emitIR    = fs.String("emit-ir", "", "write the final module (custom instructions included, if patched) in textual IR form to this file")
+		emitIR    = fs.String("emit-ir", "", "write the patched module, with its custom instructions and the patched run's block counts, in textual IR form to this file (-ninstr 0 writes the profiled original)")
 		list      = fs.Bool("list", false, "list the built-in benchmark kernels and exit")
 
 		sweep            = fs.Bool("sweep", false, "run a design-space-exploration sweep over the (constraints x ninstr x kernel x target) grid and exit; -kernel may list several kernels comma-separated (default adpcmdecode,adpcmencode)")
@@ -170,82 +166,46 @@ func run(argv []string) error {
 		return err
 	}
 
-	var (
-		m    *ir.Module
-		k    *workload.Kernel
-		args []int32
-		err  error
-	)
+	var k *workload.Kernel
 	switch {
 	case *kernel != "":
-		k = workload.ByName(*kernel)
-		if k == nil {
+		if k = workload.ByName(*kernel); k == nil {
 			return fmt.Errorf("unknown kernel %q", *kernel)
 		}
-		m, err = k.Build()
-		if err != nil {
-			return err
-		}
 	case *srcPath != "":
-		src, rerr := os.ReadFile(*srcPath)
-		if rerr != nil {
-			return rerr
-		}
-		m, err = minic.Compile(string(src), minic.Options{UnrollLimit: *unroll})
+		src, err := os.ReadFile(*srcPath)
 		if err != nil {
 			return err
 		}
-		if err := passes.Run(m, passes.Options{}); err != nil {
-			return err
-		}
+		k = &workload.Kernel{Name: *srcPath, Source: string(src), Entry: *entry, Unroll: *unroll}
 		for _, s := range strings.Split(*argList, ",") {
 			s = strings.TrimSpace(s)
 			if s == "" {
 				continue
 			}
-			v, perr := strconv.ParseInt(s, 0, 32)
-			if perr != nil {
-				return fmt.Errorf("bad -args value %q: %v", s, perr)
+			v, err := strconv.ParseInt(s, 0, 32)
+			if err != nil {
+				return fmt.Errorf("bad -args value %q: %v", s, err)
 			}
-			args = append(args, int32(v))
+			k.Args = append(k.Args, int32(v))
 		}
 	default:
 		return fmt.Errorf("one of -src or -kernel is required")
 	}
-	// The profiling run's outputs are the reference -simulate checks
-	// the patched program against.
-	ref, err := profileRun(m, k, *entry, args)
-	if err != nil {
-		return fmt.Errorf("profiling run: %w", err)
-	}
 
-	if *showIR {
-		fmt.Print(m.String())
-	}
-
-	model := latency.Default()
-	cfg := core.Config{Nin: *nin, Nout: *nout, Model: model, MaxCuts: *budget,
+	cfg := core.Config{Nin: *nin, Nout: *nout, Model: latency.Default(), MaxCuts: *budget,
 		Workers: *workers, PruneInputs: true, PruneMerit: true, Probe: tel.probe}
-
 	ctx := context.Background()
 	if *deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *deadline)
 		defer cancel()
 	}
-	var sel core.SelectionResult
-	switch *method {
-	case "iterative":
-		sel = core.SelectIterativeCtx(ctx, m, *ninstr, cfg)
-	case "optimal":
-		sel = core.SelectOptimalCtx(ctx, m, *ninstr, cfg)
-	case "clubbing":
-		sel = baseline.SelectClubbing(m, *ninstr, cfg)
-	case "maxmiso":
-		sel = baseline.SelectMaxMISO(m, *ninstr, cfg)
-	default:
-		return fmt.Errorf("unknown method %q", *method)
+	rep, err := pipeline.Run(ctx, k, pipeline.Options{Method: *method, Ninstr: *ninstr, Config: cfg})
+	if err != nil {
+		return err
 	}
+	sel, m := rep.Selection, rep.Module
 
 	if _, err := tel.finish(); err != nil {
 		return err
@@ -300,8 +260,15 @@ func run(argv []string) error {
 	}
 
 	if *dotTo != "" && len(sel.Instructions) > 0 {
+		// Run patched the selected block in place; its instruction
+		// indexes refer to the block of a fresh build.
 		s := sel.Instructions[0]
-		g := dfg.Build(s.Fn, s.Block, ir.Liveness(s.Fn))
+		orig, err := k.Build()
+		if err != nil {
+			return err
+		}
+		f := orig.Func(s.Fn.Name)
+		g := dfg.Build(f, f.Blocks[s.Block.Index], ir.Liveness(f))
 		var cut dfg.Cut
 		for _, id := range g.OpOrder {
 			for _, idx := range s.InstrIndexes {
@@ -316,81 +283,59 @@ func run(argv []string) error {
 		fmt.Printf("wrote %s (dataflow graph of %s/%s)\n", *dotTo, s.Fn.Name, s.Block.Name)
 	}
 
-	writeIR := func() error {
-		if *emitIR == "" {
-			return nil
+	switch {
+	case !*simulate && *verilogTo == "":
+	case len(sel.Instructions) == 0:
+		fmt.Println("nothing selected; skipping patch/emit")
+	default:
+		if len(rep.Skipped) > 0 {
+			fmt.Printf("note: %d cut(s) skipped (not atomically schedulable)\n", len(rep.Skipped))
 		}
+		fmt.Printf("patched in %d custom instruction(s)\n", len(rep.AFUs))
+		if *simulate {
+			fmt.Printf("cycles: %d -> %d  (measured speedup %.3fx)\n",
+				rep.BaseCycles, rep.PatchedCycles, float64(rep.BaseCycles)/float64(rep.PatchedCycles))
+			fmt.Printf("outputs: match (return value and %d global(s))\n", len(m.Globals))
+		}
+		if *verilogTo != "" {
+			if err := writeVerilog(*verilogTo, rep); err != nil {
+				return err
+			}
+		}
+	}
+	if *emitIR != "" {
 		if err := os.WriteFile(*emitIR, []byte(ir.Serialize(m)), 0o644); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s (textual IR)\n", *emitIR)
-		return nil
 	}
-	if !*simulate && *verilogTo == "" {
-		return writeIR()
-	}
-	if len(sel.Instructions) == 0 {
-		fmt.Println("nothing selected; skipping patch/emit")
-		return writeIR()
-	}
+	return nil
+}
 
-	var base *sim.Report
-	if *simulate {
-		// The profiling run's cycles, priced before the patch changes m.
-		base = sim.FromProfile(m, model)
+// writeVerilog writes one file per AFU the run materialized into dir:
+// its Verilog and a self-checking testbench.
+func writeVerilog(dir string, rep *pipeline.Report) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
-
-	afus, skipped, err := core.ApplySelection(m, sel.Instructions, model)
-	if err != nil {
-		return fmt.Errorf("patching: %w", err)
-	}
-	if len(skipped) > 0 {
-		fmt.Printf("note: %d cut(s) skipped (not atomically schedulable)\n", len(skipped))
-	}
-	fmt.Printf("patched in %d custom instruction(s)\n", len(afus))
-
-	if *simulate {
-		interp.ClearProfile(m)
-		out, err := profileRun(m, k, *entry, args)
+	for i, ai := range rep.AFUs {
+		d := &rep.Module.AFUs[ai]
+		vecs, err := defaultVectors(d)
 		if err != nil {
-			return fmt.Errorf("patched run: %w", err)
-		}
-		rep := sim.FromProfile(m, model)
-		fmt.Printf("cycles: %d -> %d  (measured speedup %.3fx)\n",
-			base.Cycles, rep.Cycles, float64(base.Cycles)/float64(rep.Cycles))
-		if err := diffOutputs(ref, out); err != nil {
-			return fmt.Errorf("patched program: %w", err)
-		}
-		fmt.Printf("outputs: match (return value and %d global(s))\n", len(out.names))
-	}
-
-	if *verilogTo != "" {
-		if err := os.MkdirAll(*verilogTo, 0o755); err != nil {
 			return err
 		}
-		for _, ai := range afus {
-			d := &m.AFUs[ai]
-			v, err := rtl.Verilog(d)
-			if err != nil {
-				return err
-			}
-			vecs, err := defaultVectors(d)
-			if err != nil {
-				return err
-			}
-			tb, err := rtl.Testbench(d, vecs)
-			if err != nil {
-				return err
-			}
-			path := filepath.Join(*verilogTo, fmt.Sprintf("%s.v", d.Name))
-			if err := os.WriteFile(path, []byte(v+"\n"+tb), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s (%d in, %d out, %d cycle(s), %.3f MAC area)\n",
-				path, d.NumIn, len(d.OutSlots), d.Latency, d.Area)
+		tb, err := rtl.Testbench(d, vecs)
+		if err != nil {
+			return err
 		}
+		path := filepath.Join(dir, fmt.Sprintf("%s.v", d.Name))
+		if err := os.WriteFile(path, []byte(rep.Verilog[i]+"\n"+tb), 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s (%d in, %d out, %d cycle(s), %.3f MAC area)\n",
+			path, d.NumIn, len(d.OutSlots), d.Latency, d.Area)
 	}
-	return writeIR()
+	return nil
 }
 
 // checkPorts rejects port counts no special instruction can use: it
@@ -486,63 +431,6 @@ func writeJSONReport(w *os.File, method string, nin, nout, ninstr int, sel core.
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
-}
-
-// programOutputs is what one run of a program computes: the entry
-// function's return value and the contents of the compared globals.
-type programOutputs struct {
-	ret     int32
-	names   []string
-	globals [][]int32
-}
-
-// profileRun runs the program once with profiling on, filling every
-// block's Freq — a kernel from its entry, arguments and inputs, a -src
-// program from entry(args...) — and returns the run's outputs: the
-// kernel's Outputs globals, or every global of a -src program.
-func profileRun(m *ir.Module, k *workload.Kernel, entry string, args []int32) (programOutputs, error) {
-	var out programOutputs
-	env := interp.NewEnv(m)
-	if k != nil {
-		if err := k.SetInputs(env); err != nil {
-			return out, err
-		}
-		entry, args, out.names = k.Entry, k.Args, k.Outputs
-	} else {
-		for _, g := range m.Globals {
-			out.names = append(out.names, g.Name)
-		}
-	}
-	env.Profile = true
-	ret, _, err := env.Call(entry, args...)
-	if err != nil {
-		return out, err
-	}
-	out.ret = ret
-	for _, name := range out.names {
-		vals, err := env.GlobalSlice(name)
-		if err != nil {
-			return out, err
-		}
-		out.globals = append(out.globals, append([]int32(nil), vals...))
-	}
-	return out, nil
-}
-
-// diffOutputs names the first difference between the outputs of the
-// original program (want) and the patched one (got), or returns nil.
-func diffOutputs(want, got programOutputs) error {
-	if got.ret != want.ret {
-		return fmt.Errorf("returned %d, the original %d", got.ret, want.ret)
-	}
-	for i, name := range want.names {
-		for j, v := range want.globals[i] {
-			if g := got.globals[i][j]; g != v {
-				return fmt.Errorf("%s[%d] = %d, the original %d", name, j, g, v)
-			}
-		}
-	}
-	return nil
 }
 
 // defaultVectors produces a few deterministic test vectors for an AFU's

@@ -9,17 +9,18 @@ import (
 	"time"
 
 	"isex/internal/dse"
-	"isex/internal/report"
+	"isex/internal/experiments"
 )
 
 // runSweep is the -sweep entry: a design-space-exploration sweep over
 // the (constraints × ninstr × kernel × target) grid, one selection per
 // constraint group with the smaller Ninstr budgets as its prefixes
-// (package dse). The table prints one section per (kernel, target) with
-// the Pareto frontier; -sweep-json writes the deterministic
-// machine-readable report (byte-identical across -workers values). The
-// tasks share tel's recorder, when a trace is wanted: every event goes
-// through its locked buffer, which keeps the sharing race-clean.
+// (package dse). The table (experiments.DSETable, as isebench prints it)
+// has one section per (kernel, target) with the Pareto frontier;
+// -sweep-json writes the deterministic machine-readable report
+// (byte-identical across -workers values). The tasks share tel's
+// recorder, when a trace is wanted: every event goes through its locked
+// buffer, which keeps the sharing race-clean.
 func runSweep(kernels, targets, constraints, ninstrs, mode, jsonPath string, budget int64, workers int, deadline time.Duration, tel *telemetry) error {
 	opt := dse.DefaultOptions()
 	if kernels != "" {
@@ -75,37 +76,7 @@ func runSweep(kernels, targets, constraints, ninstrs, mode, jsonPath string, bud
 		dse.AttachAttribution(rep, events)
 	}
 
-	fmt.Printf("DSE sweep (%s mode): %v × %v, constraints %v, ninstr %v, budget %d\n",
-		rep.Mode, opt.Benchmarks, opt.Targets, rep.Constraints, rep.Ninstr, rep.Budget)
-	fmt.Printf("%.2fs wall; %d selections, %d identification calls\n",
-		stats.Elapsed.Seconds(), stats.Selections, stats.IdentCalls)
-	for _, b := range rep.Benchmarks {
-		for _, tr := range b.Targets {
-			t := &report.Table{
-				Title:  fmt.Sprintf("%s on %s — baseline %d cycles", b.Benchmark, tr.Target, tr.BaselineCycles),
-				Header: []string{"nin", "nout", "ninstr", "merit", "speedup", "area", "instrs", "status"},
-			}
-			for _, c := range tr.Cells {
-				sp := fmt.Sprintf("%.3f", c.Speedup)
-				if c.Clamped {
-					sp += "†"
-				}
-				t.AddRow(c.Nin, c.Nout, c.Ninstr, c.Merit, sp,
-					fmt.Sprintf("%.2f", c.Area), len(c.Instructions), c.Status)
-			}
-			fmt.Println()
-			fmt.Print(t.String())
-			fmt.Println("Pareto frontier (speedup ↑, area ↓, ninstr ↓):")
-			for _, p := range tr.Pareto {
-				mark := ""
-				if p.Clamped {
-					mark = "†"
-				}
-				fmt.Printf("  area %8.2f  speedup %7.3f%s  ninstr %2d  at %d/%d ports\n",
-					p.Area, p.Speedup, mark, p.Ninstr, p.Nin, p.Nout)
-			}
-		}
-	}
+	fmt.Print(experiments.DSETable(rep, stats))
 
 	if jsonPath != "" {
 		data, err := rep.Bytes()

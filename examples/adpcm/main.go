@@ -8,13 +8,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"isex/internal/core"
 	"isex/internal/dfg"
 	"isex/internal/ir"
-	"isex/internal/rtl"
+	"isex/internal/pipeline"
 	"isex/internal/workload"
 )
 
@@ -60,19 +61,15 @@ func main() {
 			res.Est.Size, res.Est.Components, res.Est.HWCycles, res.Est.Saved)
 	}
 
-	// Select and patch M1, then emit its Verilog.
-	cfg := core.Config{Nin: 2, Nout: 1, MaxCuts: budget}
-	sel := core.SelectIterative(m, 1, cfg)
-	if len(sel.Instructions) == 0 {
-		log.Fatal("nothing selected")
-	}
-	afus, _, err := core.ApplySelection(m, sel.Instructions, nil)
+	// Select and patch M1 (the pipeline checks that the patched decoder
+	// computes the original outputs), then print its Verilog.
+	rep, err := pipeline.Run(context.Background(), k, pipeline.Options{
+		Ninstr: 1, Config: core.Config{Nin: 2, Nout: 1, MaxCuts: budget}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	v, err := rtl.Verilog(&m.AFUs[afus[0]])
-	if err != nil {
-		log.Fatal(err)
+	if len(rep.Verilog) == 0 {
+		log.Fatal("no custom instruction patched in")
 	}
-	fmt.Printf("\nVerilog for the selected datapath:\n\n%s", v)
+	fmt.Printf("\nVerilog for the selected datapath:\n\n%s", rep.Verilog[0])
 }

@@ -10,8 +10,10 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"isex/internal/core"
+	"isex/internal/dse"
 	"isex/internal/latency"
 	"isex/internal/report"
 	"isex/internal/sim"
@@ -25,7 +27,11 @@ func main() {
 	}
 	k := workload.ByName(name)
 	if k == nil {
-		log.Fatalf("unknown kernel %q (try: adpcmdecode adpcmencode gsmlpc fir viterbi crc32 sha fft)", name)
+		var names []string
+		for _, k := range workload.All() {
+			names = append(names, k.Name)
+		}
+		log.Fatalf("unknown kernel %q (try: %s)", name, strings.Join(names, " "))
 	}
 	model := latency.Default()
 	m, err := k.Prepare()
@@ -40,6 +46,7 @@ func main() {
 		Title:  fmt.Sprintf("design space of %s (up to %d instructions, budget-bounded search)", name, ninstr),
 		Header: []string{"Nin", "Nout", "speedup", "instrs", "area (MACs)", "note"},
 	}
+	anyClamped := false
 	for _, nout := range []int{1, 2, 3, 4} {
 		for _, nin := range []int{2, 4, 6, 8} {
 			if nin < nout {
@@ -51,16 +58,23 @@ func main() {
 			for _, s := range sel.Instructions {
 				area += s.Est.Area
 			}
-			speedup := float64(base) / float64(base-sel.TotalMerit)
+			speedup, clamped := dse.EstSpeedup(base, sel.TotalMerit)
+			sp := fmt.Sprintf("%.3f", speedup)
+			if clamped {
+				sp += "†"
+				anyClamped = true
+			}
 			note := ""
-			if sel.Stats.Aborted {
+			if sel.Degraded() {
 				note = "lower bound"
 			}
-			t.AddRow(nin, nout, fmt.Sprintf("%.3f", speedup), len(sel.Instructions),
-				fmt.Sprintf("%.3f", area), note)
+			t.AddRow(nin, nout, sp, len(sel.Instructions), fmt.Sprintf("%.3f", area), note)
 		}
 	}
 	fmt.Print(t.String())
+	if anyClamped {
+		fmt.Println("(† estimated merit reached the baseline cycle count; speedup clamped)")
+	}
 	fmt.Println("\nreading guide: speedup saturates once the ports cover the kernel's")
 	fmt.Println("natural cut shapes; area buys diminishing returns beyond that point.")
 }

@@ -1,19 +1,18 @@
 // Quickstart: compile a small MiniC kernel, identify instruction-set
 // extensions under (Nin=2, Nout=1), patch them in, and measure the
-// speedup on the cycle simulator.
+// speedup on the cycle model — one pipeline.Run.
 //
 //	go run ./examples/quickstart
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"isex/internal/core"
-	"isex/internal/interp"
-	"isex/internal/minic"
-	"isex/internal/passes"
-	"isex/internal/sim"
+	"isex/internal/pipeline"
+	"isex/internal/workload"
 )
 
 const src = `
@@ -34,81 +33,33 @@ void kernel(int n, int gain) {
 `
 
 func main() {
-	// 1. Compile and preprocess (if-conversion turns the two clamps into
-	//    SEL operations, producing one large dataflow block).
-	m, err := minic.Compile(src, minic.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := passes.Run(m, passes.Options{}); err != nil {
-		log.Fatal(err)
-	}
-
-	// 2. Profile: block execution counts weight the merit function.
 	inputs := make([]int32, 64)
 	for i := range inputs {
 		inputs[i] = int32(i*37%200 - 100)
 	}
-	env := interp.NewEnv(m)
-	env.Profile = true
-	if err := env.SetGlobal("x", inputs); err != nil {
-		log.Fatal(err)
-	}
-	if _, _, err := env.Call("kernel", 64, 3); err != nil {
-		log.Fatal(err)
-	}
+	k := &workload.Kernel{Name: "quickstart", Source: src, Entry: "kernel",
+		Args: []int32{64, 3}, Inputs: map[string][]int32{"x": inputs}}
 
-	// 3. Identify up to 4 custom instructions with 2 read ports and 1
-	//    write port (the tightest constraint the paper considers).
-	cfg := core.Config{Nin: 2, Nout: 1}
-	sel := core.SelectIterative(m, 4, cfg)
+	// Compile and preprocess (if-conversion turns the two clamps into SEL
+	// operations, producing one large dataflow block), profile (block
+	// execution counts weight the merit function), identify up to 4
+	// custom instructions with 2 read ports and 1 write port (the
+	// tightest constraint the paper considers), patch them in, and run
+	// the patched program again: it must compute what the original did.
+	rep, err := pipeline.Run(context.Background(), k, pipeline.Options{
+		Ninstr: 4, Config: core.Config{Nin: 2, Nout: 1}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	sel := rep.Selection
 	fmt.Printf("identified %d instruction(s), estimated gain %d cycles:\n",
 		len(sel.Instructions), sel.TotalMerit)
 	for i, s := range sel.Instructions {
 		fmt.Printf("  #%d in %s/%s: %d ops, %d->%d ports, saves %d cycles x %d executions\n",
 			i, s.Fn.Name, s.Block.Name, s.Est.Size, s.Est.In, s.Est.Out, s.Est.Saved, s.Est.Freq)
 	}
-
-	// 4. Measure: run the baseline and the patched program on the
-	//    single-issue cycle model.
-	baseline, err := minic.Compile(src, minic.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := passes.Run(baseline, passes.Options{}); err != nil {
-		log.Fatal(err)
-	}
-	if _, _, err := core.ApplySelection(m, sel.Instructions, nil); err != nil {
-		log.Fatal(err)
-	}
-	interp.ClearProfile(m)
-
-	runner := &sim.Runner{Setup: func(env *interp.Env) error {
-		return env.SetGlobal("x", inputs)
-	}}
-	cmp, err := runner.Compare(baseline, m, "kernel", 64, 3)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Both runs are priced on the single-issue cycle model.
 	fmt.Printf("cycles: %d -> %d, measured speedup %.3fx\n",
-		cmp.Base.Cycles, cmp.Patched.Cycles, cmp.Speedup())
-
-	// 5. The patched program still computes the same thing.
-	e1, e2 := interp.NewEnv(baseline), interp.NewEnv(m)
-	for _, e := range []*interp.Env{e1, e2} {
-		if err := e.SetGlobal("x", inputs); err != nil {
-			log.Fatal(err)
-		}
-		if _, _, err := e.Call("kernel", 64, 3); err != nil {
-			log.Fatal(err)
-		}
-	}
-	a1, _ := e1.GlobalSlice("acc")
-	a2, _ := e2.GlobalSlice("acc")
-	for i := range a1 {
-		if a1[i] != a2[i] {
-			log.Fatalf("outputs diverge at %d: %d vs %d", i, a1[i], a2[i])
-		}
-	}
+		rep.BaseCycles, rep.PatchedCycles, float64(rep.BaseCycles)/float64(rep.PatchedCycles))
 	fmt.Println("outputs verified bit-identical")
 }

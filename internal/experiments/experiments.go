@@ -9,14 +9,15 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
-	"isex/internal/baseline"
 	"isex/internal/core"
 	"isex/internal/dfg"
 	"isex/internal/dse"
 	"isex/internal/ir"
 	"isex/internal/latency"
+	"isex/internal/pipeline"
 	"isex/internal/report"
 	"isex/internal/sim"
 	"isex/internal/workload"
@@ -44,28 +45,8 @@ const (
 // AllMethods lists the Fig. 11 competitors in paper order.
 var AllMethods = []Method{MethodOptimal, MethodIterative, MethodClubbing, MethodMaxMISO}
 
-// runSelection dispatches one method. ctx bounds the exact methods
-// (Optimal/Iterative are anytime searches); the linear-time baselines
-// ignore it.
-func runSelection(ctx context.Context, method Method, m *ir.Module, ninstr int, cfg core.Config) core.SelectionResult {
-	switch method {
-	case MethodOptimal:
-		return core.SelectOptimalCtx(ctx, m, ninstr, cfg)
-	case MethodIterative:
-		return core.SelectIterativeCtx(ctx, m, ninstr, cfg)
-	case MethodClubbing:
-		return baseline.SelectClubbing(m, ninstr, cfg)
-	case MethodMaxMISO:
-		return baseline.SelectMaxMISO(m, ninstr, cfg)
-	case MethodRecurrence:
-		return baseline.SelectRecurrence(m, ninstr, cfg)
-	}
-	panic("unknown method " + method)
-}
-
-func simRunner(k *workload.Kernel, model *latency.Model) *sim.Runner {
-	return &sim.Runner{Model: model, Setup: k.SetInputs}
-}
+// name is the method's name in package pipeline.
+func (m Method) name() string { return strings.ToLower(string(m)) }
 
 // Cell is one method's outcome for one configuration.
 type Cell struct {
@@ -107,11 +88,14 @@ type CompareOptions struct {
 	Ninstr      []int
 	Budget      int64
 	Methods     []Method
-	// Measure additionally patches each selection and validates the
-	// speedup on the simulator.
+	// Measure runs each cell through pipeline.Run, which patches the
+	// selection in, checks the patched program's outputs and measures
+	// its cycles.
 	Measure bool
-	// Deadline, when positive, bounds each selection call's wall clock;
-	// cells that trip it report a degraded (lower-bound) status.
+	// Deadline, when positive, bounds each selection call's wall clock
+	// (with Measure, counted from before the cell's compile and
+	// profiling run); cells that trip it report a degraded
+	// (lower-bound) status.
 	Deadline time.Duration
 	// Engine knobs, forwarded to core.Config for the exact methods
 	// (Optimal/Iterative; the linear baselines ignore them). Both are
@@ -174,22 +158,10 @@ func Compare(opt CompareOptions) ([]ComparisonRow, error) {
 					if opt.Deadline > 0 {
 						ctx, cancel = context.WithTimeout(ctx, opt.Deadline)
 					}
-					sel := runSelection(ctx, method, prof, n, cfg)
+					cell, err := compareCell(ctx, k, prof, base, method, n, cfg, opt.Measure)
 					cancel()
-					speedup, clamped := dse.EstSpeedup(base, sel.TotalMerit)
-					cell := Cell{
-						Instructions: len(sel.Instructions),
-						Aborted:      sel.Stats.Aborted,
-						Status:       sel.Status,
-						Speedup:      speedup,
-						Clamped:      clamped,
-					}
-					if opt.Measure && len(sel.Instructions) > 0 {
-						ms, err := measure(k, sel, model, base)
-						if err != nil {
-							return nil, fmt.Errorf("%s/%s: %w", bname, method, err)
-						}
-						cell.Measured = ms
+					if err != nil {
+						return nil, fmt.Errorf("%s/%s: %w", bname, method, err)
 					}
 					row.Cells[method] = cell
 				}
@@ -208,38 +180,36 @@ func estSpeedup(base, merit int64) float64 {
 	return s
 }
 
-// measure patches a fresh copy of the kernel with sel's cuts (re-deriving
-// the selection on the fresh module, since Selected references blocks of
-// prof) and returns the measured speedup.
-func measure(k *workload.Kernel, sel core.SelectionResult, model *latency.Model, base int64) (float64, error) {
-	fresh, err := k.Build()
-	if err != nil {
-		return 0, err
-	}
-	// Re-map the selection onto the fresh module by function name and
-	// block index.
-	var mapped []core.Selected
-	for _, s := range sel.Instructions {
-		f := fresh.Func(s.Fn.Name)
-		if f == nil || s.Block.Index >= len(f.Blocks) {
-			return 0, fmt.Errorf("experiments: cannot remap selection")
+// compareCell selects with method on the profiled module prof, whose
+// run took base cycles; measure runs the selection through the pipeline
+// instead, on a build of its own, and measures the patched program.
+func compareCell(ctx context.Context, k *workload.Kernel, prof *ir.Module, base int64, method Method, ninstr int, cfg core.Config, measure bool) (Cell, error) {
+	var sel core.SelectionResult
+	var measured float64
+	if measure {
+		rep, err := pipeline.Run(ctx, k, pipeline.Options{Method: method.name(), Ninstr: ninstr, Config: cfg})
+		if err != nil {
+			return Cell{}, err
 		}
-		mapped = append(mapped, core.Selected{
-			Fn: f, Block: f.Blocks[s.Block.Index],
-			InstrIndexes: s.InstrIndexes, Est: s.Est,
-		})
+		sel = rep.Selection
+		if len(sel.Instructions) > 0 {
+			measured = float64(rep.BaseCycles) / float64(rep.PatchedCycles)
+		}
+	} else {
+		var err error
+		if sel, err = pipeline.Select(ctx, method.name(), prof, ninstr, cfg); err != nil {
+			return Cell{}, err
+		}
 	}
-	if _, _, err := core.ApplySelection(fresh, mapped, model); err != nil {
-		return 0, err
-	}
-	rep, err := simRunner(k, model).Run(fresh, k.Entry, k.Args...)
-	if err != nil {
-		return 0, err
-	}
-	if rep.Cycles <= 0 {
-		return 0, fmt.Errorf("experiments: zero-cycle run")
-	}
-	return float64(base) / float64(rep.Cycles), nil
+	speedup, clamped := dse.EstSpeedup(base, sel.TotalMerit)
+	return Cell{
+		Speedup:      speedup,
+		Measured:     measured,
+		Instructions: len(sel.Instructions),
+		Aborted:      sel.Stats.Aborted,
+		Clamped:      clamped,
+		Status:       sel.Status,
+	}, nil
 }
 
 // ComparisonTable renders Fig. 11 rows.

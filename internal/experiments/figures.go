@@ -13,6 +13,7 @@ import (
 	"isex/internal/latency"
 	"isex/internal/minic"
 	"isex/internal/passes"
+	"isex/internal/pipeline"
 	"isex/internal/report"
 	"isex/internal/sim"
 	"isex/internal/workload"
@@ -482,16 +483,10 @@ func VLIWStudy(bench string, nin, nout, ninstr int, widths []int, cutBudget int6
 	if err != nil {
 		return nil, err
 	}
-	patched, err := k.Prepare()
+	cfg := core.Config{Nin: nin, Nout: nout, Model: model, MaxCuts: cutBudget}
+	rep, err := pipeline.Run(context.Background(), k, pipeline.Options{Ninstr: ninstr, Config: cfg})
 	if err != nil {
 		return nil, err
-	}
-	cfg := core.Config{Nin: nin, Nout: nout, Model: model, MaxCuts: cutBudget}
-	sel := core.SelectIterative(patched, ninstr, cfg)
-	if len(sel.Instructions) > 0 {
-		if _, _, err := core.ApplySelection(patched, sel.Instructions, model); err != nil {
-			return nil, err
-		}
 	}
 	var rows []VLIWRow
 	for _, w := range widths {
@@ -499,7 +494,7 @@ func VLIWStudy(bench string, nin, nout, ninstr int, widths []int, cutBudget int6
 		if err != nil {
 			return nil, err
 		}
-		cp, err := sim.VLIWCycles(patched, model, w)
+		cp, err := sim.VLIWCycles(rep.Module, model, w)
 		if err != nil {
 			return nil, err
 		}
@@ -555,8 +550,14 @@ func Motivation(benchmarks []string, nin, nout, ninstr int, cutBudget int64) ([]
 		}
 		base := sim.FromProfile(m, model).Cycles
 		cfg := core.Config{Nin: nin, Nout: nout, Model: model, MaxCuts: cutBudget}
-		rec := runSelection(context.Background(), MethodRecurrence, m, ninstr, cfg)
-		exact := runSelection(context.Background(), MethodIterative, m, ninstr, cfg)
+		rec, err := pipeline.Select(context.Background(), MethodRecurrence.name(), m, ninstr, cfg)
+		if err != nil {
+			return nil, err
+		}
+		exact, err := pipeline.Select(context.Background(), MethodIterative.name(), m, ninstr, cfg)
+		if err != nil {
+			return nil, err
+		}
 		row := MotivationRow{Benchmark: bname, Nin: nin, Nout: nout,
 			RecurrenceSpeedup: estSpeedup(base, rec.TotalMerit),
 			ExactSpeedup:      estSpeedup(base, exact.TotalMerit)}

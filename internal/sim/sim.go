@@ -121,32 +121,3 @@ func (rep *Report) charge(m *ir.Module, model *latency.Model, b *ir.Block, n int
 	}
 	rep.Cycles += n * cycles
 }
-
-// Comparison contrasts a baseline run with a patched run.
-type Comparison struct {
-	Base, Patched *Report
-}
-
-// Speedup is base cycles over patched cycles.
-func (c Comparison) Speedup() float64 {
-	if c.Patched.Cycles == 0 {
-		return 0
-	}
-	return float64(c.Base.Cycles) / float64(c.Patched.Cycles)
-}
-
-// Saved is the absolute cycle gain.
-func (c Comparison) Saved() int64 { return c.Base.Cycles - c.Patched.Cycles }
-
-// Compare runs entry on both modules (same setup) and pairs the reports.
-func (r *Runner) Compare(base, patched *ir.Module, entry string, args ...int32) (Comparison, error) {
-	rb, err := r.Run(base, entry, args...)
-	if err != nil {
-		return Comparison{}, err
-	}
-	rp, err := r.Run(patched, entry, args...)
-	if err != nil {
-		return Comparison{}, err
-	}
-	return Comparison{Base: rb, Patched: rp}, nil
-}
